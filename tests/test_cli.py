@@ -166,6 +166,27 @@ seed = 0
         records = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert all(set(r) == {"property", "worst_residual", "samples", "pass"} for r in records)
 
+    def test_circle_density_suite_passes(self, tmp_path, capsys):
+        # porous medium m = 2 on the benchmark's circle grid
+        cfg = write_config(tmp_path, """
+[backend]
+kind = density
+entropy = porous_medium
+m = 2
+n = 64
+dx = 0.25
+x0 = -8
+boundary = periodic
+
+[run]
+command = verify
+seed = 0
+""")
+        assert main([cfg, "--output", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 10
+        assert all(ln.endswith("pass") for ln in lines)
+
     def test_zero_tolerance_fails(self, tmp_path):
         cfg = write_config(tmp_path, """
 [backend]

@@ -12,7 +12,15 @@ from entrogeo import (
     w2_distance,
     w2_geodesic,
 )
-from entrogeo.density1d import entropy, flow, slope
+from entrogeo.density1d import (
+    _cdf_nodes,
+    _circle_cut_costs,
+    _laplacian,
+    _pairwise_quantile_l2sq,
+    entropy,
+    flow,
+    slope,
+)
 from entrogeo.errors import DomainError, GridMismatch
 
 from conftest import WIDE, gaussian_on
@@ -98,6 +106,71 @@ class TestW2Distance:
         a = GridDensity.gaussian(0.0, 0.3, n, dx, x0=-4.0, boundary="periodic")
         b = a.with_rho(np.roll(a.rho, -32))  # shift -1, i.e. 7 the long way
         assert w2_distance(a, b) == pytest.approx(1.0, abs=1e-6)
+
+
+def loop_cut_costs(a, b):
+    """Reference for the blocked pass: each cell-edge cut on its own."""
+    costs = []
+    for cut in range(a.n):
+        Fa, x = _cdf_nodes(a, np.roll(a.rho, -cut))
+        Fb, _ = _cdf_nodes(b, np.roll(b.rho, -cut))
+        costs.append(_pairwise_quantile_l2sq(Fa, x, Fb, x))
+    return np.array(costs)
+
+
+def random_bumps(rng, n, background, widths=(0.03, 0.15)):
+    """Three wrapped Gaussian bumps of random place, width and weight on [-8, 8)."""
+    L = 16.0
+    centers = rng.uniform(-8.0, 8.0, 3)
+    widths = rng.uniform(*widths, 3) * L
+    weights = rng.uniform(0.3, 1.0, 3)
+
+    def fn(x):
+        z = (x[:, None] - centers + L / 2) % L - L / 2
+        return background + np.sum(weights * np.exp(-0.5 * (z / widths) ** 2), axis=1)
+
+    return GridDensity.from_function(fn, n, L / n, -8.0, "periodic")
+
+
+class TestCircleCutCosts:
+    @pytest.mark.parametrize("n", [64, 300])  # 300 cuts span several row blocks
+    def test_matches_per_cut_loop(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            a = random_bumps(rng, n, background=0.02)
+            b = random_bumps(rng, n, background=0.02)
+            ref = loop_cut_costs(a, b)
+            costs = _circle_cut_costs(a, b)
+            assert np.max(np.abs(costs - ref) / ref) <= 1e-12
+            assert np.argmin(costs) == np.argmin(ref)
+            assert w2_distance(a, b) == pytest.approx(math.sqrt(ref.min()), rel=1e-12)
+
+    def test_ties_broken_within_roundoff(self):
+        # narrow bumps that decay to the floor: every cut through a region
+        # empty in both densities costs the same up to roundoff, so the
+        # blocked pass may pick another of those cuts than the loop, but
+        # never a dearer one
+        rng = np.random.default_rng(1)
+        tied = 0
+        for _ in range(5):
+            a = random_bumps(rng, 64, background=0.0, widths=(0.01, 0.03))
+            b = random_bumps(rng, 64, background=0.0, widths=(0.01, 0.03))
+            ref = loop_cut_costs(a, b)
+            costs = _circle_cut_costs(a, b)
+            assert np.max(np.abs(costs - ref) / ref) <= 1e-12
+            assert ref[np.argmin(costs)] <= ref.min() * (1.0 + 1e-12)
+            tied += np.sum(ref <= ref.min() * (1.0 + 1e-12)) > 1
+        assert tied > 0  # the draw does contain tied cuts
+
+    def test_whole_cell_rotation_exact(self):
+        n, dx = 64, 0.25
+        a = GridDensity.gaussian(-1.0, 0.5, n, dx, x0=-8.0, boundary="periodic")
+        b = a.with_rho(np.roll(a.rho, 7))
+        costs = _circle_cut_costs(a, b)
+        ref = loop_cut_costs(a, b)
+        assert np.max(np.abs(costs - ref) / ref) <= 1e-12
+        # only the floor mass in the 7 cells the bump crosses moves less
+        assert w2_distance(a, b) == pytest.approx(7 * dx, rel=1e-10)
 
 
 class TestW2Geodesic:
@@ -217,6 +290,29 @@ class TestFlow:
         )
         out = flow(KB, d, 1.0)
         assert l1(out, GridDensity.uniform(n, 1.0 / n, boundary="periodic")) <= 1e-3
+
+
+def dense_periodic_laplacian(n, dx, a):
+    """``div(a grad .)`` on the circle, face ``i`` joining cells ``i`` and ``i+1``."""
+    mat = np.zeros((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        mat[i, i] -= a[i]
+        mat[j, j] -= a[i]
+        mat[i, j] += a[i]
+        mat[j, i] += a[i]
+    return mat / (dx * dx)
+
+
+class TestPeriodicLaplacian:
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_matches_dense_reference(self, n, unit):
+        dx = 0.3
+        a = np.ones(n) if unit else np.random.default_rng(n).uniform(0.5, 2.0, n)
+        mat = _laplacian(n, dx, "periodic", None if unit else a).toarray()
+        np.testing.assert_allclose(mat, dense_periodic_laplacian(n, dx, a),
+                                   rtol=1e-14, atol=0.0)
 
 
 class TestFlowInvariants:
