@@ -57,6 +57,11 @@ class SpaceBackend:
     def geodesic(self, a, b, theta: float):
         raise NotImplementedError
 
+    def geodesic_points(self, a, b, thetas) -> list:
+        """``[geodesic(a, b, th) for th in thetas]``; a backend overrides it
+        when the times can share work that depends only on the endpoints."""
+        return [self.geodesic(a, b, th) for th in thetas]
+
     def entropy(self, x) -> float:
         raise NotImplementedError
 
@@ -116,7 +121,7 @@ class Curve:
 def geodesic_curve(backend: SpaceBackend, x, y, n_intervals: int) -> Curve:
     """Constant-speed backend geodesic sampled on a uniform grid."""
     ts = np.linspace(0.0, 1.0, n_intervals + 1)
-    pts = [x] + [backend.geodesic(x, y, t) for t in ts[1:-1]] + [y]
+    pts = [x] + backend.geodesic_points(x, y, ts[1:-1]) + [y]
     return Curve(ts, pts)
 
 

@@ -277,32 +277,41 @@ def w2_distance(a: GridDensity, b: GridDensity) -> float:
     return math.sqrt(max(float(np.min(_circle_cut_costs(a, b))), 0.0))
 
 
-def _interval_geodesic_masses(Fa, xa, Fb, xb, theta: float, edges: np.ndarray):
-    """Cell masses of the displacement interpolant with quantile
-    ``(1-theta) Qa + theta Qb``, binned exactly onto ``edges``."""
+def _geodesic_sampler(a: GridDensity, b: GridDensity):
+    """``theta -> `` displacement interpolant of ``a`` and ``b``, re-binned to
+    their common grid.
+
+    The circle cut search and both CDF builds depend only on the endpoints,
+    so they run once here and every sampled time reuses them.
+    """
+    _require_same_grid(a, b)
+    if a.boundary == "no-flux":
+        cut = 0
+        Fa, xa = _cdf_nodes(a)
+        Fb, xb = _cdf_nodes(b)
+    else:
+        cut = int(np.argmin(_circle_cut_costs(a, b)))
+        Fa, xa = _rolled_cdf_nodes(a, cut)
+        Fb, xb = _rolled_cdf_nodes(b, cut)
     U = np.union1d(Fa, Fb)
-    q = (1.0 - theta) * np.interp(U, Fa, xa) + theta * np.interp(U, Fb, xb)
-    # q is strictly increasing, so this inverts it exactly edge by edge
-    F_edges = np.interp(edges, q, U, left=0.0, right=1.0)
-    return np.diff(F_edges)
+    qa = np.interp(U, Fa, xa)
+    qb = np.interp(U, Fb, xb)
+
+    def at(theta: float) -> GridDensity:
+        if not 0.0 <= theta <= 1.0:
+            raise DomainError(f"theta must lie in [0, 1], got {theta}")
+        # the quantile q is strictly increasing, so this inverts it exactly
+        # edge by edge into the cell masses
+        q = (1.0 - theta) * qa + theta * qb
+        masses = np.diff(np.interp(xa, q, U, left=0.0, right=1.0))
+        return a.with_rho(np.roll(masses, cut) / a.dx)
+
+    return at
 
 
 def w2_geodesic(a: GridDensity, b: GridDensity, theta: float) -> GridDensity:
     """Displacement interpolation, re-binned to the common grid."""
-    _require_same_grid(a, b)
-    if not 0.0 <= theta <= 1.0:
-        raise DomainError(f"theta must lie in [0, 1], got {theta}")
-    if a.boundary == "no-flux":
-        Fa, xa = _cdf_nodes(a)
-        Fb, xb = _cdf_nodes(b)
-        masses = _interval_geodesic_masses(Fa, xa, Fb, xb, theta, a.edges)
-        return a.with_rho(masses / a.dx)
-    cut = int(np.argmin(_circle_cut_costs(a, b)))
-    Fa, xa = _rolled_cdf_nodes(a, cut)
-    Fb, xb = _rolled_cdf_nodes(b, cut)
-    edges = xa
-    masses = _interval_geodesic_masses(Fa, xa, Fb, xb, theta, edges)
-    return a.with_rho(np.roll(masses, cut) / a.dx)
+    return _geodesic_sampler(a, b)(theta)
 
 
 # -- entropy and slope -----------------------------------------------------
@@ -424,6 +433,10 @@ class Density1DBackend(SpaceBackend):
 
     def geodesic(self, a, b, theta: float):
         return w2_geodesic(a, b, theta)
+
+    def geodesic_points(self, a, b, thetas) -> list:
+        sample = _geodesic_sampler(a, b)
+        return [sample(th) for th in thetas]
 
     def entropy(self, x) -> float:
         return entropy(self.kind, x)

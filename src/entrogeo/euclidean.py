@@ -40,6 +40,10 @@ class Potential:
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def hess(self, x: np.ndarray) -> np.ndarray:
+        """Hessian matrix of V at ``x``, shape ``(dim, dim)``."""
+        raise NotImplementedError
+
     def grad_sq_half_grad(self, x: np.ndarray) -> np.ndarray:
         """Gradient of ``x -> 1/2 |grad V(x)|^2``, i.e. ``Hess V(x) grad V(x)``."""
         raise NotImplementedError
@@ -78,6 +82,9 @@ class QuadraticPotential(Potential):
     def grad(self, x):
         return self.strength * (np.asarray(x, dtype=float) - self.center)
 
+    def hess(self, x):
+        return self.strength * np.eye(self.dim)
+
     def grad_sq_half_grad(self, x):
         return self.strength**2 * (np.asarray(x, dtype=float) - self.center)
 
@@ -94,10 +101,12 @@ _FD_CHECK_POINTS = 8
 class UserPotential(Potential):
     """Potential given by callbacks ``v`` and ``grad_v`` with a declared lam.
 
-    At construction the gradient is spot-checked against central differences
-    of ``v`` on a few sampled points (relative 1e-4); a sampled Hessian
-    quotient merely warns when the declared convexity looks violated, since
-    the theory consumes ``lam`` as an input rather than estimating it.
+    The Hessian comes from the optional ``hess_v`` callback, or else from
+    central differences of ``grad_v``.  At construction the gradient is
+    spot-checked against central differences of ``v`` on a few sampled
+    points (relative 1e-4); a sampled Hessian quotient merely warns when
+    the declared convexity looks violated, since the theory consumes
+    ``lam`` as an input rather than estimating it.
     """
 
     def __init__(
@@ -162,10 +171,20 @@ class UserPotential(Potential):
     def grad(self, x):
         return np.asarray(self._grad_v(np.asarray(x, dtype=float)), dtype=float)
 
+    def hess(self, x):
+        x = np.asarray(x, dtype=float)
+        if self._hess_v is not None:
+            return np.asarray(self._hess_v(x), dtype=float)
+        # central differences of grad V along each axis, symmetrized
+        tau = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        cols = [self.grad(x + e) - self.grad(x - e) for e in tau * np.eye(self.dim)]
+        h = np.array(cols) / (2 * tau)
+        return 0.5 * (h + h.T)
+
     def grad_sq_half_grad(self, x):
         g = self.grad(x)
         if self._hess_v is not None:
-            return np.asarray(self._hess_v(x), dtype=float) @ g
+            return self.hess(x) @ g
         gn = float(np.linalg.norm(g))
         if gn == 0.0:
             return np.zeros_like(g)

@@ -228,13 +228,11 @@ def convexity_certificate(backend: SpaceBackend, x, y, theta_grid) -> float:
     lam = backend.lam
     ex, ey = backend.entropy(x), backend.entropy(y)
     d2 = backend.distance(x, y) ** 2
-    worst = -math.inf
-    for th in theta_grid:
-        th = float(th)
-        if th == 0.0 or th == 1.0:
-            worst = max(worst, 0.0)
-            continue
-        e_mid = backend.entropy(backend.geodesic(x, y, th))
+    inner = [float(th) for th in theta_grid if 0.0 < th < 1.0]
+    # the endpoints satisfy the inequality with equality
+    worst = 0.0 if len(inner) < theta_grid.size else -math.inf
+    for th, g in zip(inner, backend.geodesic_points(x, y, inner)):
+        e_mid = backend.entropy(g)
         bound = (1 - th) * ex + th * ey - 0.5 * lam * th * (1 - th) * d2
         worst = max(worst, e_mid - bound)
     return worst

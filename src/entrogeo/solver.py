@@ -7,13 +7,18 @@ The discretized Schrodinger problem
     over curves with c_0 = x and c_N = y fixed
 
 is solved by limited-memory quasi-Newton descent with a backtracking line
-search (steepest descent as the per-step fallback).  A step is accepted on
-the Armijo test, or else on the approximate-Wolfe slope test of Hager &
-Zhang with the value allowed to rise by at most 1e-14 relative, so that
-iterates at the roundoff floor of the action are not rejected.  The
+search (steepest descent as the per-step fallback).  Each backend problem
+supplies ``value_grad`` and ``make_preconditioner``: the inverse of a
+positive-definite quadratic model, factored by banded Cholesky, seeds the
+two-loop recursion and is rebuilt between descent stages.  A step is
+accepted on the Armijo test, or else on the approximate-Wolfe slope test of
+Hager & Zhang with the value allowed to rise by at most 1e-14 relative, so
+that iterates at the roundoff floor of the action are not rejected.  The
 decision variables depend on the backend:
 
-* Euclidean: the interior node coordinates themselves.
+* Euclidean: the interior node coordinates themselves.  The model is the
+  block-tridiagonal Gauss-Newton Hessian (kinetic Laplacian plus
+  ``eps^2 w_i H_i^2``), exact for the quadratic well.
 * Densities: interior *quantile functions* sampled on a u-grid.  In
   quantile coordinates the kinetic term is exactly quadratic and geodesics
   are linear, pushing all nonlinearity into the Fisher term, which becomes
@@ -24,7 +29,9 @@ decision variables depend on the backend:
   Monotonicity of the quantiles is kept by rejecting non-monotone line
   search trials (their action is +inf); for the Boltzmann entropy the
   Fisher term is itself a log barrier at zero increments, so accepted
-  iterates stay strictly interior.
+  iterates stay strictly interior.  The model is the kinetic term plus the
+  Gauss-Newton Hessian of the Fisher term, a band of half-width
+  ``2 n_interior`` when the unknowns are ordered u-major.
 
 For eps = 0 the density problem is solved in closed form (the linear
 quantile interpolation is the exact discrete minimizer); the Euclidean
@@ -41,6 +48,7 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.interpolate
+import scipy.linalg
 
 from .core import Curve, HatFunction, SpaceBackend, fisher_action, geodesic_curve, kinetic_action
 from .density1d import Density1DBackend, EntropyKind, GridDensity, _cdf_nodes
@@ -135,7 +143,7 @@ _WOLFE_SIGMA = 0.9
 
 
 def _lbfgs_armijo(value_grad, z0, opts: SolverOptions, grad_tol: float,
-                  precond=None, max_iter=None):
+                  precond, max_iter=None):
     """Limited-memory BFGS with a backtracking line search.
 
     A trial step is accepted on the Armijo test ``v_try <= v + c step g.d``.
@@ -174,11 +182,7 @@ def _lbfgs_armijo(value_grad, z0, opts: SolverOptions, grad_tol: float,
             a = rho * (s @ d)
             d -= a * y
             alphas.append(a)
-        if precond is not None:
-            d = precond(d)
-        elif s_mem:
-            y_last, s_last = y_mem[-1], s_mem[-1]
-            d *= (s_last @ y_last) / (y_last @ y_last)
+        d = precond(d)
         for (s, y, rho), a in zip(zip(s_mem, y_mem, rho_mem), reversed(alphas)):
             b = rho * (y @ d)
             d += (a - b) * s
@@ -223,39 +227,37 @@ def _lbfgs_armijo(value_grad, z0, opts: SolverOptions, grad_tol: float,
 
 
 def _staged_descent(prob, z0, opts: SolverOptions, grad_tol: float,
-                    make_precond=None, stage_budget: int = 120):
+                    stage_budget: int = 120):
     """Drive L-BFGS in stages, rebuilding the preconditioner between them.
 
-    The quadratic model behind the preconditioner is only trustworthy near
-    the point it was assembled at; when a stage exhausts its budget without
-    reaching stationarity the model is re-assembled at the current iterate
-    and the memory restarted.  A stage that stalls twice in a row ends the
-    descent (the line search cannot make progress).
+    The quadratic model behind ``prob.make_preconditioner`` is only
+    trustworthy near the point it was assembled at; when a stage exhausts
+    its budget without reaching stationarity the model is re-assembled at
+    the current iterate and the memory restarted.  A stage that stalls
+    twice in a row ends the descent (the line search cannot make progress).
     """
     z = np.asarray(z0, dtype=float).copy()
     total = 0
     history = []
     stalled_before = False
     while total < opts.max_iter:
-        precond = make_precond(z) if make_precond is not None else None
         budget = min(stage_budget, opts.max_iter - total)
         z, it, hist, converged, stalled = _lbfgs_armijo(
-            prob.value_grad, z, opts, grad_tol, precond, max_iter=budget)
+            prob.value_grad, z, opts, grad_tol, prob.make_preconditioner(z),
+            max_iter=budget)
         history.extend(hist if not history else hist[1:])
         total += it
-        if converged:
+        if converged or (stalled and stalled_before):
             return z, total, history
-        if stalled:
-            if stalled_before or make_precond is None:
-                return z, total, history
-            stalled_before = True
-        else:
-            stalled_before = False
-        if make_precond is None and it < budget:
-            return z, total, history
-        if make_precond is None:
-            continue
+        stalled_before = stalled
     return z, total, history
+
+
+def _banded_cholesky_solver(ab: np.ndarray):
+    """``v -> A^{-1} v`` for the SPD matrix ``A`` in lower band storage
+    ``ab[j, p] = A[p + j, p]``; ``ab`` is overwritten by its factor."""
+    cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    return lambda v: scipy.linalg.cho_solve_banded((cb, True), v, check_finite=False)
 
 
 # -- Euclidean problem -------------------------------------------------------
@@ -300,26 +302,40 @@ class _EuclideanProblem:
         return kin, fis
 
     def value_grad(self, z: np.ndarray):
-        pts = self.unpack(z)
-        kin = 0.0
-        grad = np.zeros((self.n_interior, self.dim))
-        for i, dt in enumerate(self.dts):
-            dxv = pts[i + 1] - pts[i]
-            kin += float(dxv @ dxv) / dt
-            if i >= 1:
-                grad[i - 1] -= dxv / dt
-            if i < self.n_interior:
-                grad[i] += dxv / dt
-        kin *= 0.5
+        pts = np.vstack([self.x, z.reshape(self.n_interior, self.dim), self.y])
+        diff = np.diff(pts, axis=0)
+        vel = diff / self.dts[:, None]
+        kin = 0.5 * float(np.sum(diff * vel))
+        grad = vel[:-1] - vel[1:]
         fis = 0.0
-        for i in range(1, self.times.size - 1):
-            g = self.pot.grad(pts[i])
+        for i, p in enumerate(pts):
+            g = self.pot.grad(p)
             fis += self.weights[i] * 0.5 * float(g @ g)
-            grad[i - 1] += self.eps**2 * self.weights[i] * self.pot.grad_sq_half_grad(pts[i])
-        for i in (0, self.times.size - 1):
-            g = self.pot.grad(pts[i])
-            fis += self.weights[i] * 0.5 * float(g @ g)
+        for i in range(self.n_interior):
+            grad[i] += self.eps**2 * self.weights[i + 1] * self.pot.grad_sq_half_grad(pts[i + 1])
         return kin + self.eps**2 * fis, grad.ravel()
+
+    def make_preconditioner(self, z0: np.ndarray):
+        """Inverse of the Gauss-Newton model at ``z0``, by banded Cholesky.
+
+        In the node-major decision vector the model is block tridiagonal
+        with band half-width ``dim``: diagonal blocks
+        ``(1/dt_i + 1/dt_{i+1}) I + eps^2 w_i H_i^T H_i`` (``H_i`` the
+        Hessian of V at node i) and off-diagonal blocks ``-(1/dt) I``.
+        Dropping the third-derivative term of ``Hess 1/2 |grad V|^2`` keeps
+        the model positive definite for any lam; for the quadratic well it
+        is the exact Hessian, so one Newton step solves the problem.
+        """
+        nI, dim = self.n_interior, self.dim
+        H = np.array([self.pot.hess(p) for p in z0.reshape(nI, dim)])
+        D = self.eps**2 * self.weights[1:-1, None, None] * (H.transpose(0, 2, 1) @ H)
+        # lower band storage: band[j, i, c] = A[(i, c + j), (i, c)]
+        band = np.zeros((dim + 1, nI, dim))
+        for j in range(dim):
+            band[j, :, :dim - j] = np.diagonal(D, offset=-j, axis1=1, axis2=2)
+        band[0] += (1.0 / self.dts[:-1] + 1.0 / self.dts[1:])[:, None]
+        band[dim, :-1] = -1.0 / self.dts[1:-1, None]
+        return _banded_cholesky_solver(band.reshape(dim + 1, nI * dim))
 
 
 # -- density problem in quantile coordinates ---------------------------------
@@ -472,81 +488,63 @@ class _DensityProblem:
         pts.append(self.y)
         return Curve(self.times, pts)
 
-    def _fisher_gn_bands(self, Q: np.ndarray):
-        """Gauss-Newton bands of the quantile-space Fisher at one node.
+    def _fisher_gn_bands(self, Qs: np.ndarray):
+        """Gauss-Newton bands of the quantile-space Fisher at every node.
 
         The squared slope is a sum of squared residuals R_k(Q) with a
         3-point stencil, so its Gauss-Newton Hessian is pentadiagonal;
-        returns (diag, first, second off-diagonals) of ``du * J^T J``.
+        returns (diag, first, second off-diagonals) of ``du * J^T J``, one
+        row per node of ``Qs``.
         """
-        m, du = self.m, self.du
-        G = np.diff(Q) / du
+        du = self.du
+        G = np.diff(Qs, axis=1) / du
         A = _uprime_of_inv(self.kind, G)
-        num = (A[1:] - A[:-1]) / du
-        qp = 0.5 * (G[1:] + G[:-1])
+        num = (A[:, 1:] - A[:, :-1]) / du
+        qp = 0.5 * (G[:, 1:] + G[:, :-1])
         R = num / qp
         ap = _uprime_of_inv_dG(self.kind, G)
-        dR_dGk = ap[1:] / (du * qp) - 0.5 * R / qp
-        dR_dGkm1 = -ap[:-1] / (du * qp) - 0.5 * R / qp
+        dR_dGk = ap[:, 1:] / (du * qp) - 0.5 * R / qp
+        dR_dGkm1 = -ap[:, :-1] / (du * qp) - 0.5 * R / qp
         # residual k (k = 1..m-2) touches Q_{k-1}, Q_k, Q_{k+1}
         a = -dR_dGkm1 / du                 # dR_k/dQ_{k-1}
         b = (dR_dGkm1 - dR_dGk) / du       # dR_k/dQ_k
         c = dR_dGk / du                    # dR_k/dQ_{k+1}
-        d0 = np.zeros(m)
-        d1 = np.zeros(m - 1)
-        d2 = np.zeros(m - 2)
-        k = np.arange(1, m - 1)
-        np.add.at(d0, k - 1, a * a)
-        np.add.at(d0, k, b * b)
-        np.add.at(d0, k + 1, c * c)
-        np.add.at(d1, k - 1, a * b)
-        np.add.at(d1, k, b * c)
-        np.add.at(d2, k - 1, a * c)
-        return du * d0, du * d1, du * d2
+        d0 = np.zeros(Qs.shape)
+        d0[:, :-2] += a * a
+        d0[:, 1:-1] += b * b
+        d0[:, 2:] += c * c
+        d1 = np.zeros((Qs.shape[0], Qs.shape[1] - 1))
+        d1[:, :-1] += a * b
+        d1[:, 1:] += b * c
+        return du * d0, du * d1, du * (a * c)
 
     def make_preconditioner(self, z0: np.ndarray):
-        """Inverse of the quadratic model at the warm start, applied by a
-        sparse LU factorization computed once.
+        """Inverse of the quadratic model at ``z0``, by banded Cholesky.
 
         The model couples time neighbors through the (exactly quadratic)
         kinetic term and u neighbors through the Gauss-Newton bands of the
         Fisher term; without it, descent directions are dominated by the
         stiff fourth-order-in-u Fisher curvature (~1/du^3 vs ~du/dt for
-        the kinetic block) and first-order methods stall.
+        the kinetic block) and first-order methods stall.  Ordered u-major
+        (time index fastest) the model is a band of half-width
+        ``2 n_interior`` whose only nonzero diagonals are the main one, the
+        kinetic coupling at offset 1 and the Fisher couplings at offsets
+        ``n_interior`` and ``2 n_interior``; it is assembled directly in
+        lower band storage and factored once.
         """
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
         nI, m, du = self.n_interior, self.m, self.du
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-
-        Qs = z0.reshape(nI, m)
-        idx = np.arange(m)
-        for i in range(nI):
-            off = i * m
-            kin_diag = du * (1.0 / self.dts[i] + 1.0 / self.dts[i + 1])
-            wf = self.eps**2 * self.weights[i + 1] * 0.5
-            d0, d1, d2 = self._fisher_gn_bands(Qs[i])
-            add(off + idx, off + idx, kin_diag + 2.0 * wf * d0 + 1e-12)
-            add(off + idx[:-1], off + idx[1:], 2.0 * wf * d1)
-            add(off + idx[1:], off + idx[:-1], 2.0 * wf * d1)
-            add(off + idx[:-2], off + idx[2:], 2.0 * wf * d2)
-            add(off + idx[2:], off + idx[:-2], 2.0 * wf * d2)
-            if i + 1 < nI:
-                tkin = -du / self.dts[i + 1]
-                add(off + idx, off + m + idx, np.full(m, tkin))
-                add(off + m + idx, off + idx, np.full(m, tkin))
-        mat = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nI * m, nI * m),
-        )
-        lu = spla.splu(mat)
-        return lambda v: lu.solve(v)
+        d0, d1, d2 = self._fisher_gn_bands(z0.reshape(nI, m))
+        wf = self.eps**2 * self.weights[1:-1, None]
+        # ab[j, k nI + i] = A[(k, i) + j, (k, i)]; Fortran order lets the
+        # factorization work in place
+        ab = np.zeros((2 * nI + 1, nI * m), order="F")
+        ab[0] = (du * (1.0 / self.dts[:-1] + 1.0 / self.dts[1:])[:, None]
+                 + wf * d0 + 1e-12).T.ravel()
+        ab[1] = np.tile(np.append(-du / self.dts[1:-1], 0.0), m)
+        ab[nI, :(m - 1) * nI] = (wf * d1).T.ravel()
+        ab[2 * nI, :(m - 2) * nI] = (wf * d2).T.ravel()
+        solve_band = _banded_cholesky_solver(ab)
+        return lambda v: solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
 
 
 # -- public entry points ------------------------------------------------------
@@ -596,7 +594,6 @@ def solve(backend: SpaceBackend, x, y, eps: float,
         _check_finite_entropy(backend, x, y)
     grad_tol = opts.grad_tol if opts.grad_tol is not None else _default_grad_tol(backend)
 
-    precond = None
     if isinstance(backend, Density1DBackend):
         m = opts.quantile_points or 4 * x.n
         prob = _DensityProblem(backend, x, y, eps, _uniform_times(opts.n_time), m)
@@ -611,7 +608,6 @@ def solve(backend: SpaceBackend, x, y, eps: float,
         z0 = _warm_decision(opts, (opts.n_time) * m)
         if z0 is None:
             z0 = prob.pack_curve(_warm_curve(backend, x, y, eps, opts))
-        precond = prob.make_preconditioner
     elif isinstance(backend, EuclideanBackend):
         prob = _EuclideanProblem(backend, x, y, eps, _uniform_times(opts.n_time))
         z0 = _warm_decision(opts, opts.n_time * np.asarray(x).size)
@@ -622,7 +618,7 @@ def solve(backend: SpaceBackend, x, y, eps: float,
             f"no solver strategy for backend {type(backend).__name__}"
         )
 
-    z, iters, history = _staged_descent(prob, z0, opts, grad_tol, precond)
+    z, iters, history = _staged_descent(prob, z0, opts, grad_tol)
     val, g = prob.value_grad(z)
     stationarity = float(np.max(np.abs(g)))
     kin, fis = prob.split_value(z)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from entrogeo import GridDensity, geodesic_curve
+from entrogeo import (
+    EuclideanBackend,
+    GridDensity,
+    QuadraticPotential,
+    UserPotential,
+    geodesic_curve,
+)
 from entrogeo.errors import DomainError, EndpointEntropyInfinite
 from entrogeo.solver import (
     SolverOptions,
@@ -121,6 +127,125 @@ class TestEuclideanGradient:
             e[k] = h
             fd = (prob.value_grad(z + e)[0] - prob.value_grad(z - e)[0]) / (2 * h)
             assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+def _quadratic_well_cost(eps, strength, center, x, y):
+    kappa = eps * strength
+    a, b = x - center, y - center
+    return kappa / (2.0 * math.sinh(kappa)) * (
+        (float(a @ a) + float(b @ b)) * math.cosh(kappa) - 2.0 * float(a @ b))
+
+
+def _double_well(with_hess: bool):
+    # V = 1/4 (|x|^2 - 1)^2, whose Hessian (|x|^2 - 1) I + 2 x x^T is
+    # indefinite near the origin: lam = -1
+    hess = (lambda x: (x @ x - 1.0) * np.eye(2) + 2.0 * np.outer(x, x)) if with_hess else None
+    return EuclideanBackend(UserPotential(
+        lambda x: 0.25 * (x @ x - 1.0) ** 2, lambda x: (x @ x - 1.0) * x,
+        lam=-1.0, dim=2, hess_v=hess))
+
+
+def _steps_and_weights(times):
+    """Time steps and trapezoid weights of a time grid."""
+    dts = np.diff(times)
+    w = np.zeros(times.size)
+    w[:-1] += 0.5 * dts
+    w[1:] += 0.5 * dts
+    return dts, w
+
+
+def _dense_model_check(prob, z0, model):
+    """The preconditioner of ``prob`` at ``z0`` inverts ``model``."""
+    apply = prob.make_preconditioner(z0)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        v = rng.standard_normal(z0.size)
+        want = np.linalg.solve(model, v)
+        assert np.linalg.norm(apply(v) - want) <= 1e-10 * np.linalg.norm(want)
+
+
+class TestEuclideanModel:
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_quadratic_well_one_newton_step(self, dim):
+        strength, eps = 1.0, 0.2
+        center = np.linspace(-0.5, 0.5, dim)
+        be = EuclideanBackend(QuadraticPotential(center, strength))
+        x, y = np.linspace(1.0, 2.0, dim), np.linspace(-1.0, 0.5, dim)
+        # 255 nodes keep the O(dt^2) time error of the cost below 1e-6
+        res = solve(be, x, y, eps, SolverOptions(n_time=255))
+        assert res.converged
+        assert res.iterations <= 2
+        assert res.stationarity <= 1e-12
+        exact = _quadratic_well_cost(eps, strength, center, x, y)
+        assert res.cost == pytest.approx(exact, abs=1e-6)
+
+    def test_nonconvex_double_well_converges(self):
+        x, y = np.array([-1.0, 0.3]), np.array([1.1, -0.2])
+        costs = []
+        for with_hess in (True, False):
+            res = solve(_double_well(with_hess), x, y, 0.3)
+            assert res.converged
+            costs.append(res.cost)
+        assert costs[0] == pytest.approx(costs[1], abs=1e-8)
+
+    def test_gauss_newton_model_on_nonuniform_grid(self):
+        be = _double_well(True)
+        times = np.linspace(0.0, 1.0, 7) ** 1.4
+        eps = 0.6
+        prob = _EuclideanProblem(be, np.array([-1.0, 0.3]), np.array([1.1, -0.2]), eps, times)
+        z0 = np.random.default_rng(2).uniform(-1.0, 1.0, prob.n_interior * 2)
+        dts, w = _steps_and_weights(times)
+        nI = prob.n_interior
+        model = np.zeros((2 * nI, 2 * nI))
+        for i, p in enumerate(z0.reshape(nI, 2)):
+            h = be.potential.hess(p)
+            blk = slice(2 * i, 2 * i + 2)
+            model[blk, blk] = ((1.0 / dts[i] + 1.0 / dts[i + 1]) * np.eye(2)
+                               + eps**2 * w[i + 1] * h @ h)
+            if i + 1 < nI:
+                nxt = slice(2 * i + 2, 2 * i + 4)
+                model[blk, nxt] = model[nxt, blk] = -np.eye(2) / dts[i + 1]
+        _dense_model_check(prob, z0, model)
+
+
+class TestDensityModel:
+    @staticmethod
+    def _residuals(kind, Q, du):
+        # quantile-space slope residuals R_k; analytic, so complex-step exact
+        G = np.diff(Q) / du
+        if kind.name == "boltzmann":
+            A = 1.0 - np.log(G)
+        else:
+            A = kind.m / (kind.m - 1.0) * G ** (1.0 - kind.m)
+        return (np.diff(A) / du) / (0.5 * (G[1:] + G[:-1]))
+
+    @pytest.mark.parametrize("backend", ["boltzmann", "porous2"])
+    def test_banded_model_matches_dense_assembly(self, backend, request):
+        be = request.getfixturevalue(backend)
+        n, dx, x0 = 32, 22.0 / 32, -10.0
+        a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
+        b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
+        times = np.linspace(0.0, 1.0, 7) ** 1.5  # 5 interior nodes, non-uniform
+        eps, m = 0.5, 12
+        prob = _DensityProblem(be, a, b, eps, times, m)
+        nI, du = prob.n_interior, prob.du
+        z0 = prob.geodesic_z()
+        rng = np.random.default_rng(4)
+        min_inc = np.min(np.diff(z0.reshape(nI, m), axis=1))
+        z0 = z0 + 0.2 * min_inc * rng.standard_normal(z0.size)
+        dts, w = _steps_and_weights(times)
+        model = np.zeros((nI * m, nI * m))
+        h = 1e-30
+        for i, Q in enumerate(z0.reshape(nI, m)):
+            J = np.array([self._residuals(be.kind, Q + 1j * h * e, du).imag / h
+                          for e in np.eye(m)]).T
+            blk = slice(i * m, (i + 1) * m)
+            model[blk, blk] = (du * (1.0 / dts[i] + 1.0 / dts[i + 1]) * np.eye(m)
+                               + eps**2 * w[i + 1] * du * J.T @ J)
+            if i + 1 < nI:
+                nxt = slice((i + 1) * m, (i + 2) * m)
+                model[blk, nxt] = model[nxt, blk] = -du / dts[i + 1] * np.eye(m)
+        _dense_model_check(prob, z0, model)
 
 
 class TestDensitySolve:
