@@ -22,7 +22,10 @@ Two entropy functionals are supported, with their slopes and flows:
 
 Both flows contract W2 with lambda = 0 on these flat domains.  Heat steps
 are backward Euler with substep <= dx^2/2; the porous medium uses a
-lagged-coefficient semi-implicit scheme.  Densities are clamped to the
+lagged-coefficient semi-implicit scheme.  Each implicit step solves a
+symmetric positive-definite tridiagonal system, factored with LAPACK
+``dpttrf`` and solved with ``dpttrs``; on the circle the wrap face is split
+off by a Sherman-Morrison correction.  Densities are clamped to the
 floor and renormalized after every substep (log rho and 1/rho would blow
 up otherwise).
 """
@@ -34,8 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .core import SpaceBackend
 from .errors import DomainError, FlowDiverged, GridMismatch, InvalidCurve
@@ -195,12 +197,14 @@ class EntropyKind:
 # -- quantile machinery ----------------------------------------------------
 
 def _cdf_nodes(d: GridDensity, rho: Optional[np.ndarray] = None):
-    """Breakpoints ``(F_edges, x_edges)`` of the piecewise-linear quantile."""
+    """Breakpoints ``(F_edges, x_edges)`` of the piecewise-linear quantile.
+
+    ``rho`` may stack several densities on the grid of ``d``, one per row.
+    """
     r = d.rho if rho is None else rho
-    F = np.empty(d.n + 1)
-    F[0] = 0.0
-    np.cumsum(r * d.dx, out=F[1:])
-    F /= F[-1]
+    F = np.zeros(r.shape[:-1] + (d.n + 1,))
+    np.cumsum(r * d.dx, axis=-1, out=F[..., 1:])
+    F /= F[..., -1:]
     return F, d.edges
 
 
@@ -352,30 +356,50 @@ def slope(kind: EntropyKind, d: GridDensity) -> float:
 
 # -- gradient flows --------------------------------------------------------
 
-def _laplacian(n: int, dx: float, boundary: str, coeff: Optional[np.ndarray] = None):
-    """Divergence-form operator ``div(a grad .)`` with face coefficients.
+def _step_solver(dx: float, boundary: str, ds: float, a: np.ndarray):
+    """``r -> (I - ds div(a grad .))^{-1} r``, one implicit step.
 
-    ``coeff`` holds the n face values (periodic) or n-1 interior face values
-    (no-flux); ``None`` means unit coefficients, i.e. the plain Laplacian.
-    Rows sum to zero, so the implicit steps conserve mass exactly.
+    ``a`` holds the n face values (periodic, face i between cells i and
+    i+1) or the n-1 interior face values (no-flux).  The matrix is
+    symmetric positive definite and its columns sum to one, so the steps
+    conserve mass exactly.  Its tridiagonal part is factored once with
+    LAPACK ``dpttrf`` and every right-hand side is solved with ``dpttrs``.
+    On the circle the wrap face is split off by Sherman-Morrison:
+    ``M = T' + w u u^T`` with ``u = e_0 + e_{n-1}``, ``w = -ds a_{n-1}/dx^2``
+    and ``T'`` the tridiagonal part with both end diagonals raised by
+    ``|w|``, which costs one more solve per factorization.  For n = 2,
+    where the wrap face joins the same two cells as the inner face, ``u``
+    is the all-ones vector and the split adds ``w`` to the off-diagonal
+    as well, so no special case is needed.
     """
-    inv2 = 1.0 / (dx * dx)
-    if boundary == "periodic":
-        a = np.ones(n) if coeff is None else coeff  # face i sits between cells i and i+1
-        lower = a * inv2
-        diag = -(a + np.roll(a, 1)) * inv2
-        if n == 2:  # the wrap face joins the same two cells as the inner face
-            off = lower[:1] + lower[1:]
-            return sp.diags([off, diag, off], [-1, 0, 1], format="csc")
-        wrap = lower[-1:]
-        return sp.diags([wrap, lower[:-1], diag, lower[:-1], wrap],
-                        [-(n - 1), -1, 0, 1, n - 1], format="csc")
-    a = np.ones(n - 1) if coeff is None else coeff
-    main = np.zeros(n)
-    main[:-1] -= a * inv2
-    main[1:] -= a * inv2
-    off = a * inv2
-    return sp.diags([off, main, off], [-1, 0, 1], format="csc")
+    c = ds / (dx * dx)
+    wrap = boundary == "periodic"
+    inner = a[:-1] if wrap else a
+    d = np.ones(inner.size + 1)
+    d[:-1] += c * inner
+    d[1:] += c * inner
+    if wrap:
+        d[[0, -1]] += 2.0 * c * a[-1]
+    d, e, info = dpttrf(d, -c * inner, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise FlowDiverged(f"implicit flow step is not positive definite (dpttrf info {info})")
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        return dpttrs(d, e, r)[0]
+
+    if not wrap:
+        return solve
+    w = -c * a[-1]
+    u = np.zeros(d.size)
+    u[[0, -1]] = 1.0
+    z = solve(u)
+    z *= w / (1.0 + w * (z[0] + z[-1]))
+
+    def solve_wrapped(r: np.ndarray) -> np.ndarray:
+        y = solve(r)
+        return y - (y[0] + y[-1]) * z
+
+    return solve_wrapped
 
 
 def _face_values(r: np.ndarray, boundary: str) -> np.ndarray:
@@ -390,17 +414,17 @@ def flow(kind: EntropyKind, d: GridDensity, s: float) -> GridDensity:
         raise DomainError("flow time must be nonnegative")
     if s == 0.0:
         return d
-    n, dx = d.n, d.dx
-    eye = sp.identity(n, format="csc")
+    dx = d.dx
 
     if kind.name == "boltzmann":
         cap = 0.5 * dx * dx
         nsub = max(1, int(math.ceil(s / cap)))
         ds = s / nsub
-        lu = spla.splu(eye - ds * _laplacian(n, dx, d.boundary))
+        faces = d.n if d.boundary == "periodic" else d.n - 1
+        step = _step_solver(dx, d.boundary, ds, np.ones(faces))
         r = d.rho.copy()
         for _ in range(nsub):
-            r = lu.solve(r)
+            r = step(r)
             if not np.all(np.isfinite(r)):
                 raise FlowDiverged("heat step produced non-finite density")
             r = _project(r, dx, d.floor)
@@ -413,8 +437,7 @@ def flow(kind: EntropyKind, d: GridDensity, s: float) -> GridDensity:
     r = d.rho.copy()
     for _ in range(nsub):
         a = m * _face_values(r, d.boundary) ** (m - 1.0)
-        lu = spla.splu(eye - ds * _laplacian(n, dx, d.boundary, a))
-        r = lu.solve(r)
+        r = _step_solver(dx, d.boundary, ds, a)(r)
         if not np.all(np.isfinite(r)):
             raise FlowDiverged("porous-medium step produced non-finite density")
         r = _project(r, dx, d.floor)

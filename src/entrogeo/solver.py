@@ -47,12 +47,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-import scipy.interpolate
 import scipy.linalg
 
 from .core import Curve, HatFunction, SpaceBackend, fisher_action, geodesic_curve, kinetic_action
 from .density1d import Density1DBackend, EntropyKind, GridDensity, _cdf_nodes
-from .errors import DomainError, EndpointEntropyInfinite
+from .errors import DomainError, EndpointEntropyInfinite, GridMismatch
 from .euclidean import EuclideanBackend
 from .regularizer import build as build_regularized
 
@@ -389,12 +388,52 @@ def _slope_sq_quantile_grad(kind: EntropyKind, Q: np.ndarray, du: float):
     return S, dS_dQ
 
 
-def _quantile_samples(d: GridDensity, u_mid: np.ndarray) -> np.ndarray:
-    # Monotone-cubic inversion of the CDF rather than piecewise-linear: the
-    # raw grid quantile has kinks at every cell boundary, whose quantile-space
-    # Fisher diverges as the u-grid refines below the cell-mass scale.
-    F, xe = _cdf_nodes(d)
-    return scipy.interpolate.PchipInterpolator(F, xe)(u_mid)
+def _pchip_end_slope(h0, h1, m0, m1):
+    """PCHIP's one-sided three-point end derivative, for positive slopes."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    return np.where(d > 0.0, d, 0.0)
+
+
+def _quantile_samples(ds, u_mid: np.ndarray) -> np.ndarray:
+    """PCHIP quantiles at ``u_mid`` of densities on one grid, one row each.
+
+    The inversion of the CDF is monotone-cubic rather than piecewise-linear:
+    the raw grid quantile has kinks at every cell boundary, whose
+    quantile-space Fisher diverges as the u-grid refines below the
+    cell-mass scale.  The arithmetic is scipy's ``PchipInterpolator``
+    step for step, in numpy over all rows at once: Fritsch-Butland
+    weighted-harmonic-mean interior derivatives, the one-sided three-point
+    end rule, ``CubicHermiteSpline`` coefficients and ``PPoly``'s summation
+    order.  The CDF slopes are positive, so PCHIP's sign tests never fire
+    in the interior.  The interval lookup is one flat ``searchsorted``
+    with row ``r`` shifted by ``2 r``; rounding of the shifted keys can
+    only move a query within an ulp of ``2 r`` of a node to the
+    neighbouring cubic, which agrees there to roundoff.
+    """
+    d0 = ds[0]
+    if not all(d0.same_grid(d) for d in ds):
+        raise GridMismatch("densities live on different grids")
+    rows, n = len(ds), d0.n
+    F, x = _cdf_nodes(d0, np.stack([d.rho for d in ds]))
+    h = np.diff(F, axis=1)
+    mk = np.diff(x) / h
+    w1 = 2.0 * h[:, 1:] + h[:, :-1]
+    w2 = h[:, 1:] + 2.0 * h[:, :-1]
+    dk = np.empty((rows, n + 1))
+    dk[:, 1:-1] = 1.0 / ((w1 / mk[:, :-1] + w2 / mk[:, 1:]) / (w1 + w2))
+    dk[:, 0] = _pchip_end_slope(h[:, 0], h[:, 1], mk[:, 0], mk[:, 1])
+    dk[:, -1] = _pchip_end_slope(h[:, -1], h[:, -2], mk[:, -1], mk[:, -2])
+    t = (dk[:, :-1] + dk[:, 1:] - 2.0 * mk) / h
+    c0 = t / h
+    c1 = (mk - dk[:, :-1]) / h - t
+
+    r = np.arange(rows)[:, None]
+    i = np.searchsorted((F + 2.0 * r).ravel(), (u_mid + 2.0 * r).ravel(), side="right")
+    i = i.reshape(rows, -1) - (n + 1) * r - 1
+    np.clip(i, 0, n - 1, out=i)
+    s = u_mid - F[r, i]
+    s2 = s * s
+    return ((x[i] + dk[r, i] * s) + c1[r, i] * s2) + c0[r, i] * (s2 * s)
 
 
 def _density_from_quantiles(template: GridDensity, Q: np.ndarray,
@@ -430,8 +469,7 @@ class _DensityProblem:
         self.m = m_points
         self.du = 1.0 / m_points
         self.u_mid = (np.arange(m_points) + 0.5) * self.du
-        self.Q0 = _quantile_samples(x, self.u_mid)
-        self.QN = _quantile_samples(y, self.u_mid)
+        self.Q0, self.QN = _quantile_samples([x, y], self.u_mid)
         self.n_interior = self.times.size - 2
         self.fisher_ends = (
             self.weights[0] * 0.5 * _slope_sq_quantile(self.kind, self.Q0, self.du)
@@ -439,10 +477,7 @@ class _DensityProblem:
         )
 
     def pack_curve(self, curve: Curve) -> np.ndarray:
-        Qs = np.vstack([
-            _quantile_samples(p, self.u_mid) for p in curve.points[1:-1]
-        ])
-        return Qs.ravel()
+        return _quantile_samples(curve.points[1:-1], self.u_mid).ravel()
 
     def geodesic_z(self) -> np.ndarray:
         ts = self.times[1:-1]
@@ -576,6 +611,13 @@ def _warm_decision(opts: SolverOptions, size: int):
     return None
 
 
+def _check_endpoints(backend: SpaceBackend, x, y):
+    backend.check_point(x)
+    backend.check_point(y)
+    if not backend.same_space(x, y):
+        raise GridMismatch("endpoints x and y do not lie in the same state space")
+
+
 def _check_finite_entropy(backend, x, y):
     for p, tag in ((x, "x"), (y, "y")):
         if not math.isfinite(backend.entropy(p)):
@@ -592,6 +634,7 @@ def solve(backend: SpaceBackend, x, y, eps: float,
     opts = opts or SolverOptions()
     if eps > 0:
         _check_finite_entropy(backend, x, y)
+    _check_endpoints(backend, x, y)
     grad_tol = opts.grad_tol if opts.grad_tol is not None else _default_grad_tol(backend)
 
     if isinstance(backend, Density1DBackend):
@@ -646,6 +689,7 @@ def discrete_action(backend: SpaceBackend, curve: Curve, eps: float,
     """
     opts = opts or SolverOptions()
     x, y = curve.points[0], curve.points[-1]
+    _check_endpoints(backend, x, y)
     if isinstance(backend, Density1DBackend):
         m = opts.quantile_points or 4 * x.n
         prob = _DensityProblem(backend, x, y, eps, curve.times, m)

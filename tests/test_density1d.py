@@ -15,7 +15,7 @@ from entrogeo import (
 from entrogeo.density1d import (
     _cdf_nodes,
     _circle_cut_costs,
-    _laplacian,
+    _step_solver,
     _pairwise_quantile_l2sq,
     entropy,
     flow,
@@ -292,10 +292,11 @@ class TestFlow:
         assert l1(out, GridDensity.uniform(n, 1.0 / n, boundary="periodic")) <= 1e-3
 
 
-def dense_periodic_laplacian(n, dx, a):
-    """``div(a grad .)`` on the circle, face ``i`` joining cells ``i`` and ``i+1``."""
+def dense_laplacian(n, dx, a):
+    """``div(a grad .)`` with face ``i`` joining cells ``i`` and ``(i+1) mod n``:
+    n faces on the circle, n-1 on the interval (no-flux walls)."""
     mat = np.zeros((n, n))
-    for i in range(n):
+    for i in range(a.size):
         j = (i + 1) % n
         mat[i, i] -= a[i]
         mat[j, j] -= a[i]
@@ -305,14 +306,25 @@ def dense_periodic_laplacian(n, dx, a):
 
 
 class TestPeriodicLaplacian:
+    """One implicit flow step solves ``(I - ds div(a grad .)) x = r``."""
+
+    boundary = "periodic"
+
     @pytest.mark.parametrize("n", [2, 3, 64])
     @pytest.mark.parametrize("unit", [True, False])
     def test_matches_dense_reference(self, n, unit):
-        dx = 0.3
-        a = np.ones(n) if unit else np.random.default_rng(n).uniform(0.5, 2.0, n)
-        mat = _laplacian(n, dx, "periodic", None if unit else a).toarray()
-        np.testing.assert_allclose(mat, dense_periodic_laplacian(n, dx, a),
-                                   rtol=1e-14, atol=0.0)
+        dx, ds = 0.3, 0.5
+        rng = np.random.default_rng(n)
+        faces = n if self.boundary == "periodic" else n - 1
+        a = np.ones(faces) if unit else rng.uniform(0.5, 2.0, faces)
+        r = rng.uniform(0.1, 1.0, n)
+        ref = np.linalg.solve(np.eye(n) - ds * dense_laplacian(n, dx, a), r)
+        np.testing.assert_allclose(_step_solver(dx, self.boundary, ds, a)(r), ref,
+                                   rtol=1e-13, atol=0.0)
+
+
+class TestNoFluxLaplacian(TestPeriodicLaplacian):
+    boundary = "no-flux"
 
 
 class TestFlowInvariants:
