@@ -54,6 +54,11 @@ class SpaceBackend:
     def distance(self, a, b) -> float:
         raise NotImplementedError
 
+    def distances(self, xs, ys) -> np.ndarray:
+        """``[distance(x, y) for x, y in zip(xs, ys)]`` as an array; a
+        backend overrides it when many pairs can share one batched pass."""
+        return np.array([self.distance(x, y) for x, y in zip(xs, ys, strict=True)], dtype=float)
+
     def geodesic(self, a, b, theta: float):
         raise NotImplementedError
 
@@ -140,10 +145,9 @@ def kinetic_action(backend: SpaceBackend, curve: Curve) -> float:
     grid; for arbitrary curves it dominates that value (Cauchy-Schwarz).
     """
     _check_curve(backend, curve)
-    dts = np.diff(curve.times)
+    chords = backend.distances(curve.points[:-1], curve.points[1:])
     total = 0.0
-    for i, dt in enumerate(dts):
-        chord = backend.distance(curve.points[i], curve.points[i + 1])
+    for chord, dt in zip(chords.tolist(), np.diff(curve.times)):
         total += chord * chord / dt
     return 0.5 * total
 

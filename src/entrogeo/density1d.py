@@ -10,8 +10,13 @@ so its inverse is piecewise linear as well and
 
 is integrated *exactly* segment by segment (the integrand is quadratic
 between merged quantile breakpoints).  On the circle the distance is
-minimized over the n cell-edge cuts, all evaluated in one blocked
-vectorized pass.
+minimized over the n cell-edge cuts.  The cost of the cut at edge k is a
+convex function of the CDF shift ``F_a(x_k) - F_b(x_k)`` (Delon, Salomon &
+Sobolevski 2010), so a bisection over the cuts sorted by that shift finds
+the least one, with roundoff ties settled by evaluating every cut left in
+the bracket.  The search runs for many pairs in lockstep, one vectorized
+pass of the cut kernel per round: ``Density1DBackend.distances`` batches
+every pair on one circle grid.
 
 Two entropy functionals are supported, with their slopes and flows:
 
@@ -196,16 +201,17 @@ class EntropyKind:
 
 # -- quantile machinery ----------------------------------------------------
 
-def _cdf_nodes(d: GridDensity, rho: Optional[np.ndarray] = None):
-    """Breakpoints ``(F_edges, x_edges)`` of the piecewise-linear quantile.
-
-    ``rho`` may stack several densities on the grid of ``d``, one per row.
-    """
-    r = d.rho if rho is None else rho
-    F = np.zeros(r.shape[:-1] + (d.n + 1,))
-    np.cumsum(r * d.dx, axis=-1, out=F[..., 1:])
+def _cdf(r: np.ndarray, dx: float) -> np.ndarray:
+    """CDF at the ``n + 1`` cell edges of each density row of ``r``."""
+    F = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
+    np.cumsum(r * dx, axis=-1, out=F[..., 1:])
     F /= F[..., -1:]
-    return F, d.edges
+    return F
+
+
+def _cdf_nodes(d: GridDensity, rho: Optional[np.ndarray] = None):
+    """Breakpoints ``(F_edges, x_edges)`` of the piecewise-linear quantile."""
+    return _cdf(d.rho if rho is None else rho, d.dx), d.edges
 
 
 def _pairwise_quantile_l2sq(Fa, xa, Fb, xb) -> float:
@@ -227,43 +233,164 @@ def _rolled_cdf_nodes(d: GridDensity, cut: int):
     return F, (d.x0 + cut * d.dx) + np.arange(d.n + 1) * d.dx
 
 
-# cut x breakpoint entries evaluated at once: keeps a circle W2 at O(n) memory
-_CUT_BLOCK = 1 << 16
+# merged CDF breakpoints (2n per cut) evaluated at once: bounds the working
+# memory of the cut kernel and of one block of circle searches
+_CUT_BLOCK = 1 << 13
+# a probe pair whose costs agree to this relative tolerance is a tie the
+# comparison cannot order
+_TIE_RTOL = 1e-14
+# CDF shifts closer than this form one run: their order carries no signal
+_TIE_THETA = 1e-13
 
 
-def _circle_cut_costs(a: GridDensity, b: GridDensity) -> np.ndarray:
-    """Squared interval W2 of ``a`` and ``b`` cut open at every cell edge.
+def _cut_costs(A: np.ndarray, B: np.ndarray, cuts: np.ndarray, dx: float) -> np.ndarray:
+    """Squared interval W2 of pairs of circle densities cut open at cell edges.
 
-    Entry ``k`` is ``_pairwise_quantile_l2sq`` of ``_rolled_cdf_nodes(a, k)``
-    and ``_rolled_cdf_nodes(b, k)``.  The cuts run in blocks of rows: one
-    ``cumsum`` over windows of two turns of each density gives the rolled
-    CDFs of a block, and one ``np.interp`` per density evaluates its
-    quantile on every row, with row ``r`` shifted by ``2 r`` so the rows
-    stay disjoint and increasing.  Both quantiles share the cut's origin,
-    so it is left out of ``Qa - Qb``.
+    ``A`` and ``B`` stack the densities of ``P`` pairs, shape ``(P, n)``.
+    Entry ``(p, k)`` of the result, shape ``(P, c)``, is
+    ``_pairwise_quantile_l2sq`` of both densities of pair ``p`` unrolled
+    from cell edge ``cuts[p, k]``.  The ``P c`` cuts run in blocks of
+    about ``_CUT_BLOCK`` merged breakpoints.
     """
-    n = a.n
-    mass = np.tile(np.stack([a.rho, b.rho]) * a.dx, 2)
-    cells = np.arange(n)
-    x = np.arange(n + 1) * a.dx
-    rows = max(1, _CUT_BLOCK // (2 * n + 2))
-    costs = np.empty(n)
-    for start in range(0, n, rows):
-        cuts = np.arange(start, min(start + rows, n))
-        F = np.zeros((cuts.size, 2, n + 1))
-        np.cumsum(mass[:, cuts[:, None] + cells].transpose(1, 0, 2), axis=2, out=F[:, :, 1:])
-        F /= F[:, :, -1:]
-        U = np.sort(F.reshape(cuts.size, -1), axis=1)
-        shift = 2.0 * np.arange(cuts.size)[:, None]
-        Us = (U + shift).ravel()
-        xs = np.tile(x, cuts.size)
-        g = (np.interp(Us, (F[:, 0] + shift).ravel(), xs)
-             - np.interp(Us, (F[:, 1] + shift).ravel(), xs)).reshape(U.shape)
-        g0 = g[:, :-1]
-        g1 = g[:, 1:]
-        # difference is linear per segment, so its square integrates exactly
-        costs[cuts] = np.sum(np.diff(U, axis=1) * (g0 * g0 + g0 * g1 + g1 * g1), axis=1) / 3.0
-    return costs
+    n = A.shape[1]
+    turns = np.concatenate([A, A, B, B], axis=1).ravel()  # two turns of each
+    start = np.repeat(np.arange(0, turns.size, 4 * n), cuts.shape[1]) + cuts.ravel()
+    rows = max(1, _CUT_BLOCK // (2 * n))
+    costs = np.empty(start.size)
+    for s in range(0, start.size, rows):
+        costs[s:s + rows] = _block_cut_costs(turns, start[s:s + rows], n, dx)
+    return costs.reshape(cuts.shape)
+
+
+def _block_cut_costs(turns: np.ndarray, start: np.ndarray, n: int, dx: float) -> np.ndarray:
+    """Costs of the cuts whose ``n`` cells of ``a`` start at ``turns[start]``
+    and those of ``b`` at ``turns[start + 2n]``.
+
+    Each row merges the CDF values of both densities with a stable
+    ``argsort``, keeping one 0 (from ``b``) and one 1 (from ``a``).  At
+    merged position ``q`` the count ``ca`` of ``a`` values so far names
+    the cell of ``a`` that a ``b`` breakpoint falls in, or the ``a``
+    breakpoint itself, and ``q - ca`` does the same for ``b``.  So only the
+    other density is interpolated, to the offset ``f`` inside its cell.
+    Both quantiles share the cut's origin, so ``Qa - Qb`` is
+    ``dx (2 ca - q - f)`` at an ``a`` breakpoint and ``dx (2 ca - q + f)``
+    at a ``b`` one: exact to roundoff however close the two densities are.
+    """
+    q = np.arange(2 * n)
+    cells = np.concatenate([q[:n], q[n:] + n])
+    F = _cdf(turns[start[:, None] + cells].reshape(-1, 2, n), dx).ravel()
+    base = np.arange(0, F.size, 2 * n + 2)[:, None]
+    other = np.argsort(F.reshape(-1, 2 * n + 2), axis=1, kind="stable")[:, 1:-1]
+    from_a = other <= n
+    other += base
+    U = F[other]
+    ca = np.cumsum(from_a, axis=1)
+    # flat index into F of the left edge of the other density's cell
+    np.subtract(q + n + 1, ca, out=other)
+    np.copyto(other, ca, where=~from_a)
+    other += base
+    F0 = F[other]
+    f = F[other + 1]
+    # temporaries go as soon as they are spent: a block's peak memory is
+    # the circle search's peak
+    del F, other
+    f -= F0
+    np.divide(np.subtract(U, F0, out=F0), f, out=f)
+    del F0
+    np.negative(f, out=f, where=from_a)
+    g = (2 * ca - q) + f
+    g *= dx
+    del f, ca, from_a
+    # difference is linear per segment, so its square integrates exactly:
+    # g0^2 + g0 g1 + g1^2 = (g0 + g1)^2 - g0 g1
+    g0 = g[:, :-1]
+    g1 = g[:, 1:]
+    seg = g0 + g1
+    seg *= seg
+    seg -= g0 * g1
+    seg *= np.diff(U, axis=1)
+    return np.sum(seg, axis=1) / 3.0
+
+
+def _min_cuts(A: np.ndarray, B: np.ndarray, dx: float):
+    """Least cut cost of each pair of circle densities and a cut attaining it.
+
+    Cutting at edge ``k`` costs ``phi(theta_k)`` with
+    ``theta_k = F_a(x_k) - F_b(x_k)`` and ``phi`` convex, so over the cuts
+    sorted by ``theta`` the costs fall, then rise, and a bisection on the
+    sign of ``phi(p + 1) - phi(p)`` finds the least one.  It runs for all
+    pairs in lockstep, one kernel pass per round.  Exactly repeated thetas
+    are dropped.  Cells at the floor in both densities give runs of thetas
+    less than ``_TIE_THETA`` apart whose costs differ by roundoff only, so
+    the probe pair ``(p, p + 1)`` straddles the edge of the run holding
+    the midpoint, never two of its members.  A pair stops bisecting when
+    its bracket is a single run or its two probes tie to ``_TIE_RTOL``,
+    and every cut left in its bracket is evaluated in one padded pass.
+    All pairs stop once that pass fits one kernel block, so one pair at
+    small ``n`` costs a single pass over all its cuts.
+    """
+    P, n = A.shape
+    theta = (_cdf(A, dx) - _cdf(B, dx))[:, :-1]
+    order = np.argsort(theta, axis=1, kind="stable")
+    sorted_theta = np.take_along_axis(theta, order, axis=1)
+    repeat = np.zeros((P, n), dtype=bool)
+    repeat[:, 1:] = sorted_theta[:, 1:] == sorted_theta[:, :-1]
+    # distinct thetas in increasing order at the front of each row
+    keep = np.argsort(repeat, axis=1, kind="stable")
+    cand = np.take_along_axis(order, keep, axis=1)
+    gap = np.diff(np.take_along_axis(sorted_theta, keep, axis=1), axis=1) >= _TIE_THETA
+    # first and last index of the run of close thetas around each index
+    idx = np.arange(n)
+    starts = np.ones((P, n), dtype=bool)
+    starts[:, 1:] = gap
+    ends = np.ones((P, n), dtype=bool)
+    ends[:, :-1] = gap
+    run_lo = np.maximum.accumulate(np.where(starts, idx, 0), axis=1)
+    run_hi = n - 1 - np.maximum.accumulate(np.where(ends[:, ::-1], idx, 0), axis=1)[:, ::-1]
+    lo = np.zeros(P, dtype=int)
+    hi = n - 1 - np.count_nonzero(repeat, axis=1)
+    cost = np.full(P, np.nan)
+    cut = np.zeros(P, dtype=int)
+    tied = np.zeros(P, dtype=bool)
+    block_rows = max(1, _CUT_BLOCK // (2 * n))
+    while True:
+        act = np.flatnonzero((lo < hi) & ~tied)
+        if act.size == 0:
+            break
+        pending = np.flatnonzero((lo < hi) | tied)
+        if pending.size * (np.max(hi[pending] - lo[pending]) + 1) <= block_rows:
+            # every bracket left fits one kernel block: evaluate them whole
+            tied[act] = True
+            break
+        mid = (lo[act] + hi[act]) // 2
+        rl, rr = run_lo[act, mid], run_hi[act, mid]
+        # the left edge of the midpoint's run, else its right edge
+        p = np.where(rl > lo[act], rl - 1, rr)
+        one_run = p >= hi[act]
+        tied[act[one_run]] = True
+        act, p = act[~one_run], p[~one_run]
+        probe = np.stack([cand[act, p], cand[act, p + 1]], axis=1)
+        c = _cut_costs(A[act], B[act], probe, dx)
+        tie = np.abs(c[:, 1] - c[:, 0]) <= _TIE_RTOL * np.max(c, axis=1)
+        tied[act[tie]] = True
+        act, p, probe, c = act[~tie], p[~tie], probe[~tie], c[~tie]
+        up = c[:, 1] < c[:, 0]
+        lo[act] = np.where(up, p + 1, lo[act])
+        hi[act] = np.where(up, hi[act], p)
+        # the end the bracket keeps was just evaluated
+        cost[act] = np.where(up, c[:, 1], c[:, 0])
+        cut[act] = np.where(up, probe[:, 1], probe[:, 0])
+    # the padded pass, which also takes pairs with one distinct theta
+    t = np.flatnonzero(tied | np.isnan(cost))
+    if t.size:
+        pos = np.minimum(lo[t, None] + np.arange(np.max(hi[t] - lo[t]) + 1), hi[t, None])
+        cuts = np.take_along_axis(cand[t], pos, axis=1)
+        c = _cut_costs(A[t], B[t], cuts, dx)
+        best = np.argmin(c, axis=1)
+        rows = np.arange(t.size)
+        cost[t] = c[rows, best]
+        cut[t] = cuts[rows, best]
+    return cost, cut
 
 
 def _require_same_grid(a: GridDensity, b: GridDensity):
@@ -278,7 +405,24 @@ def w2_distance(a: GridDensity, b: GridDensity) -> float:
         Fa, xa = _cdf_nodes(a)
         Fb, xb = _cdf_nodes(b)
         return math.sqrt(max(_pairwise_quantile_l2sq(Fa, xa, Fb, xb), 0.0))
-    return math.sqrt(max(float(np.min(_circle_cut_costs(a, b))), 0.0))
+    cost, _ = _min_cuts(a.rho[None], b.rho[None], a.dx)
+    return math.sqrt(max(float(cost[0]), 0.0))
+
+
+def _circle_distances(xs: list, ys: list) -> np.ndarray:
+    """W2 of each pair ``(xs[p], ys[p])`` of densities on one circle grid.
+
+    The pairs are searched in blocks whose bisection rounds, two cuts per
+    pair, fill one block of the cut kernel.
+    """
+    n, dx = xs[0].n, xs[0].dx
+    step = max(1, _CUT_BLOCK // (4 * n))
+    costs = np.empty(len(xs))
+    for s in range(0, len(xs), step):
+        A = np.stack([x.rho for x in xs[s:s + step]])
+        B = np.stack([y.rho for y in ys[s:s + step]])
+        costs[s:s + step] = _min_cuts(A, B, dx)[0]
+    return np.sqrt(np.maximum(costs, 0.0))
 
 
 def _geodesic_sampler(a: GridDensity, b: GridDensity):
@@ -294,7 +438,7 @@ def _geodesic_sampler(a: GridDensity, b: GridDensity):
         Fa, xa = _cdf_nodes(a)
         Fb, xb = _cdf_nodes(b)
     else:
-        cut = int(np.argmin(_circle_cut_costs(a, b)))
+        cut = int(_min_cuts(a.rho[None], b.rho[None], a.dx)[1][0])
         Fa, xa = _rolled_cdf_nodes(a, cut)
         Fb, xb = _rolled_cdf_nodes(b, cut)
     U = np.union1d(Fa, Fb)
@@ -453,6 +597,16 @@ class Density1DBackend(SpaceBackend):
 
     def distance(self, a, b) -> float:
         return w2_distance(a, b)
+
+    def distances(self, xs, ys) -> np.ndarray:
+        """``distance`` of each pair; when all points share one circle grid
+        the pairs run the batched circle search."""
+        xs, ys = list(xs), list(ys)
+        if (xs and len(xs) == len(ys) and isinstance(xs[0], GridDensity)
+                and xs[0].boundary == "periodic"
+                and all(xs[0].same_grid(p) for p in xs + ys)):
+            return _circle_distances(xs, ys)
+        return super().distances(xs, ys)
 
     def geodesic(self, a, b, theta: float):
         return w2_geodesic(a, b, theta)

@@ -25,6 +25,10 @@ backend, three energy certificates plus the convexity extraction:
   backend geodesics, the property the regularization machinery extracts
   from contractivity of the flow.
 
+``discrete_estimate_residuals`` and ``pointwise_estimate_residuals`` cover
+many node pairs or nodes at once, with one ``backend.distances`` call per
+curve; the single-pair functions wrap them.
+
 Residuals are ``LHS - RHS`` for the inequalities (so defects are positive)
 and ``RHS - LHS`` for the recovery bound (gap should be nonnegative).
 """
@@ -51,7 +55,9 @@ __all__ = [
     "build",
     "convexity_certificate",
     "discrete_estimate_residual",
+    "discrete_estimate_residuals",
     "pointwise_estimate_residual",
+    "pointwise_estimate_residuals",
     "recovery_gap",
 ]
 
@@ -125,39 +131,71 @@ def discrete_estimate_residual(backend: SpaceBackend, reg: RegularizedCurve,
     N = reg.times.size - 1
     if not 0 <= i < j <= N:
         raise DomainError(f"need 0 <= i < j <= {N}, got ({i}, {j})")
+    return _estimate_residuals(backend, reg, [(i, j)])[(i, j)]
+
+
+def discrete_estimate_residuals(backend: SpaceBackend,
+                                reg: RegularizedCurve) -> dict:
+    """``discrete_estimate_residual`` of every node pair ``i < j``, keyed by
+    ``(i, j)`` in lexicographic order.
+
+    The chords of each curve come from one ``backend.distances`` call, and
+    the entropy and slope of each node are evaluated once.
+    """
+    N = reg.times.size - 1
+    return _estimate_residuals(
+        backend, reg, [(i, j) for i in range(N + 1) for j in range(i + 1, N + 1)])
+
+
+def _estimate_residuals(backend: SpaceBackend, reg: RegularizedCurve,
+                        pairs: list) -> dict:
+    """Two-point estimate residual of each ``(i, j)`` in ``pairs``; the
+    entropy and slope of a node are evaluated at most once."""
     lam = backend.lam
-    t0, t1 = float(reg.times[i]), float(reg.times[j])
-    h0, h1 = float(reg.h[i]), float(reg.h[j])
-    dt = t1 - t0
+    times = reg.times.tolist()
+    h = reg.h.tolist()
+    tilde, base = reg.tilde.points, reg.base.points
+    slopes, entropies = {}, {}
 
-    if h1 >= h0:
-        ip, im = j, i
-    else:
-        ip, im = i, j
-    hp, hm = (h1, h0) if h1 >= h0 else (h0, h1)
-    tp, tm = float(reg.times[ip]), float(reg.times[im])
+    def node_slope(k):
+        if k not in slopes:
+            slopes[k] = backend.slope(tilde[k])
+        return slopes[k]
 
-    slope_p = backend.slope(reg.tilde.points[ip])
-    if math.isinf(slope_p):
-        if h0 == h1:
-            slope_term = 0.0  # the inf * 0 = 0 convention
+    def node_entropy(k):
+        if k not in entropies:
+            entropies[k] = backend.entropy(tilde[k])
+        return entropies[k]
+
+    def smoother(i, j):
+        """The more-smoothed node of the pair and the other one."""
+        return (j, i) if h[j] >= h[i] else (i, j)
+
+    out = dict.fromkeys(pairs)  # None: not applicable
+    live = [(i, j) for i, j in pairs
+            if h[i] == h[j] or not math.isinf(node_slope(smoother(i, j)[0]))]
+    if not live:
+        return out
+    d_tilde = backend.distances([tilde[i] for i, _ in live], [tilde[j] for _, j in live])
+    d_base = backend.distances([base[i] for i, _ in live], [base[j] for _, j in live])
+    for (i, j), dtil, dbase in zip(live, map(float, d_tilde), map(float, d_base)):
+        h0, h1 = h[i], h[j]
+        dt = times[j] - times[i]
+        ip, im = smoother(i, j)
+        slope_p = node_slope(ip)
+        if math.isinf(slope_p):
+            slope_term = 0.0  # the inf * 0 = 0 convention, as h0 == h1
         else:
-            return None
-    else:
-        slope_term = slope_p**2 * _cosh_coef(lam, h1 - h0) / (dt * dt)
-
-    d_tilde = backend.distance(reg.tilde.points[i], reg.tilde.points[j])
-    e1 = backend.entropy(reg.tilde.points[j])
-    e0 = backend.entropy(reg.tilde.points[i])
-    if h0 == h1:
-        energy_term = 0.0  # exponential factor vanishes with h+ = h-
-    else:
-        energy_term = _exp_coef(lam, hp - hm, tp - tm) * (e1 - e0) / dt
-
-    lhs = 0.5 * (d_tilde / dt) ** 2 + slope_term + energy_term
-    d_base = backend.distance(reg.base.points[i], reg.base.points[j])
-    rhs = 0.5 * math.exp(-lam * (h0 + h1)) * (d_base / dt) ** 2
-    return lhs - rhs
+            slope_term = slope_p**2 * _cosh_coef(lam, h1 - h0) / (dt * dt)
+        if h0 == h1:
+            energy_term = 0.0  # exponential factor vanishes with h+ = h-
+        else:
+            energy_term = (_exp_coef(lam, h[ip] - h[im], times[ip] - times[im])
+                           * (node_entropy(j) - node_entropy(i)) / dt)
+        lhs = 0.5 * (dtil / dt) ** 2 + slope_term + energy_term
+        rhs = 0.5 * math.exp(-lam * (h0 + h1)) * (dbase / dt) ** 2
+        out[i, j] = lhs - rhs
+    return out
 
 
 def pointwise_estimate_residual(backend: SpaceBackend, reg: RegularizedCurve,
@@ -165,25 +203,38 @@ def pointwise_estimate_residual(backend: SpaceBackend, reg: RegularizedCurve,
     """Central-difference residual of the differential smoothing estimate
     at interior node ``i`` (speed, entropy derivative, and h' all over the
     span ``[t_{i-1}, t_{i+1}]``)."""
+    return pointwise_estimate_residuals(backend, reg, [i])[i]
+
+
+def pointwise_estimate_residuals(backend: SpaceBackend, reg: RegularizedCurve,
+                                 nodes: Sequence[int]) -> dict:
+    """``pointwise_estimate_residual`` of each interior node in ``nodes``,
+    keyed by node; the chords of each curve come from one
+    ``backend.distances`` call."""
     N = reg.times.size - 1
-    if not 0 < i < N:
-        raise DomainError(f"need an interior node, got {i} of 0..{N}")
+    nodes = [int(i) for i in nodes]
+    for i in nodes:
+        if not 0 < i < N:
+            raise DomainError(f"need an interior node, got {i} of 0..{N}")
     lam = backend.lam
-    span = float(reg.times[i + 1] - reg.times[i - 1])
-    speed_tilde = backend.distance(reg.tilde.points[i - 1], reg.tilde.points[i + 1]) / span
-    hprime = (reg.h[i + 1] - reg.h[i - 1]) / span
-    dedt = (
-        backend.entropy(reg.tilde.points[i + 1])
-        - backend.entropy(reg.tilde.points[i - 1])
-    ) / span
-    lhs = (
-        0.5 * speed_tilde**2
-        + 0.5 * hprime**2 * backend.slope(reg.tilde.points[i]) ** 2
-        + hprime * dedt
-    )
-    speed_base = backend.distance(reg.base.points[i - 1], reg.base.points[i + 1]) / span
-    rhs = 0.5 * math.exp(-2.0 * lam * float(reg.h[i])) * speed_base**2
-    return lhs - rhs
+    tilde, base = reg.tilde.points, reg.base.points
+    d_tilde = backend.distances([tilde[i - 1] for i in nodes], [tilde[i + 1] for i in nodes])
+    d_base = backend.distances([base[i - 1] for i in nodes], [base[i + 1] for i in nodes])
+    out = {}
+    for i, dtil, dbase in zip(nodes, d_tilde.tolist(), d_base.tolist()):
+        span = float(reg.times[i + 1] - reg.times[i - 1])
+        speed_tilde = dtil / span
+        hprime = (reg.h[i + 1] - reg.h[i - 1]) / span
+        dedt = (backend.entropy(tilde[i + 1]) - backend.entropy(tilde[i - 1])) / span
+        lhs = (
+            0.5 * speed_tilde**2
+            + 0.5 * hprime**2 * backend.slope(tilde[i]) ** 2
+            + hprime * dedt
+        )
+        speed_base = dbase / span
+        rhs = 0.5 * math.exp(-2.0 * lam * float(reg.h[i])) * speed_base**2
+        out[i] = lhs - rhs
+    return out
 
 
 def recovery_gap(backend: SpaceBackend, base: Curve, eps: float) -> float:

@@ -49,7 +49,15 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .core import Curve, HatFunction, SpaceBackend, fisher_action, geodesic_curve, kinetic_action
+from .core import (
+    Curve,
+    HatFunction,
+    SpaceBackend,
+    _check_curve,
+    fisher_action,
+    geodesic_curve,
+    kinetic_action,
+)
 from .density1d import Density1DBackend, EntropyKind, GridDensity, _cdf_nodes
 from .errors import DomainError, EndpointEntropyInfinite, GridMismatch
 from .euclidean import EuclideanBackend
@@ -632,9 +640,9 @@ def solve(backend: SpaceBackend, x, y, eps: float,
     if eps < 0:
         raise DomainError("eps must be nonnegative")
     opts = opts or SolverOptions()
+    _check_endpoints(backend, x, y)
     if eps > 0:
         _check_finite_entropy(backend, x, y)
-    _check_endpoints(backend, x, y)
     grad_tol = opts.grad_tol if opts.grad_tol is not None else _default_grad_tol(backend)
 
     if isinstance(backend, Density1DBackend):
@@ -690,6 +698,7 @@ def discrete_action(backend: SpaceBackend, curve: Curve, eps: float,
     opts = opts or SolverOptions()
     x, y = curve.points[0], curve.points[-1]
     _check_endpoints(backend, x, y)
+    _check_curve(backend, curve)
     if isinstance(backend, Density1DBackend):
         m = opts.quantile_points or 4 * x.n
         prob = _DensityProblem(backend, x, y, eps, curve.times, m)

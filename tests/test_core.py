@@ -95,6 +95,36 @@ class TestKineticAction:
         assert fine <= coarse + 1e-9
 
 
+    def test_circle_chords_match_per_pair_distances(self, porous2):
+        # the batched chords reproduce the one-pair search exactly
+        from entrogeo import GridDensity
+
+        n, dx, x0 = 64, 0.25, -8.0
+        a = GridDensity.gaussian(-3.0, 0.8, n, dx, x0, "periodic")
+        b = GridDensity.gaussian(2.5, 1.4, n, dx, x0, "periodic")
+        c = geodesic_curve(porous2, a, b, 8)
+        total = 0.0
+        for p, q, dt in zip(c.points[:-1], c.points[1:], np.diff(c.times)):
+            chord = porous2.distance(p, q)
+            total += chord * chord / dt
+        assert kinetic_action(porous2, c) == 0.5 * total
+
+
+class TestDistances:
+    def test_default_loops_over_distance(self, quad2d):
+        rng = np.random.default_rng(0)
+        xs = [rng.normal(size=2) for _ in range(5)]
+        ys = [rng.normal(size=2) for _ in range(5)]
+        d = quad2d.distances(xs, ys)
+        assert d.dtype == float
+        assert d.tolist() == [quad2d.distance(x, y) for x, y in zip(xs, ys)]
+
+    def test_empty_and_unequal_lengths(self, quad2d):
+        assert quad2d.distances([], []).shape == (0,)
+        with pytest.raises(ValueError):
+            quad2d.distances([np.zeros(2)], [np.zeros(2), np.ones(2)])
+
+
 class TestFisherAction:
     def test_constant_curve_value(self, quad2d):
         c = Curve.uniform([np.array([2.0, 0.0])] * 5)

@@ -12,9 +12,11 @@ from entrogeo import (
     w2_distance,
     w2_geodesic,
 )
+from entrogeo.core import geodesic_curve
 from entrogeo.density1d import (
     _cdf_nodes,
-    _circle_cut_costs,
+    _cut_costs,
+    _min_cuts,
     _step_solver,
     _pairwise_quantile_l2sq,
     entropy,
@@ -109,7 +111,7 @@ class TestW2Distance:
 
 
 def loop_cut_costs(a, b):
-    """Reference for the blocked pass: each cell-edge cut on its own."""
+    """Reference for the batched kernel: each cell-edge cut on its own."""
     costs = []
     for cut in range(a.n):
         Fa, x = _cdf_nodes(a, np.roll(a.rho, -cut))
@@ -132,6 +134,28 @@ def random_bumps(rng, n, background, widths=(0.03, 0.15)):
     return GridDensity.from_function(fn, n, L / n, -8.0, "periodic")
 
 
+def all_cut_costs(a, b):
+    return _cut_costs(a.rho[None], b.rho[None], np.arange(a.n)[None], a.dx)[0]
+
+
+def plateau_pairs(rng, n, count):
+    """Narrow bumps that decay to the floor: many cells sit at the floor in
+    both densities, the draw that defeats a plain bisection."""
+    return [(random_bumps(rng, n, 0.0, (0.01, 0.03)), random_bumps(rng, n, 0.0, (0.01, 0.03)))
+            for _ in range(count)]
+
+
+def plain_bisection(a, b):
+    """Least cut cost by bisection on the sorted thetas with no tie rule."""
+    theta = (_cdf_nodes(a)[0] - _cdf_nodes(b)[0])[:-1]
+    costs = all_cut_costs(a, b)[np.argsort(theta, kind="stable")]
+    lo, hi = 0, a.n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if costs[mid + 1] < costs[mid] else (lo, mid)
+    return costs[lo]
+
+
 class TestCircleCutCosts:
     @pytest.mark.parametrize("n", [64, 300])  # 300 cuts span several row blocks
     def test_matches_per_cut_loop(self, n):
@@ -140,7 +164,7 @@ class TestCircleCutCosts:
             a = random_bumps(rng, n, background=0.02)
             b = random_bumps(rng, n, background=0.02)
             ref = loop_cut_costs(a, b)
-            costs = _circle_cut_costs(a, b)
+            costs = all_cut_costs(a, b)
             assert np.max(np.abs(costs - ref) / ref) <= 1e-12
             assert np.argmin(costs) == np.argmin(ref)
             assert w2_distance(a, b) == pytest.approx(math.sqrt(ref.min()), rel=1e-12)
@@ -148,17 +172,18 @@ class TestCircleCutCosts:
     def test_ties_broken_within_roundoff(self):
         # narrow bumps that decay to the floor: every cut through a region
         # empty in both densities costs the same up to roundoff, so the
-        # blocked pass may pick another of those cuts than the loop, but
-        # never a dearer one
+        # search may pick another of those cuts than the loop, but never a
+        # dearer one
         rng = np.random.default_rng(1)
         tied = 0
         for _ in range(5):
             a = random_bumps(rng, 64, background=0.0, widths=(0.01, 0.03))
             b = random_bumps(rng, 64, background=0.0, widths=(0.01, 0.03))
             ref = loop_cut_costs(a, b)
-            costs = _circle_cut_costs(a, b)
+            costs = all_cut_costs(a, b)
             assert np.max(np.abs(costs - ref) / ref) <= 1e-12
-            assert ref[np.argmin(costs)] <= ref.min() * (1.0 + 1e-12)
+            _, cut = _min_cuts(a.rho[None], b.rho[None], a.dx)
+            assert ref[cut[0]] <= ref.min() * (1.0 + 1e-12)
             tied += np.sum(ref <= ref.min() * (1.0 + 1e-12)) > 1
         assert tied > 0  # the draw does contain tied cuts
 
@@ -166,11 +191,97 @@ class TestCircleCutCosts:
         n, dx = 64, 0.25
         a = GridDensity.gaussian(-1.0, 0.5, n, dx, x0=-8.0, boundary="periodic")
         b = a.with_rho(np.roll(a.rho, 7))
-        costs = _circle_cut_costs(a, b)
+        costs = all_cut_costs(a, b)
         ref = loop_cut_costs(a, b)
         assert np.max(np.abs(costs - ref) / ref) <= 1e-12
         # only the floor mass in the 7 cells the bump crosses moves less
         assert w2_distance(a, b) == pytest.approx(7 * dx, rel=1e-10)
+
+    def test_neighbouring_geodesic_nodes(self, porous2):
+        # nearly equal densities: Qa - Qb is tiny next to the positions, so
+        # the kernel must form it without cancellation
+        n, dx, x0 = 64, 0.25, -8.0
+        L = n * dx
+        a = GridDensity.gaussian(x0 + 0.45 * L, 0.05 * L, n, dx, x0, "periodic")
+        b = GridDensity.gaussian(x0 + 0.6 * L, 0.09 * L, n, dx, x0, "periodic")
+        pts = geodesic_curve(porous2, a, b, 64).points
+        for p, q in zip(pts[:-1], pts[1:]):
+            ref = loop_cut_costs(p, q)
+            assert np.max(np.abs(all_cut_costs(p, q) - ref) / ref) <= 1e-12
+
+    def test_rows_and_cut_lists_independent(self):
+        # a pair's costs do not depend on the other pairs or cuts beside it
+        rng = np.random.default_rng(3)
+        pairs = plateau_pairs(rng, 40, 3)
+        A = np.stack([a.rho for a, _ in pairs])
+        B = np.stack([b.rho for _, b in pairs])
+        cuts = rng.integers(0, 40, (3, 7))
+        costs = _cut_costs(A, B, cuts, pairs[0][0].dx)
+        for p, (a, b) in enumerate(pairs):
+            assert np.array_equal(costs[p], all_cut_costs(a, b)[cuts[p]])
+
+
+class TestCircleCutSearch:
+    @pytest.mark.parametrize("n", [8, 64, 300])
+    @pytest.mark.parametrize("plateau", [False, True])
+    def test_matches_all_cuts_minimum(self, n, plateau):
+        rng = np.random.default_rng(10 * n + plateau)
+        if plateau:
+            pairs = plateau_pairs(rng, n, 20)
+        else:
+            pairs = [(random_bumps(rng, n, 0.02), random_bumps(rng, n, 0.02)) for _ in range(20)]
+        A = np.stack([a.rho for a, _ in pairs])
+        B = np.stack([b.rho for _, b in pairs])
+        cost, cut = _min_cuts(A, B, pairs[0][0].dx)
+        for p, (a, b) in enumerate(pairs):
+            costs = all_cut_costs(a, b)
+            assert cost[p] == costs[cut[p]]
+            assert cost[p] <= costs.min() * (1.0 + 1e-12)
+
+    def test_plateau_draws_defeat_plain_bisection(self):
+        # the tie rules are what make the search exact on these draws
+        pairs = plateau_pairs(np.random.default_rng(1), 64, 30)
+        cost, _ = _min_cuts(np.stack([a.rho for a, _ in pairs]),
+                            np.stack([b.rho for _, b in pairs]), pairs[0][0].dx)
+        fooled = 0
+        for (a, b), c in zip(pairs, cost):
+            best = all_cut_costs(a, b).min()
+            fooled += plain_bisection(a, b) > best * (1.0 + 1e-12)
+            assert c <= best * (1.0 + 1e-12)
+        assert fooled > 0
+
+    def test_identical_densities(self):
+        a = random_bumps(np.random.default_rng(4), 16, 0.0)
+        cost, _ = _min_cuts(a.rho[None], a.rho[None], a.dx)
+        assert cost[0] == 0.0
+
+
+class TestDistances:
+    @pytest.mark.parametrize("boundary", ["periodic", "no-flux"])
+    def test_equals_per_pair_loop(self, porous2, boundary):
+        rng = np.random.default_rng(5)
+        pts = [random_bumps(rng, 48, 0.0) for _ in range(7)]
+        pts = [GridDensity(p.rho, p.dx, p.x0, boundary) for p in pts]
+        xs, ys = pts[:-1], pts[1:]
+        d = porous2.distances(xs, ys)
+        assert d.tolist() == [porous2.distance(x, y) for x, y in zip(xs, ys)]
+
+    def test_many_pairs_span_blocks(self, porous2):
+        rng = np.random.default_rng(6)
+        pts = [random_bumps(rng, 64, 0.0) for _ in range(20)]
+        xs = [p for p in pts for _ in pts][:300]
+        ys = [q for _ in pts for q in pts][:300]
+        d = porous2.distances(xs, ys)
+        assert d.tolist() == [porous2.distance(x, y) for x, y in zip(xs, ys)]
+
+    def test_grid_mismatch_rejected(self, porous2):
+        a = random_bumps(np.random.default_rng(7), 32, 0.0)
+        b = random_bumps(np.random.default_rng(8), 64, 0.0)
+        with pytest.raises(GridMismatch):
+            porous2.distances([a, a], [a, b])
+
+    def test_empty(self, porous2):
+        assert porous2.distances([], []).shape == (0,)
 
 
 class TestW2Geodesic:

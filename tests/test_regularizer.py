@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from entrogeo import Curve, HatFunction, geodesic_curve
+from entrogeo import Curve, GridDensity, HatFunction, geodesic_curve
 from entrogeo.errors import DomainError, EndpointEntropyInfinite
 from entrogeo.regularizer import (
     build,
     convexity_certificate,
     discrete_estimate_residual,
+    discrete_estimate_residuals,
     pointwise_estimate_residual,
+    pointwise_estimate_residuals,
     recovery_gap,
 )
 
@@ -18,6 +20,14 @@ from conftest import SWEEP, gaussian_on
 
 def quad_segment(quad1d, a, b, n=64):
     return geodesic_curve(quad1d, np.array([a]), np.array([b]), n)
+
+
+def circle_reg(porous2, n_intervals):
+    n, dx, x0 = 48, 0.25, -6.0
+    a = GridDensity.gaussian(-2.0, 0.6, n, dx, x0, "periodic")
+    b = GridDensity.gaussian(1.5, 1.1, n, dx, x0, "periodic")
+    base = geodesic_curve(porous2, a, b, n_intervals)
+    return build(porous2, base, HatFunction.with_slope(0.05))
 
 
 class TestBuild:
@@ -103,6 +113,38 @@ class TestDiscreteEstimate:
         assert discrete_estimate_residual(InfSlope(), reg, 0, 3) is None
 
 
+class TestDiscreteEstimateResiduals:
+    def test_quadratic_equals_per_pair(self, quad1d):
+        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=12), HatFunction.with_slope(0.1))
+        res = discrete_estimate_residuals(quad1d, reg)
+        assert list(res) == [(i, j) for i in range(13) for j in range(i + 1, 13)]
+        assert res == {(i, j): discrete_estimate_residual(quad1d, reg, i, j) for i, j in res}
+
+    def test_circle_equals_per_pair(self, porous2):
+        reg = circle_reg(porous2, 12)
+        res = discrete_estimate_residuals(porous2, reg)
+        assert res == {(i, j): discrete_estimate_residual(porous2, reg, i, j) for i, j in res}
+
+    def test_infinite_slope_convention(self, quad1d):
+        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=8), HatFunction.with_slope(0.1))
+
+        class InfSlope:
+            lam = 1.0
+            distance = staticmethod(quad1d.distance)
+            distances = staticmethod(quad1d.distances)
+            entropy = staticmethod(quad1d.entropy)
+
+            def slope(self, p):
+                return math.inf
+
+        res = discrete_estimate_residuals(InfSlope(), reg)
+        assert res == {(i, j): discrete_estimate_residual(InfSlope(), reg, i, j) for i, j in res}
+        # only pairs of equal vertical times are applicable: inf * 0 = 0
+        equal = [(i, j) for i, j in res if reg.h[i] == reg.h[j]]
+        assert [p for p, r in res.items() if r is not None] == equal
+        assert (0, 8) in equal and res[0, 8] == 0.0
+
+
 class TestPointwiseEstimate:
     def test_constant_curve_at_equilibrium(self, quad1d):
         base = Curve.uniform([np.zeros(1)] * 9)
@@ -126,6 +168,24 @@ class TestPointwiseEstimate:
         base = geodesic_curve(boltzmann, a, b, 64)
         reg = build(boltzmann, base, HatFunction.with_slope(0.05))
         assert pointwise_estimate_residual(boltzmann, reg, base.node_nearest(0.3)) <= 1e-2
+
+
+class TestPointwiseEstimateResiduals:
+    def test_quadratic_equals_per_node(self, quad1d):
+        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=16), HatFunction.with_slope(0.1))
+        res = pointwise_estimate_residuals(quad1d, reg, range(1, 16))
+        assert res == {i: pointwise_estimate_residual(quad1d, reg, i) for i in range(1, 16)}
+
+    def test_circle_equals_per_node(self, porous2):
+        reg = circle_reg(porous2, 16)
+        res = pointwise_estimate_residuals(porous2, reg, [1, 5, 9, 15])
+        assert res == {i: pointwise_estimate_residual(porous2, reg, i) for i in (1, 5, 9, 15)}
+
+    def test_endpoints_rejected(self, quad1d):
+        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=8), HatFunction.with_slope(0.1))
+        for i in (0, 8):
+            with pytest.raises(DomainError):
+                pointwise_estimate_residuals(quad1d, reg, [3, i])
 
 
 class TestRecoveryGap:

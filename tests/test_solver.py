@@ -303,6 +303,12 @@ class TestDensitySolve:
             def entropy(self, p):
                 return math.inf
 
+            def check_point(self, p):
+                pass
+
+            def same_space(self, p, q):
+                return True
+
         with pytest.raises(EndpointEntropyInfinite):
             solve(InfEntropyBackend(), a, a, 0.1)
 
@@ -311,6 +317,12 @@ class TestEndpointValidation:
     def test_euclidean_endpoint_of_wrong_dimension(self, quad2d):
         with pytest.raises(InvalidCurve):
             solve(quad2d, np.array([1.0]), np.array([2.0]), 0.3)
+
+    def test_endpoint_dimension_checked_before_entropy(self, quad2d):
+        # with eps > 0 the endpoint entropies are evaluated, which must not
+        # happen on points of the wrong dimension
+        with pytest.raises(InvalidCurve):
+            solve(quad2d, np.zeros(3), np.ones(3), 0.1)
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_density_endpoints_on_different_grids(self, boltzmann, eps):
@@ -327,6 +339,11 @@ class TestEndpointValidation:
         b = GridDensity.gaussian(0.5, 1.0, 64, 0.2, -6.4)
         with pytest.raises(GridMismatch):
             discrete_action(boltzmann, Curve(np.linspace(0.0, 1.0, 3), [a, a, b]), 0.1)
+
+    def test_discrete_action_checks_interior_nodes(self, quad2d):
+        pts = [np.zeros(2), np.zeros(3), np.ones(2)]
+        with pytest.raises(InvalidCurve):
+            discrete_action(quad2d, Curve(np.linspace(0.0, 1.0, 3), pts), 0.1)
 
 
 class TestQuantileSamples:
