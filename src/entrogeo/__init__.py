@@ -22,7 +22,6 @@ from .core import (
     fisher_action,
     fisher_quadrature,
     geodesic_curve,
-    hat_eval,
     kinetic_action,
     schrodinger_action,
 )
@@ -41,7 +40,6 @@ from .euclidean import (
     Potential,
     QuadraticPotential,
     UserPotential,
-    slope_global_check,
 )
 from . import errors
 
@@ -66,10 +64,8 @@ __all__ = [
     "fisher_action",
     "fisher_quadrature",
     "geodesic_curve",
-    "hat_eval",
     "kinetic_action",
     "schrodinger_action",
-    "slope_global_check",
     "w2_distance",
     "w2_geodesic",
 ]

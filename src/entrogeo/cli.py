@@ -12,8 +12,16 @@ external):
 * solve  -> ``curve.csv`` (minimizer) and ``result.json``
 * sweep  -> ``profile.csv`` plus ``diagnostics.json`` bundling the Fisher
   monotonicity, derivative-identity, Taylor, and Gamma-convergence checks
-* verify -> ``diagnostics.json`` with one record per flow/regularizer
-  certificate
+* verify -> ``diagnostics.json`` with one record per selected
+  flow/regularizer certificate
+
+Verify runs one certificate table, ``_CERTIFICATES``, on both backends: it
+maps each property name to a function ``(backend, samples, tol) ->
+EviReport`` and to its default tolerance on each backend.
+``_verify_quadratic`` and ``_verify_density`` only build their backend's
+sample set.  Only the selected properties are computed; the quadratic
+sample set draws every random number whatever the selection, so a subset
+run reports the same records as a full run.
 
 Exit codes: 0 success, 1 usage/config/IO error, 2 a solve did not converge
 or a verification certificate failed.
@@ -22,9 +30,11 @@ or a verification certificate failed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -37,32 +47,6 @@ from .euclidean import EuclideanBackend
 from .fileio import dump_json, write_curve_csv, write_profile_csv
 from .flow_verify import EviReport
 from .solver import solve
-
-_QUAD_TOLERANCES = {
-    "evi": 1e-6,
-    "contraction": 1e-8,
-    "ede": 1e-6,
-    "slope_monotonicity": 1e-9,
-    "regularization": 1e-6,
-    "local_global": 1e-9,
-    "discrete_estimate": 1e-8,
-    "pointwise_estimate": 1e-6,
-    "recovery_gap": 5e-3,
-    "convexity": 1e-9,
-}
-
-_DENSITY_TOLERANCES = {
-    "evi": 5e-3,
-    "contraction": 2e-3,
-    "ede": 2e-2,
-    "slope_monotonicity": 1e-6,
-    "regularization": 5e-3,
-    "local_global": 1e-2,
-    "discrete_estimate": 5e-3,
-    "pointwise_estimate": 1e-2,
-    "recovery_gap": 5e-3,
-    "convexity": 1e-3,
-}
 
 
 def cmd_solve(config: ExperimentConfig) -> int:
@@ -128,64 +112,135 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     return 0 if all(r.converged for r in profile.rows) else 2
 
 
-def _verify_quadratic(backend: EuclideanBackend, rng, tol) -> list:
-    dim = backend.dim
-    s_grid = np.linspace(0.05, 1.5, 12)
-    reports = {}
+@dataclass
+class _Samples:
+    """One backend's inputs to the certificate table; pairs are ``(x, y)``.
 
-    pts = [rng.uniform(-2.0, 2.0, dim) for _ in range(8)]
-    worst = -math.inf
-    for i in range(4):
-        r = flow_verify.evi_defect(backend, pts[i], pts[i + 4], s_grid, tol["evi"])
-        worst = max(worst, r.worst_residual)
-    reports["evi"] = EviReport("evi", worst, 4 * s_grid.size, worst <= tol["evi"], tol["evi"])
+    ``local_global()`` returns a base point and its comparison points.  The
+    geodesic from ``a`` to ``b`` and its regularized copies are built on
+    first use, so a certificate that is not selected costs nothing.
+    """
 
-    pairs = [(rng.uniform(-2, 2, dim), rng.uniform(-2, 2, dim)) for _ in range(6)]
-    reports["contraction"] = flow_verify.contraction_report(backend, pairs, s_grid, tol["contraction"])
-    x0 = rng.uniform(-2, 2, dim)
-    reports["ede"] = flow_verify.ede_report(backend, x0, 1.0, n_quad=4096, tolerance=tol["ede"])
-    reports["slope_monotonicity"] = flow_verify.slope_monotonicity_report(
-        backend, rng.uniform(-2, 2, dim), s_grid, tol["slope_monotonicity"])
-    reports["regularization"] = flow_verify.regularization_report(
-        backend, rng.uniform(-2, 2, dim), rng.uniform(-2, 2, dim), s_grid, tol["regularization"])
-    samples = [rng.uniform(-3, 3, dim) for _ in range(100)]
-    reports["local_global"] = flow_verify.local_global_report(
-        backend, rng.uniform(-2, 2, dim), samples, tol["local_global"])
+    backend: object
+    s_grid: np.ndarray
+    evi: list
+    contraction: list
+    ede: tuple  # (x, T, n_quad)
+    slope_point: object
+    regularization: tuple
+    local_global: Callable
+    a: object
+    b: object
+    hat_slope: float
+    pointwise_intervals: int  # of the curve the pointwise estimate samples
+    convexity: list
 
-    a = rng.uniform(-2, 2, dim)
-    b = rng.uniform(-2, 2, dim)
-    base = geodesic_curve(backend, a, b, 64)
-    reg = regularizer.build(backend, base, HatFunction.with_slope(0.1))
-    worst = max(regularizer.discrete_estimate_residuals(backend, reg).values())
-    reports["discrete_estimate"] = EviReport(
-        "discrete_estimate", worst, 65 * 64 // 2, worst <= tol["discrete_estimate"],
-        tol["discrete_estimate"])
+    @cached_property
+    def base(self):
+        return geodesic_curve(self.backend, self.a, self.b, 64)
 
-    fine = geodesic_curve(backend, a, b, 2048)
-    regf = regularizer.build(backend, fine, HatFunction.with_slope(0.1))
-    kink = fine.node_nearest(0.5)
-    worst = max(regularizer.pointwise_estimate_residuals(
-        backend, regf, [i for i in range(1, 2048) if abs(i - kink) > 1]).values())
-    reports["pointwise_estimate"] = EviReport(
-        "pointwise_estimate", worst, 2045, worst <= tol["pointwise_estimate"],
-        tol["pointwise_estimate"])
+    @cached_property
+    def reg(self):
+        return regularizer.build(self.backend, self.base, HatFunction.with_slope(self.hat_slope))
 
-    worst = max(-regularizer.recovery_gap(backend, base, e) for e in (0.2, 0.1, 0.05))
-    reports["recovery_gap"] = EviReport(
-        "recovery_gap", worst, 3, worst <= tol["recovery_gap"], tol["recovery_gap"])
+    @cached_property
+    def pointwise_reg(self):
+        if self.pointwise_intervals == self.base.n_intervals:
+            return self.reg
+        fine = geodesic_curve(self.backend, self.a, self.b, self.pointwise_intervals)
+        return regularizer.build(self.backend, fine, HatFunction.with_slope(self.hat_slope))
 
+
+def _worst(name, residuals, samples, tol) -> EviReport:
+    worst = max(residuals)
+    return EviReport(name, worst, samples, worst <= tol, tol)
+
+
+def _evi(backend, s, tol):
+    reps = [flow_verify.evi_defect(backend, x, y, s.s_grid, tol) for x, y in s.evi]
+    return _worst("evi", [r.worst_residual for r in reps], sum(r.samples for r in reps), tol)
+
+
+def _ede(backend, s, tol):
+    x, T, n_quad = s.ede
+    return flow_verify.ede_report(backend, x, T, n_quad=n_quad, tolerance=tol)
+
+
+def _local_global(backend, s, tol):
+    x, samples = s.local_global()
+    return flow_verify.local_global_report(backend, x, samples, tol)
+
+
+def _discrete_estimate(backend, s, tol):
+    res = regularizer.discrete_estimate_residuals(backend, s.reg)
+    return _worst("discrete_estimate", res.values(), len(res), tol)
+
+
+def _pointwise_estimate(backend, s, tol):
+    reg = s.pointwise_reg
+    n = reg.base.n_intervals
+    kink = reg.base.node_nearest(0.5)
+    res = regularizer.pointwise_estimate_residuals(
+        backend, reg, [i for i in range(1, n) if abs(i - kink) > 1])
+    # reports n - 3 samples, one more than the nodes used, as verify always has
+    return _worst("pointwise_estimate", res.values(), n - 3, tol)
+
+
+def _recovery_gap(backend, s, tol):
+    gaps = [-regularizer.recovery_gap(backend, s.base, e) for e in (0.2, 0.1, 0.05)]
+    return _worst("recovery_gap", gaps, len(gaps), tol)
+
+
+def _convexity(backend, s, tol):
     thetas = np.linspace(0.0, 1.0, 33)
-    worst = max(
-        regularizer.convexity_certificate(backend, rng.uniform(-2, 2, dim),
-                                          rng.uniform(-2, 2, dim), thetas)
-        for _ in range(4)
-    )
-    reports["convexity"] = EviReport(
-        "convexity", worst, 4 * 33, worst <= tol["convexity"], tol["convexity"])
-    return reports
+    return _worst("convexity", [regularizer.convexity_certificate(backend, x, y, thetas)
+                                for x, y in s.convexity], len(s.convexity) * thetas.size, tol)
 
 
-def _verify_density(backend: Density1DBackend, grid, rng, tol) -> list:
+# verify property -> (certificate (backend, samples, tol) -> EviReport,
+#                     default tolerance on the quadratic, on the density backend)
+_CERTIFICATES = {
+    "evi": (_evi, 1e-6, 5e-3),
+    "contraction": (lambda be, s, tol: flow_verify.contraction_report(
+        be, s.contraction, s.s_grid, tol), 1e-8, 2e-3),
+    "ede": (_ede, 1e-6, 2e-2),
+    "slope_monotonicity": (lambda be, s, tol: flow_verify.slope_monotonicity_report(
+        be, s.slope_point, s.s_grid, tol), 1e-9, 1e-6),
+    "regularization": (lambda be, s, tol: flow_verify.regularization_report(
+        be, *s.regularization, s.s_grid, tol), 1e-6, 5e-3),
+    "local_global": (_local_global, 1e-9, 1e-2),
+    "discrete_estimate": (_discrete_estimate, 1e-8, 5e-3),
+    "pointwise_estimate": (_pointwise_estimate, 1e-6, 1e-2),
+    "recovery_gap": (_recovery_gap, 5e-3, 5e-3),
+    "convexity": (_convexity, 1e-9, 1e-3),
+}
+
+
+def _certify(samples: _Samples, properties, tol) -> dict:
+    return {name: _CERTIFICATES[name][0](samples.backend, samples, tol[name])
+            for name in properties}
+
+
+def _verify_quadratic(backend: EuclideanBackend, rng, properties, tol) -> dict:
+    def draw(r=2.0):
+        return rng.uniform(-r, r, backend.dim)
+
+    # every draw happens, in this order, whichever properties are selected
+    pts = [draw() for _ in range(8)]
+    contraction = [(draw(), draw()) for _ in range(6)]
+    ede_x, slope_point, regularization = draw(), draw(), (draw(), draw())
+    comparison = [draw(3.0) for _ in range(100)]
+    lg_x, a, b = draw(), draw(), draw()
+    convexity = [(draw(), draw()) for _ in range(4)]
+    return _certify(_Samples(
+        backend, s_grid=np.linspace(0.05, 1.5, 12), evi=list(zip(pts[:4], pts[4:])),
+        contraction=contraction, ede=(ede_x, 1.0, 4096), slope_point=slope_point,
+        regularization=regularization, local_global=lambda: (lg_x, comparison),
+        a=a, b=b, hat_slope=0.1, pointwise_intervals=2048, convexity=convexity,
+    ), properties, tol)
+
+
+def _verify_density(backend: Density1DBackend, grid, properties, tol) -> dict:
     n, dx, x0, boundary, floor = grid
     L = n * dx
 
@@ -202,81 +257,44 @@ def _verify_density(backend: Density1DBackend, grid, rng, tol) -> list:
     )
     g_mid = gauss(0.5, 0.08)
     g_off = gauss(0.6, 0.08)
-    s_grid = np.linspace(0.02, 0.2, 8)
-    reports = {}
+    g_shift = g_mid.with_rho(np.roll(g_mid.rho, max(1, int(0.1 * n))))
+    a, b = gauss(0.45, 0.05), gauss(0.6, 0.09)
 
-    reports["evi"] = flow_verify.evi_defect(backend, mix, g_mid, s_grid, tol["evi"])
-    shift_cells = max(1, int(0.1 * n))
-    g_shift = g_mid.with_rho(np.roll(g_mid.rho, shift_cells))
-    reports["contraction"] = flow_verify.contraction_report(
-        backend, [(g_mid, g_shift), (mix, g_off)], s_grid, tol["contraction"])
-    reports["ede"] = flow_verify.ede_report(backend, mix, 0.1, n_quad=32, tolerance=tol["ede"])
-    reports["slope_monotonicity"] = flow_verify.slope_monotonicity_report(
-        backend, mix, s_grid, tol["slope_monotonicity"])
-    reports["regularization"] = flow_verify.regularization_report(
-        backend, mix, g_mid, s_grid, tol["regularization"])
-    samples = [backend.flow(mix, s) for s in (0.05, 0.1)] + [
-        backend.geodesic(mix, g_mid, th) for th in (0.25, 0.5, 0.75)
-    ] + [g_mid, g_off]
-    reports["local_global"] = flow_verify.local_global_report(
-        backend, mix, samples, tol["local_global"])
+    def local_global():
+        return mix, [backend.flow(mix, s) for s in (0.05, 0.1)] + [
+            backend.geodesic(mix, g_mid, th) for th in (0.25, 0.5, 0.75)
+        ] + [g_mid, g_off]
 
-    a = gauss(0.45, 0.05)
-    b = gauss(0.6, 0.09)
-    base = geodesic_curve(backend, a, b, 64)
-    reg = regularizer.build(backend, base, HatFunction.with_slope(0.05))
-    worst = max(regularizer.discrete_estimate_residuals(backend, reg).values())
-    reports["discrete_estimate"] = EviReport(
-        "discrete_estimate", worst, 65 * 64 // 2, worst <= tol["discrete_estimate"],
-        tol["discrete_estimate"])
-
-    kink = base.node_nearest(0.5)
-    worst = max(regularizer.pointwise_estimate_residuals(
-        backend, reg, [i for i in range(1, 64) if abs(i - kink) > 1]).values())
-    reports["pointwise_estimate"] = EviReport(
-        "pointwise_estimate", worst, 61, worst <= tol["pointwise_estimate"],
-        tol["pointwise_estimate"])
-
-    worst = max(-regularizer.recovery_gap(backend, base, e) for e in (0.2, 0.1, 0.05))
-    reports["recovery_gap"] = EviReport(
-        "recovery_gap", worst, 3, worst <= tol["recovery_gap"], tol["recovery_gap"])
-
-    thetas = np.linspace(0.0, 1.0, 33)
-    worst = max(
-        regularizer.convexity_certificate(backend, a, b, thetas),
-        regularizer.convexity_certificate(backend, mix, g_mid, thetas),
-    )
-    reports["convexity"] = EviReport(
-        "convexity", worst, 2 * 33, worst <= tol["convexity"], tol["convexity"])
-    return reports
+    return _certify(_Samples(
+        backend, s_grid=np.linspace(0.02, 0.2, 8), evi=[(mix, g_mid)],
+        contraction=[(g_mid, g_shift), (mix, g_off)], ede=(mix, 0.1, 32), slope_point=mix,
+        regularization=(mix, g_mid), local_global=local_global,
+        a=a, b=b, hat_slope=0.05, pointwise_intervals=64, convexity=[(a, b), (mix, g_mid)],
+    ), properties, tol)
 
 
 def cmd_verify(config: ExperimentConfig) -> int:
-    rng = np.random.default_rng(config.seed)
-    if isinstance(config.backend, EuclideanBackend):
-        defaults = dict(_QUAD_TOLERANCES)
-    else:
-        defaults = dict(_DENSITY_TOLERANCES)
-    defaults.update(config.tolerances)
-    if isinstance(config.backend, EuclideanBackend):
-        reports = _verify_quadratic(config.backend, rng, defaults)
+    backend = config.backend
+    quadratic = isinstance(backend, EuclideanBackend)
+    tol = {name: config.tolerances.get(name, quad_tol if quadratic else density_tol)
+           for name, (_, quad_tol, density_tol) in _CERTIFICATES.items()}
+    names = sorted(set(config.properties))
+    if quadratic:
+        reports = _verify_quadratic(backend, np.random.default_rng(config.seed), names, tol)
     else:
         if config.grid is None:
             raise EntrogeoError("density verification needs grid parameters")
-        reports = _verify_density(config.backend, config.grid, rng, defaults)
-    selected = {name: reports[name] for name in config.properties}
+        reports = _verify_density(backend, config.grid, names, tol)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     if "json" in config.formats:
-        dump_json(
-            [selected[name].to_record() for name in sorted(selected)],
-            config.output_dir / "diagnostics.json",
-        )
-    for name in sorted(selected):
-        r = selected[name]
+        dump_json([reports[name].to_record() for name in names],
+                  config.output_dir / "diagnostics.json")
+    for name in names:
+        r = reports[name]
         status = "pass" if r.passed else "FAIL"
         print(f"{name:22s} residual {r.worst_residual: .3e}  tol {r.tolerance:.1e}  {status}")
-    return 0 if all(r.passed for r in selected.values()) else 2
+    return 0 if all(r.passed for r in reports.values()) else 2
 
 
 def main(argv=None) -> int:

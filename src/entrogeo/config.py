@@ -52,12 +52,6 @@ _RUN_KEYS = {"command", "eps", "eps_list", "seed", "n_time", "max_iter",
              "grad_tol", "quantile_points", "taylor", "properties"}
 _OUTPUT_KEYS = {"directory", "formats"}
 _COMMANDS = ("solve", "sweep", "verify")
-_PROPERTIES = (
-    "evi", "contraction", "ede", "slope_monotonicity", "regularization",
-    "local_global", "discrete_estimate", "pointwise_estimate",
-    "recovery_gap", "convexity",
-)
-_RUN_KEYS |= {f"tolerance_{p}" for p in _PROPERTIES}
 
 
 @dataclass
@@ -190,6 +184,10 @@ def _build_density_endpoint(text, grid, base_dir):
 
 
 def load_config(path) -> ExperimentConfig:
+    # the verify properties and their tolerances are the CLI's certificate
+    # table; the CLI imports this module, so the table is imported here
+    from .cli import _CERTIFICATES
+
     path = Path(path)
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cfg.read(path)
@@ -201,7 +199,7 @@ def load_config(path) -> ExperimentConfig:
     for section, allowed in (
         ("backend", _BACKEND_KEYS),
         ("endpoints", _ENDPOINT_KEYS),
-        ("run", _RUN_KEYS),
+        ("run", _RUN_KEYS | {f"tolerance_{p}" for p in _CERTIFICATES}),
         ("output", _OUTPUT_KEYS),
     ):
         if section in cfg:
@@ -270,14 +268,14 @@ def load_config(path) -> ExperimentConfig:
         quantile_points=qp,
     )
 
-    properties = list(_PROPERTIES)
+    properties = list(_CERTIFICATES)
     if "properties" in run:
         properties = [tok for tok in re.split(r"[,\s]+", run["properties"].strip()) if tok]
         for p in properties:
-            if p not in _PROPERTIES:
+            if p not in _CERTIFICATES:
                 _fail("run", "properties", f"unknown property {p!r}")
     tolerances = {}
-    for p in _PROPERTIES:
+    for p in _CERTIFICATES:
         key = f"tolerance_{p}"
         if key in run:
             tolerances[p] = float(run[key])

@@ -35,7 +35,6 @@ __all__ = [
     "fisher_action",
     "fisher_quadrature",
     "kinetic_action",
-    "hat_eval",
     "schrodinger_action",
 ]
 
@@ -237,17 +236,13 @@ class HatFunction:
             raise DomainError(f"slope scale must be nonnegative, got {eps}")
         return HatFunction(eps=0.5 * eps, theta=0.5)
 
-    def __call__(self, t: float) -> float:
-        return hat_eval(self, t)
-
-    def on_grid(self, times: np.ndarray) -> np.ndarray:
-        return np.array([hat_eval(self, float(t)) for t in np.asarray(times)])
-
-
-def hat_eval(h: HatFunction, t: float) -> float:
-    """Evaluate ``eps * H_theta`` at ``t in [0, 1]``."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"hat functions live on [0, 1], got t={t}")
-    if t <= h.theta:
-        return h.eps * t / h.theta
-    return h.eps * (1.0 - t) / (1.0 - h.theta)
+    def __call__(self, t):
+        """Evaluate ``eps * H_theta`` at ``t in [0, 1]``: a float for a
+        scalar ``t``, an array of the same shape for an array."""
+        ts = np.asarray(t, dtype=float)
+        inside = (ts >= 0.0) & (ts <= 1.0)
+        if not np.all(inside):
+            raise DomainError(f"hat functions live on [0, 1], got t={ts[~inside].flat[0]}")
+        vals = np.where(ts <= self.theta, self.eps * ts / self.theta,
+                        self.eps * (1.0 - ts) / (1.0 - self.theta))
+        return float(vals) if vals.ndim == 0 else vals

@@ -24,7 +24,6 @@ __all__ = [
     "Potential",
     "QuadraticPotential",
     "UserPotential",
-    "slope_global_check",
 ]
 
 
@@ -270,25 +269,3 @@ class EuclideanBackend(SpaceBackend):
         b = np.asarray(b)
         return a.shape == b.shape
 
-
-def slope_global_check(potential: Potential, x, samples) -> float:
-    """Global lower representation of the slope from sampled points.
-
-    Along EVI flows the local slope admits the global formula
-    ``|dE|(x) = sup_y ((V(x)-V(y))/d(x,y) + lam/2 d(x,y))^+``; restricted to
-    a finite sample the supremum can only undershoot, so the returned value
-    is always ``<= |grad V(x)|`` up to roundoff.
-    """
-    x = np.asarray(x, dtype=float)
-    if len(samples) == 0:
-        raise DomainError("need at least one sample point")
-    best = 0.0
-    vx = potential.value(x)
-    for y in samples:
-        y = np.asarray(y, dtype=float)
-        d = float(np.linalg.norm(x - y))
-        if d == 0.0:
-            raise DomainError("sample points must differ from x")
-        cand = (vx - potential.value(y)) / d + 0.5 * potential.lam * d
-        best = max(best, cand)
-    return best

@@ -77,15 +77,14 @@ def evi_defect(backend: SpaceBackend, x, y, s_grid, tolerance: float = 1e-6) -> 
         raise ValueError("s_grid must be positive and increasing")
     lam = backend.lam
     ey = backend.entropy(y)
+    steps = [_dt_step(float(s)) for s in s_grid]
+    # per time: the flow at s + h, s - h and s, all measured to y at once
+    flows = [backend.flow(x, t) for s, h in zip(s_grid, steps) for t in (s + h, s - h, s)]
+    dists = backend.distances(flows, [y] * len(flows)).reshape(-1, 3).tolist()
     worst = -math.inf
-    for s in s_grid:
-        h = _dt_step(float(s))
-        d_plus = backend.distance(backend.flow(x, s + h), y)
-        d_minus = backend.distance(backend.flow(x, s - h), y)
+    for h, (d_plus, d_minus, d), xs in zip(steps, dists, flows[2::3]):
         ddt_d2 = (d_plus**2 - d_minus**2) / (2 * h)
-        xs = backend.flow(x, s)
-        d2 = backend.distance(xs, y) ** 2
-        defect = 0.5 * ddt_d2 + 0.5 * lam * d2 + backend.entropy(xs) - ey
+        defect = 0.5 * ddt_d2 + 0.5 * lam * d**2 + backend.entropy(xs) - ey
         worst = max(worst, defect)
     return _report("evi", worst, s_grid.size, tolerance)
 
@@ -95,13 +94,17 @@ def contraction_report(backend: SpaceBackend, pairs, s_grid,
     """Worst of ``d(S_s x, S_s y) - exp(-lam s) d(x, y)`` over pairs and times."""
     s_grid = np.asarray(s_grid, dtype=float)
     lam = backend.lam
+    pairs = list(pairs)
+    # one distances call: the pairs themselves, then their flows per time
+    xs = [x for x, _ in pairs] + [backend.flow(x, s) for x, _ in pairs for s in s_grid]
+    ys = [y for _, y in pairs] + [backend.flow(y, s) for _, y in pairs for s in s_grid]
+    dists = backend.distances(xs, ys).tolist()
+    d0s, ds = dists[:len(pairs)], dists[len(pairs):]
     worst = -math.inf
     count = 0
-    for x, y in pairs:
-        d0 = backend.distance(x, y)
+    for d0 in d0s:
         for s in s_grid:
-            ds = backend.distance(backend.flow(x, s), backend.flow(y, s))
-            worst = max(worst, ds - math.exp(-lam * s) * d0)
+            worst = max(worst, ds[count] - math.exp(-lam * s) * d0)
             count += 1
     return _report("contraction", worst, count, tolerance)
 
@@ -179,10 +182,10 @@ def local_global_report(backend: SpaceBackend, x, samples,
     """
     lam = backend.lam
     ex = backend.entropy(x)
+    samples = list(samples)
     sup = 0.0
     count = 0
-    for y in samples:
-        d = backend.distance(x, y)
+    for y, d in zip(samples, backend.distances([x] * len(samples), samples).tolist()):
         if d == 0.0:
             continue
         sup = max(sup, (ex - backend.entropy(y)) / d + 0.5 * lam * d)

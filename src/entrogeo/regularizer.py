@@ -79,7 +79,7 @@ class RegularizedCurve:
 
 def _h_values(h: HProfile, times: np.ndarray) -> np.ndarray:
     if isinstance(h, HatFunction):
-        vals = h.on_grid(times)
+        vals = h(times)
     else:
         vals = np.asarray(h, dtype=float).copy()
         if vals.shape != times.shape:

@@ -272,7 +272,6 @@ def _banded_cholesky_solver(ab: np.ndarray):
 
 class _EuclideanProblem:
     def __init__(self, backend: EuclideanBackend, x, y, eps, times):
-        self.backend = backend
         self.pot = backend.potential
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
@@ -296,19 +295,9 @@ class _EuclideanProblem:
     def to_curve(self, z: np.ndarray) -> Curve:
         return Curve(self.times, self.unpack(z))
 
-    def split_value(self, z: np.ndarray):
-        pts = self.unpack(z)
-        kin = 0.0
-        for i, dt in enumerate(self.dts):
-            dxv = pts[i + 1] - pts[i]
-            kin += float(dxv @ dxv) / dt
-        kin *= 0.5
-        fis = 0.5 * sum(
-            wi * self.backend.slope(p) ** 2 for wi, p in zip(self.weights, pts)
-        )
-        return kin, fis
-
-    def value_grad(self, z: np.ndarray):
+    def action(self, z: np.ndarray):
+        """Kinetic and Fisher parts of the action at ``z`` and the gradient
+        of ``kin + eps^2 fis``."""
         pts = np.vstack([self.x, z.reshape(self.n_interior, self.dim), self.y])
         diff = np.diff(pts, axis=0)
         vel = diff / self.dts[:, None]
@@ -320,7 +309,11 @@ class _EuclideanProblem:
             fis += self.weights[i] * 0.5 * float(g @ g)
         for i in range(self.n_interior):
             grad[i] += self.eps**2 * self.weights[i + 1] * self.pot.grad_sq_half_grad(pts[i + 1])
-        return kin + self.eps**2 * fis, grad.ravel()
+        return kin, fis, grad.ravel()
+
+    def value_grad(self, z: np.ndarray):
+        kin, fis, grad = self.action(z)
+        return kin + self.eps**2 * fis, grad
 
     def make_preconditioner(self, z0: np.ndarray):
         """Inverse of the Gauss-Newton model at ``z0``, by banded Cholesky.
@@ -363,23 +356,23 @@ def _uprime_of_inv_dG(kind: EntropyKind, G: np.ndarray) -> np.ndarray:
     return -m * G ** (-m)
 
 
-def _slope_sq_quantile(kind: EntropyKind, Q: np.ndarray, du: float) -> float:
-    """Squared metric slope in quantile coordinates."""
-    G = np.diff(Q) / du
+def _fisher_stencil(kind: EntropyKind, Q: np.ndarray, du: float):
+    """The quantile-space Fisher stencil along the last axis of ``Q``.
+
+    Returns the quantile slopes ``G = Q'`` (one per u-cell), their pair
+    means ``qp`` and the residuals ``R = d/du U'(1/G) / qp``, whose
+    ``du``-weighted sum of squares is the squared metric slope.
+    """
+    G = np.diff(Q, axis=-1) / du
     A = _uprime_of_inv(kind, G)
-    num = (A[1:] - A[:-1]) / du
-    qp = 0.5 * (G[1:] + G[:-1])
-    R = num / qp
-    return float(np.sum(R * R) * du)
+    num = (A[..., 1:] - A[..., :-1]) / du
+    qp = 0.5 * (G[..., 1:] + G[..., :-1])
+    return G, qp, num / qp
 
 
 def _slope_sq_quantile_grad(kind: EntropyKind, Q: np.ndarray, du: float):
-    """Value and gradient of the quantile-space squared slope."""
-    G = np.diff(Q) / du
-    A = _uprime_of_inv(kind, G)
-    num = (A[1:] - A[:-1]) / du
-    qp = 0.5 * (G[1:] + G[:-1])
-    R = num / qp
+    """Squared metric slope in quantile coordinates and its gradient in Q."""
+    G, qp, R = _fisher_stencil(kind, Q, du)
     S = float(np.sum(R * R) * du)
 
     dS_dA = np.zeros(G.size)
@@ -463,7 +456,6 @@ class _DensityProblem:
                 "the action solver needs interval (no-flux) densities; "
                 "quantile coordinates have no global chart on the circle"
             )
-        self.backend = backend
         self.kind = backend.kind
         self.x = x
         self.y = y
@@ -480,8 +472,8 @@ class _DensityProblem:
         self.Q0, self.QN = _quantile_samples([x, y], self.u_mid)
         self.n_interior = self.times.size - 2
         self.fisher_ends = (
-            self.weights[0] * 0.5 * _slope_sq_quantile(self.kind, self.Q0, self.du)
-            + self.weights[-1] * 0.5 * _slope_sq_quantile(self.kind, self.QN, self.du)
+            self.weights[0] * 0.5 * _slope_sq_quantile_grad(self.kind, self.Q0, self.du)[0]
+            + self.weights[-1] * 0.5 * _slope_sq_quantile_grad(self.kind, self.QN, self.du)[0]
         )
 
     def pack_curve(self, curve: Curve) -> np.ndarray:
@@ -495,19 +487,10 @@ class _DensityProblem:
     def _stack(self, z: np.ndarray) -> np.ndarray:
         return np.vstack([self.Q0, z.reshape(self.n_interior, self.m), self.QN])
 
-    def split_value(self, z: np.ndarray):
+    def action(self, z: np.ndarray):
+        """Kinetic and Fisher parts of the action at ``z`` and the gradient
+        of ``kin + eps^2 fis``; the quantiles must be increasing."""
         allQ = self._stack(z)
-        diff = np.diff(allQ, axis=0)
-        kin = 0.5 * self.du * float(np.sum(diff**2 / self.dts[:, None]))
-        fis = self.fisher_ends
-        for i in range(1, self.times.size - 1):
-            fis += self.weights[i] * 0.5 * _slope_sq_quantile(self.kind, allQ[i], self.du)
-        return kin, fis
-
-    def value_grad(self, z: np.ndarray):
-        allQ = self._stack(z)
-        if np.any(np.diff(allQ[1:-1], axis=1) <= 0.0):
-            return math.inf, None  # non-monotone trial: reject in line search
         diff = np.diff(allQ, axis=0)
         kin = 0.5 * self.du * float(np.sum(diff**2 / self.dts[:, None]))
         gQ = self.du * (
@@ -518,10 +501,16 @@ class _DensityProblem:
             S, dS = _slope_sq_quantile_grad(self.kind, allQ[i], self.du)
             fis += self.weights[i] * 0.5 * S
             gQ[i - 1] += self.eps**2 * self.weights[i] * 0.5 * dS
+        return kin, fis, gQ.ravel()
+
+    def value_grad(self, z: np.ndarray):
+        if np.any(np.diff(z.reshape(self.n_interior, self.m), axis=1) <= 0.0):
+            return math.inf, None  # non-monotone trial: reject in line search
+        kin, fis, grad = self.action(z)
         val = kin + self.eps**2 * fis
         if not math.isfinite(val):
             return math.inf, None
-        return val, gQ.ravel()
+        return val, grad
 
     def to_curve(self, z: np.ndarray) -> Curve:
         Qs = z.reshape(self.n_interior, self.m)
@@ -540,11 +529,7 @@ class _DensityProblem:
         row per node of ``Qs``.
         """
         du = self.du
-        G = np.diff(Qs, axis=1) / du
-        A = _uprime_of_inv(self.kind, G)
-        num = (A[:, 1:] - A[:, :-1]) / du
-        qp = 0.5 * (G[:, 1:] + G[:, :-1])
-        R = num / qp
+        G, qp, R = _fisher_stencil(self.kind, Qs, du)
         ap = _uprime_of_inv_dG(self.kind, G)
         dR_dGk = ap[:, 1:] / (du * qp) - 0.5 * R / qp
         dR_dGkm1 = -ap[:, :-1] / (du * qp) - 0.5 * R / qp
@@ -650,8 +635,7 @@ def solve(backend: SpaceBackend, x, y, eps: float,
         prob = _DensityProblem(backend, x, y, eps, _uniform_times(opts.n_time), m)
         if eps == 0.0:
             z = prob.geodesic_z()
-            _, g = prob.value_grad(z)
-            kin, fis = prob.split_value(z)
+            kin, fis, g = prob.action(z)
             return SchrodingerResult(
                 prob.to_curve(z), kin, kin, fis, 0, True,
                 float(np.max(np.abs(g))), 0.0, (kin,), z,
@@ -670,9 +654,8 @@ def solve(backend: SpaceBackend, x, y, eps: float,
         )
 
     z, iters, history = _staged_descent(prob, z0, opts, grad_tol)
-    val, g = prob.value_grad(z)
+    kin, fis, g = prob.action(z)
     stationarity = float(np.max(np.abs(g)))
-    kin, fis = prob.split_value(z)
     return SchrodingerResult(
         prob.to_curve(z),
         kin + eps**2 * fis,
@@ -708,7 +691,7 @@ def discrete_action(backend: SpaceBackend, curve: Curve, eps: float,
         z = prob.pack(curve)
     else:
         raise DomainError(f"no solver strategy for backend {type(backend).__name__}")
-    kin, fis = prob.split_value(z)
+    kin, fis, _ = prob.action(z)
     return kin + eps**2 * fis
 
 

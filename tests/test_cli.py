@@ -230,6 +230,61 @@ properties = contraction, ede
         assert [r["property"] for r in records] == ["contraction", "ede"]
 
 
+CIRCLE_VERIFY = """
+[backend]
+kind = density
+entropy = porous_medium
+m = 2
+n = 64
+dx = 0.25
+x0 = -8
+boundary = periodic
+
+[run]
+command = verify
+seed = 1
+"""
+
+QUAD_VERIFY = """
+[backend]
+kind = quadratic
+dim = 2
+
+[run]
+command = verify
+seed = 4
+"""
+
+
+class TestVerifySubsets:
+    def test_evi_alone_runs_no_regularizer_certificate(self, tmp_path, monkeypatch):
+        from entrogeo import regularizer
+
+        def boom(*args, **kwargs):
+            raise AssertionError("regularizer certificate ran")
+
+        for name in ("build", "discrete_estimate_residuals", "pointwise_estimate_residuals",
+                     "recovery_gap", "convexity_certificate"):
+            monkeypatch.setattr(regularizer, name, boom)
+        cfg = write_config(tmp_path, CIRCLE_VERIFY + "properties = evi\n")
+        assert main([cfg, "--output", str(tmp_path / "out")]) == 0
+        records = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert [r["property"] for r in records] == ["evi"]
+
+    @pytest.mark.parametrize("text", [QUAD_VERIFY, CIRCLE_VERIFY], ids=["quadratic", "circle"])
+    def test_subset_records_equal_full_run_records(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        assert main([cfg, "--output", str(tmp_path / "full")]) == 0
+        full = {r["property"]: r for r in json.loads(
+            (tmp_path / "full" / "diagnostics.json").read_text())}
+        for subset in (["local_global"], ["convexity", "evi"],
+                       ["pointwise_estimate", "discrete_estimate", "recovery_gap"]):
+            cfg = write_config(tmp_path, text + f"properties = {', '.join(subset)}\n", "sub.ini")
+            assert main([cfg, "--output", str(tmp_path / "sub")]) == 0
+            records = json.loads((tmp_path / "sub" / "diagnostics.json").read_text())
+            assert records == [full[name] for name in sorted(subset)]
+
+
 class TestCsvEndpoints:
     def test_density_endpoint_from_csv(self, tmp_path):
         from entrogeo import GridDensity

@@ -11,7 +11,6 @@ from entrogeo import (
     fisher_action,
     fisher_quadrature,
     geodesic_curve,
-    hat_eval,
     kinetic_action,
     schrodinger_action,
 )
@@ -220,20 +219,24 @@ class TestSchrodingerAction:
 
 class TestHatFunction:
     def test_peak_value(self):
-        assert hat_eval(HatFunction(0.2, 0.5), 0.5) == pytest.approx(0.2)
+        assert HatFunction(0.2, 0.5)(0.5) == pytest.approx(0.2)
 
     def test_boundary_zeros(self):
         h = HatFunction(0.7, 0.3)
-        assert hat_eval(h, 0.0) == 0.0
-        assert hat_eval(h, 1.0) == 0.0
+        assert h(0.0) == 0.0
+        assert h(1.0) == 0.0
 
     def test_off_peak_interpolation(self):
         # descending branch: eps * (1 - t) / (1 - theta)
-        assert hat_eval(HatFunction(0.3, 0.25), 0.5) == pytest.approx(0.2)
+        assert HatFunction(0.3, 0.25)(0.5) == pytest.approx(0.2)
 
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
-            hat_eval(HatFunction(0.1, 0.5), 1.5)
+            HatFunction(0.1, 0.5)(1.5)
+        with pytest.raises(DomainError):
+            HatFunction(0.1, 0.5)(np.array([0.0, 0.5, -0.1]))
+        with pytest.raises(DomainError):
+            HatFunction(0.1, 0.5)(math.nan)
         with pytest.raises(DomainError):
             HatFunction(0.1, 0.0)
         with pytest.raises(DomainError):
@@ -242,7 +245,16 @@ class TestHatFunction:
     def test_with_slope_matches_min_form(self):
         h = HatFunction.with_slope(0.3)
         for t in np.linspace(0, 1, 17):
-            assert hat_eval(h, float(t)) == pytest.approx(0.3 * min(t, 1 - t), abs=1e-15)
+            assert h(float(t)) == pytest.approx(0.3 * min(t, 1 - t), abs=1e-15)
+
+    def test_array_matches_scalar_calls(self):
+        h = HatFunction(0.7, 0.3)
+        ts = np.linspace(0.0, 1.0, 41)
+        vals = h(ts)
+        assert isinstance(h(0.25), float)
+        assert vals.shape == ts.shape
+        assert vals.tolist() == [h(float(t)) for t in ts]
+        assert h(ts.reshape(1, -1)).shape == (1, 41)
 
     @given(eps=st.floats(0.0, 10.0), theta=st.floats(0.01, 0.99))
     @settings(max_examples=50, deadline=None)
@@ -252,7 +264,7 @@ class TestHatFunction:
         area = 0.5 * theta * eps + 0.5 * (1 - theta) * eps
         assert area == pytest.approx(eps / 2, abs=1e-12)
         ts = np.linspace(0, 1, 20001)
-        quad = np.trapezoid([hat_eval(h, float(t)) for t in ts], ts)
+        quad = np.trapezoid(h(ts), ts)
         assert quad == pytest.approx(eps / 2, rel=1e-6, abs=1e-12)
 
 

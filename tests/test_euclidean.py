@@ -9,8 +9,8 @@ from entrogeo import (
     EuclideanBackend,
     QuadraticPotential,
     UserPotential,
-    slope_global_check,
 )
+from entrogeo.flow_verify import local_global_report
 from entrogeo.errors import DomainError, InvalidCurve
 
 
@@ -133,42 +133,46 @@ class TestGeodesic:
 
 
 class TestSlopeGlobalCheck:
+    # local_global_report's residual is the sampled global slope
+    # sup_y ((V(x)-V(y))/d + lam/2 d)^+ minus the local slope |grad V(x)|
+
     def test_zero_at_minimizer(self, quad2d):
         rng = np.random.default_rng(0)
         samples = [rng.uniform(-2, 2, 2) for _ in range(20)]
-        got = slope_global_check(quad2d.potential, np.zeros(2), samples)
-        assert got == pytest.approx(0.0, abs=1e-12)
+        rep = local_global_report(quad2d, np.zeros(2), samples)
+        assert rep.worst_residual == pytest.approx(0.0, abs=1e-12)
+        assert rep.samples == 20
 
     def test_quadratic_quotient_exact_at_every_h(self, quad1d):
         # for V = x^2/2 the lam/2 * d term compensates the quotient exactly
         x = np.array([2.0])
         for h in (0.1, 0.01, 0.001):
-            got = slope_global_check(quad1d.potential, x, [np.array([2.0 - h])])
-            assert got == pytest.approx(2.0, abs=1e-10)
+            rep = local_global_report(quad1d, x, [np.array([2.0 - h])])
+            assert rep.worst_residual == pytest.approx(0.0, abs=1e-10)
 
     def test_difference_quotient_limit_from_below(self):
         # quartic at x = 1: quotient = 2 - h (V''(1) - lam)/2 + O(h^2), so it
-        # climbs to the slope from below as the sample approaches x
-        pot = quartic_potential()
+        # climbs to the slope 2 from below as the sample approaches x
+        backend = EuclideanBackend(quartic_potential())
         x = np.array([1.0])
         vals = [
-            slope_global_check(pot, x, [np.array([1.0 - h])])
+            local_global_report(backend, x, [np.array([1.0 - h])]).worst_residual
             for h in (0.1, 0.01, 0.001)
         ]
-        assert vals[0] < vals[1] < vals[2] <= 2.0 + 1e-12
-        assert vals[2] == pytest.approx(2.0, abs=5e-3)
+        assert vals[0] < vals[1] < vals[2] <= 1e-12
+        assert vals[2] == pytest.approx(0.0, abs=5e-3)
 
     def test_center_sample_saturates(self, quad1d):
         x = np.array([2.0])
-        got = slope_global_check(quad1d.potential, x, [np.array([0.0])])
-        assert got == pytest.approx(2.0, abs=1e-12)
+        rep = local_global_report(quad1d, x, [np.array([0.0])])
+        assert rep.worst_residual == pytest.approx(0.0, abs=1e-12)
 
     def test_never_exceeds_local_slope(self, quad2d):
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rng.uniform(-2, 2, 2)
             samples = [rng.uniform(-3, 3, 2) for _ in range(50)]
-            assert slope_global_check(quad2d.potential, x, samples) <= quad2d.slope(x) + 1e-9
+            assert local_global_report(quad2d, x, samples, tolerance=1e-9).passed
 
 
 class TestFlowInvariants:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entrogeo import GridDensity
+from entrogeo import Density1DBackend, EntropyKind, GridDensity, SpaceBackend
 from entrogeo.flow_verify import (
     contraction_report,
     ede_report,
@@ -162,3 +162,37 @@ class TestDeterminism:
             return contraction_report(quad2d, pairs, S_GRID).worst_residual
 
         assert run(rng1) == run(rng2)
+
+
+class _PairByPair(Density1DBackend):
+    """The circle backend with the default one-pair-at-a-time ``distances``."""
+
+    distances = SpaceBackend.distances
+
+
+class TestBatchedDistances:
+    # the reports take their distances from one batched call; on the circle
+    # that is the lockstep cut search, which must agree with single pairs
+    def test_circle_reports_match_single_pair_distances(self):
+        kind = EntropyKind.porous_medium(2.0)
+        batched, single = Density1DBackend(kind), _PairByPair(kind)
+        grid = dict(n=64, dx=0.25, x0=-8.0, boundary="periodic")
+        bump = GridDensity.gaussian(-2.0, 0.9, **grid)
+        other = GridDensity.gaussian(1.5, 1.3, **grid)
+        wide = GridDensity.gaussian(5.0, 2.0, **grid)
+        samples = [batched.flow(bump, 0.05), batched.geodesic(bump, other, 0.5), wide, bump]
+        s_grid = np.linspace(0.02, 0.2, 4)
+        for report in (
+            lambda be: evi_defect(be, bump, other, s_grid, 5e-3),
+            lambda be: contraction_report(be, [(bump, other), (other, wide)], s_grid, 2e-3),
+            lambda be: local_global_report(be, bump, samples, 1e-2),
+        ):
+            a, b = report(batched), report(single)
+            assert a.samples == b.samples
+            assert a.worst_residual == pytest.approx(b.worst_residual, rel=1e-12, abs=1e-14)
+
+    def test_local_global_skips_coincident_samples(self, porous2):
+        grid = dict(n=64, dx=0.25, x0=-8.0, boundary="periodic")
+        x = GridDensity.gaussian(0.0, 1.0, **grid)
+        y = GridDensity.gaussian(2.0, 1.0, **grid)
+        assert local_global_report(porous2, x, [x, y, x]).samples == 1

@@ -104,6 +104,13 @@ class TestEuclideanSolve:
         res = solve(quad1d, np.array([1.0]), np.array([2.0]), 0.2)
         assert res.cost == pytest.approx(res.kinetic + 0.04 * res.fisher, abs=1e-12)
 
+    def test_discrete_action_of_minimizer_is_the_cost(self, quad2d):
+        x, y = np.array([1.0, -0.5]), np.array([-0.3, 2.0])
+        for eps in (0.0, 0.2, 0.9):
+            res = solve(quad2d, x, y, eps, SolverOptions(n_time=15))
+            assert discrete_action(quad2d, res.minimizer, eps) == res.cost
+            assert res.cost == res.kinetic + eps**2 * res.fisher
+
     def test_grid_consistency(self, quad1d):
         r1 = solve(quad1d, np.array([1.0]), np.array([2.0]), 0.2,
                    SolverOptions(n_time=63))
