@@ -180,10 +180,9 @@ def _pointwise_estimate(backend, s, tol):
     reg = s.pointwise_reg
     n = reg.base.n_intervals
     kink = reg.base.node_nearest(0.5)
-    res = regularizer.pointwise_estimate_residuals(
-        backend, reg, [i for i in range(1, n) if abs(i - kink) > 1])
-    # reports n - 3 samples, one more than the nodes used, as verify always has
-    return _worst("pointwise_estimate", res.values(), n - 3, tol)
+    nodes = [i for i in range(1, n) if abs(i - kink) > 1]
+    res = regularizer.pointwise_estimate_residuals(backend, reg, nodes)
+    return _worst("pointwise_estimate", res.values(), len(nodes), tol)
 
 
 def _recovery_gap(backend, s, tol):

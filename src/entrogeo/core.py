@@ -151,6 +151,12 @@ def kinetic_action(backend: SpaceBackend, curve: Curve) -> float:
     return 0.5 * total
 
 
+def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weight of each node of the time grid ``times``."""
+    half = 0.5 * np.diff(times)
+    return np.append(half, 0.0) + np.append(0.0, half)
+
+
 @dataclass(frozen=True)
 class FisherQuadrature:
     """Fisher action value plus a flag for dropped infinite-slope endpoints."""
@@ -175,10 +181,7 @@ def fisher_quadrature(backend: SpaceBackend, curve: Curve) -> FisherQuadrature:
         if math.isnan(s) or s < 0:
             raise SlopeUndefined(f"slope undefined at node {i}")
         slopes[i] = s
-    weights = np.zeros(ts.size)
-    dts = np.diff(ts)
-    weights[:-1] += 0.5 * dts
-    weights[1:] += 0.5 * dts
+    weights = _trapezoid_weights(ts)
 
     dropped = False
     for i in (0, ts.size - 1):

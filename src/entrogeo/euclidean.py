@@ -102,8 +102,8 @@ class UserPotential(Potential):
 
     The Hessian comes from the optional ``hess_v`` callback, or else from
     central differences of ``grad_v``.  At construction the gradient is
-    spot-checked against central differences of ``v`` on a few sampled
-    points (relative 1e-4); a sampled Hessian quotient merely warns when
+    spot-checked against central differences of ``v`` on a few points
+    drawn with seed 0 (relative 1e-4); a sampled Hessian quotient merely warns when
     the declared convexity looks violated, since the theory consumes
     ``lam`` as an input rather than estimating it.
     """
@@ -115,7 +115,6 @@ class UserPotential(Potential):
         lam: float,
         dim: int,
         hess_v: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        check_rng: Optional[np.random.Generator] = None,
     ):
         if dim < 1:
             raise DomainError("dimension must be >= 1")
@@ -124,7 +123,7 @@ class UserPotential(Potential):
         self.lam = float(lam)
         self.dim = int(dim)
         self._hess_v = hess_v
-        rng = check_rng if check_rng is not None else np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         self._validate_gradient(rng)
         self._convexity_warning(rng)
 

@@ -33,11 +33,12 @@ decision variables depend on the backend:
   Gauss-Newton Hessian of the Fisher term, a band of half-width
   ``2 n_interior`` when the unknowns are ordered u-major.
 
-For eps = 0 the density problem is solved in closed form (the linear
-quantile interpolation is the exact discrete minimizer); the Euclidean
-warm start is already the exact segment.  Non-convergence within the
-iteration budget is reported in the result, not raised: the minimizer set
-may contain flat valleys and non-unique solutions.
+For eps = 0 both backends are solved in closed form, with no descent: the
+action is then the kinetic term alone, whose exact discrete minimizer is
+the straight line between the fixed end rows in the decision coordinates
+(point coordinates, quantiles).  Non-convergence within the iteration
+budget is reported in the result, not raised: the minimizer set may
+contain flat valleys and non-unique solutions.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .core import (
     HatFunction,
     SpaceBackend,
     _check_curve,
+    _trapezoid_weights,
     fisher_action,
     geodesic_curve,
     kinetic_action,
@@ -84,17 +86,15 @@ class SolverOptions:
     the backend's CDF-inversion resolution).  ``warm_start`` is one of
     ``"regularized_geodesic"`` (the recovery curve S_{h_eps(t)} g_t,
     provably an eps-good competitor), ``"straight"`` (the plain geodesic),
-    or an explicit curve.
+    an explicit curve, or a previous ``SchrodingerResult``, whose decision
+    vector is reused when its size fits (sweeps chain their solves so).
     """
 
     n_time: int = 63
     max_iter: int = 2000
     grad_tol: Optional[float] = None
-    warm_start: Union[str, Curve] = "regularized_geodesic"
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
+    warm_start: Union[str, Curve, SchrodingerResult] = "regularized_geodesic"
     quantile_points: Optional[int] = None
-    lbfgs_memory: int = 12
 
     def __post_init__(self):
         if self.n_time < 3:
@@ -142,6 +142,12 @@ def _uniform_times(n_time: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_time + 2)
 
 
+# Armijo constant, backtracking factor and L-BFGS memory of _lbfgs_armijo;
+# iterations per preconditioner of _staged_descent
+_ARMIJO_C = 1e-4
+_ARMIJO_SHRINK = 0.5
+_LBFGS_MEMORY = 12
+_STAGE_BUDGET = 120
 # approximate-Wolfe acceptance at the roundoff floor (Hager & Zhang, SIAM J.
 # Optim. 16, 2005), see _lbfgs_armijo
 _VALUE_FLOOR = 1e-14
@@ -149,8 +155,7 @@ _WOLFE_DELTA = 0.1
 _WOLFE_SIGMA = 0.9
 
 
-def _lbfgs_armijo(value_grad, z0, opts: SolverOptions, grad_tol: float,
-                  precond, max_iter=None):
+def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
     """Limited-memory BFGS with a backtracking line search.
 
     A trial step is accepted on the Armijo test ``v_try <= v + c step g.d``.
@@ -167,8 +172,8 @@ def _lbfgs_armijo(value_grad, z0, opts: SolverOptions, grad_tol: float,
     would break positive definiteness are skipped, and a non-descent
     quasi-Newton direction falls back to steepest descent for that step.
     ``precond`` seeds the two-loop recursion with a fixed symmetric
-    positive-definite approximation of the inverse Hessian.  Returns
-    ``(z, iterations, history, converged, stalled)``.
+    positive-definite approximation of the inverse Hessian.  It takes at
+    most ``budget`` steps; returns ``(z, iterations, history, converged, stalled)``.
     """
     z = np.asarray(z0, dtype=float).copy()
     v, g = value_grad(z)
@@ -176,7 +181,6 @@ def _lbfgs_armijo(value_grad, z0, opts: SolverOptions, grad_tol: float,
         raise DomainError("optimization started at an infeasible point")
     history = [v]
     s_mem, y_mem, rho_mem = [], [], []
-    budget = opts.max_iter if max_iter is None else max_iter
 
     for it in range(budget):
         if np.max(np.abs(g)) <= grad_tol:
@@ -205,14 +209,14 @@ def _lbfgs_armijo(value_grad, z0, opts: SolverOptions, grad_tol: float,
             z_try = z + step * d
             v_try, g_try = value_grad(z_try)
             if math.isfinite(v_try) and (
-                v_try <= v + opts.armijo_c * step * gd
+                v_try <= v + _ARMIJO_C * step * gd
                 or (v_try <= v + floor
                     and _WOLFE_SIGMA * gd <= float(g_try @ d)
                     <= (2.0 * _WOLFE_DELTA - 1.0) * gd)
             ):
                 accepted = True
                 break
-            step *= opts.armijo_shrink
+            step *= _ARMIJO_SHRINK
         if not accepted:
             return z, it, history, False, True
 
@@ -223,7 +227,7 @@ def _lbfgs_armijo(value_grad, z0, opts: SolverOptions, grad_tol: float,
             s_mem.append(s_vec)
             y_mem.append(y_vec)
             rho_mem.append(1.0 / sy)
-            if len(s_mem) > opts.lbfgs_memory:
+            if len(s_mem) > _LBFGS_MEMORY:
                 s_mem.pop(0)
                 y_mem.pop(0)
                 rho_mem.pop(0)
@@ -233,8 +237,7 @@ def _lbfgs_armijo(value_grad, z0, opts: SolverOptions, grad_tol: float,
     return z, budget, history, bool(np.max(np.abs(g)) <= grad_tol), False
 
 
-def _staged_descent(prob, z0, opts: SolverOptions, grad_tol: float,
-                    stage_budget: int = 120):
+def _staged_descent(prob, z0, max_iter: int, grad_tol: float):
     """Drive L-BFGS in stages, rebuilding the preconditioner between them.
 
     The quadratic model behind ``prob.make_preconditioner`` is only
@@ -247,11 +250,10 @@ def _staged_descent(prob, z0, opts: SolverOptions, grad_tol: float,
     total = 0
     history = []
     stalled_before = False
-    while total < opts.max_iter:
-        budget = min(stage_budget, opts.max_iter - total)
+    while total < max_iter:
         z, it, hist, converged, stalled = _lbfgs_armijo(
-            prob.value_grad, z, opts, grad_tol, prob.make_preconditioner(z),
-            max_iter=budget)
+            prob.value_grad, z, grad_tol, prob.make_preconditioner(z),
+            min(_STAGE_BUDGET, max_iter - total))
         history.extend(hist if not history else hist[1:])
         total += it
         if converged or (stalled and stalled_before):
@@ -267,38 +269,59 @@ def _banded_cholesky_solver(ab: np.ndarray):
     return lambda v: scipy.linalg.cho_solve_banded((cb, True), v, check_finite=False)
 
 
-# -- Euclidean problem -------------------------------------------------------
+# -- the problem interface ---------------------------------------------------
 
 
-class _EuclideanProblem:
-    def __init__(self, backend: EuclideanBackend, x, y, eps, times):
-        self.pot = backend.potential
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
+class _Problem:
+    """The discretized action of one backend on a time grid.
+
+    The decision vector stacks the interior rows of a curve between the
+    fixed end rows ``first`` and ``last``.  Subclasses add ``pack``,
+    ``to_curve``, ``action``, ``value_grad`` and ``make_preconditioner``;
+    ``grad_tol`` is their default stationarity target.
+    """
+
+    grad_tol = 1e-7
+
+    def __init__(self, eps, times, first: np.ndarray, last: np.ndarray):
         self.eps = eps
         self.times = np.asarray(times, dtype=float)
         self.dts = np.diff(self.times)
-        w = np.zeros(self.times.size)
-        w[:-1] += 0.5 * self.dts
-        w[1:] += 0.5 * self.dts
-        self.weights = w
-        self.dim = self.x.size
+        self.weights = _trapezoid_weights(self.times)
         self.n_interior = self.times.size - 2
+        self.first, self.last = first, last
+
+    def geodesic_z(self) -> np.ndarray:
+        """The straight line between the end rows: the exact minimizer of
+        the kinetic term, hence of the action at eps = 0."""
+        ts = self.times[1:-1, None]
+        return ((1.0 - ts) * self.first[None, :] + ts * self.last[None, :]).ravel()
+
+    def _stack(self, z: np.ndarray) -> np.ndarray:
+        """All rows of the curve, end rows included."""
+        return np.vstack([self.first, z.reshape(self.n_interior, -1), self.last])
+
+
+# -- Euclidean problem -------------------------------------------------------
+
+
+class _EuclideanProblem(_Problem):
+    """Decision rows are the node coordinates themselves."""
+
+    def __init__(self, backend: EuclideanBackend, x, y, eps, times):
+        super().__init__(eps, times, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        self.pot = backend.potential
 
     def pack(self, curve: Curve) -> np.ndarray:
         return np.concatenate([np.asarray(p, float) for p in curve.points[1:-1]])
 
-    def unpack(self, z: np.ndarray) -> list:
-        pts = z.reshape(self.n_interior, self.dim)
-        return [self.x] + [pts[i] for i in range(self.n_interior)] + [self.y]
-
     def to_curve(self, z: np.ndarray) -> Curve:
-        return Curve(self.times, self.unpack(z))
+        return Curve(self.times, [self.first, *z.reshape(self.n_interior, -1), self.last])
 
     def action(self, z: np.ndarray):
         """Kinetic and Fisher parts of the action at ``z`` and the gradient
         of ``kin + eps^2 fis``."""
-        pts = np.vstack([self.x, z.reshape(self.n_interior, self.dim), self.y])
+        pts = self._stack(z)
         diff = np.diff(pts, axis=0)
         vel = diff / self.dts[:, None]
         kin = 0.5 * float(np.sum(diff * vel))
@@ -326,7 +349,7 @@ class _EuclideanProblem:
         the model positive definite for any lam; for the quadratic well it
         is the exact Hessian, so one Newton step solves the problem.
         """
-        nI, dim = self.n_interior, self.dim
+        nI, dim = self.n_interior, self.first.size
         H = np.array([self.pot.hess(p) for p in z0.reshape(nI, dim)])
         D = self.eps**2 * self.weights[1:-1, None, None] * (H.transpose(0, 2, 1) @ H)
         # lower band storage: band[j, i, c] = A[(i, c + j), (i, c)]
@@ -448,7 +471,11 @@ def _density_from_quantiles(template: GridDensity, Q: np.ndarray,
     return template.with_rho(np.diff(F_edges) / template.dx)
 
 
-class _DensityProblem:
+class _DensityProblem(_Problem):
+    """Decision rows are quantile functions sampled on the u-midpoints."""
+
+    grad_tol = 1e-5
+
     def __init__(self, backend: Density1DBackend, x: GridDensity, y: GridDensity,
                  eps, times, m_points):
         if x.boundary != "no-flux":
@@ -459,33 +486,17 @@ class _DensityProblem:
         self.kind = backend.kind
         self.x = x
         self.y = y
-        self.eps = eps
-        self.times = np.asarray(times, dtype=float)
-        self.dts = np.diff(self.times)
-        w = np.zeros(self.times.size)
-        w[:-1] += 0.5 * self.dts
-        w[1:] += 0.5 * self.dts
-        self.weights = w
         self.m = m_points
         self.du = 1.0 / m_points
         self.u_mid = (np.arange(m_points) + 0.5) * self.du
-        self.Q0, self.QN = _quantile_samples([x, y], self.u_mid)
-        self.n_interior = self.times.size - 2
+        super().__init__(eps, times, *_quantile_samples([x, y], self.u_mid))
         self.fisher_ends = (
-            self.weights[0] * 0.5 * _slope_sq_quantile_grad(self.kind, self.Q0, self.du)[0]
-            + self.weights[-1] * 0.5 * _slope_sq_quantile_grad(self.kind, self.QN, self.du)[0]
+            self.weights[0] * 0.5 * _slope_sq_quantile_grad(self.kind, self.first, self.du)[0]
+            + self.weights[-1] * 0.5 * _slope_sq_quantile_grad(self.kind, self.last, self.du)[0]
         )
 
-    def pack_curve(self, curve: Curve) -> np.ndarray:
+    def pack(self, curve: Curve) -> np.ndarray:
         return _quantile_samples(curve.points[1:-1], self.u_mid).ravel()
-
-    def geodesic_z(self) -> np.ndarray:
-        ts = self.times[1:-1]
-        Qs = (1.0 - ts[:, None]) * self.Q0[None, :] + ts[:, None] * self.QN[None, :]
-        return Qs.ravel()
-
-    def _stack(self, z: np.ndarray) -> np.ndarray:
-        return np.vstack([self.Q0, z.reshape(self.n_interior, self.m), self.QN])
 
     def action(self, z: np.ndarray):
         """Kinetic and Fisher parts of the action at ``z`` and the gradient
@@ -514,11 +525,8 @@ class _DensityProblem:
 
     def to_curve(self, z: np.ndarray) -> Curve:
         Qs = z.reshape(self.n_interior, self.m)
-        pts = [self.x]
-        for i in range(self.n_interior):
-            pts.append(_density_from_quantiles(self.x, Qs[i], self.u_mid, self.du))
-        pts.append(self.y)
-        return Curve(self.times, pts)
+        inner = [_density_from_quantiles(self.x, Q, self.u_mid, self.du) for Q in Qs]
+        return Curve(self.times, [self.x, *inner, self.y])
 
     def _fisher_gn_bands(self, Qs: np.ndarray):
         """Gauss-Newton bands of the quantile-space Fisher at every node.
@@ -578,30 +586,28 @@ class _DensityProblem:
 # -- public entry points ------------------------------------------------------
 
 
-def _default_grad_tol(backend: SpaceBackend) -> float:
-    return 1e-5 if isinstance(backend, Density1DBackend) else 1e-7
+def _problem(backend: SpaceBackend, x, y, eps, times, opts: SolverOptions) -> _Problem:
+    """The solver problem of ``backend`` between ``x`` and ``y``."""
+    if isinstance(backend, Density1DBackend):
+        return _DensityProblem(backend, x, y, eps, times, opts.quantile_points or 4 * x.n)
+    if isinstance(backend, EuclideanBackend):
+        return _EuclideanProblem(backend, x, y, eps, times)
+    raise DomainError(f"no solver strategy for backend {type(backend).__name__}")
 
 
-def _warm_curve(backend: SpaceBackend, x, y, eps, opts: SolverOptions) -> Curve:
+def _warm_z(prob: _Problem, backend: SpaceBackend, x, y, opts: SolverOptions):
+    """Start of the descent: the decision vector of a chained result when
+    its size fits, else the packed warm-start curve."""
     ws = opts.warm_start
     if isinstance(ws, SchrodingerResult):
+        if ws.decision is not None and np.size(ws.decision) == prob.n_interior * prob.first.size:
+            return ws.decision
         ws = ws.minimizer
-    if isinstance(ws, Curve):
-        return ws
-    geo = geodesic_curve(backend, x, y, opts.n_time + 1)
-    if ws == "straight" or eps == 0.0:
-        return geo
-    return build_regularized(backend, geo, HatFunction.with_slope(eps)).tilde
-
-
-def _warm_decision(opts: SolverOptions, size: int):
-    """Raw decision vector of a chained previous result, when compatible."""
-    ws = opts.warm_start
-    if isinstance(ws, SchrodingerResult) and ws.decision is not None:
-        z = np.asarray(ws.decision, dtype=float)
-        if z.size == size:
-            return z.copy()
-    return None
+    if isinstance(ws, str):
+        ws = geodesic_curve(backend, x, y, opts.n_time + 1)
+        if opts.warm_start == "regularized_geodesic":
+            ws = build_regularized(backend, ws, HatFunction.with_slope(prob.eps)).tilde
+    return prob.pack(ws)
 
 
 def _check_endpoints(backend: SpaceBackend, x, y):
@@ -628,32 +634,17 @@ def solve(backend: SpaceBackend, x, y, eps: float,
     _check_endpoints(backend, x, y)
     if eps > 0:
         _check_finite_entropy(backend, x, y)
-    grad_tol = opts.grad_tol if opts.grad_tol is not None else _default_grad_tol(backend)
-
-    if isinstance(backend, Density1DBackend):
-        m = opts.quantile_points or 4 * x.n
-        prob = _DensityProblem(backend, x, y, eps, _uniform_times(opts.n_time), m)
-        if eps == 0.0:
-            z = prob.geodesic_z()
-            kin, fis, g = prob.action(z)
-            return SchrodingerResult(
-                prob.to_curve(z), kin, kin, fis, 0, True,
-                float(np.max(np.abs(g))), 0.0, (kin,), z,
-            )
-        z0 = _warm_decision(opts, (opts.n_time) * m)
-        if z0 is None:
-            z0 = prob.pack_curve(_warm_curve(backend, x, y, eps, opts))
-    elif isinstance(backend, EuclideanBackend):
-        prob = _EuclideanProblem(backend, x, y, eps, _uniform_times(opts.n_time))
-        z0 = _warm_decision(opts, opts.n_time * np.asarray(x).size)
-        if z0 is None:
-            z0 = prob.pack(_warm_curve(backend, x, y, eps, opts))
-    else:
-        raise DomainError(
-            f"no solver strategy for backend {type(backend).__name__}"
+    prob = _problem(backend, x, y, eps, _uniform_times(opts.n_time), opts)
+    if eps == 0.0:
+        z = prob.geodesic_z()
+        kin, fis, g = prob.action(z)
+        return SchrodingerResult(
+            prob.to_curve(z), kin, kin, fis, 0, True,
+            float(np.max(np.abs(g))), 0.0, (kin,), z,
         )
-
-    z, iters, history = _staged_descent(prob, z0, opts, grad_tol)
+    grad_tol = opts.grad_tol if opts.grad_tol is not None else prob.grad_tol
+    z, iters, history = _staged_descent(
+        prob, _warm_z(prob, backend, x, y, opts), opts.max_iter, grad_tol)
     kin, fis, g = prob.action(z)
     stationarity = float(np.max(np.abs(g)))
     return SchrodingerResult(
@@ -682,16 +673,8 @@ def discrete_action(backend: SpaceBackend, curve: Curve, eps: float,
     x, y = curve.points[0], curve.points[-1]
     _check_endpoints(backend, x, y)
     _check_curve(backend, curve)
-    if isinstance(backend, Density1DBackend):
-        m = opts.quantile_points or 4 * x.n
-        prob = _DensityProblem(backend, x, y, eps, curve.times, m)
-        z = prob.pack_curve(curve)
-    elif isinstance(backend, EuclideanBackend):
-        prob = _EuclideanProblem(backend, x, y, eps, curve.times)
-        z = prob.pack(curve)
-    else:
-        raise DomainError(f"no solver strategy for backend {type(backend).__name__}")
-    kin, fis, _ = prob.action(z)
+    prob = _problem(backend, x, y, eps, curve.times, opts)
+    kin, fis, _ = prob.action(prob.pack(curve))
     return kin + eps**2 * fis
 
 

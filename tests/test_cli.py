@@ -285,6 +285,24 @@ class TestVerifySubsets:
             assert records == [full[name] for name in sorted(subset)]
 
 
+    @pytest.mark.parametrize("text", [QUAD_VERIFY, CIRCLE_VERIFY], ids=["quadratic", "circle"])
+    def test_pointwise_samples_count_the_nodes_evaluated(self, tmp_path, monkeypatch, text):
+        from entrogeo import regularizer
+
+        evaluated = []
+        inner = regularizer.pointwise_estimate_residuals
+
+        def counting(backend, reg, nodes):
+            evaluated.append(len(nodes))
+            return inner(backend, reg, nodes)
+
+        monkeypatch.setattr(regularizer, "pointwise_estimate_residuals", counting)
+        cfg = write_config(tmp_path, text + "properties = pointwise_estimate\n")
+        assert main([cfg, "--output", str(tmp_path / "out")]) == 0
+        (record,) = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert evaluated and record["samples"] == evaluated[0]
+
+
 class TestCsvEndpoints:
     def test_density_endpoint_from_csv(self, tmp_path):
         from entrogeo import GridDensity

@@ -12,6 +12,7 @@ from entrogeo import (
     UserPotential,
     geodesic_curve,
 )
+from entrogeo.core import SpaceBackend
 from entrogeo.density1d import _cdf_nodes
 from entrogeo.errors import DomainError, EndpointEntropyInfinite, GridMismatch, InvalidCurve
 from entrogeo.solver import (
@@ -53,6 +54,16 @@ class TestEuclideanSolve:
         seg = geodesic_curve(quad2d, x, y, res.minimizer.n_intervals)
         for p, q in zip(res.minimizer.points, seg.points):
             np.testing.assert_allclose(p, q, atol=1e-12)
+
+    def test_eps_zero_is_closed_form_at_large_scale(self, quad2d):
+        # the segment is the exact minimizer; at this scale its roundoff
+        # stationarity (~5e-7) exceeds the 1e-7 target, so a descent from
+        # it used to run out its budget and report non-convergence
+        x, y = 1e8 * np.array([0.3, -1.1]), 1e8 * np.array([2.0, 0.7])
+        res = solve(quad2d, x, y, 0.0)
+        assert res.converged
+        assert res.iterations == 0
+        assert res.cost == pytest.approx(0.5 * float((x - y) @ (x - y)), rel=1e-15)
 
     def test_bridge_identity_quadratic(self, quad1d):
         # the flow trajectory t -> S_{eps t} x is the optimal bridge to
@@ -346,6 +357,24 @@ class TestEndpointValidation:
         b = GridDensity.gaussian(0.5, 1.0, 64, 0.2, -6.4)
         with pytest.raises(GridMismatch):
             discrete_action(boltzmann, Curve(np.linspace(0.0, 1.0, 3), [a, a, b]), 0.1)
+
+    def test_backend_without_solver_strategy(self):
+        class Plain(SpaceBackend):
+            def check_point(self, x):
+                pass
+
+            def same_space(self, a, b):
+                return True
+
+            def entropy(self, x):
+                return 0.0
+
+        x, y = np.zeros(1), np.ones(1)
+        msg = "no solver strategy for backend Plain"
+        with pytest.raises(DomainError, match=msg):
+            solve(Plain(), x, y, 0.1)
+        with pytest.raises(DomainError, match=msg):
+            discrete_action(Plain(), Curve.uniform([x, y]), 0.1)
 
     def test_discrete_action_checks_interior_nodes(self, quad2d):
         pts = [np.zeros(2), np.zeros(3), np.ones(2)]
