@@ -31,6 +31,7 @@ directory, and the seed.  Unknown sections or keys are rejected outright.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,15 +77,22 @@ def _fail(section, key, msg):
     raise ConfigError(f"[{section}] {key}: {msg}")
 
 
+def _to_float(text, section, key):
+    try:
+        v = float(text)
+    except ValueError:
+        _fail(section, key, f"not a number: {text!r}")
+    if not math.isfinite(v):
+        _fail(section, key, f"not a finite number: {text!r}")
+    return v
+
+
 def _get_float(sec, section, key, default=None, positive=False):
     if key not in sec:
         if default is not None:
             return default
         _fail(section, key, "missing required value")
-    try:
-        v = float(sec[key])
-    except ValueError:
-        _fail(section, key, f"not a number: {sec[key]!r}")
+    v = _to_float(sec[key], section, key)
     if positive and v <= 0:
         _fail(section, key, f"must be positive, got {v}")
     return v
@@ -112,8 +120,8 @@ def _get_bool(sec, section, key, default):
     _fail(section, key, f"not a boolean: {sec[key]!r}")
 
 
-def _parse_floats(text):
-    return [float(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
+def _parse_floats(text, section, key):
+    return [_to_float(tok, section, key) for tok in re.split(r"[,\s]+", text.strip()) if tok]
 
 
 def _check_keys(cfg, section, allowed):
@@ -127,7 +135,7 @@ def _build_backend(sec):
     if kind == "quadratic":
         dim = _get_int(sec, "backend", "dim", default=1)
         center_text = sec.get("center", "0")
-        center = np.array(_parse_floats(center_text))
+        center = np.array(_parse_floats(center_text, "backend", "center"))
         if center.size == 1 and dim > 1:
             center = np.full(dim, center[0])
         if center.size != dim:
@@ -168,7 +176,8 @@ def _build_density_endpoint(text, grid, base_dir):
     m = _PRESET_RE.match(text)
     if not m:
         raise ConfigError(f"[endpoints] cannot parse density preset {text!r}")
-    name, args = m.group(1), _parse_floats(m.group(2) or "")
+    name = m.group(1)
+    args = _parse_floats(m.group(2) or "", "endpoints", name)
     n, dx, x0, boundary, floor = grid
     if name == "gaussian":
         if len(args) != 2:
@@ -224,8 +233,8 @@ def load_config(path) -> ExperimentConfig:
         if "x" not in ep or "y" not in ep:
             raise ConfigError("[endpoints] needs both x and y")
         if isinstance(backend, EuclideanBackend):
-            x = np.array(_parse_floats(ep["x"]))
-            y = np.array(_parse_floats(ep["y"]))
+            x = np.array(_parse_floats(ep["x"], "endpoints", "x"))
+            y = np.array(_parse_floats(ep["y"], "endpoints", "y"))
             for tag, pt in (("x", x), ("y", y)):
                 if pt.size != backend.dim:
                     _fail("endpoints", tag, f"needs {backend.dim} coordinates")
@@ -242,7 +251,7 @@ def load_config(path) -> ExperimentConfig:
     elif command == "sweep":
         if "eps_list" not in run:
             _fail("run", "eps_list", "missing required value")
-        eps_list = sorted(set(_parse_floats(run["eps_list"])))
+        eps_list = sorted(set(_parse_floats(run["eps_list"], "run", "eps_list")))
         if not eps_list:
             _fail("run", "eps_list", "must contain at least one value")
         if eps_list[0] < 0:
@@ -278,7 +287,7 @@ def load_config(path) -> ExperimentConfig:
     for p in _CERTIFICATES:
         key = f"tolerance_{p}"
         if key in run:
-            tolerances[p] = float(run[key])
+            tolerances[p] = _get_float(run, "run", key)
             if tolerances[p] < 0:
                 _fail("run", key, "tolerance must be nonnegative")
 

@@ -231,11 +231,7 @@ def gamma_diagnostics(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     for row in pos_desc:
         eps_out.append(row.eps)
         gaps.append(row.cost - profile.cost_0)
-        dev = max(
-            backend.distance(p, q)
-            for p, q in zip(row.minimizer.points, geo.points)
-        )
-        devs.append(dev)
+        devs.append(float(np.max(backend.distances(row.minimizer.points, geo.points))))
         reg = build_regularized(backend, geo, HatFunction.with_slope(row.eps))
         rec.append(discrete_action(backend, reg.tilde, row.eps, opts) - row.cost)
 

@@ -43,10 +43,6 @@ class Potential:
         """Hessian matrix of V at ``x``, shape ``(dim, dim)``."""
         raise NotImplementedError
 
-    def grad_sq_half_grad(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of ``x -> 1/2 |grad V(x)|^2``, i.e. ``Hess V(x) grad V(x)``."""
-        raise NotImplementedError
-
     def flow(self, x: np.ndarray, s: float) -> np.ndarray:
         raise NotImplementedError
 
@@ -83,9 +79,6 @@ class QuadraticPotential(Potential):
 
     def hess(self, x):
         return self.strength * np.eye(self.dim)
-
-    def grad_sq_half_grad(self, x):
-        return self.strength**2 * (np.asarray(x, dtype=float) - self.center)
 
     def flow(self, x, s):
         if s < 0:
@@ -178,19 +171,6 @@ class UserPotential(Potential):
         cols = [self.grad(x + e) - self.grad(x - e) for e in tau * np.eye(self.dim)]
         h = np.array(cols) / (2 * tau)
         return 0.5 * (h + h.T)
-
-    def grad_sq_half_grad(self, x):
-        g = self.grad(x)
-        if self._hess_v is not None:
-            return self.hess(x) @ g
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            return np.zeros_like(g)
-        # directional derivative of grad V along grad V by central differences
-        tau = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-        u = g / gn
-        hv = (self.grad(x + tau * u) - self.grad(x - tau * u)) / (2 * tau)
-        return gn * hv
 
     def flow(self, x, s):
         if s < 0:

@@ -7,10 +7,12 @@ The discretized Schrodinger problem
     over curves with c_0 = x and c_N = y fixed
 
 is solved by limited-memory quasi-Newton descent with a backtracking line
-search (steepest descent as the per-step fallback).  Each backend problem
-supplies ``value_grad`` and ``make_preconditioner``: the inverse of a
-positive-definite quadratic model, factored by banded Cholesky, seeds the
-two-loop recursion and is rebuilt between descent stages.  A step is
+search (steepest descent as the per-step fallback).  The problem base class
+holds the discrete action; each backend problem supplies ``_slope_sq``, the
+squared slope of every node and its gradient, and ``make_preconditioner``:
+the inverse of a positive-definite quadratic model, factored by banded
+Cholesky, seeds the two-loop recursion and is rebuilt between descent
+stages.  A step is
 accepted on the Armijo test, or else on the approximate-Wolfe slope test of
 Hager & Zhang with the value allowed to rise by at most 1e-14 relative, so
 that iterates at the roundoff floor of the action are not rejected.  The
@@ -276,20 +278,24 @@ class _Problem:
     """The discretized action of one backend on a time grid.
 
     The decision vector stacks the interior rows of a curve between the
-    fixed end rows ``first`` and ``last``.  Subclasses add ``pack``,
-    ``to_curve``, ``action``, ``value_grad`` and ``make_preconditioner``;
-    ``grad_tol`` is their default stationarity target.
+    fixed end rows ``first`` and ``last``; ``row_mass`` weighs each row
+    coordinate in the kinetic term.  Subclasses supply ``_slope_sq``, the
+    squared slope of every row and its gradient at the interior rows (a
+    fresh array, which ``action`` overwrites), and
+    ``make_preconditioner``; they also add ``pack``, ``to_curve`` and
+    ``value_grad``.  ``grad_tol`` is their default stationarity target.
     """
 
     grad_tol = 1e-7
 
-    def __init__(self, eps, times, first: np.ndarray, last: np.ndarray):
+    def __init__(self, eps, times, first: np.ndarray, last: np.ndarray, row_mass: float):
         self.eps = eps
         self.times = np.asarray(times, dtype=float)
         self.dts = np.diff(self.times)
         self.weights = _trapezoid_weights(self.times)
         self.n_interior = self.times.size - 2
         self.first, self.last = first, last
+        self.row_mass = row_mass
 
     def geodesic_z(self) -> np.ndarray:
         """The straight line between the end rows: the exact minimizer of
@@ -301,6 +307,27 @@ class _Problem:
         """All rows of the curve, end rows included."""
         return np.vstack([self.first, z.reshape(self.n_interior, -1), self.last])
 
+    def action(self, z: np.ndarray):
+        """Kinetic part ``1/2 row_mass sum_i |Z_{i+1} - Z_i|^2 / dt_i`` and
+        Fisher part ``1/2 sum_i w_i S_i`` of the action at ``z``, and the
+        gradient of ``kin + eps^2 fis``."""
+        rows = self._stack(z)
+        mom = np.diff(rows, axis=0)
+        kin = 0.5 * self.row_mass * float(np.sum(mom**2 / self.dts[:, None]))
+        mom *= self.row_mass / self.dts[:, None]
+        S, grad = self._slope_sq(rows)
+        # in place: at m = 1024 quantiles each temporary is half a megabyte
+        grad *= 0.5 * self.eps**2 * self.weights[1:-1, None]
+        grad += mom[:-1]
+        grad -= mom[1:]
+        return kin, 0.5 * float(self.weights @ S), grad.ravel()
+
+    def _kinetic_bands(self):
+        """Diagonal and off-diagonal of the kinetic Hessian in time, shared
+        by every coordinate of the interior rows."""
+        return (self.row_mass * (1.0 / self.dts[:-1] + 1.0 / self.dts[1:]),
+                -self.row_mass / self.dts[1:-1])
+
 
 # -- Euclidean problem -------------------------------------------------------
 
@@ -309,7 +336,8 @@ class _EuclideanProblem(_Problem):
     """Decision rows are the node coordinates themselves."""
 
     def __init__(self, backend: EuclideanBackend, x, y, eps, times):
-        super().__init__(eps, times, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        super().__init__(eps, times, np.asarray(x, dtype=float),
+                         np.asarray(y, dtype=float), row_mass=1.0)
         self.pot = backend.potential
 
     def pack(self, curve: Curve) -> np.ndarray:
@@ -318,21 +346,12 @@ class _EuclideanProblem(_Problem):
     def to_curve(self, z: np.ndarray) -> Curve:
         return Curve(self.times, [self.first, *z.reshape(self.n_interior, -1), self.last])
 
-    def action(self, z: np.ndarray):
-        """Kinetic and Fisher parts of the action at ``z`` and the gradient
-        of ``kin + eps^2 fis``."""
-        pts = self._stack(z)
-        diff = np.diff(pts, axis=0)
-        vel = diff / self.dts[:, None]
-        kin = 0.5 * float(np.sum(diff * vel))
-        grad = vel[:-1] - vel[1:]
-        fis = 0.0
-        for i, p in enumerate(pts):
-            g = self.pot.grad(p)
-            fis += self.weights[i] * 0.5 * float(g @ g)
-        for i in range(self.n_interior):
-            grad[i] += self.eps**2 * self.weights[i + 1] * self.pot.grad_sq_half_grad(pts[i + 1])
-        return kin, fis, grad.ravel()
+    def _slope_sq(self, rows: np.ndarray):
+        """``|grad V|^2`` at every row and its gradient ``2 Hess V grad V``
+        at the interior rows."""
+        g = np.array([self.pot.grad(p) for p in rows])
+        H = np.array([self.pot.hess(p) for p in rows[1:-1]])
+        return np.sum(g * g, axis=1), 2.0 * np.einsum("ikj,ik->ij", H, g[1:-1])
 
     def value_grad(self, z: np.ndarray):
         kin, fis, grad = self.action(z)
@@ -356,60 +375,42 @@ class _EuclideanProblem(_Problem):
         band = np.zeros((dim + 1, nI, dim))
         for j in range(dim):
             band[j, :, :dim - j] = np.diagonal(D, offset=-j, axis1=1, axis2=2)
-        band[0] += (1.0 / self.dts[:-1] + 1.0 / self.dts[1:])[:, None]
-        band[dim, :-1] = -1.0 / self.dts[1:-1, None]
+        kin_diag, kin_off = self._kinetic_bands()
+        band[0] += kin_diag[:, None]
+        band[dim, :-1] = kin_off[:, None]
         return _banded_cholesky_solver(band.reshape(dim + 1, nI * dim))
 
 
 # -- density problem in quantile coordinates ---------------------------------
 
 
-def _uprime_of_inv(kind: EntropyKind, G: np.ndarray) -> np.ndarray:
-    """U'(1/G) as a function of the quantile slope G = 1/rho."""
+def _uprime_of_inv(kind: EntropyKind, G: np.ndarray):
+    """U'(1/G) as a function of the quantile slope G = 1/rho, and its
+    derivative in G."""
     if kind.name == "boltzmann":
-        return 1.0 - np.log(G)
+        return 1.0 - np.log(G), -1.0 / G
     m = kind.m
-    return (m / (m - 1.0)) * G ** (1.0 - m)
+    return (m / (m - 1.0)) * G ** (1.0 - m), -m * G ** (-m)
 
 
-def _uprime_of_inv_dG(kind: EntropyKind, G: np.ndarray) -> np.ndarray:
-    if kind.name == "boltzmann":
-        return -1.0 / G
-    m = kind.m
-    return -m * G ** (-m)
+def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, du: float):
+    """The quantile-space Fisher residuals along the last axis of ``Q`` and
+    their Jacobian.
 
-
-def _fisher_stencil(kind: EntropyKind, Q: np.ndarray, du: float):
-    """The quantile-space Fisher stencil along the last axis of ``Q``.
-
-    Returns the quantile slopes ``G = Q'`` (one per u-cell), their pair
-    means ``qp`` and the residuals ``R = d/du U'(1/G) / qp``, whose
-    ``du``-weighted sum of squares is the squared metric slope.
+    With the quantile slopes ``G = Q'`` and their pair means ``qp``, the
+    residuals ``R_k = d/du U'(1/G) / qp`` have a ``du``-weighted sum of
+    squares equal to the squared metric slope.  Returns ``R``,
+    ``a = dR_k/dQ_{k-1}`` and ``c = dR_k/dQ_{k+1}``; ``R`` is invariant
+    under shifts of ``Q``, so ``dR_k/dQ_k = -(a + c)``.
     """
     G = np.diff(Q, axis=-1) / du
-    A = _uprime_of_inv(kind, G)
-    num = (A[..., 1:] - A[..., :-1]) / du
+    A, ap = _uprime_of_inv(kind, G)
     qp = 0.5 * (G[..., 1:] + G[..., :-1])
-    return G, qp, num / qp
-
-
-def _slope_sq_quantile_grad(kind: EntropyKind, Q: np.ndarray, du: float):
-    """Squared metric slope in quantile coordinates and its gradient in Q."""
-    G, qp, R = _fisher_stencil(kind, Q, du)
-    S = float(np.sum(R * R) * du)
-
-    dS_dA = np.zeros(G.size)
-    common = 2.0 * R / qp  # d(sum R^2 du)/dA through num
-    dS_dA[1:] += common
-    dS_dA[:-1] -= common
-    dS_dqp = -2.0 * du * R * R / qp
-    dS_dG = _uprime_of_inv_dG(kind, G) * dS_dA
-    dS_dG[1:] += 0.5 * dS_dqp
-    dS_dG[:-1] += 0.5 * dS_dqp
-    dS_dQ = np.zeros(Q.size)
-    dS_dQ[1:] += dS_dG / du
-    dS_dQ[:-1] -= dS_dG / du
-    return S, dS_dQ
+    R = (A[..., 1:] - A[..., :-1]) / du / qp
+    half_R = 0.5 * R / qp
+    a = (ap[..., :-1] / (du * qp) + half_R) / du
+    c = (ap[..., 1:] / (du * qp) - half_R) / du
+    return R, a, c
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -489,30 +490,26 @@ class _DensityProblem(_Problem):
         self.m = m_points
         self.du = 1.0 / m_points
         self.u_mid = (np.arange(m_points) + 0.5) * self.du
-        super().__init__(eps, times, *_quantile_samples([x, y], self.u_mid))
-        self.fisher_ends = (
-            self.weights[0] * 0.5 * _slope_sq_quantile_grad(self.kind, self.first, self.du)[0]
-            + self.weights[-1] * 0.5 * _slope_sq_quantile_grad(self.kind, self.last, self.du)[0]
-        )
+        super().__init__(eps, times, *_quantile_samples([x, y], self.u_mid), row_mass=self.du)
 
     def pack(self, curve: Curve) -> np.ndarray:
         return _quantile_samples(curve.points[1:-1], self.u_mid).ravel()
 
-    def action(self, z: np.ndarray):
-        """Kinetic and Fisher parts of the action at ``z`` and the gradient
-        of ``kin + eps^2 fis``; the quantiles must be increasing."""
-        allQ = self._stack(z)
-        diff = np.diff(allQ, axis=0)
-        kin = 0.5 * self.du * float(np.sum(diff**2 / self.dts[:, None]))
-        gQ = self.du * (
-            diff[:-1] / self.dts[:-1, None] - diff[1:] / self.dts[1:, None]
-        )
-        fis = self.fisher_ends
-        for i in range(1, self.times.size - 1):
-            S, dS = _slope_sq_quantile_grad(self.kind, allQ[i], self.du)
-            fis += self.weights[i] * 0.5 * S
-            gQ[i - 1] += self.eps**2 * self.weights[i] * 0.5 * dS
-        return kin, fis, gQ.ravel()
+    def _slope_sq(self, rows: np.ndarray):
+        """``du sum_k R_k^2`` at every row and its gradient ``2 du J^T R``
+        at the interior rows, for increasing quantiles; row by row, which
+        keeps the Jacobian arrays the size of one row."""
+        du = self.du
+        S = np.empty(len(rows))
+        dS = np.zeros(rows.shape)
+        for i, Q in enumerate(rows):
+            R, a, c = _fisher_jacobian(self.kind, Q, du)
+            S[i] = np.sum(R * R) * du
+            aR, cR = (2.0 * du) * a * R, (2.0 * du) * c * R
+            dS[i, :-2] += aR
+            dS[i, 1:-1] -= aR + cR
+            dS[i, 2:] += cR
+        return S, dS[1:-1]
 
     def value_grad(self, z: np.ndarray):
         if np.any(np.diff(z.reshape(self.n_interior, self.m), axis=1) <= 0.0):
@@ -536,15 +533,8 @@ class _DensityProblem(_Problem):
         returns (diag, first, second off-diagonals) of ``du * J^T J``, one
         row per node of ``Qs``.
         """
-        du = self.du
-        G, qp, R = _fisher_stencil(self.kind, Qs, du)
-        ap = _uprime_of_inv_dG(self.kind, G)
-        dR_dGk = ap[:, 1:] / (du * qp) - 0.5 * R / qp
-        dR_dGkm1 = -ap[:, :-1] / (du * qp) - 0.5 * R / qp
-        # residual k (k = 1..m-2) touches Q_{k-1}, Q_k, Q_{k+1}
-        a = -dR_dGkm1 / du                 # dR_k/dQ_{k-1}
-        b = (dR_dGkm1 - dR_dGk) / du       # dR_k/dQ_k
-        c = dR_dGk / du                    # dR_k/dQ_{k+1}
+        _, a, c = _fisher_jacobian(self.kind, Qs, self.du)
+        b = -(a + c)
         d0 = np.zeros(Qs.shape)
         d0[:, :-2] += a * a
         d0[:, 1:-1] += b * b
@@ -552,7 +542,7 @@ class _DensityProblem(_Problem):
         d1 = np.zeros((Qs.shape[0], Qs.shape[1] - 1))
         d1[:, :-1] += a * b
         d1[:, 1:] += b * c
-        return du * d0, du * d1, du * (a * c)
+        return self.du * d0, self.du * d1, self.du * (a * c)
 
     def make_preconditioner(self, z0: np.ndarray):
         """Inverse of the quadratic model at ``z0``, by banded Cholesky.
@@ -568,15 +558,15 @@ class _DensityProblem(_Problem):
         ``n_interior`` and ``2 n_interior``; it is assembled directly in
         lower band storage and factored once.
         """
-        nI, m, du = self.n_interior, self.m, self.du
+        nI, m = self.n_interior, self.m
         d0, d1, d2 = self._fisher_gn_bands(z0.reshape(nI, m))
         wf = self.eps**2 * self.weights[1:-1, None]
         # ab[j, k nI + i] = A[(k, i) + j, (k, i)]; Fortran order lets the
         # factorization work in place
         ab = np.zeros((2 * nI + 1, nI * m), order="F")
-        ab[0] = (du * (1.0 / self.dts[:-1] + 1.0 / self.dts[1:])[:, None]
-                 + wf * d0 + 1e-12).T.ravel()
-        ab[1] = np.tile(np.append(-du / self.dts[1:-1], 0.0), m)
+        kin_diag, kin_off = self._kinetic_bands()
+        ab[0] = (kin_diag[:, None] + wf * d0 + 1e-12).T.ravel()
+        ab[1] = np.tile(np.append(kin_off, 0.0), m)
         ab[nI, :(m - 1) * nI] = (wf * d1).T.ravel()
         ab[2 * nI, :(m - 2) * nI] = (wf * d2).T.ravel()
         solve_band = _banded_cholesky_solver(ab)
@@ -617,6 +607,11 @@ def _check_endpoints(backend: SpaceBackend, x, y):
         raise GridMismatch("endpoints x and y do not lie in the same state space")
 
 
+def _check_eps(eps):
+    if not (math.isfinite(eps) and eps >= 0):
+        raise DomainError(f"eps must be finite and nonnegative, got {eps}")
+
+
 def _check_finite_entropy(backend, x, y):
     for p, tag in ((x, "x"), (y, "y")):
         if not math.isfinite(backend.entropy(p)):
@@ -628,8 +623,7 @@ def _check_finite_entropy(backend, x, y):
 def solve(backend: SpaceBackend, x, y, eps: float,
           opts: Optional[SolverOptions] = None) -> SchrodingerResult:
     """Minimize the discretized entropic action between ``x`` and ``y``."""
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
+    _check_eps(eps)
     opts = opts or SolverOptions()
     _check_endpoints(backend, x, y)
     if eps > 0:
@@ -669,6 +663,7 @@ def discrete_action(backend: SpaceBackend, curve: Curve, eps: float,
     minimizes makes comparisons against solver costs sign-exact: any
     admissible curve evaluates at or above the solved minimum.
     """
+    _check_eps(eps)
     opts = opts or SolverOptions()
     x, y = curve.points[0], curve.points[-1]
     _check_endpoints(backend, x, y)
@@ -686,7 +681,8 @@ def bridge_from_flow(backend: SpaceBackend, x, eps: float,
     ``eps (E(x) - E(S_eps x))``, the optimal value between those endpoints;
     the returned result reports the curve's action, no optimization is run.
     """
-    if eps <= 0:
+    _check_eps(eps)
+    if eps == 0:
         raise DomainError("bridge construction needs eps > 0")
     opts = opts or SolverOptions()
     times = _uniform_times(opts.n_time)

@@ -92,9 +92,25 @@ class TestSolveCommand:
         assert curve.times.size == 33
 
     def test_negative_eps_exits_1(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, QUAD_SOLVE.replace("eps = 0.1", "eps = -1"))
+        for eps in ("-1", "nan", "inf"):
+            cfg = write_config(tmp_path, QUAD_SOLVE.replace("eps = 0.1", f"eps = {eps}"))
+            assert main([cfg]) == 1
+            assert "eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, old, new, key", [
+        (QUAD_SWEEP, "eps_list = 0, 0.05", "eps_list = 0, nan", "eps_list"),
+        (QUAD_SWEEP, "eps_list = 0, 0.05", "eps_list = 0, inf", "eps_list"),
+        (QUAD_SOLVE, "center = 0", "center = nan", "center"),
+        (QUAD_SOLVE, "x = 1", "x = -inf", "x"),
+        (DENSITY_SOLVE, "gaussian(0, 1)", "gaussian(0, nan)", "gaussian"),
+        (QUAD_SOLVE, "seed = 0", "seed = 0\ntolerance_evi = inf", "tolerance_evi"),
+    ], ids=["eps_list-nan", "eps_list-inf", "center", "endpoint", "preset", "tolerance"])
+    def test_non_finite_number_exits_1(self, tmp_path, capsys, text, old, new, key):
+        assert old in text
+        cfg = write_config(tmp_path, text.replace(old, new))
         assert main([cfg]) == 1
-        assert "eps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and "not a finite number" in err
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUAD_SOLVE.replace("strength = 1", "strength = 1\nbogus = 2"))

@@ -115,12 +115,27 @@ class TestEuclideanSolve:
         res = solve(quad1d, np.array([1.0]), np.array([2.0]), 0.2)
         assert res.cost == pytest.approx(res.kinetic + 0.04 * res.fisher, abs=1e-12)
 
-    def test_discrete_action_of_minimizer_is_the_cost(self, quad2d):
+    def test_discrete_action_of_minimizer_is_the_cost(self, quad2d, boltzmann):
         x, y = np.array([1.0, -0.5]), np.array([-0.3, 2.0])
         for eps in (0.0, 0.2, 0.9):
             res = solve(quad2d, x, y, eps, SolverOptions(n_time=15))
             assert discrete_action(quad2d, res.minimizer, eps) == res.cost
             assert res.cost == res.kinetic + eps**2 * res.fisher
+        # a density curve stores densities, so discrete_action repacks its
+        # quantiles and meets the cost only to the PCHIP round trip; the
+        # Fisher part counts every row once, the end rows included
+        n, dx, x0 = 64, 22.0 / 64, -10.0
+        a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
+        b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
+        prob = _DensityProblem(boltzmann, a, b, 0.0, _uniform_times(15), 4 * n)
+        _, w = _steps_and_weights(prob.times)
+        for eps in (0.0, 0.2):
+            res = solve(boltzmann, a, b, eps, SolverOptions(n_time=15))
+            S = [prob.du * np.sum(_fisher_residuals(boltzmann.kind, Q, prob.du) ** 2)
+                 for Q in prob._stack(res.decision)]
+            assert res.fisher == pytest.approx(0.5 * float(w @ S), rel=1e-12)
+            assert res.cost == res.kinetic + eps**2 * res.fisher
+            assert discrete_action(boltzmann, res.minimizer, eps) == pytest.approx(res.cost, rel=1e-3)
 
     def test_grid_consistency(self, quad1d):
         r1 = solve(quad1d, np.array([1.0]), np.array([2.0]), 0.2,
@@ -130,25 +145,35 @@ class TestEuclideanSolve:
         assert r2.cost == pytest.approx(r1.cost, rel=1e-3)
 
     def test_negative_eps_rejected(self, quad1d):
-        with pytest.raises(DomainError):
-            solve(quad1d, np.array([1.0]), np.array([2.0]), -0.1)
+        x, y = np.array([1.0]), np.array([2.0])
+        curve = geodesic_curve(quad1d, x, y, 4)
+        for eps in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="eps"):
+                solve(quad1d, x, y, eps)
+            with pytest.raises(DomainError, match="eps"):
+                discrete_action(quad1d, curve, eps)
+            with pytest.raises(DomainError, match="eps"):
+                bridge_from_flow(quad1d, x, eps)
 
 
 class TestEuclideanGradient:
     def test_adjoint_gradient_matches_finite_differences(self, quad2d):
-        prob = _EuclideanProblem(quad2d, np.zeros(2), np.array([1.0, 1.0]),
-                                 0.3, _uniform_times(15))
-        rng = np.random.default_rng(1)
-        base = prob.pack(geodesic_curve(quad2d, np.zeros(2), np.array([1.0, 1.0]), 16))
-        for trial in range(20):
-            z = base + 0.2 * rng.standard_normal(base.size)
-            _, g = prob.value_grad(z)
-            k = rng.integers(z.size)
-            h = 1e-6
-            e = np.zeros_like(z)
-            e[k] = h
-            fd = (prob.value_grad(z + e)[0] - prob.value_grad(z - e)[0]) / (2 * h)
-            assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+        # the double well without hess_v takes its Hessian from central
+        # differences of grad V
+        for be in (quad2d, _double_well(True), _double_well(False)):
+            prob = _EuclideanProblem(be, np.zeros(2), np.array([1.0, 1.0]),
+                                     0.3, _uniform_times(15))
+            rng = np.random.default_rng(1)
+            base = prob.pack(geodesic_curve(be, np.zeros(2), np.array([1.0, 1.0]), 16))
+            for trial in range(20):
+                z = base + 0.2 * rng.standard_normal(base.size)
+                _, g = prob.value_grad(z)
+                k = rng.integers(z.size)
+                h = 1e-6
+                e = np.zeros_like(z)
+                e[k] = h
+                fd = (prob.value_grad(z + e)[0] - prob.value_grad(z - e)[0]) / (2 * h)
+                assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
 
 def _quadratic_well_cost(eps, strength, center, x, y):
@@ -165,6 +190,16 @@ def _double_well(with_hess: bool):
     return EuclideanBackend(UserPotential(
         lambda x: 0.25 * (x @ x - 1.0) ** 2, lambda x: (x @ x - 1.0) * x,
         lam=-1.0, dim=2, hess_v=hess))
+
+
+def _fisher_residuals(kind, Q, du):
+    """Quantile-space slope residuals R_k; analytic, so complex-step exact."""
+    G = np.diff(Q) / du
+    if kind.name == "boltzmann":
+        A = 1.0 - np.log(G)
+    else:
+        A = kind.m / (kind.m - 1.0) * G ** (1.0 - kind.m)
+    return (np.diff(A) / du) / (0.5 * (G[1:] + G[:-1]))
 
 
 def _steps_and_weights(times):
@@ -231,16 +266,6 @@ class TestEuclideanModel:
 
 
 class TestDensityModel:
-    @staticmethod
-    def _residuals(kind, Q, du):
-        # quantile-space slope residuals R_k; analytic, so complex-step exact
-        G = np.diff(Q) / du
-        if kind.name == "boltzmann":
-            A = 1.0 - np.log(G)
-        else:
-            A = kind.m / (kind.m - 1.0) * G ** (1.0 - kind.m)
-        return (np.diff(A) / du) / (0.5 * (G[1:] + G[:-1]))
-
     @pytest.mark.parametrize("backend", ["boltzmann", "porous2"])
     def test_banded_model_matches_dense_assembly(self, backend, request):
         be = request.getfixturevalue(backend)
@@ -259,7 +284,7 @@ class TestDensityModel:
         model = np.zeros((nI * m, nI * m))
         h = 1e-30
         for i, Q in enumerate(z0.reshape(nI, m)):
-            J = np.array([self._residuals(be.kind, Q + 1j * h * e, du).imag / h
+            J = np.array([_fisher_residuals(be.kind, Q + 1j * h * e, du).imag / h
                           for e in np.eye(m)]).T
             blk = slice(i * m, (i + 1) * m)
             model[blk, blk] = (du * (1.0 / dts[i] + 1.0 / dts[i + 1]) * np.eye(m)
