@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .density1d import DENSITY_FLOOR, Density1DBackend, EntropyKind, GridDensity, density_from_csv
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .euclidean import EuclideanBackend, QuadraticPotential
 from .solver import SolverOptions
 
@@ -270,12 +270,15 @@ def load_config(path) -> ExperimentConfig:
     qp = None
     if "quantile_points" in run:
         qp = _get_int(run, "run", "quantile_points")
-    solver_options = SolverOptions(
-        n_time=_get_int(run, "run", "n_time", default=63),
-        max_iter=_get_int(run, "run", "max_iter", default=2000),
-        grad_tol=grad_tol,
-        quantile_points=qp,
-    )
+    try:
+        solver_options = SolverOptions(
+            n_time=_get_int(run, "run", "n_time", default=63),
+            max_iter=_get_int(run, "run", "max_iter", default=2000),
+            grad_tol=grad_tol,
+            quantile_points=qp,
+        )
+    except DomainError as exc:
+        raise ConfigError(f"[run] {exc}") from None
 
     properties = list(_CERTIFICATES)
     if "properties" in run:

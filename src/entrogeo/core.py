@@ -199,10 +199,14 @@ def fisher_action(backend: SpaceBackend, curve: Curve) -> float:
     return fisher_quadrature(backend, curve).value
 
 
+def _check_eps(eps):
+    if not (math.isfinite(eps) and eps >= 0):
+        raise DomainError(f"eps must be finite and nonnegative, got {eps}")
+
+
 def schrodinger_action(backend: SpaceBackend, curve: Curve, eps: float) -> float:
     """Entropic action ``A + eps^2 * I`` of the dynamical Schrodinger problem."""
-    if eps < 0:
-        raise DomainError(f"eps must be nonnegative, got {eps}")
+    _check_eps(eps)
     kin = kinetic_action(backend, curve)
     if eps == 0.0:
         return kin
@@ -224,8 +228,7 @@ class HatFunction:
     theta: float = 0.5
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise DomainError(f"hat height must be nonnegative, got {self.eps}")
+        _check_eps(self.eps)
         if not 0.0 < self.theta < 1.0:
             raise DomainError(f"hat peak must lie in (0, 1), got {self.theta}")
 
@@ -235,8 +238,6 @@ class HatFunction:
         ``+-eps``: peak ``eps / 2`` at ``theta = 1/2``.  This is the profile
         of the canonical recovery sequence, so naming it by its slope avoids
         the factor-of-two trap between peak height and side slope."""
-        if eps < 0:
-            raise DomainError(f"slope scale must be nonnegative, got {eps}")
         return HatFunction(eps=0.5 * eps, theta=0.5)
 
     def __call__(self, t):

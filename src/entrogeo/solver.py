@@ -21,7 +21,8 @@ decision variables depend on the backend:
 * Euclidean: the interior node coordinates themselves.  The model is the
   block-tridiagonal Gauss-Newton Hessian (kinetic Laplacian plus
   ``eps^2 w_i H_i^2``), exact for the quadratic well.
-* Densities: interior *quantile functions* sampled on a u-grid.  In
+* Densities: interior *quantile functions* sampled on a u-grid graded
+  toward u = 0 and u = 1 (a Lagrangian mass-coordinate grid).  In
   quantile coordinates the kinetic term is exactly quadratic and geodesics
   are linear, pushing all nonlinearity into the Fisher term, which becomes
   a local functional of the quantile slopes: with rho(Q(u)) = 1/Q'(u),
@@ -57,13 +58,14 @@ from .core import (
     HatFunction,
     SpaceBackend,
     _check_curve,
+    _check_eps,
     _trapezoid_weights,
     fisher_action,
     geodesic_curve,
     kinetic_action,
 )
 from .density1d import Density1DBackend, EntropyKind, GridDensity, _cdf_nodes
-from .errors import DomainError, EndpointEntropyInfinite, GridMismatch
+from .errors import DomainError, EndpointEntropyInfinite, EntrogeoError, GridMismatch
 from .euclidean import EuclideanBackend
 from .regularizer import build as build_regularized
 
@@ -83,9 +85,9 @@ class SolverOptions:
 
     ``grad_tol`` is the stationarity target on the max-norm of the discrete
     gradient; ``None`` selects 1e-7 for the Euclidean backend and 1e-5 for
-    the density backend.  ``quantile_points`` sizes the u-grid of the
-    density decision variables (default ``4n`` for n grid cells, matching
-    the backend's CDF-inversion resolution).  ``warm_start`` is one of
+    the density backend.  ``quantile_points`` is the number m >= 3 of
+    graded u-nodes of the density decision variables (default n, the
+    number of grid cells, and at least 3).  ``warm_start`` is one of
     ``"regularized_geodesic"`` (the recovery curve S_{h_eps(t)} g_t,
     provably an eps-good competitor), ``"straight"`` (the plain geodesic),
     an explicit curve, or a previous ``SchrodingerResult``, whose decision
@@ -103,6 +105,8 @@ class SolverOptions:
             raise DomainError("need at least 3 interior time nodes")
         if self.grad_tol is not None and self.grad_tol <= 0:
             raise DomainError("grad_tol must be positive")
+        if self.quantile_points is not None and self.quantile_points < 3:
+            raise DomainError(f"quantile_points must be at least 3, got {self.quantile_points}")
         ws = self.warm_start
         if isinstance(ws, str) and ws not in ("regularized_geodesic", "straight"):
             raise DomainError(f"unknown warm start {ws!r}")
@@ -264,10 +268,16 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float):
     return z, total, history
 
 
-def _banded_cholesky_solver(ab: np.ndarray):
+def _banded_cholesky_solver(ab: np.ndarray, model: str):
     """``v -> A^{-1} v`` for the SPD matrix ``A`` in lower band storage
-    ``ab[j, p] = A[p + j, p]``; ``ab`` is overwritten by its factor."""
-    cb = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    ``ab[j, p] = A[p + j, p]``; ``ab`` is overwritten by its factor.  A
+    factorization that breaks down raises ``EntrogeoError`` naming
+    ``model`` and the first leading minor that is not positive."""
+    cb, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise EntrogeoError(
+            f"{model}: the Hessian model is not positive definite "
+            f"(leading minor {info} of {ab.shape[1]})")
     return lambda v: scipy.linalg.cho_solve_banded((cb, True), v, check_finite=False)
 
 
@@ -279,7 +289,8 @@ class _Problem:
 
     The decision vector stacks the interior rows of a curve between the
     fixed end rows ``first`` and ``last``; ``row_mass`` weighs each row
-    coordinate in the kinetic term.  Subclasses supply ``_slope_sq``, the
+    coordinate in the kinetic term (a scalar, or one weight per
+    coordinate).  Subclasses supply ``_slope_sq``, the
     squared slope of every row and its gradient at the interior rows (a
     fresh array, which ``action`` overwrites), and
     ``make_preconditioner``; they also add ``pack``, ``to_curve`` and
@@ -288,7 +299,7 @@ class _Problem:
 
     grad_tol = 1e-7
 
-    def __init__(self, eps, times, first: np.ndarray, last: np.ndarray, row_mass: float):
+    def __init__(self, eps, times, first: np.ndarray, last: np.ndarray, row_mass):
         self.eps = eps
         self.times = np.asarray(times, dtype=float)
         self.dts = np.diff(self.times)
@@ -308,25 +319,25 @@ class _Problem:
         return np.vstack([self.first, z.reshape(self.n_interior, -1), self.last])
 
     def action(self, z: np.ndarray):
-        """Kinetic part ``1/2 row_mass sum_i |Z_{i+1} - Z_i|^2 / dt_i`` and
+        """Kinetic part ``1/2 sum_i row_mass . (Z_{i+1} - Z_i)^2 / dt_i`` and
         Fisher part ``1/2 sum_i w_i S_i`` of the action at ``z``, and the
         gradient of ``kin + eps^2 fis``."""
         rows = self._stack(z)
         mom = np.diff(rows, axis=0)
-        kin = 0.5 * self.row_mass * float(np.sum(mom**2 / self.dts[:, None]))
+        kin = 0.5 * float(np.sum(self.row_mass * mom**2 / self.dts[:, None]))
         mom *= self.row_mass / self.dts[:, None]
         S, grad = self._slope_sq(rows)
-        # in place: at m = 1024 quantiles each temporary is half a megabyte
         grad *= 0.5 * self.eps**2 * self.weights[1:-1, None]
         grad += mom[:-1]
         grad -= mom[1:]
         return kin, 0.5 * float(self.weights @ S), grad.ravel()
 
     def _kinetic_bands(self):
-        """Diagonal and off-diagonal of the kinetic Hessian in time, shared
-        by every coordinate of the interior rows."""
-        return (self.row_mass * (1.0 / self.dts[:-1] + 1.0 / self.dts[1:]),
-                -self.row_mass / self.dts[1:-1])
+        """Diagonal and off-diagonal of the kinetic Hessian in time, one
+        row per interior node and one column per row coordinate (a single
+        column when ``row_mass`` is a scalar)."""
+        inv = 1.0 / self.dts[:, None]
+        return self.row_mass * (inv[:-1] + inv[1:]), -self.row_mass * inv[1:-1]
 
 
 # -- Euclidean problem -------------------------------------------------------
@@ -376,9 +387,10 @@ class _EuclideanProblem(_Problem):
         for j in range(dim):
             band[j, :, :dim - j] = np.diagonal(D, offset=-j, axis1=1, axis2=2)
         kin_diag, kin_off = self._kinetic_bands()
-        band[0] += kin_diag[:, None]
-        band[dim, :-1] = kin_off[:, None]
-        return _banded_cholesky_solver(band.reshape(dim + 1, nI * dim))
+        band[0] += kin_diag
+        band[dim, :-1] = kin_off
+        return _banded_cholesky_solver(band.reshape(dim + 1, nI * dim),
+                                       f"Euclidean model (dim = {dim}, {nI} time nodes)")
 
 
 # -- density problem in quantile coordinates ---------------------------------
@@ -393,24 +405,52 @@ def _uprime_of_inv(kind: EntropyKind, G: np.ndarray):
     return (m / (m - 1.0)) * G ** (1.0 - m), -m * G ** (-m)
 
 
-def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, du: float):
+def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndarray):
     """The quantile-space Fisher residuals along the last axis of ``Q`` and
     their Jacobian.
 
-    With the quantile slopes ``G = Q'`` and their pair means ``qp``, the
-    residuals ``R_k = d/du U'(1/G) / qp`` have a ``du``-weighted sum of
-    squares equal to the squared metric slope.  Returns ``R``,
-    ``a = dR_k/dQ_{k-1}`` and ``c = dR_k/dQ_{k+1}``; ``R`` is invariant
-    under shifts of ``Q``, so ``dR_k/dQ_k = -(a + c)``.
+    With the node spacings ``h``, the quantile slopes ``G = dQ / h`` and
+    their pair means ``qp``, the residuals ``R_k = dU'(1/G) / H_k / qp_k``
+    of the interior nodes have an ``H``-weighted sum of squares equal to
+    the squared metric slope, ``H_k = (u_{k+1} - u_{k-1}) / 2`` the dual
+    cell widths.  Returns ``R``, ``a = dR_k/dQ_{k-1}`` and
+    ``c = dR_k/dQ_{k+1}``; ``R`` is invariant under shifts of ``Q``, so
+    ``dR_k/dQ_k = -(a + c)``.
     """
-    G = np.diff(Q, axis=-1) / du
+    G = np.diff(Q, axis=-1) / h
     A, ap = _uprime_of_inv(kind, G)
     qp = 0.5 * (G[..., 1:] + G[..., :-1])
-    R = (A[..., 1:] - A[..., :-1]) / du / qp
+    Hqp = H * qp
+    R = (A[..., 1:] - A[..., :-1]) / Hqp
     half_R = 0.5 * R / qp
-    a = (ap[..., :-1] / (du * qp) + half_R) / du
-    c = (ap[..., 1:] / (du * qp) - half_R) / du
+    a = (ap[..., :-1] / Hqp + half_R) / h[:-1]
+    c = (ap[..., 1:] / Hqp - half_R) / h[1:]
     return R, a, c
+
+
+# grading exponent of the quantile nodes, see _graded_nodes
+_GRADING = 2
+
+
+def _graded_nodes(m: int):
+    """The m u-nodes of the density problem and the widths of their cells.
+
+    ``u_k = g(t_k)`` at the uniform midpoints ``t_k = (k + 1/2) / m``, with
+    ``g(t) = t^p / (t^p + (1 - t)^p)`` and ``p = _GRADING``; node k owns the
+    cell ``[g(k/m), g((k+1)/m)]``, and the widths sum to 1.  The nodes
+    crowd toward u = 0 and u = 1, where the quantile-space Fisher integrand
+    of a density with tails lives, and the end spacing is about
+    ``h_min = 2 / m^2``.  That spacing is the limit of the grid: the
+    Gauss-Newton block of the Fisher term annihilates constants in u and
+    carries rounding of order ``eps_mach / h_min^3``, which only the
+    kinetic diagonal (about ``2 w_k / dt``) holds off, and the quantile
+    increments at the end nodes carry relative rounding that the stencil
+    amplifies.  On a near-Dirac pair on [0, 1] the descent stalls above its
+    gradient target with p = 3 at m = n, or with p = 2 at m = 4n.
+    """
+    t = np.arange(2 * m + 1) / (2 * m)
+    g = t**_GRADING / (t**_GRADING + (1.0 - t) ** _GRADING)
+    return g[1::2], np.diff(g[::2])
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -419,8 +459,8 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return np.where(d > 0.0, d, 0.0)
 
 
-def _quantile_samples(ds, u_mid: np.ndarray) -> np.ndarray:
-    """PCHIP quantiles at ``u_mid`` of densities on one grid, one row each.
+def _quantile_samples(ds, u: np.ndarray) -> np.ndarray:
+    """PCHIP quantiles at ``u`` of densities on one grid, one row each.
 
     The inversion of the CDF is monotone-cubic rather than piecewise-linear:
     the raw grid quantile has kinks at every cell boundary, whose
@@ -453,27 +493,36 @@ def _quantile_samples(ds, u_mid: np.ndarray) -> np.ndarray:
     c1 = (mk - dk[:, :-1]) / h - t
 
     r = np.arange(rows)[:, None]
-    i = np.searchsorted((F + 2.0 * r).ravel(), (u_mid + 2.0 * r).ravel(), side="right")
+    i = np.searchsorted((F + 2.0 * r).ravel(), (u + 2.0 * r).ravel(), side="right")
     i = i.reshape(rows, -1) - (n + 1) * r - 1
     np.clip(i, 0, n - 1, out=i)
-    s = u_mid - F[r, i]
+    s = u - F[r, i]
     s2 = s * s
     return ((x[i] + dk[r, i] * s) + c1[r, i] * s2) + c0[r, i] * (s2 * s)
 
 
 def _density_from_quantiles(template: GridDensity, Q: np.ndarray,
-                            u_mid: np.ndarray, du: float) -> GridDensity:
-    # extend the sampled quantile linearly over the two half-cells at u=0,1
-    G0 = (Q[1] - Q[0]) / du
-    G1 = (Q[-1] - Q[-2]) / du
-    u_full = np.concatenate([[0.0], u_mid, [1.0]])
-    q_full = np.concatenate([[Q[0] - 0.5 * du * G0], Q, [Q[-1] + 0.5 * du * G1]])
+                            u: np.ndarray) -> GridDensity:
+    # extend the sampled quantile linearly over the end cells [0, u_0] and
+    # [u_{m-1}, 1]
+    G0 = (Q[1] - Q[0]) / (u[1] - u[0])
+    G1 = (Q[-1] - Q[-2]) / (u[-1] - u[-2])
+    u_full = np.concatenate([[0.0], u, [1.0]])
+    q_full = np.concatenate([[Q[0] - u[0] * G0], Q, [Q[-1] + (1.0 - u[-1]) * G1]])
     F_edges = np.interp(template.edges, q_full, u_full, left=0.0, right=1.0)
     return template.with_rho(np.diff(F_edges) / template.dx)
 
 
 class _DensityProblem(_Problem):
-    """Decision rows are quantile functions sampled on the u-midpoints."""
+    """Decision rows are quantile functions sampled on graded u-nodes.
+
+    The nodes ``u`` come from ``_graded_nodes``.  ``row_mass`` holds their
+    cell widths, so the kinetic term is the quadrature
+    ``1/2 sum_i sum_k w_k (Q_{i+1,k} - Q_{i,k})^2 / dt_i`` of the exact
+    quantile-space kinetic energy.  ``h`` are the node spacings and ``H``
+    the dual widths of the interior nodes, the quadrature weights of the
+    Fisher residuals.
+    """
 
     grad_tol = 1e-5
 
@@ -488,28 +537,26 @@ class _DensityProblem(_Problem):
         self.x = x
         self.y = y
         self.m = m_points
-        self.du = 1.0 / m_points
-        self.u_mid = (np.arange(m_points) + 0.5) * self.du
-        super().__init__(eps, times, *_quantile_samples([x, y], self.u_mid), row_mass=self.du)
+        self.u, cell_widths = _graded_nodes(m_points)
+        self.h = np.diff(self.u)
+        self.H = 0.5 * (self.h[1:] + self.h[:-1])
+        super().__init__(eps, times, *_quantile_samples([x, y], self.u), row_mass=cell_widths)
 
     def pack(self, curve: Curve) -> np.ndarray:
-        return _quantile_samples(curve.points[1:-1], self.u_mid).ravel()
+        return _quantile_samples(curve.points[1:-1], self.u).ravel()
 
     def _slope_sq(self, rows: np.ndarray):
-        """``du sum_k R_k^2`` at every row and its gradient ``2 du J^T R``
-        at the interior rows, for increasing quantiles; row by row, which
-        keeps the Jacobian arrays the size of one row."""
-        du = self.du
-        S = np.empty(len(rows))
-        dS = np.zeros(rows.shape)
-        for i, Q in enumerate(rows):
-            R, a, c = _fisher_jacobian(self.kind, Q, du)
-            S[i] = np.sum(R * R) * du
-            aR, cR = (2.0 * du) * a * R, (2.0 * du) * c * R
-            dS[i, :-2] += aR
-            dS[i, 1:-1] -= aR + cR
-            dS[i, 2:] += cR
-        return S, dS[1:-1]
+        """``sum_k H_k R_k^2`` at every row and its gradient ``2 J^T H R``
+        at the interior rows, for increasing quantiles."""
+        R, a, c = _fisher_jacobian(self.kind, rows, self.h, self.H)
+        HR = self.H * R
+        aR = 2.0 * a[1:-1] * HR[1:-1]
+        cR = 2.0 * c[1:-1] * HR[1:-1]
+        dS = np.zeros((rows.shape[0] - 2, rows.shape[1]))
+        dS[:, :-2] += aR
+        dS[:, 1:-1] -= aR + cR
+        dS[:, 2:] += cR
+        return np.sum(HR * R, axis=1), dS
 
     def value_grad(self, z: np.ndarray):
         if np.any(np.diff(z.reshape(self.n_interior, self.m), axis=1) <= 0.0):
@@ -522,7 +569,7 @@ class _DensityProblem(_Problem):
 
     def to_curve(self, z: np.ndarray) -> Curve:
         Qs = z.reshape(self.n_interior, self.m)
-        inner = [_density_from_quantiles(self.x, Q, self.u_mid, self.du) for Q in Qs]
+        inner = [_density_from_quantiles(self.x, Q, self.u) for Q in Qs]
         return Curve(self.times, [self.x, *inner, self.y])
 
     def _fisher_gn_bands(self, Qs: np.ndarray):
@@ -530,19 +577,20 @@ class _DensityProblem(_Problem):
 
         The squared slope is a sum of squared residuals R_k(Q) with a
         3-point stencil, so its Gauss-Newton Hessian is pentadiagonal;
-        returns (diag, first, second off-diagonals) of ``du * J^T J``, one
-        row per node of ``Qs``.
+        returns (diag, first, second off-diagonals) of ``J^T diag(H) J``,
+        one row per node of ``Qs``.
         """
-        _, a, c = _fisher_jacobian(self.kind, Qs, self.du)
+        _, a, c = _fisher_jacobian(self.kind, Qs, self.h, self.H)
         b = -(a + c)
+        Ha, Hb = self.H * a, self.H * b
         d0 = np.zeros(Qs.shape)
-        d0[:, :-2] += a * a
-        d0[:, 1:-1] += b * b
-        d0[:, 2:] += c * c
+        d0[:, :-2] += Ha * a
+        d0[:, 1:-1] += Hb * b
+        d0[:, 2:] += self.H * c * c
         d1 = np.zeros((Qs.shape[0], Qs.shape[1] - 1))
-        d1[:, :-1] += a * b
-        d1[:, 1:] += b * c
-        return self.du * d0, self.du * d1, self.du * (a * c)
+        d1[:, :-1] += Ha * b
+        d1[:, 1:] += Hb * c
+        return d0, d1, Ha * c
 
     def make_preconditioner(self, z0: np.ndarray):
         """Inverse of the quadratic model at ``z0``, by banded Cholesky.
@@ -550,7 +598,7 @@ class _DensityProblem(_Problem):
         The model couples time neighbors through the (exactly quadratic)
         kinetic term and u neighbors through the Gauss-Newton bands of the
         Fisher term; without it, descent directions are dominated by the
-        stiff fourth-order-in-u Fisher curvature (~1/du^3 vs ~du/dt for
+        stiff fourth-order-in-u Fisher curvature (~1/h^3 vs ~w/dt for
         the kinetic block) and first-order methods stall.  Ordered u-major
         (time index fastest) the model is a band of half-width
         ``2 n_interior`` whose only nonzero diagonals are the main one, the
@@ -565,11 +613,12 @@ class _DensityProblem(_Problem):
         # factorization work in place
         ab = np.zeros((2 * nI + 1, nI * m), order="F")
         kin_diag, kin_off = self._kinetic_bands()
-        ab[0] = (kin_diag[:, None] + wf * d0 + 1e-12).T.ravel()
-        ab[1] = np.tile(np.append(kin_off, 0.0), m)
+        ab[0] = (kin_diag + wf * d0 + 1e-12).T.ravel()
+        ab[1] = np.vstack([kin_off, np.zeros(m)]).T.ravel()
         ab[nI, :(m - 1) * nI] = (wf * d1).T.ravel()
         ab[2 * nI, :(m - 2) * nI] = (wf * d2).T.ravel()
-        solve_band = _banded_cholesky_solver(ab)
+        solve_band = _banded_cholesky_solver(
+            ab, f"density model (m = {m} quantile nodes, {nI} time nodes)")
         return lambda v: solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
 
 
@@ -579,7 +628,7 @@ class _DensityProblem(_Problem):
 def _problem(backend: SpaceBackend, x, y, eps, times, opts: SolverOptions) -> _Problem:
     """The solver problem of ``backend`` between ``x`` and ``y``."""
     if isinstance(backend, Density1DBackend):
-        return _DensityProblem(backend, x, y, eps, times, opts.quantile_points or 4 * x.n)
+        return _DensityProblem(backend, x, y, eps, times, opts.quantile_points or max(x.n, 3))
     if isinstance(backend, EuclideanBackend):
         return _EuclideanProblem(backend, x, y, eps, times)
     raise DomainError(f"no solver strategy for backend {type(backend).__name__}")
@@ -605,11 +654,6 @@ def _check_endpoints(backend: SpaceBackend, x, y):
     backend.check_point(y)
     if not backend.same_space(x, y):
         raise GridMismatch("endpoints x and y do not lie in the same state space")
-
-
-def _check_eps(eps):
-    if not (math.isfinite(eps) and eps >= 0):
-        raise DomainError(f"eps must be finite and nonnegative, got {eps}")
 
 
 def _check_finite_entropy(backend, x, y):

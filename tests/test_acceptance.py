@@ -225,11 +225,13 @@ def test_criterion_6_taylor_expansion(quad_profile, density_profile):
     quad_oracle = 0.5 * np.trapezoid((1.0 + th) ** 2, th)
     assert quad_oracle == pytest.approx(7.0 / 6.0, rel=1e-8)
 
-    td = taylor_check(density_profile, rel_tol=0.05, bound_slack=1e-3)
+    # the density ratio at eps = 0.025 measures 3.2e-3 below the oracle on
+    # the graded quantile grid (2.3e-2 on uniform midpoints at m = 4n)
+    td = taylor_check(density_profile, rel_tol=0.005, bound_slack=1e-3)
     tq = taylor_check(quad_profile, rel_tol=0.05, bound_slack=1e-3)
     r_d = dict(td.ratios)[0.025]
     r_q = dict(tq.ratios)[0.025]
-    dens_ok = abs(r_d - dens_oracle) <= 0.05 * dens_oracle and td.monotone_approach
+    dens_ok = abs(r_d - dens_oracle) <= 0.005 * dens_oracle and td.monotone_approach
     quad_ok = abs(r_q - quad_oracle) <= 0.05 * quad_oracle and tq.monotone_approach
     bound_ok = all(
         row.cost - prof.cost_0 <= row.eps**2 * oracle + 1e-3
@@ -243,9 +245,10 @@ def test_criterion_6_taylor_expansion(quad_profile, density_profile):
 
 
 def test_criterion_7_derivative_identity(quad_profile, density_profile):
-    rel_worst = {}
+    # the density residuals measure at most 2.6e-5 of 2 eps I_eps
+    rel_worst, ok = {}, True
     for name, prof, tol in (("quad", quad_profile, 0.05),
-                            ("density", density_profile, 0.10)):
+                            ("density", density_profile, 1e-4)):
         residuals = derivative_check(prof)
         rels = [
             res / (2.0 * row.eps * row.fisher)
@@ -253,11 +256,11 @@ def test_criterion_7_derivative_identity(quad_profile, density_profile):
             if row.eps > 0
         ]
         rel_worst[name] = max(rels)
-        assert fisher_monotonicity(prof) <= 1e-6 if name == "quad" else 1e-3
-    ok = rel_worst["quad"] <= 0.05 and rel_worst["density"] <= 0.10
+        assert fisher_monotonicity(prof) <= (1e-6 if name == "quad" else 1e-3)
+        ok = ok and rel_worst[name] <= tol
     verdict(7, "derivative identity", ok,
             f"quad {rel_worst['quad']:.4f} (<=0.05) "
-            f"density {rel_worst['density']:.4f} (<=0.10)")
+            f"density {rel_worst['density']:.1e} (<=1e-4)")
 
 
 def test_criterion_8_solver_correctness(quad2d, boltzmann, quad_profile,

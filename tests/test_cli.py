@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from entrogeo.cli import main
 from entrogeo.fileio import read_curve_csv
+from entrogeo.solver import _DensityProblem
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -112,6 +114,13 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert key in err and "not a finite number" in err
 
+    @pytest.mark.parametrize("qp", ["0", "1", "2", "-5"])
+    def test_too_few_quantile_points_exits_1(self, tmp_path, capsys, qp):
+        text = DENSITY_SOLVE.replace("n_time = 31", f"n_time = 31\nquantile_points = {qp}")
+        assert main([write_config(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert "[run] quantile_points must be at least 3" in err
+
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUAD_SOLVE.replace("strength = 1", "strength = 1\nbogus = 2"))
         assert main([cfg]) == 1
@@ -125,6 +134,17 @@ class TestSolveCommand:
         assert main([cfg]) == 2
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["converged"] is False
+
+    def test_failed_model_factorization_exits_1(self, tmp_path, capsys, monkeypatch):
+        def negative_bands(self, Qs):
+            rows = Qs.shape[0]
+            return -1e9 * np.ones(Qs.shape), np.zeros((rows, self.m - 1)), np.zeros((rows, self.m - 2))
+
+        monkeypatch.setattr(_DensityProblem, "_fisher_gn_bands", negative_bands)
+        assert main([write_config(tmp_path, DENSITY_SOLVE)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: density model (m = 128 quantile nodes, 31 time nodes)")
+        assert "not positive definite" in err
 
     def test_missing_config_exits_1(self, tmp_path):
         assert main([str(tmp_path / "nope.ini")]) == 1

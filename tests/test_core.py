@@ -202,8 +202,9 @@ class TestSchrodingerAction:
 
     def test_negative_eps_rejected(self, quad2d):
         c = segment_curve(quad2d, [0.0, 0.0], [1.0, 0.0], 4)
-        with pytest.raises(DomainError):
-            schrodinger_action(quad2d, c, -0.1)
+        for eps in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="eps"):
+                schrodinger_action(quad2d, c, eps)
 
     @given(
         e1=st.floats(0.0, 2.0),
@@ -239,8 +240,11 @@ class TestHatFunction:
             HatFunction(0.1, 0.5)(math.nan)
         with pytest.raises(DomainError):
             HatFunction(0.1, 0.0)
-        with pytest.raises(DomainError):
-            HatFunction(-0.1, 0.5)
+        for eps in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="eps"):
+                HatFunction(eps, 0.5)
+            with pytest.raises(DomainError, match="eps"):
+                HatFunction.with_slope(eps)
 
     def test_with_slope_matches_min_form(self):
         h = HatFunction.with_slope(0.3)

@@ -14,9 +14,16 @@ from entrogeo import (
 )
 from entrogeo.core import SpaceBackend
 from entrogeo.density1d import _cdf_nodes
-from entrogeo.errors import DomainError, EndpointEntropyInfinite, GridMismatch, InvalidCurve
+from entrogeo.errors import (
+    DomainError,
+    EndpointEntropyInfinite,
+    EntrogeoError,
+    GridMismatch,
+    InvalidCurve,
+)
 from entrogeo.solver import (
     SolverOptions,
+    _banded_cholesky_solver,
     _DensityProblem,
     _EuclideanProblem,
     _quantile_samples,
@@ -127,11 +134,11 @@ class TestEuclideanSolve:
         n, dx, x0 = 64, 22.0 / 64, -10.0
         a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
         b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
-        prob = _DensityProblem(boltzmann, a, b, 0.0, _uniform_times(15), 4 * n)
+        prob = _DensityProblem(boltzmann, a, b, 0.0, _uniform_times(15), n)
         _, w = _steps_and_weights(prob.times)
         for eps in (0.0, 0.2):
             res = solve(boltzmann, a, b, eps, SolverOptions(n_time=15))
-            S = [prob.du * np.sum(_fisher_residuals(boltzmann.kind, Q, prob.du) ** 2)
+            S = [np.sum(prob.H * _fisher_residuals(boltzmann.kind, Q, prob.h, prob.H) ** 2)
                  for Q in prob._stack(res.decision)]
             assert res.fisher == pytest.approx(0.5 * float(w @ S), rel=1e-12)
             assert res.cost == res.kinetic + eps**2 * res.fisher
@@ -192,14 +199,15 @@ def _double_well(with_hess: bool):
         lam=-1.0, dim=2, hess_v=hess))
 
 
-def _fisher_residuals(kind, Q, du):
-    """Quantile-space slope residuals R_k; analytic, so complex-step exact."""
-    G = np.diff(Q) / du
+def _fisher_residuals(kind, Q, h, H):
+    """Quantile-space slope residuals R_k on nodes with spacings ``h`` and
+    dual widths ``H``; analytic, so complex-step exact."""
+    G = np.diff(Q) / h
     if kind.name == "boltzmann":
         A = 1.0 - np.log(G)
     else:
         A = kind.m / (kind.m - 1.0) * G ** (1.0 - kind.m)
-    return (np.diff(A) / du) / (0.5 * (G[1:] + G[:-1]))
+    return (np.diff(A) / H) / (0.5 * (G[1:] + G[:-1]))
 
 
 def _steps_and_weights(times):
@@ -275,24 +283,48 @@ class TestDensityModel:
         times = np.linspace(0.0, 1.0, 7) ** 1.5  # 5 interior nodes, non-uniform
         eps, m = 0.5, 12
         prob = _DensityProblem(be, a, b, eps, times, m)
-        nI, du = prob.n_interior, prob.du
+        nI, w, H = prob.n_interior, prob.row_mass, prob.H
         z0 = prob.geodesic_z()
         rng = np.random.default_rng(4)
         min_inc = np.min(np.diff(z0.reshape(nI, m), axis=1))
         z0 = z0 + 0.2 * min_inc * rng.standard_normal(z0.size)
-        dts, w = _steps_and_weights(times)
+        dts, wt = _steps_and_weights(times)
         model = np.zeros((nI * m, nI * m))
-        h = 1e-30
+        step = 1e-30
         for i, Q in enumerate(z0.reshape(nI, m)):
-            J = np.array([_fisher_residuals(be.kind, Q + 1j * h * e, du).imag / h
+            J = np.array([_fisher_residuals(be.kind, Q + 1j * step * e, prob.h, H).imag / step
                           for e in np.eye(m)]).T
             blk = slice(i * m, (i + 1) * m)
-            model[blk, blk] = (du * (1.0 / dts[i] + 1.0 / dts[i + 1]) * np.eye(m)
-                               + eps**2 * w[i + 1] * du * J.T @ J)
+            model[blk, blk] = ((1.0 / dts[i] + 1.0 / dts[i + 1]) * np.diag(w)
+                               + eps**2 * wt[i + 1] * J.T @ (H[:, None] * J))
             if i + 1 < nI:
                 nxt = slice((i + 1) * m, (i + 2) * m)
-                model[blk, nxt] = model[nxt, blk] = -du / dts[i + 1] * np.eye(m)
+                model[blk, nxt] = model[nxt, blk] = -np.diag(w) / dts[i + 1]
         _dense_model_check(prob, z0, model)
+
+
+class TestGradedNodes:
+    def test_packed_gaussian_fisher(self, boltzmann):
+        # the quantile-space Fisher of N(m, s^2) is 1/s^2; the packed end
+        # rows at m = 256 measure 2.4e-3 (s = 1) and 3.5e-3 (s = 2) below
+        # it, where uniform midpoints lose 7e-2 to the dropped tails
+        a, b = gaussian_on(SWEEP, 0.0, 1.0), gaussian_on(SWEEP, 2.0, 2.0)
+        prob = _DensityProblem(boltzmann, a, b, 0.1, _uniform_times(3), 256)
+        S, _ = prob._slope_sq(prob._stack(prob.geodesic_z()))
+        assert S[0] == pytest.approx(1.0, rel=4e-3)
+        assert S[-1] == pytest.approx(0.25, rel=4e-3)
+        assert abs(np.sum(prob.row_mass) - 1.0) <= 1e-15
+        np.testing.assert_allclose(prob.u + prob.u[::-1], 1.0, rtol=0.0, atol=1e-15)
+
+
+class TestModelFactorization:
+    def test_indefinite_band_names_the_model(self):
+        # lower band of [[1, 2, 0], [2, -1, 0], [0, 0, 1]]: the second
+        # leading minor is -5
+        ab = np.array([[1.0, -1.0, 1.0], [2.0, 0.0, 0.0]], order="F")
+        with pytest.raises(EntrogeoError, match=r"^stand-in model: .* not positive definite "
+                                                r"\(leading minor 2 of 3\)$"):
+            _banded_cholesky_solver(ab, "stand-in model")
 
 
 class TestDensitySolve:
@@ -440,42 +472,36 @@ class TestQuantileSamples:
             _quantile_samples([ds[0], other], np.array([0.5]))
 
 
+def _density_fd_check(prob, seed, trials):
+    """Adjoint gradient against central differences at bounded random
+    perturbations of the geodesic, which keep every increment positive; the
+    step is a fixed fraction of the smallest increment."""
+    rng = np.random.default_rng(seed)
+    z0 = prob.geodesic_z()
+    min_inc = np.min(np.diff(z0.reshape(prob.n_interior, prob.m), axis=1))
+    for trial in range(trials):
+        z = z0 + 0.2 * min_inc * rng.uniform(-1.0, 1.0, z0.size)
+        _, g = prob.value_grad(z)
+        k = rng.integers(z.size)
+        h = 1e-4 * np.min(np.diff(z.reshape(prob.n_interior, prob.m), axis=1))
+        e = np.zeros_like(z)
+        e[k] = h
+        fd = (prob.value_grad(z + e)[0] - prob.value_grad(z - e)[0]) / (2 * h)
+        assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
 class TestDensityGradient:
     def test_adjoint_gradient_matches_finite_differences(self, boltzmann):
         n, dx, x0 = 128, 22.0 / 128, -10.0
         a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
         b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
-        prob = _DensityProblem(boltzmann, a, b, 0.1, _uniform_times(7), 64)
-        rng = np.random.default_rng(5)
-        z0 = prob.geodesic_z()
-        min_inc = np.min(np.diff(z0.reshape(prob.n_interior, prob.m), axis=1))
-        for trial in range(20):
-            z = z0 + 0.2 * min_inc * rng.standard_normal(z0.size)
-            _, g = prob.value_grad(z)
-            k = rng.integers(z.size)
-            h = 1e-7 * max(1.0, abs(z[k]))
-            e = np.zeros_like(z)
-            e[k] = h
-            fd = (prob.value_grad(z + e)[0] - prob.value_grad(z - e)[0]) / (2 * h)
-            assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        _density_fd_check(_DensityProblem(boltzmann, a, b, 0.1, _uniform_times(7), 64), 5, 20)
 
     def test_porous_gradient_matches_finite_differences(self, porous2):
         n, dx, x0 = 128, 22.0 / 128, -10.0
         a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
         b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
-        prob = _DensityProblem(porous2, a, b, 0.1, _uniform_times(7), 64)
-        rng = np.random.default_rng(6)
-        z0 = prob.geodesic_z()
-        min_inc = np.min(np.diff(z0.reshape(prob.n_interior, prob.m), axis=1))
-        for trial in range(10):
-            z = z0 + 0.2 * min_inc * rng.standard_normal(z0.size)
-            _, g = prob.value_grad(z)
-            k = rng.integers(z.size)
-            h = 1e-7 * max(1.0, abs(z[k]))
-            e = np.zeros_like(z)
-            e[k] = h
-            fd = (prob.value_grad(z + e)[0] - prob.value_grad(z - e)[0]) / (2 * h)
-            assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        _density_fd_check(_DensityProblem(porous2, a, b, 0.1, _uniform_times(7), 64), 6, 10)
 
     def test_infeasible_trial_returns_inf(self, boltzmann):
         n, dx, x0 = 64, 22.0 / 64, -10.0
@@ -496,6 +522,18 @@ class TestSolverOptions:
             SolverOptions(grad_tol=0.0)
         with pytest.raises(DomainError):
             SolverOptions(warm_start="sideways")
+
+    @pytest.mark.parametrize("qp", [0, 1, 2, -5])
+    def test_too_few_quantile_points_rejected(self, qp):
+        with pytest.raises(DomainError, match="quantile_points must be at least 3"):
+            SolverOptions(quantile_points=qp)
+
+    def test_quantile_points_floor_solves(self, boltzmann):
+        a = GridDensity.gaussian(0.0, 1.0, 64, 22.0 / 64, -10.0)
+        b = GridDensity.gaussian(2.0, 2.0, 64, 22.0 / 64, -10.0)
+        res = solve(boltzmann, a, b, 0.1, SolverOptions(n_time=7, quantile_points=3))
+        assert res.decision.size == 7 * 3
+        assert res.fisher > 0.0
 
     def test_explicit_warm_start_curve(self, quad1d):
         warm = geodesic_curve(quad1d, np.array([1.0]), np.array([2.0]), 16)
