@@ -12,9 +12,9 @@ is integrated *exactly* segment by segment (the integrand is quadratic
 between merged quantile breakpoints).  On the circle the distance is
 minimized over the n cell-edge cuts.  The cost of the cut at edge k is a
 convex function of the CDF shift ``F_a(x_k) - F_b(x_k)`` (Delon, Salomon &
-Sobolevski 2010), so a bisection over the cuts sorted by that shift finds
-the least one, with roundoff ties settled by evaluating every cut left in
-the bracket.  The search runs for many pairs in lockstep, one vectorized
+Sobolevski 2010) whose slope the cut kernel returns with the cost, so a
+bisection on the sign of that slope over the cuts sorted by shift finds the
+least one.  The search runs for many pairs in lockstep, one vectorized
 pass of the cut kernel per round: ``Density1DBackend.distances`` batches
 every pair on one circle grid.
 
@@ -234,37 +234,37 @@ def _rolled_cdf_nodes(d: GridDensity, cut: int):
 
 
 # merged CDF breakpoints (2n per cut) evaluated at once: bounds the working
-# memory of the cut kernel and of one block of circle searches
+# memory of the cut kernel and of one block of circle searches, whose
+# bisection rounds take one cut per pair
 _CUT_BLOCK = 1 << 13
-# a probe pair whose costs agree to this relative tolerance is a tie the
-# comparison cannot order
-_TIE_RTOL = 1e-14
-# CDF shifts closer than this form one run: their order carries no signal
-_TIE_THETA = 1e-13
 
 
-def _cut_costs(A: np.ndarray, B: np.ndarray, cuts: np.ndarray, dx: float) -> np.ndarray:
-    """Squared interval W2 of pairs of circle densities cut open at cell edges.
+def _cut_costs(A: np.ndarray, B: np.ndarray, cuts: np.ndarray, dx: float):
+    """Squared interval W2 of pairs of circle densities cut open at cell edges,
+    and its slope in the CDF shift.
 
     ``A`` and ``B`` stack the densities of ``P`` pairs, shape ``(P, n)``.
-    Entry ``(p, k)`` of the result, shape ``(P, c)``, is
+    Entry ``(p, k)`` of ``costs``, shape ``(P, c)``, is
     ``_pairwise_quantile_l2sq`` of both densities of pair ``p`` unrolled
-    from cell edge ``cuts[p, k]``.  The ``P c`` cuts run in blocks of
-    about ``_CUT_BLOCK`` merged breakpoints.
+    from cell edge ``cuts[p, k]``, and the same entry of ``slopes`` is
+    ``phi'(theta)`` there (see ``_min_cuts``).  The ``P c`` cuts run in
+    blocks of about ``_CUT_BLOCK`` merged breakpoints.
     """
     n = A.shape[1]
     turns = np.concatenate([A, A, B, B], axis=1).ravel()  # two turns of each
     start = np.repeat(np.arange(0, turns.size, 4 * n), cuts.shape[1]) + cuts.ravel()
     rows = max(1, _CUT_BLOCK // (2 * n))
     costs = np.empty(start.size)
+    slopes = np.empty(start.size)
     for s in range(0, start.size, rows):
-        costs[s:s + rows] = _block_cut_costs(turns, start[s:s + rows], n, dx)
-    return costs.reshape(cuts.shape)
+        costs[s:s + rows], slopes[s:s + rows] = _block_cut_costs(
+            turns, start[s:s + rows], n, dx)
+    return costs.reshape(cuts.shape), slopes.reshape(cuts.shape)
 
 
-def _block_cut_costs(turns: np.ndarray, start: np.ndarray, n: int, dx: float) -> np.ndarray:
-    """Costs of the cuts whose ``n`` cells of ``a`` start at ``turns[start]``
-    and those of ``b`` at ``turns[start + 2n]``.
+def _block_cut_costs(turns: np.ndarray, start: np.ndarray, n: int, dx: float):
+    """Costs and slopes of the cuts whose ``n`` cells of ``a`` start at
+    ``turns[start]`` and those of ``b`` at ``turns[start + 2n]``.
 
     Each row merges the CDF values of both densities with a stable
     ``argsort``, keeping one 0 (from ``b``) and one 1 (from ``a``).  At
@@ -275,6 +275,8 @@ def _block_cut_costs(turns: np.ndarray, start: np.ndarray, n: int, dx: float) ->
     Both quantiles share the cut's origin, so ``Qa - Qb`` is
     ``dx (2 ca - q - f)`` at an ``a`` breakpoint and ``dx (2 ca - q + f)``
     at a ``b`` one: exact to roundoff however close the two densities are.
+    ``Qa / dx`` is ``ca`` at an ``a`` breakpoint and ``ca + f`` at a ``b``
+    one, which gives the slope ``2 int (Qa - Qb) dQa``.
     """
     q = np.arange(2 * n)
     cells = np.concatenate([q[:n], q[n:] + n])
@@ -297,6 +299,8 @@ def _block_cut_costs(turns: np.ndarray, start: np.ndarray, n: int, dx: float) ->
     f -= F0
     np.divide(np.subtract(U, F0, out=F0), f, out=f)
     del F0
+    qa = ca + f
+    np.copyto(qa, ca, where=from_a)
     np.negative(f, out=f, where=from_a)
     g = (2 * ca - q) + f
     g *= dx
@@ -306,91 +310,58 @@ def _block_cut_costs(turns: np.ndarray, start: np.ndarray, n: int, dx: float) ->
     g0 = g[:, :-1]
     g1 = g[:, 1:]
     seg = g0 + g1
+    slopes = np.sum(seg * np.diff(qa, axis=1), axis=1) * dx
+    del qa
     seg *= seg
     seg -= g0 * g1
     seg *= np.diff(U, axis=1)
-    return np.sum(seg, axis=1) / 3.0
+    return np.sum(seg, axis=1) / 3.0, slopes
 
 
 def _min_cuts(A: np.ndarray, B: np.ndarray, dx: float):
     """Least cut cost of each pair of circle densities and a cut attaining it.
 
     Cutting at edge ``k`` costs ``phi(theta_k)`` with
-    ``theta_k = F_a(x_k) - F_b(x_k)`` and ``phi`` convex, so over the cuts
-    sorted by ``theta`` the costs fall, then rise, and a bisection on the
-    sign of ``phi(p + 1) - phi(p)`` finds the least one.  It runs for all
-    pairs in lockstep, one kernel pass per round.  Exactly repeated thetas
-    are dropped.  Cells at the floor in both densities give runs of thetas
-    less than ``_TIE_THETA`` apart whose costs differ by roundoff only, so
-    the probe pair ``(p, p + 1)`` straddles the edge of the run holding
-    the midpoint, never two of its members.  A pair stops bisecting when
-    its bracket is a single run or its two probes tie to ``_TIE_RTOL``,
-    and every cut left in its bracket is evaluated in one padded pass.
-    All pairs stop once that pass fits one kernel block, so one pair at
-    small ``n`` costs a single pass over all its cuts.
+    ``theta_k = F_a(x_k) - F_b(x_k)``, where
+    ``phi(theta) = int_0^1 (Qa(u) - Qb(u - theta))^2 du`` over the
+    quantiles extended around the circle.  ``phi`` is convex and C^1, and
+    with ``g = Qa - Qb`` of the cut its slope is
+    ``phi'(theta_k) = 2 int g dQb = 2 int g dQa``: the two agree because
+    ``g`` vanishes at ``u = 0`` and ``u = 1``.  The kernel returns it with
+    each cost.  Over the cuts sorted by ``theta`` the least one lies in
+    ``[lo, hi]``, at first ``[0, n - 1]``.  Each round probes ``mid`` for
+    every pair still open, all pairs in lockstep in one kernel pass: a
+    slope below 0 sets ``lo = mid``, else ``hi = mid``.  Once
+    ``hi - lo <= 1`` the cheaper end wins, ``lo`` on a tie.  No decision
+    compares two costs, so repeated or near-equal thetas need no tie rule:
+    a sign comes out wrong only where ``|phi'|`` is at roundoff, and then
+    the bracket still holds a cut within roundoff of the least.
     """
     P, n = A.shape
     theta = (_cdf(A, dx) - _cdf(B, dx))[:, :-1]
     order = np.argsort(theta, axis=1, kind="stable")
-    sorted_theta = np.take_along_axis(theta, order, axis=1)
-    repeat = np.zeros((P, n), dtype=bool)
-    repeat[:, 1:] = sorted_theta[:, 1:] == sorted_theta[:, :-1]
-    # distinct thetas in increasing order at the front of each row
-    keep = np.argsort(repeat, axis=1, kind="stable")
-    cand = np.take_along_axis(order, keep, axis=1)
-    gap = np.diff(np.take_along_axis(sorted_theta, keep, axis=1), axis=1) >= _TIE_THETA
-    # first and last index of the run of close thetas around each index
-    idx = np.arange(n)
-    starts = np.ones((P, n), dtype=bool)
-    starts[:, 1:] = gap
-    ends = np.ones((P, n), dtype=bool)
-    ends[:, :-1] = gap
-    run_lo = np.maximum.accumulate(np.where(starts, idx, 0), axis=1)
-    run_hi = n - 1 - np.maximum.accumulate(np.where(ends[:, ::-1], idx, 0), axis=1)[:, ::-1]
     lo = np.zeros(P, dtype=int)
-    hi = n - 1 - np.count_nonzero(repeat, axis=1)
-    cost = np.full(P, np.nan)
-    cut = np.zeros(P, dtype=int)
-    tied = np.zeros(P, dtype=bool)
-    block_rows = max(1, _CUT_BLOCK // (2 * n))
+    hi = np.full(P, n - 1)
+    # cost of each bracket end, nan until that end is probed
+    ends = np.full((P, 2), np.nan)
     while True:
-        act = np.flatnonzero((lo < hi) & ~tied)
+        act = np.flatnonzero(hi - lo > 1)
         if act.size == 0:
             break
-        pending = np.flatnonzero((lo < hi) | tied)
-        if pending.size * (np.max(hi[pending] - lo[pending]) + 1) <= block_rows:
-            # every bracket left fits one kernel block: evaluate them whole
-            tied[act] = True
-            break
         mid = (lo[act] + hi[act]) // 2
-        rl, rr = run_lo[act, mid], run_hi[act, mid]
-        # the left edge of the midpoint's run, else its right edge
-        p = np.where(rl > lo[act], rl - 1, rr)
-        one_run = p >= hi[act]
-        tied[act[one_run]] = True
-        act, p = act[~one_run], p[~one_run]
-        probe = np.stack([cand[act, p], cand[act, p + 1]], axis=1)
-        c = _cut_costs(A[act], B[act], probe, dx)
-        tie = np.abs(c[:, 1] - c[:, 0]) <= _TIE_RTOL * np.max(c, axis=1)
-        tied[act[tie]] = True
-        act, p, probe, c = act[~tie], p[~tie], probe[~tie], c[~tie]
-        up = c[:, 1] < c[:, 0]
-        lo[act] = np.where(up, p + 1, lo[act])
-        hi[act] = np.where(up, hi[act], p)
-        # the end the bracket keeps was just evaluated
-        cost[act] = np.where(up, c[:, 1], c[:, 0])
-        cut[act] = np.where(up, probe[:, 1], probe[:, 0])
-    # the padded pass, which also takes pairs with one distinct theta
-    t = np.flatnonzero(tied | np.isnan(cost))
-    if t.size:
-        pos = np.minimum(lo[t, None] + np.arange(np.max(hi[t] - lo[t]) + 1), hi[t, None])
-        cuts = np.take_along_axis(cand[t], pos, axis=1)
-        c = _cut_costs(A[t], B[t], cuts, dx)
-        best = np.argmin(c, axis=1)
-        rows = np.arange(t.size)
-        cost[t] = c[rows, best]
-        cut[t] = cuts[rows, best]
-    return cost, cut
+        c, s = _cut_costs(A[act], B[act], order[act, mid, None], dx)
+        right = s[:, 0] < 0
+        lo[act[right]] = mid[right]
+        hi[act[~right]] = mid[~right]
+        ends[act, np.where(right, 0, 1)] = c[:, 0]
+    cuts = np.take_along_axis(order, np.stack([lo, hi], axis=1), axis=1)
+    todo = np.isnan(ends)
+    p, side = np.nonzero(todo)
+    if p.size:
+        ends[todo] = _cut_costs(A[p], B[p], cuts[p, side, None], dx)[0][:, 0]
+    best = (ends[:, 1] < ends[:, 0]).astype(int)[:, None]
+    return (np.take_along_axis(ends, best, axis=1)[:, 0],
+            np.take_along_axis(cuts, best, axis=1)[:, 0])
 
 
 def _require_same_grid(a: GridDensity, b: GridDensity):
@@ -412,11 +383,11 @@ def w2_distance(a: GridDensity, b: GridDensity) -> float:
 def _circle_distances(xs: list, ys: list) -> np.ndarray:
     """W2 of each pair ``(xs[p], ys[p])`` of densities on one circle grid.
 
-    The pairs are searched in blocks whose bisection rounds, two cuts per
+    The pairs are searched in blocks whose bisection rounds, one cut per
     pair, fill one block of the cut kernel.
     """
     n, dx = xs[0].n, xs[0].dx
-    step = max(1, _CUT_BLOCK // (4 * n))
+    step = max(1, _CUT_BLOCK // (2 * n))
     costs = np.empty(len(xs))
     for s in range(0, len(xs), step):
         A = np.stack([x.rho for x in xs[s:s + step]])
@@ -600,11 +571,12 @@ class Density1DBackend(SpaceBackend):
 
     def distances(self, xs, ys) -> np.ndarray:
         """``distance`` of each pair; when all points share one circle grid
-        the pairs run the batched circle search."""
+        the pairs run the batched circle search.  Each distinct point's grid
+        is checked once: a curve's chords share their nodes."""
         xs, ys = list(xs), list(ys)
         if (xs and len(xs) == len(ys) and isinstance(xs[0], GridDensity)
                 and xs[0].boundary == "periodic"
-                and all(xs[0].same_grid(p) for p in xs + ys)):
+                and all(xs[0].same_grid(p) for p in {id(p): p for p in xs + ys}.values())):
             return _circle_distances(xs, ys)
         return super().distances(xs, ys)
 

@@ -12,6 +12,7 @@ from entrogeo import (
     w2_distance,
     w2_geodesic,
 )
+from entrogeo import density1d
 from entrogeo.core import geodesic_curve
 from entrogeo.density1d import (
     _cdf_nodes,
@@ -135,7 +136,7 @@ def random_bumps(rng, n, background, widths=(0.03, 0.15)):
 
 
 def all_cut_costs(a, b):
-    return _cut_costs(a.rho[None], b.rho[None], np.arange(a.n)[None], a.dx)[0]
+    return _cut_costs(a.rho[None], b.rho[None], np.arange(a.n)[None], a.dx)[0][0]
 
 
 def plateau_pairs(rng, n, count):
@@ -209,6 +210,28 @@ class TestCircleCutCosts:
             ref = loop_cut_costs(p, q)
             assert np.max(np.abs(all_cut_costs(p, q) - ref) / ref) <= 1e-12
 
+    @pytest.mark.parametrize("n", [16, 64, 300])
+    @pytest.mark.parametrize("plateau", [False, True])
+    def test_slope_is_derivative_of_cost(self, n, plateau):
+        # phi is convex and C^1, so between neighbouring sorted thetas each
+        # secant lies between the kernel's slopes at its two ends
+        rng = np.random.default_rng(20 * n + plateau)
+        if plateau:
+            pairs = plateau_pairs(rng, n, 5)
+        else:
+            pairs = [(random_bumps(rng, n, 0.02), random_bumps(rng, n, 0.02)) for _ in range(5)]
+        for a, b in pairs:
+            costs, slopes = _cut_costs(a.rho[None], b.rho[None], np.arange(n)[None], a.dx)
+            theta = (_cdf_nodes(a)[0] - _cdf_nodes(b)[0])[:-1]
+            order = np.argsort(theta, kind="stable")
+            t, c, s = theta[order], costs[0][order], slopes[0][order]
+            dt = np.diff(t)
+            apart = dt > 1e-9
+            secant = np.diff(c)[apart] / dt[apart]
+            tol = 1e-12 * np.max(np.abs(s))
+            assert np.all(secant >= s[:-1][apart] - tol)
+            assert np.all(secant <= s[1:][apart] + tol)
+
     def test_rows_and_cut_lists_independent(self):
         # a pair's costs do not depend on the other pairs or cuts beside it
         rng = np.random.default_rng(3)
@@ -216,7 +239,7 @@ class TestCircleCutCosts:
         A = np.stack([a.rho for a, _ in pairs])
         B = np.stack([b.rho for _, b in pairs])
         cuts = rng.integers(0, 40, (3, 7))
-        costs = _cut_costs(A, B, cuts, pairs[0][0].dx)
+        costs, _ = _cut_costs(A, B, cuts, pairs[0][0].dx)
         for p, (a, b) in enumerate(pairs):
             assert np.array_equal(costs[p], all_cut_costs(a, b)[cuts[p]])
 
@@ -239,7 +262,8 @@ class TestCircleCutSearch:
             assert cost[p] <= costs.min() * (1.0 + 1e-12)
 
     def test_plateau_draws_defeat_plain_bisection(self):
-        # the tie rules are what make the search exact on these draws
+        # comparing the costs of neighbouring cuts is fooled where they tie
+        # to roundoff; the bisection on the sign of the slope stays exact
         pairs = plateau_pairs(np.random.default_rng(1), 64, 30)
         cost, _ = _min_cuts(np.stack([a.rho for a, _ in pairs]),
                             np.stack([b.rho for _, b in pairs]), pairs[0][0].dx)
@@ -249,6 +273,28 @@ class TestCircleCutSearch:
             fooled += plain_bisection(a, b) > best * (1.0 + 1e-12)
             assert c <= best * (1.0 + 1e-12)
         assert fooled > 0
+
+    @pytest.mark.parametrize("n", [8, 64, 300])
+    def test_cut_evaluations_per_pair(self, n, monkeypatch):
+        # one cut per pair per round, then at most the two bracket ends
+        evaluated = []
+        kernel = density1d._block_cut_costs
+
+        def counting(turns, start, *args):
+            evaluated.append(start.size)
+            return kernel(turns, start, *args)
+
+        monkeypatch.setattr(density1d, "_block_cut_costs", counting)
+        rng = np.random.default_rng(n)
+        pairs = plateau_pairs(rng, n, 4)
+        pairs += [(random_bumps(rng, n, 0.02), random_bumps(rng, n, 0.02)) for _ in range(4)]
+        _min_cuts(np.stack([a.rho for a, _ in pairs]),
+                  np.stack([b.rho for _, b in pairs]), pairs[0][0].dx)
+        assert sum(evaluated) <= len(pairs) * (math.ceil(math.log2(n - 1)) + 2)
+        for a, b in pairs:
+            evaluated.clear()
+            _min_cuts(a.rho[None], b.rho[None], a.dx)
+            assert sum(evaluated) <= math.ceil(math.log2(n - 1)) + 2
 
     def test_identical_densities(self):
         a = random_bumps(np.random.default_rng(4), 16, 0.0)
@@ -273,6 +319,22 @@ class TestDistances:
         ys = [q for _ in pts for q in pts][:300]
         d = porous2.distances(xs, ys)
         assert d.tolist() == [porous2.distance(x, y) for x, y in zip(xs, ys)]
+
+    def test_each_distinct_point_checked_once(self, porous2, monkeypatch):
+        rng = np.random.default_rng(9)
+        pts = [random_bumps(rng, 32, 0.0) for _ in range(5)]
+        checked = []
+        same_grid = GridDensity.same_grid
+
+        def counting(self, other):
+            checked.append(other)
+            return same_grid(self, other)
+
+        monkeypatch.setattr(GridDensity, "same_grid", counting)
+        xs = [p for p in pts for _ in pts]
+        ys = [q for _ in pts for q in pts]
+        porous2.distances(xs, ys)
+        assert len(checked) == len(pts)
 
     def test_grid_mismatch_rejected(self, porous2):
         a = random_bumps(np.random.default_rng(7), 32, 0.0)
