@@ -260,7 +260,7 @@ def _verify_density(backend: Density1DBackend, grid, properties, tol) -> dict:
     a, b = gauss(0.45, 0.05), gauss(0.6, 0.09)
 
     def local_global():
-        return mix, [backend.flow(mix, s) for s in (0.05, 0.1)] + [
+        return mix, backend.flows([mix, mix], [0.05, 0.1]) + [
             backend.geodesic(mix, g_mid, th) for th in (0.25, 0.5, 0.75)
         ] + [g_mid, g_off]
 

@@ -45,7 +45,10 @@ class SpaceBackend:
     ``lam`` is the contraction parameter of the EVI flow: the semigroup
     satisfies ``d(S_t x, S_t y) <= exp(-lam * t) * d(x, y)``.  Subclasses
     provide the five geometric operations below; all must be pure and
-    ``flow(x, 0)`` must return ``x`` unchanged.
+    ``flow(x, 0)`` must return ``x`` unchanged.  Three batched hooks,
+    ``distances``, ``geodesic_points`` and ``flows``, loop over
+    ``distance``, ``geodesic`` and ``flow`` by default; a backend overrides
+    them when many calls can share one pass.
     """
 
     lam: float = 0.0
@@ -74,6 +77,11 @@ class SpaceBackend:
 
     def flow(self, x, s: float):
         raise NotImplementedError
+
+    def flows(self, xs, ss) -> list:
+        """``[flow(x, s) for x, s in zip(xs, ss)]``; a backend overrides it
+        when many points can step their flows in lockstep."""
+        return [self.flow(x, s) for x, s in zip(xs, ss, strict=True)]
 
     def check_point(self, x) -> None:
         """Raise InvalidCurve if ``x`` is not a state of this space."""

@@ -267,16 +267,15 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
         raise DomainError("eps_list must be nonempty and nonnegative")
     opts = opts or SolverOptions()
 
+    eps_pos = [e for e in eps_desc if e != 0.0]
+    etas = [float(schedule(e)) for e in eps_pos]
+    if any(eta < 0 for eta in etas):
+        raise DomainError("mollification times must be nonnegative")
+    # both endpoints at every time in one flows call
+    flowed = backend.flows([x] * len(etas) + [y] * len(etas), etas + etas)
     prev_term = math.inf
     mollified = []
-    for e in eps_desc:
-        if e == 0.0:
-            continue
-        eta = float(schedule(e))
-        if eta < 0:
-            raise DomainError("mollification times must be nonnegative")
-        xe = backend.flow(x, eta) if eta > 0 else x
-        ye = backend.flow(y, eta) if eta > 0 else y
+    for e, eta, xe, ye in zip(eps_pos, etas, flowed, flowed[len(etas):]):
         term = e * (backend.entropy(xe) + backend.entropy(ye))
         if term > term_tol and term > prev_term + 1e-12:
             raise ScheduleRejected(

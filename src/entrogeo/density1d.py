@@ -28,11 +28,17 @@ Two entropy functionals are supported, with their slopes and flows:
 Both flows contract W2 with lambda = 0 on these flat domains.  Heat steps
 are backward Euler with substep <= dx^2/2; the porous medium uses a
 lagged-coefficient semi-implicit scheme.  Each implicit step solves a
-symmetric positive-definite tridiagonal system, factored with LAPACK
-``dpttrf`` and solved with ``dpttrs``; on the circle the wrap face is split
-off by a Sherman-Morrison correction.  Densities are clamped to the
-floor and renormalized after every substep (log rho and 1/rho would blow
-up otherwise).
+symmetric positive-definite tridiagonal system with LAPACK ``dpttrf`` and
+``dpttrs``; on the circle the wrap face is split off by a Sherman-Morrison
+correction.  Densities are clamped to the floor and renormalized after
+every substep (log rho and 1/rho would blow up otherwise).  ``flows`` steps
+many densities on one grid in lockstep, and ``flow`` is ``flows`` of one
+density: the systems of all rows still stepping are stacked into one
+tridiagonal system whose blocks are joined by zero off-diagonals, so one
+``dpttrs`` call per substep (heat factors the stack once, the porous
+medium refactors it every substep) gives every row bit for bit what it
+would get alone.  ``Density1DBackend.flows`` runs the flows of a curve's
+nodes or of a certificate's sample times this way.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ __all__ = [
     "GridDensity",
     "entropy",
     "flow",
+    "flows",
     "slope",
     "w2_distance",
     "w2_geodesic",
@@ -66,15 +73,18 @@ DENSITY_FLOOR = 1e-12
 _BOUNDARIES = ("periodic", "no-flux")
 
 
-def _project(rho: np.ndarray, dx: float, floor: float) -> np.ndarray:
-    """Clamp to the floor and renormalize to unit mass.
+def _project(rho: np.ndarray, dx, floor) -> np.ndarray:
+    """Clamp to the floor and renormalize each row to unit mass.
 
-    The second clamp fixes the values the renormalization pushed below the
-    floor; the mass defect it reintroduces is O(n * floor * dx * 1e-9),
-    far below the 1e-12 mass tolerance.
+    ``dx`` and ``floor`` are scalars or one value per row.  A reduction
+    along contiguous rows sums each row in the pairwise order of the 1-D
+    sum, so a stack of rows projects bit for bit like each row alone.  The
+    second clamp fixes the values the renormalization pushed below the
+    floor; the mass defect it reintroduces is O(n * floor * dx * 1e-9), far
+    below the 1e-12 mass tolerance.
     """
     out = np.maximum(rho, floor)
-    out = out / (out.sum() * dx)
+    out = out / (out.sum(axis=-1, keepdims=True) * dx)
     return np.maximum(out, floor)
 
 
@@ -364,6 +374,13 @@ def _min_cuts(A: np.ndarray, B: np.ndarray, dx: float):
             np.take_along_axis(cuts, best, axis=1)[:, 0])
 
 
+def _on_one_grid(ds: list) -> bool:
+    """Whether every density of ``ds`` lies on the grid of the first.  Each
+    distinct point is checked once: the rows of a batched call (a curve's
+    chords, the flows of one point to many times) share their points."""
+    return all(ds[0].same_grid(d) for d in {id(d): d for d in ds}.values())
+
+
 def _require_same_grid(a: GridDensity, b: GridDensity):
     if not a.same_grid(b):
         raise GridMismatch("densities live on different grids")
@@ -471,92 +488,133 @@ def slope(kind: EntropyKind, d: GridDensity) -> float:
 
 # -- gradient flows --------------------------------------------------------
 
-def _step_solver(dx: float, boundary: str, ds: float, a: np.ndarray):
-    """``r -> (I - ds div(a grad .))^{-1} r``, one implicit step.
+def _implicit_step(dx: np.ndarray, boundary: str, ds: np.ndarray, a: np.ndarray):
+    """One implicit step of every row of a stack,
+    ``r_i -> (I - ds_i div(a_i grad .))^{-1} r_i``, as one tridiagonal system.
 
-    ``a`` holds the n face values (periodic, face i between cells i and
-    i+1) or the n-1 interior face values (no-flux).  The matrix is
-    symmetric positive definite and its columns sum to one, so the steps
-    conserve mass exactly.  Its tridiagonal part is factored once with
-    LAPACK ``dpttrf`` and every right-hand side is solved with ``dpttrs``.
+    ``dx`` and ``ds`` are columns, one value per row; ``a`` holds each
+    row's n face values (periodic, face j between cells j and j+1) or n-1
+    interior face values (no-flux).  Each block is symmetric positive
+    definite and its columns sum to one, so the steps conserve mass
+    exactly.  The blocks are joined by zero off-diagonals, so LAPACK
+    ``dpttrf`` and ``dpttrs`` do exactly the arithmetic of each block on
+    its own and every row comes out bit for bit as if stepped alone.  The
+    stack is factored once; the returned solve takes the first ``p`` rows
+    of the stack, ``(p, n)``, and solves with the blocks those rows own.
     On the circle the wrap face is split off by Sherman-Morrison:
     ``M = T' + w u u^T`` with ``u = e_0 + e_{n-1}``, ``w = -ds a_{n-1}/dx^2``
     and ``T'`` the tridiagonal part with both end diagonals raised by
-    ``|w|``, which costs one more solve per factorization.  For n = 2,
-    where the wrap face joins the same two cells as the inner face, ``u``
-    is the all-ones vector and the split adds ``w`` to the off-diagonal
-    as well, so no special case is needed.
+    ``|w|``, which costs one more stacked solve per factorization.  For
+    n = 2, where the wrap face joins the same two cells as the inner face,
+    ``u`` is the all-ones vector and the split adds ``w`` to the
+    off-diagonal as well, so no special case is needed.  A block that is
+    not positive definite raises ``FlowDiverged`` naming its row of the
+    stack and its leading minor.
     """
     c = ds / (dx * dx)
     wrap = boundary == "periodic"
-    inner = a[:-1] if wrap else a
-    d = np.ones(inner.size + 1)
-    d[:-1] += c * inner
-    d[1:] += c * inner
+    inner = a[:, :-1] if wrap else a
+    rows, n = inner.shape[0], inner.shape[1] + 1
+    d = np.ones((rows, n))
+    d[:, :-1] += c * inner
+    d[:, 1:] += c * inner
     if wrap:
-        d[[0, -1]] += 2.0 * c * a[-1]
-    d, e, info = dpttrf(d, -c * inner, overwrite_d=1, overwrite_e=1)
-    if info != 0:
-        raise FlowDiverged(f"implicit flow step is not positive definite (dpttrf info {info})")
+        d[:, [0, -1]] += 2.0 * c * a[:, -1:]
+    e = np.zeros((rows, n))
+    e[:, :-1] = -c * inner
+    d, e, info = dpttrf(d.ravel(), e.ravel()[:-1], overwrite_d=1, overwrite_e=1)
+    if info > 0:
+        row, minor = divmod(info - 1, n)
+        raise FlowDiverged(f"implicit flow step of row {row} is not positive "
+                           f"definite (dpttrf info {minor + 1})")
 
     def solve(r: np.ndarray) -> np.ndarray:
-        return dpttrs(d, e, r)[0]
+        p = r.shape[0]
+        return dpttrs(d[:p * n], e[:p * n - 1], r.ravel())[0].reshape(p, n)
 
     if not wrap:
         return solve
-    w = -c * a[-1]
-    u = np.zeros(d.size)
-    u[[0, -1]] = 1.0
+    w = -c[:, 0] * a[:, -1]
+    u = np.zeros((rows, n))
+    u[:, [0, -1]] = 1.0
     z = solve(u)
-    z *= w / (1.0 + w * (z[0] + z[-1]))
+    z *= (w / (1.0 + w * (z[:, 0] + z[:, -1])))[:, None]
 
     def solve_wrapped(r: np.ndarray) -> np.ndarray:
         y = solve(r)
-        return y - (y[0] + y[-1]) * z
+        return y - (y[:, :1] + y[:, -1:]) * z[:y.shape[0]]
 
     return solve_wrapped
 
 
 def _face_values(r: np.ndarray, boundary: str) -> np.ndarray:
     if boundary == "periodic":
-        return 0.5 * (r + np.roll(r, -1))
-    return 0.5 * (r[:-1] + r[1:])
+        return 0.5 * (r + np.roll(r, -1, axis=-1))
+    return 0.5 * (r[..., :-1] + r[..., 1:])
 
 
 def flow(kind: EntropyKind, d: GridDensity, s: float) -> GridDensity:
-    """Entropy gradient flow for time ``s``: heat or porous-medium equation."""
-    if s < 0:
+    """Entropy gradient flow for time ``s``: heat or porous-medium equation
+    (``flows`` of one density)."""
+    return flows(kind, [d], [s])[0]
+
+
+def flows(kind: EntropyKind, ds, ss) -> list:
+    """``flow`` of each density ``ds[i]`` for its time ``ss[i]``, all in
+    lockstep on their common grid.
+
+    A zero time returns the density itself.  Every other row takes
+    ``nsub`` substeps of length ``ds = s / nsub``, with ``nsub`` the least
+    count whose substep stays under the row's stability cap (``dx^2 / 2``
+    for heat, ``dx^2 / (m max(rho)^(m-1))`` for the porous medium).  The
+    rows are ordered by ``nsub``, descending and stable, so the rows still
+    stepping are always a prefix of the stack, and each round is one
+    stacked ``_implicit_step`` of that prefix: heat factors the whole stack
+    once, the porous medium refactors the prefix with its lagged face
+    coefficients.  Every row comes out bit for bit as if flowed alone.
+    """
+    ds, ss = list(ds), [float(s) for s in ss]
+    if len(ds) != len(ss):
+        raise DomainError(f"{len(ds)} densities for {len(ss)} flow times")
+    if any(s < 0 for s in ss):
         raise DomainError("flow time must be nonnegative")
-    if s == 0.0:
-        return d
-    dx = d.dx
+    if ds and not _on_one_grid(ds):
+        raise GridMismatch("densities live on different grids")
+    out = list(ds)
+    live = [i for i, s in enumerate(ss) if s != 0.0]
+    if not live:
+        return out
 
-    if kind.name == "boltzmann":
-        cap = 0.5 * dx * dx
-        nsub = max(1, int(math.ceil(s / cap)))
-        ds = s / nsub
-        faces = d.n if d.boundary == "periodic" else d.n - 1
-        step = _step_solver(dx, d.boundary, ds, np.ones(faces))
-        r = d.rho.copy()
-        for _ in range(nsub):
-            r = step(r)
-            if not np.all(np.isfinite(r)):
-                raise FlowDiverged("heat step produced non-finite density")
-            r = _project(r, dx, d.floor)
-        return d.with_rho(r)
-
+    heat = kind.name == "boltzmann"
     m = kind.m
-    cap = dx * dx / (m * float(np.max(d.rho)) ** (m - 1.0))
-    nsub = max(1, int(math.ceil(s / cap)))
-    ds = s / nsub
-    r = d.rho.copy()
-    for _ in range(nsub):
-        a = m * _face_values(r, d.boundary) ** (m - 1.0)
-        r = _step_solver(dx, d.boundary, ds, a)(r)
-        if not np.all(np.isfinite(r)):
-            raise FlowDiverged("porous-medium step produced non-finite density")
-        r = _project(r, dx, d.floor)
-    return d.with_rho(r)
+    nsub = {}
+    for i in live:
+        dx = ds[i].dx
+        cap = 0.5 * dx * dx if heat else dx * dx / (m * float(np.max(ds[i].rho)) ** (m - 1.0))
+        nsub[i] = max(1, int(math.ceil(ss[i] / cap)))
+    live.sort(key=lambda i: -nsub[i])
+    steps = np.array([nsub[i] for i in live])
+    dt = np.array([ss[i] / nsub[i] for i in live])[:, None]
+    dx = np.array([ds[i].dx for i in live])[:, None]
+    floor = np.array([ds[i].floor for i in live])[:, None]
+    boundary = ds[0].boundary
+    r = np.stack([ds[i].rho for i in live])
+    if heat:
+        faces = r.shape[1] if boundary == "periodic" else r.shape[1] - 1
+        step = _implicit_step(dx, boundary, dt, np.ones((len(live), faces)))
+    for k in range(steps[0]):
+        p = int(np.count_nonzero(steps > k))
+        if not heat:
+            a = m * _face_values(r[:p], boundary) ** (m - 1.0)
+            step = _implicit_step(dx[:p], boundary, dt[:p], a)
+        y = step(r[:p])
+        if not np.all(np.isfinite(y)):
+            raise FlowDiverged(
+                f"{'heat' if heat else 'porous-medium'} step produced non-finite density")
+        r[:p] = _project(y, dx[:p], floor[:p])
+    for i, row in zip(live, r):
+        out[i] = ds[i].with_rho(row)
+    return out
 
 
 class Density1DBackend(SpaceBackend):
@@ -575,8 +633,7 @@ class Density1DBackend(SpaceBackend):
         is checked once: a curve's chords share their nodes."""
         xs, ys = list(xs), list(ys)
         if (xs and len(xs) == len(ys) and isinstance(xs[0], GridDensity)
-                and xs[0].boundary == "periodic"
-                and all(xs[0].same_grid(p) for p in {id(p): p for p in xs + ys}.values())):
+                and xs[0].boundary == "periodic" and _on_one_grid(xs + ys)):
             return _circle_distances(xs, ys)
         return super().distances(xs, ys)
 
@@ -595,6 +652,9 @@ class Density1DBackend(SpaceBackend):
 
     def flow(self, x, s: float):
         return flow(self.kind, x, s)
+
+    def flows(self, xs, ss) -> list:
+        return flows(self.kind, xs, ss)
 
     def check_point(self, x) -> None:
         if not isinstance(x, GridDensity):

@@ -79,7 +79,8 @@ def evi_defect(backend: SpaceBackend, x, y, s_grid, tolerance: float = 1e-6) -> 
     ey = backend.entropy(y)
     steps = [_dt_step(float(s)) for s in s_grid]
     # per time: the flow at s + h, s - h and s, all measured to y at once
-    flows = [backend.flow(x, t) for s, h in zip(s_grid, steps) for t in (s + h, s - h, s)]
+    times = [t for s, h in zip(s_grid.tolist(), steps) for t in (s + h, s - h, s)]
+    flows = backend.flows([x] * len(times), times)
     dists = backend.distances(flows, [y] * len(flows)).reshape(-1, 3).tolist()
     worst = -math.inf
     for h, (d_plus, d_minus, d), xs in zip(steps, dists, flows[2::3]):
@@ -95,10 +96,13 @@ def contraction_report(backend: SpaceBackend, pairs, s_grid,
     s_grid = np.asarray(s_grid, dtype=float)
     lam = backend.lam
     pairs = list(pairs)
-    # one distances call: the pairs themselves, then their flows per time
-    xs = [x for x, _ in pairs] + [backend.flow(x, s) for x, _ in pairs for s in s_grid]
-    ys = [y for _, y in pairs] + [backend.flow(y, s) for _, y in pairs for s in s_grid]
-    dists = backend.distances(xs, ys).tolist()
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    times = s_grid.tolist()
+    # one flows call for both sides of every pair at every time, then one
+    # distances call: the pairs themselves, then their flows per time
+    flowed = backend.flows([p for p in xs + ys for _ in times], times * (2 * len(pairs)))
+    half = len(flowed) // 2
+    dists = backend.distances(xs + flowed[:half], ys + flowed[half:]).tolist()
     d0s, ds = dists[:len(pairs)], dists[len(pairs):]
     worst = -math.inf
     count = 0
@@ -136,7 +140,8 @@ def slope_monotonicity_report(backend: SpaceBackend, x, s_grid,
     """Worst increase of ``s -> exp(lam s) |dE|(S_s x)`` between grid points."""
     s_grid = np.asarray(s_grid, dtype=float)
     lam = backend.lam
-    vals = [math.exp(lam * s) * backend.slope(backend.flow(x, float(s))) for s in s_grid]
+    vals = [math.exp(lam * s) * backend.slope(p)
+            for s, p in zip(s_grid, backend.flows([x] * s_grid.size, s_grid.tolist()))]
     worst = max(
         (vals[i + 1] - vals[i] for i in range(len(vals) - 1)),
         default=-math.inf,
@@ -162,17 +167,13 @@ def regularization_report(backend: SpaceBackend, x, y, t_grid,
     lam = backend.lam
     sy2 = backend.slope(y) ** 2
     d2 = backend.distance(x, y) ** 2
+    times = [t for t in t_grid.tolist() if 0 < t and -lam * t < math.log(2.0)]
     worst = -math.inf
-    used = 0
-    for t in t_grid:
-        t = float(t)
-        if -lam * t >= math.log(2.0) or t <= 0:
-            continue
-        lhs = backend.slope(backend.flow(x, t)) ** 2
+    for t, p in zip(times, backend.flows([x] * len(times), times)):
+        lhs = backend.slope(p) ** 2
         rhs = sy2 / (2.0 * math.exp(lam * t) - 1.0) + d2 / _i_lam(lam, t) ** 2
         worst = max(worst, lhs - rhs)
-        used += 1
-    return _report("regularization", worst, used, tolerance)
+    return _report("regularization", worst, len(times), tolerance)
 
 
 def local_global_report(backend: SpaceBackend, x, samples,

@@ -90,16 +90,17 @@ def _h_values(h: HProfile, times: np.ndarray) -> np.ndarray:
 
 
 def build(backend: SpaceBackend, base: Curve, h: HProfile) -> RegularizedCurve:
-    """Flow every node of ``base`` for its vertical time ``h(t_i)``.
+    """Flow every node of ``base`` for its vertical time ``h(t_i)``, all
+    nodes in one ``backend.flows`` call.
 
     Nodes with ``h = 0`` are reused as-is, so vanishing endpoint profiles
     preserve the endpoints bitwise.
     """
     hv = _h_values(h, base.times)
-    pts = [
-        p if hi == 0.0 else backend.flow(p, float(hi))
-        for p, hi in zip(base.points, hv)
-    ]
+    pts = list(base.points)
+    moved = np.flatnonzero(hv).tolist()
+    for i, p in zip(moved, backend.flows([pts[i] for i in moved], hv[moved].tolist())):
+        pts[i] = p
     hv.setflags(write=False)
     return RegularizedCurve(base, hv, Curve(base.times, pts))
 

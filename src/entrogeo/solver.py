@@ -64,7 +64,7 @@ from .core import (
     geodesic_curve,
     kinetic_action,
 )
-from .density1d import Density1DBackend, EntropyKind, GridDensity, _cdf_nodes
+from .density1d import Density1DBackend, EntropyKind, GridDensity, _cdf_nodes, _on_one_grid
 from .errors import DomainError, EndpointEntropyInfinite, EntrogeoError, GridMismatch
 from .euclidean import EuclideanBackend
 from .regularizer import build as build_regularized
@@ -476,7 +476,7 @@ def _quantile_samples(ds, u: np.ndarray) -> np.ndarray:
     neighbouring cubic, which agrees there to roundoff.
     """
     d0 = ds[0]
-    if not all(d0.same_grid(d) for d in ds):
+    if not _on_one_grid(ds):
         raise GridMismatch("densities live on different grids")
     rows, n = len(ds), d0.n
     F, x = _cdf_nodes(d0, np.stack([d.rho for d in ds]))

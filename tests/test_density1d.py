@@ -17,14 +17,15 @@ from entrogeo.core import geodesic_curve
 from entrogeo.density1d import (
     _cdf_nodes,
     _cut_costs,
+    _implicit_step,
     _min_cuts,
-    _step_solver,
     _pairwise_quantile_l2sq,
     entropy,
     flow,
+    flows,
     slope,
 )
-from entrogeo.errors import DomainError, GridMismatch
+from entrogeo.errors import DomainError, FlowDiverged, GridMismatch
 
 from conftest import WIDE, gaussian_on
 
@@ -479,25 +480,76 @@ def dense_laplacian(n, dx, a):
 
 
 class TestPeriodicLaplacian:
-    """One implicit flow step solves ``(I - ds div(a grad .)) x = r``."""
+    """One stacked implicit step solves ``(I - ds_i div(a_i grad .)) x_i = r_i``
+    for every row ``i`` of the stack."""
 
     boundary = "periodic"
 
     @pytest.mark.parametrize("n", [2, 3, 64])
     @pytest.mark.parametrize("unit", [True, False])
     def test_matches_dense_reference(self, n, unit):
-        dx, ds = 0.3, 0.5
+        dx = 0.3
+        ds = np.array([[0.5], [0.05], [1.3]])
         rng = np.random.default_rng(n)
         faces = n if self.boundary == "periodic" else n - 1
-        a = np.ones(faces) if unit else rng.uniform(0.5, 2.0, faces)
-        r = rng.uniform(0.1, 1.0, n)
-        ref = np.linalg.solve(np.eye(n) - ds * dense_laplacian(n, dx, a), r)
-        np.testing.assert_allclose(_step_solver(dx, self.boundary, ds, a)(r), ref,
-                                   rtol=1e-13, atol=0.0)
+        a = np.ones((3, faces)) if unit else rng.uniform(0.5, 2.0, (3, faces))
+        r = rng.uniform(0.1, 1.0, (3, n))
+        ref = np.array([np.linalg.solve(np.eye(n) - s * dense_laplacian(n, dx, ai), ri)
+                        for s, ai, ri in zip(ds[:, 0], a, r)])
+        step = _implicit_step(np.full((3, 1), dx), self.boundary, ds, a)
+        np.testing.assert_allclose(step(r), ref, rtol=1e-13, atol=0.0)
+        # a prefix of the stack solves with the blocks its rows own
+        np.testing.assert_allclose(step(r[:2]), ref[:2], rtol=1e-13, atol=0.0)
+
+    def test_row_not_positive_definite_named(self):
+        n = 8
+        faces = n if self.boundary == "periodic" else n - 1
+        a = np.ones((3, faces))
+        # cells 3 and 4 of row 1 get diagonal 1 + (ds/dx^2)(1 - 10) < 0
+        a[1, 3] = -10.0
+        with pytest.raises(FlowDiverged, match=r"row 1 is not positive definite \(dpttrf info 4\)"):
+            _implicit_step(np.full((3, 1), 0.3), self.boundary, np.full((3, 1), 0.5), a)
 
 
 class TestNoFluxLaplacian(TestPeriodicLaplacian):
     boundary = "no-flux"
+
+
+class TestFlows:
+    @pytest.mark.parametrize("kind", [KB, KP, EntropyKind.porous_medium(1.5)],
+                             ids=["boltzmann", "m2", "m1.5"])
+    @pytest.mark.parametrize("boundary", ["periodic", "no-flux"])
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_bitwise_per_point(self, kind, boundary, n):
+        rng = np.random.default_rng(n)
+        pts = [GridDensity(rng.uniform(0.1, 1.0, n), 4.0 / n, -2.0, boundary, normalize=True)
+               for _ in range(3)]
+        # a repeated point, a repeated time, a zero time and rows that stop
+        # stepping at different rounds
+        xs = [pts[0], pts[1], pts[0], pts[2], pts[1], pts[0]]
+        ss = [0.01, 0.0, 0.01, 0.05, 0.002, 0.03]
+        out = flows(kind, xs, ss)
+        assert out[1] is xs[1]
+        for x, s, y in zip(xs, ss, out):
+            assert np.array_equal(y.rho, flow(kind, x, s).rho)
+
+    def test_zero_time_returns_input(self):
+        d = gaussian_on(WIDE, 0.0, 1.0)
+        assert flows(KP, [d, d], [0.0, 0.0])[1] is d
+
+    def test_empty(self):
+        assert flows(KB, [], []) == []
+
+    def test_negative_time_rejected(self):
+        d = gaussian_on(WIDE, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            flows(KB, [d, d], [0.1, -0.1])
+
+    def test_grid_mismatch_rejected(self):
+        a = gaussian_on(WIDE, 0.0, 1.0)
+        b = GridDensity.gaussian(0.0, 1.0, 256, 20.0 / 256, -10.0)
+        with pytest.raises(GridMismatch):
+            flows(KB, [a, b], [0.1, 0.1])
 
 
 class TestFlowInvariants:

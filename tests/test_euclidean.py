@@ -44,6 +44,17 @@ class TestQuadraticFlow:
         np.testing.assert_allclose(a, b, atol=1e-8)
 
 
+class TestFlows:
+    @pytest.mark.parametrize("backend", ["quad2d", "quartic"])
+    def test_equals_loop_over_flow(self, backend, quad2d):
+        be = quad2d if backend == "quad2d" else EuclideanBackend(quartic_potential())
+        rng = np.random.default_rng(3)
+        xs = [rng.uniform(-1.0, 1.0, be.dim) for _ in range(4)]
+        ss = [0.3, 0.0, 0.3, 1.1]
+        for got, x, s in zip(be.flows(xs, ss), xs, ss, strict=True):
+            np.testing.assert_array_equal(got, be.flow(x, s))
+
+
 class TestUserFlow:
     def test_zero_time_identity(self):
         pot = quartic_potential()

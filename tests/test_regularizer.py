@@ -55,6 +55,21 @@ class TestBuild:
         with pytest.raises(DomainError):
             build(quad1d, base, np.array([0.0, -0.1, 0.1, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("boundary", ["no-flux", "periodic"])
+    def test_equals_per_node_flow(self, porous2, boltzmann, boundary):
+        backend = boltzmann if boundary == "no-flux" else porous2
+        a = gaussian_on(SWEEP, 0.0, 1.0, boundary)
+        b = gaussian_on(SWEEP, 2.0, 1.5, boundary)
+        base = geodesic_curve(backend, a, b, 16)
+        h = HatFunction.with_slope(0.1)
+        reg = build(backend, base, h)
+        for t, p, q in zip(base.times, base.points, reg.tilde.points):
+            ht = h(float(t))
+            if ht == 0.0:
+                assert q is p
+            else:
+                assert np.array_equal(q.rho, backend.flow(p, ht).rho)
+
     def test_gaussian_heat_law_at_midpoint(self, boltzmann):
         a = gaussian_on(SWEEP, 0.0, 1.0)
         b = gaussian_on(SWEEP, 2.0, 1.0)
