@@ -161,6 +161,18 @@ _WOLFE_DELTA = 0.1
 _WOLFE_SIGMA = 0.9
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``sum(a * b)`` by numpy's pairwise sum, never by BLAS.
+
+    A threaded BLAS ``ddot`` splits long vectors among its threads, so its
+    rounding, and every output downstream of it, would depend on the thread
+    count.  Every reduction of the descent and of the action goes through
+    here; BLAS and LAPACK serve only the banded Cholesky factorization and
+    solve of the model and the Euclidean model's small matrix products.
+    """
+    return float(np.sum(a * b))
+
+
 def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
     """Limited-memory BFGS with a backtracking line search.
 
@@ -196,17 +208,17 @@ def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
         d = -g.copy()
         alphas = []
         for s, y, rho in zip(reversed(s_mem), reversed(y_mem), reversed(rho_mem)):
-            a = rho * (s @ d)
+            a = rho * _dot(s, d)
             d -= a * y
             alphas.append(a)
         d = precond(d)
         for (s, y, rho), a in zip(zip(s_mem, y_mem, rho_mem), reversed(alphas)):
-            b = rho * (y @ d)
+            b = rho * _dot(y, d)
             d += (a - b) * s
-        gd = float(g @ d)
+        gd = _dot(g, d)
         if gd >= 0:
             d = -g
-            gd = -float(g @ g)
+            gd = -_dot(g, g)
 
         step = 1.0
         accepted = False
@@ -217,7 +229,7 @@ def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
             if math.isfinite(v_try) and (
                 v_try <= v + _ARMIJO_C * step * gd
                 or (v_try <= v + floor
-                    and _WOLFE_SIGMA * gd <= float(g_try @ d)
+                    and _WOLFE_SIGMA * gd <= _dot(g_try, d)
                     <= (2.0 * _WOLFE_DELTA - 1.0) * gd)
             ):
                 accepted = True
@@ -228,8 +240,8 @@ def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
 
         s_vec = z_try - z
         y_vec = g_try - g
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-10 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
+        sy = _dot(s_vec, y_vec)
+        if sy > 1e-10 * math.sqrt(_dot(s_vec, s_vec)) * math.sqrt(_dot(y_vec, y_vec)):
             s_mem.append(s_vec)
             y_mem.append(y_vec)
             rho_mem.append(1.0 / sy)
@@ -330,7 +342,7 @@ class _Problem:
         grad *= 0.5 * self.eps**2 * self.weights[1:-1, None]
         grad += mom[:-1]
         grad -= mom[1:]
-        return kin, 0.5 * float(self.weights @ S), grad.ravel()
+        return kin, 0.5 * _dot(self.weights, S), grad.ravel()
 
     def _kinetic_bands(self):
         """Diagonal and off-diagonal of the kinetic Hessian in time, one

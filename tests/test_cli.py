@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entrogeo
 from entrogeo.cli import main
 from entrogeo.fileio import read_curve_csv
 from entrogeo.solver import _DensityProblem
@@ -75,6 +80,32 @@ seed = 0
 [output]
 directory = out
 """
+
+
+# n = 256 makes the descent vectors about 16k entries long, past the length
+# at which a threaded BLAS splits a dot product among its threads
+DENSITY_SWEEP = """
+[backend]
+kind = density
+entropy = boltzmann
+n = 256
+dx = 0.0859375
+x0 = -10
+
+[endpoints]
+x = gaussian(-0.1463, 1.0347)
+y = gaussian(2.1055, 1.951)
+
+[run]
+command = sweep
+eps_list = 0, 0.05, 0.075, 0.1, 0.125
+seed = 0
+
+[output]
+formats = csv, json
+"""
+
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 class TestSolveCommand:
@@ -182,6 +213,23 @@ class TestSweepCommand:
         assert main([cfg, "--output", str(tmp_path / "b")]) == 0
         for name in ("profile.csv", "diagnostics.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+    @pytest.mark.skipif(_CORES < 2, reason="BLAS runs one thread on one core")
+    def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
+        cfg = write_config(tmp_path, DENSITY_SWEEP)
+        src = str(Path(entrogeo.__file__).resolve().parents[1])
+        default = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        default["PYTHONPATH"] = os.pathsep.join(filter(None, [src, default.get("PYTHONPATH")]))
+        one = dict(default, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        for name, env in (("default", default), ("one", one)):
+            subprocess.run([sys.executable, "-m", "entrogeo.cli", cfg,
+                            "--output", str(tmp_path / name)],
+                           env=env, check=True, capture_output=True, timeout=600)
+        for name in ("profile.csv", "diagnostics.json"):
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "one" / name).read_bytes())
 
 
 class TestVerifyCommand:
