@@ -564,7 +564,7 @@ def flows(kind: EntropyKind, ds, ss) -> list:
     lockstep on their common grid.
 
     A zero time returns the density itself.  Every other row takes
-    ``nsub`` substeps of length ``ds = s / nsub``, with ``nsub`` the least
+    ``nsub`` substeps of length ``s / nsub``, with ``nsub`` the least
     count whose substep stays under the row's stability cap (``dx^2 / 2``
     for heat, ``dx^2 / (m max(rho)^(m-1))`` for the porous medium).  The
     rows are ordered by ``nsub``, descending and stable, so the rows still

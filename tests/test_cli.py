@@ -214,7 +214,6 @@ class TestSweepCommand:
         for name in ("profile.csv", "diagnostics.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-
     @pytest.mark.skipif(_CORES < 2, reason="BLAS runs one thread on one core")
     def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
         cfg = write_config(tmp_path, DENSITY_SWEEP)
