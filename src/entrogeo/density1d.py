@@ -9,14 +9,18 @@ so its inverse is piecewise linear as well and
     W2(a, b)^2 = int_0^1 |Qa(u) - Qb(u)|^2 du
 
 is integrated *exactly* segment by segment (the integrand is quadratic
-between merged quantile breakpoints).  On the circle the distance is
-minimized over the n cell-edge cuts.  The cost of the cut at edge k is a
-convex function of the CDF shift ``F_a(x_k) - F_b(x_k)`` (Delon, Salomon &
-Sobolevski 2010) whose slope the cut kernel returns with the cost, so a
-bisection on the sign of that slope over the cuts sorted by shift finds the
-least one.  The search runs for many pairs in lockstep, one vectorized
-pass of the cut kernel per round: ``Density1DBackend.distances`` batches
-every pair on one circle grid.
+between merged quantile breakpoints).  One cut kernel does this for many
+pairs at once; on the interval a pair's distance is its cost at the cut at
+the left wall.  On the circle the distance is minimized over the n
+cell-edge cuts.  The cost of the cut at edge k is a convex function of the
+CDF shift ``F_a(x_k) - F_b(x_k)`` (Delon, Salomon & Sobolevski 2010) whose
+slope the cut kernel returns with the cost, so a bisection on the sign of
+that slope over the cuts sorted by shift finds the least one.  The search
+runs for many pairs in lockstep, one vectorized pass of the cut kernel per
+round: ``Density1DBackend.distances`` batches every pair on one grid.  A
+pair that shares its first point with an earlier pair starts its search
+from that pair's least cut and steps outward to the bracket, which ends
+on the same cut as the bisection in fewer probes.
 
 Two entropy functionals are supported, with their slopes and flows:
 
@@ -107,12 +111,16 @@ class GridDensity:
             raise DomainError("dx and floor must be positive")
         if boundary not in _BOUNDARIES:
             raise DomainError(f"boundary must be one of {_BOUNDARIES}")
+        # a nan or +-inf cell makes the sum non-finite (nan passes both the
+        # floor and the mass test, and the floor clamp would hide -inf)
+        mass = rho.sum() * dx
+        if not math.isfinite(mass):
+            raise DomainError(f"density has non-finite mass {mass!r}")
         if normalize:
             rho = _project(rho, dx, floor)
         else:
             if np.any(rho < floor):
                 raise DomainError("density below floor; pass normalize=True")
-            mass = rho.sum() * dx
             if abs(mass - 1.0) > 1e-12:
                 raise DomainError(f"density mass {mass!r} != 1")
         rho.setflags(write=False)
@@ -224,19 +232,6 @@ def _cdf_nodes(d: GridDensity, rho: Optional[np.ndarray] = None):
     return _cdf(d.rho if rho is None else rho, d.dx), d.edges
 
 
-def _pairwise_quantile_l2sq(Fa, xa, Fb, xb) -> float:
-    """Exact ``int_0^1 (Qa - Qb)^2 du`` for two piecewise-linear quantiles."""
-    U = np.union1d(Fa, Fb)
-    qa = np.interp(U, Fa, xa)
-    qb = np.interp(U, Fb, xb)
-    g = qa - qb
-    du = np.diff(U)
-    g0 = g[:-1]
-    g1 = g[1:]
-    # difference is linear per segment, so its square integrates exactly
-    return float(np.sum(du * (g0 * g0 + g0 * g1 + g1 * g1) / 3.0))
-
-
 def _rolled_cdf_nodes(d: GridDensity, cut: int):
     """CDF of the circle density unrolled onto ``[x0 + cut*dx, x0 + cut*dx + L]``."""
     F, _ = _cdf_nodes(d, np.roll(d.rho, -cut))
@@ -254,11 +249,12 @@ def _cut_costs(A: np.ndarray, B: np.ndarray, cuts: np.ndarray, dx: float):
     and its slope in the CDF shift.
 
     ``A`` and ``B`` stack the densities of ``P`` pairs, shape ``(P, n)``.
-    Entry ``(p, k)`` of ``costs``, shape ``(P, c)``, is
-    ``_pairwise_quantile_l2sq`` of both densities of pair ``p`` unrolled
+    Entry ``(p, k)`` of ``costs``, shape ``(P, c)``, is the exact
+    ``int_0^1 (Qa - Qb)^2 du`` of both densities of pair ``p`` unrolled
     from cell edge ``cuts[p, k]``, and the same entry of ``slopes`` is
-    ``phi'(theta)`` there (see ``_min_cuts``).  The ``P c`` cuts run in
-    blocks of about ``_CUT_BLOCK`` merged breakpoints.
+    ``phi'(theta)`` there (see ``_min_cuts``).  Cut 0 unrolls nothing, so
+    its cost is the squared W2 of the pair on the interval.  The ``P c``
+    cuts run in blocks of about ``_CUT_BLOCK`` merged breakpoints.
     """
     n = A.shape[1]
     turns = np.concatenate([A, A, B, B], axis=1).ravel()  # two turns of each
@@ -328,7 +324,8 @@ def _block_cut_costs(turns: np.ndarray, start: np.ndarray, n: int, dx: float):
     return np.sum(seg, axis=1) / 3.0, slopes
 
 
-def _min_cuts(A: np.ndarray, B: np.ndarray, dx: float):
+def _min_cuts(A: np.ndarray, B: np.ndarray, dx: float,
+              seeds: Optional[np.ndarray] = None):
     """Least cut cost of each pair of circle densities and a cut attaining it.
 
     Cutting at edge ``k`` costs ``phi(theta_k)`` with
@@ -339,13 +336,22 @@ def _min_cuts(A: np.ndarray, B: np.ndarray, dx: float):
     ``phi'(theta_k) = 2 int g dQb = 2 int g dQa``: the two agree because
     ``g`` vanishes at ``u = 0`` and ``u = 1``.  The kernel returns it with
     each cost.  Over the cuts sorted by ``theta`` the least one lies in
-    ``[lo, hi]``, at first ``[0, n - 1]``.  Each round probes ``mid`` for
+    ``[lo, hi]``, at first ``[0, n - 1]``.  Each round probes one rank for
     every pair still open, all pairs in lockstep in one kernel pass: a
-    slope below 0 sets ``lo = mid``, else ``hi = mid``.  Once
-    ``hi - lo <= 1`` the cheaper end wins, ``lo`` on a tie.  No decision
-    compares two costs, so repeated or near-equal thetas need no tie rule:
-    a sign comes out wrong only where ``|phi'|`` is at roundoff, and then
-    the bracket still holds a cut within roundoff of the least.
+    slope below 0 sets ``lo`` to it, else ``hi``.  Without ``seeds`` the
+    probe is ``mid = (lo + hi) // 2``.  With ``seeds``, one cut per pair
+    (the cut of a nearby pair), the first probe is that cut's rank in the
+    pair's own ``theta`` order clipped to ``[1, n - 2]``, the ranks
+    bisection can probe; then the probes step outward from it by 1, 2,
+    4, ... (never past ``mid``) until the slope's sign flips, and bisect
+    from there.  Once ``hi - lo <= 1`` the cheaper end wins, ``lo`` on a
+    tie.  No decision compares two costs, so repeated or near-equal thetas
+    need no tie rule: a sign comes out wrong only where ``|phi'|`` is at
+    roundoff, and then the bracket still holds a cut within roundoff of the
+    least.  Where the signs are monotone in rank, both searches end on the
+    bracket just below and at the first rank in ``[1, n - 2]`` with slope
+    ``>= 0`` (``[n - 2, n - 1]`` if none), so a seed changes neither cost
+    nor cut, only the number of probes.
     """
     P, n = A.shape
     theta = (_cdf(A, dx) - _cdf(B, dx))[:, :-1]
@@ -354,16 +360,35 @@ def _min_cuts(A: np.ndarray, B: np.ndarray, dx: float):
     hi = np.full(P, n - 1)
     # cost of each bracket end, nan until that end is probed
     ends = np.full((P, 2), np.nan)
+    # +1 steps right from lo, -1 steps left from hi, 0 bisects
+    way = np.zeros(P, dtype=int)
+    stride = np.ones(P, dtype=int)
+    probe = None
+    if seeds is not None:
+        probe = np.clip(np.argmax(order == seeds[:, None], axis=1), 1, n - 2)
     while True:
         act = np.flatnonzero(hi - lo > 1)
         if act.size == 0:
             break
         mid = (lo[act] + hi[act]) // 2
-        c, s = _cut_costs(A[act], B[act], order[act, mid, None], dx)
+        if probe is None:
+            w = way[act]
+            at = np.where(w > 0, np.minimum(lo[act] + stride[act], mid),
+                          np.where(w < 0, np.maximum(hi[act] - stride[act], mid), mid))
+        else:
+            at = probe[act]
+        c, s = _cut_costs(A[act], B[act], order[act, at, None], dx)
         right = s[:, 0] < 0
-        lo[act[right]] = mid[right]
-        hi[act[~right]] = mid[~right]
+        lo[act[right]] = at[right]
+        hi[act[~right]] = at[~right]
         ends[act, np.where(right, 0, 1)] = c[:, 0]
+        sign = np.where(right, 1, -1)
+        if probe is not None:
+            way[act] = sign
+            probe = None
+        else:
+            way[act] = np.where(way[act] == sign, sign, 0)
+            stride[act] *= 2
     cuts = np.take_along_axis(order, np.stack([lo, hi], axis=1), axis=1)
     todo = np.isnan(ends)
     p, side = np.nonzero(todo)
@@ -389,27 +414,38 @@ def _require_same_grid(a: GridDensity, b: GridDensity):
 def w2_distance(a: GridDensity, b: GridDensity) -> float:
     """Wasserstein-2 distance between two densities on the same grid."""
     _require_same_grid(a, b)
-    if a.boundary == "no-flux":
-        Fa, xa = _cdf_nodes(a)
-        Fb, xb = _cdf_nodes(b)
-        return math.sqrt(max(_pairwise_quantile_l2sq(Fa, xa, Fb, xb), 0.0))
-    cost, _ = _min_cuts(a.rho[None], b.rho[None], a.dx)
-    return math.sqrt(max(float(cost[0]), 0.0))
+    return float(_distances([a], [b])[0])
 
 
-def _circle_distances(xs: list, ys: list) -> np.ndarray:
-    """W2 of each pair ``(xs[p], ys[p])`` of densities on one circle grid.
+def _distances(xs: list, ys: list) -> np.ndarray:
+    """W2 of each pair ``(xs[p], ys[p])`` of densities on one grid.
 
-    The pairs are searched in blocks whose bisection rounds, one cut per
-    pair, fill one block of the cut kernel.
+    On the interval a pair's squared distance is the kernel's cost of the
+    cut at edge 0, where both quantiles start at the common origin.  On the
+    circle each pair runs ``_min_cuts``.  A pair whose first point (by
+    ``id``) is the first point of an earlier pair follows that *leader*:
+    the leaders are searched first, and each follower's search is seeded
+    with its leader's cut, which for the chords of one point to the nodes
+    of a curve lies a few ranks from its own least cut.  The pairs run in
+    blocks whose rounds, one cut per pair, fill one block of the cut
+    kernel.
     """
     n, dx = xs[0].n, xs[0].dx
     step = max(1, _CUT_BLOCK // (2 * n))
     costs = np.empty(len(xs))
-    for s in range(0, len(xs), step):
-        A = np.stack([x.rho for x in xs[s:s + step]])
-        B = np.stack([y.rho for y in ys[s:s + step]])
-        costs[s:s + step] = _min_cuts(A, B, dx)[0]
+    cuts = np.zeros(len(xs), dtype=int)
+    first = {}
+    lead = np.array([first.setdefault(id(x), p) for p, x in enumerate(xs)])
+    follows = lead != np.arange(len(xs))
+    for group, seeded in ((np.flatnonzero(~follows), False), (np.flatnonzero(follows), True)):
+        for s in range(0, group.size, step):
+            blk = group[s:s + step]
+            A = np.stack([xs[p].rho for p in blk])
+            B = np.stack([ys[p].rho for p in blk])
+            if xs[0].boundary == "no-flux":
+                costs[blk] = _cut_costs(A, B, cuts[blk, None], dx)[0][:, 0]
+            else:
+                costs[blk], cuts[blk] = _min_cuts(A, B, dx, cuts[lead[blk]] if seeded else None)
     return np.sqrt(np.maximum(costs, 0.0))
 
 
@@ -628,13 +664,14 @@ class Density1DBackend(SpaceBackend):
         return w2_distance(a, b)
 
     def distances(self, xs, ys) -> np.ndarray:
-        """``distance`` of each pair; when all points share one circle grid
-        the pairs run the batched circle search.  Each distinct point's grid
-        is checked once: a curve's chords share their nodes."""
+        """``distance`` of each pair; when all points share one grid the
+        pairs run through the batched cut kernel (``_distances``).  Each
+        distinct point's grid is checked once: a curve's chords share their
+        nodes."""
         xs, ys = list(xs), list(ys)
         if (xs and len(xs) == len(ys) and isinstance(xs[0], GridDensity)
-                and xs[0].boundary == "periodic" and _on_one_grid(xs + ys)):
-            return _circle_distances(xs, ys)
+                and _on_one_grid(xs + ys)):
+            return _distances(xs, ys)
         return super().distances(xs, ys)
 
     def geodesic(self, a, b, theta: float):

@@ -1,4 +1,6 @@
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from entrogeo.density1d import (
     _cut_costs,
     _implicit_step,
     _min_cuts,
-    _pairwise_quantile_l2sq,
     entropy,
     flow,
     flows,
@@ -47,6 +48,24 @@ class TestGridDensity:
         rho[0] = 0.0
         with pytest.raises(DomainError):
             GridDensity(rho, dx=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_non_finite_rejected(self, bad, normalize):
+        # nan passes both the floor and the mass test, and the floor clamp
+        # of normalize would turn -inf into a valid cell
+        rho = np.full(8, 0.125)
+        rho[3] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            GridDensity(rho, dx=1.0, normalize=normalize)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_with_rho_rejects_non_finite(self, bad):
+        d = GridDensity.uniform(8, 0.125, boundary="periodic")
+        rho = d.rho.copy()
+        rho[0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            d.with_rho(rho)
 
     def test_normalize_projects(self):
         d = GridDensity(np.arange(1.0, 9.0), dx=0.5, normalize=True)
@@ -91,6 +110,25 @@ class TestW2Distance:
         assert oracle == pytest.approx(math.sqrt(4.25), abs=1e-4)
         assert w2_distance(a, b) == pytest.approx(math.sqrt(4.25), abs=1e-3)
 
+    def test_interval_exact_on_near_pairs(self, boltzmann):
+        # nearly equal densities (neighbouring geodesic nodes, a node and its
+        # short heat flow) against exact rational arithmetic on the same CDF
+        # breakpoints: the kernel forms Qa - Qb without the cancellation of
+        # interpolating both quantiles at their absolute positions
+        n, dx, x0 = 64, 0.25, -8.0
+        a = GridDensity.gaussian(-1.0, 1.0, n, dx, x0)
+        b = GridDensity.gaussian(1.2, 2.0, n, dx, x0)
+        pts = geodesic_curve(boltzmann, a, b, 64).points
+        pairs = list(zip(pts[:-1:8], pts[1::8])) + [(p, flow(KB, p, 1e-5)) for p in pts[::16]]
+        err_kernel, err_merged = [], []
+        for p, q in pairs:
+            ref = exact_interval_l2sq(p, q)
+            merged = quantile_l2sq(*_cdf_nodes(p), *_cdf_nodes(q))
+            err_kernel.append(float(abs(Fraction(w2_distance(p, q) ** 2) - ref) / ref))
+            err_merged.append(float(abs(Fraction(merged) - ref) / ref))
+        assert max(err_kernel) <= 1e-12
+        assert max(err_kernel) <= max(err_merged)
+
     def test_grid_mismatch_rejected(self):
         a = gaussian_on(WIDE, 0.0, 1.0)
         b = GridDensity.gaussian(0.0, 1.0, 256, 20.0 / 256, -10.0)
@@ -112,13 +150,40 @@ class TestW2Distance:
         assert w2_distance(a, b) == pytest.approx(1.0, abs=1e-6)
 
 
+def quantile_l2sq(Fa, xa, Fb, xb):
+    """Exact ``int_0^1 (Qa - Qb)^2 du`` for two piecewise-linear quantiles,
+    merged breakpoint by breakpoint with ``union1d`` and ``interp``."""
+    U = np.union1d(Fa, Fb)
+    g = np.interp(U, Fa, xa) - np.interp(U, Fb, xb)
+    g0, g1 = g[:-1], g[1:]
+    # difference is linear per segment, so its square integrates exactly
+    return float(np.sum(np.diff(U) * (g0 * g0 + g0 * g1 + g1 * g1) / 3.0))
+
+
+def exact_interval_l2sq(a, b):
+    """``int_0^1 (Qa - Qb)^2 du`` in rational arithmetic, from the float CDF
+    breakpoints of both densities and exact cell-edge positions."""
+    Fa = [Fraction(v) for v in _cdf_nodes(a)[0].tolist()]
+    Fb = [Fraction(v) for v in _cdf_nodes(b)[0].tolist()]
+    dx = Fraction(a.dx)
+
+    def quantile(F, u):
+        i = min(bisect.bisect_right(F, u) - 1, len(F) - 2)
+        return (i + (u - F[i]) / (F[i + 1] - F[i])) * dx
+
+    U = sorted(set(Fa) | set(Fb))
+    g = [quantile(Fa, u) - quantile(Fb, u) for u in U]
+    return sum((u1 - u0) * (g0 * g0 + g0 * g1 + g1 * g1) / 3
+               for u0, u1, g0, g1 in zip(U, U[1:], g, g[1:]))
+
+
 def loop_cut_costs(a, b):
     """Reference for the batched kernel: each cell-edge cut on its own."""
     costs = []
     for cut in range(a.n):
         Fa, x = _cdf_nodes(a, np.roll(a.rho, -cut))
         Fb, _ = _cdf_nodes(b, np.roll(b.rho, -cut))
-        costs.append(_pairwise_quantile_l2sq(Fa, x, Fb, x))
+        costs.append(quantile_l2sq(Fa, x, Fb, x))
     return np.array(costs)
 
 
@@ -145,6 +210,30 @@ def plateau_pairs(rng, n, count):
     both densities, the draw that defeats a plain bisection."""
     return [(random_bumps(rng, n, 0.0, (0.01, 0.03)), random_bumps(rng, n, 0.0, (0.01, 0.03)))
             for _ in range(count)]
+
+
+def circle_geodesic(backend):
+    """The 65 nodes of a geodesic between two bumps on a 64-cell circle:
+    neighbouring nodes are nearly equal densities."""
+    n, dx, x0 = 64, 0.25, -8.0
+    L = n * dx
+    a = GridDensity.gaussian(x0 + 0.45 * L, 0.05 * L, n, dx, x0, "periodic")
+    b = GridDensity.gaussian(x0 + 0.6 * L, 0.09 * L, n, dx, x0, "periodic")
+    return geodesic_curve(backend, a, b, 64).points
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """The number of cut rows of each call of the cut kernel."""
+    evaluated = []
+    kernel = density1d._block_cut_costs
+
+    def counting(turns, start, *args):
+        evaluated.append(start.size)
+        return kernel(turns, start, *args)
+
+    monkeypatch.setattr(density1d, "_block_cut_costs", counting)
+    return evaluated
 
 
 def plain_bisection(a, b):
@@ -202,11 +291,7 @@ class TestCircleCutCosts:
     def test_neighbouring_geodesic_nodes(self, porous2):
         # nearly equal densities: Qa - Qb is tiny next to the positions, so
         # the kernel must form it without cancellation
-        n, dx, x0 = 64, 0.25, -8.0
-        L = n * dx
-        a = GridDensity.gaussian(x0 + 0.45 * L, 0.05 * L, n, dx, x0, "periodic")
-        b = GridDensity.gaussian(x0 + 0.6 * L, 0.09 * L, n, dx, x0, "periodic")
-        pts = geodesic_curve(porous2, a, b, 64).points
+        pts = circle_geodesic(porous2)
         for p, q in zip(pts[:-1], pts[1:]):
             ref = loop_cut_costs(p, q)
             assert np.max(np.abs(all_cut_costs(p, q) - ref) / ref) <= 1e-12
@@ -275,27 +360,58 @@ class TestCircleCutSearch:
             assert c <= best * (1.0 + 1e-12)
         assert fooled > 0
 
+    @pytest.mark.parametrize("n", [3, 4, 16, 64, 300])
+    def test_any_seed_gives_the_unseeded_result(self, n):
+        # a seed moves only the first probe: from every cut, each draw ends
+        # on the bracket of the unseeded bisection, so on the same cost and cut
+        rng = np.random.default_rng(30 + n)
+        pairs = [(random_bumps(rng, n, 0.02), random_bumps(rng, n, 0.02)) for _ in range(3)]
+        pairs += plateau_pairs(rng, n, 3)
+        # at n = 3 this draw is two near copies of one point mass: every
+        # slope is negative at roundoff, yet the last cut costs more than
+        # the middle one, so only the clip keeps a seed off the last rank
+        pairs += plateau_pairs(np.random.default_rng(15), n, 1)
+        u = GridDensity.uniform(n, 16.0 / n, -8.0, "periodic")
+        pairs += [(u, pairs[0][0]), (u, u), (pairs[1][1], pairs[1][1])]
+        for a, b in pairs:
+            cost, cut = _min_cuts(a.rho[None], b.rho[None], a.dx)
+            seeded, cuts = _min_cuts(np.repeat(a.rho[None], n, axis=0),
+                                     np.repeat(b.rho[None], n, axis=0), a.dx, np.arange(n))
+            assert seeded.tobytes() == np.repeat(cost, n).tobytes()
+            assert np.array_equal(cuts, np.repeat(cut, n))
+
     @pytest.mark.parametrize("n", [8, 64, 300])
-    def test_cut_evaluations_per_pair(self, n, monkeypatch):
+    def test_cut_evaluations_per_pair(self, n, kernel_rows):
         # one cut per pair per round, then at most the two bracket ends
-        evaluated = []
-        kernel = density1d._block_cut_costs
-
-        def counting(turns, start, *args):
-            evaluated.append(start.size)
-            return kernel(turns, start, *args)
-
-        monkeypatch.setattr(density1d, "_block_cut_costs", counting)
         rng = np.random.default_rng(n)
         pairs = plateau_pairs(rng, n, 4)
         pairs += [(random_bumps(rng, n, 0.02), random_bumps(rng, n, 0.02)) for _ in range(4)]
         _min_cuts(np.stack([a.rho for a, _ in pairs]),
                   np.stack([b.rho for _, b in pairs]), pairs[0][0].dx)
-        assert sum(evaluated) <= len(pairs) * (math.ceil(math.log2(n - 1)) + 2)
+        assert sum(kernel_rows) <= len(pairs) * (math.ceil(math.log2(n - 1)) + 2)
         for a, b in pairs:
-            evaluated.clear()
+            kernel_rows.clear()
             _min_cuts(a.rho[None], b.rho[None], a.dx)
-            assert sum(evaluated) <= math.ceil(math.log2(n - 1)) + 2
+            assert sum(kernel_rows) <= math.ceil(math.log2(n - 1)) + 2
+
+    def test_seeded_cut_evaluations_all_pairs(self, porous2, kernel_rows):
+        # the chords of one node to every later node of a geodesic: each
+        # pair after the first of its node starts a few ranks from its cut
+        # (unseeded bisection takes 6 rows per pair at n = 64)
+        pts = circle_geodesic(porous2)
+        pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        porous2.distances([pts[i] for i, _ in pairs], [pts[j] for _, j in pairs])
+        assert sum(kernel_rows) <= 3.5 * len(pairs)
+
+    @pytest.mark.parametrize("n", [8, 64, 300])
+    def test_seeded_cut_evaluations_star(self, n, porous2, kernel_rows):
+        # one point against unrelated draws: a seed far from the cut costs
+        # at most the outward steps and a bisection of what they bracket
+        rng = np.random.default_rng(40 + n)
+        ys = [b for pair in plateau_pairs(rng, n, 8) for b in pair]
+        ys += [random_bumps(rng, n, 0.02) for _ in range(16)]
+        porous2.distances([random_bumps(rng, n, 0.02)] * len(ys), ys)
+        assert sum(kernel_rows) <= len(ys) * 2 * (math.ceil(math.log2(n - 1)) + 2)
 
     def test_identical_densities(self):
         a = random_bumps(np.random.default_rng(4), 16, 0.0)
@@ -312,6 +428,22 @@ class TestDistances:
         xs, ys = pts[:-1], pts[1:]
         d = porous2.distances(xs, ys)
         assert d.tolist() == [porous2.distance(x, y) for x, y in zip(xs, ys)]
+
+    @pytest.mark.parametrize("shape", ["all_pairs", "star", "chain"])
+    def test_seeded_lists_equal_per_pair_loop(self, porous2, shape):
+        # leaders and seeded followers give each pair the bytes of its own
+        # unseeded search
+        pts = circle_geodesic(porous2)
+        N = len(pts)
+        pairs = {
+            "all_pairs": [(i, j) for i in range(N) for j in range(i + 1, N)],
+            "star": [(7, j) for j in range(N)],
+            "chain": [(i, i + 1) for i in range(N - 1)],
+        }[shape]
+        xs = [pts[i] for i, _ in pairs]
+        ys = [pts[j] for _, j in pairs]
+        d = porous2.distances(xs, ys)
+        assert d.tobytes() == np.array([w2_distance(x, y) for x, y in zip(xs, ys)]).tobytes()
 
     def test_many_pairs_span_blocks(self, porous2):
         rng = np.random.default_rng(6)
