@@ -22,7 +22,6 @@ import numpy as np
 from entrogeo import Density1DBackend, EntropyKind, EuclideanBackend, GridDensity, QuadraticPotential
 from entrogeo.cost_analysis import derivative_check, fisher_monotonicity, sweep, taylor_check
 from entrogeo.fileio import write_profile_csv
-from entrogeo.solver import SolverOptions
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -31,7 +30,7 @@ EPS = [0.025 * k for k in range(1, 9)]
 
 def report(name, backend, x, y, fisher_0_exact):
     print(f"== {name} ==")
-    profile = sweep(backend, x, y, [0.0] + EPS, SolverOptions(grad_tol=1e-7))
+    profile = sweep(backend, x, y, [0.0] + EPS)
     print("     eps       cost         kinetic      fisher    (cost-cost0)/eps^2")
     for r in profile.rows:
         ratio = "" if r.eps == 0 else f"{(r.cost - profile.cost_0)/r.eps**2:12.6f}"

@@ -61,13 +61,6 @@ def cmd_solve(config: ExperimentConfig) -> int:
 
 def cmd_sweep(config: ExperimentConfig) -> int:
     opts = config.solver_options
-    if opts.grad_tol is None:
-        # sweep diagnostics divide residual solver slack by eps^2, so the
-        # profile needs tighter stationarity than a single solve would
-        from dataclasses import replace
-
-        opts = replace(opts, grad_tol=1e-7 if isinstance(
-            config.backend, Density1DBackend) else 1e-8)
     profile = cost_analysis.sweep(
         config.backend, config.x, config.y, config.eps_list, opts
     )

@@ -264,9 +264,6 @@ def load_config(path) -> ExperimentConfig:
             "or set taylor = false"
         )
 
-    grad_tol = None
-    if "grad_tol" in run:
-        grad_tol = _get_float(run, "run", "grad_tol", positive=True)
     qp = None
     if "quantile_points" in run:
         qp = _get_int(run, "run", "quantile_points")
@@ -274,7 +271,8 @@ def load_config(path) -> ExperimentConfig:
         solver_options = SolverOptions(
             n_time=_get_int(run, "run", "n_time", default=63),
             max_iter=_get_int(run, "run", "max_iter", default=2000),
-            grad_tol=grad_tol,
+            grad_tol=_get_float(run, "run", "grad_tol", default=SolverOptions.grad_tol,
+                                positive=True),
             quantile_points=qp,
         )
     except DomainError as exc:

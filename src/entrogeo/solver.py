@@ -12,11 +12,13 @@ holds the discrete action; each backend problem supplies ``_slope_sq``, the
 squared slope of every node and its gradient, and ``make_preconditioner``:
 the inverse of a positive-definite quadratic model, factored by banded
 Cholesky, seeds the two-loop recursion and is rebuilt between descent
-stages.  A step is
-accepted on the Armijo test, or else on the approximate-Wolfe slope test of
-Hager & Zhang with the value allowed to rise by at most 1e-14 relative, so
-that iterates at the roundoff floor of the action are not rejected.  The
-decision variables depend on the backend:
+stages.  A step is accepted on the Armijo test, or else on the
+approximate-Wolfe slope test of Hager & Zhang with the value allowed to
+rise by at most 1e-14 relative, so that iterates at the roundoff floor of
+the action are not rejected.  Every solve stops when the decrease the
+model predicts for the next step, ``-g.d``, is at most ``grad_tol eps^2``
+times the action; the eps^2 matches the sweep diagnostics, which divide
+the solver's slack by eps^2.  The decision variables depend on the backend:
 
 * Euclidean: the interior node coordinates themselves.  The model is the
   block-tridiagonal Gauss-Newton Hessian (kinetic Laplacian plus
@@ -83,9 +85,10 @@ __all__ = [
 class SolverOptions:
     """Knobs of the descent loop.
 
-    ``grad_tol`` is the stationarity target on the max-norm of the discrete
-    gradient; ``None`` selects 1e-7 for the Euclidean backend and 1e-5 for
-    the density backend.  ``quantile_points`` is the number m >= 3 of
+    ``grad_tol`` is the stopping target of every eps > 0 solve, on both
+    backends: the descent stops when the decrease its quadratic model
+    predicts for the next step, ``-g.d``, is at most ``grad_tol eps^2 |v|``
+    (``v`` the action).  ``quantile_points`` is the number m >= 3 of
     graded u-nodes of the density decision variables (default n, the
     number of grid cells, and at least 3).  ``warm_start`` is one of
     ``"regularized_geodesic"`` (the recovery curve S_{h_eps(t)} g_t,
@@ -96,14 +99,16 @@ class SolverOptions:
 
     n_time: int = 63
     max_iter: int = 2000
-    grad_tol: Optional[float] = None
+    grad_tol: float = 1e-6
     warm_start: Union[str, Curve, SchrodingerResult] = "regularized_geodesic"
     quantile_points: Optional[int] = None
 
     def __post_init__(self):
         if self.n_time < 3:
             raise DomainError("need at least 3 interior time nodes")
-        if self.grad_tol is not None and self.grad_tol <= 0:
+        if self.max_iter < 1:
+            raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not self.grad_tol > 0:
             raise DomainError("grad_tol must be positive")
         if self.quantile_points is not None and self.quantile_points < 3:
             raise DomainError(f"quantile_points must be at least 3, got {self.quantile_points}")
@@ -114,7 +119,12 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SchrodingerResult:
-    """Minimizer curve plus the decomposed value of the entropic action."""
+    """Minimizer curve plus the decomposed value of the entropic action.
+
+    ``stationarity`` is the stopping rule's ``-g.d / (eps^2 |v|)`` at the
+    last iterate tested (at most ``grad_tol`` when converged), and at eps = 0
+    the max-norm of the closed form's gradient, which is roundoff.
+    """
 
     minimizer: Curve
     cost: float
@@ -173,8 +183,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
+def _lbfgs_armijo(value_grad, z0, tol: float, precond, budget: int):
     """Limited-memory BFGS with a backtracking line search.
+
+    Each iteration first computes the quasi-Newton direction ``d`` and stops
+    at ``decrement = -g.d / |v| <= tol``.  At a stage's first iteration
+    ``-g.d`` is the squared Newton decrement of the model behind ``precond``
+    (Boyd & Vandenberghe, Convex Optimization, sec. 9.5.1); the ratio is
+    unchanged by an affine change of coordinates or a rescaling of the
+    action.  A non-descent direction falls back to steepest descent for
+    that step, which never stops the iteration.
 
     A trial step is accepted on the Armijo test ``v_try <= v + c step g.d``.
     Near a minimizer the decrease that test asks for falls below the
@@ -187,11 +205,11 @@ def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
 
     ``value_grad`` may return ``(inf, None)`` to mark an infeasible trial
     point; the line search simply backtracks past it.  Curvature pairs that
-    would break positive definiteness are skipped, and a non-descent
-    quasi-Newton direction falls back to steepest descent for that step.
-    ``precond`` seeds the two-loop recursion with a fixed symmetric
-    positive-definite approximation of the inverse Hessian.  It takes at
-    most ``budget`` steps; returns ``(z, iterations, history, converged, stalled)``.
+    would break positive definiteness are skipped.  ``precond`` seeds the
+    two-loop recursion with a fixed symmetric positive-definite
+    approximation of the inverse Hessian.  It takes at most ``budget`` steps
+    (spending them all is not converging); returns ``(z, iterations,
+    history, converged, stalled, decrement)``, the last at the last test.
     """
     z = np.asarray(z0, dtype=float).copy()
     v, g = value_grad(z)
@@ -199,11 +217,9 @@ def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
         raise DomainError("optimization started at an infeasible point")
     history = [v]
     s_mem, y_mem, rho_mem = [], [], []
+    decrement = math.inf
 
     for it in range(budget):
-        if np.max(np.abs(g)) <= grad_tol:
-            return z, it, history, True, False
-
         # two-loop recursion
         d = -g.copy()
         alphas = []
@@ -216,9 +232,13 @@ def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
             b = rho * _dot(y, d)
             d += (a - b) * s
         gd = _dot(g, d)
-        if gd >= 0:
+        if gd > 0:
             d = -g
             gd = -_dot(g, g)
+        else:
+            decrement = -gd / abs(v) if v else 0.0  # v = 0 only at rest, where g = 0
+            if decrement <= tol:
+                return z, it, history, True, False, decrement
 
         step = 1.0
         accepted = False
@@ -236,7 +256,7 @@ def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
                 break
             step *= _ARMIJO_SHRINK
         if not accepted:
-            return z, it, history, False, True
+            return z, it, history, False, True, decrement
 
         s_vec = z_try - z
         y_vec = g_try - g
@@ -252,7 +272,7 @@ def _lbfgs_armijo(value_grad, z0, grad_tol: float, precond, budget: int):
         z, v, g = z_try, v_try, g_try
         history.append(v)
 
-    return z, budget, history, bool(np.max(np.abs(g)) <= grad_tol), False
+    return z, budget, history, False, False, decrement
 
 
 def _staged_descent(prob, z0, max_iter: int, grad_tol: float):
@@ -263,21 +283,23 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float):
     its budget without reaching stationarity the model is re-assembled at
     the current iterate and the memory restarted.  A stage that stalls
     twice in a row ends the descent (the line search cannot make progress).
+    Returns ``(z, iterations, history, converged, stationarity)``, the last
+    the final stage's decrement over eps^2.
     """
     z = np.asarray(z0, dtype=float).copy()
     total = 0
     history = []
-    stalled_before = False
-    while total < max_iter:
-        z, it, hist, converged, stalled = _lbfgs_armijo(
-            prob.value_grad, z, grad_tol, prob.make_preconditioner(z),
+    stalled_before, converged, decrement = False, False, math.inf
+    while total < max_iter and not converged:
+        z, it, hist, converged, stalled, decrement = _lbfgs_armijo(
+            prob.value_grad, z, grad_tol * prob.eps**2, prob.make_preconditioner(z),
             min(_STAGE_BUDGET, max_iter - total))
         history.extend(hist if not history else hist[1:])
         total += it
-        if converged or (stalled and stalled_before):
-            return z, total, history
+        if stalled and stalled_before:
+            break
         stalled_before = stalled
-    return z, total, history
+    return z, total, history, converged, decrement / prob.eps**2
 
 
 def _banded_cholesky_solver(ab: np.ndarray, model: str):
@@ -306,10 +328,8 @@ class _Problem:
     squared slope of every row and its gradient at the interior rows (a
     fresh array, which ``action`` overwrites), and
     ``make_preconditioner``; they also add ``pack``, ``to_curve`` and
-    ``value_grad``.  ``grad_tol`` is their default stationarity target.
+    ``value_grad``.
     """
-
-    grad_tol = 1e-7
 
     def __init__(self, eps, times, first: np.ndarray, last: np.ndarray, row_mass):
         self.eps = eps
@@ -457,8 +477,8 @@ def _graded_nodes(m: int):
     carries rounding of order ``eps_mach / h_min^3``, which only the
     kinetic diagonal (about ``2 w_k / dt``) holds off, and the quantile
     increments at the end nodes carry relative rounding that the stencil
-    amplifies.  On a near-Dirac pair on [0, 1] the descent stalls above its
-    gradient target with p = 3 at m = n, or with p = 2 at m = 4n.
+    amplifies.  On a near-Dirac pair on [0, 1], p = 3 at m = 4n already
+    makes the model lose positive definiteness.
     """
     t = np.arange(2 * m + 1) / (2 * m)
     g = t**_GRADING / (t**_GRADING + (1.0 - t) ** _GRADING)
@@ -535,8 +555,6 @@ class _DensityProblem(_Problem):
     the dual widths of the interior nodes, the quadrature weights of the
     Fisher residuals.
     """
-
-    grad_tol = 1e-5
 
     def __init__(self, backend: Density1DBackend, x: GridDensity, y: GridDensity,
                  eps, times, m_points):
@@ -692,23 +710,11 @@ def solve(backend: SpaceBackend, x, y, eps: float,
             prob.to_curve(z), kin, kin, fis, 0, True,
             float(np.max(np.abs(g))), 0.0, (kin,), z,
         )
-    grad_tol = opts.grad_tol if opts.grad_tol is not None else prob.grad_tol
-    z, iters, history = _staged_descent(
-        prob, _warm_z(prob, backend, x, y, opts), opts.max_iter, grad_tol)
-    kin, fis, g = prob.action(z)
-    stationarity = float(np.max(np.abs(g)))
-    return SchrodingerResult(
-        prob.to_curve(z),
-        kin + eps**2 * fis,
-        kin,
-        fis,
-        iters,
-        stationarity <= grad_tol,
-        stationarity,
-        eps,
-        tuple(history),
-        z,
-    )
+    z, iters, history, converged, stationarity = _staged_descent(
+        prob, _warm_z(prob, backend, x, y, opts), opts.max_iter, opts.grad_tol)
+    kin, fis, _ = prob.action(z)
+    return SchrodingerResult(prob.to_curve(z), kin + eps**2 * fis, kin, fis, iters,
+                             converged, stationarity, eps, tuple(history), z)
 
 
 def discrete_action(backend: SpaceBackend, curve: Curve, eps: float,

@@ -56,9 +56,10 @@ def verdict(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-# stationarity tightened well past the defaults: the Taylor ratios divide
-# residual solver slack by eps^2, so at eps = 0.025 the slack must sit far
-# below I_0 * eps^2 ~ 1.5e-4 for the monotone approach to be visible
+# stopping targets tightened past the 1e-6 default: a solve stops at
+# -g.d <= grad_tol eps^2 |v| and leaves about half of that as cost slack,
+# which the Taylor ratios divide by eps^2; the slack must sit far below the
+# row-to-row change of those ratios for the monotone approach to be visible
 @pytest.fixture(scope="module")
 def quad_profile(quad1d):
     return sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.0] + EPS_UNIFORM,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entrogeo import GridDensity
+from entrogeo import GridDensity, cost_analysis
 from entrogeo.cost_analysis import (
     CostProfile,
     ProfileRow,
@@ -15,7 +15,7 @@ from entrogeo.cost_analysis import (
     taylor_check,
 )
 from entrogeo.errors import DomainError, ProfileIncomplete, ScheduleRejected
-from entrogeo.solver import SolverOptions
+from entrogeo.solver import SolverOptions, solve
 
 
 EPS_DYADIC = [0.2, 0.1, 0.05, 0.025]
@@ -138,6 +138,55 @@ class TestGammaDiagnostics:
         assert report.recovery_nonnegative
 
 
+class TestDefaultSweep:
+    """A density sweep under the default stopping rule solves every row.
+
+    The endpoints are the benchmark's seed-1 pair, N(-0.1463, 1.0347^2) ->
+    N(2.1055, 1.951^2) on [-10, 12].  Each row starts from the minimizer
+    of the row above, which already has a small gradient; the rule's target
+    scales with eps^2 |v| and not with the grid, so it asks every row for
+    at least one step at n = 256 and n = 1024 alike.
+    """
+
+    @pytest.mark.parametrize("n, eps_list", [
+        (256, [0.025 * k for k in range(1, 9)]),
+        (1024, [0.05, 0.1, 0.2]),
+    ], ids=["n256", "n1024"])
+    def test_every_row_solved(self, boltzmann, monkeypatch, n, eps_list):
+        x = GridDensity.gaussian(-0.1463, 1.0347, n, 22.0 / n, -10.0)
+        y = GridDensity.gaussian(2.1055, 1.951, n, 22.0 / n, -10.0)
+        results = {}
+
+        def recording_solve(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            results[res.eps] = res
+            return res
+
+        monkeypatch.setattr(cost_analysis, "solve", recording_solve)
+        prof = sweep(boltzmann, x, y, eps_list)
+        rows = prof.rows  # ascending eps
+        grad_tol = SolverOptions().grad_tol
+        for r in rows:
+            res = results[r.eps]
+            assert res.iterations >= 1
+            assert res.converged and res.stationarity <= grad_tol
+        fisher = [r.fisher for r in rows]
+        assert all(f2 < f1 for f1, f2 in zip(fisher, fisher[1:]))
+
+        report = gamma_diagnostics(boltzmann, x, y, eps_list, profile=prof)
+        assert report.passed
+        devs = report.minimizer_deviation  # descending eps
+        assert all(d2 < d1 for d1, d2 in zip(devs, devs[1:]))
+
+        # each row's minimizer is a competitor at every other eps, so
+        # cost_i <= kin_j + eps_i^2 fis_j up to the slack the rule leaves
+        for ri in rows:
+            for rj in rows:
+                if ri is not rj:
+                    competitor = rj.kinetic + ri.eps**2 * rj.fisher
+                    assert ri.cost <= competitor + grad_tol * ri.eps**2 * ri.cost
+
+
 @pytest.fixture(scope="module")
 def near_dirac_pair():
     n = 64
@@ -159,9 +208,11 @@ class TestMollifiedSweep:
             # same discrete problem up to the warm-start path
             assert r2.cost == pytest.approx(r1.cost, rel=1e-4)
 
-    def test_sqrt_schedule_accepted(self, boltzmann, near_dirac_pair):
+    # m = 4n = 256: the stopping target does not depend on m
+    @pytest.mark.parametrize("quantile_points", [None, 256], ids=["n", "4n"])
+    def test_sqrt_schedule_accepted(self, boltzmann, near_dirac_pair, quantile_points):
         x, y = near_dirac_pair
-        opts = SolverOptions(n_time=31)
+        opts = SolverOptions(n_time=31, quantile_points=quantile_points)
         prof = mollified_sweep(boltzmann, x, y, [0.4, 0.2, 0.1], math.sqrt, opts)
         costs = [r.cost for r in prof.rows]  # ascending eps = descending eta
         assert all(r.converged for r in prof.rows)

@@ -72,6 +72,20 @@ class TestEuclideanSolve:
         assert res.iterations == 0
         assert res.cost == pytest.approx(0.5 * float((x - y) @ (x - y)), rel=1e-15)
 
+    def test_converges_at_large_scale(self, quad2d):
+        # one exact Newton step solves the well at any scale; at 1e8 the
+        # roundoff of the gradient is about 3e-6, so only a target relative
+        # to the action lets the solve stop
+        x, y = np.array([0.3, -1.1]), np.array([2.0, 0.7])
+        opts = SolverOptions(warm_start="straight")
+        unit = solve(quad2d, x, y, 0.1, opts)
+        res = solve(quad2d, 1e8 * x, 1e8 * y, 0.1, opts)
+        assert res.converged
+        assert res.iterations <= 3
+        assert res.stationarity <= opts.grad_tol
+        # the problem is homogeneous of degree 2 in the endpoints
+        assert res.cost == pytest.approx(1e16 * unit.cost, rel=1e-12)
+
     def test_bridge_identity_quadratic(self, quad1d):
         # the flow trajectory t -> S_{eps t} x is the optimal bridge to
         # S_eps x with value eps (E(x) - E(S_eps x)) = 1.5 log 2
@@ -520,6 +534,10 @@ class TestSolverOptions:
             SolverOptions(n_time=2)
         with pytest.raises(DomainError):
             SolverOptions(grad_tol=0.0)
+        with pytest.raises(DomainError):
+            SolverOptions(grad_tol=math.nan)
+        with pytest.raises(DomainError, match="max_iter must be at least 1"):
+            SolverOptions(max_iter=0)
         with pytest.raises(DomainError):
             SolverOptions(warm_start="sideways")
 
