@@ -15,12 +15,15 @@ the left wall.  On the circle the distance is minimized over the n
 cell-edge cuts.  The cost of the cut at edge k is a convex function of the
 CDF shift ``F_a(x_k) - F_b(x_k)`` (Delon, Salomon & Sobolevski 2010) whose
 slope the cut kernel returns with the cost, so a bisection on the sign of
-that slope over the cuts sorted by shift finds the least one.  The search
-runs for many pairs in lockstep, one vectorized pass of the cut kernel per
-round: ``Density1DBackend.distances`` batches every pair on one grid.  A
-pair that shares its first point with an earlier pair starts its search
-from that pair's least cut and steps outward to the bracket, which ends
-on the same cut as the bisection in fewer probes.
+that slope over the cuts sorted by shift finds the least one.
+``Density1DBackend.distances`` batches every pair on one grid: the cell
+masses of each distinct density are stacked once, two turns each, and the
+kernel gathers each cut's cells as a window of that table.  The searches
+run in three waves, each in lockstep over chunks of up to 512 pairs, one
+vectorized pass of the cut kernel per round: the first pair; the other
+pairs whose first point no earlier pair has; the rest.  The later waves
+are seeded with a nearby pair's least cut and step outward to the
+bracket, which ends on the same cut as the bisection in fewer probes.
 
 Two entropy functionals are supported, with their slopes and flows:
 
@@ -47,11 +50,13 @@ nodes or of a certificate's sample times this way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .core import SpaceBackend
@@ -219,17 +224,17 @@ class EntropyKind:
 
 # -- quantile machinery ----------------------------------------------------
 
-def _cdf(r: np.ndarray, dx: float) -> np.ndarray:
-    """CDF at the ``n + 1`` cell edges of each density row of ``r``."""
-    F = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
-    np.cumsum(r * dx, axis=-1, out=F[..., 1:])
+def _cdf(m: np.ndarray) -> np.ndarray:
+    """CDF at the ``n + 1`` cell edges of each row of cell masses ``m``."""
+    F = np.zeros(m.shape[:-1] + (m.shape[-1] + 1,))
+    np.cumsum(m, axis=-1, out=F[..., 1:])
     F /= F[..., -1:]
     return F
 
 
 def _cdf_nodes(d: GridDensity, rho: Optional[np.ndarray] = None):
     """Breakpoints ``(F_edges, x_edges)`` of the piecewise-linear quantile."""
-    return _cdf(d.rho if rho is None else rho, d.dx), d.edges
+    return _cdf((d.rho if rho is None else rho) * d.dx), d.edges
 
 
 def _rolled_cdf_nodes(d: GridDensity, cut: int):
@@ -239,98 +244,129 @@ def _rolled_cdf_nodes(d: GridDensity, cut: int):
 
 
 # merged CDF breakpoints (2n per cut) evaluated at once: bounds the working
-# memory of the cut kernel and of one block of circle searches, whose
-# bisection rounds take one cut per pair
+# memory of one block of the cut kernel, and of one chunk of the theta sorts
+# of a circle search
 _CUT_BLOCK = 1 << 13
+# circle searches run in lockstep at once: their bookkeeping, about 400
+# bytes a pair at n = 64, stays within the memory of one kernel block
+_SEARCH_PAIRS = _CUT_BLOCK // 16
 
 
-def _cut_costs(A: np.ndarray, B: np.ndarray, cuts: np.ndarray, dx: float):
-    """Squared interval W2 of pairs of circle densities cut open at cell edges,
-    and its slope in the CDF shift.
-
-    ``A`` and ``B`` stack the densities of ``P`` pairs, shape ``(P, n)``.
-    Entry ``(p, k)`` of ``costs``, shape ``(P, c)``, is the exact
-    ``int_0^1 (Qa - Qb)^2 du`` of both densities of pair ``p`` unrolled
-    from cell edge ``cuts[p, k]``, and the same entry of ``slopes`` is
-    ``phi'(theta)`` there (see ``_min_cuts``).  Cut 0 unrolls nothing, so
-    its cost is the squared W2 of the pair on the interval.  The ``P c``
-    cuts run in blocks of about ``_CUT_BLOCK`` merged breakpoints.
-    """
-    n = A.shape[1]
-    turns = np.concatenate([A, A, B, B], axis=1).ravel()  # two turns of each
-    start = np.repeat(np.arange(0, turns.size, 4 * n), cuts.shape[1]) + cuts.ravel()
-    rows = max(1, _CUT_BLOCK // (2 * n))
-    costs = np.empty(start.size)
-    slopes = np.empty(start.size)
-    for s in range(0, start.size, rows):
-        costs[s:s + rows], slopes[s:s + rows] = _block_cut_costs(
-            turns, start[s:s + rows], n, dx)
-    return costs.reshape(cuts.shape), slopes.reshape(cuts.shape)
+def _turns(mass: np.ndarray) -> np.ndarray:
+    """Every window of ``n`` cells of two turns of each row of the table
+    ``mass``, shape ``(D, n)``: the cells of row ``i`` unrolled from edge
+    ``k`` are window ``2 n i + k``."""
+    return sliding_window_view(np.concatenate([mass, mass], axis=1).ravel(), mass.shape[1])
 
 
-def _block_cut_costs(turns: np.ndarray, start: np.ndarray, n: int, dx: float):
-    """Costs and slopes of the cuts whose ``n`` cells of ``a`` start at
-    ``turns[start]`` and those of ``b`` at ``turns[start + 2n]``.
+def _cut_costs(turns: np.ndarray, starts: np.ndarray, dx: float):
+    """``_block_cut_costs`` of the rows ``starts`` in blocks of about
+    ``_CUT_BLOCK`` merged breakpoints."""
+    rows = max(1, _CUT_BLOCK // (2 * turns.shape[1]))
+    costs = np.empty(len(starts))
+    slopes = np.empty(len(starts))
+    for s in range(0, len(starts), rows):
+        costs[s:s + rows], slopes[s:s + rows] = _block_cut_costs(turns, starts[s:s + rows], dx)
+    return costs, slopes
+
+
+def _block_cut_costs(turns: np.ndarray, starts: np.ndarray, dx: float):
+    """Squared interval W2 of pairs of circle densities cut open at cell
+    edges, and its slope in the CDF shift.
+
+    Row ``r`` unrolls density ``a`` as the cell masses of window
+    ``turns[starts[r, 0]]`` and ``b`` as those of ``turns[starts[r, 1]]``
+    (see ``_turns``).  Its cost is the exact ``int_0^1 (Qa - Qb)^2 du`` of
+    the two and its slope is ``phi'(theta)`` there (see ``_min_cuts``).
+    Cut 0 unrolls nothing, so its cost is the squared W2 of the pair on the
+    interval.
 
     Each row merges the CDF values of both densities with a stable
-    ``argsort``, keeping one 0 (from ``b``) and one 1 (from ``a``).  At
-    merged position ``q`` the count ``ca`` of ``a`` values so far names
-    the cell of ``a`` that a ``b`` breakpoint falls in, or the ``a``
-    breakpoint itself, and ``q - ca`` does the same for ``b``.  So only the
-    other density is interpolated, to the offset ``f`` inside its cell.
-    Both quantiles share the cut's origin, so ``Qa - Qb`` is
-    ``dx (2 ca - q - f)`` at an ``a`` breakpoint and ``dx (2 ca - q + f)``
-    at a ``b`` one: exact to roundoff however close the two densities are.
-    ``Qa / dx`` is ``ca`` at an ``a`` breakpoint and ``ca + f`` at a ``b``
-    one, which gives the slope ``2 int (Qa - Qb) dQa``.
+    ``argsort``.  ``a``'s 0 sorts first and ``b``'s 1 last, so only the
+    ``2n`` values between them are sorted.  At merged position ``q``, with
+    ``ca`` values of ``a`` so far, an ``a`` breakpoint is ``F_a[ca]`` and
+    lies in the cell of ``b`` from ``F_b[q - ca]``; a ``b`` breakpoint is
+    ``F_b[q - ca]`` and lies in the cell of ``a`` from ``F_a[ca]``.  In the
+    row of both CDFs either way the other density's cell starts at
+    ``q + n + 1 - pos``, with ``pos`` the breakpoint's own place, and
+    ``ca`` is the lesser of the two.  So only the other density is
+    interpolated, to the offset ``f`` inside its cell.  Both quantiles
+    share the cut's origin, so ``Qa - Qb`` is ``dx (2 ca - q - f)`` at an
+    ``a`` breakpoint and ``dx (2 ca - q + f)`` at a ``b`` one: exact to
+    roundoff however close the two densities are.  ``Qa / dx`` is ``ca``
+    at an ``a`` breakpoint and ``ca + f`` at a ``b`` one, which gives the
+    slope ``2 int (Qa - Qb) dQa``.  Below, ``f`` is negated at the ``a``
+    breakpoints, so ``Qa - Qb`` is ``dx (2 ca - q + f)`` and ``Qa / dx`` is
+    ``ca + max(f, 0)`` at every breakpoint.
     """
+    n = turns.shape[1]
+    F = _cdf(turns[starts]).reshape(len(starts), 2 * n + 2)
+    pos = np.argsort(F[:, 1:-1], axis=1, kind="stable")
+    from_a = pos < n
     q = np.arange(2 * n)
-    cells = np.concatenate([q[:n], q[n:] + n])
-    F = _cdf(turns[start[:, None] + cells].reshape(-1, 2, n), dx).ravel()
     base = np.arange(0, F.size, 2 * n + 2)[:, None]
-    other = np.argsort(F.reshape(-1, 2 * n + 2), axis=1, kind="stable")[:, 1:-1]
-    from_a = other <= n
-    other += base
-    U = F[other]
-    ca = np.cumsum(from_a, axis=1)
-    # flat index into F of the left edge of the other density's cell
-    np.subtract(q + n + 1, ca, out=other)
-    np.copyto(other, ca, where=~from_a)
-    other += base
+    # flat indices into F of each breakpoint and of its other cell's left edge
+    pos += base + 1
+    other = (q + n + 1) + 2 * base
+    other -= pos
+    F = F.ravel()
+    U = F[pos]
     F0 = F[other]
-    f = F[other + 1]
-    # temporaries go as soon as they are spent: a block's peak memory is
-    # the circle search's peak
+    np.minimum(pos, other, out=pos)
+    other += 1
+    f = F[other]
+    # temporaries go as soon as they are spent, to keep a block's peak
+    # memory low
     del F, other
+    pos -= base
+    ca = pos.astype(float)
+    del pos
     f -= F0
     np.divide(np.subtract(U, F0, out=F0), f, out=f)
     del F0
-    qa = ca + f
-    np.copyto(qa, ca, where=from_a)
-    np.negative(f, out=f, where=from_a)
-    g = (2 * ca - q) + f
+    f *= np.where(from_a, -1.0, 1.0)
+    qa = np.maximum(f, 0.0)
+    qa += ca
+    g = ca
+    g += ca
+    g -= q
+    g += f
     g *= dx
-    del f, ca, from_a
+    del f, from_a
     # difference is linear per segment, so its square integrates exactly:
-    # g0^2 + g0 g1 + g1^2 = (g0 + g1)^2 - g0 g1
-    g0 = g[:, :-1]
-    g1 = g[:, 1:]
-    seg = g0 + g1
-    slopes = np.sum(seg * np.diff(qa, axis=1), axis=1) * dx
+    # g0^2 + g0 g1 + g1^2 = (g0 + g1)^2 - g0 g1.  The rows run on as one
+    # flat array, whose shifted views ufuncs need not copy as they do the
+    # column slices of a 2-D array; the entry joining two rows is left out
+    # of the sums
+    shape = (len(starts), 2 * n)
+    g = g.ravel()
+    g0 = g[:-1]
+    g1 = g[1:]
+    seg = np.zeros(g.size)
+    tmp = np.zeros(g.size)
+    qa = qa.ravel()
+    np.subtract(qa[1:], qa[:-1], out=tmp[:-1])
     del qa
+    np.add(g0, g1, out=seg[:-1])
+    tmp *= seg
+    slopes = np.sum(tmp.reshape(shape)[:, :-1], axis=1) * dx
     seg *= seg
-    seg -= g0 * g1
-    seg *= np.diff(U, axis=1)
-    return np.sum(seg, axis=1) / 3.0, slopes
+    np.multiply(g0, g1, out=tmp[:-1])
+    seg -= tmp
+    U = U.ravel()
+    np.subtract(U[1:], U[:-1], out=tmp[:-1])
+    seg *= tmp
+    return np.sum(seg.reshape(shape)[:, :-1], axis=1) / 3.0, slopes
 
 
-def _min_cuts(A: np.ndarray, B: np.ndarray, dx: float,
+def _min_cuts(mass: np.ndarray, pairs: np.ndarray, dx: float,
               seeds: Optional[np.ndarray] = None):
     """Least cut cost of each pair of circle densities and a cut attaining it.
 
-    Cutting at edge ``k`` costs ``phi(theta_k)`` with
-    ``theta_k = F_a(x_k) - F_b(x_k)``, where
-    ``phi(theta) = int_0^1 (Qa(u) - Qb(u - theta))^2 du`` over the
+    ``mass`` is a table of cell masses ``rho dx``, shape ``(D, n)``, and
+    pair ``p`` is ``(mass[pairs[p, 0]], mass[pairs[p, 1]])``.  Cutting at
+    edge ``k`` costs ``phi(theta_k)`` with ``theta_k = F_a(x_k) - F_b(x_k)``,
+    where ``phi(theta) = int_0^1 (Qa(u) - Qb(u - theta))^2 du`` over the
     quantiles extended around the circle.  ``phi`` is convex and C^1, and
     with ``g = Qa - Qb`` of the cut its slope is
     ``phi'(theta_k) = 2 int g dQb = 2 int g dQa``: the two agree because
@@ -353,47 +389,53 @@ def _min_cuts(A: np.ndarray, B: np.ndarray, dx: float,
     ``>= 0`` (``[n - 2, n - 1]`` if none), so a seed changes neither cost
     nor cut, only the number of probes.
     """
-    P, n = A.shape
-    theta = (_cdf(A, dx) - _cdf(B, dx))[:, :-1]
-    order = np.argsort(theta, axis=1, kind="stable")
+    P, n = len(pairs), mass.shape[1]
+    turns = _turns(mass)
+    F = _cdf(mass)[:, :-1]
+    # each pair's cuts by rank, in the least integer type that holds them,
+    # sorted about _CUT_BLOCK thetas at a time
+    order = np.empty((P, n), dtype=np.min_scalar_type(n - 1))
+    probe = None if seeds is None else np.empty(P, dtype=int)
+    chunk = max(1, _CUT_BLOCK // n)
+    for s in range(0, P, chunk):
+        a, b = pairs[s:s + chunk].T
+        order[s:s + chunk] = np.argsort(F[a] - F[b], axis=1, kind="stable")
+        if probe is not None:
+            probe[s:s + chunk] = np.argmax(order[s:s + chunk] == seeds[s:s + chunk, None], axis=1)
+    del F
+    origin = pairs * (2 * n)  # the windows of each pair's cut 0
     lo = np.zeros(P, dtype=int)
     hi = np.full(P, n - 1)
     # cost of each bracket end, nan until that end is probed
     ends = np.full((P, 2), np.nan)
-    # +1 steps right from lo, -1 steps left from hi, 0 bisects
-    way = np.zeros(P, dtype=int)
-    stride = np.ones(P, dtype=int)
-    probe = None
-    if seeds is not None:
-        probe = np.clip(np.argmax(order == seeds[:, None], axis=1), 1, n - 2)
+    # the next probe steps this far right of lo (> 0) or left of hi (< 0),
+    # never past mid; -n bisects
+    step = np.full(P, -n)
     while True:
         act = np.flatnonzero(hi - lo > 1)
         if act.size == 0:
             break
-        mid = (lo[act] + hi[act]) // 2
+        lo_a, hi_a, d = lo[act], hi[act], step[act]
         if probe is None:
-            w = way[act]
-            at = np.where(w > 0, np.minimum(lo[act] + stride[act], mid),
-                          np.where(w < 0, np.maximum(hi[act] - stride[act], mid), mid))
+            mid = (lo_a + hi_a) // 2
+            at = np.where(d > 0, np.minimum(lo_a + d, mid), np.maximum(hi_a + d, mid))
         else:
-            at = probe[act]
-        c, s = _cut_costs(A[act], B[act], order[act, at, None], dx)
-        right = s[:, 0] < 0
-        lo[act[right]] = at[right]
-        hi[act[~right]] = at[~right]
-        ends[act, np.where(right, 0, 1)] = c[:, 0]
-        sign = np.where(right, 1, -1)
-        if probe is not None:
-            way[act] = sign
+            at = np.clip(probe[act], 1, n - 2)
+        c, s = _cut_costs(turns, origin[act] + order[act, at, None], dx)
+        right = s < 0
+        lo[act] = np.where(right, at, lo_a)
+        hi[act] = np.where(right, hi_a, at)
+        ends[act, np.where(right, 0, 1)] = c
+        if probe is None:
+            step[act] = np.where((d > 0) == right, 2 * d, -n)
+        else:
+            step[act] = np.where(right, 1, -1)
             probe = None
-        else:
-            way[act] = np.where(way[act] == sign, sign, 0)
-            stride[act] *= 2
     cuts = np.take_along_axis(order, np.stack([lo, hi], axis=1), axis=1)
     todo = np.isnan(ends)
     p, side = np.nonzero(todo)
     if p.size:
-        ends[todo] = _cut_costs(A[p], B[p], cuts[p, side, None], dx)[0][:, 0]
+        ends[todo] = _cut_costs(turns, origin[p] + cuts[p, side, None], dx)[0]
     best = (ends[:, 1] < ends[:, 0]).astype(int)[:, None]
     return (np.take_along_axis(ends, best, axis=1)[:, 0],
             np.take_along_axis(cuts, best, axis=1)[:, 0])
@@ -420,32 +462,41 @@ def w2_distance(a: GridDensity, b: GridDensity) -> float:
 def _distances(xs: list, ys: list) -> np.ndarray:
     """W2 of each pair ``(xs[p], ys[p])`` of densities on one grid.
 
+    The cell masses of each distinct density (by ``id``) are stacked once
+    into a table, and the cut kernel gathers every pair's cells from it.
     On the interval a pair's squared distance is the kernel's cost of the
     cut at edge 0, where both quantiles start at the common origin.  On the
-    circle each pair runs ``_min_cuts``.  A pair whose first point (by
-    ``id``) is the first point of an earlier pair follows that *leader*:
-    the leaders are searched first, and each follower's search is seeded
-    with its leader's cut, which for the chords of one point to the nodes
-    of a curve lies a few ranks from its own least cut.  The pairs run in
-    blocks whose rounds, one cut per pair, fill one block of the cut
-    kernel.
+    circle the pairs run ``_min_cuts`` in three waves, each a lockstep
+    search over up to ``_SEARCH_PAIRS`` pairs at a time: the first pair,
+    unseeded; the other *leaders*, seeded with the first pair's cut; then
+    the *followers*.  A pair follows the first earlier pair with the same
+    first point (by ``id``) and is seeded with that leader's cut, which for
+    the chords of one point to the nodes of a curve lies a few ranks from
+    its own least cut.
     """
-    n, dx = xs[0].n, xs[0].dx
-    step = max(1, _CUT_BLOCK // (2 * n))
-    costs = np.empty(len(xs))
-    cuts = np.zeros(len(xs), dtype=int)
-    first = {}
-    lead = np.array([first.setdefault(id(x), p) for p, x in enumerate(xs)])
-    follows = lead != np.arange(len(xs))
-    for group, seeded in ((np.flatnonzero(~follows), False), (np.flatnonzero(follows), True)):
-        for s in range(0, group.size, step):
-            blk = group[s:s + step]
-            A = np.stack([xs[p].rho for p in blk])
-            B = np.stack([ys[p].rho for p in blk])
-            if xs[0].boundary == "no-flux":
-                costs[blk] = _cut_costs(A, B, cuts[blk, None], dx)[0][:, 0]
-            else:
-                costs[blk], cuts[blk] = _min_cuts(A, B, dx, cuts[lead[blk]] if seeded else None)
+    P, dx = len(xs), xs[0].dx
+    points = {}
+    pairs = np.fromiter((points.setdefault(id(d), (len(points), d))[0]
+                         for d in itertools.chain(xs, ys)), int, 2 * P).reshape(2, P).T
+    mass = np.stack([d.rho for _, d in points.values()])
+    mass *= dx
+    if xs[0].boundary == "no-flux":
+        # only cut 0, whose windows are the rows of the table itself
+        n = mass.shape[1]
+        costs = _cut_costs(sliding_window_view(mass.ravel(), n), pairs * n, dx)[0]
+        return np.sqrt(np.maximum(costs, 0.0))
+    costs = np.empty(P)
+    cuts = np.zeros(P, dtype=int)
+    # the first pair with each first point (a stable sort keeps the first)
+    _, first, inverse = np.unique(pairs[:, 0], return_index=True, return_inverse=True)
+    lead = first[inverse]
+    follows = lead != np.arange(P)
+    lead[~follows] = 0  # leaders are seeded with the first pair's cut
+    for k, wave in enumerate((np.arange(1), np.flatnonzero(~follows)[1:], np.flatnonzero(follows))):
+        for s in range(0, wave.size, _SEARCH_PAIRS):
+            part = wave[s:s + _SEARCH_PAIRS]
+            costs[part], cuts[part] = _min_cuts(mass, pairs[part], dx,
+                                                cuts[lead[part]] if k else None)
     return np.sqrt(np.maximum(costs, 0.0))
 
 
@@ -462,7 +513,7 @@ def _geodesic_sampler(a: GridDensity, b: GridDensity):
         Fa, xa = _cdf_nodes(a)
         Fb, xb = _cdf_nodes(b)
     else:
-        cut = int(_min_cuts(a.rho[None], b.rho[None], a.dx)[1][0])
+        cut = int(_min_cuts(np.stack([a.rho, b.rho]) * a.dx, np.array([[0, 1]]), a.dx)[1][0])
         Fa, xa = _rolled_cdf_nodes(a, cut)
         Fb, xb = _rolled_cdf_nodes(b, cut)
     U = np.union1d(Fa, Fb)

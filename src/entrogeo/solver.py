@@ -49,6 +49,8 @@ contain flat valleys and non-unique solutions.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -300,6 +302,34 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float):
             break
         stalled_before = stalled
     return z, total, history, converged, decrement / prob.eps**2
+
+
+# the band of the last density model dropped, kept to build the next one.
+# The band is megabytes (16 MB at 256 quantile nodes and 63 interior time
+# nodes) and a model is built at every descent stage.  A fresh block that
+# size is taken from the C heap's free space only while no small
+# allocation has landed in it, so whether a build touched new pages, and
+# with them the peak resident memory of a run, changed from run to run by
+# up to its size.
+_spare_band = []
+_spare_lock = threading.Lock()
+
+
+def _take_band(shape: tuple) -> np.ndarray:
+    """A zeroed band of ``shape`` in Fortran order: the spare one if it fits.
+    No two live models share one, as a band is spare only once its model is
+    gone (``_keep_band``)."""
+    with _spare_lock:
+        ab = _spare_band.pop() if _spare_band else None
+    if ab is None or ab.shape != shape:
+        return np.zeros(shape, order="F")
+    ab.fill(0.0)
+    return ab
+
+
+def _keep_band(ab: np.ndarray):
+    with _spare_lock:
+        _spare_band[:] = [ab]
 
 
 def _banded_cholesky_solver(ab: np.ndarray, model: str):
@@ -641,7 +671,7 @@ class _DensityProblem(_Problem):
         wf = self.eps**2 * self.weights[1:-1, None]
         # ab[j, k nI + i] = A[(k, i) + j, (k, i)]; Fortran order lets the
         # factorization work in place
-        ab = np.zeros((2 * nI + 1, nI * m), order="F")
+        ab = _take_band((2 * nI + 1, nI * m))
         kin_diag, kin_off = self._kinetic_bands()
         ab[0] = (kin_diag + wf * d0 + 1e-12).T.ravel()
         ab[1] = np.vstack([kin_off, np.zeros(m)]).T.ravel()
@@ -649,7 +679,9 @@ class _DensityProblem(_Problem):
         ab[2 * nI, :(m - 2) * nI] = (wf * d2).T.ravel()
         solve_band = _banded_cholesky_solver(
             ab, f"density model (m = {m} quantile nodes, {nI} time nodes)")
-        return lambda v: solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
+        precond = lambda v: solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
+        weakref.finalize(precond, _keep_band, ab)
+        return precond
 
 
 # -- public entry points ------------------------------------------------------

@@ -21,11 +21,13 @@ from entrogeo.errors import (
     GridMismatch,
     InvalidCurve,
 )
+from entrogeo import solver as solver_mod
 from entrogeo.solver import (
     SolverOptions,
     _banded_cholesky_solver,
     _DensityProblem,
     _EuclideanProblem,
+    _lbfgs_armijo,
     _quantile_samples,
     _uniform_times,
     bridge_from_flow,
@@ -110,9 +112,11 @@ class TestEuclideanSolve:
         assert all(b <= a + 1e-12 for a, b in zip(res.cost_history, res.cost_history[1:]))
 
     def test_cold_solve_converges_at_roundoff_floor(self, quad1d):
-        # at grad_tol 1e-8 the Armijo decrease falls below the roundoff of
-        # the action before stationarity is reached; the line search must
-        # still accept the converged iterates instead of exhausting max_iter
+        # a cold solve at a tight grad_tol converges well inside max_iter.
+        # On the quadratic well the Gauss-Newton model is exact, so the
+        # first step lands on the minimizer and the line search's
+        # approximate-Wolfe branch is never reached here; TestLineSearch
+        # drives that branch directly
         eps = 0.1
         x, y = np.array([1.0]), np.array([2.0])
         opts = SolverOptions(grad_tol=1e-8)
@@ -175,6 +179,55 @@ class TestEuclideanSolve:
                 discrete_action(quad1d, curve, eps)
             with pytest.raises(DomainError, match="eps"):
                 bridge_from_flow(quad1d, x, eps)
+
+
+class TestLineSearch:
+    """``_lbfgs_armijo`` on a 1-D quadratic whose value sits at its roundoff
+    floor: every value is exactly 1.0 while the gradient stays exact, so no
+    step passes the Armijo test and only the approximate-Wolfe branch can
+    accept one."""
+
+    @staticmethod
+    def flat_quadratic(curvature, center, trials):
+        def value_grad(z):
+            trials.append(float(z[0]))
+            # 1 + 1e-20 (z - center)^2 / 2 rounds to 1.0
+            return 1.0 + 1e-20 * float((z[0] - center) ** 2) / 2, curvature * (z - center)
+        return value_grad
+
+    def test_wolfe_branch_accepts_at_the_roundoff_floor(self):
+        trials = []
+        z, iters, history, converged, stalled, decrement = _lbfgs_armijo(
+            self.flat_quadratic(1.0, 1.0, trials), np.zeros(1), 1e-12, lambda d: d, 10)
+        assert converged and not stalled
+        # the unit step was taken although the value did not decrease, which
+        # the Armijo test (a decrease of at least 1e-4 |g.d|) forbids
+        assert trials == [0.0, 1.0]
+        assert history == [1.0, 1.0]
+        assert iters == 1 and z.tolist() == [1.0] and decrement == 0.0
+
+    def test_wolfe_bracket_rejects_an_overshoot(self):
+        # the unit step overshoots the minimizer at 0.25 to a slope of
+        # 3 |g.d|, above the bracket's (1 - 2 delta) |g.d|, and so does the
+        # half step; the quarter step lands on the minimizer
+        trials = []
+        z, iters, history, converged, _, _ = _lbfgs_armijo(
+            self.flat_quadratic(4.0, 0.25, trials), np.zeros(1), 1e-12, lambda d: d, 10)
+        assert converged
+        assert trials == [0.0, 1.0, 0.5, 0.25]
+        assert iters == 1 and z.tolist() == [0.25]
+
+    def test_value_above_the_floor_is_rejected(self):
+        # every trial off the start rises by 1e-12, more than the roundoff
+        # allowance of 1e-14, so none is accepted although the unit step
+        # lands on a zero slope: the search stalls
+        def value_grad(z):
+            return (1.0 if z[0] == 0.0 else 1.0 + 1e-12), z - 1.0
+
+        z, iters, history, converged, stalled, _ = _lbfgs_armijo(
+            value_grad, np.zeros(1), 1e-12, lambda d: d, 10)
+        assert stalled and not converged
+        assert iters == 0 and z.tolist() == [0.0] and history == [1.0]
 
 
 class TestEuclideanGradient:
@@ -339,6 +392,26 @@ class TestModelFactorization:
         with pytest.raises(EntrogeoError, match=r"^stand-in model: .* not positive definite "
                                                 r"\(leading minor 2 of 3\)$"):
             _banded_cholesky_solver(ab, "stand-in model")
+
+    def test_band_is_reused_only_once_its_model_is_gone(self, boltzmann):
+        a = GridDensity.gaussian(0.0, 1.0, 32, 22.0 / 32, -10.0)
+        b = GridDensity.gaussian(2.0, 2.0, 32, 22.0 / 32, -10.0)
+        prob = _DensityProblem(boltzmann, a, b, 0.5, _uniform_times(7), 12)
+        z0 = prob.geodesic_z()
+        v = np.random.default_rng(5).standard_normal(z0.size)
+        first = prob.make_preconditioner(z0)
+        want = first(v)
+        # a second model built while the first lives must not overwrite it
+        second = prob.make_preconditioner(z0 * 1.01)
+        np.testing.assert_array_equal(first(v), want)
+        assert not np.array_equal(second(v), want)
+        del first
+        spare = solver_mod._spare_band[0]
+        third = prob.make_preconditioner(z0)
+        assert not solver_mod._spare_band  # the first model's band, taken
+        np.testing.assert_array_equal(third(v), want)
+        del second, third
+        assert solver_mod._spare_band[0] is spare
 
 
 class TestDensitySolve:
