@@ -179,7 +179,7 @@ def _pointwise_estimate(backend, s, tol):
 
 
 def _recovery_gap(backend, s, tol):
-    gaps = [-regularizer.recovery_gap(backend, s.base, e) for e in (0.2, 0.1, 0.05)]
+    gaps = [-g for g in regularizer.recovery_gaps(backend, s.base, (0.2, 0.1, 0.05))]
     return _worst("recovery_gap", gaps, len(gaps), tol)
 
 
@@ -253,9 +253,8 @@ def _verify_density(backend: Density1DBackend, grid, properties, tol) -> dict:
     a, b = gauss(0.45, 0.05), gauss(0.6, 0.09)
 
     def local_global():
-        return mix, backend.flows([mix, mix], [0.05, 0.1]) + [
-            backend.geodesic(mix, g_mid, th) for th in (0.25, 0.5, 0.75)
-        ] + [g_mid, g_off]
+        return mix, (backend.flows([mix, mix], [0.05, 0.1])
+                     + backend.geodesic_points(mix, g_mid, (0.25, 0.5, 0.75)) + [g_mid, g_off])
 
     return _certify(_Samples(
         backend, s_grid=np.linspace(0.02, 0.2, 8), evi=[(mix, g_mid)],

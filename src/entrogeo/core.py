@@ -35,6 +35,7 @@ __all__ = [
     "fisher_action",
     "fisher_quadrature",
     "kinetic_action",
+    "kinetic_actions",
     "schrodinger_action",
 ]
 
@@ -151,12 +152,25 @@ def kinetic_action(backend: SpaceBackend, curve: Curve) -> float:
     For a constant-speed geodesic this equals ``1/2 d(c_0, c_1)^2`` on any
     grid; for arbitrary curves it dominates that value (Cauchy-Schwarz).
     """
-    _check_curve(backend, curve)
-    chords = backend.distances(curve.points[:-1], curve.points[1:])
-    total = 0.0
-    for chord, dt in zip(chords.tolist(), np.diff(curve.times)):
-        total += chord * chord / dt
-    return 0.5 * total
+    return kinetic_actions(backend, [curve])[0]
+
+
+def kinetic_actions(backend: SpaceBackend, curves: Sequence[Curve]) -> list:
+    """``kinetic_action`` of each curve, the chords of all of them from one
+    ``backend.distances`` call."""
+    curves = list(curves)
+    for curve in curves:
+        _check_curve(backend, curve)
+    chords = backend.distances([p for c in curves for p in c.points[:-1]],
+                               [p for c in curves for p in c.points[1:]]).tolist()
+    out, start = [], 0
+    for curve in curves:
+        total = 0.0
+        for chord, dt in zip(chords[start:], np.diff(curve.times)):
+            total += chord * chord / dt
+        start += curve.n_intervals
+        out.append(0.5 * total)
+    return out
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:

@@ -25,9 +25,12 @@ backend, three energy certificates plus the convexity extraction:
   backend geodesics, the property the regularization machinery extracts
   from contractivity of the flow.
 
-``discrete_estimate_residuals`` and ``pointwise_estimate_residuals`` cover
-many node pairs or nodes at once, with one ``backend.distances`` call per
-curve; the single-pair functions wrap them.
+The plural forms cover many node pairs, nodes or eps at once and the
+single forms wrap them: ``discrete_estimate_residuals`` and
+``pointwise_estimate_residuals`` take the chords of the regularized and the
+base curve from one ``backend.distances`` call, ``recovery_gaps`` flows the
+nodes of every eps in one ``builds`` call (``backend.flows``) and takes all
+their chords from one ``kinetic_actions`` call.
 
 Residuals are ``LHS - RHS`` for the inequalities (so defects are positive)
 and ``RHS - LHS`` for the recovery bound (gap should be nonnegative).
@@ -35,6 +38,7 @@ and ``RHS - LHS`` for the recovery bound (gap should be nonnegative).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -47,18 +51,21 @@ from .core import (
     SpaceBackend,
     fisher_action,
     kinetic_action,
+    kinetic_actions,
 )
 from .errors import DomainError, EndpointEntropyInfinite
 
 __all__ = [
     "RegularizedCurve",
     "build",
+    "builds",
     "convexity_certificate",
     "discrete_estimate_residual",
     "discrete_estimate_residuals",
     "pointwise_estimate_residual",
     "pointwise_estimate_residuals",
     "recovery_gap",
+    "recovery_gaps",
 ]
 
 HProfile = Union[HatFunction, Sequence[float], np.ndarray]
@@ -96,27 +103,55 @@ def build(backend: SpaceBackend, base: Curve, h: HProfile) -> RegularizedCurve:
     Nodes with ``h = 0`` are reused as-is, so vanishing endpoint profiles
     preserve the endpoints bitwise.
     """
-    hv = _h_values(h, base.times)
-    pts = list(base.points)
-    moved = np.flatnonzero(hv).tolist()
-    for i, p in zip(moved, backend.flows([pts[i] for i in moved], hv[moved].tolist())):
-        pts[i] = p
-    hv.setflags(write=False)
-    return RegularizedCurve(base, hv, Curve(base.times, pts))
+    return builds(backend, base, [h])[0]
 
 
-def _cosh_coef(lam: float, dh: float) -> float:
-    """(e^{lam dh} + e^{-lam dh} - 2) / (2 lam^2), with its lam -> 0 limit."""
+def builds(backend: SpaceBackend, base: Curve, hs: Sequence[HProfile]) -> list:
+    """``build`` of ``base`` for each profile of ``hs``, the nodes of every
+    profile flowed in one ``backend.flows`` call."""
+    hvs = [_h_values(h, base.times) for h in hs]
+    moved = [np.flatnonzero(hv).tolist() for hv in hvs]
+    flowed = iter(backend.flows([base.points[i] for m in moved for i in m],
+                                [s for hv, m in zip(hvs, moved) for s in hv[m].tolist()]))
+    out = []
+    for hv, m in zip(hvs, moved):
+        pts = list(base.points)
+        for i in m:
+            pts[i] = next(flowed)
+        hv.setflags(write=False)
+        out.append(RegularizedCurve(base, hv, Curve(base.times, pts)))
+    return out
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` of each element of ``x`` on Python floats.
+
+    Python's ``math.exp`` and ``v ** 2`` call libm's ``exp`` and ``pow``,
+    which can round an ulp away from numpy's vectorized ``exp`` and
+    ``x * x``; mapping the scalar function keeps the scalar formula's
+    bytes.
+    """
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    return _libm(lambda v: v ** 2, x)
+
+
+def _cosh_coef(lam: float, dh: np.ndarray) -> np.ndarray:
+    """(e^{lam dh} + e^{-lam dh} - 2) / (2 lam^2) of each ``dh``, with its
+    lam -> 0 limit."""
     if abs(lam) < 1e-8:
         return 0.5 * dh * dh
-    return (math.exp(lam * dh) + math.exp(-lam * dh) - 2.0) / (2.0 * lam * lam)
+    return (_libm(math.exp, lam * dh) + _libm(math.exp, -lam * dh) - 2.0) / (2.0 * lam * lam)
 
 
-def _exp_coef(lam: float, dh_plus: float, dt_plus: float) -> float:
-    """(1 - e^{-lam (h+ - h-)}) / (lam (t+ - t-)), with its lam -> 0 limit."""
+def _exp_coef(lam: float, dh_plus: np.ndarray, dt_plus: np.ndarray) -> np.ndarray:
+    """(1 - e^{-lam (h+ - h-)}) / (lam (t+ - t-)) of each pair, with its
+    lam -> 0 limit."""
     if abs(lam) < 1e-8:
         return dh_plus / dt_plus
-    return (1.0 - math.exp(-lam * dh_plus)) / (lam * dt_plus)
+    return (1.0 - _libm(math.exp, -lam * dh_plus)) / (lam * dt_plus)
 
 
 def discrete_estimate_residual(backend: SpaceBackend, reg: RegularizedCurve,
@@ -150,52 +185,48 @@ def discrete_estimate_residuals(backend: SpaceBackend,
 
 def _estimate_residuals(backend: SpaceBackend, reg: RegularizedCurve,
                         pairs: list) -> dict:
-    """Two-point estimate residual of each ``(i, j)`` in ``pairs``; the
-    entropy and slope of a node are evaluated at most once."""
-    lam = backend.lam
-    times = reg.times.tolist()
-    h = reg.h.tolist()
-    tilde, base = reg.tilde.points, reg.base.points
-    slopes, entropies = {}, {}
+    """Two-point estimate residual of each ``(i, j)`` in ``pairs``.
 
-    def node_slope(k):
-        if k not in slopes:
-            slopes[k] = backend.slope(tilde[k])
-        return slopes[k]
-
-    def node_entropy(k):
-        if k not in entropies:
-            entropies[k] = backend.entropy(tilde[k])
-        return entropies[k]
-
-    def smoother(i, j):
-        """The more-smoothed node of the pair and the other one."""
-        return (j, i) if h[j] >= h[i] else (i, j)
-
+    The entropy and slope of a node are evaluated at most once, the chords
+    of both curves come from one ``backend.distances`` call, and the
+    formula runs in numpy over the applicable pairs in the order of its
+    scalar form, with libm's ``exp`` and ``pow`` where that form calls them.
+    """
     out = dict.fromkeys(pairs)  # None: not applicable
-    live = [(i, j) for i, j in pairs
-            if h[i] == h[j] or not math.isinf(node_slope(smoother(i, j)[0]))]
-    if not live:
+    lam, t, h = backend.lam, reg.times, reg.h
+    tilde, base = reg.tilde.points, reg.base.points
+    i, j = np.array(pairs).T
+    # the more-smoothed node of each pair and the other one
+    ip = np.where(h[j] >= h[i], j, i)
+    im = i + j - ip
+    slope = {k: backend.slope(tilde[k]) for k in dict.fromkeys(ip.tolist())}
+    slope_p = np.array([slope[k] for k in ip.tolist()])
+    live = (h[i] == h[j]) | ~np.isinf(slope_p)
+    if not live.any():
         return out
-    d_tilde = backend.distances([tilde[i] for i, _ in live], [tilde[j] for _, j in live])
-    d_base = backend.distances([base[i] for i, _ in live], [base[j] for _, j in live])
-    for (i, j), dtil, dbase in zip(live, map(float, d_tilde), map(float, d_base)):
-        h0, h1 = h[i], h[j]
-        dt = times[j] - times[i]
-        ip, im = smoother(i, j)
-        slope_p = node_slope(ip)
-        if math.isinf(slope_p):
-            slope_term = 0.0  # the inf * 0 = 0 convention, as h0 == h1
-        else:
-            slope_term = slope_p**2 * _cosh_coef(lam, h1 - h0) / (dt * dt)
-        if h0 == h1:
-            energy_term = 0.0  # exponential factor vanishes with h+ = h-
-        else:
-            energy_term = (_exp_coef(lam, h[ip] - h[im], times[ip] - times[im])
-                           * (node_entropy(j) - node_entropy(i)) / dt)
-        lhs = 0.5 * (dtil / dt) ** 2 + slope_term + energy_term
-        rhs = 0.5 * math.exp(-lam * (h0 + h1)) * (dbase / dt) ** 2
-        out[i, j] = lhs - rhs
+    i, j, ip, im, slope_p = i[live], j[live], ip[live], im[live], slope_p[live]
+    L = i.size
+    chords = backend.distances([tilde[k] for k in i.tolist()] + [base[k] for k in i.tolist()],
+                               [tilde[k] for k in j.tolist()] + [base[k] for k in j.tolist()])
+    h0, h1 = h[i], h[j]
+    dt = t[j] - t[i]
+    slope_term = np.zeros(L)  # the inf * 0 = 0 convention, as h0 == h1
+    fin = ~np.isinf(slope_p)
+    slope_term[fin] = (_square(slope_p[fin]) * _cosh_coef(lam, h1[fin] - h0[fin])
+                       / (dt[fin] * dt[fin]))
+    energy_term = np.zeros(L)  # exponential factor vanishes with h+ = h-
+    moves = h0 != h1
+    if moves.any():
+        i, j, ip, im = i[moves], j[moves], ip[moves], im[moves]
+        nodes = dict.fromkeys(np.concatenate([i, j]).tolist())
+        entropy = np.zeros(len(h))
+        entropy[list(nodes)] = [backend.entropy(tilde[k]) for k in nodes]
+        energy_term[moves] = (_exp_coef(lam, h[ip] - h[im], t[ip] - t[im])
+                              * (entropy[j] - entropy[i]) / dt[moves])
+    lhs = 0.5 * _square(chords[:L] / dt) + slope_term + energy_term
+    rhs = 0.5 * _libm(math.exp, -lam * (h0 + h1)) * _square(chords[L:] / dt)
+    for pair, res in zip(itertools.compress(pairs, live.tolist()), (lhs - rhs).tolist()):
+        out[pair] = res
     return out
 
 
@@ -210,7 +241,7 @@ def pointwise_estimate_residual(backend: SpaceBackend, reg: RegularizedCurve,
 def pointwise_estimate_residuals(backend: SpaceBackend, reg: RegularizedCurve,
                                  nodes: Sequence[int]) -> dict:
     """``pointwise_estimate_residual`` of each interior node in ``nodes``,
-    keyed by node; the chords of each curve come from one
+    keyed by node; the chords of both curves come from one
     ``backend.distances`` call."""
     N = reg.times.size - 1
     nodes = [int(i) for i in nodes]
@@ -219,10 +250,11 @@ def pointwise_estimate_residuals(backend: SpaceBackend, reg: RegularizedCurve,
             raise DomainError(f"need an interior node, got {i} of 0..{N}")
     lam = backend.lam
     tilde, base = reg.tilde.points, reg.base.points
-    d_tilde = backend.distances([tilde[i - 1] for i in nodes], [tilde[i + 1] for i in nodes])
-    d_base = backend.distances([base[i - 1] for i in nodes], [base[i + 1] for i in nodes])
+    chords = backend.distances(
+        [tilde[i - 1] for i in nodes] + [base[i - 1] for i in nodes],
+        [tilde[i + 1] for i in nodes] + [base[i + 1] for i in nodes]).tolist()
     out = {}
-    for i, dtil, dbase in zip(nodes, d_tilde.tolist(), d_base.tolist()):
+    for i, dtil, dbase in zip(nodes, chords, chords[len(nodes):]):
         span = float(reg.times[i + 1] - reg.times[i - 1])
         speed_tilde = dtil / span
         hprime = (reg.h[i + 1] - reg.h[i - 1]) / span
@@ -246,7 +278,18 @@ def recovery_gap(backend: SpaceBackend, base: Curve, eps: float) -> float:
     A nonnegative gap certifies the recovery sequence used both in the
     Gamma-limsup argument and as the solver warm start.
     """
-    if eps < 0:
+    return recovery_gaps(backend, base, [eps])[0]
+
+
+def recovery_gaps(backend: SpaceBackend, base: Curve, eps_list: Sequence[float]) -> list:
+    """``recovery_gap`` of each eps of ``eps_list``.
+
+    ``A(c)`` is evaluated once, the nodes of every regularized curve are
+    flowed in one ``backend.flows`` call and their chords come from one
+    ``backend.distances`` call.
+    """
+    eps_list = list(eps_list)
+    if any(eps < 0 for eps in eps_list):
         raise DomainError("eps must be nonnegative")
     e_ends = [backend.entropy(base.points[0]), backend.entropy(base.points[-1])]
     if not all(map(math.isfinite, e_ends)):
@@ -254,18 +297,21 @@ def recovery_gap(backend: SpaceBackend, base: Curve, eps: float) -> float:
             "recovery bound needs finite endpoint entropies; mollify first"
         )
     kin_base = kinetic_action(backend, base)
-    if eps == 0.0:
-        return 0.0
-    reg = build(backend, base, HatFunction.with_slope(eps))
-    lhs = kinetic_action(backend, reg.tilde) + eps**2 * fisher_action(backend, reg.tilde)
+    live = [eps for eps in eps_list if eps != 0.0]
+    regs = builds(backend, base, [HatFunction.with_slope(eps) for eps in live])
+    kins = kinetic_actions(backend, [reg.tilde for reg in regs])
     lam_minus = max(-backend.lam, 0.0)
-    mid = reg.tilde.points[base.node_nearest(0.5)]
-    rhs = (
-        math.exp(lam_minus * eps) * kin_base
-        - 2.0 * eps * backend.entropy(mid)
-        + eps * (e_ends[0] + e_ends[1])
-    )
-    return rhs - lhs
+    gaps = {}
+    for eps, reg, kin in zip(live, regs, kins):
+        lhs = kin + eps**2 * fisher_action(backend, reg.tilde)
+        mid = reg.tilde.points[base.node_nearest(0.5)]
+        rhs = (
+            math.exp(lam_minus * eps) * kin_base
+            - 2.0 * eps * backend.entropy(mid)
+            + eps * (e_ends[0] + e_ends[1])
+        )
+        gaps[eps] = rhs - lhs
+    return [gaps.get(eps, 0.0) for eps in eps_list]
 
 
 def convexity_certificate(backend: SpaceBackend, x, y, theta_grid) -> float:

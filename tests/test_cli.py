@@ -346,8 +346,9 @@ class TestVerifySubsets:
         def boom(*args, **kwargs):
             raise AssertionError("regularizer certificate ran")
 
-        for name in ("build", "discrete_estimate_residuals", "pointwise_estimate_residuals",
-                     "recovery_gap", "convexity_certificate"):
+        for name in ("build", "builds", "discrete_estimate_residuals",
+                     "pointwise_estimate_residuals", "recovery_gap", "recovery_gaps",
+                     "convexity_certificate"):
             monkeypatch.setattr(regularizer, name, boom)
         cfg = write_config(tmp_path, CIRCLE_VERIFY + "properties = evi\n")
         assert main([cfg, "--output", str(tmp_path / "out")]) == 0

@@ -14,6 +14,7 @@ from entrogeo import (
     kinetic_action,
     schrodinger_action,
 )
+from entrogeo.core import kinetic_actions
 from entrogeo.errors import DomainError, InvalidCurve
 
 
@@ -107,6 +108,35 @@ class TestKineticAction:
             chord = porous2.distance(p, q)
             total += chord * chord / dt
         assert kinetic_action(porous2, c) == 0.5 * total
+
+    @pytest.mark.parametrize("backend", ["quad2d", "porous2"])
+    def test_plural_equals_per_curve(self, request, monkeypatch, backend):
+        # the chords of every curve from one distances call, each curve's
+        # value bit for bit its own
+        from entrogeo import GridDensity
+
+        be = request.getfixturevalue(backend)
+        if backend == "quad2d":
+            a, b, c = np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([-1.0, 0.0])
+        else:
+            n, dx, x0 = 32, 0.25, -4.0
+            a, b, c = (GridDensity.gaussian(m, s, n, dx, x0, "periodic")
+                       for m, s in ((-2.0, 0.5), (1.5, 0.9), (0.0, 0.3)))
+        curves = [geodesic_curve(be, a, b, 6), geodesic_curve(be, b, c, 9),
+                  Curve.uniform([a, c])]
+        calls = []
+        distances = be.distances
+
+        def counting(xs, ys):
+            calls.append(len(xs))
+            return distances(xs, ys)
+
+        monkeypatch.setattr(be, "distances", counting)
+        values = kinetic_actions(be, curves)
+        monkeypatch.undo()
+        assert calls == [16]
+        assert [v.hex() for v in values] == [kinetic_action(be, c).hex() for c in curves]
+        assert kinetic_actions(be, []) == []
 
 
 class TestDistances:

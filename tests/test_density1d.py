@@ -23,6 +23,7 @@ from entrogeo.density1d import (
     _implicit_step,
     _min_cuts,
     _turns,
+    _waves,
     entropy,
     flow,
     flows,
@@ -410,15 +411,16 @@ class TestCircleCutSearch:
             assert sum(kernel_rows) <= math.ceil(math.log2(n - 1)) + 2
 
     def test_seeded_cut_evaluations_all_pairs(self, porous2, kernel_rows):
-        # the chords of one node to every later node of a geodesic: each
-        # pair after the first of its node starts a few ranks from its cut
-        # (unseeded bisection takes 6 rows per pair at n = 64); measured
-        # 5,938 rows for the 2,080 pairs
+        # the chords of one node to every later node of a geodesic: (i, j)
+        # starts from the cut of (0, j), next to its own (unseeded
+        # bisection takes 6 rows per pair at n = 64, and perfect seeds 2);
+        # measured 4,288 rows in 88 kernel calls for the 2,080 pairs
         pts = circle_geodesic(porous2)
         pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
         kernel_rows.clear()  # the geodesic's own cut search
         porous2.distances([pts[i] for i, _ in pairs], [pts[j] for _, j in pairs])
-        assert sum(kernel_rows) <= 2.86 * len(pairs)
+        assert sum(kernel_rows) <= 2.07 * len(pairs)
+        assert len(kernel_rows) <= 88
 
     def test_seeded_cut_evaluations_consecutive_chords(self, porous2, kernel_rows):
         # a curve's consecutive chords are all leaders: seeded with the
@@ -455,7 +457,7 @@ class TestDistances:
         d = porous2.distances(xs, ys)
         assert d.tolist() == [porous2.distance(x, y) for x, y in zip(xs, ys)]
 
-    @pytest.mark.parametrize("shape", ["all_pairs", "star", "chain", "shuffled"])
+    @pytest.mark.parametrize("shape", ["all_pairs", "star", "chain", "many_to_one", "shuffled"])
     def test_seeded_lists_equal_per_pair_loop(self, porous2, shape):
         # the seeded leaders and followers give each pair the bytes of its
         # own unseeded search (w2_distance runs one pair, unseeded)
@@ -466,13 +468,26 @@ class TestDistances:
             "all_pairs": [(i, j) for i in range(N) for j in range(i + 1, N)],
             "star": [(7, j) for j in range(N)],
             "chain": [(i, i + 1) for i in range(N - 1)],
+            "many_to_one": [(i, 30) for i in range(N)],
             # leaders and followers interleaved, some pairs repeated
             "shuffled": [tuple(p) for p in rng.integers(0, N, (300, 2))],
         }[shape]
+        assert len(_waves(np.array(pairs))[1]) <= 3
         xs = [pts[i] for i, _ in pairs]
         ys = [pts[j] for _, j in pairs]
         d = porous2.distances(xs, ys)
         assert d.tobytes() == np.array([w2_distance(x, y) for x, y in zip(xs, ys)]).tobytes()
+
+    def test_leaders(self):
+        # the second point's leader wins over the first point's; a pair
+        # whose leader is in the last wave starts from pair 0's cut instead
+        pairs = np.array([(0, 1), (0, 2), (3, 2), (3, 4), (5, 4), (5, 6)])
+        lead, waves = _waves(pairs)
+        assert lead.tolist() == [0, 0, 1, 0, 3, 0]
+        assert [w.tolist() for w in waves] == [[0], [1, 3, 5], [2, 4]]
+        lead, waves = _waves(np.array([(0, 1), (2, 1), (0, 3), (2, 3)]))
+        assert lead.tolist() == [0, 0, 0, 2]
+        assert [w.tolist() for w in waves] == [[0], [1, 2], [3]]
 
     def test_many_pairs_span_blocks(self, porous2):
         rng = np.random.default_rng(6)

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from entrogeo import Curve, GridDensity, HatFunction, geodesic_curve
+from entrogeo import Curve, GridDensity, HatFunction, fisher_action, geodesic_curve, kinetic_action
 from entrogeo.errors import DomainError, EndpointEntropyInfinite
 from entrogeo.regularizer import (
     build,
+    builds,
     convexity_certificate,
     discrete_estimate_residual,
     discrete_estimate_residuals,
     pointwise_estimate_residual,
     pointwise_estimate_residuals,
     recovery_gap,
+    recovery_gaps,
 )
 
 from conftest import SWEEP, gaussian_on
@@ -80,6 +82,64 @@ class TestBuild:
         # heat flow for time eps/2 adds variance 2 * eps/2 = eps
         ref = gaussian_on(SWEEP, 1.0, math.sqrt(1.0 + eps))
         assert float(np.sum(np.abs(mid.rho - ref.rho)) * mid.dx) <= 1e-3
+
+
+class TestBuilds:
+    @pytest.mark.parametrize("backend", ["quad1d", "porous2"])
+    def test_equals_per_profile(self, request, backend):
+        be = request.getfixturevalue(backend)
+        if backend == "quad1d":
+            base = quad_segment(be, 1.0, 2.0, n=16)
+        else:
+            base = circle_reg(be, 16).base
+        hs = [HatFunction.with_slope(0.2), np.zeros(17), HatFunction(0.03, 0.3)]
+        for reg, h in zip(builds(be, base, hs), hs):
+            one = build(be, base, h)
+            assert reg.h.tobytes() == one.h.tobytes()
+            for p, q in zip(reg.tilde.points, one.tilde.points):
+                assert np.asarray(getattr(p, "rho", p)).tobytes() == \
+                    np.asarray(getattr(q, "rho", q)).tobytes()
+        assert builds(be, base, []) == []
+
+
+def scalar_residual(backend, reg, i, j):
+    """The two-point estimate residual of ``(i, j)`` by its scalar formula,
+    on Python floats, with the chords of single-pair distances."""
+    lam, times, h = backend.lam, reg.times.tolist(), reg.h.tolist()
+    tilde, base = reg.tilde.points, reg.base.points
+    h0, h1 = h[i], h[j]
+    dt = times[j] - times[i]
+    ip, im = (j, i) if h1 >= h0 else (i, j)
+    slope_p = backend.slope(tilde[ip])
+    if math.isinf(slope_p):
+        if h0 != h1:
+            return None
+        slope_term = 0.0
+    else:
+        dh = h1 - h0
+        if abs(lam) < 1e-8:
+            cosh = 0.5 * dh * dh
+        else:
+            cosh = (math.exp(lam * dh) + math.exp(-lam * dh) - 2.0) / (2.0 * lam * lam)
+        slope_term = slope_p**2 * cosh / (dt * dt)
+    if h0 == h1:
+        energy_term = 0.0
+    else:
+        dh_plus, dt_plus = h[ip] - h[im], times[ip] - times[im]
+        if abs(lam) < 1e-8:
+            coef = dh_plus / dt_plus
+        else:
+            coef = (1.0 - math.exp(-lam * dh_plus)) / (lam * dt_plus)
+        energy_term = coef * (backend.entropy(tilde[j]) - backend.entropy(tilde[i])) / dt
+    dtil = backend.distance(tilde[i], tilde[j])
+    dbase = backend.distance(base[i], base[j])
+    lhs = 0.5 * (dtil / dt) ** 2 + slope_term + energy_term
+    rhs = 0.5 * math.exp(-lam * (h0 + h1)) * (dbase / dt) ** 2
+    return lhs - rhs
+
+
+def bits(values):
+    return [None if v is None else float(v).hex() for v in values]
 
 
 class TestDiscreteEstimate:
@@ -160,6 +220,42 @@ class TestDiscreteEstimateResiduals:
         assert (0, 8) in equal and res[0, 8] == 0.0
 
 
+    @pytest.mark.parametrize("backend", ["quad1d", "porous2"])
+    def test_bitwise_scalar_formula(self, request, backend):
+        # lam = 1 on the quadratic; a plateau in the profile gives pairs
+        # with h0 == h1 > 0 besides the symmetric ones
+        be = request.getfixturevalue(backend)
+        if backend == "quad1d":
+            base = quad_segment(be, 1.0, 2.0)
+        else:
+            base = circle_reg(be, 32).base
+        h = np.minimum(HatFunction.with_slope(0.05)(base.times), 0.009)
+        reg = build(be, base, h)
+        res = discrete_estimate_residuals(be, reg)
+        assert bits(res.values()) == bits(scalar_residual(be, reg, i, j) for i, j in res)
+        assert sum(reg.h[i] == reg.h[j] > 0 for i, j in res) > 20
+
+    def test_bitwise_scalar_formula_with_infinite_slopes(self, quad1d):
+        # infinite slopes at a few nodes: the pairs smoothed most at them
+        # are not applicable unless their vertical times agree
+        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=16), HatFunction.with_slope(0.1))
+        sharp = {id(reg.tilde.points[k]) for k in (3, 8, 13)}
+
+        class SomeInfSlopes:
+            lam = 1.0
+            distance = staticmethod(quad1d.distance)
+            distances = staticmethod(quad1d.distances)
+            entropy = staticmethod(quad1d.entropy)
+
+            def slope(self, p):
+                return math.inf if id(p) in sharp else quad1d.slope(p)
+
+        be = SomeInfSlopes()
+        res = discrete_estimate_residuals(be, reg)
+        assert bits(res.values()) == bits(scalar_residual(be, reg, i, j) for i, j in res)
+        assert res[3, 16] is None and res[3, 13] == scalar_residual(be, reg, 3, 13)
+
+
 class TestPointwiseEstimate:
     def test_constant_curve_at_equilibrium(self, quad1d):
         base = Curve.uniform([np.zeros(1)] * 9)
@@ -231,6 +327,51 @@ class TestRecoveryGap:
 
         with pytest.raises(EndpointEntropyInfinite):
             recovery_gap(InfEntropy(), base, 0.1)
+
+
+def composed_recovery_gap(backend, base, eps):
+    """The recovery gap from ``build`` and the action functionals."""
+    if eps == 0.0:
+        return 0.0
+    reg = build(backend, base, HatFunction.with_slope(eps))
+    lhs = kinetic_action(backend, reg.tilde) + eps**2 * fisher_action(backend, reg.tilde)
+    e0, e1 = backend.entropy(base.points[0]), backend.entropy(base.points[-1])
+    rhs = (math.exp(max(-backend.lam, 0.0) * eps) * kinetic_action(backend, base)
+           - 2.0 * eps * backend.entropy(reg.tilde.points[base.node_nearest(0.5)])
+           + eps * (e0 + e1))
+    return rhs - lhs
+
+
+class TestRecoveryGaps:
+    @pytest.mark.parametrize("backend", ["quad1d", "porous2"])
+    def test_bitwise_per_eps(self, request, backend):
+        be = request.getfixturevalue(backend)
+        if backend == "quad1d":
+            base = quad_segment(be, 1.0, 2.0)
+        else:
+            base = circle_reg(be, 32).base
+        eps_list = [0.2, 0.0, 0.1, 0.05]
+        gaps = recovery_gaps(be, base, eps_list)
+        assert bits(gaps) == bits(recovery_gap(be, base, e) for e in eps_list)
+        assert bits(gaps) == bits(composed_recovery_gap(be, base, e) for e in eps_list)
+        assert recovery_gaps(be, base, []) == []
+
+    def test_errors_of_the_single_form(self, quad1d):
+        base = quad_segment(quad1d, 1.0, 2.0, n=8)
+        for gap in (lambda: recovery_gap(quad1d, base, -0.1),
+                    lambda: recovery_gaps(quad1d, base, [0.1, 0.0, -0.1])):
+            with pytest.raises(DomainError):
+                gap()
+
+        class InfEntropy:
+            lam = 1.0
+
+            def entropy(self, p):
+                return math.inf
+
+        for eps_list in ([0.1], [0.0], [0.2, 0.1]):
+            with pytest.raises(EndpointEntropyInfinite):
+                recovery_gaps(InfEntropy(), base, eps_list)
 
 
 class TestUniformConvergence:
