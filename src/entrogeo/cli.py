@@ -42,10 +42,9 @@ from . import cost_analysis, flow_verify, regularizer
 from .config import ExperimentConfig, load_config
 from .core import HatFunction, geodesic_curve
 from .density1d import Density1DBackend, GridDensity
-from .errors import EntrogeoError
+from .errors import ConfigError, EntrogeoError
 from .euclidean import EuclideanBackend
 from .fileio import dump_json, write_curve_csv, write_profile_csv
-from .flow_verify import EviReport
 from .solver import solve
 
 
@@ -144,14 +143,10 @@ class _Samples:
         return regularizer.build(self.backend, fine, HatFunction.with_slope(self.hat_slope))
 
 
-def _worst(name, residuals, samples, tol) -> EviReport:
-    worst = max(residuals)
-    return EviReport(name, worst, samples, worst <= tol, tol)
-
-
 def _evi(backend, s, tol):
     reps = [flow_verify.evi_defect(backend, x, y, s.s_grid, tol) for x, y in s.evi]
-    return _worst("evi", [r.worst_residual for r in reps], sum(r.samples for r in reps), tol)
+    return flow_verify._report("evi", max(r.worst_residual for r in reps),
+                               sum(r.samples for r in reps), tol)
 
 
 def _ede(backend, s, tol):
@@ -166,7 +161,7 @@ def _local_global(backend, s, tol):
 
 def _discrete_estimate(backend, s, tol):
     res = regularizer.discrete_estimate_residuals(backend, s.reg)
-    return _worst("discrete_estimate", res.values(), len(res), tol)
+    return flow_verify._report("discrete_estimate", max(res.values()), len(res), tol)
 
 
 def _pointwise_estimate(backend, s, tol):
@@ -175,18 +170,18 @@ def _pointwise_estimate(backend, s, tol):
     kink = reg.base.node_nearest(0.5)
     nodes = [i for i in range(1, n) if abs(i - kink) > 1]
     res = regularizer.pointwise_estimate_residuals(backend, reg, nodes)
-    return _worst("pointwise_estimate", res.values(), len(nodes), tol)
+    return flow_verify._report("pointwise_estimate", max(res.values()), len(nodes), tol)
 
 
 def _recovery_gap(backend, s, tol):
     gaps = [-g for g in regularizer.recovery_gaps(backend, s.base, (0.2, 0.1, 0.05))]
-    return _worst("recovery_gap", gaps, len(gaps), tol)
+    return flow_verify._report("recovery_gap", max(gaps), len(gaps), tol)
 
 
 def _convexity(backend, s, tol):
     thetas = np.linspace(0.0, 1.0, 33)
-    return _worst("convexity", [regularizer.convexity_certificate(backend, x, y, thetas)
-                                for x, y in s.convexity], len(s.convexity) * thetas.size, tol)
+    worst = max(regularizer.convexity_certificate(backend, x, y, thetas) for x, y in s.convexity)
+    return flow_verify._report("convexity", worst, len(s.convexity) * thetas.size, tol)
 
 
 # verify property -> (certificate (backend, samples, tol) -> EviReport,
@@ -303,6 +298,8 @@ def main(argv=None) -> int:
         if args.output is not None:
             config.output_dir = Path(args.output)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
             config.seed = args.seed
         if config.command == "solve":
             return cmd_solve(config)

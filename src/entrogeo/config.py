@@ -188,7 +188,7 @@ def _build_density_endpoint(text, grid, base_dir):
     if name == "point_mass":
         if len(args) != 1:
             raise ConfigError("[endpoints] point_mass(cell) needs one integer")
-        return GridDensity.point_mass(int(args[0]), n, dx, x0, boundary, floor)
+        return GridDensity.point_mass(args[0], n, dx, x0, boundary, floor)
     raise ConfigError(f"[endpoints] unknown density preset {name!r}")
 
 
@@ -301,6 +301,10 @@ def load_config(path) -> ExperimentConfig:
         if f not in ("csv", "json"):
             raise ConfigError(f"[output] formats: unknown format {f!r}")
 
+    seed = _get_int(run, "run", "seed", default=0)
+    if seed < 0:
+        _fail("run", "seed", f"must be nonnegative, got {seed}")
+
     return ExperimentConfig(
         backend=backend,
         grid=grid,
@@ -309,7 +313,7 @@ def load_config(path) -> ExperimentConfig:
         command=command,
         eps=eps,
         eps_list=eps_list,
-        seed=_get_int(run, "run", "seed", default=0),
+        seed=seed,
         solver_options=solver_options,
         taylor=taylor,
         properties=properties,

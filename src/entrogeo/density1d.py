@@ -21,12 +21,12 @@ masses of each distinct density are stacked once, two turns each, and the
 kernel gathers each cut's cells as a window of that table.  The searches
 run in three waves, each in lockstep over chunks of up to 512 pairs, one
 vectorized pass of the cut kernel per round.  A pair follows the earliest
-earlier pair with its second point, else the earliest with its first
-point: the first pair runs unseeded, the pairs that follow it or no pair
-start from its least cut, and the pairs that follow one of those start
-from their leader's.  A seeded search steps outward to the bracket, which
-ends on the same cut as the bisection in fewer probes: about 2.1 kernel
-rows a pair on the all-pairs chords of a curve, where 2 is the least.
+earlier pair with its second point, else the first pair: the first pair
+runs unseeded, the pairs that follow it start from its least cut, and the
+rest start from their leader's.  A seeded search steps outward to the
+bracket, which ends on the same cut as the bisection in fewer probes:
+about 2.1 kernel rows a pair on the all-pairs chords of a curve, where 2
+is the least.
 
 Two entropy functionals are supported, with their slopes and flows:
 
@@ -193,8 +193,10 @@ class GridDensity:
     def point_mass(cell: int, n: int, dx: float, x0: float = 0.0,
                    boundary: str = "no-flux", floor: float = DENSITY_FLOOR) -> "GridDensity":
         """All mass in one cell (up to the floor): the sharpest grid state."""
+        if not (float(cell).is_integer() and 0 <= cell < n):
+            raise DomainError(f"point mass cell must be an integer in [0, {n}), got {cell!r}")
         rho = np.full(n, floor)
-        rho[cell] = 1.0 / dx
+        rho[int(cell)] = 1.0 / dx
         return GridDensity(rho, dx, x0, boundary, floor, normalize=True)
 
 
@@ -240,7 +242,8 @@ def _cdf_nodes(d: GridDensity, rho: Optional[np.ndarray] = None):
 
 
 def _rolled_cdf_nodes(d: GridDensity, cut: int):
-    """CDF of the circle density unrolled onto ``[x0 + cut*dx, x0 + cut*dx + L]``."""
+    """CDF of the density unrolled onto ``[x0 + cut*dx, x0 + cut*dx + L]``;
+    at cut 0 these are the nodes of ``_cdf_nodes`` bit for bit."""
     F, _ = _cdf_nodes(d, np.roll(d.rho, -cut))
     return F, (d.x0 + cut * d.dx) + np.arange(d.n + 1) * d.dx
 
@@ -445,120 +448,90 @@ def _min_cuts(mass: np.ndarray, pairs: np.ndarray, dx: float,
 
 def _id_table(ds: list):
     """The distinct points of ``ds`` (by ``id``) and the index of each entry
-    among them, or ``None`` if a point is not a density on the grid of
-    ``ds[0]``.  Each distinct point is checked once: the rows of a batched
+    among them.  Each distinct point is checked once: the rows of a batched
     call (a curve's chords, the flows of one point to many times) share
-    their points.  ``ds`` is a list, so the ids and ``index`` are 1-D."""
+    their points.  Raises ``GridMismatch`` if a point is not a density on
+    the grid of ``ds[0]``.  ``ds`` is a list, so the ids and ``index`` are
+    1-D."""
     ids = np.fromiter(map(id, ds), np.uint64, len(ds))
     _, first, index = np.unique(ids, return_index=True, return_inverse=True)
     points = [ds[i] for i in first.tolist()]
     if not all(ds[0].same_grid(d) for d in points):
-        return None
-    return points, index
-
-
-def _on_one_grid(ds: list) -> bool:
-    """Whether every density of ``ds`` lies on the grid of the first."""
-    return _id_table(ds) is not None
-
-
-def _require_same_grid(a: GridDensity, b: GridDensity):
-    if not a.same_grid(b):
         raise GridMismatch("densities live on different grids")
+    return points, index
 
 
 def w2_distance(a: GridDensity, b: GridDensity) -> float:
     """Wasserstein-2 distance between two densities on the same grid."""
-    _require_same_grid(a, b)
-    return float(_distances([a, b], np.array([[0, 1]]))[0])
+    points, index = _id_table([a, b])
+    return float(_distances(points, index[None])[0][0])
 
 
 def _waves(pairs: np.ndarray):
-    """Each pair's leader and the three waves of a batch of circle cut
-    searches.
+    """Each pair's leader and the waves of a batch of circle cut searches.
 
-    Pair ``p`` follows the earliest earlier pair with the same second point
-    or, if none has it, the earliest earlier pair with the same first point,
-    and starts from that leader's least cut.  Wave 0 is pair 0, run
-    unseeded; wave 1 holds the pairs that follow pair 0 or no pair, and
-    wave 2 those that follow a pair of wave 1.  A pair whose leader is in
-    wave 2 follows no pair: it starts from pair 0's cut like a pair without
-    a leader.  On the all-pairs chords of a curve, ``(i, j)`` follows
+    Pair ``p`` follows the earliest earlier pair with the same second point,
+    else pair 0, and starts from that leader's least cut.  A leader is the
+    earliest pair with its second point, so it follows pair 0 itself: wave 0
+    is pair 0, run unseeded, wave 1 the pairs that follow pair 0, and wave 2
+    the rest.  On the all-pairs chords of a curve, ``(i, j)`` follows
     ``(0, j)`` and ``(0, j)`` follows ``(0, 1)``.  Returns the leader of
-    each pair (0 for the pairs of wave 1) and the waves, each an ascending
-    array of pairs.
+    each pair and the nonempty waves, each an ascending array of pairs.
     """
-    P = len(pairs)
-    own = np.arange(P)
-    lead = own.copy()
-    for col in (0, 1):  # the second point's leader wins
-        _, first, inverse = np.unique(pairs[:, col], return_index=True, return_inverse=True)
-        earliest = first[inverse]
-        lead = np.where(earliest != own, earliest, lead)
+    own = np.arange(len(pairs))
+    _, first, inverse = np.unique(pairs[:, 1], return_index=True, return_inverse=True)
+    lead = first[inverse]
     lead[lead == own] = 0
-    # a leader comes before its followers, so each sweep settles the wave
-    # of one more link of the longest chain of leaders
-    wave = np.minimum(own, 1)
-    while True:
-        up = wave[lead]
-        settled = np.where(up < 2, up + 1, 1)
-        settled[0] = 0
-        if np.array_equal(settled, wave):
-            break
-        wave = settled
-    lead[wave == 1] = 0
-    return lead, [np.flatnonzero(wave == k) for k in range(min(P, 3))]
+    waves = [own[:1], own[1:][lead[1:] == 0], own[lead != 0]]
+    return lead, [w for w in waves if w.size]
 
 
-def _distances(points: list, pairs: np.ndarray) -> np.ndarray:
+def _distances(points: list, pairs: np.ndarray):
     """W2 of each pair ``(points[pairs[p, 0]], points[pairs[p, 1]])`` of
-    densities on one grid.
+    densities on one grid, and the cut at which the pair attains it.
 
     The cell masses of each density of ``points`` are stacked once into a
     table, and the cut kernel gathers every pair's cells from it.  On the
     interval a pair's squared distance is the kernel's cost of the cut at
-    edge 0, where both quantiles start at the common origin.  On the circle
-    the pairs run ``_min_cuts`` in the waves of ``_waves``, each a lockstep
-    search over up to ``_SEARCH_PAIRS`` pairs at a time, seeded with the
-    leaders' cuts.  A leader shares a point with its followers, so its cut
-    lies a few ranks from theirs: the all-pairs chords of a 65-node
-    geodesic on 64 cells take about 2.1 kernel rows a pair.
+    edge 0, where both quantiles start at the common origin, so every cut
+    is 0.  On the circle the pairs run ``_min_cuts`` in the waves of
+    ``_waves``, each a lockstep search over up to ``_SEARCH_PAIRS`` pairs at
+    a time, seeded with the leaders' cuts.  A pair that shares its second
+    point with its leader has a least cut a few ranks from the leader's:
+    the all-pairs chords of a 65-node geodesic on 64 cells take about 2.1
+    kernel rows a pair.
     """
     P, dx = len(pairs), points[0].dx
     mass = np.stack([d.rho for d in points])
     mass *= dx
+    cuts = np.zeros(P, dtype=int)
     if points[0].boundary == "no-flux":
         # only cut 0, whose windows are the rows of the table itself
         n = mass.shape[1]
         costs = _cut_costs(sliding_window_view(mass.ravel(), n), pairs * n, dx)[0]
-        return np.sqrt(np.maximum(costs, 0.0))
+        return np.sqrt(np.maximum(costs, 0.0)), cuts
     costs = np.empty(P)
-    cuts = np.zeros(P, dtype=int)
     lead, waves = _waves(pairs)
     for k, wave in enumerate(waves):
         for s in range(0, wave.size, _SEARCH_PAIRS):
             part = wave[s:s + _SEARCH_PAIRS]
             costs[part], cuts[part] = _min_cuts(mass, pairs[part], dx,
                                                 cuts[lead[part]] if k else None)
-    return np.sqrt(np.maximum(costs, 0.0))
+    return np.sqrt(np.maximum(costs, 0.0)), cuts
 
 
 def _geodesic_sampler(a: GridDensity, b: GridDensity):
     """``theta -> `` displacement interpolant of ``a`` and ``b``, re-binned to
     their common grid.
 
-    The circle cut search and both CDF builds depend only on the endpoints,
-    so they run once here and every sampled time reuses them.
+    The cut search (cut 0 on the interval) and both CDF builds depend only
+    on the endpoints, so they run once here and every sampled time reuses
+    them.
     """
-    _require_same_grid(a, b)
-    if a.boundary == "no-flux":
-        cut = 0
-        Fa, xa = _cdf_nodes(a)
-        Fb, xb = _cdf_nodes(b)
-    else:
-        cut = int(_min_cuts(np.stack([a.rho, b.rho]) * a.dx, np.array([[0, 1]]), a.dx)[1][0])
-        Fa, xa = _rolled_cdf_nodes(a, cut)
-        Fb, xb = _rolled_cdf_nodes(b, cut)
+    points, index = _id_table([a, b])
+    cut = int(_distances(points, index[None])[1][0])
+    Fa, xa = _rolled_cdf_nodes(a, cut)
+    Fb, xb = _rolled_cdf_nodes(b, cut)
     U = np.union1d(Fa, Fb)
     qa = np.interp(U, Fa, xa)
     qb = np.interp(U, Fb, xb)
@@ -708,8 +681,8 @@ def flows(kind: EntropyKind, ds, ss) -> list:
         raise DomainError(f"{len(ds)} densities for {len(ss)} flow times")
     if any(s < 0 for s in ss):
         raise DomainError("flow time must be nonnegative")
-    if ds and not _on_one_grid(ds):
-        raise GridMismatch("densities live on different grids")
+    if ds:
+        _id_table(ds)  # raises GridMismatch off the grid of ds[0]
     out = list(ds)
     live = [i for i, s in enumerate(ss) if s != 0.0]
     if not live:
@@ -758,16 +731,13 @@ class Density1DBackend(SpaceBackend):
         return w2_distance(a, b)
 
     def distances(self, xs, ys) -> np.ndarray:
-        """``distance`` of each pair; when all points share one grid the
-        pairs run through the batched cut kernel (``_distances``).  Each
-        distinct point's grid is checked once: a curve's chords share their
-        nodes."""
+        """``distance`` of each pair, all through the batched cut kernel
+        (``_distances``).  Each distinct point's grid is checked once: a
+        curve's chords share their nodes."""
         xs, ys = list(xs), list(ys)
         if xs and len(xs) == len(ys) and isinstance(xs[0], GridDensity):
-            table = _id_table(xs + ys)
-            if table is not None:
-                points, index = table
-                return _distances(points, index.reshape(2, -1).T)
+            points, index = _id_table(xs + ys)
+            return _distances(points, index.reshape(2, -1).T)[0]
         return super().distances(xs, ys)
 
     def geodesic(self, a, b, theta: float):

@@ -9,6 +9,8 @@ import pytest
 
 import entrogeo
 from entrogeo.cli import main
+from entrogeo.config import load_config
+from entrogeo.errors import ConfigError
 from entrogeo.fileio import read_curve_csv
 from entrogeo.solver import _DensityProblem
 
@@ -177,6 +179,13 @@ class TestSolveCommand:
         assert err.startswith("error: density model (m = 128 quantile nodes, 31 time nodes)")
         assert "not positive definite" in err
 
+    @pytest.mark.parametrize("cell", ["300", "-1", "2.7"])
+    def test_point_mass_off_the_grid_exits_1(self, tmp_path, capsys, cell):
+        text = DENSITY_SOLVE.replace("x = gaussian(0, 1)", f"x = point_mass({cell})")
+        assert main([write_config(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "point mass cell" in err
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main([str(tmp_path / "nope.ini")]) == 1
 
@@ -269,6 +278,15 @@ seed = 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 10
         assert all(ln.endswith("pass") for ln in lines)
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        text = QUAD_VERIFY.replace("seed = 4", "seed = -3")
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(write_config(tmp_path, text))
+        assert main([write_config(tmp_path, text)]) == 1
+        assert capsys.readouterr().err.startswith("error: [run] seed")
+        assert main([write_config(tmp_path, QUAD_VERIFY), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --seed")
 
     def test_zero_tolerance_fails(self, tmp_path):
         cfg = write_config(tmp_path, """

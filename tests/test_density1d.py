@@ -20,8 +20,10 @@ from entrogeo.core import geodesic_curve
 from entrogeo.density1d import (
     _cdf_nodes,
     _cut_costs,
+    _distances,
     _implicit_step,
     _min_cuts,
+    _rolled_cdf_nodes,
     _turns,
     _waves,
     entropy,
@@ -69,6 +71,16 @@ class TestGridDensity:
         rho[0] = bad
         with pytest.raises(DomainError, match="non-finite"):
             d.with_rho(rho)
+
+    @pytest.mark.parametrize("cell", [64, 300, -1, 2.7, math.nan])
+    def test_point_mass_cell_checked(self, cell):
+        with pytest.raises(DomainError, match="point mass cell"):
+            GridDensity.point_mass(cell, 64, 0.25)
+
+    @pytest.mark.parametrize("cell", [0, 63, 5.0])
+    def test_point_mass_in_its_cell(self, cell):
+        d = GridDensity.point_mass(cell, 64, 0.25)
+        assert int(np.argmax(d.rho)) == cell
 
     def test_normalize_projects(self):
         d = GridDensity(np.arange(1.0, 9.0), dx=0.5, normalize=True)
@@ -457,7 +469,8 @@ class TestDistances:
         d = porous2.distances(xs, ys)
         assert d.tolist() == [porous2.distance(x, y) for x, y in zip(xs, ys)]
 
-    @pytest.mark.parametrize("shape", ["all_pairs", "star", "chain", "many_to_one", "shuffled"])
+    @pytest.mark.parametrize("shape", ["all_pairs", "star", "chain", "many_to_one", "shuffled",
+                                       "shared_first"])
     def test_seeded_lists_equal_per_pair_loop(self, porous2, shape):
         # the seeded leaders and followers give each pair the bytes of its
         # own unseeded search (w2_distance runs one pair, unseeded)
@@ -471,6 +484,8 @@ class TestDistances:
             "many_to_one": [(i, 30) for i in range(N)],
             # leaders and followers interleaved, some pairs repeated
             "shuffled": [tuple(p) for p in rng.integers(0, N, (300, 2))],
+            # a later pair that shares only its first point follows pair 0
+            "shared_first": [(0, 1), (2, 3), (2, 4)],
         }[shape]
         assert len(_waves(np.array(pairs))[1]) <= 3
         xs = [pts[i] for i, _ in pairs]
@@ -479,8 +494,8 @@ class TestDistances:
         assert d.tobytes() == np.array([w2_distance(x, y) for x, y in zip(xs, ys)]).tobytes()
 
     def test_leaders(self):
-        # the second point's leader wins over the first point's; a pair
-        # whose leader is in the last wave starts from pair 0's cut instead
+        # a pair follows the earliest earlier pair with its second point,
+        # else pair 0; a leader follows pair 0, so there are three waves
         pairs = np.array([(0, 1), (0, 2), (3, 2), (3, 4), (5, 4), (5, 6)])
         lead, waves = _waves(pairs)
         assert lead.tolist() == [0, 0, 1, 0, 3, 0]
@@ -488,6 +503,20 @@ class TestDistances:
         lead, waves = _waves(np.array([(0, 1), (2, 1), (0, 3), (2, 3)]))
         assert lead.tolist() == [0, 0, 0, 2]
         assert [w.tolist() for w in waves] == [[0], [1, 2], [3]]
+        lead, waves = _waves(np.array([(0, 1), (2, 3), (2, 4)]))
+        assert lead.tolist() == [0, 0, 0]
+        assert [w.tolist() for w in waves] == [[0], [1, 2]]
+
+    def test_cuts(self, porous2):
+        # interval pairs all take cut 0; circle pairs take the cut of their
+        # own unseeded search
+        rng = np.random.default_rng(10)
+        pts = [random_bumps(rng, 48, 0.0) for _ in range(6)]
+        pairs = np.array([(i, j) for i in range(6) for j in range(6) if i != j])
+        interval = [GridDensity(p.rho, p.dx, p.x0) for p in pts]
+        assert _distances(interval, pairs)[1].tolist() == [0] * len(pairs)
+        cuts = _distances(pts, pairs)[1]
+        assert cuts.tolist() == [int(min_cuts([(pts[i], pts[j])])[1][0]) for i, j in pairs]
 
     def test_many_pairs_span_blocks(self, porous2):
         rng = np.random.default_rng(6)
@@ -524,6 +553,12 @@ class TestDistances:
 
 
 class TestW2Geodesic:
+    def test_cut_zero_nodes_are_the_interval_nodes(self):
+        d = GridDensity.gaussian(0.3, 0.7, 40, 0.15, x0=-2.9)
+        F, x = _rolled_cdf_nodes(d, 0)
+        F0, x0 = _cdf_nodes(d)
+        assert F.tobytes() == F0.tobytes() and x.tobytes() == x0.tobytes()
+
     def test_endpoints_rebinned_exactly(self):
         a = gaussian_on(WIDE, 0.0, 1.0)
         b = gaussian_on(WIDE, 2.0, 1.5)
