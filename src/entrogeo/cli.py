@@ -10,8 +10,10 @@ stays a reproducible artifact.  Outputs are CSV/JSON only (plotting is
 external):
 
 * solve  -> ``curve.csv`` (minimizer) and ``result.json``
-* sweep  -> ``profile.csv`` plus ``diagnostics.json`` bundling the Fisher
-  monotonicity, derivative-identity, Taylor, and Gamma-convergence checks
+* sweep  -> ``profile.csv`` plus ``diagnostics.json`` holding each solve's
+  ``result.json`` record and the Fisher monotonicity, derivative-identity,
+  Taylor, and Gamma-convergence checks (the last two whenever the eps list
+  holds a positive value)
 * verify -> ``diagnostics.json`` with one record per selected
   flow/regularizer certificate
 
@@ -72,7 +74,8 @@ def cmd_sweep(config: ExperimentConfig) -> int:
         diagnostics["fisher_monotonicity_violation"] = cost_analysis.fisher_monotonicity(profile)
     if len(profile.rows) >= 3:
         diagnostics["derivative_residuals"] = cost_analysis.derivative_check(profile)
-    if config.taylor:
+    pos_eps = [e for e in config.eps_list if e > 0]
+    if pos_eps:
         tr = cost_analysis.taylor_check(profile)
         diagnostics["taylor"] = {
             "ratios": [list(p) for p in tr.ratios],
@@ -83,8 +86,6 @@ def cmd_sweep(config: ExperimentConfig) -> int:
             "pointwise_bound_ok": tr.pointwise_bound_ok,
             "pass": tr.passed,
         }
-    pos_eps = [e for e in config.eps_list if e > 0]
-    if pos_eps:
         gr = cost_analysis.gamma_diagnostics(
             config.backend, config.x, config.y, pos_eps,
             opts=opts, profile=profile,

@@ -50,7 +50,7 @@ _BACKEND_KEYS = {"kind", "entropy", "m", "n", "dx", "x0", "boundary", "floor",
                  "dim", "center", "strength"}
 _ENDPOINT_KEYS = {"x", "y"}
 _RUN_KEYS = {"command", "eps", "eps_list", "seed", "n_time", "max_iter",
-             "grad_tol", "quantile_points", "taylor", "properties"}
+             "grad_tol", "quantile_points", "properties"}
 _OUTPUT_KEYS = {"directory", "formats"}
 _COMMANDS = ("solve", "sweep", "verify")
 
@@ -66,7 +66,6 @@ class ExperimentConfig:
     eps_list: list
     seed: int
     solver_options: SolverOptions
-    taylor: bool
     properties: list
     tolerances: dict
     output_dir: Path
@@ -107,17 +106,6 @@ def _get_int(sec, section, key, default=None):
         return int(sec[key])
     except ValueError:
         _fail(section, key, f"not an integer: {sec[key]!r}")
-
-
-def _get_bool(sec, section, key, default):
-    if key not in sec:
-        return default
-    v = sec[key].strip().lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    _fail(section, key, f"not a boolean: {sec[key]!r}")
 
 
 def _parse_floats(text, section, key):
@@ -184,6 +172,8 @@ def _build_density_endpoint(text, grid, base_dir):
             raise ConfigError("[endpoints] gaussian(mean, sigma) needs two numbers")
         return GridDensity.gaussian(args[0], args[1], n, dx, x0, boundary, floor)
     if name == "uniform":
+        if args:
+            raise ConfigError("[endpoints] uniform takes no arguments")
         return GridDensity.uniform(n, dx, x0, boundary, floor)
     if name == "point_mass":
         if len(args) != 1:
@@ -257,13 +247,6 @@ def load_config(path) -> ExperimentConfig:
         if eps_list[0] < 0:
             _fail("run", "eps_list", "values must be nonnegative")
 
-    taylor = _get_bool(run, "run", "taylor", default=True)
-    if command == "sweep" and taylor and 0.0 not in eps_list:
-        raise ConfigError(
-            "[run] taylor diagnostics need the eps = 0 row; add 0 to eps_list "
-            "or set taylor = false"
-        )
-
     qp = None
     if "quantile_points" in run:
         qp = _get_int(run, "run", "quantile_points")
@@ -315,7 +298,6 @@ def load_config(path) -> ExperimentConfig:
         eps_list=eps_list,
         seed=seed,
         solver_options=solver_options,
-        taylor=taylor,
         properties=properties,
         tolerances=tolerances,
         output_dir=out_dir,

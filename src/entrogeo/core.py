@@ -93,9 +93,11 @@ class SpaceBackend:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
-    """A time grid ``0 = t_0 < ... < t_N = 1`` with one point per node."""
+    """A time grid ``0 = t_0 < ... < t_N = 1`` with one point per node.
+
+    It holds arrays, so ``==`` and ``hash`` go by identity."""
 
     times: np.ndarray
     points: tuple

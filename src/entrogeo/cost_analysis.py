@@ -2,10 +2,12 @@
 
 ``sweep`` solves the Schrodinger problem for a list of eps values (in
 descending order, warm-starting each solve from the previous minimizer)
-and assembles a :class:`CostProfile` together with the eps = 0 reference
-(the geodesic cost and the Fisher action of the geodesic).  On top of a
-profile the module checks everything the theory predicts for
-``eps -> cost_eps``:
+and assembles a :class:`CostProfile`: the solver's own
+:class:`~entrogeo.solver.SchrodingerResult` for every eps, together with
+the eps = 0 reference (the geodesic cost and the Fisher action of the
+geodesic).  The sweep always solves eps = 0 itself, so no diagnostic needs
+a 0 in the eps list.  On top of a profile the module checks everything the
+theory predicts for ``eps -> cost_eps``:
 
 * cost is non-decreasing and continuous in eps, Fisher is non-increasing
   (``fisher_monotonicity``),
@@ -34,7 +36,6 @@ from .core import HatFunction, SpaceBackend, geodesic_curve
 from .errors import DomainError, ProfileIncomplete, ScheduleRejected
 from .regularizer import build as build_regularized
 from .solver import (
-    SchrodingerResult,
     SolverOptions,
     discrete_action,
     geodesic_cost,
@@ -55,29 +56,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ProfileRow:
-    eps: float
-    cost: float
-    kinetic: float
-    fisher: float
-    converged: bool
-    minimizer: object  # Curve handle
-
-    def to_record(self) -> dict:
-        return {
-            "eps": self.eps,
-            "cost": self.cost,
-            "kinetic": self.kinetic,
-            "fisher": self.fisher,
-            "converged": self.converged,
-        }
-
-
-@dataclass(frozen=True)
 class CostProfile:
-    """Rows sorted by increasing eps plus the eps = 0 reference quantities."""
+    """The solver's results sorted by increasing eps, plus the eps = 0
+    reference quantities.
 
-    rows: tuple
+    ``rows`` holds the :class:`~entrogeo.solver.SchrodingerResult` of every
+    solve as returned, and ``to_records`` gives each its own ``to_record()``,
+    the record a single solve writes.
+    """
+
+    rows: tuple  # of SchrodingerResult
     cost_0: float
     fisher_0: float
     geodesic: object  # Curve handle of the eps = 0 minimizer
@@ -89,22 +77,14 @@ class CostProfile:
         if any(e2 <= e1 for e1, e2 in zip(eps, eps[1:])):
             raise DomainError("profile rows must be strictly increasing in eps")
 
-    @property
-    def eps_values(self) -> np.ndarray:
-        return np.array([r.eps for r in self.rows])
-
     def to_records(self) -> list:
         return [r.to_record() for r in self.rows]
 
 
-def _result_row(res: SchrodingerResult) -> ProfileRow:
-    return ProfileRow(res.eps, res.cost, res.kinetic, res.fisher,
-                      res.converged, res.minimizer)
-
-
 def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
           opts: Optional[SolverOptions] = None) -> CostProfile:
-    """Solve for every eps (descending, warm-start chained) and collect rows.
+    """Solve for every eps (descending, warm-start chained) and collect the
+    results.
 
     The eps = 0 reference is always computed; a 0 in ``eps_list`` simply
     also appears as a row.
@@ -124,10 +104,10 @@ def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     warm = opts
     for e in sorted(eps_arr, reverse=True):
         if e == 0.0:
-            rows.append(_result_row(ref))
+            rows.append(ref)
             continue
         res = solve(backend, x, y, e, warm)
-        rows.append(_result_row(res))
+        rows.append(res)
         warm = replace(opts, warm_start=res)
     rows.sort(key=lambda r: r.eps)
     return CostProfile(tuple(rows), ref.cost, ref.fisher, ref.minimizer)
@@ -289,9 +269,6 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     geo = geodesic_curve(backend, x, y, opts.n_time + 1)
     cost0 = geodesic_cost(backend, x, y)
 
-    rows = []
-    for e, xe, ye in mollified:
-        res = solve(backend, xe, ye, e, opts)
-        rows.append(_result_row(res))
+    rows = [solve(backend, xe, ye, e, opts) for e, xe, ye in mollified]
     rows.sort(key=lambda r: r.eps)
     return CostProfile(tuple(rows), cost0, math.inf, geo)

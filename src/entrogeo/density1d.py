@@ -99,9 +99,11 @@ def _project(rho: np.ndarray, dx, floor) -> np.ndarray:
     return np.maximum(out, floor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDensity:
-    """Unit-mass density on ``n`` cells of width ``dx`` starting at ``x0``."""
+    """Unit-mass density on ``n`` cells of width ``dx`` starting at ``x0``.
+
+    It holds an array, so ``==`` and ``hash`` go by identity."""
 
     rho: np.ndarray
     dx: float

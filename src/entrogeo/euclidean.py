@@ -47,9 +47,11 @@ class Potential:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticPotential(Potential):
-    """``V(x) = strength/2 |x - center|^2``; everything is closed form."""
+    """``V(x) = strength/2 |x - center|^2``; everything is closed form.
+
+    It holds an array, so ``==`` and ``hash`` go by identity."""
 
     center: np.ndarray
     strength: float = 1.0

@@ -71,9 +71,11 @@ __all__ = [
 HProfile = Union[HatFunction, Sequence[float], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularizedCurve:
-    """A base curve, its vertical-time profile, and the smoothed copy."""
+    """A base curve, its vertical-time profile, and the smoothed copy.
+
+    It holds curves, so ``==`` and ``hash`` go by identity."""
 
     base: Curve
     h: np.ndarray

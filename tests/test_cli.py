@@ -186,6 +186,18 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "point mass cell" in err
 
+    def test_uniform_with_arguments_exits_1(self, tmp_path, capsys):
+        text = DENSITY_SOLVE.replace("x = gaussian(0, 1)", "x = uniform(5, 7)")
+        assert main([write_config(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "uniform" in err
+
+    @pytest.mark.parametrize("preset", ["uniform", "uniform()"])
+    def test_uniform_without_arguments_loads(self, tmp_path, preset):
+        text = DENSITY_SOLVE.replace("x = gaussian(0, 1)", f"x = {preset}")
+        cfg = load_config(write_config(tmp_path, text))
+        assert np.all(cfg.x.rho == cfg.x.rho[0])
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main([str(tmp_path / "nope.ini")]) == 1
 
@@ -202,19 +214,40 @@ class TestSweepCommand:
         assert diag["gamma"]["pass"] is True
         assert diag["fisher_monotonicity_violation"] <= 1e-6
 
-    def test_taylor_requires_zero_row(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, QUAD_SWEEP.replace("eps_list = 0, ", "eps_list = "))
-        assert main([cfg]) == 1
-        assert "eps = 0" in capsys.readouterr().err
+    def test_zero_row_is_optional(self, tmp_path):
+        # the sweep solves eps = 0 itself, so the 0 row changes no diagnostic
+        diags = []
+        for name, text in (("with", QUAD_SWEEP),
+                           ("without", QUAD_SWEEP.replace("eps_list = 0, ", "eps_list = "))):
+            assert main([write_config(tmp_path, text), "--output", str(tmp_path / name)]) == 0
+            diags.append(json.loads((tmp_path / name / "diagnostics.json").read_text()))
+        with_zero, without_zero = diags
+        assert len(with_zero["profile"]) == 4 and len(without_zero["profile"]) == 3
+        for key in ("taylor", "gamma", "cost_0", "fisher_0"):
+            assert without_zero[key] == with_zero[key]
 
-    def test_taylor_can_be_disabled(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            QUAD_SWEEP.replace("eps_list = 0, ", "eps_list = ").replace(
-                "seed = 0", "seed = 0\ntaylor = false"
-            ),
-        )
+    def test_taylor_key_is_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUAD_SWEEP.replace("seed = 0", "seed = 0\ntaylor = false"))
+        assert main([cfg]) == 1
+        assert "unknown key 'taylor'" in capsys.readouterr().err
+
+    def test_zero_only_sweep(self, tmp_path):
+        cfg = write_config(tmp_path, QUAD_SWEEP.replace("eps_list = 0, 0.05, 0.1, 0.15",
+                                                        "eps_list = 0"))
         assert main([cfg]) == 0
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert len(diag["profile"]) == 1
+        assert "taylor" not in diag and "gamma" not in diag
+        assert len((tmp_path / "out" / "profile.csv").read_text().splitlines()) == 2
+
+    def test_profile_records_are_solve_records(self, tmp_path):
+        assert main([write_config(tmp_path, QUAD_SWEEP)]) == 0
+        assert main([write_config(tmp_path, QUAD_SOLVE, "solve.ini"),
+                     "--output", str(tmp_path / "solve")]) == 0
+        keys = list(json.loads((tmp_path / "solve" / "result.json").read_text()))
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert all(list(rec) == keys for rec in diag["profile"])
+        assert "iterations" in keys and "stationarity" in keys
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, QUAD_SWEEP)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from entrogeo import (
     Curve,
+    GridDensity,
     HatFunction,
+    QuadraticPotential,
     fisher_action,
     fisher_quadrature,
     geodesic_curve,
@@ -16,10 +18,33 @@ from entrogeo import (
 )
 from entrogeo.core import kinetic_actions
 from entrogeo.errors import DomainError, InvalidCurve
+from entrogeo.regularizer import build as build_regularized
 
 
 def segment_curve(backend, a, b, n):
     return geodesic_curve(backend, np.asarray(a, float), np.asarray(b, float), n)
+
+
+class TestIdentityEquality:
+    """Records that hold arrays compare and hash by identity, never raise."""
+
+    def pairs(self, quad1d):
+        a = GridDensity.gaussian(0.0, 1.0, 64, 0.25, -8.0)
+        b = GridDensity.gaussian(0.0, 1.0, 64, 0.25, -8.0)
+        base = segment_curve(quad1d, [1.0], [2.0], 8)
+        hat = HatFunction.with_slope(0.1)
+        return [
+            (a, b),
+            (Curve.uniform([a, b]), Curve.uniform([a, b])),
+            (build_regularized(quad1d, base, hat), build_regularized(quad1d, base, hat)),
+            (QuadraticPotential(np.zeros(1), 1.0), QuadraticPotential(np.zeros(1), 1.0)),
+        ]
+
+    def test_eq_in_and_set(self, quad1d):
+        for a, b in self.pairs(quad1d):
+            assert a == a and not (a == b) and a != b
+            assert a in [b, a] and a not in [b]
+            assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 class TestCurve:

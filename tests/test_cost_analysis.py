@@ -6,7 +6,6 @@ import pytest
 from entrogeo import GridDensity, cost_analysis
 from entrogeo.cost_analysis import (
     CostProfile,
-    ProfileRow,
     derivative_check,
     fisher_monotonicity,
     gamma_diagnostics,
@@ -15,10 +14,15 @@ from entrogeo.cost_analysis import (
     taylor_check,
 )
 from entrogeo.errors import DomainError, ProfileIncomplete, ScheduleRejected
-from entrogeo.solver import SolverOptions, solve
+from entrogeo.solver import SchrodingerResult, SolverOptions, solve
 
 
 EPS_DYADIC = [0.2, 0.1, 0.05, 0.025]
+
+
+def result_row(eps):
+    return SchrodingerResult(minimizer=None, cost=1.0, kinetic=1.0, fisher=0.0,
+                             iterations=0, converged=True, stationarity=0.0, eps=eps)
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +34,8 @@ def quad_profile(quad1d):
 class TestProfileInvariants:
     def test_rows_sorted_and_distinct(self):
         rows = (
-            ProfileRow(0.2, 1.0, 1.0, 0.0, True, None),
-            ProfileRow(0.1, 1.0, 1.0, 0.0, True, None),
+            result_row(0.2),
+            result_row(0.1),
         )
         with pytest.raises(DomainError):
             CostProfile(rows, 0.5, 0.1, None)
@@ -48,6 +52,12 @@ class TestProfileInvariants:
 
 
 class TestSweep:
+    def test_rows_are_solver_results(self, quad_profile):
+        assert all(isinstance(r, SchrodingerResult) for r in quad_profile.rows)
+        assert quad_profile.to_records() == [r.to_record() for r in quad_profile.rows]
+        assert quad_profile.rows[0].iterations == 0
+        assert all(r.iterations > 0 for r in quad_profile.rows[1:])
+
     def test_cost_strictly_increasing(self, quad_profile):
         costs = [r.cost for r in quad_profile.rows]
         assert all(b > a for a, b in zip(costs, costs[1:]))
@@ -104,7 +114,7 @@ class TestTaylorCheck:
         assert report.limit_estimate == pytest.approx(7.0 / 6.0, rel=0.05)
 
     def test_missing_reference_raises(self):
-        rows = (ProfileRow(0.1, 1.0, 1.0, 0.0, True, None),)
+        rows = (result_row(0.1),)
         prof = CostProfile(rows, 0.5, math.inf, None)
         with pytest.raises(ProfileIncomplete):
             taylor_check(prof)
