@@ -61,9 +61,8 @@ def cmd_solve(config: ExperimentConfig) -> int:
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
-    opts = config.solver_options
     profile = cost_analysis.sweep(
-        config.backend, config.x, config.y, config.eps_list, opts
+        config.backend, config.x, config.y, config.eps_list, config.solver_options
     )
     diagnostics = {
         "profile": profile.to_records(),
@@ -74,8 +73,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
         diagnostics["fisher_monotonicity_violation"] = cost_analysis.fisher_monotonicity(profile)
     if len(profile.rows) >= 3:
         diagnostics["derivative_residuals"] = cost_analysis.derivative_check(profile)
-    pos_eps = [e for e in config.eps_list if e > 0]
-    if pos_eps:
+    if any(r.eps > 0 for r in profile.rows):
         tr = cost_analysis.taylor_check(profile)
         diagnostics["taylor"] = {
             "ratios": [list(p) for p in tr.ratios],
@@ -86,10 +84,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
             "pointwise_bound_ok": tr.pointwise_bound_ok,
             "pass": tr.passed,
         }
-        gr = cost_analysis.gamma_diagnostics(
-            config.backend, config.x, config.y, pos_eps,
-            opts=opts, profile=profile,
-        )
+        gr = cost_analysis.gamma_diagnostics(config.backend, profile)
         diagnostics["gamma"] = {
             "eps": list(gr.eps),
             "cost_gaps": list(gr.cost_gaps),
@@ -229,19 +224,19 @@ def _verify_quadratic(backend: EuclideanBackend, rng, properties, tol) -> dict:
 
 
 def _verify_density(backend: Density1DBackend, grid, properties, tol) -> dict:
-    n, dx, x0, boundary, floor = grid
+    n, dx, x0, boundary = grid
     L = n * dx
 
     def gauss(mean_frac, sigma_frac):
         return GridDensity.gaussian(x0 + mean_frac * L, sigma_frac * L, n, dx,
-                                    x0, boundary, floor)
+                                    x0, boundary)
 
     mix = GridDensity.from_function(
         lambda xs: (
             0.6 * np.exp(-0.5 * ((xs - (x0 + 0.35 * L)) / (0.05 * L)) ** 2)
             + 0.4 * np.exp(-0.5 * ((xs - (x0 + 0.62 * L)) / (0.07 * L)) ** 2)
         ),
-        n, dx, x0, boundary, floor,
+        n, dx, x0, boundary,
     )
     g_mid = gauss(0.5, 0.08)
     g_off = gauss(0.6, 0.08)

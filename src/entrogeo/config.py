@@ -39,14 +39,15 @@ from typing import Optional
 
 import numpy as np
 
-from .density1d import DENSITY_FLOOR, Density1DBackend, EntropyKind, GridDensity, density_from_csv
+from .cost_analysis import _descending_eps
+from .density1d import Density1DBackend, EntropyKind, GridDensity, density_from_csv
 from .errors import ConfigError, DomainError
 from .euclidean import EuclideanBackend, QuadraticPotential
 from .solver import SolverOptions
 
 __all__ = ["ExperimentConfig", "load_config"]
 
-_BACKEND_KEYS = {"kind", "entropy", "m", "n", "dx", "x0", "boundary", "floor",
+_BACKEND_KEYS = {"kind", "entropy", "m", "n", "dx", "x0", "boundary",
                  "dim", "center", "strength"}
 _ENDPOINT_KEYS = {"x", "y"}
 _RUN_KEYS = {"command", "eps", "eps_list", "seed", "n_time", "max_iter",
@@ -58,7 +59,7 @@ _COMMANDS = ("solve", "sweep", "verify")
 @dataclass
 class ExperimentConfig:
     backend: object
-    grid: Optional[tuple]  # (n, dx, x0, boundary, floor) for density backends
+    grid: Optional[tuple]  # (n, dx, x0, boundary) for density backends
     x: object
     y: object
     command: str
@@ -147,8 +148,7 @@ def _density_grid(sec):
     dx = _get_float(sec, "backend", "dx", positive=True)
     x0 = _get_float(sec, "backend", "x0", default=0.0)
     boundary = sec.get("boundary", "no-flux")
-    floor = _get_float(sec, "backend", "floor", default=DENSITY_FLOOR, positive=True)
-    return n, dx, x0, boundary, floor
+    return n, dx, x0, boundary
 
 
 _PRESET_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?$")
@@ -160,25 +160,25 @@ def _build_density_endpoint(text, grid, base_dir):
         path = Path(text[4:].strip())
         if not path.is_absolute():
             path = base_dir / path
-        return density_from_csv(path, boundary=grid[3], floor=grid[4])
+        return density_from_csv(path, boundary=grid[3])
     m = _PRESET_RE.match(text)
     if not m:
         raise ConfigError(f"[endpoints] cannot parse density preset {text!r}")
     name = m.group(1)
     args = _parse_floats(m.group(2) or "", "endpoints", name)
-    n, dx, x0, boundary, floor = grid
+    n, dx, x0, boundary = grid
     if name == "gaussian":
         if len(args) != 2:
             raise ConfigError("[endpoints] gaussian(mean, sigma) needs two numbers")
-        return GridDensity.gaussian(args[0], args[1], n, dx, x0, boundary, floor)
+        return GridDensity.gaussian(args[0], args[1], n, dx, x0, boundary)
     if name == "uniform":
         if args:
             raise ConfigError("[endpoints] uniform takes no arguments")
-        return GridDensity.uniform(n, dx, x0, boundary, floor)
+        return GridDensity.uniform(n, dx, x0, boundary)
     if name == "point_mass":
         if len(args) != 1:
             raise ConfigError("[endpoints] point_mass(cell) needs one integer")
-        return GridDensity.point_mass(args[0], n, dx, x0, boundary, floor)
+        return GridDensity.point_mass(args[0], n, dx, x0, boundary)
     raise ConfigError(f"[endpoints] unknown density preset {name!r}")
 
 
@@ -241,11 +241,10 @@ def load_config(path) -> ExperimentConfig:
     elif command == "sweep":
         if "eps_list" not in run:
             _fail("run", "eps_list", "missing required value")
-        eps_list = sorted(set(_parse_floats(run["eps_list"], "run", "eps_list")))
-        if not eps_list:
-            _fail("run", "eps_list", "must contain at least one value")
-        if eps_list[0] < 0:
-            _fail("run", "eps_list", "values must be nonnegative")
+        try:
+            eps_list = _descending_eps(_parse_floats(run["eps_list"], "run", "eps_list"))[::-1]
+        except DomainError as exc:
+            _fail("run", "eps_list", str(exc))
 
     qp = None
     if "quantile_points" in run:

@@ -55,6 +55,23 @@ __all__ = [
 ]
 
 
+# a mollified sweep rejects a schedule whose condition term grows above this
+_TERM_TOL = 1e-3
+
+
+def _descending_eps(eps_list: Sequence[float]) -> list:
+    """``eps_list`` in descending order, the order a sweep solves it in;
+    ``DomainError`` unless it is nonempty, finite, nonnegative and distinct."""
+    eps = sorted((float(e) for e in eps_list), reverse=True)
+    if not eps:
+        raise DomainError("eps_list must be nonempty")
+    if not all(math.isfinite(e) and e >= 0 for e in eps):
+        raise DomainError("eps values must be finite and nonnegative")
+    if len(set(eps)) != len(eps):
+        raise DomainError("eps values must be distinct")
+    return eps
+
+
 @dataclass(frozen=True)
 class CostProfile:
     """The solver's results sorted by increasing eps, plus the eps = 0
@@ -62,13 +79,16 @@ class CostProfile:
 
     ``rows`` holds the :class:`~entrogeo.solver.SchrodingerResult` of every
     solve as returned, and ``to_records`` gives each its own ``to_record()``,
-    the record a single solve writes.
+    the record a single solve writes.  ``opts`` are the solver options the
+    rows were solved with: ``gamma_diagnostics`` scores its recovery curves
+    with the discrete action they define.
     """
 
     rows: tuple  # of SchrodingerResult
     cost_0: float
     fisher_0: float
     geodesic: object  # Curve handle of the eps = 0 minimizer
+    opts: SolverOptions
 
     def __post_init__(self):
         eps = [r.eps for r in self.rows]
@@ -86,23 +106,17 @@ def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     """Solve for every eps (descending, warm-start chained) and collect the
     results.
 
-    The eps = 0 reference is always computed; a 0 in ``eps_list`` simply
-    also appears as a row.
+    ``eps_list`` must be nonempty, nonnegative and without repeats
+    (``DomainError`` otherwise).  The eps = 0 reference is always computed;
+    a 0 in ``eps_list`` simply also appears as a row.
     """
-    eps_in = [float(e) for e in eps_list]
-    eps_arr = sorted(set(eps_in))
-    if not eps_arr:
-        raise DomainError("eps_list must be nonempty")
-    if eps_arr[0] < 0:
-        raise DomainError("eps values must be nonnegative")
-    if len(eps_arr) != len(eps_in):
-        raise DomainError("eps values must be distinct")
+    eps_desc = _descending_eps(eps_list)
     opts = opts or SolverOptions()
 
     ref = solve(backend, x, y, 0.0, opts)
     rows = []
     warm = opts
-    for e in sorted(eps_arr, reverse=True):
+    for e in eps_desc:
         if e == 0.0:
             rows.append(ref)
             continue
@@ -110,7 +124,7 @@ def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
         rows.append(res)
         warm = replace(opts, warm_start=res)
     rows.sort(key=lambda r: r.eps)
-    return CostProfile(tuple(rows), ref.cost, ref.fisher, ref.minimizer)
+    return CostProfile(tuple(rows), ref.cost, ref.fisher, ref.minimizer, opts)
 
 
 def fisher_monotonicity(profile: CostProfile) -> float:
@@ -188,21 +202,17 @@ class GammaReport:
     passed: bool
 
 
-def gamma_diagnostics(backend: SpaceBackend, x, y, eps_list: Sequence[float],
-                      opts: Optional[SolverOptions] = None,
-                      profile: Optional[CostProfile] = None,
-                      slack: float = 1e-9) -> GammaReport:
-    """Quantitative Gamma-convergence record over a descending eps sweep.
+def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaReport:
+    """Quantitative Gamma-convergence record over the positive-eps rows of
+    ``profile``, in descending eps.
 
-    Uses ``profile`` when given (so sweeps are not re-run), otherwise runs
-    one.  The recovery curve at each eps is built from the eps = 0
-    minimizer with the tent profile and evaluated by the same discrete
-    action the solver minimizes, so its gap to ``cost_eps`` is nonnegative
-    by construction and must close as eps drops.
+    The recovery curve at each eps is built from the eps = 0 minimizer with
+    the tent profile and evaluated by the discrete action of
+    ``profile.opts``, the one the rows' solves minimized, so its gap to
+    ``cost_eps`` is nonnegative by construction and must close as eps
+    drops.  Cost gaps and deviations may grow by 1e-9 from row to row and
+    recovery gaps dip to -1e-6, for roundoff.
     """
-    opts = opts or SolverOptions()
-    if profile is None:
-        profile = sweep(backend, x, y, eps_list, opts)
     pos = [r for r in profile.rows if r.eps > 0]
     pos_desc = list(reversed(pos))  # descending eps, the sweep direction
 
@@ -213,11 +223,11 @@ def gamma_diagnostics(backend: SpaceBackend, x, y, eps_list: Sequence[float],
         gaps.append(row.cost - profile.cost_0)
         devs.append(float(np.max(backend.distances(row.minimizer.points, geo.points))))
         reg = build_regularized(backend, geo, HatFunction.with_slope(row.eps))
-        rec.append(discrete_action(backend, reg.tilde, row.eps, opts) - row.cost)
+        rec.append(discrete_action(backend, reg.tilde, row.eps, profile.opts) - row.cost)
 
-    gap_dec = all(g2 < g1 + slack for g1, g2 in zip(gaps, gaps[1:]))
-    dev_dec = all(d2 < d1 + slack for d1, d2 in zip(devs, devs[1:]))
-    rec_ok = all(g >= -max(slack, 1e-6) for g in rec)
+    gap_dec = all(g2 < g1 + 1e-9 for g1, g2 in zip(gaps, gaps[1:]))
+    dev_dec = all(d2 < d1 + 1e-9 for d1, d2 in zip(devs, devs[1:]))
+    rec_ok = all(g >= -1e-6 for g in rec)
     positive = all(g > 0 for g in gaps)
     passed = gap_dec and dev_dec and rec_ok and positive
     return GammaReport(
@@ -228,36 +238,35 @@ def gamma_diagnostics(backend: SpaceBackend, x, y, eps_list: Sequence[float],
 
 def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
                     schedule: Callable[[float], float],
-                    opts: Optional[SolverOptions] = None,
-                    term_tol: float = 1e-3) -> CostProfile:
+                    opts: Optional[SolverOptions] = None) -> CostProfile:
     """Sweep with endpoints mollified by the flow: ``x_n = S_{eta_n} x``.
 
-    ``schedule`` maps eps to the mollification time eta >= 0.  The sweep
-    verifies the measured condition terms ``eps * (E(x_n) + E(y_n))`` keep
-    decreasing toward zero along descending eps: a term that both exceeds
-    ``term_tol`` and its predecessor signals a schedule shrinking too fast
-    (the endpoints sharpen faster than eps decays) and raises
-    :class:`ScheduleRejected`.  Cost rows then track the solves between
-    the mollified endpoints; the reference ``cost_0`` is the geodesic cost
-    between the *original* endpoints, the value the mollified costs must
-    approach.
+    ``eps_list`` follows the rule of ``sweep`` (nonempty, nonnegative, no
+    repeats); an eps = 0 in it gets no row, since the reference below
+    stands for it.  ``schedule`` maps eps to the mollification time eta,
+    finite and >= 0.  The sweep verifies the measured condition terms
+    ``eps * (E(x_n) + E(y_n))`` keep decreasing toward zero along
+    descending eps: a term that both exceeds ``_TERM_TOL`` = 1e-3 and its
+    predecessor signals a schedule shrinking too fast (the endpoints
+    sharpen faster than eps decays) and raises :class:`ScheduleRejected`.
+    Cost rows then track the solves between the mollified endpoints; the
+    reference ``cost_0`` is the geodesic cost between the *original*
+    endpoints, the value the mollified costs must approach.
     """
-    eps_desc = sorted(set(float(e) for e in eps_list), reverse=True)
-    if not eps_desc or eps_desc[-1] < 0:
-        raise DomainError("eps_list must be nonempty and nonnegative")
+    eps_desc = _descending_eps(eps_list)
     opts = opts or SolverOptions()
 
     eps_pos = [e for e in eps_desc if e != 0.0]
     etas = [float(schedule(e)) for e in eps_pos]
-    if any(eta < 0 for eta in etas):
-        raise DomainError("mollification times must be nonnegative")
+    if not all(math.isfinite(eta) and eta >= 0 for eta in etas):
+        raise DomainError("mollification times must be finite and nonnegative")
     # both endpoints at every time in one flows call
     flowed = backend.flows([x] * len(etas) + [y] * len(etas), etas + etas)
     prev_term = math.inf
     mollified = []
     for e, eta, xe, ye in zip(eps_pos, etas, flowed, flowed[len(etas):]):
         term = e * (backend.entropy(xe) + backend.entropy(ye))
-        if term > term_tol and term > prev_term + 1e-12:
+        if term > _TERM_TOL and term > prev_term + 1e-12:
             raise ScheduleRejected(
                 f"condition term grew from {prev_term:.6g} to {term:.6g} "
                 f"at eps={e:.6g} (eta={eta:.6g}); slow the schedule down"
@@ -271,4 +280,4 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
 
     rows = [solve(backend, xe, ye, e, opts) for e, xe, ye in mollified]
     rows.sort(key=lambda r: r.eps)
-    return CostProfile(tuple(rows), cost0, math.inf, geo)
+    return CostProfile(tuple(rows), cost0, math.inf, geo, opts)

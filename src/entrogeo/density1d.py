@@ -2,9 +2,10 @@
 
 States are piecewise-constant densities on a uniform grid over an interval
 (with no-flux walls) or a circle (periodic).  The W2 distance and geodesics
-are computed through quantile functions: for piecewise-constant densities
-with a positive floor the CDF is strictly increasing and piecewise linear,
-so its inverse is piecewise linear as well and
+are computed through quantile functions: every cell of a density sits at
+or above one positive floor, ``DENSITY_FLOOR`` = 1e-12, so the CDF is
+strictly increasing and piecewise linear, its inverse is piecewise linear
+as well and
 
     W2(a, b)^2 = int_0^1 |Qa(u) - Qb(u)|^2 du
 
@@ -40,10 +41,10 @@ are backward Euler with substep <= dx^2/2; the porous medium uses a
 lagged-coefficient semi-implicit scheme.  Each implicit step solves a
 symmetric positive-definite tridiagonal system with LAPACK ``dpttrf`` and
 ``dpttrs``; on the circle the wrap face is split off by a Sherman-Morrison
-correction.  Densities are clamped to the floor and renormalized after
-every substep (log rho and 1/rho would blow up otherwise).  ``flows`` steps
-many densities on one grid in lockstep, and ``flow`` is ``flows`` of one
-density: the systems of all rows still stepping are stacked into one
+correction.  Densities are clamped to ``DENSITY_FLOOR`` and renormalized
+after every substep (log rho and 1/rho would blow up otherwise).  ``flows``
+steps many densities on one grid in lockstep, and ``flow`` is ``flows`` of
+one density: the systems of all rows still stepping are stacked into one
 tridiagonal system whose blocks are joined by zero off-diagonals, so one
 ``dpttrs`` call per substep (heat factors the stack once, the porous
 medium refactors it every substep) gives every row bit for bit what it
@@ -84,24 +85,25 @@ DENSITY_FLOOR = 1e-12
 _BOUNDARIES = ("periodic", "no-flux")
 
 
-def _project(rho: np.ndarray, dx, floor) -> np.ndarray:
-    """Clamp to the floor and renormalize each row to unit mass.
+def _project(rho: np.ndarray, dx) -> np.ndarray:
+    """Clamp to ``DENSITY_FLOOR`` and renormalize each row to unit mass.
 
-    ``dx`` and ``floor`` are scalars or one value per row.  A reduction
-    along contiguous rows sums each row in the pairwise order of the 1-D
-    sum, so a stack of rows projects bit for bit like each row alone.  The
-    second clamp fixes the values the renormalization pushed below the
-    floor; the mass defect it reintroduces is O(n * floor * dx * 1e-9), far
-    below the 1e-12 mass tolerance.
+    ``dx`` is a scalar or one value per row.  A reduction along contiguous
+    rows sums each row in the pairwise order of the 1-D sum, so a stack of
+    rows projects bit for bit like each row alone.  The second clamp fixes
+    the values the renormalization pushed below the floor; the mass defect
+    it reintroduces is O(n * floor * dx * 1e-9), far below the 1e-12 mass
+    tolerance.
     """
-    out = np.maximum(rho, floor)
+    out = np.maximum(rho, DENSITY_FLOOR)
     out = out / (out.sum(axis=-1, keepdims=True) * dx)
-    return np.maximum(out, floor)
+    return np.maximum(out, DENSITY_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
-    """Unit-mass density on ``n`` cells of width ``dx`` starting at ``x0``.
+    """Unit-mass density on ``n`` cells of width ``dx`` starting at ``x0``,
+    with every cell at or above ``DENSITY_FLOOR``.
 
     It holds an array, so ``==`` and ``hash`` go by identity."""
 
@@ -109,15 +111,13 @@ class GridDensity:
     dx: float
     x0: float = 0.0
     boundary: str = "no-flux"
-    floor: float = DENSITY_FLOOR
 
-    def __init__(self, rho, dx, x0=0.0, boundary="no-flux",
-                 floor=DENSITY_FLOOR, normalize=False):
+    def __init__(self, rho, dx, x0=0.0, boundary="no-flux", normalize=False):
         rho = np.asarray(rho, dtype=float).copy()
         if rho.ndim != 1 or rho.size < 2:
             raise DomainError("density needs a 1D array with >= 2 cells")
-        if dx <= 0 or floor <= 0:
-            raise DomainError("dx and floor must be positive")
+        if dx <= 0:
+            raise DomainError("dx must be positive")
         if boundary not in _BOUNDARIES:
             raise DomainError(f"boundary must be one of {_BOUNDARIES}")
         # a nan or +-inf cell makes the sum non-finite (nan passes both the
@@ -126,9 +126,9 @@ class GridDensity:
         if not math.isfinite(mass):
             raise DomainError(f"density has non-finite mass {mass!r}")
         if normalize:
-            rho = _project(rho, dx, floor)
+            rho = _project(rho, dx)
         else:
-            if np.any(rho < floor):
+            if np.any(rho < DENSITY_FLOOR):
                 raise DomainError("density below floor; pass normalize=True")
             if abs(mass - 1.0) > 1e-12:
                 raise DomainError(f"density mass {mass!r} != 1")
@@ -137,7 +137,6 @@ class GridDensity:
         object.__setattr__(self, "dx", float(dx))
         object.__setattr__(self, "x0", float(x0))
         object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "floor", float(floor))
 
     @property
     def n(self) -> int:
@@ -156,8 +155,7 @@ class GridDensity:
         return self.x0 + np.arange(self.n + 1) * self.dx
 
     def with_rho(self, rho: np.ndarray) -> "GridDensity":
-        return GridDensity(rho, self.dx, self.x0, self.boundary,
-                           self.floor, normalize=True)
+        return GridDensity(rho, self.dx, self.x0, self.boundary, normalize=True)
 
     def same_grid(self, other: "GridDensity") -> bool:
         return (
@@ -172,34 +170,32 @@ class GridDensity:
 
     @staticmethod
     def from_function(fn: Callable[[np.ndarray], np.ndarray], n: int, dx: float,
-                      x0: float = 0.0, boundary: str = "no-flux",
-                      floor: float = DENSITY_FLOOR) -> "GridDensity":
+                      x0: float = 0.0, boundary: str = "no-flux") -> "GridDensity":
         centers = x0 + (np.arange(n) + 0.5) * dx
-        return GridDensity(fn(centers), dx, x0, boundary, floor, normalize=True)
+        return GridDensity(fn(centers), dx, x0, boundary, normalize=True)
 
     @staticmethod
     def gaussian(mean: float, sigma: float, n: int, dx: float, x0: float = 0.0,
-                 boundary: str = "no-flux", floor: float = DENSITY_FLOOR) -> "GridDensity":
+                 boundary: str = "no-flux") -> "GridDensity":
         if sigma <= 0:
             raise DomainError("sigma must be positive")
         pdf = lambda x: np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-        return GridDensity.from_function(pdf, n, dx, x0, boundary, floor)
+        return GridDensity.from_function(pdf, n, dx, x0, boundary)
 
     @staticmethod
-    def uniform(n: int, dx: float, x0: float = 0.0, boundary: str = "no-flux",
-                floor: float = DENSITY_FLOOR) -> "GridDensity":
+    def uniform(n: int, dx: float, x0: float = 0.0, boundary: str = "no-flux") -> "GridDensity":
         L = n * dx
-        return GridDensity(np.full(n, 1.0 / L), dx, x0, boundary, floor)
+        return GridDensity(np.full(n, 1.0 / L), dx, x0, boundary)
 
     @staticmethod
     def point_mass(cell: int, n: int, dx: float, x0: float = 0.0,
-                   boundary: str = "no-flux", floor: float = DENSITY_FLOOR) -> "GridDensity":
+                   boundary: str = "no-flux") -> "GridDensity":
         """All mass in one cell (up to the floor): the sharpest grid state."""
         if not (float(cell).is_integer() and 0 <= cell < n):
             raise DomainError(f"point mass cell must be an integer in [0, {n}), got {cell!r}")
-        rho = np.full(n, floor)
+        rho = np.full(n, DENSITY_FLOOR)
         rho[int(cell)] = 1.0 / dx
-        return GridDensity(rho, dx, x0, boundary, floor, normalize=True)
+        return GridDensity(rho, dx, x0, boundary, normalize=True)
 
 
 @dataclass(frozen=True)
@@ -458,7 +454,7 @@ def _id_table(ds: list):
     ids = np.fromiter(map(id, ds), np.uint64, len(ds))
     _, first, index = np.unique(ids, return_index=True, return_inverse=True)
     points = [ds[i] for i in first.tolist()]
-    if not all(ds[0].same_grid(d) for d in points):
+    if not (isinstance(ds[0], GridDensity) and all(ds[0].same_grid(d) for d in points)):
         raise GridMismatch("densities live on different grids")
     return points, index
 
@@ -668,7 +664,8 @@ def flows(kind: EntropyKind, ds, ss) -> list:
     """``flow`` of each density ``ds[i]`` for its time ``ss[i]``, all in
     lockstep on their common grid.
 
-    A zero time returns the density itself.  Every other row takes
+    A zero time returns the density itself, and a negative or non-finite
+    one raises ``DomainError``.  Every other row takes
     ``nsub`` substeps of length ``s / nsub``, with ``nsub`` the least
     count whose substep stays under the row's stability cap (``dx^2 / 2``
     for heat, ``dx^2 / (m max(rho)^(m-1))`` for the porous medium).  The
@@ -681,8 +678,8 @@ def flows(kind: EntropyKind, ds, ss) -> list:
     ds, ss = list(ds), [float(s) for s in ss]
     if len(ds) != len(ss):
         raise DomainError(f"{len(ds)} densities for {len(ss)} flow times")
-    if any(s < 0 for s in ss):
-        raise DomainError("flow time must be nonnegative")
+    if not all(math.isfinite(s) and s >= 0 for s in ss):
+        raise DomainError("flow time must be finite and nonnegative")
     if ds:
         _id_table(ds)  # raises GridMismatch off the grid of ds[0]
     out = list(ds)
@@ -701,7 +698,6 @@ def flows(kind: EntropyKind, ds, ss) -> list:
     steps = np.array([nsub[i] for i in live])
     dt = np.array([ss[i] / nsub[i] for i in live])[:, None]
     dx = np.array([ds[i].dx for i in live])[:, None]
-    floor = np.array([ds[i].floor for i in live])[:, None]
     boundary = ds[0].boundary
     r = np.stack([ds[i].rho for i in live])
     if heat:
@@ -716,7 +712,7 @@ def flows(kind: EntropyKind, ds, ss) -> list:
         if not np.all(np.isfinite(y)):
             raise FlowDiverged(
                 f"{'heat' if heat else 'porous-medium'} step produced non-finite density")
-        r[:p] = _project(y, dx[:p], floor[:p])
+        r[:p] = _project(y, dx[:p])
     for i, row in zip(live, r):
         out[i] = ds[i].with_rho(row)
     return out
@@ -737,10 +733,12 @@ class Density1DBackend(SpaceBackend):
         (``_distances``).  Each distinct point's grid is checked once: a
         curve's chords share their nodes."""
         xs, ys = list(xs), list(ys)
-        if xs and len(xs) == len(ys) and isinstance(xs[0], GridDensity):
-            points, index = _id_table(xs + ys)
-            return _distances(points, index.reshape(2, -1).T)[0]
-        return super().distances(xs, ys)
+        if len(xs) != len(ys):
+            raise DomainError(f"{len(xs)} first points for {len(ys)} second points")
+        if not xs:
+            return np.empty(0)
+        points, index = _id_table(xs + ys)
+        return _distances(points, index.reshape(2, -1).T)[0]
 
     def geodesic(self, a, b, theta: float):
         return w2_geodesic(a, b, theta)
@@ -779,8 +777,7 @@ def density_to_csv(d: GridDensity, path) -> None:
             fh.write(f"{x:.17g},{r:.17g}\n")
 
 
-def density_from_csv(path, boundary: str = "no-flux",
-                     floor: float = DENSITY_FLOOR) -> GridDensity:
+def density_from_csv(path, boundary: str = "no-flux") -> GridDensity:
     """Read ``x,rho`` rows on a uniform grid back into a density."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
@@ -790,5 +787,4 @@ def density_from_csv(path, boundary: str = "no-flux",
     dx = float(steps[0])
     if dx <= 0 or np.any(np.abs(steps - dx) > 1e-9 * dx):
         raise DomainError("density CSV grid must be uniform and increasing")
-    return GridDensity(r, dx, x0=float(x[0]) - 0.5 * dx, boundary=boundary,
-                       floor=floor, normalize=True)
+    return GridDensity(r, dx, x0=float(x[0]) - 0.5 * dx, boundary=boundary, normalize=True)

@@ -14,7 +14,7 @@ import io
 import numpy as np
 
 from .core import Curve
-from .density1d import GridDensity
+from .density1d import DENSITY_FLOOR, GridDensity
 from .errors import DomainError
 
 __all__ = [
@@ -77,14 +77,15 @@ def write_curve_csv(curve: Curve, path) -> None:
     """One row per time node: ``t`` plus the point payload columns.
 
     Density curves carry their grid geometry in a leading comment line so
-    the file is self-describing.
+    the file is self-describing; its ``floor`` field is ``DENSITY_FLOOR``,
+    which ``read_curve_csv`` does not need.
     """
     first = curve.points[0]
     with open(path, "w", newline="") as fh:
         if isinstance(first, GridDensity):
             fh.write(
                 f"# grid n={first.n} dx={fmt(first.dx)} x0={fmt(first.x0)} "
-                f"boundary={first.boundary} floor={fmt(first.floor)}\n"
+                f"boundary={first.boundary} floor={fmt(DENSITY_FLOOR)}\n"
             )
             fh.write("t," + ",".join(f"rho{i}" for i in range(first.n)) + "\n")
             for t, p in zip(curve.times, curve.points):
@@ -107,7 +108,6 @@ def read_curve_csv(path) -> Curve:
                 "dx": float(fields["dx"]),
                 "x0": float(fields["x0"]),
                 "boundary": fields["boundary"],
-                "floor": float(fields["floor"]),
             }
             fh.readline()  # column header
         rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
@@ -120,7 +120,7 @@ def read_curve_csv(path) -> Curve:
         pts = [
             GridDensity(
                 np.array([float(v) for v in r[1:]]),
-                grid["dx"], grid["x0"], grid["boundary"], grid["floor"],
+                grid["dx"], grid["x0"], grid["boundary"],
             )
             for r in rows
         ]

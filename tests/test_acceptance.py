@@ -191,20 +191,18 @@ def test_criterion_4_bridge_identity(quad1d, boltzmann):
             f"vs {target_d:.6f} | {elapsed:.1f}s")
 
 
-def test_criterion_5_gamma_convergence(quad1d, boltzmann, sweep_pair,
-                                       quad_profile, density_profile):
+def test_criterion_5_gamma_convergence(quad1d, boltzmann, quad_profile, density_profile):
     t0 = time.monotonic()
-    a, b = sweep_pair
 
     def dyadic_sub(profile):
         rows = tuple(r for r in profile.rows
                      if r.eps == 0.0 or any(abs(r.eps - e) < 1e-12 for e in EPS_DYADIC))
         from entrogeo.cost_analysis import CostProfile
-        return CostProfile(rows, profile.cost_0, profile.fisher_0, profile.geodesic)
+        return CostProfile(rows, profile.cost_0, profile.fisher_0, profile.geodesic,
+                           profile.opts)
 
-    rq = gamma_diagnostics(quad1d, np.array([1.0]), np.array([2.0]), EPS_DYADIC,
-                           profile=dyadic_sub(quad_profile))
-    rd = gamma_diagnostics(boltzmann, a, b, EPS_DYADIC, profile=dyadic_sub(density_profile))
+    rq = gamma_diagnostics(quad1d, dyadic_sub(quad_profile))
+    rd = gamma_diagnostics(boltzmann, dyadic_sub(density_profile))
     elapsed = time.monotonic() - t0
     ok = (
         rq.passed and rd.passed

@@ -11,7 +11,8 @@ import entrogeo
 from entrogeo.cli import main
 from entrogeo.config import load_config
 from entrogeo.errors import ConfigError
-from entrogeo.fileio import read_curve_csv
+from entrogeo.density1d import DENSITY_FLOOR
+from entrogeo.fileio import fmt, read_curve_csv
 from entrogeo.solver import _DensityProblem
 
 
@@ -159,6 +160,13 @@ class TestSolveCommand:
         assert main([cfg]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_floor_key_is_unknown(self, tmp_path, capsys):
+        assert load_config(write_config(tmp_path, DENSITY_SOLVE)).grid == (
+            128, 0.171875, -10.0, "no-flux")
+        cfg = write_config(tmp_path, DENSITY_SOLVE.replace("x0 = -10", "x0 = -10\nfloor = 1e-12"))
+        assert main([cfg]) == 1
+        assert "unknown key 'floor'" in capsys.readouterr().err
+
     def test_forced_non_convergence_exits_2(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -230,6 +238,16 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, QUAD_SWEEP.replace("seed = 0", "seed = 0\ntaylor = false"))
         assert main([cfg]) == 1
         assert "unknown key 'taylor'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps_list, msg", [
+        ("0.1, 0.05, 0.1", "distinct"), ("0, -0.1", "finite and nonnegative"), (",", "nonempty"),
+    ], ids=["repeat", "negative", "empty"])
+    def test_eps_list_rule_of_the_library_sweep(self, tmp_path, capsys, eps_list, msg):
+        cfg = write_config(tmp_path, QUAD_SWEEP.replace("eps_list = 0, 0.05, 0.1, 0.15",
+                                                        f"eps_list = {eps_list}"))
+        assert main([cfg]) == 1
+        err = capsys.readouterr().err
+        assert "[run] eps_list: eps" in err and f"must be {msg}" in err
 
     def test_zero_only_sweep(self, tmp_path):
         cfg = write_config(tmp_path, QUAD_SWEEP.replace("eps_list = 0, 0.05, 0.1, 0.15",
@@ -456,6 +474,8 @@ class TestCurveRoundTrip:
         cfg = write_config(tmp_path, DENSITY_SOLVE)
         assert main([cfg]) == 0
         path = tmp_path / "out" / "curve.csv"
+        assert path.read_text().splitlines()[0] == (
+            f"# grid n=128 dx=0.171875 x0=-10 boundary=no-flux floor={fmt(DENSITY_FLOOR)}")
         curve = read_curve_csv(path)
         from entrogeo.fileio import write_curve_csv
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from entrogeo import GridDensity, cost_analysis
+from entrogeo import GridDensity, HatFunction, cost_analysis
 from entrogeo.cost_analysis import (
     CostProfile,
+    _descending_eps,
     derivative_check,
     fisher_monotonicity,
     gamma_diagnostics,
@@ -14,7 +15,8 @@ from entrogeo.cost_analysis import (
     taylor_check,
 )
 from entrogeo.errors import DomainError, ProfileIncomplete, ScheduleRejected
-from entrogeo.solver import SchrodingerResult, SolverOptions, solve
+from entrogeo.regularizer import build
+from entrogeo.solver import SchrodingerResult, SolverOptions, discrete_action, solve
 
 
 EPS_DYADIC = [0.2, 0.1, 0.05, 0.025]
@@ -38,11 +40,17 @@ class TestProfileInvariants:
             result_row(0.1),
         )
         with pytest.raises(DomainError):
-            CostProfile(rows, 0.5, 0.1, None)
+            CostProfile(rows, 0.5, 0.1, None, SolverOptions())
 
     def test_duplicate_eps_rejected_by_sweep(self, quad1d):
         with pytest.raises(DomainError):
             sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.1, 0.1])
+
+    def test_profile_keeps_the_sweep_options(self, quad1d):
+        opts = SolverOptions(n_time=7)
+        prof = sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.0, 0.1], opts)
+        assert prof.opts is opts
+        assert sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.1]).opts == SolverOptions()
 
     def test_singleton_zero(self, quad1d):
         prof = sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.0])
@@ -115,7 +123,7 @@ class TestTaylorCheck:
 
     def test_missing_reference_raises(self):
         rows = (result_row(0.1),)
-        prof = CostProfile(rows, 0.5, math.inf, None)
+        prof = CostProfile(rows, 0.5, math.inf, None, SolverOptions())
         with pytest.raises(ProfileIncomplete):
             taylor_check(prof)
 
@@ -130,9 +138,9 @@ class TestTaylorCheck:
 class TestGammaDiagnostics:
     def test_quadratic(self, quad1d):
         prof = sweep(quad1d, np.array([1.0]), np.array([2.0]), EPS_DYADIC)
-        report = gamma_diagnostics(quad1d, np.array([1.0]), np.array([2.0]),
-                                   EPS_DYADIC, profile=prof)
+        report = gamma_diagnostics(quad1d, prof)
         assert report.passed
+        assert report.eps == tuple(sorted(EPS_DYADIC, reverse=True))
         assert all(g > 0 for g in report.cost_gaps)
         # deviation from the segment is bounded by C * eps along the sweep
         # (the closed-form bridge actually decays one order faster)
@@ -143,9 +151,38 @@ class TestGammaDiagnostics:
 
     def test_degenerate_singleton(self, quad1d):
         prof = sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.1])
-        report = gamma_diagnostics(quad1d, np.array([1.0]), np.array([2.0]),
-                                   [0.1], profile=prof)
+        report = gamma_diagnostics(quad1d, prof)
         assert report.recovery_nonnegative
+
+    def test_zero_row_is_skipped(self, quad1d, quad_profile):
+        report = gamma_diagnostics(quad1d, CostProfile(
+            quad_profile.rows[:1], quad_profile.cost_0, quad_profile.fisher_0,
+            quad_profile.geodesic, quad_profile.opts))
+        assert report.eps == () and report.passed
+
+    def test_recovery_scored_with_the_sweep_options(self, boltzmann):
+        # m = 4n graded quantile nodes: the recovery curves must be scored
+        # by the action the rows minimized, not by the default m = n one
+        n = 64
+        x = GridDensity.gaussian(0.35, 0.08, n, 1.0 / n)
+        y = GridDensity.gaussian(0.6, 0.12, n, 1.0 / n)
+        opts = SolverOptions(n_time=15, quantile_points=4 * n)
+        prof = sweep(boltzmann, x, y, [0.1, 0.05], opts)
+        report = gamma_diagnostics(boltzmann, prof)
+        assert report.eps == (0.1, 0.05)
+
+        def gaps(o):
+            return tuple(
+                discrete_action(boltzmann, build(boltzmann, prof.geodesic,
+                                                 HatFunction.with_slope(e)).tilde, e, o)
+                - r.cost
+                for e, r in zip(report.eps, reversed(prof.rows)))
+
+        assert report.recovery_gaps == gaps(opts)
+        assert report.recovery_nonnegative
+        # the default discretization scores them otherwise
+        default = gaps(SolverOptions(n_time=15))
+        assert all(abs(g - d) > 1e-5 for g, d in zip(report.recovery_gaps, default))
 
 
 class TestDefaultSweep:
@@ -183,7 +220,7 @@ class TestDefaultSweep:
         fisher = [r.fisher for r in rows]
         assert all(f2 < f1 for f1, f2 in zip(fisher, fisher[1:]))
 
-        report = gamma_diagnostics(boltzmann, x, y, eps_list, profile=prof)
+        report = gamma_diagnostics(boltzmann, prof)
         assert report.passed
         devs = report.minimizer_deviation  # descending eps
         assert all(d2 < d1 for d1, d2 in zip(devs, devs[1:]))
@@ -242,3 +279,44 @@ class TestMollifiedSweep:
         with pytest.raises(DomainError):
             mollified_sweep(boltzmann, x, y, [0.1], lambda e: -1.0,
                             SolverOptions(n_time=31))
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_eta_rejected(self, quad1d, boltzmann, near_dirac_pair, eta):
+        x, y = near_dirac_pair
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            mollified_sweep(boltzmann, x, y, [0.1], lambda e: eta,
+                            SolverOptions(n_time=31))
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            mollified_sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.1], lambda e: eta)
+
+    def test_profile_keeps_the_options(self, boltzmann, near_dirac_pair):
+        x, y = near_dirac_pair
+        opts = SolverOptions(n_time=7)
+        prof = mollified_sweep(boltzmann, x, y, [0.0, 0.4], math.sqrt, opts)
+        assert prof.opts is opts
+        assert [r.eps for r in prof.rows] == [0.4]
+
+
+class TestEpsList:
+    """``sweep`` and ``mollified_sweep`` share one rule for ``eps_list``."""
+
+    def test_descending(self):
+        assert _descending_eps([0.1, 0, 0.3, 0.2]) == [0.3, 0.2, 0.1, 0.0]
+        assert _descending_eps(np.array([0.05])) == [0.05]
+
+    @pytest.mark.parametrize("eps_list, match", [
+        ([], "nonempty"),
+        ([0.1, -0.1], "nonnegative"),
+        ([0.1, math.nan], "nonnegative"),
+        ([math.inf], "nonnegative"),
+        ([0.1, 0.2, 0.1], "distinct"),
+        ([0, 0.0], "distinct"),
+    ], ids=["empty", "negative", "nan", "inf", "repeat", "repeat-zero"])
+    def test_rejected_by_both_sweeps(self, quad1d, eps_list, match):
+        x, y = np.array([1.0]), np.array([2.0])
+        with pytest.raises(DomainError, match=match):
+            _descending_eps(eps_list)
+        with pytest.raises(DomainError, match=match):
+            sweep(quad1d, x, y, eps_list)
+        with pytest.raises(DomainError, match=match):
+            mollified_sweep(quad1d, x, y, eps_list, lambda e: 0.0)

@@ -18,6 +18,7 @@ from entrogeo import (
 from entrogeo import density1d
 from entrogeo.core import geodesic_curve
 from entrogeo.density1d import (
+    DENSITY_FLOOR,
     _cdf_nodes,
     _cut_costs,
     _distances,
@@ -85,7 +86,8 @@ class TestGridDensity:
     def test_normalize_projects(self):
         d = GridDensity(np.arange(1.0, 9.0), dx=0.5, normalize=True)
         assert abs(d.rho.sum() * d.dx - 1.0) <= 1e-12
-        assert np.all(d.rho >= d.floor)
+        assert np.all(d.rho >= DENSITY_FLOOR)
+        assert not hasattr(d, "floor")
 
     def test_csv_round_trip(self, tmp_path):
         d = gaussian_on(WIDE, 0.3, 1.1)
@@ -551,6 +553,32 @@ class TestDistances:
     def test_empty(self, porous2):
         assert porous2.distances([], []).shape == (0,)
 
+    def test_unequal_lengths_rejected(self, porous2):
+        a = random_bumps(np.random.default_rng(7), 32, 0.0)
+        with pytest.raises(DomainError, match="1 first points for 2"):
+            porous2.distances([a], [a, a])
+        with pytest.raises(DomainError):
+            porous2.distances([], [a])
+
+
+class TestNonDensityPoints:
+    """A point that is not a ``GridDensity`` is a ``GridMismatch`` wherever
+    it stands, first or not."""
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    @pytest.mark.parametrize("op", ["distances", "distance", "flows", "geodesic"])
+    def test_rejected(self, porous2, op, first):
+        d = random_bumps(np.random.default_rng(7), 32, 0.0)
+        a, b = (np.zeros(32), d) if first else (d, np.zeros(32))
+        call = {
+            "distances": lambda: porous2.distances([a], [b]),
+            "distance": lambda: porous2.distance(a, b),
+            "flows": lambda: porous2.flows([a, b], [0.1, 0.1]),
+            "geodesic": lambda: porous2.geodesic(a, b, 0.5),
+        }[op]
+        with pytest.raises(GridMismatch):
+            call()
+
 
 class TestW2Geodesic:
     def test_cut_zero_nodes_are_the_interval_nodes(self):
@@ -755,6 +783,15 @@ class TestFlows:
         d = gaussian_on(WIDE, 0.0, 1.0)
         with pytest.raises(DomainError):
             flows(KB, [d, d], [0.1, -0.1])
+
+    @pytest.mark.parametrize("kind", [KB, KP], ids=["heat", "porous"])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, kind, s):
+        d = gaussian_on(WIDE, 0.0, 1.0)
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            flow(kind, d, s)
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            flows(kind, [d, d], [0.1, s])
 
     def test_grid_mismatch_rejected(self):
         a = gaussian_on(WIDE, 0.0, 1.0)

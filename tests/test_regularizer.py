@@ -57,6 +57,13 @@ class TestBuild:
         with pytest.raises(DomainError):
             build(quad1d, base, np.array([0.0, -0.1, 0.1, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_density_profile_rejected(self, boltzmann, bad):
+        a = gaussian_on(SWEEP, 0.0, 1.0)
+        base = geodesic_curve(boltzmann, a, gaussian_on(SWEEP, 2.0, 1.5), 4)
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            build(boltzmann, base, np.array([0.0, bad, 0.1, 0.0, 0.0]))
+
     @pytest.mark.parametrize("boundary", ["no-flux", "periodic"])
     def test_equals_per_node_flow(self, porous2, boltzmann, boundary):
         backend = boltzmann if boundary == "no-flux" else porous2
