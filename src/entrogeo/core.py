@@ -228,6 +228,11 @@ def _check_eps(eps):
         raise DomainError(f"eps must be finite and nonnegative, got {eps}")
 
 
+def _check_flow_time(s):
+    if not (math.isfinite(s) and s >= 0):
+        raise DomainError("flow time must be finite and nonnegative")
+
+
 def schrodinger_action(backend: SpaceBackend, curve: Curve, eps: float) -> float:
     """Entropic action ``A + eps^2 * I`` of the dynamical Schrodinger problem."""
     _check_eps(eps)

@@ -211,9 +211,12 @@ def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaRepor
     ``profile.opts``, the one the rows' solves minimized, so its gap to
     ``cost_eps`` is nonnegative by construction and must close as eps
     drops.  Cost gaps and deviations may grow by 1e-9 from row to row and
-    recovery gaps dip to -1e-6, for roundoff.
+    recovery gaps dip to -1e-6, for roundoff.  A profile without a
+    positive-eps row raises ``ProfileIncomplete``.
     """
     pos = [r for r in profile.rows if r.eps > 0]
+    if not pos:
+        raise ProfileIncomplete("profile has no positive-eps rows")
     pos_desc = list(reversed(pos))  # descending eps, the sweep direction
 
     geo = profile.geodesic
@@ -242,11 +245,11 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     """Sweep with endpoints mollified by the flow: ``x_n = S_{eta_n} x``.
 
     ``eps_list`` follows the rule of ``sweep`` (nonempty, nonnegative, no
-    repeats); an eps = 0 in it gets no row, since the reference below
-    stands for it.  ``schedule`` maps eps to the mollification time eta,
-    finite and >= 0.  The sweep verifies the measured condition terms
-    ``eps * (E(x_n) + E(y_n))`` keep decreasing toward zero along
-    descending eps: a term that both exceeds ``_TERM_TOL`` = 1e-3 and its
+    repeats) and must hold a positive eps; an eps = 0 in it gets no row,
+    since the reference below stands for it.  ``schedule`` maps eps to the
+    mollification time eta, finite and >= 0.  The sweep verifies the
+    measured condition terms ``eps * (E(x_n) + E(y_n))`` keep decreasing
+    toward zero along descending eps: a term that both exceeds ``_TERM_TOL`` = 1e-3 and its
     predecessor signals a schedule shrinking too fast (the endpoints
     sharpen faster than eps decays) and raises :class:`ScheduleRejected`.
     Cost rows then track the solves between the mollified endpoints; the
@@ -257,6 +260,8 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     opts = opts or SolverOptions()
 
     eps_pos = [e for e in eps_desc if e != 0.0]
+    if not eps_pos:
+        raise DomainError("eps_list needs a positive eps")
     etas = [float(schedule(e)) for e in eps_pos]
     if not all(math.isfinite(eta) and eta >= 0 for eta in etas):
         raise DomainError("mollification times must be finite and nonnegative")

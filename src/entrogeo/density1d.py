@@ -50,19 +50,28 @@ tridiagonal system whose blocks are joined by zero off-diagonals, so one
 medium refactors it every substep) gives every row bit for bit what it
 would get alone.  ``Density1DBackend.flows`` runs the flows of a curve's
 nodes or of a certificate's sample times this way.
+
+The LAPACK routines, these two and the solver's banded Cholesky pair
+``dpbtrf``/``dpbtrs``, come from scipy's compiled ``_flapack`` extension,
+which ``_load_lapack`` loads without ``import scipy.linalg``: that import
+would cost every CLI run about 0.3 s.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .core import SpaceBackend
+from .core import SpaceBackend, _check_flow_time
 from .errors import DomainError, FlowDiverged, GridMismatch, InvalidCurve
 
 __all__ = [
@@ -83,6 +92,41 @@ __all__ = [
 DENSITY_FLOOR = 1e-12
 
 _BOUNDARIES = ("periodic", "no-flux")
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK wrappers, loaded without ``import scipy.linalg``.
+
+    The package calls four routines: ``dpttrf``/``dpttrs`` here and
+    ``dpbtrf``/``dpbtrs`` in the solver's Hessian models.  ``import
+    scipy.linalg`` costs about 0.3 s, most of it scipy's array-API layer
+    importing ``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``, while the
+    extension ``scipy.linalg._flapack`` that holds the routines loads in
+    about 20 ms.  It is loaded from its file in scipy's ``linalg``
+    directory; ``import scipy`` above has already run scipy's
+    ``_distributor_init``, which on some platforms makes the bundled BLAS
+    findable.  The module name is private, so where
+    no such file exists the public ``scipy.linalg.lapack`` serves the same
+    routines under the same names.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the load may register the module; a later ``import scipy.linalg``
+    # then loads it the usual way, as an attribute of its package
+    sys.modules.pop(name, None)
+    return module
+
+
+_lapack = _load_lapack()
 
 
 def _project(rho: np.ndarray, dx) -> np.ndarray:
@@ -623,7 +667,7 @@ def _implicit_step(dx: np.ndarray, boundary: str, ds: np.ndarray, a: np.ndarray)
         d[:, [0, -1]] += 2.0 * c * a[:, -1:]
     e = np.zeros((rows, n))
     e[:, :-1] = -c * inner
-    d, e, info = dpttrf(d.ravel(), e.ravel()[:-1], overwrite_d=1, overwrite_e=1)
+    d, e, info = _lapack.dpttrf(d.ravel(), e.ravel()[:-1], overwrite_d=1, overwrite_e=1)
     if info > 0:
         row, minor = divmod(info - 1, n)
         raise FlowDiverged(f"implicit flow step of row {row} is not positive "
@@ -631,7 +675,7 @@ def _implicit_step(dx: np.ndarray, boundary: str, ds: np.ndarray, a: np.ndarray)
 
     def solve(r: np.ndarray) -> np.ndarray:
         p = r.shape[0]
-        return dpttrs(d[:p * n], e[:p * n - 1], r.ravel())[0].reshape(p, n)
+        return _lapack.dpttrs(d[:p * n], e[:p * n - 1], r.ravel())[0].reshape(p, n)
 
     if not wrap:
         return solve
@@ -678,8 +722,8 @@ def flows(kind: EntropyKind, ds, ss) -> list:
     ds, ss = list(ds), [float(s) for s in ss]
     if len(ds) != len(ss):
         raise DomainError(f"{len(ds)} densities for {len(ss)} flow times")
-    if not all(math.isfinite(s) and s >= 0 for s in ss):
-        raise DomainError("flow time must be finite and nonnegative")
+    for s in ss:
+        _check_flow_time(s)
     if ds:
         _id_table(ds)  # raises GridMismatch off the grid of ds[0]
     out = list(ds)

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .core import SpaceBackend
+from .core import SpaceBackend, _check_flow_time
 from .errors import DomainError, FlowDiverged, InvalidCurve
 
 __all__ = [
@@ -83,8 +83,7 @@ class QuadraticPotential(Potential):
         return self.strength * np.eye(self.dim)
 
     def flow(self, x, s):
-        if s < 0:
-            raise DomainError("flow time must be nonnegative")
+        _check_flow_time(s)
         x = np.asarray(x, dtype=float)
         return self.center + np.exp(-self.strength * s) * (x - self.center)
 
@@ -175,8 +174,7 @@ class UserPotential(Potential):
         return 0.5 * (h + h.T)
 
     def flow(self, x, s):
-        if s < 0:
-            raise DomainError("flow time must be nonnegative")
+        _check_flow_time(s)
         x = np.asarray(x, dtype=float)
         if s == 0.0:
             return x.copy()

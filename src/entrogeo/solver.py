@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Curve,
@@ -68,7 +67,7 @@ from .core import (
     geodesic_curve,
     kinetic_action,
 )
-from .density1d import Density1DBackend, EntropyKind, GridDensity, _cdf_nodes, _id_table
+from .density1d import Density1DBackend, EntropyKind, GridDensity, _cdf_nodes, _id_table, _lapack
 from .errors import DomainError, EndpointEntropyInfinite, EntrogeoError, GridMismatch
 from .euclidean import EuclideanBackend
 from .regularizer import build as build_regularized
@@ -336,13 +335,21 @@ def _banded_cholesky_solver(ab: np.ndarray, model: str):
     """``v -> A^{-1} v`` for the SPD matrix ``A`` in lower band storage
     ``ab[j, p] = A[p + j, p]``; ``ab`` is overwritten by its factor.  A
     factorization that breaks down raises ``EntrogeoError`` naming
-    ``model`` and the first leading minor that is not positive."""
-    cb, info = scipy.linalg.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    ``model`` and the first leading minor that is not positive.  The solve
+    is ``dpbtrs`` on the factor, the call ``cho_solve_banded`` makes."""
+    cb, info = _lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
     if info != 0:
         raise EntrogeoError(
             f"{model}: the Hessian model is not positive definite "
             f"(leading minor {info} of {ab.shape[1]})")
-    return lambda v: scipy.linalg.cho_solve_banded((cb, True), v, check_finite=False)
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        x, info = _lapack.dpbtrs(cb, v, lower=1)
+        if info != 0:
+            raise EntrogeoError(f"{model}: the banded solve failed (dpbtrs info {info})")
+        return x
+
+    return solve
 
 
 # -- the problem interface ---------------------------------------------------

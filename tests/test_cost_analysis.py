@@ -155,10 +155,18 @@ class TestGammaDiagnostics:
         assert report.recovery_nonnegative
 
     def test_zero_row_is_skipped(self, quad1d, quad_profile):
+        zero, first = quad_profile.rows[:2]
         report = gamma_diagnostics(quad1d, CostProfile(
-            quad_profile.rows[:1], quad_profile.cost_0, quad_profile.fisher_0,
+            (zero, first), quad_profile.cost_0, quad_profile.fisher_0,
             quad_profile.geodesic, quad_profile.opts))
-        assert report.eps == () and report.passed
+        assert report.eps == (first.eps,) and report.passed
+
+    def test_no_positive_row_rejected(self, quad1d, quad_profile):
+        # zero rows checked must not read as a pass
+        with pytest.raises(ProfileIncomplete, match="no positive-eps rows"):
+            gamma_diagnostics(quad1d, CostProfile(
+                quad_profile.rows[:1], quad_profile.cost_0, quad_profile.fisher_0,
+                quad_profile.geodesic, quad_profile.opts))
 
     def test_recovery_scored_with_the_sweep_options(self, boltzmann):
         # m = 4n graded quantile nodes: the recovery curves must be scored
@@ -288,6 +296,11 @@ class TestMollifiedSweep:
                             SolverOptions(n_time=31))
         with pytest.raises(DomainError, match="finite and nonnegative"):
             mollified_sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.1], lambda e: eta)
+
+    def test_no_positive_eps_rejected(self, quad1d):
+        # an eps = 0 gets no row, so this list would give an empty profile
+        with pytest.raises(DomainError, match="needs a positive eps"):
+            mollified_sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.0], lambda e: 0.0)
 
     def test_profile_keeps_the_options(self, boltzmann, near_dirac_pair):
         x, y = near_dirac_pair

@@ -34,8 +34,13 @@ class TestQuadraticFlow:
         np.testing.assert_array_equal(quad2d.flow(x, 0.0), x)
 
     def test_negative_time_rejected(self, quad2d):
-        with pytest.raises(DomainError):
-            quad2d.flow(np.zeros(2), -0.1)
+        # a nan or infinite time is rejected like a negative one, by the
+        # closed form and by the RK4 flow alike
+        for s in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="flow time must be finite and nonnegative"):
+                quad2d.flow(np.zeros(2), s)
+            with pytest.raises(DomainError, match="flow time must be finite and nonnegative"):
+                quartic_potential().flow(np.zeros(1), s)
 
     def test_semigroup(self, quad2d):
         x = np.array([1.3, -0.4])

@@ -1,10 +1,15 @@
-"""The CLI and the density layers load neither scipy.sparse nor scipy.interpolate.
+"""The CLI and the solvers load only the modules they use.
 
-Both subpackages are heavy to import, and every CLI run would pay for them
-before doing any work.  The check runs in a fresh interpreter, after a CLI
-import, one heat flow, one porous-medium flow and a small density solve.
-Modules that ``scipy.linalg`` itself loads are not counted: older scipy
-releases import scipy.sparse from scipy.linalg, which the solver needs.
+Every CLI run pays for its imports before doing any work.  The package
+takes its four LAPACK routines from scipy's compiled ``_flapack`` extension
+(``density1d._load_lapack``), so neither ``scipy.linalg`` nor the array-API
+layer it imports (which pulls in ``numpy.testing`` and ``numpy.f2py``) is
+loaded, and no code path loads scipy.sparse or scipy.interpolate.  The
+check runs in a fresh interpreter, after a CLI import, one heat flow, one
+porous-medium flow, a small density solve and a small Euclidean solve.
+
+Where the extension file is not found, the loader falls back to
+``scipy.linalg.lapack``; the same routines give the same bytes either way.
 """
 
 import json
@@ -15,18 +20,16 @@ from pathlib import Path
 
 import entrogeo
 
+UNNEEDED = ["scipy.linalg", "scipy.sparse", "scipy.interpolate", "scipy._lib._array_api",
+            "numpy.testing", "numpy.f2py"]
+
 SCRIPT = """
 import json, sys
-
-def loaded():
-    return sorted(m for m in sys.modules
-                  if m.startswith(("scipy.sparse", "scipy.interpolate")))
-
-import scipy.linalg
-base = loaded()
+import numpy as np
 
 import entrogeo.cli
-from entrogeo import Density1DBackend, EntropyKind, GridDensity
+from entrogeo import (Density1DBackend, EntropyKind, EuclideanBackend, GridDensity,
+                      QuadraticPotential)
 from entrogeo.density1d import flow
 from entrogeo.solver import SolverOptions, solve
 
@@ -35,12 +38,51 @@ b = GridDensity.gaussian(1.0, 1.2, 32, 0.4, -6.4)
 flow(EntropyKind.boltzmann(), a, 0.1)
 flow(EntropyKind.porous_medium(2.0), a, 0.1)
 solve(Density1DBackend(EntropyKind.boltzmann()), a, b, 0.1, SolverOptions(n_time=7))
-print(json.dumps(sorted(set(loaded()) - set(base))))
+solve(EuclideanBackend(QuadraticPotential(np.zeros(1), 1.0)), np.array([1.0]),
+      np.array([2.0]), 0.1, SolverOptions(n_time=7))
+unneeded = tuple(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules
+                        if m in unneeded or m.startswith(tuple(u + "." for u in unneeded)))))
+"""
+
+# argv[1] is "direct" or "fallback"; prints the name of the module the
+# routines came from and a digest of the bytes of a density solve and of a
+# heat and a porous-medium flow on the circle
+FALLBACK_SCRIPT = """
+import hashlib, importlib.machinery, sys
+
+if sys.argv[1] == "fallback":
+    # with no extension suffix, the direct load matches no file
+    importlib.machinery.EXTENSION_SUFFIXES.clear()
+
+from entrogeo import Density1DBackend, EntropyKind, GridDensity, density1d
+from entrogeo.solver import SolverOptions, solve
+
+a = GridDensity.gaussian(-1.0, 0.8, 32, 0.4, -6.4)
+b = GridDensity.gaussian(1.0, 1.2, 32, 0.4, -6.4)
+res = solve(Density1DBackend(EntropyKind.boltzmann()), a, b, 0.1, SolverOptions(n_time=7))
+c = GridDensity.gaussian(0.0, 0.5, 32, 0.25, -4.0, boundary="periodic")
+h = hashlib.sha256(res.decision.tobytes())
+for kind in (EntropyKind.boltzmann(), EntropyKind.porous_medium(2.0)):
+    h.update(density1d.flow(kind, c, 0.05).rho.tobytes())
+print(density1d._lapack.__name__, h.hexdigest())
 """
 
 
-def test_no_sparse_or_interpolate_after_cli_flows_and_solve():
+def _run(script: str, *args: str) -> str:
     src = str(Path(entrogeo.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == []
+    out = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+                         check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_no_sparse_or_interpolate_after_cli_flows_and_solve():
+    assert json.loads(_run(SCRIPT, *UNNEEDED)) == []
+
+
+def test_lapack_fallback_gives_the_same_bytes():
+    direct, fallback = _run(FALLBACK_SCRIPT, "direct"), _run(FALLBACK_SCRIPT, "fallback")
+    assert direct.split()[0] == "scipy.linalg._flapack"
+    assert fallback.split()[0] == "scipy.linalg.lapack"
+    assert direct.split()[1] == fallback.split()[1]
