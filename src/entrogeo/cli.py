@@ -2,28 +2,26 @@
 
 Usage::
 
-    entrogeo CONFIG [--output DIR] [--seed N]
+    entrogeo CONFIG [--output DIR]
 
 The command itself (solve / sweep / verify) lives in the config file; the
-flags only override the output directory and the RNG seed so an experiment
-stays a reproducible artifact.  Outputs are CSV/JSON only (plotting is
-external):
+flag only overrides the output directory, so an experiment stays a
+reproducible artifact.  Outputs are CSV/JSON only (plotting is external):
 
 * solve  -> ``curve.csv`` (minimizer) and ``result.json``
 * sweep  -> ``profile.csv`` plus ``diagnostics.json`` holding each solve's
   ``result.json`` record and the Fisher monotonicity, derivative-identity,
   Taylor, and Gamma-convergence checks (the last two whenever the eps list
   holds a positive value)
-* verify -> ``diagnostics.json`` with one record per selected
-  flow/regularizer certificate
+* verify -> ``diagnostics.json`` with one record per flow/regularizer
+  certificate
 
 Verify runs one certificate table, ``_CERTIFICATES``, on both backends: it
 maps each property name to a function ``(backend, samples, tol) ->
-EviReport`` and to its default tolerance on each backend.
-``_verify_quadratic`` and ``_verify_density`` only build their backend's
-sample set.  Only the selected properties are computed; the quadratic
-sample set draws every random number whatever the selection, so a subset
-run reports the same records as a full run.
+EviReport`` and to its fixed tolerance on each backend, and every run
+checks every property.  ``_verify_quadratic`` and ``_verify_density`` only
+build their backend's sample set; the quadratic one measures its times on
+the flow's own scale ``1 / max(1, lam)``.
 
 Exit codes: 0 success, 1 usage/config/IO error, 2 a solve did not converge
 or a verification certificate failed.
@@ -36,7 +34,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -44,7 +41,7 @@ from . import cost_analysis, flow_verify, regularizer
 from .config import ExperimentConfig, load_config
 from .core import HatFunction, geodesic_curve
 from .density1d import Density1DBackend, GridDensity
-from .errors import ConfigError, EntrogeoError
+from .errors import EntrogeoError
 from .euclidean import EuclideanBackend
 from .fileio import dump_json, write_curve_csv, write_profile_csv
 from .solver import solve
@@ -104,9 +101,9 @@ def cmd_sweep(config: ExperimentConfig) -> int:
 class _Samples:
     """One backend's inputs to the certificate table; pairs are ``(x, y)``.
 
-    ``local_global()`` returns a base point and its comparison points.  The
-    geodesic from ``a`` to ``b`` and its regularized copies are built on
-    first use, so a certificate that is not selected costs nothing.
+    ``local_global`` is a base point and its comparison points.  The
+    geodesic from ``a`` to ``b`` and its regularized copies are built once,
+    on first use, and shared by the certificates that read them.
     """
 
     backend: object
@@ -116,10 +113,11 @@ class _Samples:
     ede: tuple  # (x, T, n_quad)
     slope_point: object
     regularization: tuple
-    local_global: Callable
+    local_global: tuple
     a: object
     b: object
     hat_slope: float
+    recovery_eps: tuple
     pointwise_intervals: int  # of the curve the pointwise estimate samples
     convexity: list
 
@@ -150,11 +148,6 @@ def _ede(backend, s, tol):
     return flow_verify.ede_report(backend, x, T, n_quad=n_quad, tolerance=tol)
 
 
-def _local_global(backend, s, tol):
-    x, samples = s.local_global()
-    return flow_verify.local_global_report(backend, x, samples, tol)
-
-
 def _discrete_estimate(backend, s, tol):
     res = regularizer.discrete_estimate_residuals(backend, s.reg)
     return flow_verify._report("discrete_estimate", max(res.values()), len(res), tol)
@@ -170,7 +163,7 @@ def _pointwise_estimate(backend, s, tol):
 
 
 def _recovery_gap(backend, s, tol):
-    gaps = [-g for g in regularizer.recovery_gaps(backend, s.base, (0.2, 0.1, 0.05))]
+    gaps = [-g for g in regularizer.recovery_gaps(backend, s.base, s.recovery_eps)]
     return flow_verify._report("recovery_gap", max(gaps), len(gaps), tol)
 
 
@@ -181,34 +174,39 @@ def _convexity(backend, s, tol):
 
 
 # verify property -> (certificate (backend, samples, tol) -> EviReport,
-#                     default tolerance on the quadratic, on the density backend)
+#                     tolerance on the quadratic, on the density backend),
+# in the order of the printed lines and the diagnostics records
 _CERTIFICATES = {
-    "evi": (_evi, 1e-6, 5e-3),
     "contraction": (lambda be, s, tol: flow_verify.contraction_report(
         be, s.contraction, s.s_grid, tol), 1e-8, 2e-3),
-    "ede": (_ede, 1e-6, 2e-2),
-    "slope_monotonicity": (lambda be, s, tol: flow_verify.slope_monotonicity_report(
-        be, s.slope_point, s.s_grid, tol), 1e-9, 1e-6),
-    "regularization": (lambda be, s, tol: flow_verify.regularization_report(
-        be, *s.regularization, s.s_grid, tol), 1e-6, 5e-3),
-    "local_global": (_local_global, 1e-9, 1e-2),
+    "convexity": (_convexity, 1e-9, 1e-3),
     "discrete_estimate": (_discrete_estimate, 1e-8, 5e-3),
+    "ede": (_ede, 1e-6, 2e-2),
+    "evi": (_evi, 1e-6, 5e-3),
+    "local_global": (lambda be, s, tol: flow_verify.local_global_report(
+        be, *s.local_global, tol), 1e-9, 1e-2),
     "pointwise_estimate": (_pointwise_estimate, 1e-6, 1e-2),
     "recovery_gap": (_recovery_gap, 5e-3, 5e-3),
-    "convexity": (_convexity, 1e-9, 1e-3),
+    "regularization": (lambda be, s, tol: flow_verify.regularization_report(
+        be, *s.regularization, s.s_grid, tol), 1e-6, 5e-3),
+    "slope_monotonicity": (lambda be, s, tol: flow_verify.slope_monotonicity_report(
+        be, s.slope_point, s.s_grid, tol), 1e-9, 1e-6),
 }
 
 
-def _certify(samples: _Samples, properties, tol) -> dict:
-    return {name: _CERTIFICATES[name][0](samples.backend, samples, tol[name])
-            for name in properties}
+def _certify(samples: _Samples, quadratic: bool) -> dict:
+    """Every certificate, each at its tolerance for the backend."""
+    return {name: cert(samples.backend, samples, quad_tol if quadratic else density_tol)
+            for name, (cert, quad_tol, density_tol) in _CERTIFICATES.items()}
 
 
-def _verify_quadratic(backend: EuclideanBackend, rng, properties, tol) -> dict:
+def _verify_quadratic(backend: EuclideanBackend, rng) -> dict:
     def draw(r=2.0):
         return rng.uniform(-r, r, backend.dim)
 
-    # every draw happens, in this order, whichever properties are selected
+    # the closed-form flow relaxes on the time scale 1 / lam: times shrink
+    # with it on a stiff well, so the flows stay resolved and finite
+    tau = 1.0 / max(1.0, backend.lam)
     pts = [draw() for _ in range(8)]
     contraction = [(draw(), draw()) for _ in range(6)]
     ede_x, slope_point, regularization = draw(), draw(), (draw(), draw())
@@ -216,14 +214,15 @@ def _verify_quadratic(backend: EuclideanBackend, rng, properties, tol) -> dict:
     lg_x, a, b = draw(), draw(), draw()
     convexity = [(draw(), draw()) for _ in range(4)]
     return _certify(_Samples(
-        backend, s_grid=np.linspace(0.05, 1.5, 12), evi=list(zip(pts[:4], pts[4:])),
-        contraction=contraction, ede=(ede_x, 1.0, 4096), slope_point=slope_point,
-        regularization=regularization, local_global=lambda: (lg_x, comparison),
-        a=a, b=b, hat_slope=0.1, pointwise_intervals=2048, convexity=convexity,
-    ), properties, tol)
+        backend, s_grid=np.linspace(0.05, 1.5, 12) * tau, evi=list(zip(pts[:4], pts[4:])),
+        contraction=contraction, ede=(ede_x, tau, 4096), slope_point=slope_point,
+        regularization=regularization, local_global=(lg_x, comparison),
+        a=a, b=b, hat_slope=0.1 * tau, recovery_eps=(0.2 * tau, 0.1 * tau, 0.05 * tau),
+        pointwise_intervals=2048, convexity=convexity,
+    ), quadratic=True)
 
 
-def _verify_density(backend: Density1DBackend, grid, properties, tol) -> dict:
+def _verify_density(backend: Density1DBackend, grid) -> dict:
     n, dx, x0, boundary = grid
     L = n * dx
 
@@ -242,38 +241,31 @@ def _verify_density(backend: Density1DBackend, grid, properties, tol) -> dict:
     g_off = gauss(0.6, 0.08)
     g_shift = g_mid.with_rho(np.roll(g_mid.rho, max(1, int(0.1 * n))))
     a, b = gauss(0.45, 0.05), gauss(0.6, 0.09)
-
-    def local_global():
-        return mix, (backend.flows([mix, mix], [0.05, 0.1])
-                     + backend.geodesic_points(mix, g_mid, (0.25, 0.5, 0.75)) + [g_mid, g_off])
-
+    comparison = (backend.flows([mix, mix], [0.05, 0.1])
+                  + backend.geodesic_points(mix, g_mid, (0.25, 0.5, 0.75)) + [g_mid, g_off])
     return _certify(_Samples(
         backend, s_grid=np.linspace(0.02, 0.2, 8), evi=[(mix, g_mid)],
         contraction=[(g_mid, g_shift), (mix, g_off)], ede=(mix, 0.1, 32), slope_point=mix,
-        regularization=(mix, g_mid), local_global=local_global,
-        a=a, b=b, hat_slope=0.05, pointwise_intervals=64, convexity=[(a, b), (mix, g_mid)],
-    ), properties, tol)
+        regularization=(mix, g_mid), local_global=(mix, comparison),
+        a=a, b=b, hat_slope=0.05, recovery_eps=(0.2, 0.1, 0.05), pointwise_intervals=64,
+        convexity=[(a, b), (mix, g_mid)],
+    ), quadratic=False)
 
 
 def cmd_verify(config: ExperimentConfig) -> int:
     backend = config.backend
-    quadratic = isinstance(backend, EuclideanBackend)
-    tol = {name: config.tolerances.get(name, quad_tol if quadratic else density_tol)
-           for name, (_, quad_tol, density_tol) in _CERTIFICATES.items()}
-    names = sorted(set(config.properties))
-    if quadratic:
-        reports = _verify_quadratic(backend, np.random.default_rng(config.seed), names, tol)
+    if isinstance(backend, EuclideanBackend):
+        reports = _verify_quadratic(backend, np.random.default_rng(config.seed))
     else:
         if config.grid is None:
             raise EntrogeoError("density verification needs grid parameters")
-        reports = _verify_density(backend, config.grid, names, tol)
+        reports = _verify_density(backend, config.grid)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     if "json" in config.formats:
-        dump_json([reports[name].to_record() for name in names],
+        dump_json([r.to_record() for r in reports.values()],
                   config.output_dir / "diagnostics.json")
-    for name in names:
-        r = reports[name]
+    for name, r in reports.items():
         status = "pass" if r.passed else "FAIL"
         print(f"{name:22s} residual {r.worst_residual: .3e}  tol {r.tolerance:.1e}  {status}")
     return 0 if all(r.passed for r in reports.values()) else 2
@@ -286,17 +278,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument("config", help="experiment configuration file (INI)")
     parser.add_argument("--output", help="override the output directory")
-    parser.add_argument("--seed", type=int, help="override the RNG seed")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which
+        # would read as a failed run; its message is already on stderr
+        return 1 if exc.code else 0
 
     try:
         config = load_config(args.config)
         if args.output is not None:
             config.output_dir = Path(args.output)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-            config.seed = args.seed
         if config.command == "solve":
             return cmd_solve(config)
         if config.command == "sweep":

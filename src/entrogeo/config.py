@@ -1,8 +1,10 @@
 """Experiment configuration: strict INI-style sections and keys.
 
 A config file fully determines one experiment, so runs are reproducible
-artifacts; flags on the command line only select the file, the output
-directory, and the seed.  Unknown sections or keys are rejected outright.
+artifacts; the command line only selects the file and the output
+directory.  Unknown sections or keys are rejected outright.  ``verify``
+takes no keys of its own: it always runs every certificate at its fixed
+tolerance, and ``seed`` draws the quadratic backend's sample points.
 
 ::
 
@@ -51,7 +53,7 @@ _BACKEND_KEYS = {"kind", "entropy", "m", "n", "dx", "x0", "boundary",
                  "dim", "center", "strength"}
 _ENDPOINT_KEYS = {"x", "y"}
 _RUN_KEYS = {"command", "eps", "eps_list", "seed", "n_time", "max_iter",
-             "grad_tol", "quantile_points", "properties"}
+             "grad_tol", "quantile_points"}
 _OUTPUT_KEYS = {"directory", "formats"}
 _COMMANDS = ("solve", "sweep", "verify")
 
@@ -67,8 +69,6 @@ class ExperimentConfig:
     eps_list: list
     seed: int
     solver_options: SolverOptions
-    properties: list
-    tolerances: dict
     output_dir: Path
     formats: list
 
@@ -183,10 +183,6 @@ def _build_density_endpoint(text, grid, base_dir):
 
 
 def load_config(path) -> ExperimentConfig:
-    # the verify properties and their tolerances are the CLI's certificate
-    # table; the CLI imports this module, so the table is imported here
-    from .cli import _CERTIFICATES
-
     path = Path(path)
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cfg.read(path)
@@ -198,7 +194,7 @@ def load_config(path) -> ExperimentConfig:
     for section, allowed in (
         ("backend", _BACKEND_KEYS),
         ("endpoints", _ENDPOINT_KEYS),
-        ("run", _RUN_KEYS | {f"tolerance_{p}" for p in _CERTIFICATES}),
+        ("run", _RUN_KEYS),
         ("output", _OUTPUT_KEYS),
     ):
         if section in cfg:
@@ -260,20 +256,6 @@ def load_config(path) -> ExperimentConfig:
     except DomainError as exc:
         raise ConfigError(f"[run] {exc}") from None
 
-    properties = list(_CERTIFICATES)
-    if "properties" in run:
-        properties = [tok for tok in re.split(r"[,\s]+", run["properties"].strip()) if tok]
-        for p in properties:
-            if p not in _CERTIFICATES:
-                _fail("run", "properties", f"unknown property {p!r}")
-    tolerances = {}
-    for p in _CERTIFICATES:
-        key = f"tolerance_{p}"
-        if key in run:
-            tolerances[p] = _get_float(run, "run", key)
-            if tolerances[p] < 0:
-                _fail("run", key, "tolerance must be nonnegative")
-
     out = cfg["output"] if "output" in cfg else {}
     out_dir = Path(out.get("directory", "out"))
     if not out_dir.is_absolute():
@@ -297,8 +279,6 @@ def load_config(path) -> ExperimentConfig:
         eps_list=eps_list,
         seed=seed,
         solver_options=solver_options,
-        properties=properties,
-        tolerances=tolerances,
         output_dir=out_dir,
         formats=formats,
     )

@@ -3,7 +3,8 @@
 ``sweep`` solves the Schrodinger problem for a list of eps values (in
 descending order, warm-starting each solve from the previous minimizer)
 and assembles a :class:`CostProfile`: the solver's own
-:class:`~entrogeo.solver.SchrodingerResult` for every eps, together with
+:class:`~entrogeo.solver.SchrodingerResult` for every eps (less its
+decision vector, which only the chained warm start reads), together with
 the eps = 0 reference (the geodesic cost and the Fisher action of the
 geodesic).  The sweep always solves eps = 0 itself, so no diagnostic needs
 a 0 in the eps list.  On top of a profile the module checks everything the
@@ -36,6 +37,7 @@ from .core import HatFunction, SpaceBackend, geodesic_curve
 from .errors import DomainError, ProfileIncomplete, ScheduleRejected
 from .regularizer import build as build_regularized
 from .solver import (
+    SchrodingerResult,
     SolverOptions,
     discrete_action,
     geodesic_cost,
@@ -101,6 +103,13 @@ class CostProfile:
         return [r.to_record() for r in self.rows]
 
 
+def _row(res: SchrodingerResult) -> SchrodingerResult:
+    """A profile row: the result without its decision vector, which only
+    the next solve's warm start reads (a row still warm-starts a solve
+    through its minimizer)."""
+    return replace(res, decision=None)
+
+
 def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
           opts: Optional[SolverOptions] = None) -> CostProfile:
     """Solve for every eps (descending, warm-start chained) and collect the
@@ -118,10 +127,10 @@ def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     warm = opts
     for e in eps_desc:
         if e == 0.0:
-            rows.append(ref)
+            rows.append(_row(ref))
             continue
         res = solve(backend, x, y, e, warm)
-        rows.append(res)
+        rows.append(_row(res))
         warm = replace(opts, warm_start=res)
     rows.sort(key=lambda r: r.eps)
     return CostProfile(tuple(rows), ref.cost, ref.fisher, ref.minimizer, opts)
@@ -283,6 +292,6 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     geo = geodesic_curve(backend, x, y, opts.n_time + 1)
     cost0 = geodesic_cost(backend, x, y)
 
-    rows = [solve(backend, xe, ye, e, opts) for e, xe, ye in mollified]
+    rows = [_row(solve(backend, xe, ye, e, opts)) for e, xe, ye in mollified]
     rows.sort(key=lambda r: r.eps)
     return CostProfile(tuple(rows), cost0, math.inf, geo, opts)

@@ -149,6 +149,11 @@ class GridDensity:
     """Unit-mass density on ``n`` cells of width ``dx`` starting at ``x0``,
     with every cell at or above ``DENSITY_FLOOR``.
 
+    ``normalize=True`` projects ``rho`` onto such densities; it raises
+    ``DomainError`` when no cell is above the floor (a Gaussian far
+    narrower than a cell, or off the grid), which projection would turn
+    into the uniform density.
+
     It holds an array, so ``==`` and ``hash`` go by identity."""
 
     rho: np.ndarray
@@ -170,6 +175,8 @@ class GridDensity:
         if not math.isfinite(mass):
             raise DomainError(f"density has non-finite mass {mass!r}")
         if normalize:
+            if rho.max() <= DENSITY_FLOOR:
+                raise DomainError("density has no cell above the floor")
             rho = _project(rho, dx)
         else:
             if np.any(rho < DENSITY_FLOOR):

@@ -17,8 +17,9 @@ that ``pass  <=>  worst_residual <= tolerance``:
 Closed-form backends (quadratic potentials) satisfy several of these with
 equality, which pins the harness itself to ~1e-6; PDE-backed densities pass
 with the documented discretization slack.  Time derivatives use central
-differences with step ``min(1e-3, s/10)``: every flow here is locally
-Lipschitz in (0, inf), so this balances truncation against cancellation.
+differences with step ``min(1e-3, s/10) / max(1, lam)``: every flow here
+is locally Lipschitz in (0, inf), so this balances truncation against
+cancellation, and the step shrinks with the flow's time scale ``1/lam``.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def _report(name, worst, samples, tol) -> EviReport:
     return EviReport(name, float(worst), int(samples), bool(worst <= tol), float(tol))
 
 
-def _dt_step(s: float) -> float:
-    return min(1e-3, s / 10.0)
+def _dt_step(s: float, lam: float) -> float:
+    return min(1e-3, s / 10.0) / max(1.0, lam)
 
 
 def evi_defect(backend: SpaceBackend, x, y, s_grid, tolerance: float = 1e-6) -> EviReport:
@@ -77,7 +78,7 @@ def evi_defect(backend: SpaceBackend, x, y, s_grid, tolerance: float = 1e-6) -> 
         raise ValueError("s_grid must be positive and increasing")
     lam = backend.lam
     ey = backend.entropy(y)
-    steps = [_dt_step(float(s)) for s in s_grid]
+    steps = [_dt_step(float(s), lam) for s in s_grid]
     # per time: the flow at s + h, s - h and s, all measured to y at once
     times = [t for s, h in zip(s_grid.tolist(), steps) for t in (s + h, s - h, s)]
     flows = backend.flows([x] * len(times), times)

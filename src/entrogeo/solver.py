@@ -95,7 +95,8 @@ class SolverOptions:
     ``"regularized_geodesic"`` (the recovery curve S_{h_eps(t)} g_t,
     provably an eps-good competitor), ``"straight"`` (the plain geodesic),
     an explicit curve, or a previous ``SchrodingerResult``, whose decision
-    vector is reused when its size fits (sweeps chain their solves so).
+    vector is reused when its size fits (sweeps chain their solves so) and
+    whose minimizer is used otherwise (a profile row holds no decision).
     """
 
     n_time: int = 63

@@ -111,6 +111,32 @@ formats = csv, json
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
+CIRCLE_VERIFY = """
+[backend]
+kind = density
+entropy = porous_medium
+m = 2
+n = 64
+dx = 0.25
+x0 = -8
+boundary = periodic
+
+[run]
+command = verify
+seed = 1
+"""
+
+QUAD_VERIFY = """
+[backend]
+kind = quadratic
+dim = 2
+
+[run]
+command = verify
+seed = 4
+"""
+
+
 class TestSolveCommand:
     def test_quadratic_happy_path(self, tmp_path):
         cfg = write_config(tmp_path, QUAD_SOLVE)
@@ -139,7 +165,7 @@ class TestSolveCommand:
         (QUAD_SOLVE, "center = 0", "center = nan", "center"),
         (QUAD_SOLVE, "x = 1", "x = -inf", "x"),
         (DENSITY_SOLVE, "gaussian(0, 1)", "gaussian(0, nan)", "gaussian"),
-        (QUAD_SOLVE, "seed = 0", "seed = 0\ntolerance_evi = inf", "tolerance_evi"),
+        (QUAD_SOLVE, "seed = 0", "seed = 0\ngrad_tol = inf", "grad_tol"),
     ], ids=["eps_list-nan", "eps_list-inf", "center", "endpoint", "preset", "tolerance"])
     def test_non_finite_number_exits_1(self, tmp_path, capsys, text, old, new, key):
         assert old in text
@@ -159,6 +185,12 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, QUAD_SOLVE.replace("strength = 1", "strength = 1\nbogus = 2"))
         assert main([cfg]) == 1
         assert "bogus" in capsys.readouterr().err
+        # a key that chose or loosened verify's certificates: verify runs
+        # every certificate at its fixed tolerance
+        for key in ("properties", "tolerance_evi"):
+            cfg = write_config(tmp_path, QUAD_VERIFY.replace("seed = 4", f"seed = 4\n{key} = 1"))
+            assert main([cfg]) == 1
+            assert capsys.readouterr().err == f"error: [run] unknown key {key!r}\n"
 
     def test_floor_key_is_unknown(self, tmp_path, capsys):
         assert load_config(write_config(tmp_path, DENSITY_SOLVE)).grid == (
@@ -194,6 +226,13 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "point mass cell" in err
 
+    def test_gaussian_with_no_mass_on_the_grid_exits_1(self, tmp_path, capsys):
+        # sigma far below dx leaves every cell under the floor
+        text = DENSITY_SOLVE.replace("x = gaussian(0, 1)", "x = gaussian(0, 0.001)")
+        assert main([write_config(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no cell above the floor" in err
+
     def test_uniform_with_arguments_exits_1(self, tmp_path, capsys):
         text = DENSITY_SOLVE.replace("x = gaussian(0, 1)", "x = uniform(5, 7)")
         assert main([write_config(tmp_path, text)]) == 1
@@ -208,6 +247,19 @@ class TestSolveCommand:
 
     def test_missing_config_exits_1(self, tmp_path):
         assert main([str(tmp_path / "nope.ini")]) == 1
+
+    @pytest.mark.parametrize("args", [[], ["--bogus", "1"], ["--seed", "3"], ["--seed", "x"]],
+                             ids=["no-config", "unknown-flag", "seed", "seed-not-int"])
+    def test_usage_error_exits_1(self, tmp_path, capsys, args):
+        # 2 means a solve did not converge or a certificate failed
+        cfg = [write_config(tmp_path, QUAD_VERIFY)] if args else []
+        assert main(cfg + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: entrogeo") and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: entrogeo")
 
 
 class TestSweepCommand:
@@ -330,30 +382,9 @@ seed = 0
         assert len(lines) == 10
         assert all(ln.endswith("pass") for ln in lines)
 
-    def test_negative_seed_rejected(self, tmp_path, capsys):
-        text = QUAD_VERIFY.replace("seed = 4", "seed = -3")
-        with pytest.raises(ConfigError, match="seed"):
-            load_config(write_config(tmp_path, text))
-        assert main([write_config(tmp_path, text)]) == 1
-        assert capsys.readouterr().err.startswith("error: [run] seed")
-        assert main([write_config(tmp_path, QUAD_VERIFY), "--seed", "-1"]) == 1
-        assert capsys.readouterr().err.startswith("error: --seed")
-
-    def test_zero_tolerance_fails(self, tmp_path):
-        cfg = write_config(tmp_path, """
-[backend]
-kind = quadratic
-dim = 2
-
-[run]
-command = verify
-seed = 0
-properties = discrete_estimate
-tolerance_discrete_estimate = 0
-""")
-        assert main([cfg, "--output", str(tmp_path / "out")]) == 2
-
     def test_unknown_property_exits_1(self, tmp_path, capsys):
+        # [run] properties no longer chooses certificates: any value of it,
+        # known property name or not, is an unknown key
         cfg = write_config(tmp_path, """
 [backend]
 kind = quadratic
@@ -364,79 +395,42 @@ command = verify
 properties = wibble
 """)
         assert main([cfg]) == 1
-        assert "wibble" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: [run] unknown key 'properties'\n"
 
-    def test_property_subset(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, """
-[backend]
-kind = quadratic
-dim = 1
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        text = QUAD_VERIFY.replace("seed = 4", "seed = -3")
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(write_config(tmp_path, text))
+        assert main([write_config(tmp_path, text)]) == 1
+        assert capsys.readouterr().err.startswith("error: [run] seed")
 
-[run]
-command = verify
-seed = 1
-properties = contraction, ede
-""")
-        assert main([cfg, "--output", str(tmp_path / "out")]) == 0
+    def test_zero_tolerance_fails(self, tmp_path, capsys, monkeypatch):
+        from entrogeo import cli
+
+        cert, quad_tol, density_tol = cli._CERTIFICATES["discrete_estimate"]
+        monkeypatch.setitem(cli._CERTIFICATES, "discrete_estimate", (cert, 0.0, density_tol))
+        assert main([write_config(tmp_path, QUAD_VERIFY), "--output", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in lines if ln.endswith("FAIL")] == ["discrete_estimate"]
         records = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
-        assert [r["property"] for r in records] == ["contraction", "ede"]
+        assert [r["property"] for r in records if not r["pass"]] == ["discrete_estimate"]
 
+    @pytest.mark.parametrize("strength", [10, 100, 1000])
+    def test_stiff_well_passes_on_its_time_scale(self, tmp_path, capsys, strength):
+        # the sample times scale with 1 / lam: on the unit scale evi and ede
+        # fail from lam = 10, and regularization overflows from lam = 300
+        text = QUAD_VERIFY.replace("dim = 2", f"dim = 2\nstrength = {strength}")
+        assert main([write_config(tmp_path, text), "--output", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10 and all(ln.endswith("pass") for ln in lines)
 
-CIRCLE_VERIFY = """
-[backend]
-kind = density
-entropy = porous_medium
-m = 2
-n = 64
-dx = 0.25
-x0 = -8
-boundary = periodic
-
-[run]
-command = verify
-seed = 1
-"""
-
-QUAD_VERIFY = """
-[backend]
-kind = quadratic
-dim = 2
-
-[run]
-command = verify
-seed = 4
-"""
-
-
-class TestVerifySubsets:
-    def test_evi_alone_runs_no_regularizer_certificate(self, tmp_path, monkeypatch):
-        from entrogeo import regularizer
-
-        def boom(*args, **kwargs):
-            raise AssertionError("regularizer certificate ran")
-
-        for name in ("build", "builds", "discrete_estimate_residuals",
-                     "pointwise_estimate_residuals", "recovery_gap", "recovery_gaps",
-                     "convexity_certificate"):
-            monkeypatch.setattr(regularizer, name, boom)
-        cfg = write_config(tmp_path, CIRCLE_VERIFY + "properties = evi\n")
-        assert main([cfg, "--output", str(tmp_path / "out")]) == 0
-        records = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
-        assert [r["property"] for r in records] == ["evi"]
-
-    @pytest.mark.parametrize("text", [QUAD_VERIFY, CIRCLE_VERIFY], ids=["quadratic", "circle"])
-    def test_subset_records_equal_full_run_records(self, tmp_path, capsys, text):
-        cfg = write_config(tmp_path, text)
-        assert main([cfg, "--output", str(tmp_path / "full")]) == 0
-        full = {r["property"]: r for r in json.loads(
-            (tmp_path / "full" / "diagnostics.json").read_text())}
-        for subset in (["local_global"], ["convexity", "evi"],
-                       ["pointwise_estimate", "discrete_estimate", "recovery_gap"]):
-            cfg = write_config(tmp_path, text + f"properties = {', '.join(subset)}\n", "sub.ini")
-            assert main([cfg, "--output", str(tmp_path / "sub")]) == 0
-            records = json.loads((tmp_path / "sub" / "diagnostics.json").read_text())
-            assert records == [full[name] for name in sorted(subset)]
-
+    def test_very_stiff_well_fails_without_traceback(self, tmp_path, capsys):
+        # at lam = 1e4 the central difference of evi meets roundoff: a
+        # failed certificate, not an OverflowError
+        text = QUAD_VERIFY.replace("dim = 2", "dim = 2\nstrength = 1e4")
+        assert main([write_config(tmp_path, text), "--output", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[0] for ln in lines if ln.endswith("FAIL")] == ["evi"]
 
     @pytest.mark.parametrize("text", [QUAD_VERIFY, CIRCLE_VERIFY], ids=["quadratic", "circle"])
     def test_pointwise_samples_count_the_nodes_evaluated(self, tmp_path, monkeypatch, text):
@@ -450,10 +444,10 @@ class TestVerifySubsets:
             return inner(backend, reg, nodes)
 
         monkeypatch.setattr(regularizer, "pointwise_estimate_residuals", counting)
-        cfg = write_config(tmp_path, text + "properties = pointwise_estimate\n")
-        assert main([cfg, "--output", str(tmp_path / "out")]) == 0
-        (record,) = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
-        assert evaluated and record["samples"] == evaluated[0]
+        assert main([write_config(tmp_path, text), "--output", str(tmp_path / "out")]) == 0
+        (record,) = [r for r in json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+                     if r["property"] == "pointwise_estimate"]
+        assert len(evaluated) == 1 and record["samples"] == evaluated[0]
 
 
 class TestCsvEndpoints:

@@ -66,6 +66,17 @@ class TestSweep:
         assert quad_profile.rows[0].iterations == 0
         assert all(r.iterations > 0 for r in quad_profile.rows[1:])
 
+    def test_rows_hold_no_decision_and_still_warm_start(self, quad1d, quad_profile):
+        # only the chained warm start reads a decision vector; a row given
+        # as warm_start falls back to its minimizer, already stationary
+        assert all(r.decision is None for r in quad_profile.rows)
+        row = quad_profile.rows[-1]
+        res = solve(quad1d, np.array([1.0]), np.array([2.0]), row.eps,
+                    SolverOptions(warm_start=row))
+        assert res.converged and res.iterations == 0
+        assert np.array(res.minimizer.points) == pytest.approx(np.array(row.minimizer.points),
+                                                               abs=1e-12)
+
     def test_cost_strictly_increasing(self, quad_profile):
         costs = [r.cost for r in quad_profile.rows]
         assert all(b > a for a, b in zip(costs, costs[1:]))
@@ -308,6 +319,7 @@ class TestMollifiedSweep:
         prof = mollified_sweep(boltzmann, x, y, [0.0, 0.4], math.sqrt, opts)
         assert prof.opts is opts
         assert [r.eps for r in prof.rows] == [0.4]
+        assert prof.rows[0].decision is None
 
 
 class TestEpsList:

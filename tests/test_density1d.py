@@ -34,7 +34,7 @@ from entrogeo.density1d import (
 )
 from entrogeo.errors import DomainError, FlowDiverged, GridMismatch
 
-from conftest import WIDE, gaussian_on
+from conftest import SWEEP, WIDE, gaussian_on
 
 KB = EntropyKind.boltzmann()
 KP = EntropyKind.porous_medium(2.0)
@@ -82,6 +82,15 @@ class TestGridDensity:
     def test_point_mass_in_its_cell(self, cell):
         d = GridDensity.point_mass(cell, 64, 0.25)
         assert int(np.argmax(d.rho)) == cell
+
+    @pytest.mark.parametrize("mean, sigma", [(0.0, 1e-3), (50.0, 1.0)], ids=["narrow", "off-grid"])
+    def test_no_mass_on_the_grid_rejected(self, mean, sigma):
+        # every cell is below the floor, so projection would return the
+        # uniform density
+        with pytest.raises(DomainError, match="no cell above the floor"):
+            gaussian_on(SWEEP, mean, sigma)
+        with pytest.raises(DomainError, match="no cell above the floor"):
+            GridDensity(np.zeros(8), dx=1.0, normalize=True)
 
     def test_normalize_projects(self):
         d = GridDensity(np.arange(1.0, 9.0), dx=0.5, normalize=True)

@@ -10,6 +10,8 @@ porous-medium flow, a small density solve and a small Euclidean solve.
 
 Where the extension file is not found, the loader falls back to
 ``scipy.linalg.lapack``; the same routines give the same bytes either way.
+Loading a config does not import the CLI: only the CLI knows the verify
+certificates.
 """
 
 import json
@@ -68,6 +70,16 @@ for kind in (EntropyKind.boltzmann(), EntropyKind.porous_medium(2.0)):
 print(density1d._lapack.__name__, h.hexdigest())
 """
 
+# argv[1] is a config file; prints whether loading it imported the CLI
+LOAD_CONFIG_SCRIPT = """
+import sys
+
+from entrogeo.config import load_config
+
+load_config(sys.argv[1])
+print("entrogeo.cli" in sys.modules)
+"""
+
 
 def _run(script: str, *args: str) -> str:
     src = str(Path(entrogeo.__file__).resolve().parents[1])
@@ -86,3 +98,9 @@ def test_lapack_fallback_gives_the_same_bytes():
     assert direct.split()[0] == "scipy.linalg._flapack"
     assert fallback.split()[0] == "scipy.linalg.lapack"
     assert direct.split()[1] == fallback.split()[1]
+
+
+def test_load_config_leaves_the_cli_unimported(tmp_path):
+    cfg = tmp_path / "verify.ini"
+    cfg.write_text("[backend]\nkind = quadratic\n\n[run]\ncommand = verify\n")
+    assert _run(LOAD_CONFIG_SCRIPT, str(cfg)) == "False"
