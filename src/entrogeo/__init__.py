@@ -30,8 +30,6 @@ from .density1d import (
     Density1DBackend,
     EntropyKind,
     GridDensity,
-    density_from_csv,
-    density_to_csv,
     w2_distance,
     w2_geodesic,
 )
@@ -41,6 +39,7 @@ from .euclidean import (
     QuadraticPotential,
     UserPotential,
 )
+from .fileio import density_from_csv, density_to_csv
 from . import errors
 
 __version__ = "0.1.0"

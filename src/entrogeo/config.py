@@ -42,9 +42,10 @@ from typing import Optional
 import numpy as np
 
 from .cost_analysis import _descending_eps
-from .density1d import Density1DBackend, EntropyKind, GridDensity, density_from_csv
+from .density1d import Density1DBackend, EntropyKind, GridDensity
 from .errors import ConfigError, DomainError
 from .euclidean import EuclideanBackend, QuadraticPotential
+from .fileio import density_from_csv
 from .solver import SolverOptions
 
 __all__ = ["ExperimentConfig", "load_config"]
@@ -247,8 +248,8 @@ def load_config(path) -> ExperimentConfig:
         qp = _get_int(run, "run", "quantile_points")
     try:
         solver_options = SolverOptions(
-            n_time=_get_int(run, "run", "n_time", default=63),
-            max_iter=_get_int(run, "run", "max_iter", default=2000),
+            n_time=_get_int(run, "run", "n_time", default=SolverOptions.n_time),
+            max_iter=_get_int(run, "run", "max_iter", default=SolverOptions.max_iter),
             grad_tol=_get_float(run, "run", "grad_tol", default=SolverOptions.grad_tol,
                                 positive=True),
             quantile_points=qp,

@@ -59,6 +59,10 @@ __all__ = [
 
 # a mollified sweep rejects a schedule whose condition term grows above this
 _TERM_TOL = 1e-3
+# taylor_check: relative tolerance of the limit ratio to I_0, and slack of
+# the pointwise bound cost_eps - cost_0 <= eps^2 I_0
+_TAYLOR_REL_TOL = 0.05
+_TAYLOR_SLACK = 1e-3
 
 
 def _descending_eps(eps_list: Sequence[float]) -> list:
@@ -172,14 +176,13 @@ class TaylorReport:
     passed: bool
 
 
-def taylor_check(profile: CostProfile, rel_tol: float = 0.05,
-                 bound_slack: float = 1e-3) -> TaylorReport:
+def taylor_check(profile: CostProfile) -> TaylorReport:
     """Second-order expansion check: ``(cost_eps - cost_0)/eps^2 -> I_0``.
 
-    Passes when the ratio at the smallest eps is within ``rel_tol`` of the
-    geodesic Fisher action, the approach is monotone along the sweep, and
-    the pointwise bound ``cost_eps - cost_0 <= eps^2 I_0 + slack`` holds on
-    every row.
+    Passes when the ratio at the smallest eps is within ``_TAYLOR_REL_TOL``
+    of the geodesic Fisher action, the approach is monotone along the
+    sweep, and the pointwise bound ``cost_eps - cost_0 <= eps^2 I_0 +
+    _TAYLOR_SLACK`` holds on every row.
     """
     if not math.isfinite(profile.fisher_0):
         raise ProfileIncomplete("reference Fisher action is not finite")
@@ -191,11 +194,11 @@ def taylor_check(profile: CostProfile, rel_tol: float = 0.05,
     gaps = [abs(rat - i0) for _, rat in ratios]
     monotone = all(g1 <= g2 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
     bound_ok = all(
-        r.cost - profile.cost_0 <= r.eps**2 * i0 + bound_slack for r in pos
+        r.cost - profile.cost_0 <= r.eps**2 * i0 + _TAYLOR_SLACK for r in pos
     )
     limit = ratios[0][1]
     rel = abs(limit - i0) / abs(i0) if i0 != 0 else abs(limit)
-    passed = rel <= rel_tol and monotone and bound_ok
+    passed = rel <= _TAYLOR_REL_TOL and monotone and bound_ok
     return TaylorReport(ratios, limit, i0, rel, monotone, bound_ok, passed)
 
 

@@ -85,8 +85,6 @@ __all__ = [
     "slope",
     "w2_distance",
     "w2_geodesic",
-    "density_from_csv",
-    "density_to_csv",
 ]
 
 DENSITY_FLOOR = 1e-12
@@ -816,26 +814,3 @@ class Density1DBackend(SpaceBackend):
 
     def same_space(self, a, b) -> bool:
         return isinstance(a, GridDensity) and a.same_grid(b)
-
-
-# -- CSV ingestion ---------------------------------------------------------
-
-def density_to_csv(d: GridDensity, path) -> None:
-    """Write ``x,rho`` rows (cell centers) with full float precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x,rho\n")
-        for x, r in zip(d.centers, d.rho):
-            fh.write(f"{x:.17g},{r:.17g}\n")
-
-
-def density_from_csv(path, boundary: str = "no-flux") -> GridDensity:
-    """Read ``x,rho`` rows on a uniform grid back into a density."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
-        raise DomainError("density CSV needs two columns of at least two rows")
-    x, r = data[:, 0], data[:, 1]
-    steps = np.diff(x)
-    dx = float(steps[0])
-    if dx <= 0 or np.any(np.abs(steps - dx) > 1e-9 * dx):
-        raise DomainError("density CSV grid must be uniform and increasing")
-    return GridDensity(r, dx, x0=float(x[0]) - 0.5 * dx, boundary=boundary, normalize=True)

@@ -1,15 +1,16 @@
-"""Deterministic CSV/JSON writers and readers for experiment artifacts.
+"""Deterministic CSV/JSON writers and readers: every artifact format.
 
-Every float is printed with 17 significant digits, which round-trips IEEE
-doubles exactly: re-reading a written file reconstructs the same values
-bit for bit, and two runs of the same experiment produce byte-identical
-files.  JSON objects are written with sorted keys through a small local
-serializer so the float format stays under our control.
+CSV floats are printed with 17 significant digits (``fmt``) and JSON
+floats in Python's shortest round-trip form; both read back to the same
+doubles bit for bit, and two runs of the same experiment produce
+byte-identical files.  JSON is written by the standard ``json`` module with
+sorted keys and a 2-space indent; non-finite floats appear as ``Infinity``,
+``-Infinity`` and ``NaN``, which ``json.loads`` reads back.
 """
 
 from __future__ import annotations
 
-import io
+import json
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .density1d import DENSITY_FLOOR, GridDensity
 from .errors import DomainError
 
 __all__ = [
+    "density_from_csv",
+    "density_to_csv",
     "dump_json",
     "fmt",
     "read_curve_csv",
@@ -30,46 +33,16 @@ def fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _json_write(obj, out: io.TextIOBase, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        items = sorted(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.write(f'{pad}  "{k}": ')
-            _json_write(v, out, indent + 1)
-            out.write(",\n" if i + 1 < len(items) else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, v in enumerate(obj):
-            out.write(pad + "  ")
-            _json_write(v, out, indent + 1)
-            out.write(",\n" if i + 1 < len(obj) else "\n")
-        out.write(pad + "]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.write("true" if obj else "false")
-    elif obj is None:
-        out.write("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.write(fmt(obj))
-    elif isinstance(obj, str):
-        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    else:
-        raise DomainError(f"cannot serialize {type(obj).__name__} to JSON")
+def _plain(obj):
+    """The Python value of a numpy scalar, for ``json.dump``'s ``default``."""
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
+    raise DomainError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dump_json(obj, path) -> None:
     with open(path, "w", newline="") as fh:
-        _json_write(obj, fh, 0)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")
 
 
@@ -99,32 +72,19 @@ def write_curve_csv(curve: Curve, path) -> None:
 
 def read_curve_csv(path) -> Curve:
     with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-        grid = None
-        if first.startswith("# grid "):
+        first = fh.readline()
+        grid = first.startswith("# grid ")
+        if grid:
             fields = dict(kv.split("=", 1) for kv in first[len("# grid "):].split())
-            grid = {
-                "n": int(fields["n"]),
-                "dx": float(fields["dx"]),
-                "x0": float(fields["x0"]),
-                "boundary": fields["boundary"],
-            }
             fh.readline()  # column header
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    times = np.array([float(r[0]) for r in rows])
-    if grid is None:
-        pts = [np.array([float(v) for v in r[1:]]) for r in rows]
-    else:
-        # 17-digit printing round-trips doubles, so the stored values still
-        # satisfy the mass and floor invariants verbatim
-        pts = [
-            GridDensity(
-                np.array([float(v) for v in r[1:]]),
-                grid["dx"], grid["x0"], grid["boundary"],
-            )
-            for r in rows
-        ]
-    return Curve(times, pts)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    times, rows = data[:, 0].copy(), data[:, 1:]
+    if not grid:
+        return Curve(times, list(rows))
+    # 17-digit printing round-trips doubles, so the stored values still
+    # satisfy the mass and floor invariants verbatim
+    dx, x0 = float(fields["dx"]), float(fields["x0"])
+    return Curve(times, [GridDensity(r, dx, x0, fields["boundary"]) for r in rows])
 
 
 def write_profile_csv(profile, path) -> None:
@@ -136,3 +96,24 @@ def write_profile_csv(profile, path) -> None:
                 + ("true" if r.converged else "false")
                 + "\n"
             )
+
+
+def density_to_csv(d: GridDensity, path) -> None:
+    """Write ``x,rho`` rows (cell centers) with full float precision."""
+    with open(path, "w", newline="") as fh:
+        fh.write("x,rho\n")
+        for x, r in zip(d.centers, d.rho):
+            fh.write(f"{fmt(x)},{fmt(r)}\n")
+
+
+def density_from_csv(path, boundary: str = "no-flux") -> GridDensity:
+    """Read ``x,rho`` rows on a uniform grid back into a density."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 2 or data.shape[0] < 2:
+        raise DomainError("density CSV needs two columns of at least two rows")
+    x, r = data[:, 0], data[:, 1]
+    steps = np.diff(x)
+    dx = float(steps[0])
+    if dx <= 0 or np.any(np.abs(steps - dx) > 1e-9 * dx):
+        raise DomainError("density CSV grid must be uniform and increasing")
+    return GridDensity(r, dx, x0=float(x[0]) - 0.5 * dx, boundary=boundary, normalize=True)

@@ -206,7 +206,10 @@ def _lbfgs_armijo(value_grad, z0, tol: float, precond, budget: int):
     therefore never rise by more than that relative allowance per step.
 
     ``value_grad`` may return ``(inf, None)`` to mark an infeasible trial
-    point; the line search simply backtracks past it.  Curvature pairs that
+    point; the line search simply backtracks past it.  The search stalls
+    when 60 trials fail or the step gets too short to change ``z`` (such a
+    trial would pass the Armijo test on an unchanged value and repeat
+    itself to the end of the budget).  Curvature pairs that
     would break positive definiteness are skipped.  ``precond`` seeds the
     two-loop recursion with a fixed symmetric positive-definite
     approximation of the inverse Hessian.  It takes at most ``budget`` steps
@@ -247,6 +250,8 @@ def _lbfgs_armijo(value_grad, z0, tol: float, precond, budget: int):
         floor = _VALUE_FLOOR * abs(v)
         for _ in range(60):
             z_try = z + step * d
+            if np.array_equal(z_try, z):
+                break  # a step that leaves z as it is cannot make progress
             v_try, g_try = value_grad(z_try)
             if math.isfinite(v_try) and (
                 v_try <= v + _ARMIJO_C * step * gd

@@ -453,7 +453,7 @@ properties = wibble
 class TestCsvEndpoints:
     def test_density_endpoint_from_csv(self, tmp_path):
         from entrogeo import GridDensity
-        from entrogeo.density1d import density_to_csv
+        from entrogeo.fileio import density_to_csv
 
         n, dx, x0 = 128, 0.171875, -10.0
         density_to_csv(GridDensity.gaussian(0.1, 1.1, n, dx, x0),

@@ -187,6 +187,9 @@ class TestGammaDiagnostics:
         y = GridDensity.gaussian(0.6, 0.12, n, 1.0 / n)
         opts = SolverOptions(n_time=15, quantile_points=4 * n)
         prof = sweep(boltzmann, x, y, [0.1, 0.05], opts)
+        # the eps = 0.1 row converges only after several preconditioner
+        # rebuilds (_STAGE_BUDGET); one stage of max_iter steps does not
+        assert all(r.converged for r in prof.rows)
         report = gamma_diagnostics(boltzmann, prof)
         assert report.eps == (0.1, 0.05)
 

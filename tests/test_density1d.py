@@ -10,8 +10,6 @@ from scipy.stats import norm
 from entrogeo import (
     EntropyKind,
     GridDensity,
-    density_from_csv,
-    density_to_csv,
     w2_distance,
     w2_geodesic,
 )
@@ -33,6 +31,7 @@ from entrogeo.density1d import (
     slope,
 )
 from entrogeo.errors import DomainError, FlowDiverged, GridMismatch
+from entrogeo.fileio import density_from_csv, density_to_csv
 
 from conftest import SWEEP, WIDE, gaussian_on
 

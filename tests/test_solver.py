@@ -230,6 +230,40 @@ class TestLineSearch:
         assert iters == 0 and z.tolist() == [0.0] and history == [1.0]
 
 
+class TestStalledDescent:
+    """Every trial point off the warm start is infeasible, so the line search
+    of each stage stalls on its first step, and the second stall in a row
+    ends the descent."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["model", "reversed-model"])
+    def test_two_stalls_end_the_solve(self, quad2d, monkeypatch, reverse):
+        start, builds = [], []
+        value_grad = _EuclideanProblem.value_grad
+        make_preconditioner = _EuclideanProblem.make_preconditioner
+
+        def feasible_at_start_only(prob, z):
+            if not start:
+                start.append(z.copy())
+            return value_grad(prob, z) if np.array_equal(z, start[0]) else (math.inf, None)
+
+        def counted(prob, z):
+            builds.append(z.copy())
+            model = make_preconditioner(prob, z)
+            # a reversed model gives an ascent direction, which the descent
+            # replaces by steepest descent without testing the decrement
+            return (lambda d: -model(d)) if reverse else model
+
+        monkeypatch.setattr(_EuclideanProblem, "value_grad", feasible_at_start_only)
+        monkeypatch.setattr(_EuclideanProblem, "make_preconditioner", counted)
+        res = solve(quad2d, np.zeros(2), np.array([1.0, 1.0]), 0.3, SolverOptions(n_time=7))
+        assert not res.converged and res.iterations == 0
+        assert len(builds) == 2 and all(np.array_equal(b, start[0]) for b in builds)
+        assert len(res.cost_history) == 1
+        # the decrement is tested, and found above grad_tol, only on the model's direction
+        assert math.isinf(res.stationarity) == reverse
+        assert res.stationarity > SolverOptions.grad_tol
+
+
 class TestEuclideanGradient:
     def test_adjoint_gradient_matches_finite_differences(self, quad2d):
         # the double well without hess_v takes its Hessian from central
