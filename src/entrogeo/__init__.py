@@ -16,11 +16,9 @@ second-order Taylor expansion of the cost in eps.
 
 from .core import (
     Curve,
-    FisherQuadrature,
     HatFunction,
     SpaceBackend,
     fisher_action,
-    fisher_quadrature,
     geodesic_curve,
     kinetic_action,
     schrodinger_action,
@@ -50,7 +48,6 @@ __all__ = [
     "Density1DBackend",
     "EntropyKind",
     "EuclideanBackend",
-    "FisherQuadrature",
     "GridDensity",
     "HatFunction",
     "Potential",
@@ -61,7 +58,6 @@ __all__ = [
     "density_to_csv",
     "errors",
     "fisher_action",
-    "fisher_quadrature",
     "geodesic_curve",
     "kinetic_action",
     "schrodinger_action",

@@ -124,6 +124,8 @@ def _build_backend(sec):
     kind = sec.get("kind")
     if kind == "quadratic":
         dim = _get_int(sec, "backend", "dim", default=1)
+        if dim < 1:
+            _fail("backend", "dim", "must be at least 1")
         center_text = sec.get("center", "0")
         center = np.array(_parse_floats(center_text, "backend", "center"))
         if center.size == 1 and dim > 1:

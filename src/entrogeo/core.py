@@ -29,11 +29,9 @@ from .errors import DomainError, InvalidCurve, SlopeUndefined
 
 __all__ = [
     "Curve",
-    "FisherQuadrature",
     "HatFunction",
     "SpaceBackend",
     "fisher_action",
-    "fisher_quadrature",
     "kinetic_action",
     "kinetic_actions",
     "schrodinger_action",
@@ -181,22 +179,9 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return np.append(half, 0.0) + np.append(0.0, half)
 
 
-@dataclass(frozen=True)
-class FisherQuadrature:
-    """Fisher action value plus a flag for dropped infinite-slope endpoints."""
-
-    value: float
-    endpoints_dropped: bool
-
-
-def fisher_quadrature(backend: SpaceBackend, curve: Curve) -> FisherQuadrature:
-    """Trapezoid quadrature of ``1/2 |dE|^2`` along the curve.
-
-    Endpoint slopes may legitimately be infinite (the differential estimate
-    behind this functional only controls the open interval); in that case
-    the corresponding trapezoid weight is dropped and flagged.  An infinite
-    slope at an interior node makes the action itself infinite.
-    """
+def fisher_quadrature(backend: SpaceBackend, curve: Curve) -> float:
+    """Trapezoid quadrature of ``1/2 |dE|^2`` along the curve; see
+    ``fisher_action``."""
     _check_curve(backend, curve)
     ts = curve.times
     slopes = np.empty(ts.size)
@@ -206,21 +191,24 @@ def fisher_quadrature(backend: SpaceBackend, curve: Curve) -> FisherQuadrature:
             raise SlopeUndefined(f"slope undefined at node {i}")
         slopes[i] = s
     weights = _trapezoid_weights(ts)
-
-    dropped = False
     for i in (0, ts.size - 1):
         if math.isinf(slopes[i]):
             weights[i] = 0.0
             slopes[i] = 0.0
-            dropped = True
     if np.any(np.isinf(slopes[1:-1])):
-        return FisherQuadrature(math.inf, dropped)
-    return FisherQuadrature(0.5 * float(np.sum(weights * slopes**2)), dropped)
+        return math.inf
+    return 0.5 * float(np.sum(weights * slopes**2))
 
 
 def fisher_action(backend: SpaceBackend, curve: Curve) -> float:
-    """Halved Fisher information ``1/2 int |dE|^2(c_t) dt`` (trapezoid)."""
-    return fisher_quadrature(backend, curve).value
+    """Halved Fisher information ``1/2 int |dE|^2(c_t) dt`` (trapezoid).
+
+    Endpoint slopes may legitimately be infinite (the differential estimate
+    behind this functional only controls the open interval); such an
+    endpoint's trapezoid weight is dropped.  An infinite slope at an
+    interior node makes the action infinite.
+    """
+    return fisher_quadrature(backend, curve)
 
 
 def _check_eps(eps):

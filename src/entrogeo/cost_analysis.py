@@ -1,8 +1,8 @@
 """Temperature sweeps of the entropic cost and their diagnostics.
 
 ``sweep`` solves the Schrodinger problem for a list of eps values (in
-descending order, warm-starting each solve from the previous minimizer)
-and assembles a :class:`CostProfile`: the solver's own
+descending order, each solve starting from the decision vector of the one
+before) and assembles a :class:`CostProfile`: the solver's own
 :class:`~entrogeo.solver.SchrodingerResult` for every eps (less its
 decision vector, which only the chained warm start reads), together with
 the eps = 0 reference (the geodesic cost and the Fisher action of the
@@ -109,15 +109,18 @@ class CostProfile:
 
 def _row(res: SchrodingerResult) -> SchrodingerResult:
     """A profile row: the result without its decision vector, which only
-    the next solve's warm start reads (a row still warm-starts a solve
-    through its minimizer)."""
+    the next solve's warm start reads (a row cannot warm-start a solve)."""
     return replace(res, decision=None)
 
 
 def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
           opts: Optional[SolverOptions] = None) -> CostProfile:
-    """Solve for every eps (descending, warm-start chained) and collect the
-    results.
+    """Solve for every eps (descending) and collect the results.
+
+    The largest eps starts from ``opts.warm_start``, by default cold from
+    its recovery curve; each smaller one
+    starts from the decision vector of the solve before it
+    (``SolverOptions(warm_start=<previous result>)``).
 
     ``eps_list`` must be nonempty, nonnegative and without repeats
     (``DomainError`` otherwise).  The eps = 0 reference is always computed;

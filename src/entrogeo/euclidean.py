@@ -10,6 +10,7 @@ harness.  User potentials integrate the flow with step-doubled RK4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 import warnings
@@ -58,8 +59,10 @@ class QuadraticPotential(Potential):
 
     def __init__(self, center, strength: float = 1.0):
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        if strength <= 0:
-            raise DomainError("quadratic strength must be positive")
+        if center.size == 0 or not np.all(np.isfinite(center)):
+            raise DomainError("quadratic center needs at least one coordinate, all finite")
+        if not 0 < strength < math.inf:
+            raise DomainError("quadratic strength must be positive and finite")
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "strength", float(strength))

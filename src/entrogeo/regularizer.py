@@ -1,10 +1,13 @@
 """Entropic regularization of curves and its energy certificates.
 
-Given a curve ``c`` and a vertical-time profile ``h >= 0`` vanishing at the
-endpoints, the regularized copy runs the entropy flow for time ``h(t)`` at
-every node:
+Given a curve ``c`` and a hat profile ``h`` (a ``HatFunction``: nonnegative,
+piecewise linear, vanishing at the endpoints), the regularized copy runs the
+entropy flow for time ``h(t)`` at every node:
 
     c~_t = S_{h(t)} c_t .
+
+With the tent ``h_eps(t) = eps min(t, 1-t)`` and a geodesic ``c`` this is
+the recovery curve, the solver's cold start.
 
 Smoothing each node separately costs kinetic energy in a precisely
 quantified way.  This module evaluates the defect of those estimates on a
@@ -41,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -68,9 +71,6 @@ __all__ = [
     "recovery_gaps",
 ]
 
-HProfile = Union[HatFunction, Sequence[float], np.ndarray]
-
-
 @dataclass(frozen=True, eq=False)
 class RegularizedCurve:
     """A base curve, its vertical-time profile, and the smoothed copy.
@@ -86,32 +86,20 @@ class RegularizedCurve:
         return self.base.times
 
 
-def _h_values(h: HProfile, times: np.ndarray) -> np.ndarray:
-    if isinstance(h, HatFunction):
-        vals = h(times)
-    else:
-        vals = np.asarray(h, dtype=float).copy()
-        if vals.shape != times.shape:
-            raise DomainError("per-node h values must match the time grid")
-    if np.any(vals < 0):
-        raise DomainError("vertical times h must be nonnegative")
-    return vals
-
-
-def build(backend: SpaceBackend, base: Curve, h: HProfile) -> RegularizedCurve:
+def build(backend: SpaceBackend, base: Curve, h: HatFunction) -> RegularizedCurve:
     """Flow every node of ``base`` for its vertical time ``h(t_i)``, all
     nodes in one ``backend.flows`` call.
 
-    Nodes with ``h = 0`` are reused as-is, so vanishing endpoint profiles
-    preserve the endpoints bitwise.
+    A hat vanishes at t = 0 and t = 1, and nodes with ``h = 0`` are reused
+    as-is, so the endpoints are preserved bitwise.
     """
     return builds(backend, base, [h])[0]
 
 
-def builds(backend: SpaceBackend, base: Curve, hs: Sequence[HProfile]) -> list:
-    """``build`` of ``base`` for each profile of ``hs``, the nodes of every
+def builds(backend: SpaceBackend, base: Curve, hs: Sequence[HatFunction]) -> list:
+    """``build`` of ``base`` for each hat of ``hs``, the nodes of every
     profile flowed in one ``backend.flows`` call."""
-    hvs = [_h_values(h, base.times) for h in hs]
+    hvs = [h(base.times) for h in hs]
     moved = [np.flatnonzero(hv).tolist() for hv in hvs]
     flowed = iter(backend.flows([base.points[i] for m in moved for i in m],
                                 [s for hv, m in zip(hvs, moved) for s in hv[m].tolist()]))
@@ -278,7 +266,7 @@ def recovery_gap(backend: SpaceBackend, base: Curve, eps: float) -> float:
     LHS is the entropic action of the regularized curve, RHS the bound
     ``e^{lam^- eps} A(c) - 2 eps E(c~_{1/2}) + eps (E(c_0) + E(c_1))``.
     A nonnegative gap certifies the recovery sequence used both in the
-    Gamma-limsup argument and as the solver warm start.
+    Gamma-limsup argument and as the solver's cold start.
     """
     return recovery_gaps(backend, base, [eps])[0]
 

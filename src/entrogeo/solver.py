@@ -52,7 +52,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -91,18 +91,18 @@ class SolverOptions:
     predicts for the next step, ``-g.d``, is at most ``grad_tol eps^2 |v|``
     (``v`` the action).  ``quantile_points`` is the number m >= 3 of
     graded u-nodes of the density decision variables (default n, the
-    number of grid cells, and at least 3).  ``warm_start`` is one of
-    ``"regularized_geodesic"`` (the recovery curve S_{h_eps(t)} g_t,
-    provably an eps-good competitor), ``"straight"`` (the plain geodesic),
-    an explicit curve, or a previous ``SchrodingerResult``, whose decision
-    vector is reused when its size fits (sweeps chain their solves so) and
-    whose minimizer is used otherwise (a profile row holds no decision).
+    number of grid cells, and at least 3).  ``warm_start`` is ``None``,
+    the cold start from the recovery curve ``S_{h_eps(t)} g_t`` (the
+    geodesic regularized by the tent profile, provably an eps-good
+    competitor), or a previous ``SchrodingerResult`` of the same problem
+    size whose decision vector the descent starts from, as a sweep chains
+    its solves; a result without one, such as a profile row, is rejected.
     """
 
     n_time: int = 63
     max_iter: int = 2000
     grad_tol: float = 1e-6
-    warm_start: Union[str, Curve, SchrodingerResult] = "regularized_geodesic"
+    warm_start: Optional[SchrodingerResult] = None
     quantile_points: Optional[int] = None
 
     def __post_init__(self):
@@ -115,8 +115,9 @@ class SolverOptions:
         if self.quantile_points is not None and self.quantile_points < 3:
             raise DomainError(f"quantile_points must be at least 3, got {self.quantile_points}")
         ws = self.warm_start
-        if isinstance(ws, str) and ws not in ("regularized_geodesic", "straight"):
-            raise DomainError(f"unknown warm start {ws!r}")
+        if ws is not None and not (isinstance(ws, SchrodingerResult) and ws.decision is not None):
+            raise DomainError("warm_start must be None or a SchrodingerResult "
+                              "that holds its decision vector")
 
 
 @dataclass(frozen=True)
@@ -709,18 +710,16 @@ def _problem(backend: SpaceBackend, x, y, eps, times, opts: SolverOptions) -> _P
 
 
 def _warm_z(prob: _Problem, backend: SpaceBackend, x, y, opts: SolverOptions):
-    """Start of the descent: the decision vector of a chained result when
-    its size fits, else the packed warm-start curve."""
+    """Start of the descent: the decision vector of the chained result, or
+    else the packed recovery curve ``S_{h_eps(t)} g_t``."""
     ws = opts.warm_start
-    if isinstance(ws, SchrodingerResult):
-        if ws.decision is not None and np.size(ws.decision) == prob.n_interior * prob.first.size:
-            return ws.decision
-        ws = ws.minimizer
-    if isinstance(ws, str):
-        ws = geodesic_curve(backend, x, y, opts.n_time + 1)
-        if opts.warm_start == "regularized_geodesic":
-            ws = build_regularized(backend, ws, HatFunction.with_slope(prob.eps)).tilde
-    return prob.pack(ws)
+    if ws is None:
+        geo = geodesic_curve(backend, x, y, opts.n_time + 1)
+        return prob.pack(build_regularized(backend, geo, HatFunction.with_slope(prob.eps)).tilde)
+    if np.size(ws.decision) != prob.n_interior * prob.first.size:
+        raise DomainError(f"warm start of {np.size(ws.decision)} unknowns for a problem "
+                          f"of {prob.n_interior * prob.first.size}")
+    return ws.decision
 
 
 def _check_endpoints(backend: SpaceBackend, x, y):
@@ -740,7 +739,13 @@ def _check_finite_entropy(backend, x, y):
 
 def solve(backend: SpaceBackend, x, y, eps: float,
           opts: Optional[SolverOptions] = None) -> SchrodingerResult:
-    """Minimize the discretized entropic action between ``x`` and ``y``."""
+    """Minimize the discretized entropic action between ``x`` and ``y``.
+
+    For eps > 0 the descent starts from ``opts.warm_start``: the recovery
+    curve ``S_{h_eps(t)} g_t`` by default, or the decision vector of a
+    previous result, which must have this problem's size (``DomainError``
+    otherwise).  At eps = 0 the closed form needs no start.
+    """
     _check_eps(eps)
     opts = opts or SolverOptions()
     _check_endpoints(backend, x, y)

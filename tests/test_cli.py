@@ -1,4 +1,5 @@
 import json
+import re
 import os
 import subprocess
 import sys
@@ -423,6 +424,18 @@ properties = wibble
         assert main([write_config(tmp_path, text), "--output", str(tmp_path / "out")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 10 and all(ln.endswith("pass") for ln in lines)
+
+    @pytest.mark.parametrize("dim, center", [("0", ""), ("-2", "0")], ids=["empty", "negative"])
+    @pytest.mark.parametrize("text", [QUAD_SOLVE, QUAD_VERIFY], ids=["solve", "verify"])
+    def test_well_without_coordinates_exits_1(self, tmp_path, capsys, text, dim, center):
+        # a well with no coordinates would solve to cost 0 and pass every
+        # certificate
+        text = re.sub(r"dim = \d", f"dim = {dim}\ncenter = {center}", text.replace("center = 0\n", ""))
+        assert main([write_config(tmp_path, text), "--output", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "[backend] dim: must be at least 1" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_very_stiff_well_fails_without_traceback(self, tmp_path, capsys):
         # at lam = 1e4 the central difference of evi meets roundoff: a

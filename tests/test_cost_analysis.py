@@ -66,16 +66,27 @@ class TestSweep:
         assert quad_profile.rows[0].iterations == 0
         assert all(r.iterations > 0 for r in quad_profile.rows[1:])
 
-    def test_rows_hold_no_decision_and_still_warm_start(self, quad1d, quad_profile):
-        # only the chained warm start reads a decision vector; a row given
-        # as warm_start falls back to its minimizer, already stationary
-        assert all(r.decision is None for r in quad_profile.rows)
-        row = quad_profile.rows[-1]
-        res = solve(quad1d, np.array([1.0]), np.array([2.0]), row.eps,
-                    SolverOptions(warm_start=row))
-        assert res.converged and res.iterations == 0
-        assert np.array(res.minimizer.points) == pytest.approx(np.array(row.minimizer.points),
-                                                               abs=1e-12)
+    def test_rows_equal_a_hand_chain_of_solves(self, boltzmann):
+        # the sweep is a chain of solves, each warm-started from the result
+        # before it; its rows drop the decision vector, so a row cannot
+        # warm-start a solve
+        n = 64
+        x = GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0)
+        y = GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0)
+        opts = SolverOptions(n_time=15)
+        eps_list = [0.2, 0.1, 0.05]
+        prof = sweep(boltzmann, x, y, eps_list, opts)
+        chain, prev = [], None
+        for e in eps_list:
+            prev = solve(boltzmann, x, y, e, SolverOptions(n_time=15, warm_start=prev))
+            chain.append(prev)
+        fields = ("cost", "kinetic", "fisher", "iterations", "stationarity")
+        for row, res in zip(reversed(prof.rows), chain):
+            assert row.decision is None and res.decision is not None
+            assert [getattr(row, f) for f in fields] == [getattr(res, f) for f in fields]
+        assert any(r.iterations > 0 for r in prof.rows)
+        with pytest.raises(DomainError, match="decision vector"):
+            SolverOptions(warm_start=prof.rows[0])
 
     def test_cost_strictly_increasing(self, quad_profile):
         costs = [r.cost for r in quad_profile.rows]

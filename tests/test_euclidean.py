@@ -238,3 +238,14 @@ class TestBackendContract:
     def test_quadratic_requires_positive_strength(self):
         with pytest.raises(DomainError):
             QuadraticPotential(np.zeros(1), 0.0)
+
+    @pytest.mark.parametrize("strength", [math.nan, math.inf])
+    def test_quadratic_requires_finite_strength(self, strength):
+        with pytest.raises(DomainError, match="positive and finite"):
+            QuadraticPotential(np.zeros(1), strength)
+
+    @pytest.mark.parametrize("center", [np.zeros(0), [0.0, math.nan], [math.inf], [[]]],
+                             ids=["empty", "nan", "inf", "empty-nested"])
+    def test_quadratic_requires_a_finite_center(self, center):
+        with pytest.raises(DomainError, match="at least one coordinate, all finite"):
+            QuadraticPotential(center, 1.0)

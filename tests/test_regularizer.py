@@ -6,6 +6,7 @@ import pytest
 from entrogeo import Curve, GridDensity, HatFunction, fisher_action, geodesic_curve, kinetic_action
 from entrogeo.errors import DomainError, EndpointEntropyInfinite
 from entrogeo.regularizer import (
+    RegularizedCurve,
     build,
     builds,
     convexity_certificate,
@@ -53,16 +54,17 @@ class TestBuild:
             assert q[0] == pytest.approx(math.exp(-h(float(t))) * p[0], abs=1e-14)
 
     def test_negative_profile_rejected(self, quad1d):
+        # profiles are hats, which refuse a negative height before any flow
         base = quad_segment(quad1d, 1.0, 2.0, n=4)
         with pytest.raises(DomainError):
-            build(quad1d, base, np.array([0.0, -0.1, 0.1, 0.0, 0.0]))
+            build(quad1d, base, HatFunction.with_slope(-0.1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_density_profile_rejected(self, boltzmann, bad):
         a = gaussian_on(SWEEP, 0.0, 1.0)
         base = geodesic_curve(boltzmann, a, gaussian_on(SWEEP, 2.0, 1.5), 4)
         with pytest.raises(DomainError, match="finite and nonnegative"):
-            build(boltzmann, base, np.array([0.0, bad, 0.1, 0.0, 0.0]))
+            build(boltzmann, base, HatFunction(bad, 0.3))
 
     @pytest.mark.parametrize("boundary", ["no-flux", "periodic"])
     def test_equals_per_node_flow(self, porous2, boltzmann, boundary):
@@ -99,7 +101,7 @@ class TestBuilds:
             base = quad_segment(be, 1.0, 2.0, n=16)
         else:
             base = circle_reg(be, 16).base
-        hs = [HatFunction.with_slope(0.2), np.zeros(17), HatFunction(0.03, 0.3)]
+        hs = [HatFunction.with_slope(0.2), HatFunction(0.0), HatFunction(0.03, 0.3)]
         for reg, h in zip(builds(be, base, hs), hs):
             one = build(be, base, h)
             assert reg.h.tobytes() == one.h.tobytes()
@@ -107,6 +109,13 @@ class TestBuilds:
                 assert np.asarray(getattr(p, "rho", p)).tobytes() == \
                     np.asarray(getattr(q, "rho", q)).tobytes()
         assert builds(be, base, []) == []
+
+
+def flowed(backend, base, h):
+    """The regularized curve of ``base`` under the per-node vertical times
+    ``h``, node by node; ``build`` takes hats only."""
+    pts = [p if s == 0.0 else backend.flow(p, s) for p, s in zip(base.points, h.tolist())]
+    return RegularizedCurve(base, h, Curve(base.times, pts))
 
 
 def scalar_residual(backend, reg, i, j):
@@ -152,7 +161,7 @@ def bits(values):
 class TestDiscreteEstimate:
     def test_trivial_equality_when_profile_vanishes(self, quad1d):
         base = quad_segment(quad1d, 1.0, 2.0)
-        reg = build(quad1d, base, np.zeros(65))
+        reg = build(quad1d, base, HatFunction.with_slope(0.0))
         assert discrete_estimate_residual(quad1d, reg, 0, 64) == 0.0
 
     def test_quadratic_all_pairs_nonpositive(self, quad1d):
@@ -237,7 +246,7 @@ class TestDiscreteEstimateResiduals:
         else:
             base = circle_reg(be, 32).base
         h = np.minimum(HatFunction.with_slope(0.05)(base.times), 0.009)
-        reg = build(be, base, h)
+        reg = flowed(be, base, h)
         res = discrete_estimate_residuals(be, reg)
         assert bits(res.values()) == bits(scalar_residual(be, reg, i, j) for i, j in res)
         assert sum(reg.h[i] == reg.h[j] > 0 for i, j in res) > 20

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestEuclideanSolve:
         # roundoff of the gradient is about 3e-6, so only a target relative
         # to the action lets the solve stop
         x, y = np.array([0.3, -1.1]), np.array([2.0, 0.7])
-        opts = SolverOptions(warm_start="straight")
+        opts = SolverOptions()
         unit = solve(quad2d, x, y, 0.1, opts)
         res = solve(quad2d, 1e8 * x, 1e8 * y, 0.1, opts)
         assert res.converged
@@ -147,8 +148,10 @@ class TestEuclideanSolve:
             assert discrete_action(quad2d, res.minimizer, eps) == res.cost
             assert res.cost == res.kinetic + eps**2 * res.fisher
         # a density curve stores densities, so discrete_action repacks its
-        # quantiles and meets the cost only to the PCHIP round trip; the
-        # Fisher part counts every row once, the end rows included
+        # quantiles and meets the cost only to the PCHIP round trip (about
+        # +2.2e-4 relative at this n and n_time), from above, as any
+        # competitor curve must; the Fisher part counts every row once, the
+        # end rows included
         n, dx, x0 = 64, 22.0 / 64, -10.0
         a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
         b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
@@ -160,7 +163,8 @@ class TestEuclideanSolve:
                  for Q in prob._stack(res.decision)]
             assert res.fisher == pytest.approx(0.5 * float(w @ S), rel=1e-12)
             assert res.cost == res.kinetic + eps**2 * res.fisher
-            assert discrete_action(boltzmann, res.minimizer, eps) == pytest.approx(res.cost, rel=1e-3)
+            repacked = discrete_action(boltzmann, res.minimizer, eps)
+            assert res.cost <= repacked <= res.cost * (1.0 + 3e-4)
 
     def test_grid_consistency(self, quad1d):
         r1 = solve(quad1d, np.array([1.0]), np.array([2.0]), 0.2,
@@ -660,11 +664,20 @@ class TestSolverOptions:
         assert res.decision.size == 7 * 3
         assert res.fisher > 0.0
 
-    def test_explicit_warm_start_curve(self, quad1d):
-        warm = geodesic_curve(quad1d, np.array([1.0]), np.array([2.0]), 16)
-        res = solve(quad1d, np.array([1.0]), np.array([2.0]), 0.1,
-                    SolverOptions(n_time=15, warm_start=warm))
-        assert res.converged
+    def test_warm_start_kinds(self, quad1d):
+        # a warm start is a result that holds a decision vector of the
+        # problem's size; a curve, a result without one (a profile row) and
+        # a result of another time grid are rejected
+        x, y = np.array([1.0]), np.array([2.0])
+        res = solve(quad1d, x, y, 0.1, SolverOptions(n_time=15))
+        again = solve(quad1d, x, y, 0.1, SolverOptions(n_time=15, warm_start=res))
+        assert again.converged and again.iterations == 0
+        assert again.decision.tobytes() == res.decision.tobytes()
+        for bad in (res.minimizer, dataclasses.replace(res, decision=None)):
+            with pytest.raises(DomainError, match="decision vector"):
+                SolverOptions(warm_start=bad)
+        with pytest.raises(DomainError, match="warm start of 15 unknowns"):
+            solve(quad1d, x, y, 0.1, SolverOptions(n_time=7, warm_start=res))
 
     def test_max_iter_non_convergence_reported(self):
         # the double well is not quadratic, so one model step cannot be exact
