@@ -51,10 +51,11 @@ medium refactors it every substep) gives every row bit for bit what it
 would get alone.  ``Density1DBackend.flows`` runs the flows of a curve's
 nodes or of a certificate's sample times this way.
 
-The LAPACK routines, these two and the solver's banded Cholesky pair
-``dpbtrf``/``dpbtrs``, come from scipy's compiled ``_flapack`` extension,
-which ``_load_lapack`` loads without ``import scipy.linalg``: that import
-would cost every CLI run about 0.3 s.
+The LAPACK routines, these two and the solver's banded Cholesky pairs
+``spbtrf``/``spbtrs`` (float32) and ``dpbtrf``/``dpbtrs`` (float64), come
+from scipy's compiled ``_flapack`` extension, which ``_load_lapack`` loads
+without ``import scipy.linalg``: that import would cost every CLI run about
+0.3 s.
 """
 
 from __future__ import annotations
@@ -95,8 +96,11 @@ _BOUNDARIES = ("periodic", "no-flux")
 def _load_lapack():
     """scipy's compiled LAPACK wrappers, loaded without ``import scipy.linalg``.
 
-    The package calls four routines: ``dpttrf``/``dpttrs`` here and
-    ``dpbtrf``/``dpbtrs`` in the solver's Hessian models.  ``import
+    The package calls six routines: ``dpttrf``/``dpttrs`` here, and in the
+    solver's Hessian models ``spbtrf``/``spbtrs``, which factor and apply
+    the density model in single precision, and ``dpbtrf``/``dpbtrs``, which
+    serve the Euclidean model and a density model that breaks down in
+    float32.  ``import
     scipy.linalg`` costs about 0.3 s, most of it scipy's array-API layer
     importing ``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``, while the
     extension ``scipy.linalg._flapack`` that holds the routines loads in

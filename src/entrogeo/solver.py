@@ -18,7 +18,10 @@ rise by at most 1e-14 relative, so that iterates at the roundoff floor of
 the action are not rejected.  Every solve stops when the decrease the
 model predicts for the next step, ``-g.d``, is at most ``grad_tol eps^2``
 times the action; the eps^2 matches the sweep diagnostics, which divide
-the solver's slack by eps^2.  The decision variables depend on the backend:
+the solver's slack by eps^2.  Values, gradients, the line search and that
+test are float64; only the density model is factored in single precision
+(below), so for densities ``d``, hence ``-g.d``, carries the relative
+error of a float32 solve.  The decision variables depend on the backend:
 
 * Euclidean: the interior node coordinates themselves.  The model is the
   block-tridiagonal Gauss-Newton Hessian (kinetic Laplacian plus
@@ -36,7 +39,11 @@ the solver's slack by eps^2.  The decision variables depend on the backend:
   Fisher term is itself a log barrier at zero increments, so accepted
   iterates stay strictly interior.  The model is the kinetic term plus the
   Gauss-Newton Hessian of the Fisher term, a band of half-width
-  ``2 n_interior`` when the unknowns are ordered u-major.
+  ``2 n_interior`` when the unknowns are ordered u-major.  Its rows are
+  computed in float64 and factored in float32 (``spbtrf``), which halves
+  the band and takes about 70% of the float64 time; where rounding to
+  float32 makes the model indefinite, the float64 rows are factored with
+  ``dpbtrf`` instead.
 
 For eps = 0 both backends are solved in closed form, with no descent: the
 action is then the kinetic term alone, whose exact discrete minimizer is
@@ -49,6 +56,7 @@ contain flat valleys and non-unique solutions.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -106,14 +114,18 @@ class SolverOptions:
     quantile_points: Optional[int] = None
 
     def __post_init__(self):
-        if self.n_time < 3:
-            raise DomainError("need at least 3 interior time nodes")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not self.grad_tol > 0:
-            raise DomainError("grad_tol must be positive")
-        if self.quantile_points is not None and self.quantile_points < 3:
-            raise DomainError(f"quantile_points must be at least 3, got {self.quantile_points}")
+        for name, least in (("n_time", 3), ("max_iter", 1), ("quantile_points", 3)):
+            value = getattr(self, name)
+            if value is None and name == "quantile_points":
+                continue  # m follows the grid
+            try:
+                operator.index(value)
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise DomainError(f"{name} must be at least {least}, got {value}")
+        if not 0 < self.grad_tol < math.inf:
+            raise DomainError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         ws = self.warm_start
         if ws is not None and not (isinstance(ws, SchrodingerResult) and ws.decision is not None):
             raise DomainError("warm_start must be None or a SchrodingerResult "
@@ -311,24 +323,24 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float):
 
 
 # the band of the last density model dropped, kept to build the next one.
-# The band is megabytes (16 MB at 256 quantile nodes and 63 interior time
-# nodes) and a model is built at every descent stage.  A fresh block that
-# size is taken from the C heap's free space only while no small
-# allocation has landed in it, so whether a build touched new pages, and
-# with them the peak resident memory of a run, changed from run to run by
-# up to its size.
+# The band is megabytes (8 MB in float32, 16 MB in float64, at 256 quantile
+# nodes and 63 interior time nodes) and a model is built at every descent
+# stage.  A fresh block that size is taken from the C heap's free space only
+# while no small allocation has landed in it, so whether a build touched new
+# pages, and with them the peak resident memory of a run, changed from run
+# to run by up to its size.
 _spare_band = []
 _spare_lock = threading.Lock()
 
 
-def _take_band(shape: tuple) -> np.ndarray:
-    """A zeroed band of ``shape`` in Fortran order: the spare one if it fits.
-    No two live models share one, as a band is spare only once its model is
-    gone (``_keep_band``)."""
+def _take_band(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed band of ``shape`` and ``dtype`` in Fortran order: the spare
+    one if it fits.  No two live models share one, as a band is spare only
+    once its model is gone (``_keep_band``)."""
     with _spare_lock:
         ab = _spare_band.pop() if _spare_band else None
-    if ab is None or ab.shape != shape:
-        return np.zeros(shape, order="F")
+    if ab is None or ab.shape != shape or ab.dtype != dtype:
+        return np.zeros(shape, dtype, order="F")
     ab.fill(0.0)
     return ab
 
@@ -342,19 +354,24 @@ def _banded_cholesky_solver(ab: np.ndarray, model: str):
     """``v -> A^{-1} v`` for the SPD matrix ``A`` in lower band storage
     ``ab[j, p] = A[p + j, p]``; ``ab`` is overwritten by its factor.  A
     factorization that breaks down raises ``EntrogeoError`` naming
-    ``model`` and the first leading minor that is not positive.  The solve
-    is ``dpbtrs`` on the factor, the call ``cho_solve_banded`` makes."""
-    cb, info = _lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    ``model`` and the first leading minor that is not positive.  The
+    routines follow the band's precision: ``spbtrf``/``spbtrs`` for a
+    float32 band, which solve in float32, and ``dpbtrf``/``dpbtrs`` (the
+    calls ``cho_solve_banded`` makes) otherwise; ``v`` and the solution
+    are float64 either way."""
+    p = "s" if ab.dtype == np.float32 else "d"
+    trf, trs = getattr(_lapack, p + "pbtrf"), getattr(_lapack, p + "pbtrs")
+    cb, info = trf(ab, lower=1, overwrite_ab=1)
     if info != 0:
         raise EntrogeoError(
             f"{model}: the Hessian model is not positive definite "
             f"(leading minor {info} of {ab.shape[1]})")
 
     def solve(v: np.ndarray) -> np.ndarray:
-        x, info = _lapack.dpbtrs(cb, v, lower=1)
+        x, info = trs(cb, v.astype(cb.dtype, copy=False), lower=1)
         if info != 0:
-            raise EntrogeoError(f"{model}: the banded solve failed (dpbtrs info {info})")
-        return x
+            raise EntrogeoError(f"{model}: the banded solve failed ({p}pbtrs info {info})")
+        return x.astype(float, copy=False)
 
     return solve
 
@@ -678,20 +695,43 @@ class _DensityProblem(_Problem):
         kinetic coupling at offset 1 and the Fisher couplings at offsets
         ``n_interior`` and ``2 n_interior``; it is assembled directly in
         lower band storage and factored once.
+
+        The four band rows are computed in float64 and written into a
+        float32 band, factored by ``spbtrf`` and applied by ``spbtrs``: the
+        model only seeds L-BFGS, whose values, gradients and stopping test
+        stay float64.  Near the graded grid's end nodes the Fisher curvature
+        (~1/h^3) nearly cancels against itself, and its rounding to float32
+        can make the model indefinite.  When ``spbtrf`` meets a pivot that is
+        not positive, the same float64 rows go into a float64 band for
+        ``dpbtrf``/``dpbtrs``, and a breakdown there raises.  The retry
+        starts from the float64 rows because the float32-rounded band is
+        indefinite in float64 as well.
         """
         nI, m = self.n_interior, self.m
         d0, d1, d2 = self._fisher_gn_bands(z0.reshape(nI, m))
         wf = self.eps**2 * self.weights[1:-1, None]
-        # ab[j, k nI + i] = A[(k, i) + j, (k, i)]; Fortran order lets the
-        # factorization work in place
-        ab = _take_band((2 * nI + 1, nI * m))
         kin_diag, kin_off = self._kinetic_bands()
-        ab[0] = (kin_diag + wf * d0 + 1e-12).T.ravel()
-        ab[1] = np.vstack([kin_off, np.zeros(m)]).T.ravel()
-        ab[nI, :(m - 1) * nI] = (wf * d1).T.ravel()
-        ab[2 * nI, :(m - 2) * nI] = (wf * d2).T.ravel()
-        solve_band = _banded_cholesky_solver(
-            ab, f"density model (m = {m} quantile nodes, {nI} time nodes)")
+        # ab[j, k nI + i] = A[(k, i) + j, (k, i)]
+        rows = {0: (kin_diag + wf * d0 + 1e-12).T.ravel(),
+                1: np.vstack([kin_off, np.zeros(m)]).T.ravel(),
+                nI: (wf * d1).T.ravel(),
+                2 * nI: (wf * d2).T.ravel()}
+
+        def band(dtype):
+            # Fortran order lets the factorization work in place
+            ab = _take_band((2 * nI + 1, nI * m), dtype)
+            for j, row in rows.items():
+                ab[j, :row.size] = row
+            return ab
+
+        model = f"density model (m = {m} quantile nodes, {nI} time nodes)"
+        ab = band(np.float32)
+        try:
+            solve_band = _banded_cholesky_solver(ab, model)
+        except EntrogeoError:
+            # rounding the rows to float32 made the model indefinite
+            ab = band(np.float64)
+            solve_band = _banded_cholesky_solver(ab, model)
         precond = lambda v: solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
         weakref.finalize(precond, _keep_band, ab)
         return precond

@@ -1,7 +1,7 @@
 """The CLI and the solvers load only the modules they use.
 
 Every CLI run pays for its imports before doing any work.  The package
-takes its four LAPACK routines from scipy's compiled ``_flapack`` extension
+takes its six LAPACK routines from scipy's compiled ``_flapack`` extension
 (``density1d._load_lapack``), so neither ``scipy.linalg`` nor the array-API
 layer it imports (which pulls in ``numpy.testing`` and ``numpy.f2py``) is
 loaded, and no code path loads scipy.sparse or scipy.interpolate.  The
@@ -47,19 +47,34 @@ print(json.dumps(sorted(m for m in sys.modules
                         if m in unneeded or m.startswith(tuple(u + "." for u in unneeded)))))
 """
 
+# the LAPACK routines the package calls
+ROUTINES = ["dpttrf", "dpttrs", "dpbtrf", "dpbtrs", "spbtrf", "spbtrs"]
+
 # argv[1] is "direct" or "fallback"; prints the name of the module the
-# routines came from and a digest of the bytes of a density solve and of a
-# heat and a porous-medium flow on the circle
+# routines came from, the routines it lacks, the outcomes of the float32
+# factorizations of a density solve, and a digest of the bytes of that solve
+# and of a heat and a porous-medium flow on the circle
 FALLBACK_SCRIPT = """
-import hashlib, importlib.machinery, sys
+import hashlib, importlib.machinery, json, sys, types
 
 if sys.argv[1] == "fallback":
     # with no extension suffix, the direct load matches no file
     importlib.machinery.EXTENSION_SUFFIXES.clear()
 
-from entrogeo import Density1DBackend, EntropyKind, GridDensity, density1d
+from entrogeo import Density1DBackend, EntropyKind, GridDensity, density1d, solver
 from entrogeo.solver import SolverOptions, solve
 
+lapack, routines = density1d._lapack, sys.argv[2:]
+infos = []
+
+def spbtrf(ab, **kw):
+    cb, info = lapack.spbtrf(ab, **kw)
+    infos.append(info)
+    return cb, info
+
+solver._lapack = types.SimpleNamespace(
+    **{r: getattr(lapack, r) for r in routines if hasattr(lapack, r)})
+solver._lapack.spbtrf = spbtrf
 a = GridDensity.gaussian(-1.0, 0.8, 32, 0.4, -6.4)
 b = GridDensity.gaussian(1.0, 1.2, 32, 0.4, -6.4)
 res = solve(Density1DBackend(EntropyKind.boltzmann()), a, b, 0.1, SolverOptions(n_time=7))
@@ -67,7 +82,9 @@ c = GridDensity.gaussian(0.0, 0.5, 32, 0.25, -4.0, boundary="periodic")
 h = hashlib.sha256(res.decision.tobytes())
 for kind in (EntropyKind.boltzmann(), EntropyKind.porous_medium(2.0)):
     h.update(density1d.flow(kind, c, 0.05).rho.tobytes())
-print(density1d._lapack.__name__, h.hexdigest())
+print(json.dumps({"module": lapack.__name__,
+                  "missing": [r for r in routines if not hasattr(lapack, r)],
+                  "spbtrf_infos": infos, "digest": h.hexdigest()}))
 """
 
 # argv[1] is a config file; prints whether loading it imported the CLI
@@ -94,10 +111,15 @@ def test_no_sparse_or_interpolate_after_cli_flows_and_solve():
 
 
 def test_lapack_fallback_gives_the_same_bytes():
-    direct, fallback = _run(FALLBACK_SCRIPT, "direct"), _run(FALLBACK_SCRIPT, "fallback")
-    assert direct.split()[0] == "scipy.linalg._flapack"
-    assert fallback.split()[0] == "scipy.linalg.lapack"
-    assert direct.split()[1] == fallback.split()[1]
+    direct = json.loads(_run(FALLBACK_SCRIPT, "direct", *ROUTINES))
+    fallback = json.loads(_run(FALLBACK_SCRIPT, "fallback", *ROUTINES))
+    assert direct["module"] == "scipy.linalg._flapack"
+    assert fallback["module"] == "scipy.linalg.lapack"
+    assert direct["missing"] == fallback["missing"] == []
+    # every model of the solve was factored in float32, with no breakdown
+    assert direct["spbtrf_infos"] and set(direct["spbtrf_infos"]) == {0}
+    assert fallback["spbtrf_infos"] == direct["spbtrf_infos"]
+    assert direct["digest"] == fallback["digest"]
 
 
 def test_load_config_leaves_the_cli_unimported(tmp_path):

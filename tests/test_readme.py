@@ -1,8 +1,9 @@
-"""The README's two examples run as printed.
+"""The README's two examples run as printed, and its install line is true.
 
 The ``python`` block runs in a fresh interpreter on the package source and
 must print the Taylor limit estimate of its sweep, close to the closed form
-``I_0 = 1/(2 s0 s1) = 0.25``.  The ``ini`` block runs through the CLI.
+``I_0 = 1/(2 s0 s1) = 0.25``.  The ``ini`` block runs through the CLI.  The
+setuptools floor the README names is the one ``pyproject.toml`` builds with.
 """
 
 import os
@@ -40,3 +41,11 @@ def test_ini_example(tmp_path):
     assert main([str(ini)]) == 0
     assert (tmp_path / "out" / "profile.csv").is_file()
     assert (tmp_path / "out" / "diagnostics.json").is_file()
+
+
+def test_setuptools_floor_matches_the_build_requirement():
+    # parsed by pattern: tomllib is not in Python 3.10, the declared floor
+    requires = re.search(r"^\[build-system\]\nrequires = \[(.*)\]$",
+                         (ROOT / "pyproject.toml").read_text(), re.MULTILINE).group(1)
+    floors = re.findall(r"setuptools>=([0-9.]+)", (ROOT / "README.md").read_text())
+    assert floors and set(floors) == set(re.findall(r'"setuptools>=([0-9.]+)"', requires))

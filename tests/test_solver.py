@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -324,14 +325,23 @@ def _steps_and_weights(times):
     return dts, w
 
 
-def _dense_model_check(prob, z0, model):
-    """The preconditioner of ``prob`` at ``z0`` inverts ``model``."""
+def _dense_model_check(prob, z0, model, rtol=1e-10):
+    """The preconditioner of ``prob`` at ``z0`` inverts ``model`` to ``rtol``."""
     apply = prob.make_preconditioner(z0)
     rng = np.random.default_rng(3)
     for _ in range(3):
         v = rng.standard_normal(z0.size)
         want = np.linalg.solve(model, v)
-        assert np.linalg.norm(apply(v) - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.linalg.norm(apply(v) - want) <= rtol * np.linalg.norm(want)
+
+
+def _float32_breaks_down(monkeypatch):
+    """Make every float32 factorization report a breakdown at its first
+    minor, so that each density model is factored from its float64 rows."""
+    lapack = solver_mod._lapack
+    monkeypatch.setattr(solver_mod, "_lapack", SimpleNamespace(
+        spbtrf=lambda ab, **kw: (ab, 1), spbtrs=lapack.spbtrs,
+        dpbtrf=lapack.dpbtrf, dpbtrs=lapack.dpbtrs))
 
 
 class TestEuclideanModel:
@@ -378,34 +388,47 @@ class TestEuclideanModel:
         _dense_model_check(prob, z0, model)
 
 
+def _dense_density_model(be):
+    """A density problem, a perturbed geodesic ``z0`` and its Gauss-Newton
+    model assembled densely, the Fisher Jacobian by complex step."""
+    n, dx, x0 = 32, 22.0 / 32, -10.0
+    a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
+    b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
+    times = np.linspace(0.0, 1.0, 7) ** 1.5  # 5 interior nodes, non-uniform
+    eps, m = 0.5, 12
+    prob = _DensityProblem(be, a, b, eps, times, m)
+    nI, w, H = prob.n_interior, prob.row_mass, prob.H
+    z0 = prob.geodesic_z()
+    rng = np.random.default_rng(4)
+    min_inc = np.min(np.diff(z0.reshape(nI, m), axis=1))
+    z0 = z0 + 0.2 * min_inc * rng.standard_normal(z0.size)
+    dts, wt = _steps_and_weights(times)
+    model = np.zeros((nI * m, nI * m))
+    step = 1e-30
+    for i, Q in enumerate(z0.reshape(nI, m)):
+        J = np.array([_fisher_residuals(be.kind, Q + 1j * step * e, prob.h, H).imag / step
+                      for e in np.eye(m)]).T
+        blk = slice(i * m, (i + 1) * m)
+        model[blk, blk] = ((1.0 / dts[i] + 1.0 / dts[i + 1]) * np.diag(w)
+                           + eps**2 * wt[i + 1] * J.T @ (H[:, None] * J))
+        if i + 1 < nI:
+            nxt = slice((i + 1) * m, (i + 2) * m)
+            model[blk, nxt] = model[nxt, blk] = -np.diag(w) / dts[i + 1]
+    return prob, z0, model
+
+
 class TestDensityModel:
     @pytest.mark.parametrize("backend", ["boltzmann", "porous2"])
-    def test_banded_model_matches_dense_assembly(self, backend, request):
-        be = request.getfixturevalue(backend)
-        n, dx, x0 = 32, 22.0 / 32, -10.0
-        a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
-        b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
-        times = np.linspace(0.0, 1.0, 7) ** 1.5  # 5 interior nodes, non-uniform
-        eps, m = 0.5, 12
-        prob = _DensityProblem(be, a, b, eps, times, m)
-        nI, w, H = prob.n_interior, prob.row_mass, prob.H
-        z0 = prob.geodesic_z()
-        rng = np.random.default_rng(4)
-        min_inc = np.min(np.diff(z0.reshape(nI, m), axis=1))
-        z0 = z0 + 0.2 * min_inc * rng.standard_normal(z0.size)
-        dts, wt = _steps_and_weights(times)
-        model = np.zeros((nI * m, nI * m))
-        step = 1e-30
-        for i, Q in enumerate(z0.reshape(nI, m)):
-            J = np.array([_fisher_residuals(be.kind, Q + 1j * step * e, prob.h, H).imag / step
-                          for e in np.eye(m)]).T
-            blk = slice(i * m, (i + 1) * m)
-            model[blk, blk] = ((1.0 / dts[i] + 1.0 / dts[i + 1]) * np.diag(w)
-                               + eps**2 * wt[i + 1] * J.T @ (H[:, None] * J))
-            if i + 1 < nI:
-                nxt = slice((i + 1) * m, (i + 2) * m)
-                model[blk, nxt] = model[nxt, blk] = -np.diag(w) / dts[i + 1]
-        _dense_model_check(prob, z0, model)
+    def test_banded_model_matches_dense_assembly(self, backend, request, monkeypatch):
+        # the float64 path, which a float32 breakdown falls back to
+        _float32_breaks_down(monkeypatch)
+        _dense_model_check(*_dense_density_model(request.getfixturevalue(backend)))
+
+    @pytest.mark.parametrize("backend", ["boltzmann", "porous2"])
+    def test_float32_model_matches_dense_assembly(self, backend, request):
+        # the float32 factor solves to 5.4e-7 (boltzmann) and 1.8e-7 (porous2)
+        _dense_model_check(*_dense_density_model(request.getfixturevalue(backend)),
+                           rtol=1e-6)
 
 
 class TestGradedNodes:
@@ -422,6 +445,19 @@ class TestGradedNodes:
         np.testing.assert_allclose(prob.u + prob.u[::-1], 1.0, rtol=0.0, atol=1e-15)
 
 
+def _near_dirac_problem(be):
+    """The cold start of a problem whose density models all break down in
+    float32: a point mass and a narrow Gaussian on [0, 1] at n = 64, both
+    mollified by the flow for sqrt(eps), at eps = 0.4 and 7 time nodes."""
+    n, eps = 64, 0.4
+    x = GridDensity.point_mass(int(0.35 * n), n, 1.0 / n)
+    y = GridDensity.gaussian(0.7, 0.15, n, 1.0 / n)
+    x, y = be.flows([x, y], [math.sqrt(eps)] * 2)
+    opts = SolverOptions(n_time=7)
+    prob = _DensityProblem(be, x, y, eps, _uniform_times(opts.n_time), n)
+    return prob, solver_mod._warm_z(prob, be, x, y, opts)
+
+
 class TestModelFactorization:
     def test_indefinite_band_names_the_model(self):
         # lower band of [[1, 2, 0], [2, -1, 0], [0, 0, 1]]: the second
@@ -430,6 +466,78 @@ class TestModelFactorization:
         with pytest.raises(EntrogeoError, match=r"^stand-in model: .* not positive definite "
                                                 r"\(leading minor 2 of 3\)$"):
             _banded_cholesky_solver(ab, "stand-in model")
+
+    def test_band_indefinite_only_in_float32(self):
+        # [[1, c], [c, 1]] with c = 1 - 2^-30 is positive definite, but c
+        # rounds to 1 in float32, where the second pivot is then 0
+        c = 1.0 - 2.0**-30
+        ab = np.array([[1.0, 1.0], [c, 0.0]], order="F")
+        with pytest.raises(EntrogeoError, match=r"\(leading minor 2 of 2\)$"):
+            _banded_cholesky_solver(np.asfortranarray(ab, np.float32), "stand-in model")
+        x = _banded_cholesky_solver(ab, "stand-in model")(np.ones(2))
+        assert x.dtype == np.float64
+        np.testing.assert_allclose([x[0] + c * x[1], c * x[0] + x[1]], 1.0, rtol=1e-14)
+
+    def test_float32_breakdown_refactors_the_float64_rows(self, boltzmann, monkeypatch):
+        prob, z0 = _near_dirac_problem(boltzmann)
+        factor = solver_mod._banded_cholesky_solver
+        outcomes, rounded = [], []
+
+        def recorded(ab, model):
+            if ab.dtype == np.float32:
+                rounded.append(np.asfortranarray(ab, np.float64))
+            try:
+                solve_band = factor(ab, model)
+            except EntrogeoError:
+                outcomes.append((ab.dtype, False))
+                raise
+            outcomes.append((ab.dtype, True))
+            return solve_band
+
+        v = np.random.default_rng(6).standard_normal(z0.size)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_mod, "_banded_cholesky_solver", recorded)
+            got = prob.make_preconditioner(z0)(v)
+        assert outcomes == [(np.float32, False), (np.float64, True)]
+        # the float32 rounding itself makes the model indefinite: the
+        # rounded band breaks down in float64 too
+        with pytest.raises(EntrogeoError, match="not positive definite"):
+            factor(rounded[0], "rounded model")
+        _float32_breaks_down(monkeypatch)
+        assert prob.make_preconditioner(z0)(v).tobytes() == got.tobytes()
+
+    def test_solve_whose_builds_all_break_down_is_the_float64_solve(self, boltzmann,
+                                                                    monkeypatch):
+        prob, _ = _near_dirac_problem(boltzmann)
+        opts = SolverOptions(n_time=prob.n_interior)
+        lapack, infos = solver_mod._lapack, []
+
+        def spbtrf(ab, **kw):
+            cb, info = lapack.spbtrf(ab, **kw)
+            infos.append(info)
+            return cb, info
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_mod, "_lapack", SimpleNamespace(
+                spbtrf=spbtrf, spbtrs=lapack.spbtrs, dpbtrf=lapack.dpbtrf, dpbtrs=lapack.dpbtrs))
+            res = solve(boltzmann, prob.x, prob.y, prob.eps, opts)
+        assert infos and all(infos)
+        _float32_breaks_down(monkeypatch)
+        forced = solve(boltzmann, prob.x, prob.y, prob.eps, opts)
+        assert res.decision.tobytes() == forced.decision.tobytes()
+        assert (res.cost, res.iterations, res.stationarity) == (
+            forced.cost, forced.iterations, forced.stationarity)
+
+    def test_spare_band_is_taken_only_in_its_precision(self):
+        shape = (3, 4)
+        kept = np.ones(shape, np.float32, order="F")
+        solver_mod._keep_band(kept)
+        assert solver_mod._take_band(shape, np.float32) is kept
+        assert not kept.any()
+        solver_mod._keep_band(np.ones(shape, order="F"))
+        ab = solver_mod._take_band(shape, np.float32)
+        assert ab.dtype == np.float32 and ab.flags.f_contiguous and not ab.any()
+        assert not solver_mod._spare_band
 
     def test_band_is_reused_only_once_its_model_is_gone(self, boltzmann):
         a = GridDensity.gaussian(0.0, 1.0, 32, 22.0 / 32, -10.0)
@@ -445,6 +553,7 @@ class TestModelFactorization:
         assert not np.array_equal(second(v), want)
         del first
         spare = solver_mod._spare_band[0]
+        assert spare.dtype == np.float32
         third = prob.make_preconditioner(z0)
         assert not solver_mod._spare_band  # the first model's band, taken
         np.testing.assert_array_equal(third(v), want)
@@ -641,16 +750,27 @@ class TestDensityGradient:
 
 class TestSolverOptions:
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n_time must be at least 3"):
             SolverOptions(n_time=2)
-        with pytest.raises(DomainError):
-            SolverOptions(grad_tol=0.0)
-        with pytest.raises(DomainError):
-            SolverOptions(grad_tol=math.nan)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="grad_tol must be positive and finite"):
+                SolverOptions(grad_tol=tol)
         with pytest.raises(DomainError, match="max_iter must be at least 1"):
             SolverOptions(max_iter=0)
         with pytest.raises(DomainError):
             SolverOptions(warm_start="sideways")
+
+    @pytest.mark.parametrize("name", ["n_time", "max_iter", "quantile_points"])
+    @pytest.mark.parametrize("value", [10.5, 16.0, "16"])
+    def test_non_integer_counts_rejected(self, name, value):
+        # a float used to reach numpy inside solve and fail there with a
+        # TypeError
+        with pytest.raises(DomainError, match=f"{name} must be an integer, got {value!r}"):
+            SolverOptions(**{name: value})
+
+    def test_numpy_integer_counts_solve(self, quad1d):
+        opts = SolverOptions(n_time=np.int64(7), max_iter=np.int32(50))
+        assert solve(quad1d, np.array([1.0]), np.array([2.0]), 0.1, opts).converged
 
     @pytest.mark.parametrize("qp", [0, 1, 2, -5])
     def test_too_few_quantile_points_rejected(self, qp):
