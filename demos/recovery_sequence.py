@@ -20,7 +20,7 @@ Run:  python3 demos/recovery_sequence.py
 
 import numpy as np
 
-from entrogeo import Density1DBackend, EntropyKind, GridDensity, HatFunction, geodesic_curve
+from entrogeo import Density1DBackend, EntropyKind, GridDensity, geodesic_curve
 from entrogeo.regularizer import (
     build,
     discrete_estimate_residual,
@@ -35,8 +35,8 @@ b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
 base = geodesic_curve(backend, a, b, 64)
 
 print("== the smoothed copy ==")
-eps = 0.1
-reg = build(backend, base, HatFunction.with_slope(eps))
+eps = 0.1  # the tent's side slope: its peak h(1/2) is eps/2
+reg = build(backend, base, eps)
 print(f"  eps = {eps}: endpoints preserved bitwise: "
       f"{reg.tilde.points[0] is base.points[0] and reg.tilde.points[-1] is base.points[-1]}")
 mid = reg.tilde.points[32]

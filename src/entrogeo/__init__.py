@@ -9,14 +9,14 @@ minimization problem
 abstract setting "metric space + entropy + EVI gradient flow": a Euclidean
 space with a convex potential, and 1D probability densities with the
 Wasserstein-2 metric.  Beyond the solver it ships numerical certificates
-for the EVI flow properties, the regularized-curve energy estimates, the
+for the EVI flow properties, the energy estimates of curves regularized by
+the tent time ``eps min(t, 1-t)`` (``regularizer.build``), the
 Gamma-convergence of the entropic cost to the geodesic cost, and the
 second-order Taylor expansion of the cost in eps.
 """
 
 from .core import (
     Curve,
-    HatFunction,
     SpaceBackend,
     fisher_action,
     geodesic_curve,
@@ -49,7 +49,6 @@ __all__ = [
     "EntropyKind",
     "EuclideanBackend",
     "GridDensity",
-    "HatFunction",
     "Potential",
     "QuadraticPotential",
     "SpaceBackend",

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import cost_analysis, flow_verify, regularizer
 from .config import ExperimentConfig, load_config
-from .core import HatFunction, geodesic_curve
+from .core import geodesic_curve
 from .density1d import Density1DBackend, GridDensity
 from .errors import EntrogeoError
 from .euclidean import EuclideanBackend
@@ -116,7 +116,7 @@ class _Samples:
     local_global: tuple
     a: object
     b: object
-    hat_slope: float
+    tent_slope: float
     recovery_eps: tuple
     pointwise_intervals: int  # of the curve the pointwise estimate samples
     convexity: list
@@ -127,14 +127,14 @@ class _Samples:
 
     @cached_property
     def reg(self):
-        return regularizer.build(self.backend, self.base, HatFunction.with_slope(self.hat_slope))
+        return regularizer.build(self.backend, self.base, self.tent_slope)
 
     @cached_property
     def pointwise_reg(self):
         if self.pointwise_intervals == self.base.n_intervals:
             return self.reg
         fine = geodesic_curve(self.backend, self.a, self.b, self.pointwise_intervals)
-        return regularizer.build(self.backend, fine, HatFunction.with_slope(self.hat_slope))
+        return regularizer.build(self.backend, fine, self.tent_slope)
 
 
 def _evi(backend, s, tol):
@@ -217,7 +217,7 @@ def _verify_quadratic(backend: EuclideanBackend, rng) -> dict:
         backend, s_grid=np.linspace(0.05, 1.5, 12) * tau, evi=list(zip(pts[:4], pts[4:])),
         contraction=contraction, ede=(ede_x, tau, 4096), slope_point=slope_point,
         regularization=regularization, local_global=(lg_x, comparison),
-        a=a, b=b, hat_slope=0.1 * tau, recovery_eps=(0.2 * tau, 0.1 * tau, 0.05 * tau),
+        a=a, b=b, tent_slope=0.1 * tau, recovery_eps=(0.2 * tau, 0.1 * tau, 0.05 * tau),
         pointwise_intervals=2048, convexity=convexity,
     ), quadratic=True)
 
@@ -247,7 +247,7 @@ def _verify_density(backend: Density1DBackend, grid) -> dict:
         backend, s_grid=np.linspace(0.02, 0.2, 8), evi=[(mix, g_mid)],
         contraction=[(g_mid, g_shift), (mix, g_off)], ede=(mix, 0.1, 32), slope_point=mix,
         regularization=(mix, g_mid), local_global=(mix, comparison),
-        a=a, b=b, hat_slope=0.05, recovery_eps=(0.2, 0.1, 0.05), pointwise_intervals=64,
+        a=a, b=b, tent_slope=0.05, recovery_eps=(0.2, 0.1, 0.05), pointwise_intervals=64,
         convexity=[(a, b), (mix, g_mid)],
     ), quadratic=False)
 

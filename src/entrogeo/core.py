@@ -29,7 +29,6 @@ from .errors import DomainError, InvalidCurve, SlopeUndefined
 
 __all__ = [
     "Curve",
-    "HatFunction",
     "SpaceBackend",
     "fisher_action",
     "kinetic_action",
@@ -58,7 +57,10 @@ class SpaceBackend:
     def distances(self, xs, ys) -> np.ndarray:
         """``[distance(x, y) for x, y in zip(xs, ys)]`` as an array; a
         backend overrides it when many pairs can share one batched pass."""
-        return np.array([self.distance(x, y) for x, y in zip(xs, ys, strict=True)], dtype=float)
+        xs, ys = list(xs), list(ys)
+        if len(xs) != len(ys):
+            raise DomainError(f"{len(xs)} first points for {len(ys)} second points")
+        return np.array([self.distance(x, y) for x, y in zip(xs, ys)], dtype=float)
 
     def geodesic(self, a, b, theta: float):
         raise NotImplementedError
@@ -80,7 +82,10 @@ class SpaceBackend:
     def flows(self, xs, ss) -> list:
         """``[flow(x, s) for x, s in zip(xs, ss)]``; a backend overrides it
         when many points can step their flows in lockstep."""
-        return [self.flow(x, s) for x, s in zip(xs, ss, strict=True)]
+        xs, ss = list(xs), list(ss)
+        if len(xs) != len(ss):
+            raise DomainError(f"{len(xs)} points for {len(ss)} flow times")
+        return [self.flow(x, s) for x, s in zip(xs, ss)]
 
     def check_point(self, x) -> None:
         """Raise InvalidCurve if ``x`` is not a state of this space."""
@@ -229,41 +234,3 @@ def schrodinger_action(backend: SpaceBackend, curve: Curve, eps: float) -> float
         return kin
     return kin + eps * eps * fisher_action(backend, curve)
 
-
-@dataclass(frozen=True)
-class HatFunction:
-    """Piecewise-linear bump ``t -> eps * H_theta(t)`` on ``[0, 1]``.
-
-    ``H_theta`` rises linearly from 0 at ``t = 0`` to 1 at ``t = theta`` and
-    falls back to 0 at ``t = 1``, so the peak value is ``eps`` and
-    ``int_0^1 eps * H_theta = eps / 2`` for every ``theta``.  These bumps are
-    the vertical-time profiles used to regularize curves by running the
-    entropy flow for time ``h(t)`` at each node.
-    """
-
-    eps: float
-    theta: float = 0.5
-
-    def __post_init__(self):
-        _check_eps(self.eps)
-        if not 0.0 < self.theta < 1.0:
-            raise DomainError(f"hat peak must lie in (0, 1), got {self.theta}")
-
-    @staticmethod
-    def with_slope(eps: float) -> "HatFunction":
-        """The symmetric tent ``t -> eps * min(t, 1 - t)`` with side slopes
-        ``+-eps``: peak ``eps / 2`` at ``theta = 1/2``.  This is the profile
-        of the canonical recovery sequence, so naming it by its slope avoids
-        the factor-of-two trap between peak height and side slope."""
-        return HatFunction(eps=0.5 * eps, theta=0.5)
-
-    def __call__(self, t):
-        """Evaluate ``eps * H_theta`` at ``t in [0, 1]``: a float for a
-        scalar ``t``, an array of the same shape for an array."""
-        ts = np.asarray(t, dtype=float)
-        inside = (ts >= 0.0) & (ts <= 1.0)
-        if not np.all(inside):
-            raise DomainError(f"hat functions live on [0, 1], got t={ts[~inside].flat[0]}")
-        vals = np.where(ts <= self.theta, self.eps * ts / self.theta,
-                        self.eps * (1.0 - ts) / (1.0 - self.theta))
-        return float(vals) if vals.ndim == 0 else vals

@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import HatFunction, SpaceBackend, geodesic_curve
+from .core import SpaceBackend, geodesic_curve
 from .errors import DomainError, ProfileIncomplete, ScheduleRejected
 from .regularizer import build as build_regularized
 from .solver import (
@@ -240,7 +240,7 @@ def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaRepor
         eps_out.append(row.eps)
         gaps.append(row.cost - profile.cost_0)
         devs.append(float(np.max(backend.distances(row.minimizer.points, geo.points))))
-        reg = build_regularized(backend, geo, HatFunction.with_slope(row.eps))
+        reg = build_regularized(backend, geo, row.eps)
         rec.append(discrete_action(backend, reg.tilde, row.eps, profile.opts) - row.cost)
 
     gap_dec = all(g2 < g1 + 1e-9 for g1, g2 in zip(gaps, gaps[1:]))

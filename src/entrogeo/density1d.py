@@ -167,8 +167,10 @@ class GridDensity:
         rho = np.asarray(rho, dtype=float).copy()
         if rho.ndim != 1 or rho.size < 2:
             raise DomainError("density needs a 1D array with >= 2 cells")
-        if dx <= 0:
-            raise DomainError("dx must be positive")
+        if not (math.isfinite(dx) and dx > 0):
+            raise DomainError(f"dx must be finite and positive, got {dx!r}")
+        if not math.isfinite(x0):
+            raise DomainError(f"x0 must be finite, got {x0!r}")
         if boundary not in _BOUNDARIES:
             raise DomainError(f"boundary must be one of {_BOUNDARIES}")
         # a nan or +-inf cell makes the sum non-finite (nan passes both the
@@ -263,8 +265,8 @@ class EntropyKind:
             if self.m is not None:
                 raise DomainError("boltzmann entropy takes no exponent")
         elif self.name == "porous_medium":
-            if self.m is None or self.m <= 1.0:
-                raise DomainError("porous medium exponent must satisfy m > 1")
+            if self.m is None or not (math.isfinite(self.m) and self.m > 1.0):
+                raise DomainError(f"porous medium exponent must be finite and > 1, got {self.m!r}")
         else:
             raise DomainError(f"unknown entropy kind {self.name!r}")
 

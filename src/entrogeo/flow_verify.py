@@ -25,11 +25,13 @@ cancellation, and the step shrinks with the flow's time scale ``1/lam``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SpaceBackend
+from .errors import DomainError
 
 __all__ = [
     "EviReport",
@@ -74,8 +76,8 @@ def evi_defect(backend: SpaceBackend, x, y, s_grid, tolerance: float = 1e-6) -> 
     ``1/2 d/ds d^2(S_s x, y) + lam/2 d^2(S_s x, y) + E(S_s x) - E(y)``.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    if np.any(s_grid <= 0) or np.any(np.diff(s_grid) <= 0):
-        raise ValueError("s_grid must be positive and increasing")
+    if not (np.all(np.isfinite(s_grid)) and np.all(s_grid > 0) and np.all(np.diff(s_grid) > 0)):
+        raise DomainError("s_grid must be finite, positive and increasing")
     lam = backend.lam
     ey = backend.entropy(y)
     steps = [_dt_step(float(s), lam) for s in s_grid]
@@ -121,8 +123,10 @@ def ede_report(backend: SpaceBackend, x, T: float, n_quad: int = 64,
     The trajectory is advanced incrementally through the quadrature nodes so
     the dissipation integral and the entropy drop see the same discrete flow.
     """
-    if T <= 0 or n_quad < 2:
-        raise ValueError("need T > 0 and at least two quadrature nodes")
+    if not (math.isfinite(T) and T > 0):
+        raise DomainError(f"need a finite T > 0, got {T!r}")
+    if not (isinstance(n_quad, numbers.Integral) and n_quad >= 2):
+        raise DomainError(f"need an integer n_quad >= 2, got {n_quad!r}")
     s_nodes = np.linspace(0.0, T, n_quad + 1)
     cur = x
     slopes = np.empty(n_quad + 1)

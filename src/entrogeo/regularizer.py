@@ -1,13 +1,13 @@
 """Entropic regularization of curves and its energy certificates.
 
-Given a curve ``c`` and a hat profile ``h`` (a ``HatFunction``: nonnegative,
-piecewise linear, vanishing at the endpoints), the regularized copy runs the
-entropy flow for time ``h(t)`` at every node:
+Given a curve ``c`` and a slope ``eps >= 0``, the regularized copy runs the
+entropy flow for the tent time ``h_eps(t) = eps min(t, 1-t)`` at every node:
 
-    c~_t = S_{h(t)} c_t .
+    c~_t = S_{h_eps(t)} c_t .
 
-With the tent ``h_eps(t) = eps min(t, 1-t)`` and a geodesic ``c`` this is
-the recovery curve, the solver's cold start.
+The tent vanishes at the endpoints and has side slopes ``+-eps``.  With a
+geodesic ``c`` this is the recovery curve of the Gamma-limsup bound and the
+solver's cold start.
 
 Smoothing each node separately costs kinetic energy in a precisely
 quantified way.  This module evaluates the defect of those estimates on a
@@ -50,8 +50,8 @@ import numpy as np
 
 from .core import (
     Curve,
-    HatFunction,
     SpaceBackend,
+    _check_eps,
     fisher_action,
     kinetic_action,
     kinetic_actions,
@@ -73,7 +73,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RegularizedCurve:
-    """A base curve, its vertical-time profile, and the smoothed copy.
+    """A base curve, its vertical times ``h`` at the nodes, and the
+    smoothed copy.
 
     It holds curves, so ``==`` and ``hash`` go by identity."""
 
@@ -86,20 +87,27 @@ class RegularizedCurve:
         return self.base.times
 
 
-def build(backend: SpaceBackend, base: Curve, h: HatFunction) -> RegularizedCurve:
-    """Flow every node of ``base`` for its vertical time ``h(t_i)``, all
-    nodes in one ``backend.flows`` call.
+def build(backend: SpaceBackend, base: Curve, eps: float) -> RegularizedCurve:
+    """Flow every node of ``base`` for its tent time
+    ``h_eps(t_i) = eps min(t_i, 1 - t_i)``, all nodes in one
+    ``backend.flows`` call.
 
-    A hat vanishes at t = 0 and t = 1, and nodes with ``h = 0`` are reused
+    ``eps`` is the tent's side slope, so its peak is ``eps / 2``.  A
+    negative or non-finite ``eps`` raises ``DomainError``.  The tent
+    vanishes at t = 0 and t = 1, and nodes with ``h = 0`` are reused
     as-is, so the endpoints are preserved bitwise.
     """
-    return builds(backend, base, [h])[0]
+    return builds(backend, base, [eps])[0]
 
 
-def builds(backend: SpaceBackend, base: Curve, hs: Sequence[HatFunction]) -> list:
-    """``build`` of ``base`` for each hat of ``hs``, the nodes of every
-    profile flowed in one ``backend.flows`` call."""
-    hvs = [h(base.times) for h in hs]
+def builds(backend: SpaceBackend, base: Curve, eps_list: Sequence[float]) -> list:
+    """``build`` of ``base`` for each tent slope of ``eps_list``, the nodes
+    of every profile flowed in one ``backend.flows`` call."""
+    tent = np.minimum(base.times, 1.0 - base.times)
+    hvs = []
+    for eps in eps_list:
+        _check_eps(eps)
+        hvs.append(eps * tent)
     moved = [np.flatnonzero(hv).tolist() for hv in hvs]
     flowed = iter(backend.flows([base.points[i] for m in moved for i in m],
                                 [s for hv, m in zip(hvs, moved) for s in hv[m].tolist()]))
@@ -279,8 +287,8 @@ def recovery_gaps(backend: SpaceBackend, base: Curve, eps_list: Sequence[float])
     ``backend.distances`` call.
     """
     eps_list = list(eps_list)
-    if any(eps < 0 for eps in eps_list):
-        raise DomainError("eps must be nonnegative")
+    for eps in eps_list:
+        _check_eps(eps)
     e_ends = [backend.entropy(base.points[0]), backend.entropy(base.points[-1])]
     if not all(map(math.isfinite, e_ends)):
         raise EndpointEntropyInfinite(
@@ -288,7 +296,7 @@ def recovery_gaps(backend: SpaceBackend, base: Curve, eps_list: Sequence[float])
         )
     kin_base = kinetic_action(backend, base)
     live = [eps for eps in eps_list if eps != 0.0]
-    regs = builds(backend, base, [HatFunction.with_slope(eps) for eps in live])
+    regs = builds(backend, base, live)
     kins = kinetic_actions(backend, [reg.tilde for reg in regs])
     lam_minus = max(-backend.lam, 0.0)
     gaps = {}
@@ -311,7 +319,7 @@ def convexity_certificate(backend: SpaceBackend, x, y, theta_grid) -> float:
                       - lam/2 theta (1-theta) d(x, y)^2 .
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if np.any((theta_grid < 0) | (theta_grid > 1)):
+    if not np.all((theta_grid >= 0) & (theta_grid <= 1)):
         raise DomainError("theta grid must lie in [0, 1]")
     lam = backend.lam
     ex, ey = backend.entropy(x), backend.entropy(y)

@@ -66,7 +66,6 @@ import numpy as np
 
 from .core import (
     Curve,
-    HatFunction,
     SpaceBackend,
     _check_curve,
     _check_eps,
@@ -755,7 +754,7 @@ def _warm_z(prob: _Problem, backend: SpaceBackend, x, y, opts: SolverOptions):
     ws = opts.warm_start
     if ws is None:
         geo = geodesic_curve(backend, x, y, opts.n_time + 1)
-        return prob.pack(build_regularized(backend, geo, HatFunction.with_slope(prob.eps)).tilde)
+        return prob.pack(build_regularized(backend, geo, prob.eps).tilde)
     if np.size(ws.decision) != prob.n_interior * prob.first.size:
         raise DomainError(f"warm start of {np.size(ws.decision)} unknowns for a problem "
                           f"of {prob.n_interior * prob.first.size}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from entrogeo import GridDensity, HatFunction, geodesic_curve, w2_distance
+from entrogeo import GridDensity, geodesic_curve, w2_distance
 from entrogeo.cli import main as cli_main
 from entrogeo.cost_analysis import (
     derivative_check,
@@ -150,14 +150,14 @@ def test_criterion_2_gaussian_battery(boltzmann):
 def test_criterion_3_fundamental_estimates(quad1d, boltzmann, sweep_pair):
     t0 = time.monotonic()
     base_q = geodesic_curve(quad1d, np.array([1.0]), np.array([2.0]), 64)
-    reg_q = build(quad1d, base_q, HatFunction.with_slope(0.1))
+    reg_q = build(quad1d, base_q, 0.1)
     worst_q = max(
         discrete_estimate_residual(quad1d, reg_q, i, j)
         for i in range(65) for j in range(i + 1, 65)
     )
     a, b = sweep_pair
     base_d = geodesic_curve(boltzmann, a, b, 64)
-    reg_d = build(boltzmann, base_d, HatFunction.with_slope(0.05))
+    reg_d = build(boltzmann, base_d, 0.05)
     worst_d = max(
         discrete_estimate_residual(boltzmann, reg_d, i, j)
         for i in range(65) for j in range(i + 1, 65)

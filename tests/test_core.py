@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from entrogeo import (
     Curve,
     GridDensity,
-    HatFunction,
     QuadraticPotential,
     fisher_action,
     geodesic_curve,
@@ -31,11 +30,10 @@ class TestIdentityEquality:
         a = GridDensity.gaussian(0.0, 1.0, 64, 0.25, -8.0)
         b = GridDensity.gaussian(0.0, 1.0, 64, 0.25, -8.0)
         base = segment_curve(quad1d, [1.0], [2.0], 8)
-        hat = HatFunction.with_slope(0.1)
         return [
             (a, b),
             (Curve.uniform([a, b]), Curve.uniform([a, b])),
-            (build_regularized(quad1d, base, hat), build_regularized(quad1d, base, hat)),
+            (build_regularized(quad1d, base, 0.1), build_regularized(quad1d, base, 0.1)),
             (QuadraticPotential(np.zeros(1), 1.0), QuadraticPotential(np.zeros(1), 1.0)),
         ]
 
@@ -174,8 +172,13 @@ class TestDistances:
 
     def test_empty_and_unequal_lengths(self, quad2d):
         assert quad2d.distances([], []).shape == (0,)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="1 first points for 2 second points"):
             quad2d.distances([np.zeros(2)], [np.zeros(2), np.ones(2)])
+
+    def test_default_flows_unequal_lengths(self, quad2d):
+        # the default loop refuses a length mismatch like the density override
+        with pytest.raises(DomainError, match="1 points for 2 flow times"):
+            quad2d.flows([np.zeros(2)], [0.1, 0.2])
 
 
 class TestFisherAction:
@@ -272,57 +275,26 @@ class TestSchrodingerAction:
 
 
 class TestHatFunction:
-    def test_peak_value(self):
-        assert HatFunction(0.2, 0.5)(0.5) == pytest.approx(0.2)
+    """The tent profile h(t) = eps * min(t, 1 - t) that `build` puts on a curve."""
 
-    def test_boundary_zeros(self):
-        h = HatFunction(0.7, 0.3)
-        assert h(0.0) == 0.0
-        assert h(1.0) == 0.0
+    def profile(self, quad1d, eps, n):
+        return build_regularized(quad1d, segment_curve(quad1d, [1.0], [2.0], n), eps).h
 
-    def test_off_peak_interpolation(self):
-        # descending branch: eps * (1 - t) / (1 - theta)
-        assert HatFunction(0.3, 0.25)(0.5) == pytest.approx(0.2)
+    def test_peak_value(self, quad1d):
+        # side slopes +-eps, so the peak at t = 1/2 is eps/2
+        h = self.profile(quad1d, 0.4, 8)
+        assert h[4] == pytest.approx(0.2)
+        assert h.max() == h[4]
 
-    def test_domain_enforced(self):
-        with pytest.raises(DomainError):
-            HatFunction(0.1, 0.5)(1.5)
-        with pytest.raises(DomainError):
-            HatFunction(0.1, 0.5)(np.array([0.0, 0.5, -0.1]))
-        with pytest.raises(DomainError):
-            HatFunction(0.1, 0.5)(math.nan)
-        with pytest.raises(DomainError):
-            HatFunction(0.1, 0.0)
-        for eps in (-0.1, math.nan, math.inf):
-            with pytest.raises(DomainError, match="eps"):
-                HatFunction(eps, 0.5)
-            with pytest.raises(DomainError, match="eps"):
-                HatFunction.with_slope(eps)
+    def test_boundary_zeros(self, quad1d):
+        h = self.profile(quad1d, 0.7, 10)
+        assert h[0] == 0.0
+        assert h[-1] == 0.0
 
-    def test_with_slope_matches_min_form(self):
-        h = HatFunction.with_slope(0.3)
-        for t in np.linspace(0, 1, 17):
-            assert h(float(t)) == pytest.approx(0.3 * min(t, 1 - t), abs=1e-15)
-
-    def test_array_matches_scalar_calls(self):
-        h = HatFunction(0.7, 0.3)
-        ts = np.linspace(0.0, 1.0, 41)
-        vals = h(ts)
-        assert isinstance(h(0.25), float)
-        assert vals.shape == ts.shape
-        assert vals.tolist() == [h(float(t)) for t in ts]
-        assert h(ts.reshape(1, -1)).shape == (1, 41)
-
-    @given(eps=st.floats(0.0, 10.0), theta=st.floats(0.01, 0.99))
-    @settings(max_examples=50, deadline=None)
-    def test_integral_is_half_eps(self, eps, theta):
-        # closed form: the triangle with base 1 and height eps has area eps/2
-        h = HatFunction(eps, theta)
-        area = 0.5 * theta * eps + 0.5 * (1 - theta) * eps
-        assert area == pytest.approx(eps / 2, abs=1e-12)
-        ts = np.linspace(0, 1, 20001)
-        quad = np.trapezoid(h(ts), ts)
-        assert quad == pytest.approx(eps / 2, rel=1e-6, abs=1e-12)
+    def test_with_slope_matches_min_form(self, quad1d):
+        h = self.profile(quad1d, 0.3, 16)
+        for t, v in zip(np.linspace(0, 1, 17), h):
+            assert v == pytest.approx(0.3 * min(t, 1 - t), abs=1e-15)
 
 
 class TestMetricAxioms:

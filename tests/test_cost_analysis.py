@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entrogeo import GridDensity, HatFunction, cost_analysis
+from entrogeo import GridDensity, cost_analysis
 from entrogeo.cost_analysis import (
     CostProfile,
     _descending_eps,
@@ -206,8 +206,7 @@ class TestGammaDiagnostics:
 
         def gaps(o):
             return tuple(
-                discrete_action(boltzmann, build(boltzmann, prof.geodesic,
-                                                 HatFunction.with_slope(e)).tilde, e, o)
+                discrete_action(boltzmann, build(boltzmann, prof.geodesic, e).tilde, e, o)
                 - r.cost
                 for e, r in zip(report.eps, reversed(prof.rows)))
 

@@ -72,6 +72,16 @@ class TestGridDensity:
         with pytest.raises(DomainError, match="non-finite"):
             d.with_rho(rho)
 
+    @pytest.mark.parametrize("dx, x0, name", [
+        (math.nan, 0.0, "dx"), (math.inf, 0.0, "dx"),
+        (0.25, math.nan, "x0"), (0.25, math.inf, "x0"), (0.25, -math.inf, "x0"),
+    ])
+    def test_non_finite_grid_rejected(self, dx, x0, name):
+        # a density with a nan x0 would not be on its own grid, so
+        # w2_distance(d, d) would raise GridMismatch
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            GridDensity.uniform(4, dx, x0=x0)
+
     @pytest.mark.parametrize("cell", [64, 300, -1, 2.7, math.nan])
     def test_point_mass_cell_checked(self, cell):
         with pytest.raises(DomainError, match="point mass cell"):
@@ -628,6 +638,13 @@ class TestW2Geodesic:
 
 
 class TestEntropy:
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_non_finite_porous_exponent_rejected(self, m):
+        # nan is not <= 1 either; U_m with m nan or inf has a nan entropy
+        # and slope and no stable flow step
+        with pytest.raises(DomainError, match="exponent must be finite"):
+            EntropyKind.porous_medium(m)
+
     def test_uniform_boltzmann(self):
         d = GridDensity.uniform(64, 0.25)  # L = 16
         assert entropy(KB, d) == pytest.approx(-math.log(16.0), abs=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entrogeo import Density1DBackend, EntropyKind, GridDensity, SpaceBackend
+from entrogeo.errors import DomainError
 from entrogeo.flow_verify import (
     contraction_report,
     ede_report,
@@ -74,6 +75,19 @@ class TestContraction:
         r = contraction_report(boltzmann, [(a, b)], S_GRID_DENSITY, tolerance=2e-3)
         assert r.worst_residual <= 2e-3
         assert r.passed
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("s_grid", [[0.0, 0.1], [0.2, 0.1], [0.1, math.nan], [0.1, math.inf]])
+    def test_evi_grid(self, quad2d, s_grid):
+        with pytest.raises(DomainError, match="s_grid"):
+            evi_defect(quad2d, np.ones(2), np.zeros(2), s_grid)
+
+    @pytest.mark.parametrize("T, n_quad", [(0.0, 16), (math.nan, 16), (math.inf, 16),
+                                           (1.0, 1), (1.0, 2.5), (1.0, 16.0)])
+    def test_ede_span_and_nodes(self, quad2d, T, n_quad):
+        with pytest.raises(DomainError, match="T > 0|n_quad"):
+            ede_report(quad2d, np.ones(2), T, n_quad=n_quad)
 
 
 class TestEde:

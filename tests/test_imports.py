@@ -11,11 +11,13 @@ porous-medium flow, a small density solve and a small Euclidean solve.
 Where the extension file is not found, the loader falls back to
 ``scipy.linalg.lapack``; the same routines give the same bytes either way.
 Loading a config does not import the CLI: only the CLI knows the verify
-certificates.
+certificates.  Every name a module exports in ``__all__`` resolves.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -126,3 +128,14 @@ def test_load_config_leaves_the_cli_unimported(tmp_path):
     cfg = tmp_path / "verify.ini"
     cfg.write_text("[backend]\nkind = quadratic\n\n[run]\ncommand = verify\n")
     assert _run(LOAD_CONFIG_SCRIPT, str(cfg)) == "False"
+
+
+def test_every_export_resolves():
+    modules = [entrogeo] + [importlib.import_module(f"entrogeo.{info.name}")
+                            for info in pkgutil.iter_modules(entrogeo.__path__)]
+    assert len(modules) == 12
+    for module in modules:
+        exported = getattr(module, "__all__", [])
+        assert [name for name in exported if not hasattr(module, name)] == [], module.__name__
+        assert len(set(exported)) == len(exported), module.__name__
+        assert not hasattr(module, "HatFunction"), module.__name__

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entrogeo import Curve, GridDensity, HatFunction, fisher_action, geodesic_curve, kinetic_action
+from entrogeo import Curve, GridDensity, fisher_action, geodesic_curve, kinetic_action
 from entrogeo.errors import DomainError, EndpointEntropyInfinite
 from entrogeo.regularizer import (
     RegularizedCurve,
@@ -30,41 +30,52 @@ def circle_reg(porous2, n_intervals):
     a = GridDensity.gaussian(-2.0, 0.6, n, dx, x0, "periodic")
     b = GridDensity.gaussian(1.5, 1.1, n, dx, x0, "periodic")
     base = geodesic_curve(porous2, a, b, n_intervals)
-    return build(porous2, base, HatFunction.with_slope(0.05))
+    return build(porous2, base, 0.05)
 
 
 class TestBuild:
     def test_zero_profile_is_identity(self, quad1d):
         base = quad_segment(quad1d, 1.0, 2.0)
-        reg = build(quad1d, base, HatFunction.with_slope(0.0))
+        reg = build(quad1d, base, 0.0)
         for p, q in zip(reg.tilde.points, base.points):
             assert p is q
 
     def test_endpoints_preserved_bitwise(self, quad1d):
         base = quad_segment(quad1d, 1.0, 2.0)
-        reg = build(quad1d, base, HatFunction.with_slope(0.3))
+        reg = build(quad1d, base, 0.3)
         assert reg.tilde.points[0] is base.points[0]
         assert reg.tilde.points[-1] is base.points[-1]
 
     def test_quadratic_flow_composition(self, quad1d):
         base = quad_segment(quad1d, 1.0, 2.0)
-        h = HatFunction.with_slope(0.2)
-        reg = build(quad1d, base, h)
-        for t, p, q in zip(base.times, base.points, reg.tilde.points):
-            assert q[0] == pytest.approx(math.exp(-h(float(t))) * p[0], abs=1e-14)
+        reg = build(quad1d, base, 0.2)
+        for t, p, q in zip(base.times.tolist(), base.points, reg.tilde.points):
+            assert q[0] == pytest.approx(math.exp(-0.2 * min(t, 1 - t)) * p[0], abs=1e-14)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3, 1.7])
+    def test_profile_is_the_tent(self, quad1d, eps):
+        # side slopes +-eps, zero at both ends, peak eps/2 at t = 1/2,
+        # each node's time bit for bit the scalar formula
+        base = quad_segment(quad1d, 1.0, 2.0, n=20)
+        h = build(quad1d, base, eps).h
+        assert h.tolist() == [eps * min(t, 1 - t) for t in base.times.tolist()]
+        assert h[0] == h[-1] == 0.0 and h[10] == eps / 2 == h.max()
+        # the tent's area eps/4, exact for the trapezoid rule on a grid
+        # with a node at the kink
+        assert np.trapezoid(h, base.times) == pytest.approx(eps / 4, rel=1e-14, abs=0.0)
+        assert not h.flags.writeable
 
     def test_negative_profile_rejected(self, quad1d):
-        # profiles are hats, which refuse a negative height before any flow
         base = quad_segment(quad1d, 1.0, 2.0, n=4)
-        with pytest.raises(DomainError):
-            build(quad1d, base, HatFunction.with_slope(-0.1))
+        with pytest.raises(DomainError, match="eps"):
+            build(quad1d, base, -0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_density_profile_rejected(self, boltzmann, bad):
         a = gaussian_on(SWEEP, 0.0, 1.0)
         base = geodesic_curve(boltzmann, a, gaussian_on(SWEEP, 2.0, 1.5), 4)
         with pytest.raises(DomainError, match="finite and nonnegative"):
-            build(boltzmann, base, HatFunction(bad, 0.3))
+            build(boltzmann, base, bad)
 
     @pytest.mark.parametrize("boundary", ["no-flux", "periodic"])
     def test_equals_per_node_flow(self, porous2, boltzmann, boundary):
@@ -72,10 +83,8 @@ class TestBuild:
         a = gaussian_on(SWEEP, 0.0, 1.0, boundary)
         b = gaussian_on(SWEEP, 2.0, 1.5, boundary)
         base = geodesic_curve(backend, a, b, 16)
-        h = HatFunction.with_slope(0.1)
-        reg = build(backend, base, h)
-        for t, p, q in zip(base.times, base.points, reg.tilde.points):
-            ht = h(float(t))
+        reg = build(backend, base, 0.1)
+        for ht, p, q in zip(reg.h.tolist(), base.points, reg.tilde.points):
             if ht == 0.0:
                 assert q is p
             else:
@@ -86,7 +95,7 @@ class TestBuild:
         b = gaussian_on(SWEEP, 2.0, 1.0)
         base = geodesic_curve(boltzmann, a, b, 64)
         eps = 0.2
-        reg = build(boltzmann, base, HatFunction.with_slope(eps))
+        reg = build(boltzmann, base, eps)
         mid = reg.tilde.points[32]
         # heat flow for time eps/2 adds variance 2 * eps/2 = eps
         ref = gaussian_on(SWEEP, 1.0, math.sqrt(1.0 + eps))
@@ -101,19 +110,30 @@ class TestBuilds:
             base = quad_segment(be, 1.0, 2.0, n=16)
         else:
             base = circle_reg(be, 16).base
-        hs = [HatFunction.with_slope(0.2), HatFunction(0.0), HatFunction(0.03, 0.3)]
-        for reg, h in zip(builds(be, base, hs), hs):
-            one = build(be, base, h)
+        eps_list = [0.2, 0.0, 0.03, 0.2]
+        for reg, eps in zip(builds(be, base, eps_list), eps_list):
+            one = build(be, base, eps)
             assert reg.h.tobytes() == one.h.tobytes()
             for p, q in zip(reg.tilde.points, one.tilde.points):
                 assert np.asarray(getattr(p, "rho", p)).tobytes() == \
                     np.asarray(getattr(q, "rho", q)).tobytes()
         assert builds(be, base, []) == []
 
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_bad_slope_rejected_before_any_flow(self, quad1d, bad):
+        base = quad_segment(quad1d, 1.0, 2.0, n=8)
+
+        class NoFlows(type(quad1d)):
+            def flows(self, xs, ss):
+                raise AssertionError("flowed before checking eps")
+
+        with pytest.raises(DomainError, match="eps must be finite and nonnegative"):
+            builds(NoFlows(quad1d.potential), base, [0.1, bad])
+
 
 def flowed(backend, base, h):
     """The regularized curve of ``base`` under the per-node vertical times
-    ``h``, node by node; ``build`` takes hats only."""
+    ``h``, node by node; ``build`` takes tent slopes only."""
     pts = [p if s == 0.0 else backend.flow(p, s) for p, s in zip(base.points, h.tolist())]
     return RegularizedCurve(base, h, Curve(base.times, pts))
 
@@ -161,12 +181,12 @@ def bits(values):
 class TestDiscreteEstimate:
     def test_trivial_equality_when_profile_vanishes(self, quad1d):
         base = quad_segment(quad1d, 1.0, 2.0)
-        reg = build(quad1d, base, HatFunction.with_slope(0.0))
+        reg = build(quad1d, base, 0.0)
         assert discrete_estimate_residual(quad1d, reg, 0, 64) == 0.0
 
     def test_quadratic_all_pairs_nonpositive(self, quad1d):
         base = quad_segment(quad1d, 1.0, 2.0)
-        reg = build(quad1d, base, HatFunction.with_slope(0.1))
+        reg = build(quad1d, base, 0.1)
         worst = max(
             discrete_estimate_residual(quad1d, reg, i, j)
             for i in range(65) for j in range(i + 1, 65)
@@ -177,7 +197,7 @@ class TestDiscreteEstimate:
         a = gaussian_on(SWEEP, 0.0, 1.0)
         b = gaussian_on(SWEEP, 2.0, 2.0)
         base = geodesic_curve(boltzmann, a, b, 64)
-        reg = build(boltzmann, base, HatFunction.with_slope(0.05))
+        reg = build(boltzmann, base, 0.05)
         worst = max(
             discrete_estimate_residual(boltzmann, reg, i, i + 1) for i in range(64)
         )
@@ -185,13 +205,13 @@ class TestDiscreteEstimate:
 
     def test_index_validation(self, quad1d):
         base = quad_segment(quad1d, 1.0, 2.0, n=8)
-        reg = build(quad1d, base, HatFunction.with_slope(0.1))
+        reg = build(quad1d, base, 0.1)
         with pytest.raises(DomainError):
             discrete_estimate_residual(quad1d, reg, 3, 3)
 
     def test_infinite_slope_not_applicable(self, quad1d):
         base = quad_segment(quad1d, 1.0, 2.0, n=8)
-        reg = build(quad1d, base, HatFunction.with_slope(0.1))
+        reg = build(quad1d, base, 0.1)
 
         class InfSlope:
             lam = 1.0
@@ -206,7 +226,7 @@ class TestDiscreteEstimate:
 
 class TestDiscreteEstimateResiduals:
     def test_quadratic_equals_per_pair(self, quad1d):
-        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=12), HatFunction.with_slope(0.1))
+        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=12), 0.1)
         res = discrete_estimate_residuals(quad1d, reg)
         assert list(res) == [(i, j) for i in range(13) for j in range(i + 1, 13)]
         assert res == {(i, j): discrete_estimate_residual(quad1d, reg, i, j) for i, j in res}
@@ -217,7 +237,7 @@ class TestDiscreteEstimateResiduals:
         assert res == {(i, j): discrete_estimate_residual(porous2, reg, i, j) for i, j in res}
 
     def test_infinite_slope_convention(self, quad1d):
-        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=8), HatFunction.with_slope(0.1))
+        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=8), 0.1)
 
         class InfSlope:
             lam = 1.0
@@ -245,7 +265,7 @@ class TestDiscreteEstimateResiduals:
             base = quad_segment(be, 1.0, 2.0)
         else:
             base = circle_reg(be, 32).base
-        h = np.minimum(HatFunction.with_slope(0.05)(base.times), 0.009)
+        h = np.minimum(0.05 * np.minimum(base.times, 1 - base.times), 0.009)
         reg = flowed(be, base, h)
         res = discrete_estimate_residuals(be, reg)
         assert bits(res.values()) == bits(scalar_residual(be, reg, i, j) for i, j in res)
@@ -254,7 +274,7 @@ class TestDiscreteEstimateResiduals:
     def test_bitwise_scalar_formula_with_infinite_slopes(self, quad1d):
         # infinite slopes at a few nodes: the pairs smoothed most at them
         # are not applicable unless their vertical times agree
-        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=16), HatFunction.with_slope(0.1))
+        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=16), 0.1)
         sharp = {id(reg.tilde.points[k]) for k in (3, 8, 13)}
 
         class SomeInfSlopes:
@@ -275,13 +295,13 @@ class TestDiscreteEstimateResiduals:
 class TestPointwiseEstimate:
     def test_constant_curve_at_equilibrium(self, quad1d):
         base = Curve.uniform([np.zeros(1)] * 9)
-        reg = build(quad1d, base, HatFunction.with_slope(0.2))
+        reg = build(quad1d, base, 0.2)
         for i in range(1, 8):
             assert pointwise_estimate_residual(quad1d, reg, i) == pytest.approx(0.0, abs=1e-14)
 
     def test_quadratic_fine_grid(self, quad1d):
         base = quad_segment(quad1d, 1.0, 2.0, n=2048)
-        reg = build(quad1d, base, HatFunction.with_slope(0.1))
+        reg = build(quad1d, base, 0.1)
         kink = base.node_nearest(0.5)
         worst = max(
             pointwise_estimate_residual(quad1d, reg, i)
@@ -293,13 +313,13 @@ class TestPointwiseEstimate:
         a = gaussian_on(SWEEP, 0.0, 1.0)
         b = gaussian_on(SWEEP, 2.0, 2.0)
         base = geodesic_curve(boltzmann, a, b, 64)
-        reg = build(boltzmann, base, HatFunction.with_slope(0.05))
+        reg = build(boltzmann, base, 0.05)
         assert pointwise_estimate_residual(boltzmann, reg, base.node_nearest(0.3)) <= 1e-2
 
 
 class TestPointwiseEstimateResiduals:
     def test_quadratic_equals_per_node(self, quad1d):
-        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=16), HatFunction.with_slope(0.1))
+        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=16), 0.1)
         res = pointwise_estimate_residuals(quad1d, reg, range(1, 16))
         assert res == {i: pointwise_estimate_residual(quad1d, reg, i) for i in range(1, 16)}
 
@@ -309,7 +329,7 @@ class TestPointwiseEstimateResiduals:
         assert res == {i: pointwise_estimate_residual(porous2, reg, i) for i in (1, 5, 9, 15)}
 
     def test_endpoints_rejected(self, quad1d):
-        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=8), HatFunction.with_slope(0.1))
+        reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=8), 0.1)
         for i in (0, 8):
             with pytest.raises(DomainError):
                 pointwise_estimate_residuals(quad1d, reg, [3, i])
@@ -349,7 +369,7 @@ def composed_recovery_gap(backend, base, eps):
     """The recovery gap from ``build`` and the action functionals."""
     if eps == 0.0:
         return 0.0
-    reg = build(backend, base, HatFunction.with_slope(eps))
+    reg = build(backend, base, eps)
     lhs = kinetic_action(backend, reg.tilde) + eps**2 * fisher_action(backend, reg.tilde)
     e0, e1 = backend.entropy(base.points[0]), backend.entropy(base.points[-1])
     rhs = (math.exp(max(-backend.lam, 0.0) * eps) * kinetic_action(backend, base)
@@ -374,10 +394,11 @@ class TestRecoveryGaps:
 
     def test_errors_of_the_single_form(self, quad1d):
         base = quad_segment(quad1d, 1.0, 2.0, n=8)
-        for gap in (lambda: recovery_gap(quad1d, base, -0.1),
-                    lambda: recovery_gaps(quad1d, base, [0.1, 0.0, -0.1])):
-            with pytest.raises(DomainError):
-                gap()
+        for bad in (-0.1, math.nan, math.inf):
+            for gap in (lambda: recovery_gap(quad1d, base, bad),
+                        lambda: recovery_gaps(quad1d, base, [0.1, 0.0, bad])):
+                with pytest.raises(DomainError, match="eps must be finite and nonnegative"):
+                    gap()
 
         class InfEntropy:
             lam = 1.0
@@ -388,6 +409,9 @@ class TestRecoveryGaps:
         for eps_list in ([0.1], [0.0], [0.2, 0.1]):
             with pytest.raises(EndpointEntropyInfinite):
                 recovery_gaps(InfEntropy(), base, eps_list)
+        # eps is checked before the endpoints
+        with pytest.raises(DomainError, match="eps"):
+            recovery_gaps(InfEntropy(), base, [0.1, math.nan])
 
 
 class TestUniformConvergence:
@@ -397,7 +421,7 @@ class TestUniformConvergence:
         base = geodesic_curve(boltzmann, a, b, 32)
         sups = []
         for eps in (0.2, 0.1, 0.05):
-            reg = build(boltzmann, base, HatFunction.with_slope(eps))
+            reg = build(boltzmann, base, eps)
             sups.append(max(
                 boltzmann.distance(p, q)
                 for p, q in zip(reg.tilde.points, base.points)
@@ -411,13 +435,20 @@ class TestUniformConvergence:
         a = gaussian_on(SWEEP, 0.0, 1.0)
         b = gaussian_on(SWEEP, 2.0, 2.0)
         base = geodesic_curve(boltzmann, a, b, 32)
-        reg = build(boltzmann, base, HatFunction.with_slope(0.1))
+        reg = build(boltzmann, base, 0.1)
         es = [boltzmann.entropy(p) for p in reg.tilde.points]
         jumps = np.abs(np.diff(es[1:-1]))
         assert np.max(jumps) <= 5.0 * (1.0 / 32)  # <= C * dt on interior nodes
 
 
 class TestConvexityCertificate:
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_theta_outside_unit_interval_rejected(self, quad1d, bad):
+        # a nan theta would otherwise count as an endpoint, where the
+        # inequality holds with equality
+        with pytest.raises(DomainError, match="theta grid"):
+            convexity_certificate(quad1d, np.array([1.0]), np.array([2.0]), [bad, 0.5])
+
     def test_quadratic_equality(self, quad1d):
         thetas = np.linspace(0.0, 1.0, 33)
         v = convexity_certificate(quad1d, np.array([-1.5]), np.array([2.0]), thetas)
