@@ -216,9 +216,17 @@ def fisher_action(backend: SpaceBackend, curve: Curve) -> float:
     return fisher_quadrature(backend, curve)
 
 
-def _check_eps(eps):
+def _check_eps(eps, square: bool = True):
+    """``DomainError`` unless eps is finite and nonnegative and, with
+    ``square``, eps^2 is finite and not 0 unless eps is: the solver divides
+    by eps^2, and Python's ``eps**2`` raises where it overflows.  The
+    action alone (``schrodinger_action``) is defined for any finite eps."""
     if not (math.isfinite(eps) and eps >= 0):
         raise DomainError(f"eps must be finite and nonnegative, got {eps}")
+    if square and eps > 0 and eps * eps == 0.0:
+        raise DomainError(f"eps = {eps} is too small: eps^2 underflows to 0")
+    if square and eps * eps == math.inf:
+        raise DomainError(f"eps = {eps} is too large: eps^2 overflows")
 
 
 def _check_flow_time(s):
@@ -228,7 +236,7 @@ def _check_flow_time(s):
 
 def schrodinger_action(backend: SpaceBackend, curve: Curve, eps: float) -> float:
     """Entropic action ``A + eps^2 * I`` of the dynamical Schrodinger problem."""
-    _check_eps(eps)
+    _check_eps(eps, square=False)
     kin = kinetic_action(backend, curve)
     if eps == 0.0:
         return kin

@@ -1,11 +1,12 @@
 """Temperature sweeps of the entropic cost and their diagnostics.
 
 ``sweep`` solves the Schrodinger problem for a list of eps values (in
-descending order, each solve starting from the decision vector of the one
-before) and assembles a :class:`CostProfile`: the solver's own
+descending order, each solve starting from the decision vector and the
+factored Hessian model of the one before) and assembles a
+:class:`CostProfile`: the solver's own
 :class:`~entrogeo.solver.SchrodingerResult` for every eps (less its
-decision vector, which only the chained warm start reads), together with
-the eps = 0 reference (the geodesic cost and the Fisher action of the
+decision vector and model, which only the chained warm start reads),
+together with the eps = 0 reference (the geodesic cost and the Fisher action of the
 geodesic).  The sweep always solves eps = 0 itself, so no diagnostic needs
 a 0 in the eps list.  On top of a profile the module checks everything the
 theory predicts for ``eps -> cost_eps``:
@@ -33,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import SpaceBackend, geodesic_curve
+from .core import SpaceBackend, _check_eps, geodesic_curve
 from .errors import DomainError, ProfileIncomplete, ScheduleRejected
 from .regularizer import build as build_regularized
 from .solver import (
@@ -67,12 +68,13 @@ _TAYLOR_SLACK = 1e-3
 
 def _descending_eps(eps_list: Sequence[float]) -> list:
     """``eps_list`` in descending order, the order a sweep solves it in;
-    ``DomainError`` unless it is nonempty, finite, nonnegative and distinct."""
+    ``DomainError`` unless it is nonempty and distinct and every eps passes
+    ``_check_eps``."""
     eps = sorted((float(e) for e in eps_list), reverse=True)
     if not eps:
         raise DomainError("eps_list must be nonempty")
-    if not all(math.isfinite(e) and e >= 0 for e in eps):
-        raise DomainError("eps values must be finite and nonnegative")
+    for e in eps:
+        _check_eps(e)
     if len(set(eps)) != len(eps):
         raise DomainError("eps values must be distinct")
     return eps
@@ -108,9 +110,10 @@ class CostProfile:
 
 
 def _row(res: SchrodingerResult) -> SchrodingerResult:
-    """A profile row: the result without its decision vector, which only
-    the next solve's warm start reads (a row cannot warm-start a solve)."""
-    return replace(res, decision=None)
+    """A profile row: the result without its decision vector and factored
+    model, which only the next solve's warm start reads (a row cannot
+    warm-start a solve, and holds no band of megabytes)."""
+    return replace(res, decision=None, model=None)
 
 
 def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
@@ -118,12 +121,16 @@ def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     """Solve for every eps (descending) and collect the results.
 
     The largest eps starts from ``opts.warm_start``, by default cold from
-    its recovery curve; each smaller one
-    starts from the decision vector of the solve before it
-    (``SolverOptions(warm_start=<previous result>)``).
+    its recovery curve; each smaller one starts from the decision vector of
+    the solve before it (``SolverOptions(warm_start=<previous result>)``)
+    and runs its first descent stage on the factored model that solve ended
+    with, while the eps the model was built at is within a factor 4 of its
+    own.  A chain from 0.2 down to 0.025 thus factors at 0.2 and 0.025
+    only; each row's ``model_builds`` counts its own.
 
-    ``eps_list`` must be nonempty, nonnegative and without repeats
-    (``DomainError`` otherwise).  The eps = 0 reference is always computed;
+    ``eps_list`` must be nonempty, nonnegative and without repeats, with
+    no eps whose square underflows or overflows (``DomainError``
+    otherwise, before any solve).  The eps = 0 reference is always computed;
     a 0 in ``eps_list`` simply also appears as a row.
     """
     eps_desc = _descending_eps(eps_list)

@@ -703,6 +703,10 @@ def _implicit_step(dx: np.ndarray, boundary: str, ds: np.ndarray, a: np.ndarray)
     return solve_wrapped
 
 
+# the substep counts of flows are int64
+_MAX_SUBSTEPS = 2.0**63
+
+
 def _face_values(r: np.ndarray, boundary: str) -> np.ndarray:
     if boundary == "periodic":
         return 0.5 * (r + np.roll(r, -1, axis=-1))
@@ -723,12 +727,13 @@ def flows(kind: EntropyKind, ds, ss) -> list:
     one raises ``DomainError``.  Every other row takes
     ``nsub`` substeps of length ``s / nsub``, with ``nsub`` the least
     count whose substep stays under the row's stability cap (``dx^2 / 2``
-    for heat, ``dx^2 / (m max(rho)^(m-1))`` for the porous medium).  The
-    rows are ordered by ``nsub``, descending and stable, so the rows still
-    stepping are always a prefix of the stack, and each round is one
-    stacked ``_implicit_step`` of that prefix: heat factors the whole stack
-    once, the porous medium refactors the prefix with its lagged face
-    coefficients.  Every row comes out bit for bit as if flowed alone.
+    for heat, ``dx^2 / (m max(rho)^(m-1))`` for the porous medium); a time
+    that needs 2^63 substeps or more, past what a count holds, raises
+    ``DomainError``.  The rows are ordered by ``nsub``, descending and
+    stable, so the rows still stepping are always a prefix of the stack,
+    and each round is one stacked ``_implicit_step`` of that prefix: heat
+    factors the whole stack once, the porous medium refactors the prefix
+    with its lagged face coefficients.  Every row comes out bit for bit as if flowed alone.
     """
     ds, ss = list(ds), [float(s) for s in ss]
     if len(ds) != len(ss):
@@ -748,6 +753,9 @@ def flows(kind: EntropyKind, ds, ss) -> list:
     for i in live:
         dx = ds[i].dx
         cap = 0.5 * dx * dx if heat else dx * dx / (m * float(np.max(ds[i].rho)) ** (m - 1.0))
+        if not (cap > 0.0 and ss[i] / cap < _MAX_SUBSTEPS):
+            raise DomainError(f"flow time {ss[i]} needs more than 2^63 substeps "
+                              f"under the stability cap {cap:g}")
         nsub[i] = max(1, int(math.ceil(ss[i] / cap)))
     live.sort(key=lambda i: -nsub[i])
     steps = np.array([nsub[i] for i in live])

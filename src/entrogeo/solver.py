@@ -12,16 +12,21 @@ holds the discrete action; each backend problem supplies ``_slope_sq``, the
 squared slope of every node and its gradient, and ``make_preconditioner``:
 the inverse of a positive-definite quadratic model, factored by banded
 Cholesky, seeds the two-loop recursion and is rebuilt between descent
-stages.  A step is accepted on the Armijo test, or else on the
-approximate-Wolfe slope test of Hager & Zhang with the value allowed to
+stages.  A solve warm-started from a result of the same problem first runs
+on the model that result ended with, if that model's eps is within a
+factor 4 of its own (see ``_staged_descent``), so a sweep chain factors a
+model only every few rows.  A step is accepted on the Armijo test, or else
+on the approximate-Wolfe slope test of Hager & Zhang with the value allowed to
 rise by at most 1e-14 relative, so that iterates at the roundoff floor of
 the action are not rejected.  Every solve stops when the decrease the
 model predicts for the next step, ``-g.d``, is at most ``grad_tol eps^2``
-times the action; the eps^2 matches the sweep diagnostics, which divide
-the solver's slack by eps^2.  Values, gradients, the line search and that
-test are float64; only the density model is factored in single precision
-(below), so for densities ``d``, hence ``-g.d``, carries the relative
-error of a float32 solve.  The decision variables depend on the backend:
+times the action (less under a model inherited from a larger eps, so that
+the bound holds for the solve's own model); the eps^2 matches the sweep
+diagnostics, which divide the solver's slack by eps^2.  Values,
+gradients, the line search and that test are float64; only the density
+model is factored in single precision (below), so for densities ``d``,
+hence ``-g.d``, carries the relative error of a float32 solve.  The
+decision variables depend on the backend:
 
 * Euclidean: the interior node coordinates themselves.  The model is the
   block-tridiagonal Gauss-Newton Hessian (kinetic Laplacian plus
@@ -104,6 +109,9 @@ class SolverOptions:
     competitor), or a previous ``SchrodingerResult`` of the same problem
     size whose decision vector the descent starts from, as a sweep chains
     its solves; a result without one, such as a profile row, is rejected.
+    A result of the same problem (backend and endpoints) also hands on the
+    factored model it ended with, which the first such solve takes for its
+    first descent stage when the two eps are within a factor 4.
     """
 
     n_time: int = 63
@@ -137,7 +145,13 @@ class SchrodingerResult:
 
     ``stationarity`` is the stopping rule's ``-g.d / (eps^2 |v|)`` at the
     last iterate tested (at most ``grad_tol`` when converged), and at eps = 0
-    the max-norm of the closed form's gradient, which is roundoff.
+    the max-norm of the closed form's gradient, which is roundoff.  Under a
+    model inherited from a larger eps it is an upper bound of that ratio
+    for the solve's own model (see ``_staged_descent``).
+    ``model_builds`` counts the Hessian models the solve factored: 0 at
+    eps = 0 and for a solve that converged on its inherited model.
+    ``model`` is that hand-on model, or ``None``; it is left out of
+    comparisons, ``repr`` and pickles.
     """
 
     minimizer: Curve
@@ -150,6 +164,12 @@ class SchrodingerResult:
     eps: float
     cost_history: tuple = field(default=(), repr=False)
     decision: object = field(default=None, repr=False, compare=False)
+    model_builds: int = 0
+    model: Optional[_Model] = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        # a factor serves only the next solve in this process
+        return {**self.__dict__, "model": None}
 
     def to_record(self) -> dict:
         return {
@@ -160,7 +180,37 @@ class SchrodingerResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "stationarity": self.stationarity,
+            "model_builds": self.model_builds,
         }
+
+
+class _Model:
+    """The factored Hessian model a solve ended with, held by its result
+    for the next solve of the same problem.
+
+    The problem is told by its backend and its fixed end rows in decision
+    coordinates, which with the decision size fix the discrete action up to
+    eps.  The first solve that fits takes the model (``take``), so a result
+    hands it on once, and that solve can drop it, releasing its band,
+    before it builds another.
+    """
+
+    def __init__(self, precond, eps: float, backend: SpaceBackend, prob: _Problem):
+        self.precond, self.eps = precond, eps
+        self._backend, self._first, self._last = backend, prob.first, prob.last
+
+    def fits(self, backend: SpaceBackend, prob: _Problem) -> bool:
+        return (self.precond is not None and backend is self._backend
+                and np.array_equal(prob.first, self._first)
+                and np.array_equal(prob.last, self._last))
+
+    def take(self):
+        """``(precond, eps)``; the handle is empty afterwards.  Two threads
+        that take it at once may both get the model, which is safe: a
+        solve only reads the factor, and its band is reused only once no
+        solve holds it."""
+        precond, self.precond = self.precond, None
+        return precond, self.eps
 
 
 def geodesic_cost(backend: SpaceBackend, x, y) -> float:
@@ -173,11 +223,13 @@ def _uniform_times(n_time: int) -> np.ndarray:
 
 
 # Armijo constant, backtracking factor and L-BFGS memory of _lbfgs_armijo;
-# iterations per preconditioner of _staged_descent
+# iterations per preconditioner of _staged_descent, and the largest ratio
+# of the eps^2 of an inherited model to the solve's own, either way
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _LBFGS_MEMORY = 12
 _STAGE_BUDGET = 120
+_INHERIT_RATIO = 16.0
 # approximate-Wolfe acceptance at the roundoff floor (Hager & Zhang, SIAM J.
 # Optim. 16, 2005), see _lbfgs_armijo
 _VALUE_FLOOR = 1e-14
@@ -294,7 +346,7 @@ def _lbfgs_armijo(value_grad, z0, tol: float, precond, budget: int):
     return z, budget, history, False, False, decrement
 
 
-def _staged_descent(prob, z0, max_iter: int, grad_tol: float):
+def _staged_descent(prob, z0, max_iter: int, grad_tol: float, inherited: Optional[_Model]):
     """Drive L-BFGS in stages, rebuilding the preconditioner between them.
 
     The quadratic model behind ``prob.make_preconditioner`` is only
@@ -302,29 +354,52 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float):
     its budget without reaching stationarity the model is re-assembled at
     the current iterate and the memory restarted.  A stage that stalls
     twice in a row ends the descent (the line search cannot make progress).
-    Returns ``(z, iterations, history, converged, stationarity)``, the last
-    the final stage's decrement over eps^2.
+
+    The first stage runs on the ``inherited`` model instead, taken from its
+    handle, when its ``r = (eps_model / eps)^2`` has ``max(r, 1/r) <=
+    _INHERIT_RATIO``; otherwise it is dropped before the first build, so
+    its band can serve that build.  At a fixed point the model of an eps
+    below ``eps_model`` is ``K + eps^2 F >= (eps / eps_model)^2 (K +
+    eps_model^2 F)`` (``K`` kinetic, ``F`` Fisher), so the decrement under
+    the inherited model, scaled by ``max(1, r)``, bounds the one under the
+    solve's own model: the stopping target is divided by that factor and
+    the reported stationarity multiplied by it.
+    Returns ``(z, iterations, history, converged, stationarity, builds,
+    model)``, the stationarity the final stage's (scaled) decrement over
+    eps^2 and ``model`` the ``(precond, eps_model)`` of a converged
+    stage, else ``None``.
     """
     z = np.asarray(z0, dtype=float).copy()
-    total = 0
+    total, builds = 0, 0
     history = []
     stalled_before, converged, decrement = False, False, math.inf
+    precond, eps_model = inherited.take() if inherited else (None, prob.eps)
+    if precond is not None and not (
+            1.0 / _INHERIT_RATIO <= (eps_model / prob.eps) ** 2 <= _INHERIT_RATIO):
+        precond = None
     while total < max_iter and not converged:
+        if precond is None:
+            precond, eps_model = prob.make_preconditioner(z), prob.eps
+            builds += 1
+        scale = max(1.0, (eps_model / prob.eps) ** 2)
         z, it, hist, converged, stalled, decrement = _lbfgs_armijo(
-            prob.value_grad, z, grad_tol * prob.eps**2, prob.make_preconditioner(z),
+            prob.value_grad, z, grad_tol * prob.eps**2 / scale, precond,
             min(_STAGE_BUDGET, max_iter - total))
         history.extend(hist if not history else hist[1:])
         total += it
+        if not converged:
+            precond = None  # released before the next build
         if stalled and stalled_before:
             break
         stalled_before = stalled
-    return z, total, history, converged, decrement / prob.eps**2
+    model = (precond, eps_model) if precond is not None else None
+    return z, total, history, converged, decrement * scale / prob.eps**2, builds, model
 
 
 # the band of the last density model dropped, kept to build the next one.
 # The band is megabytes (8 MB in float32, 16 MB in float64, at 256 quantile
 # nodes and 63 interior time nodes) and a model is built at every descent
-# stage.  A fresh block that size is taken from the C heap's free space only
+# stage that does not inherit one.  A fresh block that size is taken from the C heap's free space only
 # while no small allocation has landed in it, so whether a build touched new
 # pages, and with them the peak resident memory of a run, changed from run
 # to run by up to its size.
@@ -783,7 +858,8 @@ def solve(backend: SpaceBackend, x, y, eps: float,
     For eps > 0 the descent starts from ``opts.warm_start``: the recovery
     curve ``S_{h_eps(t)} g_t`` by default, or the decision vector of a
     previous result, which must have this problem's size (``DomainError``
-    otherwise).  At eps = 0 the closed form needs no start.
+    otherwise), and whose model it takes when that result solved the same
+    problem.  At eps = 0 the closed form needs no start.
     """
     _check_eps(eps)
     opts = opts or SolverOptions()
@@ -798,11 +874,14 @@ def solve(backend: SpaceBackend, x, y, eps: float,
             prob.to_curve(z), kin, kin, fis, 0, True,
             float(np.max(np.abs(g))), 0.0, (kin,), z,
         )
-    z, iters, history, converged, stationarity = _staged_descent(
-        prob, _warm_z(prob, backend, x, y, opts), opts.max_iter, opts.grad_tol)
+    z0, ws = _warm_z(prob, backend, x, y, opts), opts.warm_start
+    inherited = ws.model if ws and ws.model and ws.model.fits(backend, prob) else None
+    z, iters, history, converged, stationarity, builds, model = _staged_descent(
+        prob, z0, opts.max_iter, opts.grad_tol, inherited)
     kin, fis, _ = prob.action(z)
     return SchrodingerResult(prob.to_curve(z), kin + eps**2 * fis, kin, fis, iters,
-                             converged, stationarity, eps, tuple(history), z)
+                             converged, stationarity, eps, tuple(history), z, builds,
+                             model and _Model(*model, backend, prob))
 
 
 def discrete_action(backend: SpaceBackend, curve: Curve, eps: float,

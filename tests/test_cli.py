@@ -160,6 +160,27 @@ class TestSolveCommand:
             assert main([cfg]) == 1
             assert "eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [QUAD_SOLVE, DENSITY_SOLVE], ids=["quadratic", "density"])
+    @pytest.mark.parametrize("eps, msg", [("1e-300", "eps = 1e-300 is too small"),
+                                          ("1e155", "eps = 1e+155 is too large")])
+    def test_eps_whose_square_leaves_the_floats_exits_1(self, tmp_path, capsys, text, eps, msg):
+        # a ZeroDivisionError (1e-300) or OverflowError (1e155) used to end
+        # the command in a traceback
+        cfg = write_config(tmp_path, text.replace("eps = 0.1", f"eps = {eps}"))
+        assert main([cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {msg}") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cold_start_flow_past_the_substep_count_exits_1(self, tmp_path, capsys):
+        # the tent flow of the cold start at eps = 1e150 needs about 1e151
+        # substeps, which used to raise OverflowError
+        cfg = write_config(tmp_path, DENSITY_SOLVE.replace("eps = 0.1", "eps = 1e150"))
+        assert main([cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: flow time ") and "needs more than 2^63 substeps" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("text, old, new, key", [
         (QUAD_SWEEP, "eps_list = 0, 0.05", "eps_list = 0, nan", "eps_list"),
         (QUAD_SWEEP, "eps_list = 0, 0.05", "eps_list = 0, inf", "eps_list"),
@@ -315,10 +336,15 @@ class TestSweepCommand:
         assert main([write_config(tmp_path, QUAD_SWEEP)]) == 0
         assert main([write_config(tmp_path, QUAD_SOLVE, "solve.ini"),
                      "--output", str(tmp_path / "solve")]) == 0
-        keys = list(json.loads((tmp_path / "solve" / "result.json").read_text()))
+        result = json.loads((tmp_path / "solve" / "result.json").read_text())
+        keys = list(result)
         diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert all(list(rec) == keys for rec in diag["profile"])
         assert "iterations" in keys and "stationarity" in keys
+        # the cold solve factors its model; the sweep's chain factors one
+        # for eps = 0.15 and none below, and eps = 0 is closed form
+        assert result["model_builds"] == 1
+        assert [rec["model_builds"] for rec in diag["profile"]] == [0, 0, 0, 1]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, QUAD_SWEEP)

@@ -88,6 +88,17 @@ class TestSweep:
         with pytest.raises(DomainError, match="decision vector"):
             SolverOptions(warm_start=prof.rows[0])
 
+    def test_rows_drop_the_model_and_count_builds(self, boltzmann):
+        # 0.2 factors its model, 0.1 runs on it ((0.2 / 0.1)^2 = 4) and
+        # 0.025 factors its own ((0.2 / 0.025)^2 = 64); no row keeps one
+        n = 64
+        x = GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0)
+        y = GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0)
+        prof = sweep(boltzmann, x, y, [0.0, 0.025, 0.1, 0.2], SolverOptions(n_time=15))
+        assert all(r.model is None and r.decision is None for r in prof.rows)
+        assert [r.model_builds for r in prof.rows] == [0, 1, 0, 1]
+        assert [rec["model_builds"] for rec in prof.to_records()] == [0, 1, 0, 1]
+
     def test_cost_strictly_increasing(self, quad_profile):
         costs = [r.cost for r in quad_profile.rows]
         assert all(b > a for a, b in zip(costs, costs[1:]))

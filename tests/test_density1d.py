@@ -1,6 +1,7 @@
 import bisect
 import inspect
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -823,6 +824,21 @@ class TestFlows:
         b = GridDensity.gaussian(0.0, 1.0, 256, 20.0 / 256, -10.0)
         with pytest.raises(GridMismatch):
             flows(KB, [a, b], [0.1, 0.1])
+
+    @pytest.mark.parametrize("kind", [KB, KP], ids=["heat", "porous"])
+    @pytest.mark.parametrize("s", [1e308, 1e30])
+    def test_time_past_the_substep_count_rejected(self, kind, s):
+        # s / cap overflowed math.ceil (1e308) or the int64 substep count
+        # (1e30), raising OverflowError
+        d = gaussian_on(WIDE, 0.0, 1.0)
+        with pytest.raises(DomainError, match=re.escape(f"flow time {s} needs more than 2^63 substeps")):
+            flows(kind, [d, d], [0.1, s])
+
+    def test_stability_cap_underflowing_to_zero_rejected(self):
+        # dx^2 / 2 is 0 at dx = 1e-170, where s / cap divided by zero
+        d = GridDensity.uniform(8, 1e-170)
+        with pytest.raises(DomainError, match="flow time 1.0 needs more"):
+            flow(KB, d, 1.0)
 
 
 class TestFlowInvariants:

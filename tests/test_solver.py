@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import pickle
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -263,6 +265,7 @@ class TestStalledDescent:
         res = solve(quad2d, np.zeros(2), np.array([1.0, 1.0]), 0.3, SolverOptions(n_time=7))
         assert not res.converged and res.iterations == 0
         assert len(builds) == 2 and all(np.array_equal(b, start[0]) for b in builds)
+        assert res.model_builds == 2 and res.model is None
         assert len(res.cost_history) == 1
         # the decrement is tested, and found above grad_tol, only on the model's direction
         assert math.isinf(res.stationarity) == reverse
@@ -807,3 +810,140 @@ class TestSolverOptions:
         assert not res.converged
         assert res.iterations == 1
         assert res.stationarity > 1e3 * grad_tol
+
+
+def _chain(be, x, y, eps_list, n_time=15):
+    """Solves of ``eps_list`` in its order, each warm-started from the one
+    before, as a sweep chains them."""
+    out, prev = [], None
+    for e in eps_list:
+        prev = solve(be, x, y, e, SolverOptions(n_time=n_time, warm_start=prev))
+        out.append(prev)
+    return out
+
+
+class TestInheritedModel:
+    """A solve warm-started from a result of the same problem runs its
+    first stage on that result's factored model while the two eps are
+    within a factor 4, and factors a model of its own otherwise."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        n = 64
+        return (GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0),
+                GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0))
+
+    @pytest.mark.parametrize("eps_list, builds", [
+        # (eps_model / eps)^2: 1.8, 4, 16 (the 0.2 model), then 64: rebuild
+        ([0.2, 0.15, 0.1, 0.05, 0.025], [1, 0, 0, 0, 1]),
+        # 9, then 100: rebuild, then 9 (the 0.03 model)
+        ([0.3, 0.1, 0.03, 0.01], [1, 0, 1, 0]),
+        # ascending: 1/4, 1/16 (the 0.05 model), then 1/36: rebuild
+        ([0.05, 0.1, 0.2, 0.3], [1, 0, 0, 1]),
+    ])
+    def test_builds_follow_the_factor_4_rule(self, boltzmann, pair, eps_list, builds):
+        chain = _chain(boltzmann, *pair, eps_list)
+        assert all(r.converged for r in chain)
+        assert [r.model_builds for r in chain] == builds
+
+    @pytest.mark.parametrize("eps_list", [[0.2, 0.15, 0.1, 0.05, 0.025], [0.3, 0.1, 0.03, 0.01]])
+    def test_own_model_decrement_within_grad_tol(self, boltzmann, pair, eps_list):
+        # the stopping target under a model of a larger eps is scaled so
+        # that a model of the row's own eps, factored afresh at its
+        # minimizer, also meets the rule -g.d <= grad_tol eps^2 |v|
+        opts = SolverOptions(n_time=15)
+        for res in _chain(boltzmann, *pair, eps_list):
+            prob = _DensityProblem(boltzmann, *pair, res.eps, _uniform_times(opts.n_time), pair[0].n)
+            v, g = prob.value_grad(res.decision)
+            own = float(np.sum(g * prob.make_preconditioner(res.decision)(g))) / (res.eps**2 * v)
+            assert 0.0 < own <= opts.grad_tol
+            assert own <= res.stationarity * (1.0 + 1e-4)
+
+    def test_euclidean_chain_inherits(self, quad2d):
+        chain = _chain(quad2d, np.zeros(2), np.array([1.0, 1.0]), [0.3, 0.2, 0.1, 0.05])
+        assert [r.model_builds for r in chain] == [1, 0, 0, 1]
+        for res in chain:
+            assert res.cost == pytest.approx(
+                _quadratic_well_cost(res.eps, 1.0, np.zeros(2), np.zeros(2), np.ones(2)), rel=1e-3)
+
+    def test_other_endpoints_do_not_inherit(self, boltzmann, pair):
+        x, y = pair
+        res = solve(boltzmann, x, y, 0.2, SolverOptions(n_time=15))
+        y2 = GridDensity.gaussian(1.0, 1.5, x.n, x.dx, x.x0)
+        other = solve(boltzmann, x, y2, 0.15, SolverOptions(n_time=15, warm_start=res))
+        assert other.converged and other.model_builds >= 1
+        # the model is still there for its own problem
+        again = solve(boltzmann, x, y, 0.15, SolverOptions(n_time=15, warm_start=res))
+        assert again.model_builds == 0
+
+    def test_warm_start_reused_hands_its_model_on_once(self, boltzmann, pair):
+        res = solve(boltzmann, *pair, 0.2, SolverOptions(n_time=15))
+        opts = SolverOptions(n_time=15, warm_start=res)
+        first = solve(boltzmann, *pair, 0.15, opts)
+        second = solve(boltzmann, *pair, 0.15, opts)
+        assert (first.model_builds, second.model_builds) == (0, 1)
+        # both stop within grad_tol = 1e-6 of the decrement
+        assert first.cost == pytest.approx(second.cost, rel=1e-7)
+
+    def test_rebuild_allocates_no_second_band(self, boltzmann, pair, monkeypatch):
+        # the inherited model of the 0.2 solve is dropped, and its band
+        # released, before the 0.025 solve builds its own
+        take, fresh = solver_mod._take_band, []
+
+        def counted(shape, dtype):
+            fresh.append(not any(b.shape == shape and b.dtype == dtype
+                                 for b in solver_mod._spare_band))
+            return take(shape, dtype)
+
+        monkeypatch.setattr(solver_mod, "_spare_band", [])
+        monkeypatch.setattr(solver_mod, "_take_band", counted)
+        chain = _chain(boltzmann, *pair, [0.2, 0.1, 0.025])
+        assert [r.model_builds for r in chain] == [1, 0, 1]
+        assert fresh == [True, False]
+
+    def test_eps_zero_and_flow_bridges_build_no_model(self, boltzmann, pair):
+        res = solve(boltzmann, *pair, 0.0, SolverOptions(n_time=15))
+        assert res.model_builds == 0 and res.model is None
+        warm = solve(boltzmann, *pair, 0.1, SolverOptions(n_time=15, warm_start=res))
+        assert warm.model_builds == 1
+        bridge = bridge_from_flow(boltzmann, pair[0], 0.1, SolverOptions(n_time=7))
+        assert bridge.model_builds == 0 and bridge.to_record()["model_builds"] == 0
+
+    def test_results_compare_repr_and_pickle_without_the_model(self, quad1d):
+        res = solve(quad1d, np.array([1.0]), np.array([2.0]), 0.1, SolverOptions(n_time=7))
+        assert res.model is not None and res.model_builds == 1
+        assert res == dataclasses.replace(res, model=None)
+        assert "model=" not in repr(res)
+        # a curve compares by identity, so a pickled result is compared field by field
+        back = pickle.loads(pickle.dumps(res))
+        assert back.model is None and res.model is not None
+        assert repr(back) == repr(res)
+        assert back.to_record() == res.to_record() and back.cost_history == res.cost_history
+        assert back.decision.tobytes() == res.decision.tobytes()
+
+
+class TestEpsRange:
+    """eps whose square underflows to 0 or overflows is rejected before
+    any flow or solve: the solver divides by eps^2."""
+
+    @pytest.mark.parametrize("eps, msg", [(1e-300, "underflows"), (5e-324, "underflows"),
+                                          (1e155, "overflows")])
+    def test_rejected_on_both_backends(self, quad1d, boltzmann, eps, msg):
+        a = GridDensity.gaussian(0.0, 1.0, 32, 22.0 / 32, -10.0)
+        b = GridDensity.gaussian(2.0, 2.0, 32, 22.0 / 32, -10.0)
+        for be, x, y in ((quad1d, np.array([1.0]), np.array([2.0])), (boltzmann, a, b)):
+            with pytest.raises(DomainError, match=re.escape(f"eps = {eps} is too") + f".*{msg}"):
+                solve(be, x, y, eps, SolverOptions(n_time=7))
+            with pytest.raises(DomainError, match=msg):
+                discrete_action(be, geodesic_curve(be, x, y, 4), eps)
+            with pytest.raises(DomainError, match=msg):
+                bridge_from_flow(be, x, eps)
+
+    def test_sweep_rejects_before_any_solve(self, quad1d, monkeypatch):
+        from entrogeo import cost_analysis
+
+        solves = []
+        monkeypatch.setattr(cost_analysis, "solve", lambda *a, **k: solves.append(a))
+        with pytest.raises(DomainError, match="underflows"):
+            cost_analysis.sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.1, 1e-300])
+        assert not solves
