@@ -112,6 +112,8 @@ def density_from_csv(path, boundary: str = "no-flux") -> GridDensity:
     if data.shape[1] != 2 or data.shape[0] < 2:
         raise DomainError("density CSV needs two columns of at least two rows")
     x, r = data[:, 0], data[:, 1]
+    if not np.all(np.isfinite(x)):
+        raise DomainError("density CSV cell centres must be finite")
     steps = np.diff(x)
     dx = float(steps[0])
     if dx <= 0 or np.any(np.abs(steps - dx) > 1e-9 * dx):

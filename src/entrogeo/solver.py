@@ -61,9 +61,8 @@ contain flat valleys and non-unique solutions.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -207,8 +206,7 @@ class _Model:
     def take(self):
         """``(precond, eps)``; the handle is empty afterwards.  Two threads
         that take it at once may both get the model, which is safe: a
-        solve only reads the factor, and its band is reused only once no
-        solve holds it."""
+        solve only reads the factor."""
         precond, self.precond = self.precond, None
         return precond, self.eps
 
@@ -357,10 +355,10 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float, inherited: Optiona
 
     The first stage runs on the ``inherited`` model instead, taken from its
     handle, when its ``r = (eps_model / eps)^2`` has ``max(r, 1/r) <=
-    _INHERIT_RATIO``; otherwise it is dropped before the first build, so
-    its band can serve that build.  At a fixed point the model of an eps
-    below ``eps_model`` is ``K + eps^2 F >= (eps / eps_model)^2 (K +
-    eps_model^2 F)`` (``K`` kinetic, ``F`` Fisher), so the decrement under
+    _INHERIT_RATIO``; otherwise it is dropped, and its band freed, before
+    the first build.  At a fixed point the model of an eps below
+    ``eps_model`` is ``K + eps^2 F >= (eps / eps_model)^2 (K + eps_model^2
+    F)`` (``K`` kinetic, ``F`` Fisher), so the decrement under
     the inherited model, scaled by ``max(1, r)``, bounds the one under the
     solve's own model: the stopping target is divided by that factor and
     the reported stationarity multiplied by it.
@@ -394,34 +392,6 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float, inherited: Optiona
         stalled_before = stalled
     model = (precond, eps_model) if precond is not None else None
     return z, total, history, converged, decrement * scale / prob.eps**2, builds, model
-
-
-# the band of the last density model dropped, kept to build the next one.
-# The band is megabytes (8 MB in float32, 16 MB in float64, at 256 quantile
-# nodes and 63 interior time nodes) and a model is built at every descent
-# stage that does not inherit one.  A fresh block that size is taken from the C heap's free space only
-# while no small allocation has landed in it, so whether a build touched new
-# pages, and with them the peak resident memory of a run, changed from run
-# to run by up to its size.
-_spare_band = []
-_spare_lock = threading.Lock()
-
-
-def _take_band(shape: tuple, dtype) -> np.ndarray:
-    """A zeroed band of ``shape`` and ``dtype`` in Fortran order: the spare
-    one if it fits.  No two live models share one, as a band is spare only
-    once its model is gone (``_keep_band``)."""
-    with _spare_lock:
-        ab = _spare_band.pop() if _spare_band else None
-    if ab is None or ab.shape != shape or ab.dtype != dtype:
-        return np.zeros(shape, dtype, order="F")
-    ab.fill(0.0)
-    return ab
-
-
-def _keep_band(ab: np.ndarray):
-    with _spare_lock:
-        _spare_band[:] = [ab]
 
 
 def _banded_cholesky_solver(ab: np.ndarray, model: str):
@@ -792,8 +762,15 @@ class _DensityProblem(_Problem):
                 2 * nI: (wf * d2).T.ravel()}
 
         def band(dtype):
-            # Fortran order lets the factorization work in place
-            ab = _take_band((2 * nI + 1, nI * m), dtype)
+            # a band of megabytes on a mapping of its own, which the system
+            # zeroes and unmaps when the model is dropped: np.zeros takes a
+            # band this large from the C heap once an earlier one is freed,
+            # and there the peak resident memory of a run varied by up to
+            # 6 MB from run to run.  Fortran order lets the factorization
+            # work in place
+            shape = (2 * nI + 1, nI * m)
+            pages = mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize)
+            ab = np.frombuffer(pages, dtype).reshape(shape, order="F")
             for j, row in rows.items():
                 ab[j, :row.size] = row
             return ab
@@ -806,9 +783,7 @@ class _DensityProblem(_Problem):
             # rounding the rows to float32 made the model indefinite
             ab = band(np.float64)
             solve_band = _banded_cholesky_solver(ab, model)
-        precond = lambda v: solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
-        weakref.finalize(precond, _keep_band, ab)
-        return precond
+        return lambda v: solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
 
 
 # -- public entry points ------------------------------------------------------

@@ -3,6 +3,7 @@ import re
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -174,12 +175,16 @@ class TestSolveCommand:
 
     def test_cold_start_flow_past_the_substep_count_exits_1(self, tmp_path, capsys):
         # the tent flow of the cold start at eps = 1e150 needs about 1e151
-        # substeps, which used to raise OverflowError
-        cfg = write_config(tmp_path, DENSITY_SOLVE.replace("eps = 0.1", "eps = 1e150"))
-        assert main([cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: flow time ") and "needs more than 2^63 substeps" in err
-        assert "Traceback" not in err
+        # substeps, which used to raise OverflowError; at eps = 1e12 it needs
+        # about 1e13, which used to run without end
+        for eps in ("1e150", "1e12"):
+            cfg = write_config(tmp_path, DENSITY_SOLVE.replace("eps = 0.1", f"eps = {eps}"))
+            start = time.perf_counter()
+            assert main([cfg]) == 1
+            assert time.perf_counter() - start < 10.0
+            err = capsys.readouterr().err
+            assert err.startswith("error: flow time ") and "needs more than 1048576 substeps" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("text, old, new, key", [
         (QUAD_SWEEP, "eps_list = 0, 0.05", "eps_list = 0, nan", "eps_list"),
@@ -500,6 +505,22 @@ class TestCsvEndpoints:
         cfg = write_config(tmp_path, DENSITY_SOLVE.replace(
             "x = gaussian(0, 1)", "x = csv:start.csv"))
         assert main([cfg]) == 0
+
+    def test_density_endpoint_with_a_nan_centre_exits_1(self, tmp_path, capsys):
+        from entrogeo import GridDensity
+        from entrogeo.fileio import density_to_csv
+
+        path = tmp_path / "start.csv"
+        density_to_csv(GridDensity.gaussian(0.1, 1.1, 128, 0.171875, -10.0), path)
+        lines = path.read_text().splitlines()
+        lines[50] = "nan," + lines[50].split(",")[1]
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, DENSITY_SOLVE.replace(
+            "x = gaussian(0, 1)", "x = csv:start.csv"))
+        assert main([cfg]) == 1
+        err = capsys.readouterr().err
+        assert "cell centres must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCurveRoundTrip:

@@ -826,13 +826,22 @@ class TestFlows:
             flows(KB, [a, b], [0.1, 0.1])
 
     @pytest.mark.parametrize("kind", [KB, KP], ids=["heat", "porous"])
-    @pytest.mark.parametrize("s", [1e308, 1e30])
+    @pytest.mark.parametrize("s", [1e308, 1e30, 1e6])
     def test_time_past_the_substep_count_rejected(self, kind, s):
         # s / cap overflowed math.ceil (1e308) or the int64 substep count
-        # (1e30), raising OverflowError
+        # (1e30), raising OverflowError; 1e6 would step for days
         d = gaussian_on(WIDE, 0.0, 1.0)
-        with pytest.raises(DomainError, match=re.escape(f"flow time {s} needs more than 2^63 substeps")):
+        with pytest.raises(DomainError, match=re.escape(f"flow time {s} needs more than 1048576 substeps")):
             flows(kind, [d, d], [0.1, s])
+
+    def test_substep_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(density1d, "_MAX_SUBSTEPS", 4)
+        d = gaussian_on(WIDE, 0.0, 1.0)
+        cap = 0.5 * d.dx**2
+        assert not np.array_equal(flows(KB, [d], [4 * cap])[0].rho, d.rho)
+        with pytest.raises(DomainError, match=re.escape(
+                f"flow time {5 * cap} needs more than 4 substeps under the stability cap {cap:g}")):
+            flows(KB, [d], [5 * cap])
 
     def test_stability_cap_underflowing_to_zero_rejected(self):
         # dx^2 / 2 is 0 at dx = 1e-170, where s / cap divided by zero

@@ -97,7 +97,12 @@ class TestDensityCsv:
         ("x,rho,w\n0.5,1,0\n1.5,1,0\n", "two columns of at least two rows"),
         ("x,rho\n0.5,1\n1.5,1\n3.5,1\n", "uniform and increasing"),
         ("x,rho\n1.5,1\n0.5,1\n", "uniform and increasing"),
-    ], ids=["one-row", "one-column", "three-columns", "non-uniform", "decreasing"])
+        # a NaN past the second row used to pass the uniform-grid test
+        ("x,rho\n0.5,1\n1.5,1\nnan,1\n", "cell centres must be finite"),
+        ("x,rho\nnan,1\n1.5,1\n2.5,1\n", "cell centres must be finite"),
+        ("x,rho\n0.5,1\n1.5,1\ninf,1\n", "cell centres must be finite"),
+    ], ids=["one-row", "one-column", "three-columns", "non-uniform", "decreasing",
+            "nan-last", "nan-first", "inf"])
     def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import re
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -531,18 +532,7 @@ class TestModelFactorization:
         assert (res.cost, res.iterations, res.stationarity) == (
             forced.cost, forced.iterations, forced.stationarity)
 
-    def test_spare_band_is_taken_only_in_its_precision(self):
-        shape = (3, 4)
-        kept = np.ones(shape, np.float32, order="F")
-        solver_mod._keep_band(kept)
-        assert solver_mod._take_band(shape, np.float32) is kept
-        assert not kept.any()
-        solver_mod._keep_band(np.ones(shape, order="F"))
-        ab = solver_mod._take_band(shape, np.float32)
-        assert ab.dtype == np.float32 and ab.flags.f_contiguous and not ab.any()
-        assert not solver_mod._spare_band
-
-    def test_band_is_reused_only_once_its_model_is_gone(self, boltzmann):
+    def test_second_model_leaves_the_first_intact(self, boltzmann):
         a = GridDensity.gaussian(0.0, 1.0, 32, 22.0 / 32, -10.0)
         b = GridDensity.gaussian(2.0, 2.0, 32, 22.0 / 32, -10.0)
         prob = _DensityProblem(boltzmann, a, b, 0.5, _uniform_times(7), 12)
@@ -554,14 +544,6 @@ class TestModelFactorization:
         second = prob.make_preconditioner(z0 * 1.01)
         np.testing.assert_array_equal(first(v), want)
         assert not np.array_equal(second(v), want)
-        del first
-        spare = solver_mod._spare_band[0]
-        assert spare.dtype == np.float32
-        third = prob.make_preconditioner(z0)
-        assert not solver_mod._spare_band  # the first model's band, taken
-        np.testing.assert_array_equal(third(v), want)
-        del second, third
-        assert solver_mod._spare_band[0] is spare
 
 
 class TestDensitySolve:
@@ -887,19 +869,21 @@ class TestInheritedModel:
 
     def test_rebuild_allocates_no_second_band(self, boltzmann, pair, monkeypatch):
         # the inherited model of the 0.2 solve is dropped, and its band
-        # released, before the 0.025 solve builds its own
-        take, fresh = solver_mod._take_band, []
+        # freed, before the 0.025 solve builds its own
+        chain = _chain(boltzmann, *pair, [0.2])
+        model = weakref.ref(chain[0].model.precond)
+        build, freed = _DensityProblem.make_preconditioner, []
 
-        def counted(shape, dtype):
-            fresh.append(not any(b.shape == shape and b.dtype == dtype
-                                 for b in solver_mod._spare_band))
-            return take(shape, dtype)
+        def recorded(prob, z0):
+            freed.append(model() is None)
+            return build(prob, z0)
 
-        monkeypatch.setattr(solver_mod, "_spare_band", [])
-        monkeypatch.setattr(solver_mod, "_take_band", counted)
-        chain = _chain(boltzmann, *pair, [0.2, 0.1, 0.025])
+        monkeypatch.setattr(_DensityProblem, "make_preconditioner", recorded)
+        for e in (0.1, 0.025):
+            chain.append(solve(boltzmann, *pair, e,
+                               SolverOptions(n_time=15, warm_start=chain[-1])))
         assert [r.model_builds for r in chain] == [1, 0, 1]
-        assert fresh == [True, False]
+        assert freed == [True]
 
     def test_eps_zero_and_flow_bridges_build_no_model(self, boltzmann, pair):
         res = solve(boltzmann, *pair, 0.0, SolverOptions(n_time=15))
