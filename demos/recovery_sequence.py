@@ -10,7 +10,7 @@ copy with the same endpoints whose entropic action is controlled by
 
 That single inequality drives everything downstream: it makes c~ a
 recovery sequence for the Gamma-convergence of the entropic cost, bounds
-the solver warm start, and (applied to geodesics, at order eps) extracts
+the solver's cold start, and (applied to geodesics, at order eps) extracts
 lambda-convexity of the entropy from contractivity of the flow.  The
 script certifies it numerically on the Gaussian geodesic, together with
 the two-point estimate it is integrated from.

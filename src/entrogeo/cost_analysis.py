@@ -1,15 +1,15 @@
 """Temperature sweeps of the entropic cost and their diagnostics.
 
-``sweep`` solves the Schrodinger problem for a list of eps values (in
-descending order, each solve starting from the decision vector and the
-factored Hessian model of the one before) and assembles a
-:class:`CostProfile`: the solver's own
+``sweep`` solves the Schrodinger problem for a list of eps values as one
+chain of :func:`~entrogeo.solver.solves` (in descending order, each solve
+starting from the minimizer and the factored Hessian model of the one
+before) and assembles a :class:`CostProfile`: the solver's own
 :class:`~entrogeo.solver.SchrodingerResult` for every eps (less its
-decision vector and model, which only the chained warm start reads),
-together with the eps = 0 reference (the geodesic cost and the Fisher action of the
-geodesic).  The sweep always solves eps = 0 itself, so no diagnostic needs
-a 0 in the eps list.  On top of a profile the module checks everything the
-theory predicts for ``eps -> cost_eps``:
+decision vector), together with the eps = 0 reference (the solver's
+closed-form geodesic, its cost and its Fisher action).  The sweep always
+solves eps = 0 itself, so no diagnostic needs a 0 in the eps list.  On
+top of a profile the module checks everything the theory predicts for
+``eps -> cost_eps``:
 
 * cost is non-decreasing and continuous in eps, Fisher is non-increasing
   (``fisher_monotonicity``),
@@ -34,15 +34,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import SpaceBackend, _check_eps, geodesic_curve
+from .core import SpaceBackend, _check_eps
 from .errors import DomainError, ProfileIncomplete, ScheduleRejected
 from .regularizer import build as build_regularized
 from .solver import (
     SchrodingerResult,
     SolverOptions,
     discrete_action,
-    geodesic_cost,
     solve,
+    solves,
 )
 
 __all__ = [
@@ -110,23 +110,21 @@ class CostProfile:
 
 
 def _row(res: SchrodingerResult) -> SchrodingerResult:
-    """A profile row: the result without its decision vector and factored
-    model, which only the next solve's warm start reads (a row cannot
-    warm-start a solve, and holds no band of megabytes)."""
-    return replace(res, decision=None, model=None)
+    """A profile row: the result without its decision vector."""
+    return replace(res, decision=None)
 
 
 def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
           opts: Optional[SolverOptions] = None) -> CostProfile:
     """Solve for every eps (descending) and collect the results.
 
-    The largest eps starts from ``opts.warm_start``, by default cold from
-    its recovery curve; each smaller one starts from the decision vector of
-    the solve before it (``SolverOptions(warm_start=<previous result>)``)
-    and runs its first descent stage on the factored model that solve ended
-    with, while the eps the model was built at is within a factor 4 of its
-    own.  A chain from 0.2 down to 0.025 thus factors at 0.2 and 0.025
-    only; each row's ``model_builds`` counts its own.
+    The eps, then the eps = 0 reference, are one chain of ``solves``: the
+    largest eps starts cold from its recovery curve, and each smaller one
+    starts from the minimizer of the solve before it and runs its first
+    descent stage on the factored model that solve ended with, while the
+    eps the model was built at is within a factor 4 of its own.  A chain
+    from 0.2 down to 0.025 thus factors at 0.2 and 0.025 only; each row's
+    ``model_builds`` counts its own.
 
     ``eps_list`` must be nonempty, nonnegative and without repeats, with
     no eps whose square underflows or overflows (``DomainError``
@@ -136,17 +134,11 @@ def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     eps_desc = _descending_eps(eps_list)
     opts = opts or SolverOptions()
 
-    ref = solve(backend, x, y, 0.0, opts)
-    rows = []
-    warm = opts
-    for e in eps_desc:
-        if e == 0.0:
-            rows.append(_row(ref))
-            continue
-        res = solve(backend, x, y, e, warm)
-        rows.append(_row(res))
-        warm = replace(opts, warm_start=res)
-    rows.sort(key=lambda r: r.eps)
+    has_zero = eps_desc[-1] == 0.0
+    chain = eps_desc if has_zero else eps_desc + [0.0]
+    rows = [_row(res) for res in solves(backend, x, y, chain, opts)]
+    ref = rows[-1] if has_zero else rows.pop()
+    rows.reverse()  # increasing eps
     return CostProfile(tuple(rows), ref.cost, ref.fisher, ref.minimizer, opts)
 
 
@@ -275,8 +267,9 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     predecessor signals a schedule shrinking too fast (the endpoints
     sharpen faster than eps decays) and raises :class:`ScheduleRejected`.
     Cost rows then track the solves between the mollified endpoints; the
-    reference ``cost_0`` is the geodesic cost between the *original*
-    endpoints, the value the mollified costs must approach.
+    reference is the eps = 0 solve between the *original* endpoints, as in
+    ``sweep``: its cost ``cost_0`` is the value the mollified costs must
+    approach, and its minimizer the geodesic.  ``fisher_0`` is ``inf``.
     """
     eps_desc = _descending_eps(eps_list)
     opts = opts or SolverOptions()
@@ -301,10 +294,7 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
         prev_term = term
         mollified.append((e, xe, ye))
 
-    # reference between the original endpoints
-    geo = geodesic_curve(backend, x, y, opts.n_time + 1)
-    cost0 = geodesic_cost(backend, x, y)
-
+    ref = solve(backend, x, y, 0.0, opts)  # between the original endpoints
     rows = [_row(solve(backend, xe, ye, e, opts)) for e, xe, ye in mollified]
     rows.sort(key=lambda r: r.eps)
-    return CostProfile(tuple(rows), cost0, math.inf, geo, opts)
+    return CostProfile(tuple(rows), ref.cost, math.inf, ref.minimizer, opts)

@@ -107,7 +107,8 @@ def density_to_csv(d: GridDensity, path) -> None:
 
 
 def density_from_csv(path, boundary: str = "no-flux") -> GridDensity:
-    """Read ``x,rho`` rows on a uniform grid back into a density."""
+    """Read ``x,rho`` rows on a uniform grid back into a density;
+    ``DomainError`` unless every ``rho`` is >= 0."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 2 or data.shape[0] < 2:
         raise DomainError("density CSV needs two columns of at least two rows")
@@ -118,4 +119,10 @@ def density_from_csv(path, boundary: str = "no-flux") -> GridDensity:
     dx = float(steps[0])
     if dx <= 0 or np.any(np.abs(steps - dx) > 1e-9 * dx):
         raise DomainError("density CSV grid must be uniform and increasing")
+    # normalize=True would clamp a negative cell onto the floor unseen
+    bad = np.flatnonzero(~(r >= 0.0))
+    if bad.size:
+        k = bad[0]
+        raise DomainError(f"density CSV rho must be nonnegative, got {float(r[k])!r} "
+                          f"at x = {float(x[k])!r}")
     return GridDensity(r, dx, x0=float(x[0]) - 0.5 * dx, boundary=boundary, normalize=True)

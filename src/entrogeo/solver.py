@@ -12,10 +12,11 @@ holds the discrete action; each backend problem supplies ``_slope_sq``, the
 squared slope of every node and its gradient, and ``make_preconditioner``:
 the inverse of a positive-definite quadratic model, factored by banded
 Cholesky, seeds the two-loop recursion and is rebuilt between descent
-stages.  A solve warm-started from a result of the same problem first runs
-on the model that result ended with, if that model's eps is within a
-factor 4 of its own (see ``_staged_descent``), so a sweep chain factors a
-model only every few rows.  A step is accepted on the Armijo test, or else
+stages.  ``solves`` chains the solves of a list of eps: each starts from
+the minimizer of the one before and first runs on the model that solve
+ended with, if that model's eps is within a factor 4 of its own (see
+``_staged_descent``), so a sweep chain factors a model only every few
+rows.  A step is accepted on the Armijo test, or else
 on the approximate-Wolfe slope test of Hager & Zhang with the value allowed to
 rise by at most 1e-14 relative, so that iterates at the roundoff floor of
 the action are not rejected.  Every solve stops when the decrease the
@@ -64,7 +65,7 @@ import math
 import mmap
 import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -88,8 +89,8 @@ __all__ = [
     "SolverOptions",
     "bridge_from_flow",
     "discrete_action",
-    "geodesic_cost",
     "solve",
+    "solves",
 ]
 
 
@@ -102,21 +103,12 @@ class SolverOptions:
     predicts for the next step, ``-g.d``, is at most ``grad_tol eps^2 |v|``
     (``v`` the action).  ``quantile_points`` is the number m >= 3 of
     graded u-nodes of the density decision variables (default n, the
-    number of grid cells, and at least 3).  ``warm_start`` is ``None``,
-    the cold start from the recovery curve ``S_{h_eps(t)} g_t`` (the
-    geodesic regularized by the tent profile, provably an eps-good
-    competitor), or a previous ``SchrodingerResult`` of the same problem
-    size whose decision vector the descent starts from, as a sweep chains
-    its solves; a result without one, such as a profile row, is rejected.
-    A result of the same problem (backend and endpoints) also hands on the
-    factored model it ended with, which the first such solve takes for its
-    first descent stage when the two eps are within a factor 4.
+    number of grid cells, and at least 3).
     """
 
     n_time: int = 63
     max_iter: int = 2000
     grad_tol: float = 1e-6
-    warm_start: Optional[SchrodingerResult] = None
     quantile_points: Optional[int] = None
 
     def __post_init__(self):
@@ -132,10 +124,6 @@ class SolverOptions:
                 raise DomainError(f"{name} must be at least {least}, got {value}")
         if not 0 < self.grad_tol < math.inf:
             raise DomainError(f"grad_tol must be positive and finite, got {self.grad_tol}")
-        ws = self.warm_start
-        if ws is not None and not (isinstance(ws, SchrodingerResult) and ws.decision is not None):
-            raise DomainError("warm_start must be None or a SchrodingerResult "
-                              "that holds its decision vector")
 
 
 @dataclass(frozen=True)
@@ -146,11 +134,10 @@ class SchrodingerResult:
     last iterate tested (at most ``grad_tol`` when converged), and at eps = 0
     the max-norm of the closed form's gradient, which is roundoff.  Under a
     model inherited from a larger eps it is an upper bound of that ratio
-    for the solve's own model (see ``_staged_descent``).
-    ``model_builds`` counts the Hessian models the solve factored: 0 at
-    eps = 0 and for a solve that converged on its inherited model.
-    ``model`` is that hand-on model, or ``None``; it is left out of
-    comparisons, ``repr`` and pickles.
+    for the solve's own model (see ``_staged_descent``).  ``decision`` is
+    the minimizer in decision coordinates.  ``model_builds`` counts the
+    Hessian models the solve factored: 0 at eps = 0 and for a chained solve
+    that converged on the model of the one before.
     """
 
     minimizer: Curve
@@ -164,11 +151,6 @@ class SchrodingerResult:
     cost_history: tuple = field(default=(), repr=False)
     decision: object = field(default=None, repr=False, compare=False)
     model_builds: int = 0
-    model: Optional[_Model] = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self):
-        # a factor serves only the next solve in this process
-        return {**self.__dict__, "model": None}
 
     def to_record(self) -> dict:
         return {
@@ -181,39 +163,6 @@ class SchrodingerResult:
             "stationarity": self.stationarity,
             "model_builds": self.model_builds,
         }
-
-
-class _Model:
-    """The factored Hessian model a solve ended with, held by its result
-    for the next solve of the same problem.
-
-    The problem is told by its backend and its fixed end rows in decision
-    coordinates, which with the decision size fix the discrete action up to
-    eps.  The first solve that fits takes the model (``take``), so a result
-    hands it on once, and that solve can drop it, releasing its band,
-    before it builds another.
-    """
-
-    def __init__(self, precond, eps: float, backend: SpaceBackend, prob: _Problem):
-        self.precond, self.eps = precond, eps
-        self._backend, self._first, self._last = backend, prob.first, prob.last
-
-    def fits(self, backend: SpaceBackend, prob: _Problem) -> bool:
-        return (self.precond is not None and backend is self._backend
-                and np.array_equal(prob.first, self._first)
-                and np.array_equal(prob.last, self._last))
-
-    def take(self):
-        """``(precond, eps)``; the handle is empty afterwards.  Two threads
-        that take it at once may both get the model, which is safe: a
-        solve only reads the factor."""
-        precond, self.precond = self.precond, None
-        return precond, self.eps
-
-
-def geodesic_cost(backend: SpaceBackend, x, y) -> float:
-    """Value of the unregularized problem: ``1/2 d(x, y)^2``."""
-    return 0.5 * backend.distance(x, y) ** 2
 
 
 def _uniform_times(n_time: int) -> np.ndarray:
@@ -344,7 +293,7 @@ def _lbfgs_armijo(value_grad, z0, tol: float, precond, budget: int):
     return z, budget, history, False, False, decrement
 
 
-def _staged_descent(prob, z0, max_iter: int, grad_tol: float, inherited: Optional[_Model]):
+def _staged_descent(prob, z0, max_iter: int, grad_tol: float, model: list):
     """Drive L-BFGS in stages, rebuilding the preconditioner between them.
 
     The quadratic model behind ``prob.make_preconditioner`` is only
@@ -353,25 +302,26 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float, inherited: Optiona
     the current iterate and the memory restarted.  A stage that stalls
     twice in a row ends the descent (the line search cannot make progress).
 
-    The first stage runs on the ``inherited`` model instead, taken from its
-    handle, when its ``r = (eps_model / eps)^2`` has ``max(r, 1/r) <=
-    _INHERIT_RATIO``; otherwise it is dropped, and its band freed, before
-    the first build.  At a fixed point the model of an eps below
+    ``model`` is a list of at most one ``(precond, eps_model)``, the model
+    a chained solve before this one ended with.  It is popped, and the
+    first stage runs on it when its ``r = (eps_model / eps)^2`` has
+    ``max(r, 1/r) <= _INHERIT_RATIO``; otherwise it is dropped, and its
+    band freed, before the first build.  At a fixed point the model of an eps below
     ``eps_model`` is ``K + eps^2 F >= (eps / eps_model)^2 (K + eps_model^2
     F)`` (``K`` kinetic, ``F`` Fisher), so the decrement under
     the inherited model, scaled by ``max(1, r)``, bounds the one under the
     solve's own model: the stopping target is divided by that factor and
     the reported stationarity multiplied by it.
-    Returns ``(z, iterations, history, converged, stationarity, builds,
-    model)``, the stationarity the final stage's (scaled) decrement over
-    eps^2 and ``model`` the ``(precond, eps_model)`` of a converged
-    stage, else ``None``.
+    A converged stage puts its ``(precond, eps_model)`` back into
+    ``model`` for the next solve of the chain.  Returns ``(z, iterations,
+    history, converged, stationarity, builds)``, the stationarity the
+    final stage's (scaled) decrement over eps^2.
     """
     z = np.asarray(z0, dtype=float).copy()
     total, builds = 0, 0
     history = []
     stalled_before, converged, decrement = False, False, math.inf
-    precond, eps_model = inherited.take() if inherited else (None, prob.eps)
+    precond, eps_model = model.pop() if model else (None, prob.eps)
     if precond is not None and not (
             1.0 / _INHERIT_RATIO <= (eps_model / prob.eps) ** 2 <= _INHERIT_RATIO):
         precond = None
@@ -390,8 +340,9 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float, inherited: Optiona
         if stalled and stalled_before:
             break
         stalled_before = stalled
-    model = (precond, eps_model) if precond is not None else None
-    return z, total, history, converged, decrement * scale / prob.eps**2, builds, model
+    if precond is not None:
+        model.append((precond, eps_model))
+    return z, total, history, converged, decrement * scale / prob.eps**2, builds
 
 
 def _banded_cholesky_solver(ab: np.ndarray, model: str):
@@ -798,17 +749,12 @@ def _problem(backend: SpaceBackend, x, y, eps, times, opts: SolverOptions) -> _P
     raise DomainError(f"no solver strategy for backend {type(backend).__name__}")
 
 
-def _warm_z(prob: _Problem, backend: SpaceBackend, x, y, opts: SolverOptions):
-    """Start of the descent: the decision vector of the chained result, or
-    else the packed recovery curve ``S_{h_eps(t)} g_t``."""
-    ws = opts.warm_start
-    if ws is None:
-        geo = geodesic_curve(backend, x, y, opts.n_time + 1)
-        return prob.pack(build_regularized(backend, geo, prob.eps).tilde)
-    if np.size(ws.decision) != prob.n_interior * prob.first.size:
-        raise DomainError(f"warm start of {np.size(ws.decision)} unknowns for a problem "
-                          f"of {prob.n_interior * prob.first.size}")
-    return ws.decision
+def _cold_z(prob: _Problem, backend: SpaceBackend, x, y, opts: SolverOptions):
+    """The cold start of the descent: the packed recovery curve
+    ``S_{h_eps(t)} g_t``, the geodesic regularized by the tent profile
+    (provably an eps-good competitor)."""
+    geo = geodesic_curve(backend, x, y, opts.n_time + 1)
+    return prob.pack(build_regularized(backend, geo, prob.eps).tilde)
 
 
 def _check_endpoints(backend: SpaceBackend, x, y):
@@ -826,37 +772,50 @@ def _check_finite_entropy(backend, x, y):
             )
 
 
+def solves(backend: SpaceBackend, x, y, eps_list: Sequence[float],
+           opts: Optional[SolverOptions] = None) -> Iterator[SchrodingerResult]:
+    """Minimize the discretized entropic action between ``x`` and ``y`` for
+    every eps of ``eps_list`` in its order, as one chain: a generator that
+    yields the ``SchrodingerResult`` of each eps as it is solved.
+
+    At eps = 0 the closed form needs no start, and it leaves the chain as
+    it is.  The first eps > 0 starts cold, from the recovery curve
+    ``S_{h_eps(t)} g_t``; each later one starts from the minimizer of the
+    eps > 0 solve before it and runs its first descent stage on the model
+    that solve ended with, under the rule of ``_staged_descent``.  That
+    model lives in the generator, not in any result, so a chain holds one
+    band at a time and a kept result holds none; a caller that strips each
+    result as it comes holds one decision vector at a time.
+    """
+    opts = opts or SolverOptions()
+    for eps in eps_list:
+        _check_eps(eps)
+    _check_endpoints(backend, x, y)
+    if any(eps > 0 for eps in eps_list):
+        _check_finite_entropy(backend, x, y)
+    times = _uniform_times(opts.n_time)
+    z, model = None, []
+    for eps in eps_list:
+        prob = _problem(backend, x, y, eps, times, opts)
+        if eps == 0.0:
+            z0 = prob.geodesic_z()
+            kin, fis, g = prob.action(z0)
+            yield SchrodingerResult(prob.to_curve(z0), kin, kin, fis, 0, True,
+                                    float(np.max(np.abs(g))), 0.0, (kin,), z0)
+            continue
+        z0 = _cold_z(prob, backend, x, y, opts) if z is None else z
+        z, iters, history, converged, stationarity, builds = _staged_descent(
+            prob, z0, opts.max_iter, opts.grad_tol, model)
+        kin, fis, _ = prob.action(z)
+        yield SchrodingerResult(prob.to_curve(z), kin + eps**2 * fis, kin, fis, iters,
+                                converged, stationarity, eps, tuple(history), z, builds)
+
+
 def solve(backend: SpaceBackend, x, y, eps: float,
           opts: Optional[SolverOptions] = None) -> SchrodingerResult:
-    """Minimize the discretized entropic action between ``x`` and ``y``.
-
-    For eps > 0 the descent starts from ``opts.warm_start``: the recovery
-    curve ``S_{h_eps(t)} g_t`` by default, or the decision vector of a
-    previous result, which must have this problem's size (``DomainError``
-    otherwise), and whose model it takes when that result solved the same
-    problem.  At eps = 0 the closed form needs no start.
-    """
-    _check_eps(eps)
-    opts = opts or SolverOptions()
-    _check_endpoints(backend, x, y)
-    if eps > 0:
-        _check_finite_entropy(backend, x, y)
-    prob = _problem(backend, x, y, eps, _uniform_times(opts.n_time), opts)
-    if eps == 0.0:
-        z = prob.geodesic_z()
-        kin, fis, g = prob.action(z)
-        return SchrodingerResult(
-            prob.to_curve(z), kin, kin, fis, 0, True,
-            float(np.max(np.abs(g))), 0.0, (kin,), z,
-        )
-    z0, ws = _warm_z(prob, backend, x, y, opts), opts.warm_start
-    inherited = ws.model if ws and ws.model and ws.model.fits(backend, prob) else None
-    z, iters, history, converged, stationarity, builds, model = _staged_descent(
-        prob, z0, opts.max_iter, opts.grad_tol, inherited)
-    kin, fis, _ = prob.action(z)
-    return SchrodingerResult(prob.to_curve(z), kin + eps**2 * fis, kin, fis, iters,
-                             converged, stationarity, eps, tuple(history), z, builds,
-                             model and _Model(*model, backend, prob))
+    """Minimize the discretized entropic action between ``x`` and ``y``:
+    the chain of ``solves`` of the one eps, which starts cold."""
+    return next(solves(backend, x, y, [eps], opts))
 
 
 def discrete_action(backend: SpaceBackend, curve: Curve, eps: float,

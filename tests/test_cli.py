@@ -522,6 +522,22 @@ class TestCsvEndpoints:
         assert "cell centres must be finite" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_density_endpoint_with_a_negative_cell_exits_1(self, tmp_path, capsys):
+        from entrogeo import GridDensity
+        from entrogeo.fileio import density_to_csv
+
+        path = tmp_path / "start.csv"
+        density_to_csv(GridDensity.gaussian(0.1, 1.1, 128, 0.171875, -10.0), path)
+        lines = path.read_text().splitlines()
+        lines[50] = lines[50].split(",")[0] + ",-0.01"
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, DENSITY_SOLVE.replace(
+            "x = gaussian(0, 1)", "x = csv:start.csv"))
+        assert main([cfg]) == 1
+        err = capsys.readouterr().err
+        assert "rho must be nonnegative, got -0.01" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCurveRoundTrip:
     def test_density_curve_round_trips_exactly(self, tmp_path):

@@ -16,7 +16,7 @@ from entrogeo.cost_analysis import (
 )
 from entrogeo.errors import DomainError, ProfileIncomplete, ScheduleRejected
 from entrogeo.regularizer import build
-from entrogeo.solver import SchrodingerResult, SolverOptions, discrete_action, solve
+from entrogeo.solver import SchrodingerResult, SolverOptions, discrete_action, solves
 
 
 EPS_DYADIC = [0.2, 0.1, 0.05, 0.025]
@@ -67,35 +67,30 @@ class TestSweep:
         assert all(r.iterations > 0 for r in quad_profile.rows[1:])
 
     def test_rows_equal_a_hand_chain_of_solves(self, boltzmann):
-        # the sweep is a chain of solves, each warm-started from the result
-        # before it; its rows drop the decision vector, so a row cannot
-        # warm-start a solve
+        # the sweep is a chain of solves, each started from the result
+        # before it; its rows drop the decision vector
         n = 64
         x = GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0)
         y = GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0)
         opts = SolverOptions(n_time=15)
         eps_list = [0.2, 0.1, 0.05]
         prof = sweep(boltzmann, x, y, eps_list, opts)
-        chain, prev = [], None
-        for e in eps_list:
-            prev = solve(boltzmann, x, y, e, SolverOptions(n_time=15, warm_start=prev))
-            chain.append(prev)
+        chain = list(solves(boltzmann, x, y, eps_list, opts))
         fields = ("cost", "kinetic", "fisher", "iterations", "stationarity")
         for row, res in zip(reversed(prof.rows), chain):
             assert row.decision is None and res.decision is not None
             assert [getattr(row, f) for f in fields] == [getattr(res, f) for f in fields]
         assert any(r.iterations > 0 for r in prof.rows)
-        with pytest.raises(DomainError, match="decision vector"):
-            SolverOptions(warm_start=prof.rows[0])
 
     def test_rows_drop_the_model_and_count_builds(self, boltzmann):
         # 0.2 factors its model, 0.1 runs on it ((0.2 / 0.1)^2 = 4) and
-        # 0.025 factors its own ((0.2 / 0.025)^2 = 64); no row keeps one
+        # 0.025 factors its own ((0.2 / 0.025)^2 = 64); a row keeps neither
+        # a model nor its decision vector
         n = 64
         x = GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0)
         y = GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0)
         prof = sweep(boltzmann, x, y, [0.0, 0.025, 0.1, 0.2], SolverOptions(n_time=15))
-        assert all(r.model is None and r.decision is None for r in prof.rows)
+        assert all(r.decision is None for r in prof.rows)
         assert [r.model_builds for r in prof.rows] == [0, 1, 0, 1]
         assert [rec["model_builds"] for rec in prof.to_records()] == [0, 1, 0, 1]
 
@@ -247,12 +242,12 @@ class TestDefaultSweep:
         y = GridDensity.gaussian(2.1055, 1.951, n, 22.0 / n, -10.0)
         results = {}
 
-        def recording_solve(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            results[res.eps] = res
-            return res
+        def recording_solves(*args, **kwargs):
+            for res in solves(*args, **kwargs):
+                results[res.eps] = res
+                yield res
 
-        monkeypatch.setattr(cost_analysis, "solve", recording_solve)
+        monkeypatch.setattr(cost_analysis, "solves", recording_solves)
         prof = sweep(boltzmann, x, y, eps_list)
         rows = prof.rows  # ascending eps
         grad_tol = SolverOptions().grad_tol
@@ -297,6 +292,19 @@ class TestMollifiedSweep:
         for r1, r2 in zip(direct.rows, molli.rows):
             # same discrete problem up to the warm-start path
             assert r2.cost == pytest.approx(r1.cost, rel=1e-4)
+
+    def test_zero_schedule_has_the_reference_of_sweep(self, boltzmann, near_dirac_pair):
+        # both sweeps take cost_0 and the geodesic from the eps = 0 solve,
+        # in the solver's quantile discretization; the exact 1/2 W2^2 on
+        # the grid lies 3.1e-3 below it on this pair
+        x, y = near_dirac_pair
+        opts = SolverOptions(n_time=31)
+        direct = sweep(boltzmann, x, y, [0.4], opts)
+        molli = mollified_sweep(boltzmann, x, y, [0.4], lambda e: 0.0, opts)
+        assert molli.cost_0 == direct.cost_0 and molli.fisher_0 == math.inf
+        assert molli.geodesic.times.tobytes() == direct.geodesic.times.tobytes()
+        for p, q in zip(molli.geodesic.points, direct.geodesic.points, strict=True):
+            assert p.rho.tobytes() == q.rho.tobytes()
 
     # m = 4n = 256: the stopping target does not depend on m
     @pytest.mark.parametrize("quantile_points", [None, 256], ids=["n", "4n"])

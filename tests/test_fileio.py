@@ -108,3 +108,17 @@ class TestDensityCsv:
         path.write_text(text)
         with pytest.raises(DomainError, match=message):
             density_from_csv(path)
+
+    @pytest.mark.parametrize("value", ["-0.5", "-1e-300", "nan"])
+    def test_negative_density_rejected(self, tmp_path, value):
+        # normalize=True used to clamp the cell onto the floor, and the
+        # file loaded as rho = [0.5, 1e-12, 0.5]
+        path = tmp_path / "d.csv"
+        path.write_text(f"x,rho\n0.5,1\n1.5,{value}\n2.5,1\n")
+        with pytest.raises(DomainError, match=r"rho must be nonnegative, got .* at x = 1\.5"):
+            density_from_csv(path)
+
+    def test_zero_cells_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,rho\n0.5,1\n1.5,0\n2.5,1\n")
+        assert density_from_csv(path).rho[0] == pytest.approx(0.5)

@@ -37,25 +37,30 @@ from entrogeo.solver import (
     _uniform_times,
     bridge_from_flow,
     discrete_action,
-    geodesic_cost,
     solve,
+    solves,
 )
 
 from conftest import SWEEP, gaussian_on
 
 
 class TestGeodesicCost:
+    """The eps = 0 solve costs ``1/2 d(x, y)^2``."""
+
     def test_zero_for_equal_points(self, quad2d):
         x = np.array([1.0, 0.5])
-        assert geodesic_cost(quad2d, x, x) == 0.0
+        assert solve(quad2d, x, x, 0.0).cost == 0.0
 
     def test_euclidean_value(self, quad2d):
-        assert geodesic_cost(quad2d, np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(12.5)
+        y = np.array([3.0, 4.0])
+        assert quad2d.distance(np.zeros(2), y) == pytest.approx(5.0)
+        assert solve(quad2d, np.zeros(2), y, 0.0).cost == pytest.approx(12.5)
 
     def test_gaussian_pair(self, boltzmann):
         a = gaussian_on(SWEEP, 0.0, 1.0)
         b = gaussian_on(SWEEP, 2.0, 1.0)
-        assert geodesic_cost(boltzmann, a, b) == pytest.approx(2.0, rel=1e-3)
+        assert boltzmann.distance(a, b) == pytest.approx(2.0, rel=1e-3)
+        assert solve(boltzmann, a, b, 0.0).cost == pytest.approx(2.0, rel=1e-3)
 
 
 class TestEuclideanSolve:
@@ -266,7 +271,7 @@ class TestStalledDescent:
         res = solve(quad2d, np.zeros(2), np.array([1.0, 1.0]), 0.3, SolverOptions(n_time=7))
         assert not res.converged and res.iterations == 0
         assert len(builds) == 2 and all(np.array_equal(b, start[0]) for b in builds)
-        assert res.model_builds == 2 and res.model is None
+        assert res.model_builds == 2
         assert len(res.cost_history) == 1
         # the decrement is tested, and found above grad_tol, only on the model's direction
         assert math.isinf(res.stationarity) == reverse
@@ -459,7 +464,7 @@ def _near_dirac_problem(be):
     x, y = be.flows([x, y], [math.sqrt(eps)] * 2)
     opts = SolverOptions(n_time=7)
     prob = _DensityProblem(be, x, y, eps, _uniform_times(opts.n_time), n)
-    return prob, solver_mod._warm_z(prob, be, x, y, opts)
+    return prob, solver_mod._cold_z(prob, be, x, y, opts)
 
 
 class TestModelFactorization:
@@ -552,7 +557,7 @@ class TestDensitySolve:
         res = solve(boltzmann, a, b, 0.0)
         assert res.converged
         assert res.iterations == 0
-        assert res.cost == pytest.approx(geodesic_cost(boltzmann, a, b), rel=1e-3)
+        assert res.cost == pytest.approx(0.5 * boltzmann.distance(a, b) ** 2, rel=1e-3)
         assert res.stationarity <= 1e-10
 
     def test_solve_bracketed_by_geodesic_and_recovery(self, boltzmann, sweep_pair):
@@ -742,8 +747,6 @@ class TestSolverOptions:
                 SolverOptions(grad_tol=tol)
         with pytest.raises(DomainError, match="max_iter must be at least 1"):
             SolverOptions(max_iter=0)
-        with pytest.raises(DomainError):
-            SolverOptions(warm_start="sideways")
 
     @pytest.mark.parametrize("name", ["n_time", "max_iter", "quantile_points"])
     @pytest.mark.parametrize("value", [10.5, 16.0, "16"])
@@ -769,21 +772,6 @@ class TestSolverOptions:
         assert res.decision.size == 7 * 3
         assert res.fisher > 0.0
 
-    def test_warm_start_kinds(self, quad1d):
-        # a warm start is a result that holds a decision vector of the
-        # problem's size; a curve, a result without one (a profile row) and
-        # a result of another time grid are rejected
-        x, y = np.array([1.0]), np.array([2.0])
-        res = solve(quad1d, x, y, 0.1, SolverOptions(n_time=15))
-        again = solve(quad1d, x, y, 0.1, SolverOptions(n_time=15, warm_start=res))
-        assert again.converged and again.iterations == 0
-        assert again.decision.tobytes() == res.decision.tobytes()
-        for bad in (res.minimizer, dataclasses.replace(res, decision=None)):
-            with pytest.raises(DomainError, match="decision vector"):
-                SolverOptions(warm_start=bad)
-        with pytest.raises(DomainError, match="warm start of 15 unknowns"):
-            solve(quad1d, x, y, 0.1, SolverOptions(n_time=7, warm_start=res))
-
     def test_max_iter_non_convergence_reported(self):
         # the double well is not quadratic, so one model step cannot be exact
         grad_tol = 1e-10
@@ -795,19 +783,30 @@ class TestSolverOptions:
 
 
 def _chain(be, x, y, eps_list, n_time=15):
-    """Solves of ``eps_list`` in its order, each warm-started from the one
-    before, as a sweep chains them."""
-    out, prev = [], None
-    for e in eps_list:
-        prev = solve(be, x, y, e, SolverOptions(n_time=n_time, warm_start=prev))
-        out.append(prev)
-    return out
+    """Every result of the ``solves`` chain of ``eps_list``, as a sweep
+    chains them."""
+    return list(solves(be, x, y, eps_list, SolverOptions(n_time=n_time)))
+
+
+def _record_models(monkeypatch, before_build=lambda built: None):
+    """Weak references to every density model built from now on, in a list
+    that ``before_build`` is shown before each build."""
+    built, build = [], _DensityProblem.make_preconditioner
+
+    def recorded(prob, z0):
+        before_build(built)
+        model = build(prob, z0)
+        built.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(_DensityProblem, "make_preconditioner", recorded)
+    return built
 
 
 class TestInheritedModel:
-    """A solve warm-started from a result of the same problem runs its
-    first stage on that result's factored model while the two eps are
-    within a factor 4, and factors a model of its own otherwise."""
+    """A chained solve runs its first stage on the factored model of the
+    solve before it while the two eps are within a factor 4, and factors a
+    model of its own otherwise."""
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -848,59 +847,46 @@ class TestInheritedModel:
             assert res.cost == pytest.approx(
                 _quadratic_well_cost(res.eps, 1.0, np.zeros(2), np.zeros(2), np.ones(2)), rel=1e-3)
 
-    def test_other_endpoints_do_not_inherit(self, boltzmann, pair):
-        x, y = pair
-        res = solve(boltzmann, x, y, 0.2, SolverOptions(n_time=15))
-        y2 = GridDensity.gaussian(1.0, 1.5, x.n, x.dx, x.x0)
-        other = solve(boltzmann, x, y2, 0.15, SolverOptions(n_time=15, warm_start=res))
-        assert other.converged and other.model_builds >= 1
-        # the model is still there for its own problem
-        again = solve(boltzmann, x, y, 0.15, SolverOptions(n_time=15, warm_start=res))
-        assert again.model_builds == 0
-
-    def test_warm_start_reused_hands_its_model_on_once(self, boltzmann, pair):
-        res = solve(boltzmann, *pair, 0.2, SolverOptions(n_time=15))
-        opts = SolverOptions(n_time=15, warm_start=res)
-        first = solve(boltzmann, *pair, 0.15, opts)
-        second = solve(boltzmann, *pair, 0.15, opts)
-        assert (first.model_builds, second.model_builds) == (0, 1)
-        # both stop within grad_tol = 1e-6 of the decrement
-        assert first.cost == pytest.approx(second.cost, rel=1e-7)
+    def test_eps_zero_leaves_the_chain_as_it_is(self, boltzmann, pair):
+        # an eps = 0 solve in a chain starts from nothing and hands on nothing
+        with_zero = _chain(boltzmann, *pair, [0.2, 0.0, 0.1])
+        without = _chain(boltzmann, *pair, [0.2, 0.1])
+        assert [r.model_builds for r in with_zero] == [1, 0, 0]
+        assert with_zero[2].decision.tobytes() == without[1].decision.tobytes()
+        assert with_zero[1].decision.tobytes() == solve(
+            boltzmann, *pair, 0.0, SolverOptions(n_time=15)).decision.tobytes()
 
     def test_rebuild_allocates_no_second_band(self, boltzmann, pair, monkeypatch):
-        # the inherited model of the 0.2 solve is dropped, and its band
+        # the 0.2 model serves the 0.1 solve, and it is dropped, its band
         # freed, before the 0.025 solve builds its own
-        chain = _chain(boltzmann, *pair, [0.2])
-        model = weakref.ref(chain[0].model.precond)
-        build, freed = _DensityProblem.make_preconditioner, []
-
-        def recorded(prob, z0):
-            freed.append(model() is None)
-            return build(prob, z0)
-
-        monkeypatch.setattr(_DensityProblem, "make_preconditioner", recorded)
-        for e in (0.1, 0.025):
-            chain.append(solve(boltzmann, *pair, e,
-                               SolverOptions(n_time=15, warm_start=chain[-1])))
+        dead = []
+        _record_models(monkeypatch, lambda built: dead.extend(m() is None for m in built))
+        chain = _chain(boltzmann, *pair, [0.2, 0.1, 0.025])
         assert [r.model_builds for r in chain] == [1, 0, 1]
-        assert freed == [True]
+        assert dead == [True]
+
+    def test_kept_results_hold_no_model(self, boltzmann, pair, monkeypatch):
+        # a model lives in its chain, so a result a caller keeps holds no
+        # band of megabytes
+        built = _record_models(monkeypatch)
+        kept = [solve(boltzmann, *pair, e, SolverOptions(n_time=15)) for e in (0.2, 0.1, 0.05)]
+        assert all(r.converged for r in kept)
+        assert len(built) == 3 and all(m() is None for m in built)
 
     def test_eps_zero_and_flow_bridges_build_no_model(self, boltzmann, pair):
-        res = solve(boltzmann, *pair, 0.0, SolverOptions(n_time=15))
-        assert res.model_builds == 0 and res.model is None
-        warm = solve(boltzmann, *pair, 0.1, SolverOptions(n_time=15, warm_start=res))
-        assert warm.model_builds == 1
+        res, after = solves(boltzmann, *pair, [0.0, 0.1], SolverOptions(n_time=15))
+        assert res.model_builds == 0
+        assert after.model_builds == 1
         bridge = bridge_from_flow(boltzmann, pair[0], 0.1, SolverOptions(n_time=7))
         assert bridge.model_builds == 0 and bridge.to_record()["model_builds"] == 0
 
     def test_results_compare_repr_and_pickle_without_the_model(self, quad1d):
         res = solve(quad1d, np.array([1.0]), np.array([2.0]), 0.1, SolverOptions(n_time=7))
-        assert res.model is not None and res.model_builds == 1
-        assert res == dataclasses.replace(res, model=None)
-        assert "model=" not in repr(res)
+        assert res.model_builds == 1
+        assert "model" not in {f.name for f in dataclasses.fields(res)}
+        assert res == dataclasses.replace(res, decision=None)
         # a curve compares by identity, so a pickled result is compared field by field
         back = pickle.loads(pickle.dumps(res))
-        assert back.model is None and res.model is not None
         assert repr(back) == repr(res)
         assert back.to_record() == res.to_record() and back.cost_history == res.cost_history
         assert back.decision.tobytes() == res.decision.tobytes()
@@ -926,8 +912,8 @@ class TestEpsRange:
     def test_sweep_rejects_before_any_solve(self, quad1d, monkeypatch):
         from entrogeo import cost_analysis
 
-        solves = []
-        monkeypatch.setattr(cost_analysis, "solve", lambda *a, **k: solves.append(a))
+        chains = []
+        monkeypatch.setattr(cost_analysis, "solves", lambda *a, **k: chains.append(a))
         with pytest.raises(DomainError, match="underflows"):
             cost_analysis.sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.1, 1e-300])
-        assert not solves
+        assert not chains
