@@ -36,7 +36,8 @@ import numpy as np
 
 from .core import SpaceBackend, _check_eps
 from .errors import DomainError, ProfileIncomplete, ScheduleRejected
-from .regularizer import build as build_regularized
+from .density1d import GridDensity
+from .regularizer import builds
 from .solver import (
     SchrodingerResult,
     SolverOptions,
@@ -216,6 +217,14 @@ class GammaReport:
     passed: bool
 
 
+def _same_point(a, b) -> bool:
+    """Whether two curve ends are one point by value: densities with equal
+    cells on one grid, or equal arrays."""
+    if isinstance(a, GridDensity):
+        return a.same_grid(b) and np.array_equal(a.rho, b.rho)
+    return np.array_equal(a, b)
+
+
 def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaReport:
     """Quantitative Gamma-convergence record over the positive-eps rows of
     ``profile``, in descending eps.
@@ -224,9 +233,14 @@ def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaRepor
     the tent profile and evaluated by the discrete action of
     ``profile.opts``, the one the rows' solves minimized, so its gap to
     ``cost_eps`` is nonnegative by construction and must close as eps
-    drops.  Cost gaps and deviations may grow by 1e-9 from row to row and
-    recovery gaps dip to -1e-6, for roundoff.  A profile without a
-    positive-eps row raises ``ProfileIncomplete``.
+    drops.  That holds only for rows between the geodesic's own endpoints:
+    a row whose minimizer starts or ends elsewhere (a ``mollified_sweep``
+    row), compared by value, raises ``DomainError``.  Cost gaps and
+    deviations may grow by 1e-9 from row to row and recovery gaps dip to
+    -1e-6, for roundoff.  A profile without a positive-eps row raises
+    ``ProfileIncomplete``.  The recovery curves of every eps come from one
+    ``builds`` call and the deviations of every row from one
+    ``backend.distances`` call.
     """
     pos = [r for r in profile.rows if r.eps > 0]
     if not pos:
@@ -234,13 +248,22 @@ def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaRepor
     pos_desc = list(reversed(pos))  # descending eps, the sweep direction
 
     geo = profile.geodesic
-    eps_out, gaps, devs, rec = [], [], [], []
     for row in pos_desc:
-        eps_out.append(row.eps)
-        gaps.append(row.cost - profile.cost_0)
-        devs.append(float(np.max(backend.distances(row.minimizer.points, geo.points))))
-        reg = build_regularized(backend, geo, row.eps)
-        rec.append(discrete_action(backend, reg.tilde, row.eps, profile.opts) - row.cost)
+        for end, i in (("start", 0), ("end", -1)):
+            if not _same_point(row.minimizer.points[i], geo.points[i]):
+                raise DomainError(
+                    f"the eps={row.eps:g} row {end}s at another point than the profile's "
+                    "geodesic, as the rows of a mollified sweep do; the recovery gap has "
+                    "a sign only between the geodesic's own endpoints")
+    eps_out = [row.eps for row in pos_desc]
+    gaps = [row.cost - profile.cost_0 for row in pos_desc]
+    nodes = len(geo.points)
+    dist = backend.distances([p for row in pos_desc for p in row.minimizer.points],
+                             list(geo.points) * len(pos_desc))
+    devs = [float(np.max(dist[k * nodes:(k + 1) * nodes])) for k in range(len(pos_desc))]
+    regs = builds(backend, geo, eps_out)
+    rec = [discrete_action(backend, reg.tilde, row.eps, profile.opts) - row.cost
+           for row, reg in zip(pos_desc, regs)]
 
     gap_dec = all(g2 < g1 + 1e-9 for g1, g2 in zip(gaps, gaps[1:]))
     dev_dec = all(d2 < d1 + 1e-9 for d1, d2 in zip(devs, devs[1:]))
@@ -270,6 +293,8 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     reference is the eps = 0 solve between the *original* endpoints, as in
     ``sweep``: its cost ``cost_0`` is the value the mollified costs must
     approach, and its minimizer the geodesic.  ``fisher_0`` is ``inf``.
+    Rows whose endpoints moved have no recovery gap with a sign, so
+    ``gamma_diagnostics`` rejects such a profile.
     """
     eps_desc = _descending_eps(eps_list)
     opts = opts or SolverOptions()

@@ -36,26 +36,33 @@ Two entropy functionals are supported, with their slopes and flows:
 * power law m>1  E = int rho^m/(m-1),  slope^2 = int |(U'(rho))'|^2 rho,
   flow = porous medium equation  d_s rho = (rho^m)_xx.
 
-Both flows contract W2 with lambda = 0 on these flat domains.  Heat steps
-are backward Euler with substep <= dx^2/2; the porous medium uses a
-lagged-coefficient semi-implicit scheme.  Each implicit step solves a
-symmetric positive-definite tridiagonal system with LAPACK ``dpttrf`` and
-``dpttrs``; on the circle the wrap face is split off by a Sherman-Morrison
-correction.  Densities are clamped to ``DENSITY_FLOOR`` and renormalized
-after every substep (log rho and 1/rho would blow up otherwise).  ``flows``
-steps many densities on one grid in lockstep, and ``flow`` is ``flows`` of
-one density: the systems of all rows still stepping are stacked into one
-tridiagonal system whose blocks are joined by zero off-diagonals, so one
-``dpttrs`` call per substep (heat factors the stack once, the porous
-medium refactors it every substep) gives every row bit for bit what it
-would get alone.  ``Density1DBackend.flows`` runs the flows of a curve's
-nodes or of a certificate's sample times this way.
+Both flows contract W2 with lambda = 0 on these flat domains.  Each flow
+takes ``N`` substeps of ``s / N``, with the least ``N`` whose substep stays
+under a stability cap.  Heat is backward Euler with substep <= dx^2/2,
+applied in the eigenbasis of the grid's second difference: each mode k is
+multiplied by ``(1 + (s/N) lam_k)^(-N)`` in one real FFT along the rows,
+of the row itself on the circle and of its mirrored 2n row (a DCT-II) on
+the interval, and the result is clamped to ``DENSITY_FLOOR`` and
+renormalized once.  The porous medium uses a lagged-coefficient
+semi-implicit scheme: each substep solves a symmetric positive-definite
+tridiagonal system with LAPACK ``dpttrf`` and ``dpttrs`` (on the circle
+the wrap face is split off by a Sherman-Morrison correction), then clamps
+and renormalizes (log rho and 1/rho would blow up otherwise).  ``flows``
+flows many densities on one grid at once, and ``flow`` is ``flows`` of
+one density: heat transforms the whole stack, and the porous medium
+stacks the systems of all rows still stepping into one tridiagonal system
+whose blocks are joined by zero off-diagonals, one ``dpttrs`` call per
+substep.  Either way every row comes out bit for bit as if flowed alone.
+``Density1DBackend.flows`` runs the flows of a curve's nodes or of a
+certificate's sample times this way.  The densities a flow, a geodesic
+or the solver derives are projected and checked as one stack
+(``_derived``).
 
-The LAPACK routines, these two and the solver's banded Cholesky pairs
-``spbtrf``/``spbtrs`` (float32) and ``dpbtrf``/``dpbtrs`` (float64), come
-from scipy's compiled ``_flapack`` extension, which ``_load_lapack`` loads
-without ``import scipy.linalg``: that import would cost every CLI run about
-0.3 s.
+The LAPACK routines, the porous medium's two and the solver's banded
+Cholesky pairs ``spbtrf``/``spbtrs`` (float32) and ``dpbtrf``/``dpbtrs``
+(float64), come from scipy's compiled ``_flapack`` extension, which
+``_load_lapack`` loads without ``import scipy.linalg``: that import would
+cost every CLI run about 0.3 s.
 """
 
 from __future__ import annotations
@@ -96,8 +103,9 @@ _BOUNDARIES = ("periodic", "no-flux")
 def _load_lapack():
     """scipy's compiled LAPACK wrappers, loaded without ``import scipy.linalg``.
 
-    The package calls six routines: ``dpttrf``/``dpttrs`` here, and in the
-    solver's Hessian models ``spbtrf``/``spbtrs``, which factor and apply
+    The package calls six routines: ``dpttrf``/``dpttrs`` here, for the
+    porous medium's steps, and in the solver's Hessian models
+    ``spbtrf``/``spbtrs``, which factor and apply
     the density model in single precision, and ``dpbtrf``/``dpbtrs``, which
     serve the Euclidean model and a density model that breaks down in
     float32.  ``import
@@ -132,7 +140,8 @@ _lapack = _load_lapack()
 
 
 def _project(rho: np.ndarray, dx) -> np.ndarray:
-    """Clamp to ``DENSITY_FLOOR`` and renormalize each row to unit mass.
+    """Clamp to ``DENSITY_FLOOR`` and renormalize each row to unit mass, in
+    place; returns ``rho``.
 
     ``dx`` is a scalar or one value per row.  A reduction along contiguous
     rows sums each row in the pairwise order of the 1-D sum, so a stack of
@@ -141,9 +150,53 @@ def _project(rho: np.ndarray, dx) -> np.ndarray:
     it reintroduces is O(n * floor * dx * 1e-9), far below the 1e-12 mass
     tolerance.
     """
-    out = np.maximum(rho, DENSITY_FLOOR)
-    out = out / (out.sum(axis=-1, keepdims=True) * dx)
-    return np.maximum(out, DENSITY_FLOOR)
+    np.maximum(rho, DENSITY_FLOOR, out=rho)
+    rho /= rho.sum(axis=-1, keepdims=True) * dx
+    return np.maximum(rho, DENSITY_FLOOR, out=rho)
+
+
+def _checked_project(rho: np.ndarray, dx) -> np.ndarray:
+    """``_project`` of a C-contiguous float stack of rows ``(rows, n)``, in
+    place, after the checks of ``GridDensity(..., normalize=True)``;
+    returns ``rho``, read-only.  ``DomainError`` for the first row whose
+    mass is not finite (a nan or +-inf cell, which the floor clamp would
+    hide) or that has no cell above the floor (a Gaussian far narrower
+    than a cell, or off the grid), which projection would turn into the
+    uniform density.  ``dx`` is a scalar or a column."""
+    mass = (rho.sum(axis=-1, keepdims=True) * dx)[:, 0]
+    finite = np.isfinite(mass)
+    bad = ~finite | (rho.max(axis=-1) <= DENSITY_FLOOR)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            raise DomainError(f"density has non-finite mass {mass[i]!r}")
+        raise DomainError("density has no cell above the floor")
+    _project(rho, dx)
+    rho.setflags(write=False)
+    return rho
+
+
+def _cells(rho) -> np.ndarray:
+    """A float copy of the cells of one density; ``DomainError`` unless
+    they are a 1-D array of at least two."""
+    rho = np.array(rho, dtype=float)
+    if rho.ndim != 1 or rho.size < 2:
+        raise DomainError("density needs a 1D array with >= 2 cells")
+    return rho
+
+
+def _derived(like: list, rho: np.ndarray) -> list:
+    """``like[i].with_rho(rho[i])`` for every row of the C-contiguous float
+    stack ``rho``, which it projects in place: the stack is checked and
+    projected once (``_checked_project``, bit for bit as row by row) and
+    each density keeps ``like[i]``'s grid and a read-only row of it."""
+    dx = np.array([d.dx for d in like])[:, None]
+    out = []
+    for d, row in zip(like, _checked_project(rho, dx)):
+        g = object.__new__(GridDensity)
+        g.__dict__.update(rho=row, dx=d.dx, x0=d.x0, boundary=d.boundary)
+        out.append(g)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,30 +217,24 @@ class GridDensity:
     boundary: str = "no-flux"
 
     def __init__(self, rho, dx, x0=0.0, boundary="no-flux", normalize=False):
-        rho = np.asarray(rho, dtype=float).copy()
-        if rho.ndim != 1 or rho.size < 2:
-            raise DomainError("density needs a 1D array with >= 2 cells")
+        rho = _cells(rho)
         if not (math.isfinite(dx) and dx > 0):
             raise DomainError(f"dx must be finite and positive, got {dx!r}")
         if not math.isfinite(x0):
             raise DomainError(f"x0 must be finite, got {x0!r}")
         if boundary not in _BOUNDARIES:
             raise DomainError(f"boundary must be one of {_BOUNDARIES}")
-        # a nan or +-inf cell makes the sum non-finite (nan passes both the
-        # floor and the mass test, and the floor clamp would hide -inf)
-        mass = rho.sum() * dx
-        if not math.isfinite(mass):
-            raise DomainError(f"density has non-finite mass {mass!r}")
         if normalize:
-            if rho.max() <= DENSITY_FLOOR:
-                raise DomainError("density has no cell above the floor")
-            rho = _project(rho, dx)
+            rho = _checked_project(rho[None], dx)[0]
         else:
+            mass = rho.sum() * dx
+            if not math.isfinite(mass):
+                raise DomainError(f"density has non-finite mass {mass!r}")
             if np.any(rho < DENSITY_FLOOR):
                 raise DomainError("density below floor; pass normalize=True")
             if abs(mass - 1.0) > 1e-12:
                 raise DomainError(f"density mass {mass!r} != 1")
-        rho.setflags(write=False)
+            rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "dx", float(dx))
         object.__setattr__(self, "x0", float(x0))
@@ -210,7 +257,8 @@ class GridDensity:
         return self.x0 + np.arange(self.n + 1) * self.dx
 
     def with_rho(self, rho: np.ndarray) -> "GridDensity":
-        return GridDensity(rho, self.dx, self.x0, self.boundary, normalize=True)
+        """The density ``rho`` projected onto this grid (``_derived``)."""
+        return _derived([self], _cells(rho)[None])[0]
 
     def same_grid(self, other: "GridDensity") -> bool:
         return (
@@ -574,12 +622,12 @@ def _distances(points: list, pairs: np.ndarray):
 
 
 def _geodesic_sampler(a: GridDensity, b: GridDensity):
-    """``theta -> `` displacement interpolant of ``a`` and ``b``, re-binned to
-    their common grid.
+    """``thetas -> `` displacement interpolants of ``a`` and ``b`` at each
+    ``theta``, re-binned to their common grid.
 
     The cut search (cut 0 on the interval) and both CDF builds depend only
     on the endpoints, so they run once here and every sampled time reuses
-    them.
+    them; the densities of one call are derived as one stack.
     """
     points, index = _id_table([a, b])
     cut = int(_distances(points, index[None])[1][0])
@@ -589,21 +637,23 @@ def _geodesic_sampler(a: GridDensity, b: GridDensity):
     qa = np.interp(U, Fa, xa)
     qb = np.interp(U, Fb, xb)
 
-    def at(theta: float) -> GridDensity:
-        if not 0.0 <= theta <= 1.0:
-            raise DomainError(f"theta must lie in [0, 1], got {theta}")
-        # the quantile q is strictly increasing, so this inverts it exactly
-        # edge by edge into the cell masses
-        q = (1.0 - theta) * qa + theta * qb
-        masses = np.diff(np.interp(xa, q, U, left=0.0, right=1.0))
-        return a.with_rho(np.roll(masses, cut) / a.dx)
+    def at(thetas) -> list:
+        rho = np.empty((len(thetas), a.n))
+        for row, theta in zip(rho, thetas):
+            if not 0.0 <= theta <= 1.0:
+                raise DomainError(f"theta must lie in [0, 1], got {theta}")
+            # the quantile q is strictly increasing, so this inverts it
+            # exactly edge by edge into the cell masses
+            q = (1.0 - theta) * qa + theta * qb
+            row[:] = np.roll(np.diff(np.interp(xa, q, U, left=0.0, right=1.0)), cut) / a.dx
+        return _derived([a] * len(rho), rho)
 
     return at
 
 
 def w2_geodesic(a: GridDensity, b: GridDensity, theta: float) -> GridDensity:
     """Displacement interpolation, re-binned to the common grid."""
-    return _geodesic_sampler(a, b)(theta)
+    return _geodesic_sampler(a, b)([theta])[0]
 
 
 # -- entropy and slope -----------------------------------------------------
@@ -644,8 +694,9 @@ def slope(kind: EntropyKind, d: GridDensity) -> float:
 
 # -- gradient flows --------------------------------------------------------
 
-def _implicit_step(dx: np.ndarray, boundary: str, ds: np.ndarray, a: np.ndarray):
-    """One implicit step of every row of a stack,
+def _implicit_step(dx: np.ndarray, boundary: str, ds: np.ndarray, a: np.ndarray,
+                   r: np.ndarray) -> np.ndarray:
+    """One implicit step of every row of the stack ``r``,
     ``r_i -> (I - ds_i div(a_i grad .))^{-1} r_i``, as one tridiagonal system.
 
     ``dx`` and ``ds`` are columns, one value per row; ``a`` holds each
@@ -654,13 +705,11 @@ def _implicit_step(dx: np.ndarray, boundary: str, ds: np.ndarray, a: np.ndarray)
     definite and its columns sum to one, so the steps conserve mass
     exactly.  The blocks are joined by zero off-diagonals, so LAPACK
     ``dpttrf`` and ``dpttrs`` do exactly the arithmetic of each block on
-    its own and every row comes out bit for bit as if stepped alone.  The
-    stack is factored once; the returned solve takes the first ``p`` rows
-    of the stack, ``(p, n)``, and solves with the blocks those rows own.
+    its own and every row comes out bit for bit as if stepped alone.
     On the circle the wrap face is split off by Sherman-Morrison:
     ``M = T' + w u u^T`` with ``u = e_0 + e_{n-1}``, ``w = -ds a_{n-1}/dx^2``
     and ``T'`` the tridiagonal part with both end diagonals raised by
-    ``|w|``, which costs one more stacked solve per factorization.  For
+    ``|w|``, which costs one more stacked solve.  For
     n = 2, where the wrap face joins the same two cells as the inner face,
     ``u`` is the all-ones vector and the split adds ``w`` to the
     off-diagonal as well, so no special case is needed.  A block that is
@@ -684,27 +733,25 @@ def _implicit_step(dx: np.ndarray, boundary: str, ds: np.ndarray, a: np.ndarray)
         raise FlowDiverged(f"implicit flow step of row {row} is not positive "
                            f"definite (dpttrf info {minor + 1})")
 
-    def solve(r: np.ndarray) -> np.ndarray:
-        p = r.shape[0]
-        return _lapack.dpttrs(d[:p * n], e[:p * n - 1], r.ravel())[0].reshape(p, n)
+    def solve(b: np.ndarray) -> np.ndarray:
+        return _lapack.dpttrs(d, e, b.ravel())[0].reshape(rows, n)
 
+    y = solve(r)
     if not wrap:
-        return solve
+        return y
     w = -c[:, 0] * a[:, -1]
     u = np.zeros((rows, n))
     u[:, [0, -1]] = 1.0
     z = solve(u)
     z *= (w / (1.0 + w * (z[:, 0] + z[:, -1])))[:, None]
-
-    def solve_wrapped(r: np.ndarray) -> np.ndarray:
-        y = solve(r)
-        return y - (y[:, :1] + y[:, -1:]) * z[:y.shape[0]]
-
-    return solve_wrapped
+    return y - (y[:, :1] + y[:, -1:]) * z
 
 
-# the most substeps a flow takes.  On one Xeon core 2^20 heat substeps at
-# n = 256 take about 26 s for one row and 4 minutes for a stack of 63 rows
+# the most substeps a flow may ask for.  Beyond it the porous medium's
+# stepping loop would run for minutes: on one Xeon core 2^20 substeps at
+# n = 256 take about 26 s for one row and 4 minutes for a stack of 63 rows.
+# Heat takes its substeps in one transform, but keeps the same budget and
+# its message
 _MAX_SUBSTEPS = 2**20
 
 
@@ -714,6 +761,56 @@ def _face_values(r: np.ndarray, boundary: str) -> np.ndarray:
     return 0.5 * (r[..., :-1] + r[..., 1:])
 
 
+# values of the transformed rows in one block of a heat transform (16
+# mirrored rows at n = 256): blocks of 2^15 values read about 0.45 MB more
+# peak memory on the benchmark's density sweep, for no measurable speed
+_HEAT_BLOCK = 1 << 13
+
+
+def _heat(rho: np.ndarray, which: np.ndarray, dx: np.ndarray, dt: np.ndarray,
+          nsub: np.ndarray, boundary: str) -> np.ndarray:
+    """Row ``i`` of the result is ``nsub_i`` backward-Euler heat substeps of
+    length ``dt_i`` of the density ``rho[which[i]]``, taken in the
+    eigenbasis of the grid's second difference; unprojected, so it may dip
+    below the floor by roundoff.
+
+    ``dx``, ``dt`` and ``nsub`` are columns, one value per row.  The
+    periodic second difference on m cells has the Fourier modes for
+    eigenvectors, with eigenvalues ``-lam_k``,
+    ``lam_k = (2 - 2 cos(2 pi k / m)) / dx^2``, so the substeps multiply
+    mode k by ``(1 + dt lam_k)^(-nsub) = exp(-nsub log1p(dt lam_k))``.  On
+    the circle m = n.  On the interval each density is mirrored to
+    ``[r, reversed r]``, of period 2n, whose periodic second difference is
+    the no-flux one on both halves: its real FFT is the DCT-II of ``r``,
+    with ``lam_k = (2 - 2 cos(pi k / n)) / dx^2`` (Strang, SIAM Review 41,
+    1999).  Each density of ``rho`` is transformed once, however many
+    rows flow it, and the rows go back in blocks of ``_HEAT_BLOCK``
+    values.  numpy's FFT transforms each row of a stack on its own, so
+    every row comes out bit for bit as if flowed alone.
+    """
+    # imported here: ``import entrogeo.cli`` leaves numpy.fft unloaded
+    from numpy import fft
+
+    n = rho.shape[1]
+    if boundary == "no-flux":
+        rho = np.concatenate([rho, rho[:, ::-1]], axis=1)
+    m = rho.shape[1]
+    modes = fft.rfft(rho)
+    wave = 2.0 - 2.0 * np.cos((2.0 * math.pi / m) * np.arange(m // 2 + 1))
+    out = np.empty((len(which), n))
+    rows = max(1, _HEAT_BLOCK // m)
+    for b in range(0, len(which), rows):
+        blk = slice(b, b + rows)
+        g = wave / (dx[blk] * dx[blk])
+        g *= dt[blk]
+        np.log1p(g, out=g)
+        g *= -nsub[blk]
+        np.exp(g, out=g)
+        g = modes[which[blk]] * g
+        out[blk] = fft.irfft(g, m)[:, :n]
+    return out
+
+
 def flow(kind: EntropyKind, d: GridDensity, s: float) -> GridDensity:
     """Entropy gradient flow for time ``s``: heat or porous-medium equation
     (``flows`` of one density)."""
@@ -721,20 +818,23 @@ def flow(kind: EntropyKind, d: GridDensity, s: float) -> GridDensity:
 
 
 def flows(kind: EntropyKind, ds, ss) -> list:
-    """``flow`` of each density ``ds[i]`` for its time ``ss[i]``, all in
-    lockstep on their common grid.
+    """``flow`` of each density ``ds[i]`` for its time ``ss[i]``, all at
+    once on their common grid.
 
     A zero time returns the density itself, and a negative or non-finite
-    one raises ``DomainError``.  Every other row takes
-    ``nsub`` substeps of length ``s / nsub``, with ``nsub`` the least
-    count whose substep stays under the row's stability cap (``dx^2 / 2``
-    for heat, ``dx^2 / (m max(rho)^(m-1))`` for the porous medium); a time
-    that needs more than ``_MAX_SUBSTEPS`` (2^20) substeps raises
-    ``DomainError``.  The rows are ordered by ``nsub``, descending and
-    stable, so the rows still stepping are always a prefix of the stack,
-    and each round is one stacked ``_implicit_step`` of that prefix: heat
-    factors the whole stack once, the porous medium refactors the prefix
-    with its lagged face coefficients.  Every row comes out bit for bit as if flowed alone.
+    one raises ``DomainError``.  Every other row takes ``nsub`` substeps
+    of length ``s / nsub``, with ``nsub`` the least count whose substep
+    stays under the row's stability cap (``dx^2 / 2`` for heat,
+    ``dx^2 / (m max(rho)^(m-1))`` for the porous medium); a time that
+    needs more than ``_MAX_SUBSTEPS`` (2^20) substeps raises
+    ``DomainError``.  Heat applies the backward-Euler substeps of all rows
+    in one transform (``_heat``).  The porous medium steps in lockstep: the
+    rows are ordered by ``nsub``, descending and stable, so the rows still
+    stepping are always a prefix of the stack, and each round is one
+    stacked ``_implicit_step`` of that prefix with its lagged face
+    coefficients, clamped and renormalized.  The flowed rows are checked
+    and projected as one stack (``_derived``), and every row comes out bit
+    for bit as if flowed alone.
     """
     ds, ss = list(ds), [float(s) for s in ss]
     if len(ds) != len(ss):
@@ -742,7 +842,8 @@ def flows(kind: EntropyKind, ds, ss) -> list:
     for s in ss:
         _check_flow_time(s)
     if ds:
-        _id_table(ds)  # raises GridMismatch off the grid of ds[0]
+        # raises GridMismatch off the grid of ds[0]
+        points, index = _id_table(ds)
     out = list(ds)
     live = [i for i, s in enumerate(ss) if s != 0.0]
     if not live:
@@ -758,27 +859,26 @@ def flows(kind: EntropyKind, ds, ss) -> list:
             raise DomainError(f"flow time {ss[i]} needs more than {_MAX_SUBSTEPS} substeps "
                               f"under the stability cap {cap:g}")
         nsub[i] = max(1, int(math.ceil(ss[i] / cap)))
-    live.sort(key=lambda i: -nsub[i])
+    if not heat:
+        live.sort(key=lambda i: -nsub[i])
     steps = np.array([nsub[i] for i in live])
     dt = np.array([ss[i] / nsub[i] for i in live])[:, None]
     dx = np.array([ds[i].dx for i in live])[:, None]
     boundary = ds[0].boundary
-    r = np.stack([ds[i].rho for i in live])
     if heat:
-        faces = r.shape[1] if boundary == "periodic" else r.shape[1] - 1
-        step = _implicit_step(dx, boundary, dt, np.ones((len(live), faces)))
-    for k in range(steps[0]):
-        p = int(np.count_nonzero(steps > k))
-        if not heat:
+        r = _heat(np.stack([d.rho for d in points]), index[live], dx, dt, steps[:, None],
+                  boundary)
+    else:
+        r = np.stack([ds[i].rho for i in live])
+        for k in range(steps[0]):
+            p = int(np.count_nonzero(steps > k))
             a = m * _face_values(r[:p], boundary) ** (m - 1.0)
-            step = _implicit_step(dx[:p], boundary, dt[:p], a)
-        y = step(r[:p])
-        if not np.all(np.isfinite(y)):
-            raise FlowDiverged(
-                f"{'heat' if heat else 'porous-medium'} step produced non-finite density")
-        r[:p] = _project(y, dx[:p])
-    for i, row in zip(live, r):
-        out[i] = ds[i].with_rho(row)
+            y = _implicit_step(dx[:p], boundary, dt[:p], a, r[:p])
+            if not np.all(np.isfinite(y)):
+                raise FlowDiverged("porous-medium step produced non-finite density")
+            r[:p] = _project(y, dx[:p])
+    for i, d in zip(live, _derived([ds[i] for i in live], r)):
+        out[i] = d
     return out
 
 
@@ -808,8 +908,7 @@ class Density1DBackend(SpaceBackend):
         return w2_geodesic(a, b, theta)
 
     def geodesic_points(self, a, b, thetas) -> list:
-        sample = _geodesic_sampler(a, b)
-        return [sample(th) for th in thetas]
+        return _geodesic_sampler(a, b)(list(thetas))
 
     def entropy(self, x) -> float:
         return entropy(self.kind, x)

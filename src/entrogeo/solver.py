@@ -79,7 +79,15 @@ from .core import (
     geodesic_curve,
     kinetic_action,
 )
-from .density1d import Density1DBackend, EntropyKind, GridDensity, _cdf_nodes, _id_table, _lapack
+from .density1d import (
+    Density1DBackend,
+    EntropyKind,
+    GridDensity,
+    _cdf_nodes,
+    _derived,
+    _id_table,
+    _lapack,
+)
 from .errors import DomainError, EndpointEntropyInfinite, EntrogeoError, GridMismatch
 from .euclidean import EuclideanBackend
 from .regularizer import build as build_regularized
@@ -583,21 +591,29 @@ def _quantile_samples(ds, u: np.ndarray) -> np.ndarray:
     i = np.searchsorted((F + 2.0 * r).ravel(), (u + 2.0 * r).ravel(), side="right")
     i = i.reshape(rows, -1) - (n + 1) * r - 1
     np.clip(i, 0, n - 1, out=i)
-    s = u - F[r, i]
+    # each gather takes one flat index: into rows of n + 1 knots (F, dk)
+    # and of n cells (c1, c0)
+    knot = i + (n + 1) * r
+    cell = i + n * r
+    s = u - F.take(knot)
     s2 = s * s
-    return ((x[i] + dk[r, i] * s) + c1[r, i] * s2) + c0[r, i] * (s2 * s)
+    return ((x[i] + dk.take(knot) * s) + c1.take(cell) * s2) + c0.take(cell) * (s2 * s)
 
 
-def _density_from_quantiles(template: GridDensity, Q: np.ndarray,
-                            u: np.ndarray) -> GridDensity:
-    # extend the sampled quantile linearly over the end cells [0, u_0] and
-    # [u_{m-1}, 1]
-    G0 = (Q[1] - Q[0]) / (u[1] - u[0])
-    G1 = (Q[-1] - Q[-2]) / (u[-1] - u[-2])
+def _density_from_quantiles(template: GridDensity, Qs: np.ndarray,
+                            u: np.ndarray) -> list:
+    """The densities on ``template``'s grid whose quantiles are sampled at
+    ``u`` in the rows of ``Qs``, derived as one stack."""
+    # extend each sampled quantile linearly over the end cells [0, u_0]
+    # and [u_{m-1}, 1]
+    G0 = (Qs[:, 1] - Qs[:, 0]) / (u[1] - u[0])
+    G1 = (Qs[:, -1] - Qs[:, -2]) / (u[-1] - u[-2])
     u_full = np.concatenate([[0.0], u, [1.0]])
-    q_full = np.concatenate([[Q[0] - u[0] * G0], Q, [Q[-1] + (1.0 - u[-1]) * G1]])
-    F_edges = np.interp(template.edges, q_full, u_full, left=0.0, right=1.0)
-    return template.with_rho(np.diff(F_edges) / template.dx)
+    q_full = np.concatenate([(Qs[:, 0] - u[0] * G0)[:, None], Qs,
+                             (Qs[:, -1] + (1.0 - u[-1]) * G1)[:, None]], axis=1)
+    edges = template.edges
+    F_edges = np.array([np.interp(edges, q, u_full, left=0.0, right=1.0) for q in q_full])
+    return _derived([template] * len(Qs), np.diff(F_edges, axis=1) / template.dx)
 
 
 class _DensityProblem(_Problem):
@@ -654,7 +670,7 @@ class _DensityProblem(_Problem):
 
     def to_curve(self, z: np.ndarray) -> Curve:
         Qs = z.reshape(self.n_interior, self.m)
-        inner = [_density_from_quantiles(self.x, Q, self.u) for Q in Qs]
+        inner = _density_from_quantiles(self.x, Qs, self.u)
         return Curve(self.times, [self.x, *inner, self.y])
 
     def _fisher_gn_bands(self, Qs: np.ndarray):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entrogeo import GridDensity, cost_analysis
+from entrogeo import Curve, GridDensity, cost_analysis
 from entrogeo.cost_analysis import (
     CostProfile,
     _descending_eps,
@@ -221,6 +221,57 @@ class TestGammaDiagnostics:
         # the default discretization scores them otherwise
         default = gaps(SolverOptions(n_time=15))
         assert all(abs(g - d) > 1e-5 for g, d in zip(report.recovery_gaps, default))
+
+
+    @pytest.mark.parametrize("kind", ["quadratic", "density"])
+    def test_batched_record_equals_per_eps_calls(self, quad1d, boltzmann, kind):
+        if kind == "quadratic":
+            backend, x, y = quad1d, np.array([1.0]), np.array([2.0])
+        else:
+            n = 64
+            backend = boltzmann
+            x = GridDensity.gaussian(0.35, 0.08, n, 1.0 / n)
+            y = GridDensity.gaussian(0.6, 0.12, n, 1.0 / n)
+        prof = sweep(backend, x, y, [0.1, 0.05, 0.025], SolverOptions(n_time=15))
+        report = gamma_diagnostics(backend, prof)
+        rows = list(reversed(prof.rows))  # descending eps
+        geo = prof.geodesic
+        assert report.eps == tuple(r.eps for r in rows)
+        assert report.recovery_gaps == tuple(
+            discrete_action(backend, build(backend, geo, r.eps).tilde, r.eps, prof.opts) - r.cost
+            for r in rows)
+        assert report.minimizer_deviation == tuple(
+            float(np.max(backend.distances(r.minimizer.points, geo.points))) for r in rows)
+        assert report.passed
+
+    def test_mollified_profile_rejected(self, boltzmann):
+        # rows between mollified endpoints cost less than the geodesic
+        # (cost gaps of -3.2e-2 here), so the recovery argument has no sign
+        n = 64
+        x = GridDensity.gaussian(0.35, 0.08, n, 1.0 / n)
+        y = GridDensity.gaussian(0.6, 0.12, n, 1.0 / n)
+        prof = mollified_sweep(boltzmann, x, y, [0.1, 0.05], lambda e: 0.5,
+                               SolverOptions(n_time=15))
+        assert all(r.cost < prof.cost_0 for r in prof.rows)
+        with pytest.raises(DomainError, match="eps=0.1 row starts at another point"):
+            gamma_diagnostics(boltzmann, prof)
+
+    def test_ends_compared_by_value(self, boltzmann):
+        # equal copies of the endpoints give the same record; a moved end raises
+        n = 64
+        x = GridDensity.gaussian(0.35, 0.08, n, 1.0 / n)
+        y = GridDensity.gaussian(0.6, 0.12, n, 1.0 / n)
+        opts = SolverOptions(n_time=15)
+        prof = sweep(boltzmann, x, y, [0.1, 0.05], opts)
+        copies = CostProfile(prof.rows, prof.cost_0, prof.fisher_0, Curve(
+            prof.geodesic.times, [GridDensity(x.rho, x.dx, x.x0), *prof.geodesic.points[1:-1],
+                                  GridDensity(y.rho, y.dx, y.x0)]), opts)
+        assert gamma_diagnostics(boltzmann, copies) == gamma_diagnostics(boltzmann, prof)
+        shifted = CostProfile(prof.rows, prof.cost_0, prof.fisher_0, Curve(
+            prof.geodesic.times, [*prof.geodesic.points[:-1], y.with_rho(np.roll(y.rho, 1))]),
+            opts)
+        with pytest.raises(DomainError, match="eps=0.1 row ends at another point"):
+            gamma_diagnostics(boltzmann, shifted)
 
 
 class TestDefaultSweep:

@@ -108,6 +108,43 @@ class TestGridDensity:
         assert np.all(d.rho >= DENSITY_FLOOR)
         assert not hasattr(d, "floor")
 
+    def test_derived_stack_is_bitwise_per_row(self):
+        # every row keeps its own grid, and comes out as GridDensity(...,
+        # normalize=True) of that row, whose arithmetic is the 1-D clamp,
+        # renormalization and clamp
+        rng = np.random.default_rng(5)
+        like = [GridDensity.uniform(64, 0.25 + 0.01 * k, x0=-8.0 + 0.1 * k,
+                                    boundary=("no-flux", "periodic")[k % 2]) for k in range(40)]
+        rho = rng.lognormal(0.0, 6.0, (40, 64)) * (rng.uniform(size=(40, 64)) < 0.8)
+        for d, r, out in zip(like, rho, density1d._derived(like, rho.copy())):
+            alone = GridDensity(r, d.dx, d.x0, d.boundary, normalize=True)
+            flat = np.maximum(r, DENSITY_FLOOR)
+            flat = np.maximum(flat / (flat.sum() * d.dx), DENSITY_FLOOR)
+            assert out.rho.tobytes() == alone.rho.tobytes() == flat.tobytes()
+            assert (out.dx, out.x0, out.boundary) == (d.dx, d.x0, d.boundary)
+            assert not out.rho.flags.writeable
+            assert out.same_grid(d) and d.with_rho(r).rho.tobytes() == flat.tobytes()
+
+    @pytest.mark.parametrize("first, second", [
+        (a, b) for a in ("nan", "inf", "-inf", "empty") for b in ("nan", "empty")])
+    def test_derived_stack_raises_like_rows(self, first, second):
+        # the first bad row of the stack decides the error, as in a loop of
+        # GridDensity(..., normalize=True) over the rows
+        like = [GridDensity.uniform(8, 0.125)] * 4
+        rho = np.ones((4, 8))
+        for row, bad in ((1, first), (2, second)):
+            if bad == "empty":
+                rho[row] = 0.0
+            else:
+                rho[row, 3] = float(bad)
+        with pytest.raises(DomainError) as stacked:
+            density1d._derived(like, rho.copy())
+        with pytest.raises(DomainError) as alone:
+            for r in rho:
+                GridDensity(r, 0.125, normalize=True)
+        assert str(stacked.value) == str(alone.value)
+        assert ("non-finite" in str(alone.value)) == (first != "empty")
+
     def test_csv_round_trip(self, tmp_path):
         d = gaussian_on(WIDE, 0.3, 1.1)
         path = tmp_path / "density.csv"
@@ -761,10 +798,8 @@ class TestPeriodicLaplacian:
         r = rng.uniform(0.1, 1.0, (3, n))
         ref = np.array([np.linalg.solve(np.eye(n) - s * dense_laplacian(n, dx, ai), ri)
                         for s, ai, ri in zip(ds[:, 0], a, r)])
-        step = _implicit_step(np.full((3, 1), dx), self.boundary, ds, a)
-        np.testing.assert_allclose(step(r), ref, rtol=1e-13, atol=0.0)
-        # a prefix of the stack solves with the blocks its rows own
-        np.testing.assert_allclose(step(r[:2]), ref[:2], rtol=1e-13, atol=0.0)
+        got = _implicit_step(np.full((3, 1), dx), self.boundary, ds, a, r)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
     def test_row_not_positive_definite_named(self):
         n = 8
@@ -773,7 +808,8 @@ class TestPeriodicLaplacian:
         # cells 3 and 4 of row 1 get diagonal 1 + (ds/dx^2)(1 - 10) < 0
         a[1, 3] = -10.0
         with pytest.raises(FlowDiverged, match=r"row 1 is not positive definite \(dpttrf info 4\)"):
-            _implicit_step(np.full((3, 1), 0.3), self.boundary, np.full((3, 1), 0.5), a)
+            _implicit_step(np.full((3, 1), 0.3), self.boundary, np.full((3, 1), 0.5), a,
+                           np.ones((3, n)))
 
 
 class TestNoFluxLaplacian(TestPeriodicLaplacian):
@@ -848,6 +884,57 @@ class TestFlows:
         d = GridDensity.uniform(8, 1e-170)
         with pytest.raises(DomainError, match="flow time 1.0 needs more"):
             flow(KB, d, 1.0)
+
+
+def backward_euler_heat(d, s):
+    """Heat flow by the backward-Euler stepping loop: ``ceil(s / (dx^2/2))``
+    substeps of one dense solve each, clamped and renormalized after every
+    substep and once more at the end."""
+    n, dx = d.n, d.dx
+    steps = max(1, math.ceil(s / (0.5 * dx * dx)))
+    lap = np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)
+    if d.boundary == "periodic":
+        lap[0, -1] = lap[-1, 0] = 1.0
+    else:
+        lap[0, 0] = lap[-1, -1] = -1.0
+    mat = np.eye(n) - (s / steps) / (dx * dx) * lap
+    r = d.rho
+    for _ in range(steps):
+        r = density1d._project(np.linalg.solve(mat, r), dx)
+    return density1d._project(r, dx)
+
+
+class TestHeatTransform:
+    """Heat flows apply the backward-Euler substeps in one transform."""
+
+    @pytest.mark.parametrize("boundary", ["no-flux", "periodic"])
+    def test_matches_the_stepping_loop(self, boundary):
+        # largest difference seen: 6.1e-16 absolute (periodic, near-wall
+        # Gaussian, s = 10); on cells above 1e-6 it is at most 1.7e-10
+        # relative, the transform's absolute roundoff on small values
+        n, dx, x0 = 64, 0.25, -8.0
+        points = [GridDensity.gaussian(0.0, 1.0, n, dx, x0, boundary),
+                  GridDensity.gaussian(-7.0, 0.5, n, dx, x0, boundary),
+                  GridDensity.point_mass(20, n, dx, x0, boundary)]
+        worst = 0.0
+        for d in points:
+            for s in (0.01, 0.1, 1.0, 10.0):
+                got = flow(KB, d, s).rho
+                worst = max(worst, float(np.max(np.abs(got - backward_euler_heat(d, s)))))
+        assert worst <= 2e-15
+
+    @pytest.mark.parametrize("boundary", ["no-flux", "periodic"])
+    def test_mixed_time_stack_bitwise_per_row(self, boundary):
+        # 150 rows of n = 256 run in several blocks of the transform
+        rng = np.random.default_rng(7)
+        n, dx = 256, 16.0 / 256
+        pts = [GridDensity(rng.uniform(0.1, 1.0, n), dx, -8.0, boundary, normalize=True)
+               for _ in range(5)]
+        xs = [pts[k % 5] for k in range(150)]
+        ss = rng.choice([0.0, 1e-4, 0.003, 0.05, 0.7], 150).tolist()
+        assert len(xs) > density1d._HEAT_BLOCK // n  # more than a block on either boundary
+        for x, s, y in zip(xs, ss, flows(KB, xs, ss)):
+            assert y.rho.tobytes() == flow(KB, x, s).rho.tobytes()
 
 
 class TestFlowInvariants:

@@ -11,7 +11,8 @@ porous-medium flow, a small density solve and a small Euclidean solve.
 Where the extension file is not found, the loader falls back to
 ``scipy.linalg.lapack``; the same routines give the same bytes either way.
 Loading a config does not import the CLI: only the CLI knows the verify
-certificates.  Every name a module exports in ``__all__`` resolves.
+certificates, and importing the CLI does not load ``numpy.fft``, which only
+heat flows use.  Every name a module exports in ``__all__`` resolves.
 """
 
 import importlib
@@ -122,6 +123,12 @@ def test_lapack_fallback_gives_the_same_bytes():
     assert direct["spbtrf_infos"] and set(direct["spbtrf_infos"]) == {0}
     assert fallback["spbtrf_infos"] == direct["spbtrf_infos"]
     assert direct["digest"] == fallback["digest"]
+
+
+def test_cli_import_leaves_numpy_fft_unloaded():
+    # heat flows import numpy.fft on first use (about 1 ms), so a CLI run
+    # that flows no density pays nothing for it
+    assert _run("import sys, entrogeo.cli; print('numpy.fft' in sys.modules)") == "False"
 
 
 def test_load_config_leaves_the_cli_unimported(tmp_path):

@@ -689,6 +689,33 @@ class TestQuantileSamples:
         single = _quantile_samples(ds[3:4], u_mid)
         np.testing.assert_allclose(single, Q[3:4], rtol=0.0, atol=1e-15)
 
+    def test_flat_gathers_match_the_row_column_gathers(self):
+        # the same PCHIP tables gathered with 2-D [row, interval] indexes
+        n, dx = SWEEP["n"], SWEEP["dx"]
+        ds = [GridDensity.gaussian(-0.2 + 0.04 * k, 1.0 + 0.015 * k, n, dx, SWEEP["x0"])
+              for k in range(63)]
+        u = solver_mod._graded_nodes(n)[0]
+        rows = len(ds)
+        F, x = _cdf_nodes(ds[0], np.stack([d.rho for d in ds]))
+        h = np.diff(F, axis=1)
+        mk = np.diff(x) / h
+        w1 = 2.0 * h[:, 1:] + h[:, :-1]
+        w2 = h[:, 1:] + 2.0 * h[:, :-1]
+        dk = np.empty((rows, n + 1))
+        dk[:, 1:-1] = 1.0 / ((w1 / mk[:, :-1] + w2 / mk[:, 1:]) / (w1 + w2))
+        dk[:, 0] = solver_mod._pchip_end_slope(h[:, 0], h[:, 1], mk[:, 0], mk[:, 1])
+        dk[:, -1] = solver_mod._pchip_end_slope(h[:, -1], h[:, -2], mk[:, -1], mk[:, -2])
+        t = (dk[:, :-1] + dk[:, 1:] - 2.0 * mk) / h
+        c0 = t / h
+        c1 = (mk - dk[:, :-1]) / h - t
+        r = np.arange(rows)[:, None]
+        i = np.searchsorted((F + 2.0 * r).ravel(), (u + 2.0 * r).ravel(), side="right")
+        i = np.clip(i.reshape(rows, -1) - (n + 1) * r - 1, 0, n - 1)
+        s = u - F[r, i]
+        s2 = s * s
+        ref = ((x[i] + dk[r, i] * s) + c1[r, i] * s2) + c0[r, i] * (s2 * s)
+        assert _quantile_samples(ds, u).tobytes() == ref.tobytes()
+
     def test_rejects_mixed_grids(self):
         ds = self._densities()
         other = GridDensity.uniform(self.N, 2.0 * self.DX, self.X0)
