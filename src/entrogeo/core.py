@@ -112,8 +112,8 @@ class Curve:
             raise InvalidCurve("need at least two time nodes")
         if times[0] != 0.0 or times[-1] != 1.0:
             raise InvalidCurve("time grid must start at 0 and end at 1 exactly")
-        if np.any(np.diff(times) <= 0):
-            raise InvalidCurve("time grid must be strictly increasing")
+        if not np.all(np.diff(times) > 0):  # false for a NaN node as well
+            raise InvalidCurve("time grid must be finite and strictly increasing")
         if len(points) != times.size:
             raise InvalidCurve(
                 f"{len(points)} points for {times.size} time nodes"

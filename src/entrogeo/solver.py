@@ -7,17 +7,19 @@ The discretized Schrodinger problem
     over curves with c_0 = x and c_N = y fixed
 
 is solved by limited-memory quasi-Newton descent with a backtracking line
-search (steepest descent as the per-step fallback).  The problem base class
-holds the discrete action; each backend problem supplies ``_slope_sq``, the
+search (steepest descent as the per-step fallback).  A problem holds what
+eps does not change: the time grid, the unknowns and the two end rows,
+packed once; eps enters each evaluation and each model as the Fisher weight
+``sigma = eps^2``.  Each backend problem supplies ``_slope_sq``, the
 squared slope of every node and its gradient, and ``make_preconditioner``:
 the inverse of a positive-definite quadratic model, factored by banded
 Cholesky, seeds the two-loop recursion and is rebuilt between descent
-stages.  ``solves`` chains the solves of a list of eps: each starts from
-the minimizer of the one before and first runs on the model that solve
-ended with, if that model's eps is within a factor 4 of its own (see
-``_staged_descent``), so a sweep chain factors a model only every few
-rows.  A step is accepted on the Armijo test, or else
-on the approximate-Wolfe slope test of Hager & Zhang with the value allowed to
+stages.  ``solves`` builds one problem and chains the solves of a list of
+eps on it: each starts from the minimizer of the one before and first runs
+on the model that solve ended with, if that model's eps is within a factor
+4 of its own (see ``_staged_descent``), so a sweep chain factors a model
+only every few rows.  A step is accepted on the Armijo test, or else on the
+approximate-Wolfe slope test of Hager & Zhang with the value allowed to
 rise by at most 1e-14 relative, so that iterates at the roundoff floor of
 the action are not rejected.  Every solve stops when the decrease the
 model predicts for the next step, ``-g.d``, is at most ``grad_tol eps^2``
@@ -65,7 +67,7 @@ import math
 import mmap
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -161,16 +163,9 @@ class SchrodingerResult:
     model_builds: int = 0
 
     def to_record(self) -> dict:
-        return {
-            "eps": self.eps,
-            "cost": self.cost,
-            "kinetic": self.kinetic,
-            "fisher": self.fisher,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "stationarity": self.stationarity,
-            "model_builds": self.model_builds,
-        }
+        return {name: getattr(self, name) for name in (
+            "eps", "cost", "kinetic", "fisher", "iterations", "converged",
+            "stationarity", "model_builds")}
 
 
 def _uniform_times(n_time: int) -> np.ndarray:
@@ -301,7 +296,7 @@ def _lbfgs_armijo(value_grad, z0, tol: float, precond, budget: int):
     return z, budget, history, False, False, decrement
 
 
-def _staged_descent(prob, z0, max_iter: int, grad_tol: float, model: list):
+def _staged_descent(prob, z0, eps: float, max_iter: int, grad_tol: float, model: list):
     """Drive L-BFGS in stages, rebuilding the preconditioner between them.
 
     The quadratic model behind ``prob.make_preconditioner`` is only
@@ -310,7 +305,8 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float, model: list):
     the current iterate and the memory restarted.  A stage that stalls
     twice in a row ends the descent (the line search cannot make progress).
 
-    ``model`` is a list of at most one ``(precond, eps_model)``, the model
+    The solve minimizes ``prob``'s action at ``eps``.  ``model`` is a list
+    of at most one ``(precond, eps_model)``, the model
     a chained solve before this one ended with.  It is popped, and the
     first stage runs on it when its ``r = (eps_model / eps)^2`` has
     ``max(r, 1/r) <= _INHERIT_RATIO``; otherwise it is dropped, and its
@@ -326,20 +322,21 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float, model: list):
     final stage's (scaled) decrement over eps^2.
     """
     z = np.asarray(z0, dtype=float).copy()
+    sigma = eps**2
     total, builds = 0, 0
     history = []
     stalled_before, converged, decrement = False, False, math.inf
-    precond, eps_model = model.pop() if model else (None, prob.eps)
+    precond, eps_model = model.pop() if model else (None, eps)
     if precond is not None and not (
-            1.0 / _INHERIT_RATIO <= (eps_model / prob.eps) ** 2 <= _INHERIT_RATIO):
+            1.0 / _INHERIT_RATIO <= (eps_model / eps) ** 2 <= _INHERIT_RATIO):
         precond = None
     while total < max_iter and not converged:
         if precond is None:
-            precond, eps_model = prob.make_preconditioner(z), prob.eps
+            precond, eps_model = prob.make_preconditioner(z, sigma), eps
             builds += 1
-        scale = max(1.0, (eps_model / prob.eps) ** 2)
+        scale = max(1.0, (eps_model / eps) ** 2)
         z, it, hist, converged, stalled, decrement = _lbfgs_armijo(
-            prob.value_grad, z, grad_tol * prob.eps**2 / scale, precond,
+            lambda z: prob.value_grad(z, sigma), z, grad_tol * sigma / scale, precond,
             min(_STAGE_BUDGET, max_iter - total))
         history.extend(hist if not history else hist[1:])
         total += it
@@ -350,7 +347,7 @@ def _staged_descent(prob, z0, max_iter: int, grad_tol: float, model: list):
         stalled_before = stalled
     if precond is not None:
         model.append((precond, eps_model))
-    return z, total, history, converged, decrement * scale / prob.eps**2, builds
+    return z, total, history, converged, decrement * scale / sigma, builds
 
 
 def _banded_cholesky_solver(ab: np.ndarray, model: str):
@@ -383,20 +380,20 @@ def _banded_cholesky_solver(ab: np.ndarray, model: str):
 
 
 class _Problem:
-    """The discretized action of one backend on a time grid.
+    """The discretized action of one backend on a time grid, for every eps.
 
     The decision vector stacks the interior rows of a curve between the
-    fixed end rows ``first`` and ``last``; ``row_mass`` weighs each row
-    coordinate in the kinetic term (a scalar, or one weight per
-    coordinate).  Subclasses supply ``_slope_sq``, the
-    squared slope of every row and its gradient at the interior rows (a
-    fresh array, which ``action`` overwrites), and
-    ``make_preconditioner``; they also add ``pack``, ``to_curve`` and
-    ``value_grad``.
+    fixed end rows ``first`` and ``last``, packed once; ``row_mass`` weighs
+    each row coordinate in the kinetic term (a scalar, or one weight per
+    coordinate).  None of it depends on eps, which enters ``action``,
+    ``value_grad`` and ``make_preconditioner`` as the Fisher weight
+    ``sigma = eps^2``.  Subclasses supply ``_slope_sq``, the squared slope
+    of every row and its gradient at the interior rows (a fresh array,
+    which ``action`` overwrites), and ``make_preconditioner``; they also
+    add ``pack``, ``to_curve`` and ``value_grad``.
     """
 
-    def __init__(self, eps, times, first: np.ndarray, last: np.ndarray, row_mass):
-        self.eps = eps
+    def __init__(self, times, first: np.ndarray, last: np.ndarray, row_mass):
         self.times = np.asarray(times, dtype=float)
         self.dts = np.diff(self.times)
         self.weights = _trapezoid_weights(self.times)
@@ -414,16 +411,16 @@ class _Problem:
         """All rows of the curve, end rows included."""
         return np.vstack([self.first, z.reshape(self.n_interior, -1), self.last])
 
-    def action(self, z: np.ndarray):
+    def action(self, z: np.ndarray, sigma: float):
         """Kinetic part ``1/2 sum_i row_mass . (Z_{i+1} - Z_i)^2 / dt_i`` and
         Fisher part ``1/2 sum_i w_i S_i`` of the action at ``z``, and the
-        gradient of ``kin + eps^2 fis``."""
+        gradient of ``kin + sigma fis``."""
         rows = self._stack(z)
         mom = np.diff(rows, axis=0)
         kin = 0.5 * float(np.sum(self.row_mass * mom**2 / self.dts[:, None]))
         mom *= self.row_mass / self.dts[:, None]
         S, grad = self._slope_sq(rows)
-        grad *= 0.5 * self.eps**2 * self.weights[1:-1, None]
+        grad *= 0.5 * sigma * self.weights[1:-1, None]
         grad += mom[:-1]
         grad -= mom[1:]
         return kin, 0.5 * _dot(self.weights, S), grad.ravel()
@@ -442,8 +439,8 @@ class _Problem:
 class _EuclideanProblem(_Problem):
     """Decision rows are the node coordinates themselves."""
 
-    def __init__(self, backend: EuclideanBackend, x, y, eps, times):
-        super().__init__(eps, times, np.asarray(x, dtype=float),
+    def __init__(self, backend: EuclideanBackend, x, y, times):
+        super().__init__(times, np.asarray(x, dtype=float),
                          np.asarray(y, dtype=float), row_mass=1.0)
         self.pot = backend.potential
 
@@ -460,16 +457,16 @@ class _EuclideanProblem(_Problem):
         H = np.array([self.pot.hess(p) for p in rows[1:-1]])
         return np.sum(g * g, axis=1), 2.0 * np.einsum("ikj,ik->ij", H, g[1:-1])
 
-    def value_grad(self, z: np.ndarray):
-        kin, fis, grad = self.action(z)
-        return kin + self.eps**2 * fis, grad
+    def value_grad(self, z: np.ndarray, sigma: float):
+        kin, fis, grad = self.action(z, sigma)
+        return kin + sigma * fis, grad
 
-    def make_preconditioner(self, z0: np.ndarray):
+    def make_preconditioner(self, z0: np.ndarray, sigma: float):
         """Inverse of the Gauss-Newton model at ``z0``, by banded Cholesky.
 
         In the node-major decision vector the model is block tridiagonal
         with band half-width ``dim``: diagonal blocks
-        ``(1/dt_i + 1/dt_{i+1}) I + eps^2 w_i H_i^T H_i`` (``H_i`` the
+        ``(1/dt_i + 1/dt_{i+1}) I + sigma w_i H_i^T H_i`` (``H_i`` the
         Hessian of V at node i) and off-diagonal blocks ``-(1/dt) I``.
         Dropping the third-derivative term of ``Hess 1/2 |grad V|^2`` keeps
         the model positive definite for any lam; for the quadratic well it
@@ -477,7 +474,7 @@ class _EuclideanProblem(_Problem):
         """
         nI, dim = self.n_interior, self.first.size
         H = np.array([self.pot.hess(p) for p in z0.reshape(nI, dim)])
-        D = self.eps**2 * self.weights[1:-1, None, None] * (H.transpose(0, 2, 1) @ H)
+        D = sigma * self.weights[1:-1, None, None] * (H.transpose(0, 2, 1) @ H)
         # lower band storage: band[j, i, c] = A[(i, c + j), (i, c)]
         band = np.zeros((dim + 1, nI, dim))
         for j in range(dim):
@@ -628,7 +625,7 @@ class _DensityProblem(_Problem):
     """
 
     def __init__(self, backend: Density1DBackend, x: GridDensity, y: GridDensity,
-                 eps, times, m_points):
+                 times, m_points):
         if x.boundary != "no-flux":
             raise DomainError(
                 "the action solver needs interval (no-flux) densities; "
@@ -641,7 +638,7 @@ class _DensityProblem(_Problem):
         self.u, cell_widths = _graded_nodes(m_points)
         self.h = np.diff(self.u)
         self.H = 0.5 * (self.h[1:] + self.h[:-1])
-        super().__init__(eps, times, *_quantile_samples([x, y], self.u), row_mass=cell_widths)
+        super().__init__(times, *_quantile_samples([x, y], self.u), row_mass=cell_widths)
 
     def pack(self, curve: Curve) -> np.ndarray:
         return _quantile_samples(curve.points[1:-1], self.u).ravel()
@@ -659,11 +656,11 @@ class _DensityProblem(_Problem):
         dS[:, 2:] += cR
         return np.sum(HR * R, axis=1), dS
 
-    def value_grad(self, z: np.ndarray):
+    def value_grad(self, z: np.ndarray, sigma: float):
         if np.any(np.diff(z.reshape(self.n_interior, self.m), axis=1) <= 0.0):
             return math.inf, None  # non-monotone trial: reject in line search
-        kin, fis, grad = self.action(z)
-        val = kin + self.eps**2 * fis
+        kin, fis, grad = self.action(z, sigma)
+        val = kin + sigma * fis
         if not math.isfinite(val):
             return math.inf, None
         return val, grad
@@ -693,7 +690,7 @@ class _DensityProblem(_Problem):
         d1[:, 1:] += Hb * c
         return d0, d1, Ha * c
 
-    def make_preconditioner(self, z0: np.ndarray):
+    def make_preconditioner(self, z0: np.ndarray, sigma: float):
         """Inverse of the quadratic model at ``z0``, by banded Cholesky.
 
         The model couples time neighbors through the (exactly quadratic)
@@ -720,7 +717,7 @@ class _DensityProblem(_Problem):
         """
         nI, m = self.n_interior, self.m
         d0, d1, d2 = self._fisher_gn_bands(z0.reshape(nI, m))
-        wf = self.eps**2 * self.weights[1:-1, None]
+        wf = sigma * self.weights[1:-1, None]
         kin_diag, kin_off = self._kinetic_bands()
         # ab[j, k nI + i] = A[(k, i) + j, (k, i)]
         rows = {0: (kin_diag + wf * d0 + 1e-12).T.ravel(),
@@ -756,21 +753,13 @@ class _DensityProblem(_Problem):
 # -- public entry points ------------------------------------------------------
 
 
-def _problem(backend: SpaceBackend, x, y, eps, times, opts: SolverOptions) -> _Problem:
+def _problem(backend: SpaceBackend, x, y, times, opts: SolverOptions) -> _Problem:
     """The solver problem of ``backend`` between ``x`` and ``y``."""
     if isinstance(backend, Density1DBackend):
-        return _DensityProblem(backend, x, y, eps, times, opts.quantile_points or max(x.n, 3))
+        return _DensityProblem(backend, x, y, times, opts.quantile_points or max(x.n, 3))
     if isinstance(backend, EuclideanBackend):
-        return _EuclideanProblem(backend, x, y, eps, times)
+        return _EuclideanProblem(backend, x, y, times)
     raise DomainError(f"no solver strategy for backend {type(backend).__name__}")
-
-
-def _cold_z(prob: _Problem, backend: SpaceBackend, x, y, opts: SolverOptions):
-    """The cold start of the descent: the packed recovery curve
-    ``S_{h_eps(t)} g_t``, the geodesic regularized by the tent profile
-    (provably an eps-good competitor)."""
-    geo = geodesic_curve(backend, x, y, opts.n_time + 1)
-    return prob.pack(build_regularized(backend, geo, prob.eps).tilde)
 
 
 def _check_endpoints(backend: SpaceBackend, x, y):
@@ -788,41 +777,46 @@ def _check_finite_entropy(backend, x, y):
             )
 
 
-def solves(backend: SpaceBackend, x, y, eps_list: Sequence[float],
+def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
            opts: Optional[SolverOptions] = None) -> Iterator[SchrodingerResult]:
     """Minimize the discretized entropic action between ``x`` and ``y`` for
-    every eps of ``eps_list`` in its order, as one chain: a generator that
-    yields the ``SchrodingerResult`` of each eps as it is solved.
+    every eps of ``eps_list`` in its order, as one chain on one problem: a
+    generator that yields the ``SchrodingerResult`` of each eps as it is
+    solved.
 
     At eps = 0 the closed form needs no start, and it leaves the chain as
     it is.  The first eps > 0 starts cold, from the recovery curve
-    ``S_{h_eps(t)} g_t``; each later one starts from the minimizer of the
-    eps > 0 solve before it and runs its first descent stage on the model
-    that solve ended with, under the rule of ``_staged_descent``.  That
+    ``S_{h_eps(t)} g_t``, the geodesic regularized by the tent profile
+    (provably an eps-good competitor); each later one starts from the
+    minimizer of the eps > 0 solve before it and runs its first descent
+    stage on the model that solve ended with, under the rule of
+    ``_staged_descent``.  That
     model lives in the generator, not in any result, so a chain holds one
     band at a time and a kept result holds none; a caller that strips each
     result as it comes holds one decision vector at a time.
     """
     opts = opts or SolverOptions()
+    eps_list = list(eps_list)  # checked, then solved: a one-shot iterable runs out
     for eps in eps_list:
         _check_eps(eps)
     _check_endpoints(backend, x, y)
     if any(eps > 0 for eps in eps_list):
         _check_finite_entropy(backend, x, y)
-    times = _uniform_times(opts.n_time)
+    prob = _problem(backend, x, y, _uniform_times(opts.n_time), opts)
     z, model = None, []
     for eps in eps_list:
-        prob = _problem(backend, x, y, eps, times, opts)
         if eps == 0.0:
             z0 = prob.geodesic_z()
-            kin, fis, g = prob.action(z0)
+            kin, fis, g = prob.action(z0, 0.0)
             yield SchrodingerResult(prob.to_curve(z0), kin, kin, fis, 0, True,
                                     float(np.max(np.abs(g))), 0.0, (kin,), z0)
             continue
-        z0 = _cold_z(prob, backend, x, y, opts) if z is None else z
+        if z is None:
+            geo = geodesic_curve(backend, x, y, opts.n_time + 1)
+            z = prob.pack(build_regularized(backend, geo, eps).tilde)
         z, iters, history, converged, stationarity, builds = _staged_descent(
-            prob, z0, opts.max_iter, opts.grad_tol, model)
-        kin, fis, _ = prob.action(z)
+            prob, z, eps, opts.max_iter, opts.grad_tol, model)
+        kin, fis, _ = prob.action(z, eps**2)
         yield SchrodingerResult(prob.to_curve(z), kin + eps**2 * fis, kin, fis, iters,
                                 converged, stationarity, eps, tuple(history), z, builds)
 
@@ -847,8 +841,8 @@ def discrete_action(backend: SpaceBackend, curve: Curve, eps: float,
     x, y = curve.points[0], curve.points[-1]
     _check_endpoints(backend, x, y)
     _check_curve(backend, curve)
-    prob = _problem(backend, x, y, eps, curve.times, opts)
-    kin, fis, _ = prob.action(prob.pack(curve))
+    prob = _problem(backend, x, y, curve.times, opts)
+    kin, fis, _ = prob.action(prob.pack(curve), eps**2)
     return kin + eps**2 * fis
 
 

@@ -267,33 +267,32 @@ def test_criterion_7_derivative_identity(quad_profile, density_profile):
 def test_criterion_8_solver_correctness(quad2d, boltzmann, quad_profile,
                                         density_profile):
     rng = np.random.default_rng(42)
-    prob_e = _EuclideanProblem(quad2d, np.zeros(2), np.array([1.0, 1.0]), 0.3,
-                               _uniform_times(15))
+    prob_e = _EuclideanProblem(quad2d, np.zeros(2), np.array([1.0, 1.0]), _uniform_times(15))
     base = prob_e.pack(geodesic_curve(quad2d, np.zeros(2), np.array([1.0, 1.0]), 16))
     grad_ok = True
     for _ in range(20):
         z = base + 0.2 * rng.standard_normal(base.size)
-        _, g = prob_e.value_grad(z)
+        _, g = prob_e.value_grad(z, 0.3**2)
         k = rng.integers(z.size)
         e = np.zeros_like(z)
         e[k] = 1e-6
-        fd = (prob_e.value_grad(z + e)[0] - prob_e.value_grad(z - e)[0]) / 2e-6
+        fd = (prob_e.value_grad(z + e, 0.3**2)[0] - prob_e.value_grad(z - e, 0.3**2)[0]) / 2e-6
         grad_ok &= abs(g[k] - fd) <= 1e-5 * max(1e-4, abs(fd))
 
     nd, dxd, x0d = 128, 22.0 / 128, -10.0
     ad = GridDensity.gaussian(0.0, 1.0, nd, dxd, x0d)
     bd = GridDensity.gaussian(2.0, 2.0, nd, dxd, x0d)
-    prob_d = _DensityProblem(boltzmann, ad, bd, 0.1, _uniform_times(7), 64)
+    prob_d = _DensityProblem(boltzmann, ad, bd, _uniform_times(7), 64)
     z0 = prob_d.geodesic_z()
     min_inc = np.min(np.diff(z0.reshape(prob_d.n_interior, prob_d.m), axis=1))
     for _ in range(20):
         z = z0 + 0.2 * min_inc * rng.standard_normal(z0.size)
-        _, g = prob_d.value_grad(z)
+        _, g = prob_d.value_grad(z, 0.1**2)
         k = rng.integers(z.size)
         h = 1e-7
         e = np.zeros_like(z)
         e[k] = h
-        fd = (prob_d.value_grad(z + e)[0] - prob_d.value_grad(z - e)[0]) / (2 * h)
+        fd = (prob_d.value_grad(z + e, 0.1**2)[0] - prob_d.value_grad(z - e, 0.1**2)[0]) / (2 * h)
         grad_ok &= abs(g[k] - fd) <= 1e-5 * max(1e-3, abs(fd))
 
     res_a = solve(quad2d, np.zeros(2), np.array([1.0, 1.0]), 0.3)

@@ -55,6 +55,13 @@ class TestCurve:
         with pytest.raises(InvalidCurve):
             Curve([0.0, 0.5, 0.5, 1.0], [np.zeros(1)] * 4)
 
+    def test_non_finite_time_rejected(self):
+        # a NaN node fails every comparison, so an increase test written as
+        # "no step <= 0" let it through, and the action of the curve was NaN
+        for t in (math.nan, math.inf):
+            with pytest.raises(InvalidCurve, match="finite"):
+                Curve([0.0, t, 1.0], [np.zeros(1)] * 3)
+
     def test_point_count_matches(self):
         with pytest.raises(InvalidCurve):
             Curve([0.0, 1.0], [np.zeros(1)] * 3)

@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 import math
 import pickle
 import re
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +29,7 @@ from entrogeo.errors import (
     InvalidCurve,
 )
 from entrogeo import solver as solver_mod
+from entrogeo.regularizer import build as build_regularized
 from entrogeo.solver import (
     SolverOptions,
     _banded_cholesky_solver,
@@ -42,6 +45,19 @@ from entrogeo.solver import (
 )
 
 from conftest import SWEEP, gaussian_on
+
+
+def _bench_oracles():
+    """``bench/oracles.py``, loaded by file path: the one home of the
+    closed forms that the benchmark and these tests check against."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("_bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+quadratic_well_cost = _bench_oracles().quadratic_well_cost
 
 
 class TestGeodesicCost:
@@ -133,11 +149,7 @@ class TestEuclideanSolve:
         res = solve(quad1d, x, y, eps, opts)
         assert res.converged
         assert res.iterations < opts.max_iter // 4
-        # quadratic-well closed form with kappa = eps * strength, center 0
-        kappa = eps
-        exact = kappa / (2.0 * math.sinh(kappa)) * (
-            (float(x @ x) + float(y @ y)) * math.cosh(kappa) - 2.0 * float(x @ y)
-        )
+        exact = quadratic_well_cost(eps, 1.0, np.zeros(1), x, y)
         assert res.cost == pytest.approx(exact, abs=1e-6)
 
     def test_lower_bound(self, quad1d):
@@ -164,7 +176,7 @@ class TestEuclideanSolve:
         n, dx, x0 = 64, 22.0 / 64, -10.0
         a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
         b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
-        prob = _DensityProblem(boltzmann, a, b, 0.0, _uniform_times(15), n)
+        prob = _DensityProblem(boltzmann, a, b, _uniform_times(15), n)
         _, w = _steps_and_weights(prob.times)
         for eps in (0.0, 0.2):
             res = solve(boltzmann, a, b, eps, SolverOptions(n_time=15))
@@ -254,14 +266,14 @@ class TestStalledDescent:
         value_grad = _EuclideanProblem.value_grad
         make_preconditioner = _EuclideanProblem.make_preconditioner
 
-        def feasible_at_start_only(prob, z):
+        def feasible_at_start_only(prob, z, sigma):
             if not start:
                 start.append(z.copy())
-            return value_grad(prob, z) if np.array_equal(z, start[0]) else (math.inf, None)
+            return value_grad(prob, z, sigma) if np.array_equal(z, start[0]) else (math.inf, None)
 
-        def counted(prob, z):
+        def counted(prob, z, sigma):
             builds.append(z.copy())
-            model = make_preconditioner(prob, z)
+            model = make_preconditioner(prob, z, sigma)
             # a reversed model gives an ascent direction, which the descent
             # replaces by steepest descent without testing the decrement
             return (lambda d: -model(d)) if reverse else model
@@ -283,26 +295,20 @@ class TestEuclideanGradient:
         # the double well without hess_v takes its Hessian from central
         # differences of grad V
         for be in (quad2d, _double_well(True), _double_well(False)):
-            prob = _EuclideanProblem(be, np.zeros(2), np.array([1.0, 1.0]),
-                                     0.3, _uniform_times(15))
+            prob = _EuclideanProblem(be, np.zeros(2), np.array([1.0, 1.0]), _uniform_times(15))
+            sigma = 0.3**2
             rng = np.random.default_rng(1)
             base = prob.pack(geodesic_curve(be, np.zeros(2), np.array([1.0, 1.0]), 16))
             for trial in range(20):
                 z = base + 0.2 * rng.standard_normal(base.size)
-                _, g = prob.value_grad(z)
+                _, g = prob.value_grad(z, sigma)
                 k = rng.integers(z.size)
                 h = 1e-6
                 e = np.zeros_like(z)
                 e[k] = h
-                fd = (prob.value_grad(z + e)[0] - prob.value_grad(z - e)[0]) / (2 * h)
+                fd = (prob.value_grad(z + e, sigma)[0]
+                      - prob.value_grad(z - e, sigma)[0]) / (2 * h)
                 assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-10)
-
-
-def _quadratic_well_cost(eps, strength, center, x, y):
-    kappa = eps * strength
-    a, b = x - center, y - center
-    return kappa / (2.0 * math.sinh(kappa)) * (
-        (float(a @ a) + float(b @ b)) * math.cosh(kappa) - 2.0 * float(a @ b))
 
 
 def _double_well(with_hess: bool):
@@ -334,9 +340,10 @@ def _steps_and_weights(times):
     return dts, w
 
 
-def _dense_model_check(prob, z0, model, rtol=1e-10):
-    """The preconditioner of ``prob`` at ``z0`` inverts ``model`` to ``rtol``."""
-    apply = prob.make_preconditioner(z0)
+def _dense_model_check(prob, z0, sigma, model, rtol=1e-10):
+    """The preconditioner of ``prob`` at ``z0`` and Fisher weight ``sigma``
+    inverts ``model`` to ``rtol``."""
+    apply = prob.make_preconditioner(z0, sigma)
     rng = np.random.default_rng(3)
     for _ in range(3):
         v = rng.standard_normal(z0.size)
@@ -365,7 +372,7 @@ class TestEuclideanModel:
         assert res.converged
         assert res.iterations <= 2
         assert res.stationarity <= 1e-12
-        exact = _quadratic_well_cost(eps, strength, center, x, y)
+        exact = quadratic_well_cost(eps, strength, center, x, y)
         assert res.cost == pytest.approx(exact, abs=1e-6)
 
     def test_nonconvex_double_well_converges(self):
@@ -381,7 +388,7 @@ class TestEuclideanModel:
         be = _double_well(True)
         times = np.linspace(0.0, 1.0, 7) ** 1.4
         eps = 0.6
-        prob = _EuclideanProblem(be, np.array([-1.0, 0.3]), np.array([1.1, -0.2]), eps, times)
+        prob = _EuclideanProblem(be, np.array([-1.0, 0.3]), np.array([1.1, -0.2]), times)
         z0 = np.random.default_rng(2).uniform(-1.0, 1.0, prob.n_interior * 2)
         dts, w = _steps_and_weights(times)
         nI = prob.n_interior
@@ -394,18 +401,19 @@ class TestEuclideanModel:
             if i + 1 < nI:
                 nxt = slice(2 * i + 2, 2 * i + 4)
                 model[blk, nxt] = model[nxt, blk] = -np.eye(2) / dts[i + 1]
-        _dense_model_check(prob, z0, model)
+        _dense_model_check(prob, z0, eps**2, model)
 
 
 def _dense_density_model(be):
-    """A density problem, a perturbed geodesic ``z0`` and its Gauss-Newton
-    model assembled densely, the Fisher Jacobian by complex step."""
+    """A density problem, a perturbed geodesic ``z0``, the Fisher weight and
+    the Gauss-Newton model assembled densely, the Fisher Jacobian by complex
+    step."""
     n, dx, x0 = 32, 22.0 / 32, -10.0
     a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
     b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
     times = np.linspace(0.0, 1.0, 7) ** 1.5  # 5 interior nodes, non-uniform
     eps, m = 0.5, 12
-    prob = _DensityProblem(be, a, b, eps, times, m)
+    prob = _DensityProblem(be, a, b, times, m)
     nI, w, H = prob.n_interior, prob.row_mass, prob.H
     z0 = prob.geodesic_z()
     rng = np.random.default_rng(4)
@@ -423,7 +431,7 @@ def _dense_density_model(be):
         if i + 1 < nI:
             nxt = slice((i + 1) * m, (i + 2) * m)
             model[blk, nxt] = model[nxt, blk] = -np.diag(w) / dts[i + 1]
-    return prob, z0, model
+    return prob, z0, eps**2, model
 
 
 class TestDensityModel:
@@ -446,7 +454,7 @@ class TestGradedNodes:
         # rows at m = 256 measure 2.4e-3 (s = 1) and 3.5e-3 (s = 2) below
         # it, where uniform midpoints lose 7e-2 to the dropped tails
         a, b = gaussian_on(SWEEP, 0.0, 1.0), gaussian_on(SWEEP, 2.0, 2.0)
-        prob = _DensityProblem(boltzmann, a, b, 0.1, _uniform_times(3), 256)
+        prob = _DensityProblem(boltzmann, a, b, _uniform_times(3), 256)
         S, _ = prob._slope_sq(prob._stack(prob.geodesic_z()))
         assert S[0] == pytest.approx(1.0, rel=4e-3)
         assert S[-1] == pytest.approx(0.25, rel=4e-3)
@@ -455,16 +463,18 @@ class TestGradedNodes:
 
 
 def _near_dirac_problem(be):
-    """The cold start of a problem whose density models all break down in
-    float32: a point mass and a narrow Gaussian on [0, 1] at n = 64, both
-    mollified by the flow for sqrt(eps), at eps = 0.4 and 7 time nodes."""
+    """A problem whose density models all break down in float32, its eps
+    and the cold start of its solve: a point mass and a narrow Gaussian on
+    [0, 1] at n = 64, both mollified by the flow for sqrt(eps), at eps = 0.4
+    and 7 time nodes."""
     n, eps = 64, 0.4
     x = GridDensity.point_mass(int(0.35 * n), n, 1.0 / n)
     y = GridDensity.gaussian(0.7, 0.15, n, 1.0 / n)
     x, y = be.flows([x, y], [math.sqrt(eps)] * 2)
-    opts = SolverOptions(n_time=7)
-    prob = _DensityProblem(be, x, y, eps, _uniform_times(opts.n_time), n)
-    return prob, solver_mod._cold_z(prob, be, x, y, opts)
+    n_time = 7
+    prob = _DensityProblem(be, x, y, _uniform_times(n_time), n)
+    return prob, eps, prob.pack(build_regularized(
+        be, geodesic_curve(be, x, y, n_time + 1), eps).tilde)
 
 
 class TestModelFactorization:
@@ -488,7 +498,7 @@ class TestModelFactorization:
         np.testing.assert_allclose([x[0] + c * x[1], c * x[0] + x[1]], 1.0, rtol=1e-14)
 
     def test_float32_breakdown_refactors_the_float64_rows(self, boltzmann, monkeypatch):
-        prob, z0 = _near_dirac_problem(boltzmann)
+        prob, eps, z0 = _near_dirac_problem(boltzmann)
         factor = solver_mod._banded_cholesky_solver
         outcomes, rounded = [], []
 
@@ -506,18 +516,18 @@ class TestModelFactorization:
         v = np.random.default_rng(6).standard_normal(z0.size)
         with monkeypatch.context() as patch:
             patch.setattr(solver_mod, "_banded_cholesky_solver", recorded)
-            got = prob.make_preconditioner(z0)(v)
+            got = prob.make_preconditioner(z0, eps**2)(v)
         assert outcomes == [(np.float32, False), (np.float64, True)]
         # the float32 rounding itself makes the model indefinite: the
         # rounded band breaks down in float64 too
         with pytest.raises(EntrogeoError, match="not positive definite"):
             factor(rounded[0], "rounded model")
         _float32_breaks_down(monkeypatch)
-        assert prob.make_preconditioner(z0)(v).tobytes() == got.tobytes()
+        assert prob.make_preconditioner(z0, eps**2)(v).tobytes() == got.tobytes()
 
     def test_solve_whose_builds_all_break_down_is_the_float64_solve(self, boltzmann,
                                                                     monkeypatch):
-        prob, _ = _near_dirac_problem(boltzmann)
+        prob, eps, _ = _near_dirac_problem(boltzmann)
         opts = SolverOptions(n_time=prob.n_interior)
         lapack, infos = solver_mod._lapack, []
 
@@ -529,10 +539,10 @@ class TestModelFactorization:
         with monkeypatch.context() as patch:
             patch.setattr(solver_mod, "_lapack", SimpleNamespace(
                 spbtrf=spbtrf, spbtrs=lapack.spbtrs, dpbtrf=lapack.dpbtrf, dpbtrs=lapack.dpbtrs))
-            res = solve(boltzmann, prob.x, prob.y, prob.eps, opts)
+            res = solve(boltzmann, prob.x, prob.y, eps, opts)
         assert infos and all(infos)
         _float32_breaks_down(monkeypatch)
-        forced = solve(boltzmann, prob.x, prob.y, prob.eps, opts)
+        forced = solve(boltzmann, prob.x, prob.y, eps, opts)
         assert res.decision.tobytes() == forced.decision.tobytes()
         assert (res.cost, res.iterations, res.stationarity) == (
             forced.cost, forced.iterations, forced.stationarity)
@@ -540,13 +550,13 @@ class TestModelFactorization:
     def test_second_model_leaves_the_first_intact(self, boltzmann):
         a = GridDensity.gaussian(0.0, 1.0, 32, 22.0 / 32, -10.0)
         b = GridDensity.gaussian(2.0, 2.0, 32, 22.0 / 32, -10.0)
-        prob = _DensityProblem(boltzmann, a, b, 0.5, _uniform_times(7), 12)
+        prob = _DensityProblem(boltzmann, a, b, _uniform_times(7), 12)
         z0 = prob.geodesic_z()
         v = np.random.default_rng(5).standard_normal(z0.size)
-        first = prob.make_preconditioner(z0)
+        first = prob.make_preconditioner(z0, 0.25)
         want = first(v)
         # a second model built while the first lives must not overwrite it
-        second = prob.make_preconditioner(z0 * 1.01)
+        second = prob.make_preconditioner(z0 * 1.01, 0.25)
         np.testing.assert_array_equal(first(v), want)
         assert not np.array_equal(second(v), want)
 
@@ -587,6 +597,18 @@ class TestDensitySolve:
         res = bridge_from_flow(boltzmann, a, eps, SolverOptions(n_time=63))
         target = eps * (boltzmann.entropy(a) - boltzmann.entropy(boltzmann.flow(a, eps)))
         assert res.cost == pytest.approx(target, rel=2e-2)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0])
+    def test_porous_solve_between_a_flow_pair_meets_the_bound(self, porous2, eps):
+        # between x and y = S_eps x the cost is exactly eps (E(x) - E(y)),
+        # the action of the flow curve, and no curve costs less; the solves
+        # measure 9.7e-4, 7.3e-4, 6.4e-4 and 6.2e-4 above it
+        x = gaussian_on(SWEEP, 0.0, 1.0)
+        y = porous2.flow(x, eps)
+        bound = eps * (porous2.entropy(x) - porous2.entropy(y))
+        res = solve(porous2, x, y, eps)
+        assert res.converged
+        assert bound <= res.cost <= (1.0 + 1e-3) * bound
 
     def test_descent_history_monotone(self, boltzmann, sweep_pair):
         a, b = sweep_pair
@@ -723,21 +745,22 @@ class TestQuantileSamples:
             _quantile_samples([ds[0], other], np.array([0.5]))
 
 
-def _density_fd_check(prob, seed, trials):
-    """Adjoint gradient against central differences at bounded random
-    perturbations of the geodesic, which keep every increment positive; the
-    step is a fixed fraction of the smallest increment."""
+def _density_fd_check(prob, sigma, seed, trials):
+    """Adjoint gradient at Fisher weight ``sigma`` against central
+    differences at bounded random perturbations of the geodesic, which keep
+    every increment positive; the step is a fixed fraction of the smallest
+    increment."""
     rng = np.random.default_rng(seed)
     z0 = prob.geodesic_z()
     min_inc = np.min(np.diff(z0.reshape(prob.n_interior, prob.m), axis=1))
     for trial in range(trials):
         z = z0 + 0.2 * min_inc * rng.uniform(-1.0, 1.0, z0.size)
-        _, g = prob.value_grad(z)
+        _, g = prob.value_grad(z, sigma)
         k = rng.integers(z.size)
         h = 1e-4 * np.min(np.diff(z.reshape(prob.n_interior, prob.m), axis=1))
         e = np.zeros_like(z)
         e[k] = h
-        fd = (prob.value_grad(z + e)[0] - prob.value_grad(z - e)[0]) / (2 * h)
+        fd = (prob.value_grad(z + e, sigma)[0] - prob.value_grad(z - e, sigma)[0]) / (2 * h)
         assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -746,22 +769,22 @@ class TestDensityGradient:
         n, dx, x0 = 128, 22.0 / 128, -10.0
         a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
         b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
-        _density_fd_check(_DensityProblem(boltzmann, a, b, 0.1, _uniform_times(7), 64), 5, 20)
+        _density_fd_check(_DensityProblem(boltzmann, a, b, _uniform_times(7), 64), 0.1**2, 5, 20)
 
     def test_porous_gradient_matches_finite_differences(self, porous2):
         n, dx, x0 = 128, 22.0 / 128, -10.0
         a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
         b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
-        _density_fd_check(_DensityProblem(porous2, a, b, 0.1, _uniform_times(7), 64), 6, 10)
+        _density_fd_check(_DensityProblem(porous2, a, b, _uniform_times(7), 64), 0.1**2, 6, 10)
 
     def test_infeasible_trial_returns_inf(self, boltzmann):
         n, dx, x0 = 64, 22.0 / 64, -10.0
         a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
         b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
-        prob = _DensityProblem(boltzmann, a, b, 0.1, _uniform_times(3), 32)
+        prob = _DensityProblem(boltzmann, a, b, _uniform_times(3), 32)
         z = prob.geodesic_z()
         z[1], z[0] = z[0], z[1] + 1.0  # break monotonicity
-        v, g = prob.value_grad(z)
+        v, g = prob.value_grad(z, 0.1**2)
         assert v == math.inf and g is None
 
 
@@ -820,9 +843,9 @@ def _record_models(monkeypatch, before_build=lambda built: None):
     that ``before_build`` is shown before each build."""
     built, build = [], _DensityProblem.make_preconditioner
 
-    def recorded(prob, z0):
+    def recorded(prob, z0, sigma):
         before_build(built)
-        model = build(prob, z0)
+        model = build(prob, z0, sigma)
         built.append(weakref.ref(model))
         return model
 
@@ -860,19 +883,43 @@ class TestInheritedModel:
         # that a model of the row's own eps, factored afresh at its
         # minimizer, also meets the rule -g.d <= grad_tol eps^2 |v|
         opts = SolverOptions(n_time=15)
+        prob = _DensityProblem(boltzmann, *pair, _uniform_times(opts.n_time), pair[0].n)
         for res in _chain(boltzmann, *pair, eps_list):
-            prob = _DensityProblem(boltzmann, *pair, res.eps, _uniform_times(opts.n_time), pair[0].n)
-            v, g = prob.value_grad(res.decision)
-            own = float(np.sum(g * prob.make_preconditioner(res.decision)(g))) / (res.eps**2 * v)
+            sigma = res.eps**2
+            v, g = prob.value_grad(res.decision, sigma)
+            own = float(np.sum(g * prob.make_preconditioner(res.decision, sigma)(g))) / (sigma * v)
             assert 0.0 < own <= opts.grad_tol
             assert own <= res.stationarity * (1.0 + 1e-4)
+
+    def test_chain_builds_one_problem(self, boltzmann, pair, monkeypatch):
+        # eps enters each evaluation and model as sigma = eps^2, so the rows
+        # of a sweep's chain, the eps = 0 row included, share one problem
+        built, init = [], _DensityProblem.__init__
+
+        def counted(prob, *args):
+            built.append(prob)
+            init(prob, *args)
+
+        monkeypatch.setattr(_DensityProblem, "__init__", counted)
+        chain = _chain(boltzmann, *pair, [0.2, 0.175, 0.15, 0.125, 0.1, 0.075, 0.05, 0.025, 0.0])
+        assert len(chain) == 9 and all(r.converged for r in chain)
+        assert len(built) == 1
+
+    def test_one_shot_eps_iterable_solves_like_a_list(self, boltzmann, pair):
+        # the eps are checked before the chain runs; a generator read twice
+        # used to be spent by the check and yield nothing
+        eps_list = [0.2, 0.0, 0.1]
+        listed = [r.to_record() for r in _chain(boltzmann, *pair, eps_list)]
+        assert len(listed) == 3
+        for once in ((e for e in eps_list), map(float, eps_list)):
+            assert [r.to_record() for r in _chain(boltzmann, *pair, once)] == listed
 
     def test_euclidean_chain_inherits(self, quad2d):
         chain = _chain(quad2d, np.zeros(2), np.array([1.0, 1.0]), [0.3, 0.2, 0.1, 0.05])
         assert [r.model_builds for r in chain] == [1, 0, 0, 1]
         for res in chain:
             assert res.cost == pytest.approx(
-                _quadratic_well_cost(res.eps, 1.0, np.zeros(2), np.zeros(2), np.ones(2)), rel=1e-3)
+                quadratic_well_cost(res.eps, 1.0, np.zeros(2), np.zeros(2), np.ones(2)), rel=1e-3)
 
     def test_eps_zero_leaves_the_chain_as_it_is(self, boltzmann, pair):
         # an eps = 0 solve in a chain starts from nothing and hands on nothing
