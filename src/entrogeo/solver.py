@@ -17,7 +17,7 @@ Cholesky, seeds the two-loop recursion and is rebuilt between descent
 stages.  ``solves`` builds one problem and chains the solves of a list of
 eps on it: each starts from the minimizer of the one before and first runs
 on the model that solve ended with, if that model's eps is within a factor
-4 of its own (see ``_staged_descent``), so a sweep chain factors a model
+4 of its own (the rule is in ``solves``), so a sweep chain factors a model
 only every few rows.  A step is accepted on the Armijo test, or else on the
 approximate-Wolfe slope test of Hager & Zhang with the value allowed to
 rise by at most 1e-14 relative, so that iterates at the roundoff floor of
@@ -144,7 +144,7 @@ class SchrodingerResult:
     last iterate tested (at most ``grad_tol`` when converged), and at eps = 0
     the max-norm of the closed form's gradient, which is roundoff.  Under a
     model inherited from a larger eps it is an upper bound of that ratio
-    for the solve's own model (see ``_staged_descent``).  ``decision`` is
+    for the solve's own model (see ``solves``).  ``decision`` is
     the minimizer in decision coordinates.  ``model_builds`` counts the
     Hessian models the solve factored: 0 at eps = 0 and for a chained solve
     that converged on the model of the one before.
@@ -173,8 +173,8 @@ def _uniform_times(n_time: int) -> np.ndarray:
 
 
 # Armijo constant, backtracking factor and L-BFGS memory of _lbfgs_armijo;
-# iterations per preconditioner of _staged_descent, and the largest ratio
-# of the eps^2 of an inherited model to the solve's own, either way
+# iterations per descent stage of solves, and the largest ratio of the
+# eps^2 of an inherited model to the solve's own, either way
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _LBFGS_MEMORY = 12
@@ -294,60 +294,6 @@ def _lbfgs_armijo(value_grad, z0, tol: float, precond, budget: int):
         history.append(v)
 
     return z, budget, history, False, False, decrement
-
-
-def _staged_descent(prob, z0, eps: float, max_iter: int, grad_tol: float, model: list):
-    """Drive L-BFGS in stages, rebuilding the preconditioner between them.
-
-    The quadratic model behind ``prob.make_preconditioner`` is only
-    trustworthy near the point it was assembled at; when a stage exhausts
-    its budget without reaching stationarity the model is re-assembled at
-    the current iterate and the memory restarted.  A stage that stalls
-    twice in a row ends the descent (the line search cannot make progress).
-
-    The solve minimizes ``prob``'s action at ``eps``.  ``model`` is a list
-    of at most one ``(precond, eps_model)``, the model
-    a chained solve before this one ended with.  It is popped, and the
-    first stage runs on it when its ``r = (eps_model / eps)^2`` has
-    ``max(r, 1/r) <= _INHERIT_RATIO``; otherwise it is dropped, and its
-    band freed, before the first build.  At a fixed point the model of an eps below
-    ``eps_model`` is ``K + eps^2 F >= (eps / eps_model)^2 (K + eps_model^2
-    F)`` (``K`` kinetic, ``F`` Fisher), so the decrement under
-    the inherited model, scaled by ``max(1, r)``, bounds the one under the
-    solve's own model: the stopping target is divided by that factor and
-    the reported stationarity multiplied by it.
-    A converged stage puts its ``(precond, eps_model)`` back into
-    ``model`` for the next solve of the chain.  Returns ``(z, iterations,
-    history, converged, stationarity, builds)``, the stationarity the
-    final stage's (scaled) decrement over eps^2.
-    """
-    z = np.asarray(z0, dtype=float).copy()
-    sigma = eps**2
-    total, builds = 0, 0
-    history = []
-    stalled_before, converged, decrement = False, False, math.inf
-    precond, eps_model = model.pop() if model else (None, eps)
-    if precond is not None and not (
-            1.0 / _INHERIT_RATIO <= (eps_model / eps) ** 2 <= _INHERIT_RATIO):
-        precond = None
-    while total < max_iter and not converged:
-        if precond is None:
-            precond, eps_model = prob.make_preconditioner(z, sigma), eps
-            builds += 1
-        scale = max(1.0, (eps_model / eps) ** 2)
-        z, it, hist, converged, stalled, decrement = _lbfgs_armijo(
-            lambda z: prob.value_grad(z, sigma), z, grad_tol * sigma / scale, precond,
-            min(_STAGE_BUDGET, max_iter - total))
-        history.extend(hist if not history else hist[1:])
-        total += it
-        if not converged:
-            precond = None  # released before the next build
-        if stalled and stalled_before:
-            break
-        stalled_before = stalled
-    if precond is not None:
-        model.append((precond, eps_model))
-    return z, total, history, converged, decrement * scale / sigma, builds
 
 
 def _banded_cholesky_solver(ab: np.ndarray, model: str):
@@ -788,12 +734,29 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     it is.  The first eps > 0 starts cold, from the recovery curve
     ``S_{h_eps(t)} g_t``, the geodesic regularized by the tent profile
     (provably an eps-good competitor); each later one starts from the
-    minimizer of the eps > 0 solve before it and runs its first descent
-    stage on the model that solve ended with, under the rule of
-    ``_staged_descent``.  That
-    model lives in the generator, not in any result, so a chain holds one
-    band at a time and a kept result holds none; a caller that strips each
-    result as it comes holds one decision vector at a time.
+    minimizer of the eps > 0 solve before it.
+
+    An eps > 0 solve runs ``_lbfgs_armijo`` in stages of at most
+    ``_STAGE_BUDGET`` iterations, each on one factored quadratic model of
+    ``prob.make_preconditioner``.  That model is only trustworthy near the
+    point it was assembled at: when a stage ends without reaching
+    stationarity, the model is released, re-assembled at the current
+    iterate and the memory restarted.  Two stages in a row whose line
+    search stalls end the solve (it cannot make progress).
+
+    A converged solve hands its model, factored at ``eps_model``, on to the
+    next eps of the chain, whose first stage runs on it when its
+    ``r = (eps_model / eps)^2`` has ``max(r, 1/r) <= _INHERIT_RATIO``;
+    otherwise it is released before the first build.  At a fixed point the
+    model of an eps below ``eps_model`` is ``K + eps^2 F >= (eps /
+    eps_model)^2 (K + eps_model^2 F)`` (``K`` kinetic, ``F`` Fisher), so
+    the decrement under the inherited model, scaled by ``max(1, r)``,
+    bounds the one under the solve's own model: the stopping target is
+    divided by that factor and the reported stationarity, the final
+    stage's decrement over eps^2, multiplied by it.  The model lives in the
+    generator, not in any result, so a chain holds one band at a time and a
+    kept result holds none; a caller that strips each result as it comes
+    holds one decision vector at a time.
     """
     opts = opts or SolverOptions()
     eps_list = list(eps_list)  # checked, then solved: a one-shot iterable runs out
@@ -803,7 +766,7 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     if any(eps > 0 for eps in eps_list):
         _check_finite_entropy(backend, x, y)
     prob = _problem(backend, x, y, _uniform_times(opts.n_time), opts)
-    z, model = None, []
+    z, precond, eps_model = None, None, None
     for eps in eps_list:
         if eps == 0.0:
             z0 = prob.geodesic_z()
@@ -814,11 +777,30 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
         if z is None:
             geo = geodesic_curve(backend, x, y, opts.n_time + 1)
             z = prob.pack(build_regularized(backend, geo, eps).tilde)
-        z, iters, history, converged, stationarity, builds = _staged_descent(
-            prob, z, eps, opts.max_iter, opts.grad_tol, model)
-        kin, fis, _ = prob.action(z, eps**2)
-        yield SchrodingerResult(prob.to_curve(z), kin + eps**2 * fis, kin, fis, iters,
-                                converged, stationarity, eps, tuple(history), z, builds)
+        sigma = eps**2
+        if precond is not None and not (
+                1.0 / _INHERIT_RATIO <= (eps_model / eps) ** 2 <= _INHERIT_RATIO):
+            precond = None
+        iters, builds, history = 0, 0, []
+        stalled_before, converged = False, False
+        while iters < opts.max_iter and not converged:
+            if precond is None:
+                precond, eps_model = prob.make_preconditioner(z, sigma), eps
+                builds += 1
+            scale = max(1.0, (eps_model / eps) ** 2)
+            z, it, hist, converged, stalled, decrement = _lbfgs_armijo(
+                lambda z: prob.value_grad(z, sigma), z, opts.grad_tol * sigma / scale,
+                precond, min(_STAGE_BUDGET, opts.max_iter - iters))
+            history.extend(hist if not history else hist[1:])
+            iters += it
+            if not converged:
+                precond = None  # released before the next build
+            if stalled and stalled_before:
+                break
+            stalled_before = stalled
+        kin, fis, _ = prob.action(z, sigma)
+        yield SchrodingerResult(prob.to_curve(z), kin + sigma * fis, kin, fis, iters, converged,
+                                decrement * scale / sigma, eps, tuple(history), z, builds)
 
 
 def solve(backend: SpaceBackend, x, y, eps: float,

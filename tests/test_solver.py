@@ -57,7 +57,8 @@ def _bench_oracles():
     return module
 
 
-quadratic_well_cost = _bench_oracles().quadratic_well_cost
+_oracles = _bench_oracles()
+quadratic_well_cost, gaussian_cost = _oracles.quadratic_well_cost, _oracles.gaussian_cost
 
 
 class TestGeodesicCost:
@@ -591,24 +592,61 @@ class TestDensitySolve:
 
     def test_bridge_identity_boltzmann(self, boltzmann):
         # A_eps along the flow equals eps (E(x) - E(S_eps x)); both sides by
-        # independent grid quadratures, 2% slack for the discretization
+        # independent grid quadratures, which differ by 5.1e-4 relative
         a = gaussian_on(SWEEP, 0.0, 1.0)
         eps = 0.1
         res = bridge_from_flow(boltzmann, a, eps, SolverOptions(n_time=63))
         target = eps * (boltzmann.entropy(a) - boltzmann.entropy(boltzmann.flow(a, eps)))
-        assert res.cost == pytest.approx(target, rel=2e-2)
+        assert res.cost == pytest.approx(target, rel=1e-3)
 
-    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0])
-    def test_porous_solve_between_a_flow_pair_meets_the_bound(self, porous2, eps):
+    @pytest.mark.parametrize("entropy, eps", [
+        *(pytest.param("porous2", eps, id=str(eps)) for eps in (0.1, 0.5, 1.0, 2.0)),
+        *(pytest.param("boltzmann", eps, id=f"boltzmann-{eps}", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="the quantile Fisher stencil charges too little: the Boltzmann solves "
+            "cost 1.22e-3 (eps 0.1) and 1.85e-3 (eps 0.2) relative below "
+            "eps (E(x) - E(S_eps x)), in 4 and 73 iterations, both reported converged"))
+          for eps in (0.1, 0.2)),
+    ])
+    def test_porous_solve_between_a_flow_pair_meets_the_bound(self, entropy, eps, request):
         # between x and y = S_eps x the cost is exactly eps (E(x) - E(y)),
-        # the action of the flow curve, and no curve costs less; the solves
-        # measure 9.7e-4, 7.3e-4, 6.4e-4 and 6.2e-4 above it
+        # the action of the flow curve, and no curve costs less; the porous
+        # solves measure 9.7e-4, 7.3e-4, 6.4e-4 and 6.2e-4 above it
+        be = request.getfixturevalue(entropy)
         x = gaussian_on(SWEEP, 0.0, 1.0)
-        y = porous2.flow(x, eps)
-        bound = eps * (porous2.entropy(x) - porous2.entropy(y))
-        res = solve(porous2, x, y, eps)
+        y = be.flow(x, eps)
+        bound = eps * (be.entropy(x) - be.entropy(y))
+        res = solve(be, x, y, eps)
         assert res.converged
         assert bound <= res.cost <= (1.0 + 1e-3) * bound
+
+    @pytest.mark.parametrize("eps_list", [
+        pytest.param([0.2, 0.1, 0.05, 0.025], id="chain"),
+        pytest.param([0.5], id="0.5", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="the quantile Fisher stencil charges too little: at eps 0.5 fisher "
+            "reads 3.49e-2 relative below the closed form, after 139 iterations")),
+    ])
+    def test_gaussian_kinetic_and_fisher_match_the_closed_form(self, boltzmann, eps_list):
+        # the exact cost C is the minimum of K + sigma F over curves, sigma =
+        # eps^2, so by the envelope theorem the minimizer's F is dC/dsigma
+        # (here a central difference) and its K is C - sigma F.  On the
+        # bench's seed-1 pair the chain measures F 3.23e-3 to 3.31e-3 below,
+        # K 5.21e-5 to 5.22e-5 and the cost 4.1e-5 to 5.2e-5 above, relative
+        m0, s0, m1, s1 = -0.1463, 1.0347, 2.1055, 1.951
+        x, y = gaussian_on(SWEEP, m0, s0), gaussian_on(SWEEP, m1, s1)
+
+        def cost(sigma):
+            return gaussian_cost(math.sqrt(sigma), m0, s0, m1, s1)
+
+        h = 1e-4
+        for res in solves(boltzmann, x, y, eps_list):
+            sigma = res.eps**2
+            fisher = (cost(sigma + h) - cost(sigma - h)) / (2.0 * h)
+            assert res.converged
+            assert res.fisher == pytest.approx(fisher, rel=3.6e-3)
+            assert res.kinetic == pytest.approx(cost(sigma) - sigma * fisher, rel=5.7e-5)
+            assert res.cost == pytest.approx(cost(sigma), rel=5.7e-5)
 
     def test_descent_history_monotone(self, boltzmann, sweep_pair):
         a, b = sweep_pair
