@@ -66,6 +66,10 @@ class QuadraticPotential(Potential):
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "strength", float(strength))
+        # the Hessian is the same at every x: one read-only matrix serves all
+        hess = self.strength * np.eye(center.size)
+        hess.setflags(write=False)
+        object.__setattr__(self, "_hess", hess)
 
     @property
     def dim(self) -> int:
@@ -83,7 +87,7 @@ class QuadraticPotential(Potential):
         return self.strength * (np.asarray(x, dtype=float) - self.center)
 
     def hess(self, x):
-        return self.strength * np.eye(self.dim)
+        return self._hess
 
     def flow(self, x, s):
         _check_flow_time(s)

@@ -18,10 +18,14 @@ stages.  ``solves`` builds one problem and chains the solves of a list of
 eps on it: each starts from the minimizer of the one before and first runs
 on the model that solve ended with, if that model's eps is within a factor
 4 of its own (the rule is in ``solves``), so a sweep chain factors a model
-only every few rows.  A step is accepted on the Armijo test, or else on the
-approximate-Wolfe slope test of Hager & Zhang with the value allowed to
-rise by at most 1e-14 relative, so that iterates at the roundoff floor of
-the action are not rejected.  Every solve stops when the decrease the
+only every few rows.  A problem keeps the eps-free parts of its last
+evaluation, so the start of a chained solve and the cost split after a
+descent, both at the iterate evaluated last, evaluate nothing afresh; and
+a rebuilt density model refills the band of the model its chain released
+rather than mapping a new one.  A step is accepted on the Armijo test, or
+else on the approximate-Wolfe slope test of Hager & Zhang with the value
+allowed to rise by at most 1e-14 relative, so that iterates at the
+roundoff floor of the action are not rejected.  Every solve stops when the decrease the
 model predicts for the next step, ``-g.d``, is at most ``grad_tol eps^2``
 times the action (less under a model inherited from a larger eps, so that
 the bound holds for the solve's own model); the eps^2 matches the sweep
@@ -335,8 +339,8 @@ class _Problem:
     ``value_grad`` and ``make_preconditioner`` as the Fisher weight
     ``sigma = eps^2``.  Subclasses supply ``_slope_sq``, the squared slope
     of every row and its gradient at the interior rows (a fresh array,
-    which ``action`` overwrites), and ``make_preconditioner``; they also
-    add ``pack``, ``to_curve`` and ``value_grad``.
+    which ``action`` keeps), and ``make_preconditioner``; they also add
+    ``pack``, ``to_curve`` and ``value_grad``.
     """
 
     def __init__(self, times, first: np.ndarray, last: np.ndarray, row_mass):
@@ -346,6 +350,16 @@ class _Problem:
         self.n_interior = self.times.size - 2
         self.first, self.last = first, last
         self.row_mass = row_mass
+        # the sigma-free parts of the last evaluation, keyed by the bytes of
+        # its z: (key, kin, fis, scaled momenta, Fisher gradient)
+        self._kept = None
+        self._released = None  # the band of a released model, see release
+
+    def release(self, model) -> None:
+        """Take back ``model``, which its chain drops: the next
+        ``make_preconditioner`` zeroes and refills its float32 band, if it
+        has one, instead of mapping a new one."""
+        self._released = getattr(model, "band", None)
 
     def geodesic_z(self) -> np.ndarray:
         """The straight line between the end rows: the exact minimizer of
@@ -360,16 +374,26 @@ class _Problem:
     def action(self, z: np.ndarray, sigma: float):
         """Kinetic part ``1/2 sum_i row_mass . (Z_{i+1} - Z_i)^2 / dt_i`` and
         Fisher part ``1/2 sum_i w_i S_i`` of the action at ``z``, and the
-        gradient of ``kin + sigma fis``."""
-        rows = self._stack(z)
-        mom = np.diff(rows, axis=0)
-        kin = 0.5 * float(np.sum(self.row_mass * mom**2 / self.dts[:, None]))
-        mom *= self.row_mass / self.dts[:, None]
-        S, grad = self._slope_sq(rows)
-        grad *= 0.5 * sigma * self.weights[1:-1, None]
+        gradient of ``kin + sigma fis``.
+
+        None of ``kin``, ``fis``, the momenta and the Fisher gradient depends
+        on sigma; they are kept from the last evaluation, so an action at
+        the same ``z`` (the start of a chained solve, the cost split after a
+        descent) only recombines them, bit for bit as a fresh evaluation
+        would."""
+        key = z.tobytes()
+        if self._kept is None or self._kept[0] != key:
+            rows = self._stack(z)
+            mom = np.diff(rows, axis=0)
+            kin = 0.5 * float(np.sum(self.row_mass * mom**2 / self.dts[:, None]))
+            mom *= self.row_mass / self.dts[:, None]
+            S, dS = self._slope_sq(rows)
+            self._kept = key, kin, 0.5 * _dot(self.weights, S), mom, dS
+        _, kin, fis, mom, dS = self._kept
+        grad = dS * (0.5 * sigma * self.weights[1:-1, None])
         grad += mom[:-1]
         grad -= mom[1:]
-        return kin, 0.5 * _dot(self.weights, S), grad.ravel()
+        return kin, fis, grad.ravel()
 
     def _kinetic_bands(self):
         """Diagonal and off-diagonal of the kinetic Hessian in time, one
@@ -676,11 +700,17 @@ class _DensityProblem(_Problem):
             # zeroes and unmaps when the model is dropped: np.zeros takes a
             # band this large from the C heap once an earlier one is freed,
             # and there the peak resident memory of a run varied by up to
-            # 6 MB from run to run.  Fortran order lets the factorization
-            # work in place
+            # 6 MB from run to run.  The float32 band of a released model
+            # is zeroed and refilled instead, which takes a tenth of the
+            # time of mapping and faulting in a new one.  Fortran order
+            # lets the factorization work in place
             shape = (2 * nI + 1, nI * m)
-            pages = mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize)
-            ab = np.frombuffer(pages, dtype).reshape(shape, order="F")
+            if dtype == np.float32 and self._released is not None:
+                ab, self._released = self._released, None
+                ab.fill(0.0)
+            else:
+                pages = mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize)
+                ab = np.frombuffer(pages, dtype).reshape(shape, order="F")
             for j, row in rows.items():
                 ab[j, :row.size] = row
             return ab
@@ -693,7 +723,13 @@ class _DensityProblem(_Problem):
             # rounding the rows to float32 made the model indefinite
             ab = band(np.float64)
             solve_band = _banded_cholesky_solver(ab, model)
-        return lambda v: solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
+
+        def apply(v):
+            return solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
+
+        if ab.dtype == np.float32:
+            apply.band = ab  # for release
+        return apply
 
 
 # -- public entry points ------------------------------------------------------
@@ -756,7 +792,15 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     stage's decrement over eps^2, multiplied by it.  The model lives in the
     generator, not in any result, so a chain holds one band at a time and a
     kept result holds none; a caller that strips each result as it comes
-    holds one decision vector at a time.
+    holds one decision vector at a time.  A released model goes back to
+    the problem (``release``), and the next build zeroes and refills its
+    float32 band instead of mapping a new one.
+
+    Each descent ends at the iterate it evaluated last, unless its line
+    search stalled, and the next eps starts there: the cost split into
+    kinetic and Fisher parts after the descent, and the first evaluation
+    of the next solve, reuse the problem's kept evaluation of that iterate
+    (see ``_Problem.action``) and change no bit of any result.
     """
     opts = opts or SolverOptions()
     eps_list = list(eps_list)  # checked, then solved: a one-shot iterable runs out
@@ -780,6 +824,7 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
         sigma = eps**2
         if precond is not None and not (
                 1.0 / _INHERIT_RATIO <= (eps_model / eps) ** 2 <= _INHERIT_RATIO):
+            prob.release(precond)
             precond = None
         iters, builds, history = 0, 0, []
         stalled_before, converged = False, False
@@ -794,7 +839,8 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
             history.extend(hist if not history else hist[1:])
             iters += it
             if not converged:
-                precond = None  # released before the next build
+                prob.release(precond)  # dropped before the next build refills its band
+                precond = None
             if stalled and stalled_before:
                 break
             stalled_before = stalled

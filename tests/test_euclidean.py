@@ -244,6 +244,15 @@ class TestBackendContract:
         with pytest.raises(DomainError, match="positive and finite"):
             QuadraticPotential(np.zeros(1), strength)
 
+    def test_quadratic_hessian_is_one_read_only_matrix(self):
+        # the solver asks for the Hessian at every node; one matrix serves all
+        pot = QuadraticPotential([0.5, -1.0], 2.0)
+        h = pot.hess(np.zeros(2))
+        assert h is pot.hess(np.ones(2))
+        np.testing.assert_array_equal(h, 2.0 * np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 0.0
+
     @pytest.mark.parametrize("center", [np.zeros(0), [0.0, math.nan], [math.inf], [[]]],
                              ids=["empty", "nan", "inf", "empty-nested"])
     def test_quadratic_requires_a_finite_center(self, center):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import math
+import mmap
 import pickle
 import re
 import weakref
@@ -891,16 +892,53 @@ def _record_models(monkeypatch, before_build=lambda built: None):
     return built
 
 
+def _chain_counting_slopes(monkeypatch, be, x, y, eps_list, forget=False):
+    """The ``_chain`` of ``eps_list`` and the number of ``_slope_sq`` calls
+    it made; with ``forget`` the problem drops its kept evaluation before
+    every ``action``, so that each one evaluates afresh."""
+    calls, action = [], solver_mod._Problem.action
+    problem = _DensityProblem if isinstance(x, GridDensity) else _EuclideanProblem
+    slope_sq = problem._slope_sq
+
+    def counted(prob, rows):
+        calls.append(1)
+        return slope_sq(prob, rows)
+
+    def forgetful(prob, z, sigma):
+        prob._kept = None
+        return action(prob, z, sigma)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(problem, "_slope_sq", counted)
+        if forget:
+            patch.setattr(solver_mod._Problem, "action", forgetful)
+        chain = _chain(be, x, y, eps_list)
+    return chain, len(calls)
+
+
+def _mmaps(monkeypatch):
+    """The sizes of the mappings the solver makes from now on."""
+    sizes = []
+
+    def counted(fileno, length):
+        sizes.append(length)
+        return mmap.mmap(fileno, length)
+
+    monkeypatch.setattr(solver_mod, "mmap", SimpleNamespace(mmap=counted))
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def pair():
+    n = 64
+    return (GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0),
+            GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0))
+
+
 class TestInheritedModel:
     """A chained solve runs its first stage on the factored model of the
     solve before it while the two eps are within a factor 4, and factors a
     model of its own otherwise."""
-
-    @pytest.fixture(scope="class")
-    def pair(self):
-        n = 64
-        return (GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0),
-                GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0))
 
     @pytest.mark.parametrize("eps_list, builds", [
         # (eps_model / eps)^2: 1.8, 4, 16 (the 0.2 model), then 64: rebuild
@@ -970,12 +1008,56 @@ class TestInheritedModel:
 
     def test_rebuild_allocates_no_second_band(self, boltzmann, pair, monkeypatch):
         # the 0.2 model serves the 0.1 solve, and it is dropped, its band
-        # freed, before the 0.025 solve builds its own
+        # handed to the rebuild, before the 0.025 solve builds its own
         dead = []
         _record_models(monkeypatch, lambda built: dead.extend(m() is None for m in built))
         chain = _chain(boltzmann, *pair, [0.2, 0.1, 0.025])
         assert [r.model_builds for r in chain] == [1, 0, 1]
         assert dead == [True]
+
+    def test_rebuild_refills_the_released_band(self, boltzmann, pair, monkeypatch):
+        # the one mapping of the chain is the 0.2 model's float32 band,
+        # which the 0.025 model refills
+        sizes = _mmaps(monkeypatch)
+        chain = _chain(boltzmann, *pair, [0.2, 0.1, 0.025])
+        assert [r.model_builds for r in chain] == [1, 0, 1]
+        prob = _DensityProblem(boltzmann, *pair, _uniform_times(15), pair[0].n)
+        assert sizes == [4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m]
+
+    def test_refilled_model_is_the_fresh_model(self, boltzmann, pair):
+        prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+        fresh = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+        z0 = prob.geodesic_z()
+        z1 = prob.pack(build_regularized(
+            boltzmann, geodesic_curve(boltzmann, *pair, 8), 0.3).tilde)
+        v = np.random.default_rng(7).standard_normal(z0.size)
+        first = prob.make_preconditioner(z0, 0.3**2)
+        band = first.band
+        prob.release(first)
+        del first
+        refilled = prob.make_preconditioner(z1, 0.05**2)
+        assert refilled.band is band
+        assert refilled(v).tobytes() == fresh.make_preconditioner(z1, 0.05**2)(v).tobytes()
+
+    def test_float64_retry_maps_its_own_band(self, boltzmann, pair, monkeypatch):
+        prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+        z0 = prob.geodesic_z()
+        v = np.random.default_rng(8).standard_normal(z0.size)
+        prob.release(prob.make_preconditioner(z0, 0.01))
+        _float32_breaks_down(monkeypatch)
+        fresh = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+        want = fresh.make_preconditioner(z0, 0.01)(v)
+        sizes = _mmaps(monkeypatch)
+        retry = prob.make_preconditioner(z0, 0.01)
+        # the released float32 band takes the float32 rows, which break
+        # down; the float64 rows go into a band of their own
+        elements = (2 * prob.n_interior + 1) * prob.n_interior * prob.m
+        assert sizes == [8 * elements]
+        assert retry(v).tobytes() == want.tobytes()
+        # which is not handed on: the next build maps both bands afresh
+        prob.release(retry)
+        prob.make_preconditioner(z0, 0.01)
+        assert sizes == [8 * elements, 4 * elements, 8 * elements]
 
     def test_kept_results_hold_no_model(self, boltzmann, pair, monkeypatch):
         # a model lives in its chain, so a result a caller keeps holds no
@@ -1002,6 +1084,47 @@ class TestInheritedModel:
         assert repr(back) == repr(res)
         assert back.to_record() == res.to_record() and back.cost_history == res.cost_history
         assert back.decision.tobytes() == res.decision.tobytes()
+
+
+class TestKeptEvaluation:
+    """An action at the ``z`` of the last evaluation reuses its sigma-free
+    parts: the start of a chained solve and the cost split after a descent
+    evaluate nothing afresh, and change no bit of any result."""
+
+    @pytest.mark.parametrize("backend, eps_list, saved", [
+        # the density chain repeats 15 of its 36 evaluations, the Euclidean
+        # one 7 of 13: each chained solve starts, and each cost split is
+        # taken, at the minimizer the descent evaluated last
+        ("boltzmann", [0.2, 0.175, 0.15, 0.125, 0.1, 0.075, 0.05, 0.025, 0.0], 15),
+        ("quad2d", [0.3, 0.2, 0.1, 0.05], 7),
+    ])
+    def test_chain_is_bit_identical_with_fewer_slopes(self, backend, eps_list, saved,
+                                                      pair, request, monkeypatch):
+        be = request.getfixturevalue(backend)
+        x, y = pair if backend == "boltzmann" else (np.zeros(2), np.array([1.0, 1.0]))
+        kept, n_kept = _chain_counting_slopes(monkeypatch, be, x, y, eps_list)
+        fresh, n_fresh = _chain_counting_slopes(monkeypatch, be, x, y, eps_list, forget=True)
+        assert all(r.converged for r in kept)
+        for a, b in zip(kept, fresh, strict=True):
+            assert repr(a.to_record()) == repr(b.to_record())
+            assert np.array(a.cost_history).tobytes() == np.array(b.cost_history).tobytes()
+            assert a.decision.tobytes() == b.decision.tobytes()
+        assert n_fresh - n_kept == saved
+
+    def test_action_at_a_changed_z_recomputes(self, boltzmann, pair):
+        prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+        z = prob.geodesic_z()
+        at_geodesic = prob.action(z, 0.01)
+        z[5] += 0.25 * (z[6] - z[5])  # in place, after the evaluation
+        moved = prob.action(z, 0.01)
+        want = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16).action(z.copy(), 0.01)
+        assert moved[:2] == want[:2] and moved[2].tobytes() == want[2].tobytes()
+        assert moved[:2] != at_geodesic[:2]
+        # the same z under another sigma recombines the kept parts
+        again = prob.action(z.copy(), 0.04)
+        assert again[:2] == moved[:2]
+        assert again[2].tobytes() == _DensityProblem(
+            boltzmann, *pair, _uniform_times(7), 16).action(z, 0.04)[2].tobytes()
 
 
 class TestEpsRange:
