@@ -145,8 +145,8 @@ def geodesic_curve(backend: SpaceBackend, x, y, n_intervals: int) -> Curve:
 
 def _check_curve(backend: SpaceBackend, curve: Curve) -> None:
     first = curve.points[0]
-    backend.check_point(first)
-    for p in curve.points[1:]:
+    for p in curve.points:
+        backend.check_point(p)
         if not backend.same_space(first, p):
             raise InvalidCurve("curve mixes points from different state spaces")
 

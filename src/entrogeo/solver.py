@@ -21,8 +21,9 @@ on the model that solve ended with, if that model's eps is within a factor
 only every few rows.  A problem keeps the eps-free parts of its last
 evaluation, so the start of a chained solve and the cost split after a
 descent, both at the iterate evaluated last, evaluate nothing afresh; and
-a rebuilt density model refills the band of the model its chain released
-rather than mapping a new one.  A step is accepted on the Armijo test, or
+a rebuilt density model refills the band of the problem's last model of
+its precision once nothing holds that model, rather than mapping a new
+one.  A step is accepted on the Armijo test, or
 else on the approximate-Wolfe slope test of Hager & Zhang with the value
 allowed to rise by at most 1e-14 relative, so that iterates at the
 roundoff floor of the action are not rejected.  Every solve stops when the decrease the
@@ -70,6 +71,8 @@ from __future__ import annotations
 import math
 import mmap
 import operator
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -239,19 +242,19 @@ def _lbfgs_armijo(value_grad, z0, tol: float, precond, budget: int):
     if not math.isfinite(v):
         raise DomainError("optimization started at an infeasible point")
     history = [v]
-    s_mem, y_mem, rho_mem = [], [], []
+    pairs = deque(maxlen=_LBFGS_MEMORY)  # curvature pairs (s, y, 1 / s.y)
     decrement = math.inf
 
     for it in range(budget):
         # two-loop recursion
         d = -g.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_mem), reversed(y_mem), reversed(rho_mem)):
+        for s, y, rho in reversed(pairs):
             a = rho * _dot(s, d)
             d -= a * y
             alphas.append(a)
         d = precond(d)
-        for (s, y, rho), a in zip(zip(s_mem, y_mem, rho_mem), reversed(alphas)):
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
             b = rho * _dot(y, d)
             d += (a - b) * s
         gd = _dot(g, d)
@@ -287,13 +290,7 @@ def _lbfgs_armijo(value_grad, z0, tol: float, precond, budget: int):
         y_vec = g_try - g
         sy = _dot(s_vec, y_vec)
         if sy > 1e-10 * math.sqrt(_dot(s_vec, s_vec)) * math.sqrt(_dot(y_vec, y_vec)):
-            s_mem.append(s_vec)
-            y_mem.append(y_vec)
-            rho_mem.append(1.0 / sy)
-            if len(s_mem) > _LBFGS_MEMORY:
-                s_mem.pop(0)
-                y_mem.pop(0)
-                rho_mem.pop(0)
+            pairs.append((s_vec, y_vec, 1.0 / sy))
         z, v, g = z_try, v_try, g_try
         history.append(v)
 
@@ -339,8 +336,10 @@ class _Problem:
     ``value_grad`` and ``make_preconditioner`` as the Fisher weight
     ``sigma = eps^2``.  Subclasses supply ``_slope_sq``, the squared slope
     of every row and its gradient at the interior rows (a fresh array,
-    which ``action`` keeps), and ``make_preconditioner``; they also add
-    ``pack``, ``to_curve`` and ``value_grad``.
+    which ``action`` keeps), and ``make_preconditioner``, whose models a
+    caller simply drops: a problem may reuse a model's memory only once
+    nothing holds the model.  They also add ``pack``, ``to_curve`` and
+    ``value_grad``.
     """
 
     def __init__(self, times, first: np.ndarray, last: np.ndarray, row_mass):
@@ -353,13 +352,6 @@ class _Problem:
         # the sigma-free parts of the last evaluation, keyed by the bytes of
         # its z: (key, kin, fis, scaled momenta, Fisher gradient)
         self._kept = None
-        self._released = None  # the band of a released model, see release
-
-    def release(self, model) -> None:
-        """Take back ``model``, which its chain drops: the next
-        ``make_preconditioner`` zeroes and refills its float32 band, if it
-        has one, instead of mapping a new one."""
-        self._released = getattr(model, "band", None)
 
     def geodesic_z(self) -> np.ndarray:
         """The straight line between the end rows: the exact minimizer of
@@ -609,6 +601,9 @@ class _DensityProblem(_Problem):
         self.h = np.diff(self.u)
         self.H = 0.5 * (self.h[1:] + self.h[:-1])
         super().__init__(times, *_quantile_samples([x, y], self.u), row_mass=cell_widths)
+        # per band dtype: the band of the last model of that precision and
+        # a weak reference to that model, see make_preconditioner
+        self._bands = {}
 
     def pack(self, curve: Curve) -> np.ndarray:
         return _quantile_samples(curve.points[1:-1], self.u).ravel()
@@ -700,35 +695,36 @@ class _DensityProblem(_Problem):
             # zeroes and unmaps when the model is dropped: np.zeros takes a
             # band this large from the C heap once an earlier one is freed,
             # and there the peak resident memory of a run varied by up to
-            # 6 MB from run to run.  The float32 band of a released model
-            # is zeroed and refilled instead, which takes a tenth of the
-            # time of mapping and faulting in a new one.  Fortran order
-            # lets the factorization work in place
+            # 6 MB from run to run.  Once the last model of this precision
+            # is gone, nothing reads its band, which is zeroed and refilled
+            # instead: a tenth of the time of mapping and faulting in a new
+            # one.  Fortran order lets the factorization work in place
             shape = (2 * nI + 1, nI * m)
-            if dtype == np.float32 and self._released is not None:
-                ab, self._released = self._released, None
+            dtype = np.dtype(dtype)  # the key: np.float32 hashes apart from its dtype
+            ab, owner = self._bands.get(dtype, (None, None))
+            if ab is not None and owner() is None:
                 ab.fill(0.0)
             else:
-                pages = mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize)
+                pages = mmap.mmap(-1, math.prod(shape) * dtype.itemsize)
                 ab = np.frombuffer(pages, dtype).reshape(shape, order="F")
             for j, row in rows.items():
                 ab[j, :row.size] = row
+            bands.append(ab)
             return ab
 
         model = f"density model (m = {m} quantile nodes, {nI} time nodes)"
-        ab = band(np.float32)
+        bands = []
         try:
-            solve_band = _banded_cholesky_solver(ab, model)
+            solve_band = _banded_cholesky_solver(band(np.float32), model)
         except EntrogeoError:
             # rounding the rows to float32 made the model indefinite
-            ab = band(np.float64)
-            solve_band = _banded_cholesky_solver(ab, model)
+            solve_band = _banded_cholesky_solver(band(np.float64), model)
 
         def apply(v):
             return solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
 
-        if ab.dtype == np.float32:
-            apply.band = ab  # for release
+        # a float32 band a retry left unread is kept with the model as well
+        self._bands.update((ab.dtype, (ab, weakref.ref(apply))) for ab in bands)
         return apply
 
 
@@ -776,14 +772,14 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     ``_STAGE_BUDGET`` iterations, each on one factored quadratic model of
     ``prob.make_preconditioner``.  That model is only trustworthy near the
     point it was assembled at: when a stage ends without reaching
-    stationarity, the model is released, re-assembled at the current
+    stationarity, the model is dropped, re-assembled at the current
     iterate and the memory restarted.  Two stages in a row whose line
     search stalls end the solve (it cannot make progress).
 
     A converged solve hands its model, factored at ``eps_model``, on to the
     next eps of the chain, whose first stage runs on it when its
     ``r = (eps_model / eps)^2`` has ``max(r, 1/r) <= _INHERIT_RATIO``;
-    otherwise it is released before the first build.  At a fixed point the
+    otherwise it is dropped before the first build.  At a fixed point the
     model of an eps below ``eps_model`` is ``K + eps^2 F >= (eps /
     eps_model)^2 (K + eps_model^2 F)`` (``K`` kinetic, ``F`` Fisher), so
     the decrement under the inherited model, scaled by ``max(1, r)``,
@@ -792,9 +788,9 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     stage's decrement over eps^2, multiplied by it.  The model lives in the
     generator, not in any result, so a chain holds one band at a time and a
     kept result holds none; a caller that strips each result as it comes
-    holds one decision vector at a time.  A released model goes back to
-    the problem (``release``), and the next build zeroes and refills its
-    float32 band instead of mapping a new one.
+    holds one decision vector at a time.  Once the chain drops a model,
+    nothing reads its band, and the next build refills it (see
+    ``_DensityProblem.make_preconditioner``).
 
     Each descent ends at the iterate it evaluated last, unless its line
     search stalled, and the next eps starts there: the cost split into
@@ -824,7 +820,6 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
         sigma = eps**2
         if precond is not None and not (
                 1.0 / _INHERIT_RATIO <= (eps_model / eps) ** 2 <= _INHERIT_RATIO):
-            prob.release(precond)
             precond = None
         iters, builds, history = 0, 0, []
         stalled_before, converged = False, False
@@ -839,8 +834,7 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
             history.extend(hist if not history else hist[1:])
             iters += it
             if not converged:
-                prob.release(precond)  # dropped before the next build refills its band
-                precond = None
+                precond = None  # dropped before the next build, which may refill its band
             if stalled and stalled_before:
                 break
             stalled_before = stalled

@@ -71,6 +71,18 @@ class TestCurve:
         with pytest.raises(InvalidCurve):
             kinetic_action(quad2d, c)
 
+    @pytest.mark.parametrize("node", [2, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("action", [kinetic_action, fisher_action])
+    def test_non_finite_node_rejected(self, quad2d, action, bad, node):
+        # every node is checked, not only the first: a non-finite interior
+        # or end node made the kinetic action NaN and the Fisher action
+        # raise SlopeUndefined
+        pts = [np.full(2, 0.25 * i) for i in range(5)]
+        pts[node] = np.array([0.5, bad])
+        with pytest.raises(InvalidCurve, match="coordinates must be finite"):
+            action(quad2d, Curve.uniform(pts))
+
 
 class TestKineticAction:
     def test_constant_curve_is_zero(self, quad2d):

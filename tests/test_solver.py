@@ -700,6 +700,14 @@ class TestEndpointValidation:
         with pytest.raises(GridMismatch):
             discrete_action(boltzmann, Curve(np.linspace(0.0, 1.0, 3), [a, a, b]), 0.1)
 
+    @pytest.mark.parametrize("node", [1, 2, 3])
+    def test_discrete_action_checks_every_node(self, quad2d, node):
+        # a non-finite interior node raises, where the action used to be NaN
+        pts = [np.full(2, 0.25 * i) for i in range(5)]
+        pts[node] = np.array([math.nan, 0.5])
+        with pytest.raises(InvalidCurve, match="coordinates must be finite"):
+            discrete_action(quad2d, Curve.uniform(pts), 0.1)
+
     def test_backend_without_solver_strategy(self):
         class Plain(SpaceBackend):
             def check_point(self, x):
@@ -1024,40 +1032,71 @@ class TestInheritedModel:
         prob = _DensityProblem(boltzmann, *pair, _uniform_times(15), pair[0].n)
         assert sizes == [4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m]
 
-    def test_refilled_model_is_the_fresh_model(self, boltzmann, pair):
+    def test_refilled_model_is_the_fresh_model(self, boltzmann, pair, monkeypatch):
         prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
         fresh = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
         z0 = prob.geodesic_z()
         z1 = prob.pack(build_regularized(
             boltzmann, geodesic_curve(boltzmann, *pair, 8), 0.3).tilde)
         v = np.random.default_rng(7).standard_normal(z0.size)
+        want = fresh.make_preconditioner(z1, 0.05**2)(v)
         first = prob.make_preconditioner(z0, 0.3**2)
-        band = first.band
-        prob.release(first)
         del first
+        sizes = _mmaps(monkeypatch)
+        # nothing reads the dropped model's band, which takes the new rows
         refilled = prob.make_preconditioner(z1, 0.05**2)
-        assert refilled.band is band
-        assert refilled(v).tobytes() == fresh.make_preconditioner(z1, 0.05**2)(v).tobytes()
+        assert sizes == []
+        assert refilled(v).tobytes() == want.tobytes()
 
-    def test_float64_retry_maps_its_own_band(self, boltzmann, pair, monkeypatch):
+    def test_held_model_is_never_refilled(self, boltzmann, pair, monkeypatch):
         prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
         z0 = prob.geodesic_z()
-        v = np.random.default_rng(8).standard_normal(z0.size)
-        prob.release(prob.make_preconditioner(z0, 0.01))
-        _float32_breaks_down(monkeypatch)
-        fresh = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
-        want = fresh.make_preconditioner(z0, 0.01)(v)
+        v = np.random.default_rng(9).standard_normal(z0.size)
+        # the first model is held only by a closure, as a tracer wrapping
+        # each model holds it
+        held = (lambda model: lambda v: model(v))(prob.make_preconditioner(z0, 0.3**2))
+        before = held(v)
         sizes = _mmaps(monkeypatch)
-        retry = prob.make_preconditioner(z0, 0.01)
-        # the released float32 band takes the float32 rows, which break
-        # down; the float64 rows go into a band of their own
+        # the second model maps a band of its own; once it is dropped the
+        # third refills the second's band, never the held first's
+        second = prob.make_preconditioner(z0, 0.05**2)
+        del second
+        third = prob.make_preconditioner(z0, 0.02**2)
+        assert sizes == [4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m]
+        assert held(v).tobytes() == before.tobytes()
+        assert third(v).tobytes() != before.tobytes()
+
+    def test_float64_retry_maps_its_own_band(self, boltzmann, pair, monkeypatch):
+        def problem():
+            return _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+
+        prob = problem()
+        z0 = prob.geodesic_z()
+        v = np.random.default_rng(8).standard_normal(z0.size)
         elements = (2 * prob.n_interior + 1) * prob.n_interior * prob.m
-        assert sizes == [8 * elements]
-        assert retry(v).tobytes() == want.tobytes()
-        # which is not handed on: the next build maps both bands afresh
-        prob.release(retry)
-        prob.make_preconditioner(z0, 0.01)
-        assert sizes == [8 * elements, 4 * elements, 8 * elements]
+        want32 = problem().make_preconditioner(z0, 0.01)(v)
+        with monkeypatch.context() as patch:
+            _float32_breaks_down(patch)
+            want64 = problem().make_preconditioner(z0, 0.01)(v)
+        prob.make_preconditioner(z0, 0.01)  # a float32 model, dropped at once
+        sizes = _mmaps(monkeypatch)
+        with monkeypatch.context() as patch:
+            _float32_breaks_down(patch)
+            retry = prob.make_preconditioner(z0, 0.01)
+            # the dropped model's float32 band takes the float32 rows, which
+            # break down; the float64 rows go into a band of their own
+            assert sizes == [8 * elements]
+            # while the retry is held, the next build maps both bands afresh
+            held = prob.make_preconditioner(z0, 0.01)
+            assert sizes == [8 * elements, 4 * elements, 8 * elements]
+            assert retry(v).tobytes() == held(v).tobytes() == want64.tobytes()
+            # once both are dropped, a retry maps nothing
+            del retry, held
+            assert prob.make_preconditioner(z0, 0.01)(v).tobytes() == want64.tobytes()
+            assert len(sizes) == 3
+        # nor does a float32 build, whose rows factor again
+        assert prob.make_preconditioner(z0, 0.01)(v).tobytes() == want32.tobytes()
+        assert len(sizes) == 3
 
     def test_kept_results_hold_no_model(self, boltzmann, pair, monkeypatch):
         # a model lives in its chain, so a result a caller keeps holds no
