@@ -43,10 +43,13 @@ class SpaceBackend:
     ``lam`` is the contraction parameter of the EVI flow: the semigroup
     satisfies ``d(S_t x, S_t y) <= exp(-lam * t) * d(x, y)``.  Subclasses
     provide the five geometric operations below; all must be pure and
-    ``flow(x, 0)`` must return ``x`` unchanged.  Three batched hooks,
-    ``distances``, ``geodesic_points`` and ``flows``, loop over
-    ``distance``, ``geodesic`` and ``flow`` by default; a backend overrides
-    them when many calls can share one pass.
+    ``flow(x, 0)`` must return ``x`` unchanged.  Five batched hooks,
+    ``distances``, ``geodesic_points``, ``entropies``, ``slopes`` and
+    ``flows``, loop over ``distance``, ``geodesic``, ``entropy``, ``slope``
+    and ``flow`` by default; a backend overrides them when many calls can
+    share one pass.  The certificates and the Fisher action call the plural
+    forms, so a backend that overrides ``slope`` or ``entropy`` must
+    override ``slopes`` or ``entropies`` too unless they are these loops.
     """
 
     lam: float = 0.0
@@ -73,8 +76,16 @@ class SpaceBackend:
     def entropy(self, x) -> float:
         raise NotImplementedError
 
+    def entropies(self, xs) -> np.ndarray:
+        """``[entropy(x) for x in xs]`` as an array."""
+        return np.array([self.entropy(x) for x in xs], dtype=float)
+
     def slope(self, x) -> float:
         raise NotImplementedError
+
+    def slopes(self, xs) -> np.ndarray:
+        """``[slope(x) for x in xs]`` as an array."""
+        return np.array([self.slope(x) for x in xs], dtype=float)
 
     def flow(self, x, s: float):
         raise NotImplementedError
@@ -189,12 +200,11 @@ def fisher_quadrature(backend: SpaceBackend, curve: Curve) -> float:
     ``fisher_action``."""
     _check_curve(backend, curve)
     ts = curve.times
-    slopes = np.empty(ts.size)
-    for i, p in enumerate(curve.points):
-        s = backend.slope(p)
-        if math.isnan(s) or s < 0:
-            raise SlopeUndefined(f"slope undefined at node {i}")
-        slopes[i] = s
+    # a copy: the infinite end slopes are zeroed below
+    slopes = np.array(backend.slopes(curve.points), dtype=float)
+    bad = np.isnan(slopes) | (slopes < 0)
+    if bad.any():
+        raise SlopeUndefined(f"slope undefined at node {int(np.argmax(bad))}")
     weights = _trapezoid_weights(ts)
     for i in (0, ts.size - 1):
         if math.isinf(slopes[i]):

@@ -307,10 +307,12 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
         raise DomainError("mollification times must be finite and nonnegative")
     # both endpoints at every time in one flows call
     flowed = backend.flows([x] * len(etas) + [y] * len(etas), etas + etas)
+    ents = backend.entropies(flowed).tolist()
     prev_term = math.inf
     mollified = []
-    for e, eta, xe, ye in zip(eps_pos, etas, flowed, flowed[len(etas):]):
-        term = e * (backend.entropy(xe) + backend.entropy(ye))
+    for e, eta, xe, ye, ex, ey in zip(eps_pos, etas, flowed, flowed[len(etas):],
+                                      ents, ents[len(etas):]):
+        term = e * (ex + ey)
         if term > _TERM_TOL and term > prev_term + 1e-12:
             raise ScheduleRejected(
                 f"condition term grew from {prev_term:.6g} to {term:.6g} "

@@ -14,6 +14,12 @@ that ``pass  <=>  worst_residual <= tolerance``:
 * ``local_global_report``   sampled global representation of the slope
                             never exceeds the local slope.
 
+Each report takes its flows, distances, entropies and slopes from the
+backend's batched hooks (``flows``, ``distances``, ``entropies``,
+``slopes``), one call per kind where the samples allow; ``ede_report``
+steps its trajectory node by node, then takes the slopes of all nodes at
+once.
+
 Closed-form backends (quadratic potentials) satisfy several of these with
 equality, which pins the harness itself to ~1e-6; PDE-backed densities pass
 with the documented discretization slack.  Time derivatives use central
@@ -79,16 +85,16 @@ def evi_defect(backend: SpaceBackend, x, y, s_grid, tolerance: float = 1e-6) -> 
     if not (np.all(np.isfinite(s_grid)) and np.all(s_grid > 0) and np.all(np.diff(s_grid) > 0)):
         raise DomainError("s_grid must be finite, positive and increasing")
     lam = backend.lam
-    ey = backend.entropy(y)
     steps = [_dt_step(float(s), lam) for s in s_grid]
     # per time: the flow at s + h, s - h and s, all measured to y at once
     times = [t for s, h in zip(s_grid.tolist(), steps) for t in (s + h, s - h, s)]
     flows = backend.flows([x] * len(times), times)
     dists = backend.distances(flows, [y] * len(flows)).reshape(-1, 3).tolist()
+    ey, *ents = backend.entropies([y] + flows[2::3]).tolist()
     worst = -math.inf
-    for h, (d_plus, d_minus, d), xs in zip(steps, dists, flows[2::3]):
+    for h, (d_plus, d_minus, d), e in zip(steps, dists, ents):
         ddt_d2 = (d_plus**2 - d_minus**2) / (2 * h)
-        defect = 0.5 * ddt_d2 + 0.5 * lam * d**2 + backend.entropy(xs) - ey
+        defect = 0.5 * ddt_d2 + 0.5 * lam * d**2 + e - ey
         worst = max(worst, defect)
     return _report("evi", worst, s_grid.size, tolerance)
 
@@ -128,13 +134,12 @@ def ede_report(backend: SpaceBackend, x, T: float, n_quad: int = 64,
     if not (isinstance(n_quad, numbers.Integral) and n_quad >= 2):
         raise DomainError(f"need an integer n_quad >= 2, got {n_quad!r}")
     s_nodes = np.linspace(0.0, T, n_quad + 1)
-    cur = x
-    slopes = np.empty(n_quad + 1)
-    slopes[0] = backend.slope(x)
+    path = [x]
     for i in range(1, n_quad + 1):
-        cur = backend.flow(cur, float(s_nodes[i] - s_nodes[i - 1]))
-        slopes[i] = backend.slope(cur)
-    drop = backend.entropy(x) - backend.entropy(cur)
+        path.append(backend.flow(path[-1], float(s_nodes[i] - s_nodes[i - 1])))
+    slopes = backend.slopes(path)
+    e0, e1 = backend.entropies([x, path[-1]]).tolist()
+    drop = e0 - e1
     dissipated = float(np.trapezoid(slopes**2, s_nodes))
     residual = abs(drop - dissipated) / max(1.0, abs(drop))
     return _report("ede", residual, n_quad + 1, tolerance)
@@ -145,8 +150,8 @@ def slope_monotonicity_report(backend: SpaceBackend, x, s_grid,
     """Worst increase of ``s -> exp(lam s) |dE|(S_s x)`` between grid points."""
     s_grid = np.asarray(s_grid, dtype=float)
     lam = backend.lam
-    vals = [math.exp(lam * s) * backend.slope(p)
-            for s, p in zip(s_grid, backend.flows([x] * s_grid.size, s_grid.tolist()))]
+    slopes = backend.slopes(backend.flows([x] * s_grid.size, s_grid.tolist())).tolist()
+    vals = [math.exp(lam * s) * slope for s, slope in zip(s_grid, slopes)]
     worst = max(
         (vals[i + 1] - vals[i] for i in range(len(vals) - 1)),
         default=-math.inf,
@@ -170,12 +175,13 @@ def regularization_report(backend: SpaceBackend, x, y, t_grid,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     lam = backend.lam
-    sy2 = backend.slope(y) ** 2
     d2 = backend.distance(x, y) ** 2
     times = [t for t in t_grid.tolist() if 0 < t and -lam * t < math.log(2.0)]
+    sy, *slopes = backend.slopes([y] + backend.flows([x] * len(times), times)).tolist()
+    sy2 = sy**2
     worst = -math.inf
-    for t, p in zip(times, backend.flows([x] * len(times), times)):
-        lhs = backend.slope(p) ** 2
+    for t, slope in zip(times, slopes):
+        lhs = slope**2
         rhs = sy2 / (2.0 * math.exp(lam * t) - 1.0) + d2 / _i_lam(lam, t) ** 2
         worst = max(worst, lhs - rhs)
     return _report("regularization", worst, len(times), tolerance)
@@ -187,14 +193,14 @@ def local_global_report(backend: SpaceBackend, x, samples,
     ``sup_y ((E(x)-E(y))/d(x,y) + lam/2 d(x,y))^+ <= |dE|(x)``.
     """
     lam = backend.lam
-    ex = backend.entropy(x)
     samples = list(samples)
+    ex, *ents = backend.entropies([x] + samples).tolist()
     sup = 0.0
     count = 0
-    for y, d in zip(samples, backend.distances([x] * len(samples), samples).tolist()):
+    for e, d in zip(ents, backend.distances([x] * len(samples), samples).tolist()):
         if d == 0.0:
             continue
-        sup = max(sup, (ex - backend.entropy(y)) / d + 0.5 * lam * d)
+        sup = max(sup, (ex - e) / d + 0.5 * lam * d)
         count += 1
     residual = sup - backend.slope(x)
     return _report("local_global", residual, count, tolerance)

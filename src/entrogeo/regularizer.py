@@ -31,9 +31,12 @@ backend, three energy certificates plus the convexity extraction:
 The plural forms cover many node pairs, nodes or eps at once and the
 single forms wrap them: ``discrete_estimate_residuals`` and
 ``pointwise_estimate_residuals`` take the chords of the regularized and the
-base curve from one ``backend.distances`` call, ``recovery_gaps`` flows the
-nodes of every eps in one ``builds`` call (``backend.flows``) and takes all
-their chords from one ``kinetic_actions`` call.
+base curve from one ``backend.distances`` call and the entropies and slopes
+of its nodes from one ``backend.entropies`` and one ``backend.slopes``
+call, ``recovery_gaps`` flows the nodes of every eps in one ``builds`` call
+(``backend.flows``) and takes all their chords from one ``kinetic_actions``
+call.  ``convexity_certificate`` takes the entropies of both endpoints and
+every geodesic sample from one ``backend.entropies`` call.
 
 Residuals are ``LHS - RHS`` for the inequalities (so defects are positive)
 and ``RHS - LHS`` for the recovery bound (gap should be nonnegative).
@@ -185,8 +188,9 @@ def _estimate_residuals(backend: SpaceBackend, reg: RegularizedCurve,
                         pairs: list) -> dict:
     """Two-point estimate residual of each ``(i, j)`` in ``pairs``.
 
-    The entropy and slope of a node are evaluated at most once, the chords
-    of both curves come from one ``backend.distances`` call, and the
+    The entropy and slope of a node are evaluated at most once, in one
+    ``backend.entropies`` and one ``backend.slopes`` call, the chords of
+    both curves come from one ``backend.distances`` call, and the
     formula runs in numpy over the applicable pairs in the order of its
     scalar form, with libm's ``exp`` and ``pow`` where that form calls them.
     """
@@ -197,8 +201,8 @@ def _estimate_residuals(backend: SpaceBackend, reg: RegularizedCurve,
     # the more-smoothed node of each pair and the other one
     ip = np.where(h[j] >= h[i], j, i)
     im = i + j - ip
-    slope = {k: backend.slope(tilde[k]) for k in dict.fromkeys(ip.tolist())}
-    slope_p = np.array([slope[k] for k in ip.tolist()])
+    nodes, which = np.unique(ip, return_inverse=True)
+    slope_p = backend.slopes([tilde[k] for k in nodes.tolist()])[which]
     live = (h[i] == h[j]) | ~np.isinf(slope_p)
     if not live.any():
         return out
@@ -216,9 +220,9 @@ def _estimate_residuals(backend: SpaceBackend, reg: RegularizedCurve,
     moves = h0 != h1
     if moves.any():
         i, j, ip, im = i[moves], j[moves], ip[moves], im[moves]
-        nodes = dict.fromkeys(np.concatenate([i, j]).tolist())
+        nodes = np.unique(np.concatenate([i, j]))
         entropy = np.zeros(len(h))
-        entropy[list(nodes)] = [backend.entropy(tilde[k]) for k in nodes]
+        entropy[nodes] = backend.entropies([tilde[k] for k in nodes.tolist()])
         energy_term[moves] = (_exp_coef(lam, h[ip] - h[im], t[ip] - t[im])
                               * (entropy[j] - entropy[i]) / dt[moves])
     lhs = 0.5 * _square(chords[:L] / dt) + slope_term + energy_term
@@ -240,7 +244,8 @@ def pointwise_estimate_residuals(backend: SpaceBackend, reg: RegularizedCurve,
                                  nodes: Sequence[int]) -> dict:
     """``pointwise_estimate_residual`` of each interior node in ``nodes``,
     keyed by node; the chords of both curves come from one
-    ``backend.distances`` call."""
+    ``backend.distances`` call, the entropies and slopes from one
+    ``backend.entropies`` and one ``backend.slopes`` call."""
     N = reg.times.size - 1
     nodes = [int(i) for i in nodes]
     for i in nodes:
@@ -251,15 +256,19 @@ def pointwise_estimate_residuals(backend: SpaceBackend, reg: RegularizedCurve,
     chords = backend.distances(
         [tilde[i - 1] for i in nodes] + [base[i - 1] for i in nodes],
         [tilde[i + 1] for i in nodes] + [base[i + 1] for i in nodes]).tolist()
+    ents = backend.entropies([tilde[i + 1] for i in nodes]
+                             + [tilde[i - 1] for i in nodes]).tolist()
+    slopes = backend.slopes([tilde[i] for i in nodes]).tolist()
     out = {}
-    for i, dtil, dbase in zip(nodes, chords, chords[len(nodes):]):
+    for i, dtil, dbase, e1, e0, slope in zip(nodes, chords, chords[len(nodes):],
+                                             ents, ents[len(nodes):], slopes):
         span = float(reg.times[i + 1] - reg.times[i - 1])
         speed_tilde = dtil / span
         hprime = (reg.h[i + 1] - reg.h[i - 1]) / span
-        dedt = (backend.entropy(tilde[i + 1]) - backend.entropy(tilde[i - 1])) / span
+        dedt = (e1 - e0) / span
         lhs = (
             0.5 * speed_tilde**2
-            + 0.5 * hprime**2 * backend.slope(tilde[i]) ** 2
+            + 0.5 * hprime**2 * slope**2
             + hprime * dedt
         )
         speed_base = dbase / span
@@ -322,13 +331,12 @@ def convexity_certificate(backend: SpaceBackend, x, y, theta_grid) -> float:
     if not np.all((theta_grid >= 0) & (theta_grid <= 1)):
         raise DomainError("theta grid must lie in [0, 1]")
     lam = backend.lam
-    ex, ey = backend.entropy(x), backend.entropy(y)
     d2 = backend.distance(x, y) ** 2
     inner = [float(th) for th in theta_grid if 0.0 < th < 1.0]
+    ex, ey, *e_mids = backend.entropies([x, y] + backend.geodesic_points(x, y, inner)).tolist()
     # the endpoints satisfy the inequality with equality
     worst = 0.0 if len(inner) < theta_grid.size else -math.inf
-    for th, g in zip(inner, backend.geodesic_points(x, y, inner)):
-        e_mid = backend.entropy(g)
+    for th, e_mid in zip(inner, e_mids):
         bound = (1 - th) * ex + th * ey - 0.5 * lam * th * (1 - th) * d2
         worst = max(worst, e_mid - bound)
     return worst

@@ -525,10 +525,11 @@ def _quantile_samples(ds, u: np.ndarray) -> np.ndarray:
     weighted-harmonic-mean interior derivatives, the one-sided three-point
     end rule, ``CubicHermiteSpline`` coefficients and ``PPoly``'s summation
     order.  The CDF slopes are positive, so PCHIP's sign tests never fire
-    in the interior.  The interval lookup is one flat ``searchsorted``
-    with row ``r`` shifted by ``2 r``; rounding of the shifted keys can
-    only move a query within an ulp of ``2 r`` of a node to the
-    neighbouring cubic, which agrees there to roundoff.
+    in the interior.  The interval of ``u_k`` in row ``r`` is the count of
+    that row's knots at or below it, less one, exact in every row: each
+    knot's first node at or above it comes from one ``searchsorted`` into
+    ``u``, one ``bincount`` tallies them per row and node, and a running
+    sum along the row counts the knots at or below each node.
     """
     d0 = ds[0]
     _id_table(ds)  # raises GridMismatch off the grid of ds[0]
@@ -547,8 +548,10 @@ def _quantile_samples(ds, u: np.ndarray) -> np.ndarray:
     c1 = (mk - dk[:, :-1]) / h - t
 
     r = np.arange(rows)[:, None]
-    i = np.searchsorted((F + 2.0 * r).ravel(), (u + 2.0 * r).ravel(), side="right")
-    i = i.reshape(rows, -1) - (n + 1) * r - 1
+    m = u.size
+    first = np.searchsorted(u, F, side="left") + (m + 1) * r
+    i = np.bincount(first.ravel(), minlength=rows * (m + 1)).reshape(rows, m + 1)
+    i = np.cumsum(i[:, :m], axis=1) - 1
     np.clip(i, 0, n - 1, out=i)
     # each gather takes one flat index: into rows of n + 1 knots (F, dk)
     # and of n cells (c1, c0)

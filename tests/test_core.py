@@ -14,7 +14,7 @@ from entrogeo import (
     kinetic_action,
     schrodinger_action,
 )
-from entrogeo.core import kinetic_actions
+from entrogeo.core import SpaceBackend, kinetic_actions
 from entrogeo.errors import DomainError, InvalidCurve
 from entrogeo.regularizer import build as build_regularized
 
@@ -199,6 +199,14 @@ class TestDistances:
         with pytest.raises(DomainError, match="1 points for 2 flow times"):
             quad2d.flows([np.zeros(2)], [0.1, 0.2])
 
+    def test_default_entropies_and_slopes_loop(self, quad2d):
+        assert type(quad2d).entropies is SpaceBackend.entropies
+        assert type(quad2d).slopes is SpaceBackend.slopes
+        xs = [np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 2.0])]
+        assert quad2d.entropies(xs).tolist() == [quad2d.entropy(x) for x in xs]
+        assert quad2d.slopes(xs).tolist() == [quad2d.slope(x) for x in xs]
+        assert quad2d.entropies([]).shape == quad2d.slopes([]).shape == (0,)
+
 
 class TestFisherAction:
     def test_constant_curve_value(self, quad2d):
@@ -224,7 +232,7 @@ class TestFisherAction:
         assert fisher_action(boltzmann, c) == pytest.approx(0.5, rel=1e-3)
 
     def test_undefined_slope_raises(self):
-        class NanSlope:
+        class NanSlope(SpaceBackend):
             lam = 0.0
 
             def slope(self, p):
@@ -242,8 +250,35 @@ class TestFisherAction:
         with pytest.raises(SlopeUndefined):
             fisher_action(NanSlope(), c)
 
+    def test_density_curve_equals_per_node_loop(self, porous2):
+        class Looped(type(porous2)):
+            slopes = SpaceBackend.slopes
+
+        a = GridDensity.gaussian(-1.0, 0.5, 64, 0.25, -8.0, "periodic")
+        b = GridDensity.gaussian(2.0, 1.5, 64, 0.25, -8.0, "periodic")
+        c = geodesic_curve(porous2, a, b, 8)
+        c = Curve(c.times, c.points[:4] + (a,) + c.points[5:])  # a repeated node
+        assert fisher_action(porous2, c).hex() == fisher_action(Looped(porous2.kind), c).hex()
+
+    def test_first_undefined_slope_named(self):
+        class BadSlopes(SpaceBackend):
+            def slope(self, p):
+                return {2.0: -1.0, 3.0: math.nan}.get(float(p[0]), 1.0)
+
+            def check_point(self, p):
+                pass
+
+            def same_space(self, a, b):
+                return True
+
+        from entrogeo.errors import SlopeUndefined
+
+        c = Curve.uniform([np.array([float(i)]) for i in range(5)])
+        with pytest.raises(SlopeUndefined, match="at node 2$"):
+            fisher_action(BadSlopes(), c)
+
     def test_infinite_endpoint_slopes_are_dropped(self, quad2d):
-        class InfEndpoints:
+        class InfEndpoints(SpaceBackend):
             lam = 0.0
 
             def slope(self, p):

@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import norm
 
 from entrogeo import (
+    Density1DBackend,
     EntropyKind,
     GridDensity,
     w2_distance,
@@ -18,6 +19,7 @@ from entrogeo import density1d
 from entrogeo.core import geodesic_curve
 from entrogeo.density1d import (
     DENSITY_FLOOR,
+    _cdf,
     _cdf_nodes,
     _cut_costs,
     _distances,
@@ -144,6 +146,11 @@ class TestGridDensity:
                 GridDensity(r, 0.125, normalize=True)
         assert str(stacked.value) == str(alone.value)
         assert ("non-finite" in str(alone.value)) == (first != "empty")
+
+    def test_same_grid_tolerances(self):
+        d = GridDensity.uniform(8, 0.25, -1.0)
+        assert d.same_grid(GridDensity.uniform(8, 0.25 * (1.0 + 1e-15), -1.0))
+        assert not d.same_grid(GridDensity.uniform(8, 0.25, -1.0 + 2e-12 * d.length))
 
     def test_csv_round_trip(self, tmp_path):
         d = gaussian_on(WIDE, 0.3, 1.1)
@@ -290,7 +297,7 @@ def cut_costs(pairs, cuts):
 
 def min_cuts(pairs, seeds=None):
     mass, rows = table(pairs)
-    return _min_cuts(mass, rows, pairs[0][0].dx, seeds)
+    return _min_cuts(_turns(mass), _cdf(mass)[:, :-1], rows, pairs[0][0].dx, seeds)
 
 
 def all_cut_costs(a, b):
@@ -600,6 +607,16 @@ class TestDistances:
         porous2.distances(xs, ys)
         assert len(checked) == len(pts)
 
+    def test_one_cut_table_per_call(self, porous2, monkeypatch):
+        # 1,600 pairs: three waves, the last in several lockstep chunks
+        rng = np.random.default_rng(10)
+        pts = [random_bumps(rng, 16, 0.0) for _ in range(40)]
+        built = []
+        turns = density1d._turns
+        monkeypatch.setattr(density1d, "_turns", lambda mass: built.append(mass.shape) or turns(mass))
+        porous2.distances([p for p in pts for _ in pts], [q for _ in pts for q in pts])
+        assert built == [(40, 16)]
+
     def test_grid_mismatch_rejected(self, porous2):
         a = random_bumps(np.random.default_rng(7), 32, 0.0)
         b = random_bumps(np.random.default_rng(8), 64, 0.0)
@@ -622,7 +639,8 @@ class TestNonDensityPoints:
     it stands, first or not."""
 
     @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
-    @pytest.mark.parametrize("op", ["distances", "distance", "flows", "geodesic"])
+    @pytest.mark.parametrize("op", ["distances", "distance", "flows", "geodesic",
+                                    "entropies", "slopes"])
     def test_rejected(self, porous2, op, first):
         d = random_bumps(np.random.default_rng(7), 32, 0.0)
         a, b = (np.zeros(32), d) if first else (d, np.zeros(32))
@@ -631,6 +649,8 @@ class TestNonDensityPoints:
             "distance": lambda: porous2.distance(a, b),
             "flows": lambda: porous2.flows([a, b], [0.1, 0.1]),
             "geodesic": lambda: porous2.geodesic(a, b, 0.5),
+            "entropies": lambda: porous2.entropies([a, b]),
+            "slopes": lambda: porous2.slopes([a, b]),
         }[op]
         with pytest.raises(GridMismatch):
             call()
@@ -721,6 +741,55 @@ class TestSlope:
         oracle = np.trapezoid((2.0 * drho) ** 2 * rho, xs)
         assert oracle == pytest.approx(2.0 * math.pi**2, rel=1e-6)
         assert slope(KP, d) ** 2 == pytest.approx(oracle, rel=1e-3)
+
+
+def entropy_1d(kind, d):
+    """The entropy of one density by its 1-D formula."""
+    r = d.rho
+    if kind.name == "boltzmann":
+        return float(np.sum(r * np.log(r)) * d.dx)
+    return float(np.sum(r**kind.m) * d.dx / (kind.m - 1.0))
+
+
+def slope_1d(kind, d):
+    """The slope of one density by its 1-D formula."""
+    r = d.rho
+    u = np.log(r) + 1.0 if kind.name == "boltzmann" else (kind.m / (kind.m - 1.0)) * r ** (kind.m - 1.0)
+    g = np.concatenate([u[-1:], u, u[:1]] if d.boundary == "periodic" else [u[:1], u, u[-1:]])
+    dg = (g[2:] - g[:-2]) / (2.0 * d.dx)
+    return math.sqrt(max(float(np.sum(dg * dg * r) * d.dx), 0.0))
+
+
+class TestEntropiesAndSlopes:
+    @pytest.mark.parametrize("kind", [KB, KP, EntropyKind.porous_medium(1.5)],
+                             ids=["boltzmann", "m2", "m1.5"])
+    @pytest.mark.parametrize("boundary", ["periodic", "no-flux"])
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_bitwise_per_point(self, kind, boundary, n):
+        rng = np.random.default_rng(n)
+        pts = [GridDensity(rng.uniform(0.1, 1.0, n), 4.0 / n, -2.0, boundary, normalize=True)
+               for _ in range(2)]
+        # a cell width one ulp-scale off, which same_grid accepts
+        pts.append(GridDensity(rng.uniform(0.1, 1.0, n), 4.0 / n * (1.0 + 1e-15), -2.0,
+                               boundary, normalize=True))
+        xs = [pts[0], pts[1], pts[0], pts[2], pts[1]]
+        be = Density1DBackend(kind)
+        ents, slopes = be.entropies(xs), be.slopes(xs)
+        assert ents.tobytes() == np.array([entropy(kind, x) for x in xs]).tobytes()
+        assert ents.tobytes() == np.array([entropy_1d(kind, x) for x in xs]).tobytes()
+        assert slopes.tobytes() == np.array([slope(kind, x) for x in xs]).tobytes()
+        assert slopes.tobytes() == np.array([slope_1d(kind, x) for x in xs]).tobytes()
+
+    def test_empty(self, porous2):
+        assert porous2.entropies([]).shape == (0,)
+        assert porous2.slopes([]).shape == (0,)
+
+    def test_grid_mismatch_rejected(self, porous2):
+        a = random_bumps(np.random.default_rng(7), 32, 0.0)
+        b = random_bumps(np.random.default_rng(8), 64, 0.0)
+        for op in (porous2.entropies, porous2.slopes):
+            with pytest.raises(GridMismatch):
+                op([a, b, a])
 
 
 class TestFlow:

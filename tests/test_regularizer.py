@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entrogeo import Curve, GridDensity, fisher_action, geodesic_curve, kinetic_action
+from entrogeo.core import SpaceBackend
 from entrogeo.errors import DomainError, EndpointEntropyInfinite
 from entrogeo.regularizer import (
     RegularizedCurve,
@@ -213,7 +214,7 @@ class TestDiscreteEstimate:
         base = quad_segment(quad1d, 1.0, 2.0, n=8)
         reg = build(quad1d, base, 0.1)
 
-        class InfSlope:
+        class InfSlope(SpaceBackend):
             lam = 1.0
             distance = staticmethod(quad1d.distance)
             entropy = staticmethod(quad1d.entropy)
@@ -239,7 +240,7 @@ class TestDiscreteEstimateResiduals:
     def test_infinite_slope_convention(self, quad1d):
         reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=8), 0.1)
 
-        class InfSlope:
+        class InfSlope(SpaceBackend):
             lam = 1.0
             distance = staticmethod(quad1d.distance)
             distances = staticmethod(quad1d.distances)
@@ -277,7 +278,7 @@ class TestDiscreteEstimateResiduals:
         reg = build(quad1d, quad_segment(quad1d, 1.0, 2.0, n=16), 0.1)
         sharp = {id(reg.tilde.points[k]) for k in (3, 8, 13)}
 
-        class SomeInfSlopes:
+        class SomeInfSlopes(SpaceBackend):
             lam = 1.0
             distance = staticmethod(quad1d.distance)
             distances = staticmethod(quad1d.distances)

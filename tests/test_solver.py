@@ -759,37 +759,52 @@ class TestQuantileSamples:
         np.testing.assert_allclose(single, Q[3:4], rtol=0.0, atol=1e-15)
 
     def test_flat_gathers_match_the_row_column_gathers(self):
-        # the same PCHIP tables gathered with 2-D [row, interval] indexes
         n, dx = SWEEP["n"], SWEEP["dx"]
         ds = [GridDensity.gaussian(-0.2 + 0.04 * k, 1.0 + 0.015 * k, n, dx, SWEEP["x0"])
               for k in range(63)]
         u = solver_mod._graded_nodes(n)[0]
-        rows = len(ds)
-        F, x = _cdf_nodes(ds[0], np.stack([d.rho for d in ds]))
-        h = np.diff(F, axis=1)
-        mk = np.diff(x) / h
-        w1 = 2.0 * h[:, 1:] + h[:, :-1]
-        w2 = h[:, 1:] + 2.0 * h[:, :-1]
-        dk = np.empty((rows, n + 1))
-        dk[:, 1:-1] = 1.0 / ((w1 / mk[:, :-1] + w2 / mk[:, 1:]) / (w1 + w2))
-        dk[:, 0] = solver_mod._pchip_end_slope(h[:, 0], h[:, 1], mk[:, 0], mk[:, 1])
-        dk[:, -1] = solver_mod._pchip_end_slope(h[:, -1], h[:, -2], mk[:, -1], mk[:, -2])
-        t = (dk[:, :-1] + dk[:, 1:] - 2.0 * mk) / h
-        c0 = t / h
-        c1 = (mk - dk[:, :-1]) / h - t
-        r = np.arange(rows)[:, None]
-        i = np.searchsorted((F + 2.0 * r).ravel(), (u + 2.0 * r).ravel(), side="right")
-        i = np.clip(i.reshape(rows, -1) - (n + 1) * r - 1, 0, n - 1)
-        s = u - F[r, i]
-        s2 = s * s
-        ref = ((x[i] + dk[r, i] * s) + c1[r, i] * s2) + c0[r, i] * (s2 * s)
-        assert _quantile_samples(ds, u).tobytes() == ref.tobytes()
+        assert _quantile_samples(ds, u).tobytes() == pchip_reference(ds, u).tobytes()
+
+    def test_knot_just_above_a_node_in_a_deep_row(self):
+        # a flat lookup over rows shifted by 2 r rounds a node within an ulp
+        # of 2 r below a knot up to the knot, into the next cubic
+        n, dx = SWEEP["n"], SWEEP["dx"]
+        ds = [GridDensity.gaussian(-0.2 + 0.04 * k, 1.0 + 0.015 * k, n, dx, SWEEP["x0"])
+              for k in range(64)]
+        F = _cdf_nodes(ds[0], np.stack([d.rho for d in ds]))[0]
+        below = [np.nextafter(F[r, j], 0.0) for r in (61, 62, 63) for j in (n // 4, n // 2)]
+        u = np.unique(np.concatenate([solver_mod._graded_nodes(n)[0], below]))
+        assert _quantile_samples(ds, u).tobytes() == pchip_reference(ds, u).tobytes()
 
     def test_rejects_mixed_grids(self):
         ds = self._densities()
         other = GridDensity.uniform(self.N, 2.0 * self.DX, self.X0)
         with pytest.raises(GridMismatch):
             _quantile_samples([ds[0], other], np.array([0.5]))
+
+
+def pchip_reference(ds, u):
+    """``_quantile_samples`` with 2-D [row, interval] gathers, each row's
+    intervals from its own ``searchsorted``."""
+    n = ds[0].n
+    rows = len(ds)
+    F, x = _cdf_nodes(ds[0], np.stack([d.rho for d in ds]))
+    h = np.diff(F, axis=1)
+    mk = np.diff(x) / h
+    w1 = 2.0 * h[:, 1:] + h[:, :-1]
+    w2 = h[:, 1:] + 2.0 * h[:, :-1]
+    dk = np.empty((rows, n + 1))
+    dk[:, 1:-1] = 1.0 / ((w1 / mk[:, :-1] + w2 / mk[:, 1:]) / (w1 + w2))
+    dk[:, 0] = solver_mod._pchip_end_slope(h[:, 0], h[:, 1], mk[:, 0], mk[:, 1])
+    dk[:, -1] = solver_mod._pchip_end_slope(h[:, -1], h[:, -2], mk[:, -1], mk[:, -2])
+    t = (dk[:, :-1] + dk[:, 1:] - 2.0 * mk) / h
+    c0 = t / h
+    c1 = (mk - dk[:, :-1]) / h - t
+    r = np.arange(rows)[:, None]
+    i = np.clip([np.searchsorted(f, u, side="right") - 1 for f in F], 0, n - 1)
+    s = u - F[r, i]
+    s2 = s * s
+    return ((x[i] + dk[r, i] * s) + c1[r, i] * s2) + c0[r, i] * (s2 * s)
 
 
 def _density_fd_check(prob, sigma, seed, trials):
