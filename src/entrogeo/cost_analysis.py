@@ -4,12 +4,11 @@
 chain of :func:`~entrogeo.solver.solves` (in descending order, each solve
 starting from the minimizer and the factored Hessian model of the one
 before) and assembles a :class:`CostProfile`: the solver's own
-:class:`~entrogeo.solver.SchrodingerResult` for every eps (less its
-decision vector), together with the eps = 0 reference (the solver's
-closed-form geodesic, its cost and its Fisher action).  The sweep always
-solves eps = 0 itself, so no diagnostic needs a 0 in the eps list.  On
-top of a profile the module checks everything the theory predicts for
-``eps -> cost_eps``:
+:class:`~entrogeo.solver.SchrodingerResult` for every eps, together with
+the eps = 0 reference (the solver's closed-form geodesic, its cost and
+its Fisher action).  The sweep always solves eps = 0 itself, so no
+diagnostic needs a 0 in the eps list.  On top of a profile the module
+checks everything the theory predicts for ``eps -> cost_eps``:
 
 * cost is non-decreasing and continuous in eps, Fisher is non-increasing
   (``fisher_monotonicity``),
@@ -29,7 +28,7 @@ top of a profile the module checks everything the theory predicts for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,13 +37,7 @@ from .core import SpaceBackend, _check_eps
 from .errors import DomainError, ProfileIncomplete, ScheduleRejected
 from .density1d import GridDensity
 from .regularizer import builds
-from .solver import (
-    SchrodingerResult,
-    SolverOptions,
-    discrete_action,
-    solve,
-    solves,
-)
+from .solver import SolverOptions, discrete_action, solve, solves
 
 __all__ = [
     "CostProfile",
@@ -110,11 +103,6 @@ class CostProfile:
         return [r.to_record() for r in self.rows]
 
 
-def _row(res: SchrodingerResult) -> SchrodingerResult:
-    """A profile row: the result without its decision vector."""
-    return replace(res, decision=None)
-
-
 def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
           opts: Optional[SolverOptions] = None) -> CostProfile:
     """Solve for every eps (descending) and collect the results.
@@ -125,7 +113,10 @@ def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
     descent stage on the factored model that solve ended with, while the
     eps the model was built at is within a factor 4 of its own.  A chain
     from 0.2 down to 0.025 thus factors at 0.2 and 0.025 only; each row's
-    ``model_builds`` counts its own.
+    ``model_builds`` counts its own.  Each row keeps its ``decision``,
+    the quantile rows of a density minimizer, and renders its
+    ``minimizer`` only if it is read: of a sweep's rows, only the eps = 0
+    reference, the profile's ``geodesic``, is rendered.
 
     ``eps_list`` must be nonempty, nonnegative and without repeats, with
     no eps whose square underflows or overflows (``DomainError``
@@ -137,7 +128,7 @@ def sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
 
     has_zero = eps_desc[-1] == 0.0
     chain = eps_desc if has_zero else eps_desc + [0.0]
-    rows = [_row(res) for res in solves(backend, x, y, chain, opts)]
+    rows = list(solves(backend, x, y, chain, opts))
     ref = rows[-1] if has_zero else rows.pop()
     rows.reverse()  # increasing eps
     return CostProfile(tuple(rows), ref.cost, ref.fisher, ref.minimizer, opts)
@@ -207,6 +198,12 @@ def taylor_check(profile: CostProfile) -> TaylorReport:
 
 @dataclass(frozen=True)
 class GammaReport:
+    """The record of ``gamma_diagnostics``, one entry per positive eps in
+    descending order.  ``minimizer_deviation`` is each row's own
+    ``deviation``, ``max_t d(omega^eps_t, geodesic_t)`` as the solver
+    measured it in its decision coordinates: for densities the exact W2 of
+    the quantile rows, before they are binned onto the grid."""
+
     eps: tuple
     cost_gaps: tuple          # cost_eps - cost_0, should shrink to 0
     minimizer_deviation: tuple  # max_t d(omega^eps_t, geodesic_t)
@@ -239,8 +236,12 @@ def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaRepor
     deviations may grow by 1e-9 from row to row and recovery gaps dip to
     -1e-6, for roundoff.  A profile without a positive-eps row raises
     ``ProfileIncomplete``.  The recovery curves of every eps come from one
-    ``builds`` call and the deviations of every row from one
-    ``backend.distances`` call.
+    ``builds`` call.  The deviations are the rows' own ``deviation``: the
+    solver measured each against the geodesic between the row's end
+    points, which the end check makes the profile's, in its decision
+    coordinates (for densities the exact W2 of the quantile rows, before
+    they are binned onto the grid), so no row's curve is rendered; the end
+    check reads only each row's two ends.
     """
     pos = [r for r in profile.rows if r.eps > 0]
     if not pos:
@@ -249,18 +250,15 @@ def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaRepor
 
     geo = profile.geodesic
     for row in pos_desc:
-        for end, i in (("start", 0), ("end", -1)):
-            if not _same_point(row.minimizer.points[i], geo.points[i]):
+        for end, p, q in zip(("start", "end"), row.ends(), (geo.points[0], geo.points[-1])):
+            if not _same_point(p, q):
                 raise DomainError(
                     f"the eps={row.eps:g} row {end}s at another point than the profile's "
                     "geodesic, as the rows of a mollified sweep do; the recovery gap has "
                     "a sign only between the geodesic's own endpoints")
     eps_out = [row.eps for row in pos_desc]
     gaps = [row.cost - profile.cost_0 for row in pos_desc]
-    nodes = len(geo.points)
-    dist = backend.distances([p for row in pos_desc for p in row.minimizer.points],
-                             list(geo.points) * len(pos_desc))
-    devs = [float(np.max(dist[k * nodes:(k + 1) * nodes])) for k in range(len(pos_desc))]
+    devs = [row.deviation for row in pos_desc]
     regs = builds(backend, geo, eps_out)
     rec = [discrete_action(backend, reg.tilde, row.eps, profile.opts) - row.cost
            for row, reg in zip(pos_desc, regs)]
@@ -322,6 +320,6 @@ def mollified_sweep(backend: SpaceBackend, x, y, eps_list: Sequence[float],
         mollified.append((e, xe, ye))
 
     ref = solve(backend, x, y, 0.0, opts)  # between the original endpoints
-    rows = [_row(solve(backend, xe, ye, e, opts)) for e, xe, ye in mollified]
+    rows = [solve(backend, xe, ye, e, opts) for e, xe, ye in mollified]
     rows.sort(key=lambda r: r.eps)
     return CostProfile(tuple(rows), ref.cost, math.inf, ref.minimizer, opts)

@@ -20,10 +20,12 @@ on the model that solve ended with, if that model's eps is within a factor
 4 of its own (the rule is in ``solves``), so a sweep chain factors a model
 only every few rows.  A problem keeps the eps-free parts of its last
 evaluation, so the start of a chained solve and the cost split after a
-descent, both at the iterate evaluated last, evaluate nothing afresh; and
-a rebuilt density model refills the band of the problem's last model of
-its precision once nothing holds that model, rather than mapping a new
-one.  A step is accepted on the Armijo test, or
+descent, both at the iterate evaluated last, evaluate nothing afresh, and
+a model built there computes no Jacobian of its own; a rebuilt density
+model refills the band of the problem's last model of its precision once
+nothing holds that model, rather than mapping a new one.  A result keeps
+its minimizer in decision coordinates and renders the curve only when it
+is read.  A step is accepted on the Armijo test, or
 else on the approximate-Wolfe slope test of Hager & Zhang with the value
 allowed to rise by at most 1e-14 relative, so that iterates at the
 roundoff floor of the action are not rejected.  Every solve stops when the decrease the
@@ -143,6 +145,43 @@ class SolverOptions:
             raise DomainError(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
 
+@dataclass(frozen=True, eq=False)
+class _Chart:
+    """The curves of one problem's decision vectors: its time grid, its two
+    end points and, for densities, the u-nodes of the quantile rows (``u``
+    None: the rows are the node coordinates).  It holds no model, so a
+    result that renders its minimizer with it keeps no band alive."""
+
+    times: np.ndarray
+    first: object
+    last: object
+    u: Optional[np.ndarray] = None
+
+    def curve(self, z: np.ndarray) -> Curve:
+        inner = z.reshape(self.times.size - 2, -1)
+        if self.u is not None:
+            inner = _density_from_quantiles(self.first, inner, self.u)
+        return Curve(self.times, [self.first, *inner, self.last])
+
+
+class _RenderedOnRead:
+    """The ``minimizer`` field of ``SchrodingerResult``: a ``Curve``, or a
+    ``_Chart`` that renders the result's ``decision`` as one when the field
+    is first read.  It has no default, so the field stays required."""
+
+    def __get__(self, res, owner=None):
+        if res is None:
+            raise AttributeError("minimizer")  # no class-level default
+        curve = res.__dict__["minimizer"]
+        if isinstance(curve, _Chart):
+            curve = curve.curve(res.decision)
+            res.__dict__["minimizer"] = curve
+        return curve
+
+    def __set__(self, res, curve):
+        res.__dict__["minimizer"] = curve
+
+
 @dataclass(frozen=True)
 class SchrodingerResult:
     """Minimizer curve plus the decomposed value of the entropic action.
@@ -152,12 +191,18 @@ class SchrodingerResult:
     the max-norm of the closed form's gradient, which is roundoff.  Under a
     model inherited from a larger eps it is an upper bound of that ratio
     for the solve's own model (see ``solves``).  ``decision`` is
-    the minimizer in decision coordinates.  ``model_builds`` counts the
-    Hessian models the solve factored: 0 at eps = 0 and for a chained solve
-    that converged on the model of the one before.
+    the minimizer in decision coordinates; a solve's result renders
+    ``minimizer`` from it on first read and keeps the curve, so a result
+    whose curve nobody reads never renders it.
+    ``model_builds`` counts the Hessian models the solve factored: 0 at
+    eps = 0 and for a chained solve that converged on the model of the one
+    before.  ``deviation`` is the largest distance, node by node, of the
+    minimizer from the geodesic between the same end points, measured in
+    decision coordinates (see ``solves``): 0 at eps = 0, and nan for a
+    result that solved nothing (``bridge_from_flow``).
     """
 
-    minimizer: Curve
+    minimizer: Curve = _RenderedOnRead()
     cost: float
     kinetic: float
     fisher: float
@@ -168,6 +213,15 @@ class SchrodingerResult:
     cost_history: tuple = field(default=(), repr=False)
     decision: object = field(default=None, repr=False, compare=False)
     model_builds: int = 0
+    deviation: float = math.nan
+
+    def ends(self) -> tuple:
+        """The first and last points of ``minimizer``, read without
+        rendering it."""
+        curve = self.__dict__["minimizer"]
+        if isinstance(curve, _Chart):
+            return curve.first, curve.last
+        return curve.points[0], curve.points[-1]
 
     def to_record(self) -> dict:
         return {name: getattr(self, name) for name in (
@@ -335,11 +389,13 @@ class _Problem:
     coordinate).  None of it depends on eps, which enters ``action``,
     ``value_grad`` and ``make_preconditioner`` as the Fisher weight
     ``sigma = eps^2``.  Subclasses supply ``_slope_sq``, the squared slope
-    of every row and its gradient at the interior rows (a fresh array,
-    which ``action`` keeps), and ``make_preconditioner``, whose models a
-    caller simply drops: a problem may reuse a model's memory only once
-    nothing holds the model.  They also add ``pack``, ``to_curve`` and
-    ``value_grad``.
+    of every row, its gradient at the interior rows (a fresh array) and the
+    Jacobian the model reads at the interior rows, all of which ``action``
+    keeps; ``_jacobian``, that Jacobian of given interior rows; and
+    ``make_preconditioner``, whose models a caller simply drops: a problem
+    may reuse a model's memory only once nothing holds the model.  They
+    also add ``chart`` (the ``_Chart`` of their decision vectors), ``pack``,
+    ``row_distances`` and ``value_grad``.
     """
 
     def __init__(self, times, first: np.ndarray, last: np.ndarray, row_mass):
@@ -350,7 +406,8 @@ class _Problem:
         self.first, self.last = first, last
         self.row_mass = row_mass
         # the sigma-free parts of the last evaluation, keyed by the bytes of
-        # its z: (key, kin, fis, scaled momenta, Fisher gradient)
+        # its z: (key, kin, fis, scaled momenta, Fisher gradient, model
+        # Jacobian)
         self._kept = None
 
     def geodesic_z(self) -> np.ndarray:
@@ -375,17 +432,27 @@ class _Problem:
         would."""
         key = z.tobytes()
         if self._kept is None or self._kept[0] != key:
+            self._kept = None  # freed before the new evaluation allocates its own
             rows = self._stack(z)
             mom = np.diff(rows, axis=0)
             kin = 0.5 * float(np.sum(self.row_mass * mom**2 / self.dts[:, None]))
             mom *= self.row_mass / self.dts[:, None]
-            S, dS = self._slope_sq(rows)
-            self._kept = key, kin, 0.5 * _dot(self.weights, S), mom, dS
-        _, kin, fis, mom, dS = self._kept
+            S, dS, jac = self._slope_sq(rows)
+            self._kept = key, kin, 0.5 * _dot(self.weights, S), mom, dS, jac
+        _, kin, fis, mom, dS, _ = self._kept
         grad = dS * (0.5 * sigma * self.weights[1:-1, None])
         grad += mom[:-1]
         grad -= mom[1:]
         return kin, fis, grad.ravel()
+
+    def _model_jacobian(self, z: np.ndarray):
+        """The Jacobian the model reads at the interior rows of ``z``: the
+        one the last evaluation kept when it was at ``z`` (a build at the
+        iterate evaluated last), else ``_jacobian``'s, which is the same
+        bit for bit."""
+        if self._kept is not None and self._kept[0] == z.tobytes():
+            return self._kept[5]
+        return self._jacobian(z.reshape(self.n_interior, -1))
 
     def _kinetic_bands(self):
         """Diagonal and off-diagonal of the kinetic Hessian in time, one
@@ -405,19 +472,29 @@ class _EuclideanProblem(_Problem):
         super().__init__(times, np.asarray(x, dtype=float),
                          np.asarray(y, dtype=float), row_mass=1.0)
         self.pot = backend.potential
+        self.distance = backend.distance
+        self.chart = _Chart(self.times, self.first, self.last)
 
     def pack(self, curve: Curve) -> np.ndarray:
         return np.concatenate([np.asarray(p, float) for p in curve.points[1:-1]])
 
-    def to_curve(self, z: np.ndarray) -> Curve:
-        return Curve(self.times, [self.first, *z.reshape(self.n_interior, -1), self.last])
+    def row_distances(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        """The distance of each interior row of ``za`` from the same row of
+        ``zb``, by the backend's own ``distance``."""
+        nI = self.n_interior
+        return np.array([self.distance(a, b)
+                         for a, b in zip(za.reshape(nI, -1), zb.reshape(nI, -1))])
+
+    def _jacobian(self, rows: np.ndarray) -> np.ndarray:
+        """The Hessians of V at ``rows``."""
+        return np.array([self.pot.hess(p) for p in rows])
 
     def _slope_sq(self, rows: np.ndarray):
-        """``|grad V|^2`` at every row and its gradient ``2 Hess V grad V``
-        at the interior rows."""
+        """``|grad V|^2`` at every row, its gradient ``2 Hess V grad V`` at
+        the interior rows and the Hessians there."""
         g = np.array([self.pot.grad(p) for p in rows])
-        H = np.array([self.pot.hess(p) for p in rows[1:-1]])
-        return np.sum(g * g, axis=1), 2.0 * np.einsum("ikj,ik->ij", H, g[1:-1])
+        H = self._jacobian(rows[1:-1])
+        return np.sum(g * g, axis=1), 2.0 * np.einsum("ikj,ik->ij", H, g[1:-1]), H
 
     def value_grad(self, z: np.ndarray, sigma: float):
         kin, fis, grad = self.action(z, sigma)
@@ -435,7 +512,7 @@ class _EuclideanProblem(_Problem):
         is the exact Hessian, so one Newton step solves the problem.
         """
         nI, dim = self.n_interior, self.first.size
-        H = np.array([self.pot.hess(p) for p in z0.reshape(nI, dim)])
+        H = self._model_jacobian(z0)
         D = sigma * self.weights[1:-1, None, None] * (H.transpose(0, 2, 1) @ H)
         # lower band storage: band[j, i, c] = A[(i, c + j), (i, c)]
         band = np.zeros((dim + 1, nI, dim))
@@ -460,7 +537,8 @@ def _uprime_of_inv(kind: EntropyKind, G: np.ndarray):
     return (m / (m - 1.0)) * G ** (1.0 - m), -m * G ** (-m)
 
 
-def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndarray):
+def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndarray,
+                     out=(None, None)):
     """The quantile-space Fisher residuals along the last axis of ``Q`` and
     their Jacobian.
 
@@ -469,7 +547,8 @@ def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndar
     of the interior nodes have an ``H``-weighted sum of squares equal to
     the squared metric slope, ``H_k = (u_{k+1} - u_{k-1}) / 2`` the dual
     cell widths.  Returns ``R``, ``a = dR_k/dQ_{k-1}`` and
-    ``c = dR_k/dQ_{k+1}``; ``R`` is invariant under shifts of ``Q``, so
+    ``c = dR_k/dQ_{k+1}``, the last two written into the arrays of ``out``
+    if it holds them; ``R`` is invariant under shifts of ``Q``, so
     ``dR_k/dQ_k = -(a + c)``.
     """
     G = np.diff(Q, axis=-1) / h
@@ -478,8 +557,8 @@ def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndar
     Hqp = H * qp
     R = (A[..., 1:] - A[..., :-1]) / Hqp
     half_R = 0.5 * R / qp
-    a = (ap[..., :-1] / Hqp + half_R) / h[:-1]
-    c = (ap[..., 1:] / Hqp - half_R) / h[1:]
+    a = np.divide(ap[..., :-1] / Hqp + half_R, h[:-1], out=out[0])
+    c = np.divide(ap[..., 1:] / Hqp - half_R, h[1:], out=out[1])
     return R, a, c
 
 
@@ -562,17 +641,37 @@ def _quantile_samples(ds, u: np.ndarray) -> np.ndarray:
     return ((x[i] + dk.take(knot) * s) + c1.take(cell) * s2) + c0.take(cell) * (s2 * s)
 
 
-def _density_from_quantiles(template: GridDensity, Qs: np.ndarray,
-                            u: np.ndarray) -> list:
-    """The densities on ``template``'s grid whose quantiles are sampled at
-    ``u`` in the rows of ``Qs``, derived as one stack."""
-    # extend each sampled quantile linearly over the end cells [0, u_0]
-    # and [u_{m-1}, 1]
+def _extended_quantiles(Qs: np.ndarray, u: np.ndarray):
+    """The nodes ``[0, *u, 1]`` and the rows of ``Qs``, quantiles sampled at
+    ``u``, extended linearly over the end cells ``[0, u_0]`` and
+    ``[u_{m-1}, 1]``."""
     G0 = (Qs[:, 1] - Qs[:, 0]) / (u[1] - u[0])
     G1 = (Qs[:, -1] - Qs[:, -2]) / (u[-1] - u[-2])
     u_full = np.concatenate([[0.0], u, [1.0]])
     q_full = np.concatenate([(Qs[:, 0] - u[0] * G0)[:, None], Qs,
                              (Qs[:, -1] + (1.0 - u[-1]) * G1)[:, None]], axis=1)
+    return u_full, q_full
+
+
+def _quantile_distances(Qa: np.ndarray, Qb: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``sqrt(int_0^1 (Qa - Qb)^2 du)`` row by row, for the piecewise-linear
+    quantiles through the rows of ``Qa`` and ``Qb`` at ``u``, extended by
+    ``_extended_quantiles``.  It is exact, since the difference is linear
+    on each cell: the W2 distance of the measures with these quantiles,
+    before ``_density_from_quantiles`` bins them onto a grid.  The
+    extension is linear, so the difference is extended rather than each
+    row."""
+    u_full, d = _extended_quantiles(Qa - Qb, u)
+    d0, d1 = d[:, :-1], d[:, 1:]
+    return np.sqrt(np.sum(np.diff(u_full) * (d0 * (d0 + d1) + d1 * d1), axis=1) / 3.0)
+
+
+def _density_from_quantiles(template: GridDensity, Qs: np.ndarray,
+                            u: np.ndarray) -> list:
+    """The densities on ``template``'s grid whose quantiles are sampled at
+    ``u`` in the rows of ``Qs``, extended by ``_extended_quantiles``,
+    derived as one stack."""
+    u_full, q_full = _extended_quantiles(Qs, u)
     edges = template.edges
     F_edges = np.array([np.interp(edges, q, u_full, left=0.0, right=1.0) for q in q_full])
     return _derived([template] * len(Qs), np.diff(F_edges, axis=1) / template.dx)
@@ -604,6 +703,12 @@ class _DensityProblem(_Problem):
         self.h = np.diff(self.u)
         self.H = 0.5 * (self.h[1:] + self.h[:-1])
         super().__init__(times, *_quantile_samples([x, y], self.u), row_mass=cell_widths)
+        self.chart = _Chart(self.times, x, y, self.u)
+        # a and c of every evaluation's _fisher_jacobian, which _kept holds,
+        # written in place: a fresh pair kept from each evaluation to the
+        # next raised the peak resident memory of 20 s density_sweep bench
+        # runs by about 0.4 MB (2-vCPU host)
+        self._jac = np.empty((2, self.n_interior + 2, m_points - 2))
         # per band dtype: the band of the last model of that precision and
         # a weak reference to that model, see make_preconditioner
         self._bands = {}
@@ -611,10 +716,23 @@ class _DensityProblem(_Problem):
     def pack(self, curve: Curve) -> np.ndarray:
         return _quantile_samples(curve.points[1:-1], self.u).ravel()
 
+    def row_distances(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        """The W2 distance of each interior quantile row of ``za`` from the
+        same row of ``zb`` (``_quantile_distances``)."""
+        nI, m = self.n_interior, self.m
+        return _quantile_distances(za.reshape(nI, m), zb.reshape(nI, m), self.u)
+
+    def _jacobian(self, Qs: np.ndarray):
+        """``a`` and ``c`` of ``_fisher_jacobian`` at the rows ``Qs``."""
+        return _fisher_jacobian(self.kind, Qs, self.h, self.H)[1:]
+
     def _slope_sq(self, rows: np.ndarray):
-        """``sum_k H_k R_k^2`` at every row and its gradient ``2 J^T H R``
-        at the interior rows, for increasing quantiles."""
-        R, a, c = _fisher_jacobian(self.kind, rows, self.h, self.H)
+        """``sum_k H_k R_k^2`` at every row, its gradient ``2 J^T H R`` at
+        the interior rows and ``a``, ``c`` of ``_fisher_jacobian`` there,
+        for increasing quantiles.  ``a`` and ``c`` are views of ``_jac``,
+        which each call overwrites, so only ``action`` calls it, once it
+        has dropped the kept evaluation."""
+        R, a, c = _fisher_jacobian(self.kind, rows, self.h, self.H, self._jac)
         HR = self.H * R
         aR = 2.0 * a[1:-1] * HR[1:-1]
         cR = 2.0 * c[1:-1] * HR[1:-1]
@@ -622,7 +740,7 @@ class _DensityProblem(_Problem):
         dS[:, :-2] += aR
         dS[:, 1:-1] -= aR + cR
         dS[:, 2:] += cR
-        return np.sum(HR * R, axis=1), dS
+        return np.sum(HR * R, axis=1), dS, (a[1:-1], c[1:-1])
 
     def value_grad(self, z: np.ndarray, sigma: float):
         if np.any(np.diff(z.reshape(self.n_interior, self.m), axis=1) <= 0.0):
@@ -633,20 +751,15 @@ class _DensityProblem(_Problem):
             return math.inf, None
         return val, grad
 
-    def to_curve(self, z: np.ndarray) -> Curve:
-        Qs = z.reshape(self.n_interior, self.m)
-        inner = _density_from_quantiles(self.x, Qs, self.u)
-        return Curve(self.times, [self.x, *inner, self.y])
-
     def _fisher_gn_bands(self, Qs: np.ndarray):
         """Gauss-Newton bands of the quantile-space Fisher at every node.
 
         The squared slope is a sum of squared residuals R_k(Q) with a
         3-point stencil, so its Gauss-Newton Hessian is pentadiagonal;
         returns (diag, first, second off-diagonals) of ``J^T diag(H) J``,
-        one row per node of ``Qs``.
+        one row per node of ``Qs``, the interior rows of a decision vector.
         """
-        _, a, c = _fisher_jacobian(self.kind, Qs, self.h, self.H)
+        a, c = self._model_jacobian(Qs)
         b = -(a + c)
         Ha, Hb = self.H * a, self.H * b
         d0 = np.zeros(Qs.shape)
@@ -790,16 +903,26 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     divided by that factor and the reported stationarity, the final
     stage's decrement over eps^2, multiplied by it.  The model lives in the
     generator, not in any result, so a chain holds one band at a time and a
-    kept result holds none; a caller that strips each result as it comes
-    holds one decision vector at a time.  Once the chain drops a model,
-    nothing reads its band, and the next build refills it (see
+    kept result holds none: it holds its decision vector and the problem's
+    ``_Chart``, which renders ``minimizer`` from that vector when it is
+    first read, so a caller that keeps every result holds one decision
+    vector per eps and no curve it has not read.  Once the chain drops a
+    model, nothing reads its band, and the next build refills it (see
     ``_DensityProblem.make_preconditioner``).
+
+    Each result's ``deviation`` is the largest ``row_distances`` of its
+    decision vector from ``geodesic_z()``, the exact minimizer at eps = 0,
+    where it is 0: the distance of each interior node from the geodesic's,
+    exact in decision coordinates (point coordinates; for densities the
+    W2 of the quantile rows), so no curve is rendered to measure it.
 
     Each descent ends at the iterate it evaluated last, unless its line
     search stalled, and the next eps starts there: the cost split into
     kinetic and Fisher parts after the descent, and the first evaluation
     of the next solve, reuse the problem's kept evaluation of that iterate
-    (see ``_Problem.action``) and change no bit of any result.
+    (see ``_Problem.action``) and change no bit of any result.  A model
+    built at that iterate takes its Jacobian from the kept evaluation too
+    (``_Problem._model_jacobian``).
     """
     opts = opts or SolverOptions()
     eps_list = list(eps_list)  # checked, then solved: a one-shot iterable runs out
@@ -809,13 +932,14 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     if any(eps > 0 for eps in eps_list):
         _check_finite_entropy(backend, x, y)
     prob = _problem(backend, x, y, _uniform_times(opts.n_time), opts)
+    z_geo = prob.geodesic_z()  # the deviations are measured from it
     z, precond, eps_model = None, None, None
     for eps in eps_list:
         if eps == 0.0:
             z0 = prob.geodesic_z()
             kin, fis, g = prob.action(z0, 0.0)
-            yield SchrodingerResult(prob.to_curve(z0), kin, kin, fis, 0, True,
-                                    float(np.max(np.abs(g))), 0.0, (kin,), z0)
+            yield SchrodingerResult(prob.chart, kin, kin, fis, 0, True,
+                                    float(np.max(np.abs(g))), 0.0, (kin,), z0, 0, 0.0)
             continue
         if z is None:
             geo = geodesic_curve(backend, x, y, opts.n_time + 1)
@@ -842,8 +966,9 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
                 break
             stalled_before = stalled
         kin, fis, _ = prob.action(z, sigma)
-        yield SchrodingerResult(prob.to_curve(z), kin + sigma * fis, kin, fis, iters, converged,
-                                decrement * scale / sigma, eps, tuple(history), z, builds)
+        yield SchrodingerResult(prob.chart, kin + sigma * fis, kin, fis, iters, converged,
+                                decrement * scale / sigma, eps, tuple(history), z, builds,
+                                float(np.max(prob.row_distances(z, z_geo))))
 
 
 def solve(backend: SpaceBackend, x, y, eps: float,

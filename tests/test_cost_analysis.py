@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entrogeo import Curve, GridDensity, cost_analysis
+from entrogeo import Curve, Density1DBackend, GridDensity, cost_analysis, solver
 from entrogeo.cost_analysis import (
     CostProfile,
     _descending_eps,
@@ -16,10 +16,31 @@ from entrogeo.cost_analysis import (
 )
 from entrogeo.errors import DomainError, ProfileIncomplete, ScheduleRejected
 from entrogeo.regularizer import build
-from entrogeo.solver import SchrodingerResult, SolverOptions, discrete_action, solves
+from entrogeo.solver import (
+    SchrodingerResult,
+    SolverOptions,
+    _DensityProblem,
+    _uniform_times,
+    discrete_action,
+    solves,
+)
 
 
 EPS_DYADIC = [0.2, 0.1, 0.05, 0.025]
+# the benchmark's density sweep: its grid, its eps and its Gaussian pairs
+# (mean, sd) -> (mean, sd) of seeds 1-3
+BENCH_GRID = (256, 22.0 / 256, -10.0)
+BENCH_EPS = [0.025 * k for k in range(1, 9)]
+BENCH_PAIRS = {
+    1: ((-0.1463, 1.0347), (2.1055, 1.951)),
+    2: ((0.1824, 1.0448), (1.8226, 1.917)),
+    3: ((-0.1048, 1.0044), (1.948, 2.0208)),
+}
+
+
+def bench_pair(seed):
+    n, dx, x0 = BENCH_GRID
+    return tuple(GridDensity.gaussian(m, s, n, dx, x0) for m, s in BENCH_PAIRS[seed])
 
 
 def result_row(eps):
@@ -68,7 +89,7 @@ class TestSweep:
 
     def test_rows_equal_a_hand_chain_of_solves(self, boltzmann):
         # the sweep is a chain of solves, each started from the result
-        # before it; its rows drop the decision vector
+        # before it; its rows keep the decision vector
         n = 64
         x = GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0)
         y = GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0)
@@ -76,21 +97,21 @@ class TestSweep:
         eps_list = [0.2, 0.1, 0.05]
         prof = sweep(boltzmann, x, y, eps_list, opts)
         chain = list(solves(boltzmann, x, y, eps_list, opts))
-        fields = ("cost", "kinetic", "fisher", "iterations", "stationarity")
+        fields = ("cost", "kinetic", "fisher", "iterations", "stationarity", "deviation")
         for row, res in zip(reversed(prof.rows), chain):
-            assert row.decision is None and res.decision is not None
+            assert row.decision.tobytes() == res.decision.tobytes()
             assert [getattr(row, f) for f in fields] == [getattr(res, f) for f in fields]
         assert any(r.iterations > 0 for r in prof.rows)
 
     def test_rows_drop_the_model_and_count_builds(self, boltzmann):
         # 0.2 factors its model, 0.1 runs on it ((0.2 / 0.1)^2 = 4) and
-        # 0.025 factors its own ((0.2 / 0.025)^2 = 64); a row keeps neither
-        # a model nor its decision vector
+        # 0.025 factors its own ((0.2 / 0.025)^2 = 64); a row keeps no
+        # model, only its decision vector: 15 rows of 64 quantiles
         n = 64
         x = GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0)
         y = GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0)
         prof = sweep(boltzmann, x, y, [0.0, 0.025, 0.1, 0.2], SolverOptions(n_time=15))
-        assert all(r.decision is None for r in prof.rows)
+        assert all(r.decision.shape == (15 * n,) for r in prof.rows)
         assert [r.model_builds for r in prof.rows] == [0, 1, 0, 1]
         assert [rec["model_builds"] for rec in prof.to_records()] == [0, 1, 0, 1]
 
@@ -240,9 +261,69 @@ class TestGammaDiagnostics:
         assert report.recovery_gaps == tuple(
             discrete_action(backend, build(backend, geo, r.eps).tilde, r.eps, prof.opts) - r.cost
             for r in rows)
-        assert report.minimizer_deviation == tuple(
+        grid_w2 = tuple(
             float(np.max(backend.distances(r.minimizer.points, geo.points))) for r in rows)
+        if kind == "quadratic":
+            assert report.minimizer_deviation == grid_w2
+        else:
+            # the W2 of each row's quantiles from the geodesic's, before
+            # either is binned onto the grid; the binned curves' W2 reads
+            # 1.1-1.7% less on this pair
+            prob = _DensityProblem(backend, x, y, _uniform_times(15), n)
+            z_geo = prob.geodesic_z()
+            assert report.minimizer_deviation == tuple(
+                float(np.max(prob.row_distances(r.decision, z_geo))) for r in rows)
+            np.testing.assert_allclose(report.minimizer_deviation, grid_w2, rtol=2e-2)
         assert report.passed
+
+    @pytest.mark.parametrize("seed", sorted(BENCH_PAIRS))
+    def test_deviations_match_the_gaussian_closed_form(self, boltzmann, seed):
+        # the minimizer between N(m0, s0^2) and N(m1, s1^2) is Gaussian with
+        # the geodesic's mean and variance w(t) = s0^2 + (s1^2 - s0^2 - 2C) t
+        # + 2C t^2, C = (s0^2 + s1^2)/2 - sqrt(s0^2 s1^2 + eps^2) (the
+        # docstring of bench/oracles.py), so its W2 from the geodesic is
+        # |sqrt(w(t)) - s(t)|, s(t) = (1 - t) s0 + t s1.  Measured on the
+        # three pairs: node by node within 8.62e-5 and within 7.46e-2 of
+        # the row's largest exact deviation, the largest deviation within
+        # 5.02e-2 of its own; the bounds are 1.1 times those
+        x, y = bench_pair(seed)
+        (_, s0), (_, s1) = BENCH_PAIRS[seed]
+        prof = sweep(boltzmann, x, y, BENCH_EPS)
+        report = gamma_diagnostics(boltzmann, prof)
+        prob = _DensityProblem(boltzmann, x, y, _uniform_times(63), BENCH_GRID[0])
+        z_geo, t = prob.geodesic_z(), prob.times[1:-1]
+        for row, dev in zip(reversed(prof.rows), report.minimizer_deviation, strict=True):
+            C = 0.5 * (s0 * s0 + s1 * s1) - math.sqrt(s0 * s0 * s1 * s1 + row.eps**2)
+            w = s0 * s0 + (s1 * s1 - s0 * s0 - 2.0 * C) * t + 2.0 * C * t * t
+            exact = np.abs(np.sqrt(w) - ((1.0 - t) * s0 + t * s1))
+            err = np.max(np.abs(prob.row_distances(row.decision, z_geo) - exact))
+            assert err <= 1.1 * 8.62e-5 and err <= 1.1 * 7.46e-2 * np.max(exact)
+            assert dev == row.deviation
+            assert abs(dev - np.max(exact)) <= 1.1 * 5.02e-2 * np.max(exact)
+        devs = report.minimizer_deviation  # descending eps
+        assert all(d2 < d1 for d1, d2 in zip(devs, devs[1:]))
+
+    def test_bench_sweep_renders_one_curve_and_measures_no_w2(self, boltzmann, monkeypatch):
+        # only the eps = 0 row, the profile's geodesic, is rendered; the
+        # deviations come from the rows, with no backend distance
+        renders, distances = [], []
+        render, dist = solver._density_from_quantiles, Density1DBackend.distances
+
+        def counted_render(*args):
+            renders.append(1)
+            return render(*args)
+
+        def counted_distances(self, xs, ys):
+            distances.append(1)
+            return dist(self, xs, ys)
+
+        monkeypatch.setattr(solver, "_density_from_quantiles", counted_render)
+        monkeypatch.setattr(Density1DBackend, "distances", counted_distances)
+        prof = sweep(boltzmann, *bench_pair(1), [0.0] + BENCH_EPS)
+        assert len(renders) == 1
+        report = gamma_diagnostics(boltzmann, prof)
+        assert report.passed
+        assert len(renders) == 1 and distances == []
 
     def test_mollified_profile_rejected(self, boltzmann):
         # rows between mollified endpoints cost less than the geodesic
@@ -402,7 +483,7 @@ class TestMollifiedSweep:
         prof = mollified_sweep(boltzmann, x, y, [0.0, 0.4], math.sqrt, opts)
         assert prof.opts is opts
         assert [r.eps for r in prof.rows] == [0.4]
-        assert prof.rows[0].decision is None
+        assert prof.rows[0].decision.shape == (7 * x.n,)
 
 
 class TestEpsList:

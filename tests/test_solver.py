@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib.util
 import math
 import mmap
@@ -457,7 +458,7 @@ class TestGradedNodes:
         # it, where uniform midpoints lose 7e-2 to the dropped tails
         a, b = gaussian_on(SWEEP, 0.0, 1.0), gaussian_on(SWEEP, 2.0, 2.0)
         prob = _DensityProblem(boltzmann, a, b, _uniform_times(3), 256)
-        S, _ = prob._slope_sq(prob._stack(prob.geodesic_z()))
+        S = prob._slope_sq(prob._stack(prob.geodesic_z()))[0]
         assert S[0] == pytest.approx(1.0, rel=4e-3)
         assert S[-1] == pytest.approx(0.25, rel=4e-3)
         assert abs(np.sum(prob.row_mass) - 1.0) <= 1e-15
@@ -1140,6 +1141,79 @@ class TestInheritedModel:
         assert back.decision.tobytes() == res.decision.tobytes()
 
 
+class TestRenderedMinimizer:
+    """A solve's result keeps its decision vector and renders ``minimizer``
+    from it on first read, with no reference to the problem or its bands."""
+
+    def test_render_on_read_is_the_eager_render(self, boltzmann, pair, monkeypatch):
+        problems, renders = [], []
+        problem, render = solver_mod._problem, solver_mod._density_from_quantiles
+
+        def recorded(*args):
+            prob = problem(*args)
+            problems.append(weakref.ref(prob))
+            return prob
+
+        def counted(*args):
+            renders.append(1)
+            return render(*args)
+
+        monkeypatch.setattr(solver_mod, "_problem", recorded)
+        monkeypatch.setattr(solver_mod, "_density_from_quantiles", counted)
+        res = solve(boltzmann, *pair, 0.1, SolverOptions(n_time=15))
+        gc.collect()
+        assert len(problems) == 1 and problems[0]() is None and renders == []
+        # the ends are read without rendering
+        assert res.ends() == pair and renders == []
+        back = pickle.loads(pickle.dumps(res))
+        curve = res.minimizer
+        assert res.minimizer is curve and len(renders) == 1
+        # what the solver rendered eagerly: the end points around the
+        # densities of the quantile rows
+        prob = _DensityProblem(boltzmann, *pair, _uniform_times(15), pair[0].n)
+        inner = render(pair[0], res.decision.reshape(prob.n_interior, prob.m), prob.u)
+        assert curve.times.tobytes() == prob.times.tobytes()
+        assert curve.points[0] is pair[0] and curve.points[-1] is pair[1]
+        for rendered in (curve, back.minimizer):
+            assert [p.rho.tobytes() for p in rendered.points[1:-1]] == [
+                p.rho.tobytes() for p in inner]
+            assert all(p.same_grid(pair[0]) for p in rendered.points)
+
+    def test_euclidean_curve_is_the_decision_rows(self, quad2d):
+        x, y = np.zeros(2), np.array([1.0, 1.0])
+        res = solve(quad2d, x, y, 0.2, SolverOptions(n_time=7))
+        assert [p.tobytes() for p in res.ends()] == [x.tobytes(), y.tobytes()]
+        rows = res.decision.reshape(7, 2)
+        assert [p.tobytes() for p in res.minimizer.points] == [
+            p.tobytes() for p in (x, *rows, y)]
+
+    def test_deviation_is_the_largest_row_distance(self, boltzmann, quad2d, pair):
+        # from the geodesic between the same end points: 0 at eps = 0 and
+        # nan where nothing was solved
+        for be, x, y in ((boltzmann, *pair), (quad2d, np.zeros(2), np.array([1.0, 1.0]))):
+            zero, res = solves(be, x, y, [0.0, 0.2], SolverOptions(n_time=7))
+            prob = solver_mod._problem(be, x, y, _uniform_times(7), SolverOptions(n_time=7))
+            assert zero.deviation == 0.0
+            assert res.deviation == float(np.max(
+                prob.row_distances(res.decision, zero.decision))) > 0.0
+        assert math.isnan(bridge_from_flow(boltzmann, pair[0], 0.1).deviation)
+
+    def test_quantile_distance_is_the_exact_integral(self):
+        # the difference of two extended quantile rows is piecewise linear,
+        # so its L2 norm matches a fine trapezoid quadrature of it
+        u = solver_mod._graded_nodes(16)[0]
+        rng = np.random.default_rng(3)
+        Qa, Qb = (np.cumsum(rng.uniform(0.1, 1.0, (3, 16)), axis=1) for _ in range(2))
+        got = solver_mod._quantile_distances(Qa, Qb, u)
+        u_full, qa = solver_mod._extended_quantiles(Qa, u)
+        qb = solver_mod._extended_quantiles(Qb, u)[1]
+        fine = np.linspace(0.0, 1.0, 200001)
+        want = [math.sqrt(np.trapezoid((np.interp(fine, u_full, a) - np.interp(fine, u_full, b))
+                                       ** 2, fine)) for a, b in zip(qa, qb)]
+        np.testing.assert_allclose(got, want, rtol=1e-8)
+        assert np.all(solver_mod._quantile_distances(Qa, Qa, u) == 0.0)
+
+
 class TestKeptEvaluation:
     """An action at the ``z`` of the last evaluation reuses its sigma-free
     parts: the start of a chained solve and the cost split after a descent
@@ -1164,6 +1238,38 @@ class TestKeptEvaluation:
             assert np.array(a.cost_history).tobytes() == np.array(b.cost_history).tobytes()
             assert a.decision.tobytes() == b.decision.tobytes()
         assert n_fresh - n_kept == saved
+
+    @pytest.mark.parametrize("backend", ["boltzmann", "quad2d"])
+    def test_model_at_the_kept_iterate_reuses_its_jacobian(self, backend, pair, request,
+                                                            monkeypatch):
+        # a build at the iterate evaluated last computes no Jacobian of its
+        # own, and its model is the fresh one bit for bit
+        be = request.getfixturevalue(backend)
+        if backend == "boltzmann":
+            x, y, cls, args = *pair, _DensityProblem, (16,)
+            z = _DensityProblem(be, *pair, _uniform_times(7), 16).pack(build_regularized(
+                be, geodesic_curve(be, *pair, 8), 0.3).tilde)
+        else:
+            x, y, cls, args = np.zeros(2), np.array([1.0, -1.0]), _EuclideanProblem, ()
+            z = np.random.default_rng(5).standard_normal(7 * 2)
+        calls, jacobian = [], cls._jacobian
+
+        def counted(prob, rows):
+            calls.append(1)
+            return jacobian(prob, rows)
+
+        monkeypatch.setattr(cls, "_jacobian", counted)
+        kept, fresh = (cls(be, x, y, _uniform_times(7), *args) for _ in range(2))
+        v = np.random.default_rng(11).standard_normal(z.size)
+        kept.value_grad(z, 0.01)
+        calls.clear()
+        reused = kept.make_preconditioner(z, 0.01)(v)
+        assert calls == []
+        assert reused.tobytes() == fresh.make_preconditioner(z, 0.01)(v).tobytes()
+        assert len(calls) == 1
+        if backend == "boltzmann":
+            bands = [p._bands[np.dtype(np.float32)][0] for p in (kept, fresh)]
+            assert bands[0].tobytes() == bands[1].tobytes()
 
     def test_action_at_a_changed_z_recomputes(self, boltzmann, pair):
         prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
