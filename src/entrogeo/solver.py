@@ -20,10 +20,12 @@ on the model that solve ended with, if that model's eps is within a factor
 4 of its own (the rule is in ``solves``), so a sweep chain factors a model
 only every few rows.  A problem keeps the eps-free parts of its last
 evaluation, so the start of a chained solve and the cost split after a
-descent, both at the iterate evaluated last, evaluate nothing afresh, and
-a model built there computes no Jacobian of its own; a rebuilt density
-model refills the band of the problem's last model of its precision once
-nothing holds that model, rather than mapping a new one.  A result keeps
+descent, both at the iterate evaluated last, evaluate nothing afresh.  A
+model reads its Jacobian from the problem's evaluation at its point, made
+there first when the last one was elsewhere, and the stage's first
+evaluation then reuses it; a rebuilt density model refills the band of the
+problem's last model of its precision once nothing holds that model, rather
+than mapping a new one.  A result keeps
 its minimizer in decision coordinates and renders the curve only when it
 is read.  A step is accepted on the Armijo test, or
 else on the approximate-Wolfe slope test of Hager & Zhang with the value
@@ -390,12 +392,13 @@ class _Problem:
     ``value_grad`` and ``make_preconditioner`` as the Fisher weight
     ``sigma = eps^2``.  Subclasses supply ``_slope_sq``, the squared slope
     of every row, its gradient at the interior rows (a fresh array) and the
-    Jacobian the model reads at the interior rows, all of which ``action``
-    keeps; ``_jacobian``, that Jacobian of given interior rows; and
-    ``make_preconditioner``, whose models a caller simply drops: a problem
-    may reuse a model's memory only once nothing holds the model.  They
-    also add ``chart`` (the ``_Chart`` of their decision vectors), ``pack``,
-    ``row_distances`` and ``value_grad``.
+    Jacobian the model reads at the interior rows, all of which
+    ``_evaluation`` keeps; and ``make_preconditioner``, which reads that
+    Jacobian from ``_evaluation`` and whose models a caller simply drops: a
+    problem may reuse a model's memory only once nothing holds the model.
+    They also add ``chart`` (the ``_Chart`` of their decision vectors),
+    ``pack``, ``row_distances`` and ``value_grad``.  A problem with no
+    interior node has an empty decision vector.
     """
 
     def __init__(self, times, first: np.ndarray, last: np.ndarray, row_mass):
@@ -418,7 +421,23 @@ class _Problem:
 
     def _stack(self, z: np.ndarray) -> np.ndarray:
         """All rows of the curve, end rows included."""
-        return np.vstack([self.first, z.reshape(self.n_interior, -1), self.last])
+        return np.vstack([self.first, z.reshape(-1, self.first.size), self.last])
+
+    def _evaluation(self, z: np.ndarray):
+        """The sigma-free parts of the action at ``z``: ``(key, kin, fis,
+        scaled momenta, Fisher gradient, model Jacobian)``, keyed by the
+        bytes of ``z``.  They are kept from the last evaluation when it was
+        at ``z``, else computed and kept in its place."""
+        key = z.tobytes()
+        if self._kept is None or self._kept[0] != key:
+            self._kept = None  # freed before the new evaluation allocates its own
+            rows = self._stack(z)
+            mom = np.diff(rows, axis=0)
+            kin = 0.5 * float(np.sum(self.row_mass * mom**2 / self.dts[:, None]))
+            mom *= self.row_mass / self.dts[:, None]
+            S, dS, jac = self._slope_sq(rows)
+            self._kept = key, kin, 0.5 * _dot(self.weights, S), mom, dS, jac
+        return self._kept
 
     def action(self, z: np.ndarray, sigma: float):
         """Kinetic part ``1/2 sum_i row_mass . (Z_{i+1} - Z_i)^2 / dt_i`` and
@@ -430,29 +449,11 @@ class _Problem:
         the same ``z`` (the start of a chained solve, the cost split after a
         descent) only recombines them, bit for bit as a fresh evaluation
         would."""
-        key = z.tobytes()
-        if self._kept is None or self._kept[0] != key:
-            self._kept = None  # freed before the new evaluation allocates its own
-            rows = self._stack(z)
-            mom = np.diff(rows, axis=0)
-            kin = 0.5 * float(np.sum(self.row_mass * mom**2 / self.dts[:, None]))
-            mom *= self.row_mass / self.dts[:, None]
-            S, dS, jac = self._slope_sq(rows)
-            self._kept = key, kin, 0.5 * _dot(self.weights, S), mom, dS, jac
-        _, kin, fis, mom, dS, _ = self._kept
+        _, kin, fis, mom, dS, _ = self._evaluation(z)
         grad = dS * (0.5 * sigma * self.weights[1:-1, None])
         grad += mom[:-1]
         grad -= mom[1:]
         return kin, fis, grad.ravel()
-
-    def _model_jacobian(self, z: np.ndarray):
-        """The Jacobian the model reads at the interior rows of ``z``: the
-        one the last evaluation kept when it was at ``z`` (a build at the
-        iterate evaluated last), else ``_jacobian``'s, which is the same
-        bit for bit."""
-        if self._kept is not None and self._kept[0] == z.tobytes():
-            return self._kept[5]
-        return self._jacobian(z.reshape(self.n_interior, -1))
 
     def _kinetic_bands(self):
         """Diagonal and off-diagonal of the kinetic Hessian in time, one
@@ -476,7 +477,7 @@ class _EuclideanProblem(_Problem):
         self.chart = _Chart(self.times, self.first, self.last)
 
     def pack(self, curve: Curve) -> np.ndarray:
-        return np.concatenate([np.asarray(p, float) for p in curve.points[1:-1]])
+        return np.asarray(curve.points[1:-1], dtype=float).ravel()
 
     def row_distances(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
         """The distance of each interior row of ``za`` from the same row of
@@ -485,15 +486,12 @@ class _EuclideanProblem(_Problem):
         return np.array([self.distance(a, b)
                          for a, b in zip(za.reshape(nI, -1), zb.reshape(nI, -1))])
 
-    def _jacobian(self, rows: np.ndarray) -> np.ndarray:
-        """The Hessians of V at ``rows``."""
-        return np.array([self.pot.hess(p) for p in rows])
-
     def _slope_sq(self, rows: np.ndarray):
         """``|grad V|^2`` at every row, its gradient ``2 Hess V grad V`` at
         the interior rows and the Hessians there."""
+        dim = rows.shape[1]
         g = np.array([self.pot.grad(p) for p in rows])
-        H = self._jacobian(rows[1:-1])
+        H = np.reshape([self.pot.hess(p) for p in rows[1:-1]], (-1, dim, dim))
         return np.sum(g * g, axis=1), 2.0 * np.einsum("ikj,ik->ij", H, g[1:-1]), H
 
     def value_grad(self, z: np.ndarray, sigma: float):
@@ -512,7 +510,7 @@ class _EuclideanProblem(_Problem):
         is the exact Hessian, so one Newton step solves the problem.
         """
         nI, dim = self.n_interior, self.first.size
-        H = self._model_jacobian(z0)
+        H = self._evaluation(z0)[5]
         D = sigma * self.weights[1:-1, None, None] * (H.transpose(0, 2, 1) @ H)
         # lower band storage: band[j, i, c] = A[(i, c + j), (i, c)]
         band = np.zeros((dim + 1, nI, dim))
@@ -537,8 +535,7 @@ def _uprime_of_inv(kind: EntropyKind, G: np.ndarray):
     return (m / (m - 1.0)) * G ** (1.0 - m), -m * G ** (-m)
 
 
-def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndarray,
-                     out=(None, None)):
+def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndarray, out):
     """The quantile-space Fisher residuals along the last axis of ``Q`` and
     their Jacobian.
 
@@ -547,8 +544,8 @@ def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndar
     of the interior nodes have an ``H``-weighted sum of squares equal to
     the squared metric slope, ``H_k = (u_{k+1} - u_{k-1}) / 2`` the dual
     cell widths.  Returns ``R``, ``a = dR_k/dQ_{k-1}`` and
-    ``c = dR_k/dQ_{k+1}``, the last two written into the arrays of ``out``
-    if it holds them; ``R`` is invariant under shifts of ``Q``, so
+    ``c = dR_k/dQ_{k+1}``, the last two written into the two arrays of
+    ``out``; ``R`` is invariant under shifts of ``Q``, so
     ``dR_k/dQ_k = -(a + c)``.
     """
     G = np.diff(Q, axis=-1) / h
@@ -696,8 +693,6 @@ class _DensityProblem(_Problem):
                 "quantile coordinates have no global chart on the circle"
             )
         self.kind = backend.kind
-        self.x = x
-        self.y = y
         self.m = m_points
         self.u, cell_widths = _graded_nodes(m_points)
         self.h = np.diff(self.u)
@@ -714,7 +709,8 @@ class _DensityProblem(_Problem):
         self._bands = {}
 
     def pack(self, curve: Curve) -> np.ndarray:
-        return _quantile_samples(curve.points[1:-1], self.u).ravel()
+        inner = curve.points[1:-1]
+        return _quantile_samples(inner, self.u).ravel() if inner else np.empty(0)
 
     def row_distances(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
         """The W2 distance of each interior quantile row of ``za`` from the
@@ -722,16 +718,12 @@ class _DensityProblem(_Problem):
         nI, m = self.n_interior, self.m
         return _quantile_distances(za.reshape(nI, m), zb.reshape(nI, m), self.u)
 
-    def _jacobian(self, Qs: np.ndarray):
-        """``a`` and ``c`` of ``_fisher_jacobian`` at the rows ``Qs``."""
-        return _fisher_jacobian(self.kind, Qs, self.h, self.H)[1:]
-
     def _slope_sq(self, rows: np.ndarray):
         """``sum_k H_k R_k^2`` at every row, its gradient ``2 J^T H R`` at
         the interior rows and ``a``, ``c`` of ``_fisher_jacobian`` there,
         for increasing quantiles.  ``a`` and ``c`` are views of ``_jac``,
-        which each call overwrites, so only ``action`` calls it, once it
-        has dropped the kept evaluation."""
+        which each call overwrites, so only ``_evaluation`` calls it, once
+        it has dropped the kept evaluation."""
         R, a, c = _fisher_jacobian(self.kind, rows, self.h, self.H, self._jac)
         HR = self.H * R
         aR = 2.0 * a[1:-1] * HR[1:-1]
@@ -758,8 +750,10 @@ class _DensityProblem(_Problem):
         3-point stencil, so its Gauss-Newton Hessian is pentadiagonal;
         returns (diag, first, second off-diagonals) of ``J^T diag(H) J``,
         one row per node of ``Qs``, the interior rows of a decision vector.
+        ``a`` and ``c`` are those of the problem's evaluation at ``Qs``,
+        which ``_jac`` holds until the next evaluation elsewhere.
         """
-        a, c = self._model_jacobian(Qs)
+        a, c = self._evaluation(Qs)[5]
         b = -(a + c)
         Ha, Hb = self.H * a, self.H * b
         d0 = np.zeros(Qs.shape)
@@ -794,7 +788,9 @@ class _DensityProblem(_Problem):
         not positive, the same float64 rows go into a float64 band for
         ``dpbtrf``/``dpbtrs``, and a breakdown there raises.  The retry
         starts from the float64 rows because the float32-rounded band is
-        indefinite in float64 as well.
+        indefinite in float64 as well.  Only the band a model reads is
+        recorded with it: the float32 band a retry broke down on is free
+        to be refilled by the next build at once.
         """
         nI, m = self.n_interior, self.m
         d0, d1, d2 = self._fisher_gn_bands(z0.reshape(nI, m))
@@ -825,22 +821,21 @@ class _DensityProblem(_Problem):
                 ab = np.frombuffer(pages, dtype).reshape(shape, order="F")
             for j, row in rows.items():
                 ab[j, :row.size] = row
-            bands.append(ab)
             return ab
 
         model = f"density model (m = {m} quantile nodes, {nI} time nodes)"
-        bands = []
         try:
-            solve_band = _banded_cholesky_solver(band(np.float32), model)
+            ab = band(np.float32)
+            solve_band = _banded_cholesky_solver(ab, model)
         except EntrogeoError:
             # rounding the rows to float32 made the model indefinite
-            solve_band = _banded_cholesky_solver(band(np.float64), model)
+            ab = band(np.float64)
+            solve_band = _banded_cholesky_solver(ab, model)
 
         def apply(v):
             return solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
 
-        # a float32 band a retry left unread is kept with the model as well
-        self._bands.update((ab.dtype, (ab, weakref.ref(apply))) for ab in bands)
+        self._bands[ab.dtype] = ab, weakref.ref(apply)
         return apply
 
 
@@ -867,7 +862,8 @@ def _check_finite_entropy(backend, x, y):
     for p, tag in ((x, "x"), (y, "y")):
         if not math.isfinite(backend.entropy(p)):
             raise EndpointEntropyInfinite(
-                f"endpoint {tag} has non-finite entropy; use mollified endpoints"
+                f"endpoint {tag} has non-finite entropy; mollify the endpoints "
+                "with entrogeo.cost_analysis.mollified_sweep"
             )
 
 
@@ -920,9 +916,10 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     search stalled, and the next eps starts there: the cost split into
     kinetic and Fisher parts after the descent, and the first evaluation
     of the next solve, reuse the problem's kept evaluation of that iterate
-    (see ``_Problem.action``) and change no bit of any result.  A model
-    built at that iterate takes its Jacobian from the kept evaluation too
-    (``_Problem._model_jacobian``).
+    (see ``_Problem._evaluation``) and change no bit of any result.  Every
+    model takes its Jacobian from the evaluation at its point: a build at
+    that iterate reads the kept one, and a cold-start build evaluates its
+    start, which the stage's first evaluation then reuses.
     """
     opts = opts or SolverOptions()
     eps_list = list(eps_list)  # checked, then solved: a one-shot iterable runs out
@@ -936,10 +933,9 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     z, precond, eps_model = None, None, None
     for eps in eps_list:
         if eps == 0.0:
-            z0 = prob.geodesic_z()
-            kin, fis, g = prob.action(z0, 0.0)
+            kin, fis, g = prob.action(z_geo, 0.0)
             yield SchrodingerResult(prob.chart, kin, kin, fis, 0, True,
-                                    float(np.max(np.abs(g))), 0.0, (kin,), z0, 0, 0.0)
+                                    float(np.max(np.abs(g))), 0.0, (kin,), z_geo, 0, 0.0)
             continue
         if z is None:
             geo = geodesic_curve(backend, x, y, opts.n_time + 1)
