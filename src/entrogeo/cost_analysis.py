@@ -31,13 +31,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .core import SpaceBackend, _check_eps
 from .errors import DomainError, ProfileIncomplete, ScheduleRejected
-from .density1d import GridDensity
 from .regularizer import builds
-from .solver import SolverOptions, discrete_action, solve, solves
+from .solver import SolverOptions, _same_point, discrete_actions, solve, solves
 
 __all__ = [
     "CostProfile",
@@ -214,14 +211,6 @@ class GammaReport:
     passed: bool
 
 
-def _same_point(a, b) -> bool:
-    """Whether two curve ends are one point by value: densities with equal
-    cells on one grid, or equal arrays."""
-    if isinstance(a, GridDensity):
-        return a.same_grid(b) and np.array_equal(a.rho, b.rho)
-    return np.array_equal(a, b)
-
-
 def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaReport:
     """Quantitative Gamma-convergence record over the positive-eps rows of
     ``profile``, in descending eps.
@@ -236,12 +225,13 @@ def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaRepor
     deviations may grow by 1e-9 from row to row and recovery gaps dip to
     -1e-6, for roundoff.  A profile without a positive-eps row raises
     ``ProfileIncomplete``.  The recovery curves of every eps come from one
-    ``builds`` call.  The deviations are the rows' own ``deviation``: the
-    solver measured each against the geodesic between the row's end
-    points, which the end check makes the profile's, in its decision
-    coordinates (for densities the exact W2 of the quantile rows, before
-    they are binned onto the grid), so no row's curve is rendered; the end
-    check reads only each row's two ends.
+    ``builds`` call and are scored by one ``discrete_actions`` call, on one
+    problem and by value only.  The deviations are the rows' own
+    ``deviation``: the solver measured each against the geodesic between
+    the row's end points, which the end check makes the profile's, in its
+    decision coordinates (for densities the exact W2 of the quantile rows,
+    before they are binned onto the grid), so no row's curve is rendered;
+    the end check reads only each row's two ends.
     """
     pos = [r for r in profile.rows if r.eps > 0]
     if not pos:
@@ -259,9 +249,9 @@ def gamma_diagnostics(backend: SpaceBackend, profile: CostProfile) -> GammaRepor
     eps_out = [row.eps for row in pos_desc]
     gaps = [row.cost - profile.cost_0 for row in pos_desc]
     devs = [row.deviation for row in pos_desc]
-    regs = builds(backend, geo, eps_out)
-    rec = [discrete_action(backend, reg.tilde, row.eps, profile.opts) - row.cost
-           for row, reg in zip(pos_desc, regs)]
+    actions = discrete_actions(backend, [reg.tilde for reg in builds(backend, geo, eps_out)],
+                               eps_out, profile.opts)
+    rec = [action - row.cost for row, action in zip(pos_desc, actions)]
 
     gap_dec = all(g2 < g1 + 1e-9 for g1, g2 in zip(gaps, gaps[1:]))
     dev_dec = all(d2 < d1 + 1e-9 for d1, d2 in zip(devs, devs[1:]))

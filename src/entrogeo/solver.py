@@ -110,6 +110,7 @@ __all__ = [
     "SolverOptions",
     "bridge_from_flow",
     "discrete_action",
+    "discrete_actions",
     "solve",
     "solves",
 ]
@@ -138,6 +139,8 @@ class SolverOptions:
             if value is None and name == "quantile_points":
                 continue  # m follows the grid
             try:
+                if isinstance(value, (bool, np.bool_)):
+                    raise TypeError  # True would count as 1
                 operator.index(value)
             except TypeError:
                 raise DomainError(f"{name} must be an integer, got {value!r}") from None
@@ -190,7 +193,8 @@ class SchrodingerResult:
 
     ``stationarity`` is the stopping rule's ``-g.d / (eps^2 |v|)`` at the
     last iterate tested (at most ``grad_tol`` when converged), and at eps = 0
-    the max-norm of the closed form's gradient, which is roundoff.  Under a
+    (and at an eps whose solve returns the geodesic, see ``solves``) the
+    max-norm of the closed form's gradient, which is roundoff.  Under a
     model inherited from a larger eps it is an upper bound of that ratio
     for the solve's own model (see ``solves``).  ``decision`` is
     the minimizer in decision coordinates; a solve's result renders
@@ -353,6 +357,37 @@ def _lbfgs_armijo(value_grad, z0, tol: float, precond, budget: int):
     return z, budget, history, False, False, decrement
 
 
+# the 2 MiB huge page of x86-64 and arm64 Linux, see _fresh_band
+_HUGE_PAGE = 1 << 21
+
+
+def _fresh_band(shape, dtype: np.dtype) -> np.ndarray:
+    """A zeroed band of ``shape`` in Fortran order (the factorization
+    works in place) on a memory mapping of its own, unmapped when the last
+    array on it is dropped: from the C heap, np.zeros let the peak resident
+    memory of a run vary by up to 6 MB.  The mapping is private and advised
+    ``MADV_HUGEPAGE`` (a shared one lives in shmem, which takes no huge
+    pages under the common ``shmem_enabled = never``), and it spans the
+    band rounded up to whole huge pages plus one, so that the band starts
+    on a huge-page boundary and faults in as a few huge pages.  Without the
+    advice, or without ``MAP_PRIVATE``, small pages serve.
+    """
+    nbytes = math.prod(shape) * dtype.itemsize
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape, order="F")
+    pages = mmap.mmap(-1, -(-nbytes // _HUGE_PAGE) * _HUGE_PAGE + _HUGE_PAGE,
+                      flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    advice = getattr(mmap, "MADV_HUGEPAGE", None)
+    if advice is not None:
+        try:
+            pages.madvise(advice)
+        except OSError:
+            pass  # small pages serve
+    whole = np.frombuffer(pages, np.uint8)
+    start = -whole.ctypes.data % _HUGE_PAGE
+    return whole[start:start + nbytes].view(dtype).reshape(shape, order="F")
+
+
 def _banded_cholesky_solver(ab: np.ndarray, model: str):
     """``v -> A^{-1} v`` for the SPD matrix ``A`` in lower band storage
     ``ab[j, p] = A[p + j, p]``; ``ab`` is overwritten by its factor.  A
@@ -393,7 +428,8 @@ class _Problem:
     ``sigma = eps^2``.  Subclasses supply ``_slope_sq``, the squared slope
     of every row, its gradient at the interior rows (a fresh array) and the
     Jacobian the model reads at the interior rows, all of which
-    ``_evaluation`` keeps; and ``make_preconditioner``, which reads that
+    ``_evaluation`` keeps; ``_squared_slopes``, the first of these alone,
+    which ``value`` reads; and ``make_preconditioner``, which reads that
     Jacobian from ``_evaluation`` and whose models a caller simply drops: a
     problem may reuse a model's memory only once nothing holds the model.
     They also add ``chart`` (the ``_Chart`` of their decision vectors),
@@ -423,6 +459,12 @@ class _Problem:
         """All rows of the curve, end rows included."""
         return np.vstack([self.first, z.reshape(-1, self.first.size), self.last])
 
+    def _kinetic(self, rows: np.ndarray):
+        """The kinetic term of the curve through ``rows`` and its
+        increments ``np.diff(rows, axis=0)``."""
+        mom = np.diff(rows, axis=0)
+        return 0.5 * float(np.sum(self.row_mass * mom**2 / self.dts[:, None])), mom
+
     def _evaluation(self, z: np.ndarray):
         """The sigma-free parts of the action at ``z``: ``(key, kin, fis,
         scaled momenta, Fisher gradient, model Jacobian)``, keyed by the
@@ -432,12 +474,19 @@ class _Problem:
         if self._kept is None or self._kept[0] != key:
             self._kept = None  # freed before the new evaluation allocates its own
             rows = self._stack(z)
-            mom = np.diff(rows, axis=0)
-            kin = 0.5 * float(np.sum(self.row_mass * mom**2 / self.dts[:, None]))
+            kin, mom = self._kinetic(rows)
             mom *= self.row_mass / self.dts[:, None]
             S, dS, jac = self._slope_sq(rows)
             self._kept = key, kin, 0.5 * _dot(self.weights, S), mom, dS, jac
         return self._kept
+
+    def value(self, z: np.ndarray, sigma: float) -> float:
+        """``kin + sigma fis`` at ``z`` by the operations of ``_evaluation``,
+        bit for bit ``action``'s parts, but with no gradient or Jacobian and
+        without reading or replacing the kept evaluation."""
+        rows = self._stack(z)
+        fis = 0.5 * _dot(self.weights, self._squared_slopes(rows))
+        return self._kinetic(rows)[0] + sigma * fis
 
     def action(self, z: np.ndarray, sigma: float):
         """Kinetic part ``1/2 sum_i row_mass . (Z_{i+1} - Z_i)^2 / dt_i`` and
@@ -489,10 +538,13 @@ class _EuclideanProblem(_Problem):
     def _slope_sq(self, rows: np.ndarray):
         """``|grad V|^2`` at every row, its gradient ``2 Hess V grad V`` at
         the interior rows and the Hessians there."""
-        dim = rows.shape[1]
-        g = np.array([self.pot.grad(p) for p in rows])
-        H = np.reshape([self.pot.hess(p) for p in rows[1:-1]], (-1, dim, dim))
+        g = self.pot.grads(rows)
+        H = self.pot.hessians(rows[1:-1])
         return np.sum(g * g, axis=1), 2.0 * np.einsum("ikj,ik->ij", H, g[1:-1]), H
+
+    def _squared_slopes(self, rows: np.ndarray) -> np.ndarray:
+        g = self.pot.grads(rows)
+        return np.sum(g * g, axis=1)
 
     def value_grad(self, z: np.ndarray, sigma: float):
         kin, fis, grad = self.action(z, sigma)
@@ -535,24 +587,30 @@ def _uprime_of_inv(kind: EntropyKind, G: np.ndarray):
     return (m / (m - 1.0)) * G ** (1.0 - m), -m * G ** (-m)
 
 
-def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndarray, out):
-    """The quantile-space Fisher residuals along the last axis of ``Q`` and
-    their Jacobian.
+def _fisher_residuals(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndarray):
+    """The quantile-space Fisher residuals along the last axis of ``Q``.
 
     With the node spacings ``h``, the quantile slopes ``G = dQ / h`` and
     their pair means ``qp``, the residuals ``R_k = dU'(1/G) / H_k / qp_k``
     of the interior nodes have an ``H``-weighted sum of squares equal to
     the squared metric slope, ``H_k = (u_{k+1} - u_{k-1}) / 2`` the dual
-    cell widths.  Returns ``R``, ``a = dR_k/dQ_{k-1}`` and
-    ``c = dR_k/dQ_{k+1}``, the last two written into the two arrays of
-    ``out``; ``R`` is invariant under shifts of ``Q``, so
-    ``dR_k/dQ_k = -(a + c)``.
+    cell widths.  Returns ``R`` and the parts of it that
+    ``_fisher_jacobian`` reads: ``d U'(1/G) / dG``, ``qp`` and ``H qp``.
     """
     G = np.diff(Q, axis=-1) / h
     A, ap = _uprime_of_inv(kind, G)
     qp = 0.5 * (G[..., 1:] + G[..., :-1])
     Hqp = H * qp
-    R = (A[..., 1:] - A[..., :-1]) / Hqp
+    return (A[..., 1:] - A[..., :-1]) / Hqp, ap, qp, Hqp
+
+
+def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndarray, out):
+    """The residuals ``R`` of ``_fisher_residuals`` and their Jacobian:
+    returns ``R``, ``a = dR_k/dQ_{k-1}`` and ``c = dR_k/dQ_{k+1}``, the last
+    two written into the two arrays of ``out``; ``R`` is invariant under
+    shifts of ``Q``, so ``dR_k/dQ_k = -(a + c)``.
+    """
+    R, ap, qp, Hqp = _fisher_residuals(kind, Q, h, H)
     half_R = 0.5 * R / qp
     a = np.divide(ap[..., :-1] / Hqp + half_R, h[:-1], out=out[0])
     c = np.divide(ap[..., 1:] / Hqp - half_R, h[1:], out=out[1])
@@ -734,6 +792,10 @@ class _DensityProblem(_Problem):
         dS[:, 2:] += cR
         return np.sum(HR * R, axis=1), dS, (a[1:-1], c[1:-1])
 
+    def _squared_slopes(self, rows: np.ndarray) -> np.ndarray:
+        R = _fisher_residuals(self.kind, rows, self.h, self.H)[0]
+        return np.sum(self.H * R * R, axis=1)
+
     def value_grad(self, z: np.ndarray, sigma: float):
         if np.any(np.diff(z.reshape(self.n_interior, self.m), axis=1) <= 0.0):
             return math.inf, None  # non-monotone trial: reject in line search
@@ -791,6 +853,10 @@ class _DensityProblem(_Problem):
         indefinite in float64 as well.  Only the band a model reads is
         recorded with it: the float32 band a retry broke down on is free
         to be refilled by the next build at once.
+
+        The band of the problem's last model of a precision is zeroed and
+        refilled once nothing holds that model; any other build maps a
+        fresh band on huge pages (``_fresh_band``).
         """
         nI, m = self.n_interior, self.m
         d0, d1, d2 = self._fisher_gn_bands(z0.reshape(nI, m))
@@ -803,22 +869,16 @@ class _DensityProblem(_Problem):
                 2 * nI: (wf * d2).T.ravel()}
 
         def band(dtype):
-            # a band of megabytes on a mapping of its own, which the system
-            # zeroes and unmaps when the model is dropped: np.zeros takes a
-            # band this large from the C heap once an earlier one is freed,
-            # and there the peak resident memory of a run varied by up to
-            # 6 MB from run to run.  Once the last model of this precision
-            # is gone, nothing reads its band, which is zeroed and refilled
-            # instead: a tenth of the time of mapping and faulting in a new
-            # one.  Fortran order lets the factorization work in place
+            # once the last model of this precision is gone, nothing reads
+            # its band, which is zeroed and refilled instead of mapping a
+            # fresh one (_fresh_band)
             shape = (2 * nI + 1, nI * m)
             dtype = np.dtype(dtype)  # the key: np.float32 hashes apart from its dtype
             ab, owner = self._bands.get(dtype, (None, None))
             if ab is not None and owner() is None:
                 ab.fill(0.0)
             else:
-                pages = mmap.mmap(-1, math.prod(shape) * dtype.itemsize)
-                ab = np.frombuffer(pages, dtype).reshape(shape, order="F")
+                ab = _fresh_band(shape, dtype)
             for j, row in rows.items():
                 ab[j, :row.size] = row
             return ab
@@ -875,7 +935,11 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     solved.
 
     At eps = 0 the closed form needs no start, and it leaves the chain as
-    it is.  The first eps > 0 starts cold, from the recovery curve
+    it is.  So does an eps with ``sigma = eps^2 < _VALUE_FLOOR`` and
+    ``sigma F(geo) <= _VALUE_FLOOR K(geo)``: as ``K(geo) <= C_eps <= K(geo)
+    + sigma F(geo)``, the geodesic is then optimal within the line search's
+    allowance, and a descent would spend its budget below the roundoff of
+    the action.  The first other eps > 0 starts cold, from the recovery curve
     ``S_{h_eps(t)} g_t``, the geodesic regularized by the tent profile
     (provably an eps-good competitor); each later one starts from the
     minimizer of the eps > 0 solve before it.
@@ -932,15 +996,19 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     z_geo = prob.geodesic_z()  # the deviations are measured from it
     z, precond, eps_model = None, None, None
     for eps in eps_list:
-        if eps == 0.0:
-            kin, fis, g = prob.action(z_geo, 0.0)
-            yield SchrodingerResult(prob.chart, kin, kin, fis, 0, True,
-                                    float(np.max(np.abs(g))), 0.0, (kin,), z_geo, 0, 0.0)
-            continue
+        sigma = eps**2
+        if sigma < _VALUE_FLOOR:
+            # the geodesic is optimal to the line search's allowance (above)
+            kin, fis, g = prob.action(z_geo, sigma)
+            if eps == 0.0 or sigma * fis <= _VALUE_FLOOR * kin:
+                cost = kin + sigma * fis if eps else kin
+                yield SchrodingerResult(prob.chart, cost, kin, fis, 0, True,
+                                        float(np.max(np.abs(g))), eps or 0.0, (cost,),
+                                        z_geo, 0, 0.0)
+                continue
         if z is None:
             geo = geodesic_curve(backend, x, y, opts.n_time + 1)
             z = prob.pack(build_regularized(backend, geo, eps).tilde)
-        sigma = eps**2
         if precond is not None and not (
                 1.0 / _INHERIT_RATIO <= (eps_model / eps) ** 2 <= _INHERIT_RATIO):
             precond = None
@@ -974,22 +1042,55 @@ def solve(backend: SpaceBackend, x, y, eps: float,
     return next(solves(backend, x, y, [eps], opts))
 
 
+def _same_point(a, b) -> bool:
+    """Whether two curve ends are one point by value: densities with equal
+    cells on one grid, or equal arrays."""
+    if isinstance(a, GridDensity):
+        return a.same_grid(b) and np.array_equal(a.rho, b.rho)
+    return np.array_equal(a, b)
+
+
 def discrete_action(backend: SpaceBackend, curve: Curve, eps: float,
                     opts: Optional[SolverOptions] = None) -> float:
-    """Entropic action of a curve under the solver's own discretization.
+    """Entropic action of a curve under the solver's own discretization:
+    the one-curve case of ``discrete_actions``.
 
     Scoring competitor curves with exactly the functional ``solve``
     minimizes makes comparisons against solver costs sign-exact: any
     admissible curve evaluates at or above the solved minimum.
     """
-    _check_eps(eps)
+    return discrete_actions(backend, [curve], [eps], opts)[0]
+
+
+def discrete_actions(backend: SpaceBackend, curves, eps_list,
+                     opts: Optional[SolverOptions] = None) -> list:
+    """``discrete_action`` of each curve of ``curves`` at the eps of
+    ``eps_list`` in the same place, scored on one problem.
+
+    The curves must share their time grid and, by value, their end points
+    (``DomainError`` otherwise), so the end rows are packed once; each
+    curve's interior rows are packed on their own (one stack of all of
+    them packed slower) and valued by ``_Problem.value``, with no gradient
+    or model Jacobian, bit for bit the action a solve computes there.
+    """
+    curves, eps_list = list(curves), list(eps_list)
+    if len(curves) != len(eps_list):
+        raise DomainError(f"{len(curves)} curves for {len(eps_list)} eps")
+    for eps in eps_list:
+        _check_eps(eps)
+    if not curves:
+        return []
     opts = opts or SolverOptions()
-    x, y = curve.points[0], curve.points[-1]
+    times, x, y = curves[0].times, curves[0].points[0], curves[0].points[-1]
     _check_endpoints(backend, x, y)
-    _check_curve(backend, curve)
-    prob = _problem(backend, x, y, curve.times, opts)
-    kin, fis, _ = prob.action(prob.pack(curve), eps**2)
-    return kin + eps**2 * fis
+    for curve in curves:
+        _check_curve(backend, curve)
+        if not (np.array_equal(curve.times, times) and _same_point(curve.points[0], x)
+                and _same_point(curve.points[-1], y)):
+            raise DomainError("the curves of one discrete_actions call must share their "
+                              "time grid and end points")
+    prob = _problem(backend, x, y, times, opts)
+    return [prob.value(prob.pack(curve), eps**2) for curve, eps in zip(curves, eps_list)]
 
 
 def bridge_from_flow(backend: SpaceBackend, x, eps: float,

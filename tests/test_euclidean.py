@@ -10,6 +10,7 @@ from entrogeo import (
     QuadraticPotential,
     UserPotential,
 )
+from entrogeo.euclidean import Potential
 from entrogeo.flow_verify import local_global_report
 from entrogeo.errors import DomainError, InvalidCurve
 
@@ -58,6 +59,46 @@ class TestFlows:
         ss = [0.3, 0.0, 0.3, 1.1]
         for got, x, s in zip(be.flows(xs, ss), xs, ss, strict=True):
             np.testing.assert_array_equal(got, be.flow(x, s))
+
+
+class TestQuadraticArrays:
+    """The quadratic well's gradients, Hessians, geodesic points and flows
+    of many points are array passes, bit for bit the per-point forms; a
+    user potential keeps its per-point callbacks."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bitwise_per_point(self, dim):
+        rng = np.random.default_rng(dim)
+        pot = QuadraticPotential(rng.standard_normal(dim), 1.7)
+        be = EuclideanBackend(pot)
+        xs = 3.0 * rng.standard_normal((9, dim))
+        assert pot.grads(xs).tobytes() == np.array([pot.grad(x) for x in xs]).tobytes()
+        assert pot.hessians(xs).tobytes() == np.array([pot.hess(x) for x in xs]).tobytes()
+        thetas = (0.0, 0.25, 1.0 / 3.0, 0.9, 1.0)
+        got = be.geodesic_points(xs[0], xs[1], thetas)
+        want = [be.geodesic(xs[0], xs[1], t) for t in thetas]
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+        ss = [0.0, *rng.uniform(0.0, 3.0, 8).tolist()]
+        got = be.flows(list(xs), ss)
+        assert [p.tobytes() for p in got] == [be.flow(x, s).tobytes() for x, s in zip(xs, ss)]
+        assert be.flows([], []) == [] and be.geodesic_points(xs[0], xs[1], []) == []
+
+    def test_flow_times_checked(self, quad2d):
+        for s in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="flow time must be finite and nonnegative"):
+                quad2d.flows([np.zeros(2), np.ones(2)], [0.1, s])
+
+    def test_user_potential_falls_back(self):
+        pot = quartic_potential()
+        be = EuclideanBackend(pot)
+        assert type(pot).grads is Potential.grads and type(pot).hessians is Potential.hessians
+        xs = np.array([[0.3], [-1.2], [2.0]])
+        assert pot.grads(xs).tobytes() == np.array([pot.grad(x) for x in xs]).tobytes()
+        assert pot.hessians(xs).shape == (3, 1, 1)
+        assert pot.hessians(xs).tobytes() == np.array([pot.hess(x) for x in xs]).tobytes()
+        got = be.flows(list(xs), [0.1, 0.0, 0.2])
+        assert [p.tobytes() for p in got] == [
+            pot.flow(x, s).tobytes() for x, s in zip(xs, [0.1, 0.0, 0.2])]
 
 
 class TestUserFlow:

@@ -32,6 +32,7 @@ from entrogeo.errors import (
 )
 from entrogeo import solver as solver_mod
 from entrogeo.regularizer import build as build_regularized
+from entrogeo.regularizer import builds
 from entrogeo.solver import (
     SolverOptions,
     _banded_cholesky_solver,
@@ -42,6 +43,7 @@ from entrogeo.solver import (
     _uniform_times,
     bridge_from_flow,
     discrete_action,
+    discrete_actions,
     solve,
     solves,
 )
@@ -889,6 +891,14 @@ class TestSolverOptions:
         with pytest.raises(DomainError, match=f"{name} must be an integer, got {value!r}"):
             SolverOptions(**{name: value})
 
+    @pytest.mark.parametrize("name", ["n_time", "max_iter", "quantile_points"])
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_bool_counts_rejected(self, name, value):
+        # max_iter=True used to run one iteration
+        msg = re.escape(f"{name} must be an integer, got {value!r}")
+        with pytest.raises(DomainError, match=msg):
+            SolverOptions(**{name: value})
+
     def test_numpy_integer_counts_solve(self, quad1d):
         opts = SolverOptions(n_time=np.int64(7), max_iter=np.int32(50))
         assert solve(quad1d, np.array([1.0]), np.array([2.0]), 0.1, opts).converged
@@ -960,16 +970,29 @@ def _chain_counting_slopes(monkeypatch, be, x, y, eps_list, forget=False):
     return chain, len(calls)
 
 
-def _mmaps(monkeypatch):
-    """The sizes of the mappings the solver makes from now on."""
+def _mmaps(monkeypatch, mapping=mmap.mmap, private=True):
+    """The sizes of the mappings the solver makes from now on, each made by
+    ``mapping``; without ``private`` the system seems to lack
+    ``MAP_PRIVATE``."""
     sizes = []
 
-    def counted(fileno, length):
+    def counted(fileno, length, **kw):
         sizes.append(length)
-        return mmap.mmap(fileno, length)
+        return mapping(fileno, length, **kw)
 
-    monkeypatch.setattr(solver_mod, "mmap", SimpleNamespace(mmap=counted))
+    names = ("MAP_PRIVATE", "MAP_ANONYMOUS", "MADV_HUGEPAGE") if private else ()
+    monkeypatch.setattr(solver_mod, "mmap", SimpleNamespace(
+        mmap=counted, **{k: getattr(mmap, k) for k in names if hasattr(mmap, k)}))
     return sizes
+
+
+def _mapped(nbytes):
+    """The length of the mapping of a fresh band of ``nbytes``: rounded up
+    to whole huge pages, plus one, where the system has ``MAP_PRIVATE``."""
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return nbytes
+    huge = solver_mod._HUGE_PAGE
+    return -(-nbytes // huge) * huge + huge
 
 
 @pytest.fixture(scope="module")
@@ -1066,7 +1089,7 @@ class TestInheritedModel:
         chain = _chain(boltzmann, *pair, [0.2, 0.1, 0.025])
         assert [r.model_builds for r in chain] == [1, 0, 1]
         prob = _DensityProblem(boltzmann, *pair, _uniform_times(15), pair[0].n)
-        assert sizes == [4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m]
+        assert sizes == [_mapped(4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m)]
 
     def test_refilled_model_is_the_fresh_model(self, boltzmann, pair, monkeypatch):
         prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
@@ -1098,7 +1121,7 @@ class TestInheritedModel:
         second = prob.make_preconditioner(z0, 0.05**2)
         del second
         third = prob.make_preconditioner(z0, 0.02**2)
-        assert sizes == [4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m]
+        assert sizes == [_mapped(4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m)]
         assert held(v).tobytes() == before.tobytes()
         assert third(v).tobytes() != before.tobytes()
 
@@ -1121,11 +1144,11 @@ class TestInheritedModel:
             retry = prob.make_preconditioner(z0, 0.01)
             # the dropped model's float32 band takes the float32 rows, which
             # break down; the float64 rows go into a band of their own
-            assert sizes == [8 * elements]
+            assert sizes == [_mapped(8 * elements)]
             # the retry reads only its float64 band, so while it is held the
             # next build refills the float32 band and maps a float64 one
             held = prob.make_preconditioner(z0, 0.01)
-            assert sizes == [8 * elements, 8 * elements]
+            assert sizes == [_mapped(8 * elements)] * 2
             assert retry(v).tobytes() == held(v).tobytes() == want64.tobytes()
             assert [ab.dtype for ab, _ in prob._bands.values()] == [np.float32, np.float64]
             # once both are dropped, a retry maps nothing
@@ -1135,6 +1158,40 @@ class TestInheritedModel:
         # nor does a float32 build, whose rows factor again
         assert prob.make_preconditioner(z0, 0.01)(v).tobytes() == want32.tobytes()
         assert len(sizes) == 2
+
+    @pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"), reason="no private mappings")
+    def test_fresh_band_starts_on_a_huge_page(self, boltzmann, pair):
+        prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+        model = prob.make_preconditioner(prob.geodesic_z(), 0.01)
+        ab = prob._bands[np.dtype(np.float32)][0]
+        assert ab.ctypes.data % solver_mod._HUGE_PAGE == 0
+        assert ab.flags.f_contiguous and ab.shape == (2 * prob.n_interior + 1, 7 * 16)
+        del model
+
+    @pytest.mark.parametrize("private", [True, False])
+    def test_build_without_huge_page_advice(self, boltzmann, pair, monkeypatch, private):
+        # a system that refuses the advice, or has no private mappings,
+        # builds the same model on small pages
+        advised = []
+
+        class Refusing(mmap.mmap):
+            def madvise(self, *args):
+                advised.append(args)
+                raise OSError("huge pages refused")
+
+        def problem():
+            return _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+
+        prob = problem()
+        z0 = prob.geodesic_z()
+        v = np.random.default_rng(4).standard_normal(z0.size)
+        want = problem().make_preconditioner(z0, 0.01)(v)
+        sizes = _mmaps(monkeypatch, Refusing, private)
+        assert prob.make_preconditioner(z0, 0.01)(v).tobytes() == want.tobytes()
+        nbytes = 4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m
+        assert sizes == [_mapped(nbytes) if private else nbytes]
+        assert len(advised) == (private and hasattr(mmap, "MADV_HUGEPAGE")
+                                and hasattr(mmap, "MAP_PRIVATE"))
 
     def test_kept_results_hold_no_model(self, boltzmann, pair, monkeypatch):
         # a model lives in its chain, so a result a caller keeps holds no
@@ -1366,3 +1423,91 @@ class TestEpsRange:
         with pytest.raises(DomainError, match="underflows"):
             cost_analysis.sweep(quad1d, np.array([1.0]), np.array([2.0]), [0.1, 1e-300])
         assert not chains
+
+
+class TestDiscreteActions:
+    """Curves that share a time grid and end points are scored on one
+    problem by value only, bit for bit as a solve's action scores each."""
+
+    @pytest.mark.parametrize("backend", ["boltzmann", "porous2"])
+    def test_one_problem_scores_each_curve_alone(self, backend, pair, request, monkeypatch):
+        be = request.getfixturevalue(backend)
+        opts = SolverOptions(n_time=15)
+        eps_list = [0.3, 0.1, 0.03, 0.0]
+        curves = [reg.tilde for reg in builds(be, geodesic_curve(be, *pair, 16), eps_list)]
+        prob = _DensityProblem(be, *pair, _uniform_times(15), pair[0].n)
+        want = []
+        for curve, eps in zip(curves, eps_list):
+            kin, fis, _ = prob.action(prob.pack(curve), eps**2)
+            want.append(kin + eps**2 * fis)
+        alone = [discrete_action(be, curve, eps, opts) for curve, eps in zip(curves, eps_list)]
+        packs, pack = [], solver_mod._quantile_samples
+        monkeypatch.setattr(solver_mod, "_quantile_samples",
+                            lambda ds, u: packs.append(len(ds)) or pack(ds, u))
+        got = discrete_actions(be, curves, eps_list, opts)
+        assert np.array(got).tobytes() == np.array(alone).tobytes() == np.array(want).tobytes()
+        # the two end rows once, then each curve's 15 interior rows
+        assert packs == [2] + [15] * len(curves)
+
+    def test_value_leaves_the_kept_evaluation(self, boltzmann, pair):
+        prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+        z = prob.geodesic_z()
+        kin, fis, _ = prob.action(z, 0.01)
+        kept, jac = prob._kept, prob._jac.copy()
+        geo = geodesic_curve(boltzmann, *pair, 8)
+        other = prob.pack(build_regularized(boltzmann, geo, 0.3).tilde)
+        assert prob.value(z, 0.01) == kin + 0.01 * fis
+        prob.value(other, 0.01)
+        assert prob._kept is kept and prob._jac.tobytes() == jac.tobytes()
+
+    def test_curves_share_grid_and_ends(self, quad2d):
+        a, b = np.zeros(2), np.ones(2)
+        curve = geodesic_curve(quad2d, a, b, 4)
+        for other in (geodesic_curve(quad2d, a, 2.0 * b, 4), geodesic_curve(quad2d, a, b, 5)):
+            with pytest.raises(DomainError, match="share their time grid and end points"):
+                discrete_actions(quad2d, [curve, other], [0.1, 0.1])
+        with pytest.raises(DomainError, match="2 curves for 1 eps"):
+            discrete_actions(quad2d, [curve, curve], [0.1])
+        assert discrete_actions(quad2d, [], []) == []
+        # ends are compared by value
+        copy = Curve(curve.times, [a.copy(), *curve.points[1:-1], b.copy()])
+        assert discrete_actions(quad2d, [curve, copy], [0.1, 0.2]) == [
+            discrete_action(quad2d, curve, 0.1), discrete_action(quad2d, copy, 0.2)]
+
+
+class TestTinyEps:
+    """Where ``sigma F(geo)`` is within the line search's allowance of
+    ``K(geo)``, a solve returns the geodesic, which is then as optimal as a
+    descent could make it, instead of spending its budget below the
+    roundoff of the action."""
+
+    @pytest.fixture(scope="class")
+    def tiny_pair(self):
+        return (GridDensity.gaussian(0.0, 1.0, 64, 0.25, -8.0),
+                GridDensity.gaussian(1.0, 1.2, 64, 0.25, -8.0))
+
+    def test_geodesic_returned(self, boltzmann, tiny_pair):
+        # this solve ran 2,000 iterations and reported converged False
+        opts = SolverOptions(n_time=15)
+        geo = solve(boltzmann, *tiny_pair, 0.0, opts)
+        eps = 1e-12
+        res = solve(boltzmann, *tiny_pair, eps, opts)
+        assert (res.iterations, res.converged, res.model_builds, res.deviation) == (0, True, 0, 0.0)
+        assert res.decision.tobytes() == geo.decision.tobytes()
+        assert (res.kinetic, res.fisher) == (geo.cost, geo.fisher)
+        assert res.cost == res.kinetic + eps**2 * res.fisher
+        assert res.cost_history == (res.cost,)
+        assert 0.0 <= res.stationarity < 1e-12  # roundoff of the kinetic gradient
+
+    def test_larger_eps_descends(self, boltzmann, tiny_pair):
+        # above the value floor no solve evaluates anything at the geodesic
+        for eps in (1e-6, 1e-3):
+            res = solve(boltzmann, *tiny_pair, eps, SolverOptions(n_time=15))
+            assert res.converged and res.model_builds == 1 and res.iterations >= 1
+            assert res.deviation > 0.0
+
+    def test_tiny_eps_leaves_the_chain_as_it_is(self, boltzmann, tiny_pair):
+        with_tiny = _chain(boltzmann, *tiny_pair, [0.2, 1e-12, 0.1])
+        without = _chain(boltzmann, *tiny_pair, [0.2, 0.1])
+        assert [r.model_builds for r in with_tiny] == [1, 0, 0]
+        assert with_tiny[2].decision.tobytes() == without[1].decision.tobytes()
