@@ -2,7 +2,8 @@
 
 A config file fully determines one experiment, so runs are reproducible
 artifacts; the command line only selects the file and the output
-directory.  Unknown sections or keys are rejected outright.  ``verify``
+directory.  Unknown sections or keys are rejected outright, and so are
+``[backend]`` keys that the chosen kind and entropy do not read.  ``verify``
 takes no keys of its own: it always runs every certificate at its fixed
 tolerance, and ``seed`` draws the quadratic backend's sample points.
 
@@ -50,8 +51,10 @@ from .solver import SolverOptions
 
 __all__ = ["ExperimentConfig", "load_config"]
 
-_BACKEND_KEYS = {"kind", "entropy", "m", "n", "dx", "x0", "boundary",
-                 "dim", "center", "strength"}
+# the [backend] keys each kind reads; a porous_medium density also reads m
+_QUADRATIC_KEYS = {"kind", "dim", "center", "strength"}
+_DENSITY_KEYS = {"kind", "entropy", "n", "dx", "x0", "boundary"}
+_BACKEND_KEYS = _QUADRATIC_KEYS | _DENSITY_KEYS | {"m"}
 _ENDPOINT_KEYS = {"x", "y"}
 _RUN_KEYS = {"command", "eps", "eps_list", "seed", "n_time", "max_iter",
              "grad_tol", "quantile_points"}
@@ -120,9 +123,18 @@ def _check_keys(cfg, section, allowed):
             raise ConfigError(f"[{section}] unknown key {key!r}")
 
 
+def _check_read(sec, read, chosen):
+    """Reject a known [backend] key that the ``chosen`` backend does not
+    read, which would otherwise be ignored without a word."""
+    for key in sec:
+        if key not in read:
+            _fail("backend", key, f"not read with {chosen}")
+
+
 def _build_backend(sec):
     kind = sec.get("kind")
     if kind == "quadratic":
+        _check_read(sec, _QUADRATIC_KEYS, "kind = quadratic")
         dim = _get_int(sec, "backend", "dim", default=1)
         if dim < 1:
             _fail("backend", "dim", "must be at least 1")
@@ -142,6 +154,8 @@ def _build_backend(sec):
             kind_obj = EntropyKind.porous_medium(_get_float(sec, "backend", "m", positive=True))
         else:
             _fail("backend", "entropy", f"unknown entropy {entropy_name!r}")
+        _check_read(sec, _DENSITY_KEYS | ({"m"} if entropy_name == "porous_medium" else set()),
+                    f"kind = density, entropy = {entropy_name}")
         return Density1DBackend(kind_obj)
     _fail("backend", "kind", f"must be quadratic or density, got {kind!r}")
 

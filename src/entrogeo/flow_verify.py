@@ -77,13 +77,20 @@ def _dt_step(s: float, lam: float) -> float:
     return min(1e-3, s / 10.0) / max(1.0, lam)
 
 
+def _time_grid(s_grid) -> np.ndarray:
+    """``s_grid`` as a float array, which must be finite, positive and
+    increasing: a report reads its differences forward in time."""
+    s_grid = np.asarray(s_grid, dtype=float)
+    if not (np.all(np.isfinite(s_grid)) and np.all(s_grid > 0) and np.all(np.diff(s_grid) > 0)):
+        raise DomainError("s_grid must be finite, positive and increasing")
+    return s_grid
+
+
 def evi_defect(backend: SpaceBackend, x, y, s_grid, tolerance: float = 1e-6) -> EviReport:
     """Worst positive defect of
     ``1/2 d/ds d^2(S_s x, y) + lam/2 d^2(S_s x, y) + E(S_s x) - E(y)``.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
-    if not (np.all(np.isfinite(s_grid)) and np.all(s_grid > 0) and np.all(np.diff(s_grid) > 0)):
-        raise DomainError("s_grid must be finite, positive and increasing")
+    s_grid = _time_grid(s_grid)
     lam = backend.lam
     steps = [_dt_step(float(s), lam) for s in s_grid]
     # per time: the flow at s + h, s - h and s, all measured to y at once
@@ -148,7 +155,7 @@ def ede_report(backend: SpaceBackend, x, T: float, n_quad: int = 64,
 def slope_monotonicity_report(backend: SpaceBackend, x, s_grid,
                               tolerance: float = 1e-9) -> EviReport:
     """Worst increase of ``s -> exp(lam s) |dE|(S_s x)`` between grid points."""
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _time_grid(s_grid)
     lam = backend.lam
     slopes = backend.slopes(backend.flows([x] * s_grid.size, s_grid.tolist())).tolist()
     vals = [math.exp(lam * s) * slope for s, slope in zip(s_grid, slopes)]

@@ -23,12 +23,11 @@ evaluation, so the start of a chained solve and the cost split after a
 descent, both at the iterate evaluated last, evaluate nothing afresh.  A
 model reads its Jacobian from the problem's evaluation at its point, made
 there first when the last one was elsewhere, and the stage's first
-evaluation then reuses it; a rebuilt density model refills the band of the
-problem's last model of its precision once nothing holds that model, rather
-than mapping a new one.  A result keeps
-its minimizer in decision coordinates and renders the curve only when it
-is read.  A step is accepted on the Armijo test, or
-else on the approximate-Wolfe slope test of Hager & Zhang with the value
+evaluation then reuses it.  Each density model owns its band, and each
+evaluation its Jacobian, so models and evaluations may be made and dropped
+in any order.  A result keeps its minimizer in decision coordinates and
+renders the curve only when it is read.  A step is accepted on the Armijo
+test, or else on the approximate-Wolfe slope test of Hager & Zhang with the value
 allowed to rise by at most 1e-14 relative, so that iterates at the
 roundoff floor of the action are not rejected.  Every solve stops when the decrease the
 model predicts for the next step, ``-g.d``, is at most ``grad_tol eps^2``
@@ -74,8 +73,8 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 import operator
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -146,8 +145,11 @@ class SolverOptions:
                 raise DomainError(f"{name} must be an integer, got {value!r}") from None
             if value < least:
                 raise DomainError(f"{name} must be at least {least}, got {value}")
-        if not 0 < self.grad_tol < math.inf:
-            raise DomainError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        tol = self.grad_tol
+        if isinstance(tol, (bool, np.bool_)) or not isinstance(tol, numbers.Real):
+            raise DomainError(f"grad_tol must be a real number, got {tol!r}")
+        if not 0 < tol < math.inf:
+            raise DomainError(f"grad_tol must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,15 +428,14 @@ class _Problem:
     coordinate).  None of it depends on eps, which enters ``action``,
     ``value_grad`` and ``make_preconditioner`` as the Fisher weight
     ``sigma = eps^2``.  Subclasses supply ``_slope_sq``, the squared slope
-    of every row, its gradient at the interior rows (a fresh array) and the
-    Jacobian the model reads at the interior rows, all of which
+    of every row, its gradient at the interior rows and the Jacobian the
+    model reads at the interior rows, all fresh arrays, which
     ``_evaluation`` keeps; ``_squared_slopes``, the first of these alone,
     which ``value`` reads; and ``make_preconditioner``, which reads that
-    Jacobian from ``_evaluation`` and whose models a caller simply drops: a
-    problem may reuse a model's memory only once nothing holds the model.
-    They also add ``chart`` (the ``_Chart`` of their decision vectors),
-    ``pack``, ``row_distances`` and ``value_grad``.  A problem with no
-    interior node has an empty decision vector.
+    Jacobian from ``_evaluation``.  They also add ``chart`` (the ``_Chart``
+    of their decision vectors), ``pack``, ``row_distances`` and
+    ``value_grad``.  A problem with no interior node has an empty decision
+    vector.
     """
 
     def __init__(self, times, first: np.ndarray, last: np.ndarray, row_mass):
@@ -522,7 +523,7 @@ class _EuclideanProblem(_Problem):
         super().__init__(times, np.asarray(x, dtype=float),
                          np.asarray(y, dtype=float), row_mass=1.0)
         self.pot = backend.potential
-        self.distance = backend.distance
+        self.distances = backend.distances
         self.chart = _Chart(self.times, self.first, self.last)
 
     def pack(self, curve: Curve) -> np.ndarray:
@@ -530,10 +531,9 @@ class _EuclideanProblem(_Problem):
 
     def row_distances(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
         """The distance of each interior row of ``za`` from the same row of
-        ``zb``, by the backend's own ``distance``."""
+        ``zb``, by one call of the backend's own ``distances``."""
         nI = self.n_interior
-        return np.array([self.distance(a, b)
-                         for a, b in zip(za.reshape(nI, -1), zb.reshape(nI, -1))])
+        return self.distances(za.reshape(nI, -1), zb.reshape(nI, -1))
 
     def _slope_sq(self, rows: np.ndarray):
         """``|grad V|^2`` at every row, its gradient ``2 Hess V grad V`` at
@@ -604,16 +604,15 @@ def _fisher_residuals(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.nda
     return (A[..., 1:] - A[..., :-1]) / Hqp, ap, qp, Hqp
 
 
-def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndarray, out):
+def _fisher_jacobian(kind: EntropyKind, Q: np.ndarray, h: np.ndarray, H: np.ndarray):
     """The residuals ``R`` of ``_fisher_residuals`` and their Jacobian:
-    returns ``R``, ``a = dR_k/dQ_{k-1}`` and ``c = dR_k/dQ_{k+1}``, the last
-    two written into the two arrays of ``out``; ``R`` is invariant under
-    shifts of ``Q``, so ``dR_k/dQ_k = -(a + c)``.
+    returns ``R``, ``a = dR_k/dQ_{k-1}`` and ``c = dR_k/dQ_{k+1}``; ``R`` is
+    invariant under shifts of ``Q``, so ``dR_k/dQ_k = -(a + c)``.
     """
     R, ap, qp, Hqp = _fisher_residuals(kind, Q, h, H)
     half_R = 0.5 * R / qp
-    a = np.divide(ap[..., :-1] / Hqp + half_R, h[:-1], out=out[0])
-    c = np.divide(ap[..., 1:] / Hqp - half_R, h[1:], out=out[1])
+    a = (ap[..., :-1] / Hqp + half_R) / h[:-1]
+    c = (ap[..., 1:] / Hqp - half_R) / h[1:]
     return R, a, c
 
 
@@ -757,14 +756,6 @@ class _DensityProblem(_Problem):
         self.H = 0.5 * (self.h[1:] + self.h[:-1])
         super().__init__(times, *_quantile_samples([x, y], self.u), row_mass=cell_widths)
         self.chart = _Chart(self.times, x, y, self.u)
-        # a and c of every evaluation's _fisher_jacobian, which _kept holds,
-        # written in place: a fresh pair kept from each evaluation to the
-        # next raised the peak resident memory of 20 s density_sweep bench
-        # runs by about 0.4 MB (2-vCPU host)
-        self._jac = np.empty((2, self.n_interior + 2, m_points - 2))
-        # per band dtype: the band of the last model of that precision and
-        # a weak reference to that model, see make_preconditioner
-        self._bands = {}
 
     def pack(self, curve: Curve) -> np.ndarray:
         inner = curve.points[1:-1]
@@ -779,10 +770,8 @@ class _DensityProblem(_Problem):
     def _slope_sq(self, rows: np.ndarray):
         """``sum_k H_k R_k^2`` at every row, its gradient ``2 J^T H R`` at
         the interior rows and ``a``, ``c`` of ``_fisher_jacobian`` there,
-        for increasing quantiles.  ``a`` and ``c`` are views of ``_jac``,
-        which each call overwrites, so only ``_evaluation`` calls it, once
-        it has dropped the kept evaluation."""
-        R, a, c = _fisher_jacobian(self.kind, rows, self.h, self.H, self._jac)
+        for increasing quantiles."""
+        R, a, c = _fisher_jacobian(self.kind, rows, self.h, self.H)
         HR = self.H * R
         aR = 2.0 * a[1:-1] * HR[1:-1]
         cR = 2.0 * c[1:-1] * HR[1:-1]
@@ -812,8 +801,7 @@ class _DensityProblem(_Problem):
         3-point stencil, so its Gauss-Newton Hessian is pentadiagonal;
         returns (diag, first, second off-diagonals) of ``J^T diag(H) J``,
         one row per node of ``Qs``, the interior rows of a decision vector.
-        ``a`` and ``c`` are those of the problem's evaluation at ``Qs``,
-        which ``_jac`` holds until the next evaluation elsewhere.
+        ``a`` and ``c`` are those of the problem's evaluation at ``Qs``.
         """
         a, c = self._evaluation(Qs)[5]
         b = -(a + c)
@@ -850,13 +838,9 @@ class _DensityProblem(_Problem):
         not positive, the same float64 rows go into a float64 band for
         ``dpbtrf``/``dpbtrs``, and a breakdown there raises.  The retry
         starts from the float64 rows because the float32-rounded band is
-        indefinite in float64 as well.  Only the band a model reads is
-        recorded with it: the float32 band a retry broke down on is free
-        to be refilled by the next build at once.
-
-        The band of the problem's last model of a precision is zeroed and
-        refilled once nothing holds that model; any other build maps a
-        fresh band on huge pages (``_fresh_band``).
+        indefinite in float64 as well.  Each band is a fresh one on huge
+        pages (``_fresh_band``) that only its model holds; the float32 band
+        a retry broke down on is dropped once the retry is built.
         """
         nI, m = self.n_interior, self.m
         d0, d1, d2 = self._fisher_gn_bands(z0.reshape(nI, m))
@@ -869,33 +853,21 @@ class _DensityProblem(_Problem):
                 2 * nI: (wf * d2).T.ravel()}
 
         def band(dtype):
-            # once the last model of this precision is gone, nothing reads
-            # its band, which is zeroed and refilled instead of mapping a
-            # fresh one (_fresh_band)
-            shape = (2 * nI + 1, nI * m)
-            dtype = np.dtype(dtype)  # the key: np.float32 hashes apart from its dtype
-            ab, owner = self._bands.get(dtype, (None, None))
-            if ab is not None and owner() is None:
-                ab.fill(0.0)
-            else:
-                ab = _fresh_band(shape, dtype)
+            ab = _fresh_band((2 * nI + 1, nI * m), np.dtype(dtype))
             for j, row in rows.items():
                 ab[j, :row.size] = row
             return ab
 
         model = f"density model (m = {m} quantile nodes, {nI} time nodes)"
         try:
-            ab = band(np.float32)
-            solve_band = _banded_cholesky_solver(ab, model)
+            solve_band = _banded_cholesky_solver(band(np.float32), model)
         except EntrogeoError:
             # rounding the rows to float32 made the model indefinite
-            ab = band(np.float64)
-            solve_band = _banded_cholesky_solver(ab, model)
+            solve_band = _banded_cholesky_solver(band(np.float64), model)
 
         def apply(v):
             return solve_band(v.reshape(nI, m).T.ravel()).reshape(m, nI).T.ravel()
 
-        self._bands[ab.dtype] = ab, weakref.ref(apply)
         return apply
 
 
@@ -966,9 +938,7 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     kept result holds none: it holds its decision vector and the problem's
     ``_Chart``, which renders ``minimizer`` from that vector when it is
     first read, so a caller that keeps every result holds one decision
-    vector per eps and no curve it has not read.  Once the chain drops a
-    model, nothing reads its band, and the next build refills it (see
-    ``_DensityProblem.make_preconditioner``).
+    vector per eps and no curve it has not read.
 
     Each result's ``deviation`` is the largest ``row_distances`` of its
     decision vector from ``geodesic_z()``, the exact minimizer at eps = 0,
@@ -1025,7 +995,7 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
             history.extend(hist if not history else hist[1:])
             iters += it
             if not converged:
-                precond = None  # dropped before the next build, which may refill its band
+                precond = None  # dropped before the next build, so one band lives at a time
             if stalled and stalled_before:
                 break
             stalled_before = stalled

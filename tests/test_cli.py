@@ -226,6 +226,22 @@ class TestSolveCommand:
         assert main([cfg]) == 1
         assert "unknown key 'floor'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line", [
+        (QUAD_SOLVE, "n = 64"), (QUAD_SOLVE, "entropy = boltzmann"), (QUAD_SOLVE, "m = 2"),
+        (DENSITY_SOLVE, "strength = 2"), (DENSITY_SOLVE, "m = 2"), (DENSITY_SOLVE, "dim = 2"),
+    ], ids=["quadratic-n", "quadratic-entropy", "quadratic-m", "boltzmann-strength",
+            "boltzmann-m", "boltzmann-dim"])
+    def test_unread_backend_key_exits_1(self, tmp_path, capsys, text, line):
+        # a known key that the chosen kind or entropy does not read used to
+        # be ignored without a word
+        key = line.split()[0]
+        cfg = write_config(tmp_path, text.replace("[backend]\n", f"[backend]\n{line}\n"))
+        msg = re.escape(f"[backend] {key}: not read with kind = ")
+        with pytest.raises(ConfigError, match=msg):
+            load_config(cfg)
+        assert main([cfg]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_forced_non_convergence_exits_2(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -83,6 +83,18 @@ class TestBadArguments:
         with pytest.raises(DomainError, match="s_grid"):
             evi_defect(quad2d, np.ones(2), np.zeros(2), s_grid)
 
+    @pytest.mark.parametrize("s_grid", [[0.0, 0.1], [0.2, 0.1], [0.1, math.nan], [0.1, math.inf]])
+    def test_slope_monotonicity_grid(self, quad2d, s_grid):
+        with pytest.raises(DomainError, match="s_grid"):
+            slope_monotonicity_report(quad2d, np.ones(2), s_grid)
+
+    def test_reversed_grid_is_no_false_fail(self, boltzmann):
+        # read backwards, the decreasing slope of a heat flow rose by 0.146
+        # between grid points and failed a tolerance of 1e-6
+        with pytest.raises(DomainError, match="increasing"):
+            slope_monotonicity_report(boltzmann, gaussian_on(NARROW, 0.0, 0.5),
+                                      S_GRID_DENSITY[::-1], tolerance=1e-6)
+
     @pytest.mark.parametrize("T, n_quad", [(0.0, 16), (math.nan, 16), (math.inf, 16),
                                            (1.0, 1), (1.0, 2.5), (1.0, 16.0)])
     def test_ede_span_and_nodes(self, quad2d, T, n_quad):

@@ -891,13 +891,22 @@ class TestSolverOptions:
         with pytest.raises(DomainError, match=f"{name} must be an integer, got {value!r}"):
             SolverOptions(**{name: value})
 
-    @pytest.mark.parametrize("name", ["n_time", "max_iter", "quantile_points"])
+    @pytest.mark.parametrize("name", ["n_time", "max_iter", "quantile_points", "grad_tol"])
     @pytest.mark.parametrize("value", [True, False, np.True_])
     def test_bool_counts_rejected(self, name, value):
-        # max_iter=True used to run one iteration
-        msg = re.escape(f"{name} must be an integer, got {value!r}")
+        # max_iter=True used to run one iteration, and grad_tol=True to
+        # stop at 1
+        kind = "a real number" if name == "grad_tol" else "an integer"
+        msg = re.escape(f"{name} must be {kind}, got {value!r}")
         with pytest.raises(DomainError, match=msg):
             SolverOptions(**{name: value})
+
+    @pytest.mark.parametrize("value", ["1e-6", None, [1e-6]])
+    def test_non_number_grad_tol_rejected(self, value):
+        # a string used to fail the comparison with a TypeError
+        msg = re.escape(f"grad_tol must be a real number, got {value!r}")
+        with pytest.raises(DomainError, match=msg):
+            SolverOptions(grad_tol=value)
 
     def test_numpy_integer_counts_solve(self, quad1d):
         opts = SolverOptions(n_time=np.int64(7), max_iter=np.int32(50))
@@ -984,6 +993,18 @@ def _mmaps(monkeypatch, mapping=mmap.mmap, private=True):
     monkeypatch.setattr(solver_mod, "mmap", SimpleNamespace(
         mmap=counted, **{k: getattr(mmap, k) for k in names if hasattr(mmap, k)}))
     return sizes
+
+
+def _record_bands(monkeypatch):
+    """Every band ``_fresh_band`` maps from now on, in the order mapped."""
+    bands, fresh = [], solver_mod._fresh_band
+
+    def recorded(shape, dtype):
+        bands.append(fresh(shape, dtype))
+        return bands[-1]
+
+    monkeypatch.setattr(solver_mod, "_fresh_band", recorded)
+    return bands
 
 
 def _mapped(nbytes):
@@ -1074,40 +1095,16 @@ class TestInheritedModel:
             boltzmann, *pair, 0.0, SolverOptions(n_time=15)).decision.tobytes()
 
     def test_rebuild_allocates_no_second_band(self, boltzmann, pair, monkeypatch):
-        # the 0.2 model serves the 0.1 solve, and it is dropped, its band
-        # handed to the rebuild, before the 0.025 solve builds its own
+        # the 0.2 model serves the 0.1 solve, and it is dropped before the
+        # 0.025 solve builds its own, so the chain holds one band at a time
         dead = []
         _record_models(monkeypatch, lambda built: dead.extend(m() is None for m in built))
         chain = _chain(boltzmann, *pair, [0.2, 0.1, 0.025])
         assert [r.model_builds for r in chain] == [1, 0, 1]
         assert dead == [True]
 
-    def test_rebuild_refills_the_released_band(self, boltzmann, pair, monkeypatch):
-        # the one mapping of the chain is the 0.2 model's float32 band,
-        # which the 0.025 model refills
-        sizes = _mmaps(monkeypatch)
-        chain = _chain(boltzmann, *pair, [0.2, 0.1, 0.025])
-        assert [r.model_builds for r in chain] == [1, 0, 1]
-        prob = _DensityProblem(boltzmann, *pair, _uniform_times(15), pair[0].n)
-        assert sizes == [_mapped(4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m)]
-
-    def test_refilled_model_is_the_fresh_model(self, boltzmann, pair, monkeypatch):
-        prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
-        fresh = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
-        z0 = prob.geodesic_z()
-        z1 = prob.pack(build_regularized(
-            boltzmann, geodesic_curve(boltzmann, *pair, 8), 0.3).tilde)
-        v = np.random.default_rng(7).standard_normal(z0.size)
-        want = fresh.make_preconditioner(z1, 0.05**2)(v)
-        first = prob.make_preconditioner(z0, 0.3**2)
-        del first
-        sizes = _mmaps(monkeypatch)
-        # nothing reads the dropped model's band, which takes the new rows
-        refilled = prob.make_preconditioner(z1, 0.05**2)
-        assert sizes == []
-        assert refilled(v).tobytes() == want.tobytes()
-
     def test_held_model_is_never_refilled(self, boltzmann, pair, monkeypatch):
+        # a held model answers the same bytes after later builds
         prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
         z0 = prob.geodesic_z()
         v = np.random.default_rng(9).standard_normal(z0.size)
@@ -1116,12 +1113,12 @@ class TestInheritedModel:
         held = (lambda model: lambda v: model(v))(prob.make_preconditioner(z0, 0.3**2))
         before = held(v)
         sizes = _mmaps(monkeypatch)
-        # the second model maps a band of its own; once it is dropped the
-        # third refills the second's band, never the held first's
+        # each later model maps a band of its own, also once the one before
+        # it is dropped
         second = prob.make_preconditioner(z0, 0.05**2)
         del second
         third = prob.make_preconditioner(z0, 0.02**2)
-        assert sizes == [_mapped(4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m)]
+        assert sizes == [_mapped(4 * (2 * prob.n_interior + 1) * prob.n_interior * prob.m)] * 2
         assert held(v).tobytes() == before.tobytes()
         assert third(v).tobytes() != before.tobytes()
 
@@ -1137,33 +1134,36 @@ class TestInheritedModel:
         with monkeypatch.context() as patch:
             _float32_breaks_down(patch)
             want64 = problem().make_preconditioner(z0, 0.01)(v)
-        prob.make_preconditioner(z0, 0.01)  # a float32 model, dropped at once
-        sizes = _mmaps(monkeypatch)
+        sizes, bands = _mmaps(monkeypatch), _record_bands(monkeypatch)
+        per_retry = [_mapped(4 * elements), _mapped(8 * elements)]
         with monkeypatch.context() as patch:
             _float32_breaks_down(patch)
+            # the float32 rows go into a float32 band of their own, which
+            # breaks down, and the float64 rows into a float64 band
             retry = prob.make_preconditioner(z0, 0.01)
-            # the dropped model's float32 band takes the float32 rows, which
-            # break down; the float64 rows go into a band of their own
-            assert sizes == [_mapped(8 * elements)]
-            # the retry reads only its float64 band, so while it is held the
-            # next build refills the float32 band and maps a float64 one
+            assert sizes == per_retry
+            assert [ab.dtype for ab in bands] == [np.float32, np.float64]
+            # so does the next retry, while the first is held
             held = prob.make_preconditioner(z0, 0.01)
-            assert sizes == [_mapped(8 * elements)] * 2
+            assert sizes == per_retry * 2
+            assert [ab.dtype for ab in bands] == [np.float32, np.float64] * 2
             assert retry(v).tobytes() == held(v).tobytes() == want64.tobytes()
-            assert [ab.dtype for ab, _ in prob._bands.values()] == [np.float32, np.float64]
-            # once both are dropped, a retry maps nothing
+            # and so does a retry once both are dropped
             del retry, held
             assert prob.make_preconditioner(z0, 0.01)(v).tobytes() == want64.tobytes()
-            assert len(sizes) == 2
-        # nor does a float32 build, whose rows factor again
+            assert sizes == per_retry * 3
+        # a float32 build whose rows factor maps its float32 band alone
         assert prob.make_preconditioner(z0, 0.01)(v).tobytes() == want32.tobytes()
-        assert len(sizes) == 2
+        assert sizes == per_retry * 3 + [_mapped(4 * elements)]
+        assert [ab.dtype for ab in bands] == [np.float32, np.float64] * 3 + [np.float32]
 
     @pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"), reason="no private mappings")
-    def test_fresh_band_starts_on_a_huge_page(self, boltzmann, pair):
+    def test_fresh_band_starts_on_a_huge_page(self, boltzmann, pair, monkeypatch):
         prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+        bands = _record_bands(monkeypatch)
         model = prob.make_preconditioner(prob.geodesic_z(), 0.01)
-        ab = prob._bands[np.dtype(np.float32)][0]
+        [ab] = bands
+        assert ab.dtype == np.float32
         assert ab.ctypes.data % solver_mod._HUGE_PAGE == 0
         assert ab.flags.f_contiguous and ab.shape == (2 * prob.n_interior + 1, 7 * 16)
         del model
@@ -1341,6 +1341,7 @@ class TestKeptEvaluation:
             return slope_sq(prob, rows)
 
         monkeypatch.setattr(cls, "_slope_sq", counted)
+        bands = _record_bands(monkeypatch)
         built, kept, fresh = (cls(be, x, y, _uniform_times(7), *args) for _ in range(3))
         v = np.random.default_rng(11).standard_normal(z.size)
         want = fresh.make_preconditioner(z, 0.01)(v)
@@ -1356,8 +1357,8 @@ class TestKeptEvaluation:
         assert kept.make_preconditioner(z, 0.01)(v).tobytes() == want.tobytes()
         assert calls == []
         if backend == "boltzmann":
-            bands = [p._bands[np.dtype(np.float32)][0] for p in (kept, fresh)]
-            assert bands[0].tobytes() == bands[1].tobytes()
+            # the factored bands of fresh, built and kept
+            assert len(bands) == 3 and len({ab.tobytes() for ab in bands}) == 1
 
     def test_cold_density_solve_has_one_jacobian_path(self, boltzmann, pair, monkeypatch):
         # every Fisher Jacobian of a solve, the models' included, comes from
@@ -1381,6 +1382,19 @@ class TestKeptEvaluation:
         res = solve(boltzmann, *pair, 0.05, SolverOptions(n_time=15))
         assert res.converged and res.model_builds >= 1
         assert within and all(within)
+
+    def test_held_jacobian_outlives_the_next_evaluation(self, boltzmann, pair):
+        # each evaluation's a, c are its own, so a model may read them after
+        # the problem has evaluated elsewhere
+        prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
+        a, c = prob._evaluation(prob.geodesic_z())[5]
+        held = a.tobytes(), c.tobytes()
+        other = prob.pack(build_regularized(
+            boltzmann, geodesic_curve(boltzmann, *pair, 8), 0.3).tilde)
+        prob.value_grad(other, 0.01)
+        assert prob._kept[0] == other.tobytes()
+        assert prob._kept[5][0].tobytes() != held[0]
+        assert (a.tobytes(), c.tobytes()) == held
 
     def test_action_at_a_changed_z_recomputes(self, boltzmann, pair):
         prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
@@ -1453,12 +1467,13 @@ class TestDiscreteActions:
         prob = _DensityProblem(boltzmann, *pair, _uniform_times(7), 16)
         z = prob.geodesic_z()
         kin, fis, _ = prob.action(z, 0.01)
-        kept, jac = prob._kept, prob._jac.copy()
+        kept = prob._kept
+        jac = [j.tobytes() for j in kept[5]]
         geo = geodesic_curve(boltzmann, *pair, 8)
         other = prob.pack(build_regularized(boltzmann, geo, 0.3).tilde)
         assert prob.value(z, 0.01) == kin + 0.01 * fis
         prob.value(other, 0.01)
-        assert prob._kept is kept and prob._jac.tobytes() == jac.tobytes()
+        assert prob._kept is kept and [j.tobytes() for j in prob._kept[5]] == jac
 
     def test_curves_share_grid_and_ends(self, quad2d):
         a, b = np.zeros(2), np.ones(2)
