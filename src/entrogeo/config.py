@@ -5,7 +5,12 @@ artifacts; the command line only selects the file and the output
 directory.  Unknown sections or keys are rejected outright, and so are
 ``[backend]`` keys that the chosen kind and entropy do not read.  ``verify``
 takes no keys of its own: it always runs every certificate at its fixed
-tolerance, and ``seed`` draws the quadratic backend's sample points.
+tolerance, and ``seed`` draws the quadratic backend's sample points.  The
+optional ``[run]`` keys ``n_time``, ``quantile_points``, ``max_iter`` and
+``grad_tol`` set the fields of ``SolverOptions``; an absent ``n_time`` or
+``quantile_points`` is left to the solver, whose default grid follows the
+backend (31 time nodes and m = 5n/4 quantile nodes for densities, 63 time
+nodes for the quadratic backend).
 
 ::
 
@@ -259,12 +264,12 @@ def load_config(path) -> ExperimentConfig:
         except DomainError as exc:
             _fail("run", "eps_list", str(exc))
 
-    qp = None
-    if "quantile_points" in run:
-        qp = _get_int(run, "run", "quantile_points")
+    # an absent n_time or quantile_points is None, the solver's default
+    n_time, qp = (_get_int(run, "run", key) if key in run else None
+                  for key in ("n_time", "quantile_points"))
     try:
         solver_options = SolverOptions(
-            n_time=_get_int(run, "run", "n_time", default=SolverOptions.n_time),
+            n_time=n_time,
             max_iter=_get_int(run, "run", "max_iter", default=SolverOptions.max_iter),
             grad_tol=_get_float(run, "run", "grad_tol", default=SolverOptions.grad_tol,
                                 positive=True),

@@ -122,12 +122,17 @@ class SolverOptions:
     ``grad_tol`` is the stopping target of every eps > 0 solve, on both
     backends: the descent stops when the decrease its quadratic model
     predicts for the next step, ``-g.d``, is at most ``grad_tol eps^2 |v|``
-    (``v`` the action).  ``quantile_points`` is the number m >= 3 of
-    graded u-nodes of the density decision variables (default n, the
-    number of grid cells, and at least 3).
+    (``v`` the action).  ``n_time`` is the number of interior time nodes,
+    and ``quantile_points`` the number m >= 3 of graded u-nodes of the
+    density decision variables.  Left None, each follows the backend: a
+    density problem on n cells takes 31 time nodes and ``m = max(5n // 4,
+    3)``, and a Euclidean problem 63 time nodes.  A density solve's error
+    sits in the quantile axis, while its banded model costs about
+    ``4 m n_time^3`` to factor; the Euclidean model is small, and its
+    error is all in time (README, "Numerical notes").
     """
 
-    n_time: int = 63
+    n_time: Optional[int] = None
     max_iter: int = 2000
     grad_tol: float = 1e-6
     quantile_points: Optional[int] = None
@@ -135,8 +140,8 @@ class SolverOptions:
     def __post_init__(self):
         for name, least in (("n_time", 3), ("max_iter", 1), ("quantile_points", 3)):
             value = getattr(self, name)
-            if value is None and name == "quantile_points":
-                continue  # m follows the grid
+            if value is None and name != "max_iter":
+                continue  # follows the backend
             try:
                 if isinstance(value, (bool, np.bool_)):
                     raise TypeError  # True would count as 1
@@ -239,6 +244,14 @@ class SchrodingerResult:
 
 def _uniform_times(n_time: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_time + 2)
+
+
+def _n_time(backend: SpaceBackend, opts: SolverOptions) -> int:
+    """The interior time nodes of ``opts``, else the backend's default: 31
+    for densities, 63 for the Euclidean backend (see ``SolverOptions``)."""
+    if opts.n_time is not None:
+        return opts.n_time
+    return 31 if isinstance(backend, Density1DBackend) else 63
 
 
 # Armijo constant, backtracking factor and L-BFGS memory of _lbfgs_armijo;
@@ -839,8 +852,10 @@ class _DensityProblem(_Problem):
         ``dpbtrf``/``dpbtrs``, and a breakdown there raises.  The retry
         starts from the float64 rows because the float32-rounded band is
         indefinite in float64 as well.  Each band is a fresh one on huge
-        pages (``_fresh_band``) that only its model holds; the float32 band
-        a retry broke down on is dropped once the retry is built.
+        pages (``_fresh_band``) that only its model holds.  The retry is
+        factored after the ``except`` clause has ended, whose traceback
+        holds the float32 band it broke down on, so that band is unmapped
+        before the float64 one is mapped.
         """
         nI, m = self.n_interior, self.m
         d0, d1, d2 = self._fisher_gn_bands(z0.reshape(nI, m))
@@ -862,7 +877,8 @@ class _DensityProblem(_Problem):
         try:
             solve_band = _banded_cholesky_solver(band(np.float32), model)
         except EntrogeoError:
-            # rounding the rows to float32 made the model indefinite
+            solve_band = None  # rounding the rows to float32 made the model indefinite
+        if solve_band is None:
             solve_band = _banded_cholesky_solver(band(np.float64), model)
 
         def apply(v):
@@ -877,7 +893,11 @@ class _DensityProblem(_Problem):
 def _problem(backend: SpaceBackend, x, y, times, opts: SolverOptions) -> _Problem:
     """The solver problem of ``backend`` between ``x`` and ``y``."""
     if isinstance(backend, Density1DBackend):
-        return _DensityProblem(backend, x, y, times, opts.quantile_points or max(x.n, 3))
+        # m = 3n/2 quantile nodes would halve the error at 5n/4 again, but
+        # with 31 time nodes it makes a cold eps = 2 solve about 20% slower
+        # than m = n with 63 time nodes, where 5n/4 stays within about 10%
+        m = opts.quantile_points or max(5 * x.n // 4, 3)
+        return _DensityProblem(backend, x, y, times, m)
     if isinstance(backend, EuclideanBackend):
         return _EuclideanProblem(backend, x, y, times)
     raise DomainError(f"no solver strategy for backend {type(backend).__name__}")
@@ -962,7 +982,8 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     _check_endpoints(backend, x, y)
     if any(eps > 0 for eps in eps_list):
         _check_finite_entropy(backend, x, y)
-    prob = _problem(backend, x, y, _uniform_times(opts.n_time), opts)
+    n_time = _n_time(backend, opts)
+    prob = _problem(backend, x, y, _uniform_times(n_time), opts)
     z_geo = prob.geodesic_z()  # the deviations are measured from it
     z, precond, eps_model = None, None, None
     for eps in eps_list:
@@ -977,7 +998,7 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
                                         z_geo, 0, 0.0)
                 continue
         if z is None:
-            geo = geodesic_curve(backend, x, y, opts.n_time + 1)
+            geo = geodesic_curve(backend, x, y, n_time + 1)
             z = prob.pack(build_regularized(backend, geo, eps).tilde)
         if precond is not None and not (
                 1.0 / _INHERIT_RATIO <= (eps_model / eps) ** 2 <= _INHERIT_RATIO):
@@ -1075,7 +1096,7 @@ def bridge_from_flow(backend: SpaceBackend, x, eps: float,
     if eps == 0:
         raise DomainError("bridge construction needs eps > 0")
     opts = opts or SolverOptions()
-    times = _uniform_times(opts.n_time)
+    times = _uniform_times(_n_time(backend, opts))
     pts = [x]
     for dt in np.diff(times):
         pts.append(backend.flow(pts[-1], float(eps * dt)))

@@ -208,6 +208,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "[run] quantile_points must be at least 3" in err
 
+    def test_absent_grid_keys_leave_the_solver_default(self, tmp_path):
+        # an absent n_time or quantile_points is None, the default grid of
+        # the backend; a given one is kept as it is
+        opts = load_config(write_config(tmp_path, DENSITY_SOLVE.replace("n_time = 31\n", "")))
+        assert (opts.solver_options.n_time, opts.solver_options.quantile_points) == (None, None)
+        text = DENSITY_SOLVE.replace("n_time = 31", "n_time = 63\nquantile_points = 128")
+        opts = load_config(write_config(tmp_path, text)).solver_options
+        assert (opts.n_time, opts.quantile_points) == (63, 128)
+
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUAD_SOLVE.replace("strength = 1", "strength = 1\nbogus = 2"))
         assert main([cfg]) == 1
@@ -259,7 +268,8 @@ class TestSolveCommand:
         monkeypatch.setattr(_DensityProblem, "_fisher_gn_bands", negative_bands)
         assert main([write_config(tmp_path, DENSITY_SOLVE)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: density model (m = 128 quantile nodes, 31 time nodes)")
+        # the default grid of n = 128 cells: m = 5n/4 quantile nodes
+        assert err.startswith("error: density model (m = 160 quantile nodes, 31 time nodes)")
         assert "not positive definite" in err
 
     @pytest.mark.parametrize("cell", ["300", "-1", "2.7"])

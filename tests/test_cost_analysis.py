@@ -19,11 +19,11 @@ from entrogeo.regularizer import build
 from entrogeo.solver import (
     SchrodingerResult,
     SolverOptions,
-    _DensityProblem,
-    _uniform_times,
     discrete_action,
     solves,
 )
+
+from conftest import solver_problem
 
 
 EPS_DYADIC = [0.2, 0.1, 0.05, 0.025]
@@ -106,12 +106,13 @@ class TestSweep:
     def test_rows_drop_the_model_and_count_builds(self, boltzmann):
         # 0.2 factors its model, 0.1 runs on it ((0.2 / 0.1)^2 = 4) and
         # 0.025 factors its own ((0.2 / 0.025)^2 = 64); a row keeps no
-        # model, only its decision vector: 15 rows of 64 quantiles
+        # model, only its decision vector: 15 rows of m quantiles
         n = 64
         x = GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0)
         y = GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0)
         prof = sweep(boltzmann, x, y, [0.0, 0.025, 0.1, 0.2], SolverOptions(n_time=15))
-        assert all(r.decision.shape == (15 * n,) for r in prof.rows)
+        m = solver_problem(boltzmann, x, y, prof.opts).m
+        assert all(r.decision.shape == (15 * m,) for r in prof.rows)
         assert [r.model_builds for r in prof.rows] == [0, 1, 0, 1]
         assert [rec["model_builds"] for rec in prof.to_records()] == [0, 1, 0, 1]
 
@@ -219,7 +220,7 @@ class TestGammaDiagnostics:
 
     def test_recovery_scored_with_the_sweep_options(self, boltzmann):
         # m = 4n graded quantile nodes: the recovery curves must be scored
-        # by the action the rows minimized, not by the default m = n one
+        # by the action the rows minimized, not by the default m = 5n/4 one
         n = 64
         x = GridDensity.gaussian(0.35, 0.08, n, 1.0 / n)
         y = GridDensity.gaussian(0.6, 0.12, n, 1.0 / n)
@@ -269,7 +270,7 @@ class TestGammaDiagnostics:
             # the W2 of each row's quantiles from the geodesic's, before
             # either is binned onto the grid; the binned curves' W2 reads
             # 1.1-1.7% less on this pair
-            prob = _DensityProblem(backend, x, y, _uniform_times(15), n)
+            prob = solver_problem(backend, x, y, prof.opts)
             z_geo = prob.geodesic_z()
             assert report.minimizer_deviation == tuple(
                 float(np.max(prob.row_distances(r.decision, z_geo))) for r in rows)
@@ -283,23 +284,23 @@ class TestGammaDiagnostics:
         # + 2C t^2, C = (s0^2 + s1^2)/2 - sqrt(s0^2 s1^2 + eps^2) (the
         # docstring of bench/oracles.py), so its W2 from the geodesic is
         # |sqrt(w(t)) - s(t)|, s(t) = (1 - t) s0 + t s1.  Measured on the
-        # three pairs: node by node within 8.62e-5 and within 7.46e-2 of
+        # three pairs: node by node within 8.04e-5 and within 7.36e-2 of
         # the row's largest exact deviation, the largest deviation within
-        # 5.02e-2 of its own; the bounds are 1.1 times those
+        # 4.68e-2 of its own; the bounds are 1.1 times those
         x, y = bench_pair(seed)
         (_, s0), (_, s1) = BENCH_PAIRS[seed]
         prof = sweep(boltzmann, x, y, BENCH_EPS)
         report = gamma_diagnostics(boltzmann, prof)
-        prob = _DensityProblem(boltzmann, x, y, _uniform_times(63), BENCH_GRID[0])
+        prob = solver_problem(boltzmann, x, y)
         z_geo, t = prob.geodesic_z(), prob.times[1:-1]
         for row, dev in zip(reversed(prof.rows), report.minimizer_deviation, strict=True):
             C = 0.5 * (s0 * s0 + s1 * s1) - math.sqrt(s0 * s0 * s1 * s1 + row.eps**2)
             w = s0 * s0 + (s1 * s1 - s0 * s0 - 2.0 * C) * t + 2.0 * C * t * t
             exact = np.abs(np.sqrt(w) - ((1.0 - t) * s0 + t * s1))
             err = np.max(np.abs(prob.row_distances(row.decision, z_geo) - exact))
-            assert err <= 1.1 * 8.62e-5 and err <= 1.1 * 7.46e-2 * np.max(exact)
+            assert err <= 1.1 * 8.04e-5 and err <= 1.1 * 7.36e-2 * np.max(exact)
             assert dev == row.deviation
-            assert abs(dev - np.max(exact)) <= 1.1 * 5.02e-2 * np.max(exact)
+            assert abs(dev - np.max(exact)) <= 1.1 * 4.68e-2 * np.max(exact)
         devs = report.minimizer_deviation  # descending eps
         assert all(d2 < d1 for d1, d2 in zip(devs, devs[1:]))
 
@@ -483,7 +484,7 @@ class TestMollifiedSweep:
         prof = mollified_sweep(boltzmann, x, y, [0.0, 0.4], math.sqrt, opts)
         assert prof.opts is opts
         assert [r.eps for r in prof.rows] == [0.4]
-        assert prof.rows[0].decision.shape == (7 * x.n,)
+        assert prof.rows[0].decision.shape == (7 * solver_problem(boltzmann, x, y, opts).m,)
 
 
 class TestEpsList:

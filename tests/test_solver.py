@@ -48,7 +48,7 @@ from entrogeo.solver import (
     solves,
 )
 
-from conftest import SWEEP, gaussian_on
+from conftest import SWEEP, gaussian_on, solver_problem
 
 
 def _bench_oracles():
@@ -174,14 +174,14 @@ class TestEuclideanSolve:
             assert discrete_action(quad2d, res.minimizer, eps) == res.cost
             assert res.cost == res.kinetic + eps**2 * res.fisher
         # a density curve stores densities, so discrete_action repacks its
-        # quantiles and meets the cost only to the PCHIP round trip (about
-        # +2.2e-4 relative at this n and n_time), from above, as any
+        # quantiles and meets the cost only to the PCHIP round trip (+1.5e-4
+        # and +1.6e-4 relative at eps 0 and 0.2 on this grid), from above, as any
         # competitor curve must; the Fisher part counts every row once, the
         # end rows included
         n, dx, x0 = 64, 22.0 / 64, -10.0
         a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
         b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
-        prob = _DensityProblem(boltzmann, a, b, _uniform_times(15), n)
+        prob = solver_problem(boltzmann, a, b, SolverOptions(n_time=15))
         _, w = _steps_and_weights(prob.times)
         for eps in (0.0, 0.2):
             res = solve(boltzmann, a, b, eps, SolverOptions(n_time=15))
@@ -195,14 +195,18 @@ class TestEuclideanSolve:
     @pytest.mark.parametrize("backend", ["boltzmann", "porous2", "quad2d"])
     def test_two_node_curve_has_an_empty_decision_vector(self, backend, request, sweep_pair):
         # a curve of its two end points alone is scored like any other: at
-        # eps = 0 its action is the closed-form geodesic cost
+        # eps = 0 its action is the closed-form geodesic cost, to the ulp by
+        # which the steps of the solved geodesic (32 for densities, 64 for
+        # the Euclidean backend) round apart from the one step; 2.2e-16
+        # relative for the density pair
         be = request.getfixturevalue(backend)
         x, y = sweep_pair if backend != "quad2d" else (np.zeros(2), np.ones(2))
         curve = Curve(np.array([0.0, 1.0]), [x, y])
-        assert discrete_action(be, curve, 0.0) == solve(be, x, y, 0.0).cost
+        assert discrete_action(be, curve, 0.0) == pytest.approx(
+            solve(be, x, y, 0.0).cost, rel=2.5e-16, abs=0.0)
         if backend == "quad2d":
-            # 2.1e-16 relative; at other end points the 64 steps of the
-            # solved geodesic round apart from the one step by about an ulp
+            # 2.1e-16 relative; at other end points the geodesic's steps
+            # round apart from the one step by about an ulp
             assert discrete_action(be, curve, 0.3) == pytest.approx(
                 schrodinger_action(be, curve, 0.3), rel=1e-15, abs=0.0)
             x, y = np.array([1.0, -0.5]), np.array([-0.3, 2.0])
@@ -502,6 +506,25 @@ def _near_dirac_problem(be):
 
 
 class TestModelFactorization:
+    def test_float64_retry_maps_its_band_once_the_float32_band_is_dead(self, boltzmann,
+                                                                       monkeypatch):
+        # the float32 band a retry broke down on is unmapped before the
+        # float64 band is mapped, so a retry holds one band at a time
+        prob, eps, z0 = _near_dirac_problem(boltzmann)
+        refs, seen, fresh = [], [], solver_mod._fresh_band
+
+        def recorded(shape, dtype):
+            # the dtype of each band, and which bands mapped before it live
+            seen.append((dtype, [ref() is not None for ref in refs]))
+            band = fresh(shape, dtype)
+            refs.append(weakref.ref(band))
+            return band
+
+        monkeypatch.setattr(solver_mod, "_fresh_band", recorded)
+        apply = prob.make_preconditioner(z0, eps**2)
+        assert seen == [(np.float32, []), (np.float64, [False])]
+        assert refs[1]() is not None and apply is not None  # the model holds its band
+
     def test_indefinite_band_names_the_model(self):
         # lower band of [[1, 2, 0], [2, -1, 0], [0, 0, 1]]: the second
         # leading minor is -5
@@ -585,6 +608,11 @@ class TestModelFactorization:
         assert not np.array_equal(second(v), want)
 
 
+# the grid of the bounds measured on m = n quantile nodes of the SWEEP grid
+# and 63 time nodes
+_M_IS_N_63 = SolverOptions(n_time=63, quantile_points=SWEEP["n"])
+
+
 class TestDensitySolve:
     def test_eps_zero_is_quantile_geodesic(self, boltzmann, sweep_pair):
         a, b = sweep_pair
@@ -622,40 +650,53 @@ class TestDensitySolve:
         target = eps * (boltzmann.entropy(a) - boltzmann.entropy(boltzmann.flow(a, eps)))
         assert res.cost == pytest.approx(target, rel=1e-3)
 
-    @pytest.mark.parametrize("entropy, eps", [
-        *(pytest.param("porous2", eps, id=str(eps)) for eps in (0.1, 0.5, 1.0, 2.0)),
-        *(pytest.param("boltzmann", eps, id=f"boltzmann-{eps}", marks=pytest.mark.xfail(
+    @pytest.mark.parametrize("entropy, eps, opts, allowance", [
+        # on m = n quantile nodes and 63 time nodes, where the porous solves
+        # measure 9.7e-4, 7.3e-4, 6.4e-4 and 6.2e-4 above the bound
+        *(pytest.param("porous2", eps, _M_IS_N_63, 1e-3, id=str(eps))
+          for eps in (0.1, 0.5, 1.0, 2.0)),
+        *(pytest.param("boltzmann", eps, _M_IS_N_63, 1e-3, id=f"boltzmann-{eps}",
+                       marks=pytest.mark.xfail(
             strict=True, raises=AssertionError,
             reason="the quantile Fisher stencil charges too little: the Boltzmann solves "
             "cost 1.22e-3 (eps 0.1) and 1.85e-3 (eps 0.2) relative below "
             "eps (E(x) - E(S_eps x)), in 4 and 73 iterations, both reported converged"))
           for eps in (0.1, 0.2)),
+        # on the default grid, allowed 1.1 times the gap each measures: a
+        # finer m reads more of the grid flow's own error (at eps 0.1 and 63
+        # time nodes, 9.69e-4, 1.12e-3 and 1.16e-3 at m = n, 2n and 4n), and
+        # at eps 2 the default's 31 time nodes read 1.13e-3 where 63 read
+        # 7.0e-4
+        *(pytest.param("porous2", eps, None, 1.1 * gap, id=f"default-{eps}")
+          for eps, gap in ((0.1, 1.065e-3), (0.5, 8.77e-4), (1.0, 8.80e-4),
+                           (2.0, 1.129e-3))),
     ])
-    def test_porous_solve_between_a_flow_pair_meets_the_bound(self, entropy, eps, request):
+    def test_porous_solve_between_a_flow_pair_meets_the_bound(self, entropy, eps, opts,
+                                                              allowance, request):
         # between x and y = S_eps x the cost is exactly eps (E(x) - E(y)),
-        # the action of the flow curve, and no curve costs less; the porous
-        # solves measure 9.7e-4, 7.3e-4, 6.4e-4 and 6.2e-4 above it
+        # the action of the flow curve, and no curve costs less
         be = request.getfixturevalue(entropy)
         x = gaussian_on(SWEEP, 0.0, 1.0)
         y = be.flow(x, eps)
         bound = eps * (be.entropy(x) - be.entropy(y))
-        res = solve(be, x, y, eps)
+        res = solve(be, x, y, eps, opts)
         assert res.converged
-        assert bound <= res.cost <= (1.0 + 1e-3) * bound
+        assert bound <= res.cost <= (1.0 + allowance) * bound
 
     @pytest.mark.parametrize("eps_list", [
         pytest.param([0.2, 0.1, 0.05, 0.025], id="chain"),
         pytest.param([0.5], id="0.5", marks=pytest.mark.xfail(
             strict=True, raises=AssertionError,
             reason="the quantile Fisher stencil charges too little: at eps 0.5 fisher "
-            "reads 3.49e-2 relative below the closed form, after 139 iterations")),
+            "reads 3.28e-2 relative below the closed form, after 151 iterations")),
     ])
     def test_gaussian_kinetic_and_fisher_match_the_closed_form(self, boltzmann, eps_list):
         # the exact cost C is the minimum of K + sigma F over curves, sigma =
         # eps^2, so by the envelope theorem the minimizer's F is dC/dsigma
         # (here a central difference) and its K is C - sigma F.  On the
-        # bench's seed-1 pair the chain measures F 3.23e-3 to 3.31e-3 below,
-        # K 5.21e-5 to 5.22e-5 and the cost 4.1e-5 to 5.2e-5 above, relative
+        # bench's seed-1 pair the chain measures F 1.92e-3 to 2.06e-3 below,
+        # K 4.80e-5 to 4.84e-5 and the cost 4.1e-5 to 4.8e-5 above, relative;
+        # the bounds are 1.1 times those, rounded up
         m0, s0, m1, s1 = -0.1463, 1.0347, 2.1055, 1.951
         x, y = gaussian_on(SWEEP, m0, s0), gaussian_on(SWEEP, m1, s1)
 
@@ -667,9 +708,9 @@ class TestDensitySolve:
             sigma = res.eps**2
             fisher = (cost(sigma + h) - cost(sigma - h)) / (2.0 * h)
             assert res.converged
-            assert res.fisher == pytest.approx(fisher, rel=3.6e-3)
-            assert res.kinetic == pytest.approx(cost(sigma) - sigma * fisher, rel=5.7e-5)
-            assert res.cost == pytest.approx(cost(sigma), rel=5.7e-5)
+            assert res.fisher == pytest.approx(fisher, rel=2.3e-3)
+            assert res.kinetic == pytest.approx(cost(sigma) - sigma * fisher, rel=5.4e-5)
+            assert res.cost == pytest.approx(cost(sigma), rel=5.4e-5)
 
     def test_descent_history_monotone(self, boltzmann, sweep_pair):
         a, b = sweep_pair
@@ -917,6 +958,23 @@ class TestSolverOptions:
         with pytest.raises(DomainError, match="quantile_points must be at least 3"):
             SolverOptions(quantile_points=qp)
 
+    def test_default_grid_follows_the_backend(self, boltzmann, quad1d):
+        # unset, a density problem on n cells takes 31 time nodes and
+        # m = max(5n // 4, 3) quantile nodes, a Euclidean one 63 time nodes;
+        # a set field is kept
+        a = GridDensity.gaussian(0.0, 1.0, 64, 22.0 / 64, -10.0)
+        b = GridDensity.gaussian(2.0, 2.0, 64, 22.0 / 64, -10.0)
+        x, y = np.array([1.0]), np.array([2.0])
+        assert solve(boltzmann, a, b, 0.0).decision.shape == (31 * 80,)
+        assert solve(boltzmann, a, b, 0.0, SolverOptions(n_time=63, quantile_points=64)
+                     ).decision.shape == (63 * 64,)
+        assert solve(quad1d, x, y, 0.0).decision.shape == (63,)
+        assert solve(quad1d, x, y, 0.0, SolverOptions(n_time=31)).decision.shape == (31,)
+        assert bridge_from_flow(boltzmann, a, 0.1).minimizer.times.size == 33
+        assert bridge_from_flow(quad1d, x, 0.1).minimizer.times.size == 65
+        two = GridDensity(np.array([1.0, 1.0]), 0.5)
+        assert solve(boltzmann, two, two, 0.0).decision.shape == (31 * 3,)
+
     def test_quantile_points_floor_solves(self, boltzmann):
         a = GridDensity.gaussian(0.0, 1.0, 64, 22.0 / 64, -10.0)
         b = GridDensity.gaussian(2.0, 2.0, 64, 22.0 / 64, -10.0)
@@ -1047,7 +1105,7 @@ class TestInheritedModel:
         # that a model of the row's own eps, factored afresh at its
         # minimizer, also meets the rule -g.d <= grad_tol eps^2 |v|
         opts = SolverOptions(n_time=15)
-        prob = _DensityProblem(boltzmann, *pair, _uniform_times(opts.n_time), pair[0].n)
+        prob = solver_problem(boltzmann, *pair, opts)
         for res in _chain(boltzmann, *pair, eps_list):
             sigma = res.eps**2
             v, g = prob.value_grad(res.decision, sigma)
@@ -1249,7 +1307,7 @@ class TestRenderedMinimizer:
         assert res.minimizer is curve and len(renders) == 1
         # what the solver rendered eagerly: the end points around the
         # densities of the quantile rows
-        prob = _DensityProblem(boltzmann, *pair, _uniform_times(15), pair[0].n)
+        prob = solver_problem(boltzmann, *pair, SolverOptions(n_time=15))
         inner = render(pair[0], res.decision.reshape(prob.n_interior, prob.m), prob.u)
         assert curve.times.tobytes() == prob.times.tobytes()
         assert curve.points[0] is pair[0] and curve.points[-1] is pair[1]
@@ -1449,7 +1507,7 @@ class TestDiscreteActions:
         opts = SolverOptions(n_time=15)
         eps_list = [0.3, 0.1, 0.03, 0.0]
         curves = [reg.tilde for reg in builds(be, geodesic_curve(be, *pair, 16), eps_list)]
-        prob = _DensityProblem(be, *pair, _uniform_times(15), pair[0].n)
+        prob = solver_problem(be, *pair, opts)
         want = []
         for curve, eps in zip(curves, eps_list):
             kin, fis, _ = prob.action(prob.pack(curve), eps**2)
