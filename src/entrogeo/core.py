@@ -60,7 +60,9 @@ class SpaceBackend:
     def distances(self, xs, ys) -> np.ndarray:
         """``[distance(x, y) for x, y in zip(xs, ys)]`` as an array; a
         backend overrides it when many pairs can share one batched pass."""
-        xs, ys = _paired(xs, ys)
+        xs, ys = list(xs), list(ys)
+        if len(xs) != len(ys):
+            raise DomainError(f"{len(xs)} first points for {len(ys)} second points")
         return np.array([self.distance(x, y) for x, y in zip(xs, ys)], dtype=float)
 
     def geodesic(self, a, b, theta: float):
@@ -235,14 +237,6 @@ def _check_eps(eps, square: bool = True):
         raise DomainError(f"eps = {eps} is too small: eps^2 underflows to 0")
     if square and eps * eps == math.inf:
         raise DomainError(f"eps = {eps} is too large: eps^2 overflows")
-
-
-def _paired(xs, ys) -> tuple:
-    """The points of ``distances`` as two lists of one length."""
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise DomainError(f"{len(xs)} first points for {len(ys)} second points")
-    return xs, ys
 
 
 def _check_flow_time(s):

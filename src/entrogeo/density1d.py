@@ -82,7 +82,7 @@ import numpy as np
 import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SpaceBackend, _check_flow_time, _paired
+from .core import SpaceBackend, _check_flow_time
 from .errors import DomainError, FlowDiverged, GridMismatch, InvalidCurve
 
 __all__ = [
@@ -933,7 +933,9 @@ class Density1DBackend(SpaceBackend):
         """``distance`` of each pair, all through the batched cut kernel
         (``_distances``).  Each distinct point's grid is checked once: a
         curve's chords share their nodes."""
-        xs, ys = _paired(xs, ys)
+        xs, ys = list(xs), list(ys)
+        if len(xs) != len(ys):
+            raise DomainError(f"{len(xs)} first points for {len(ys)} second points")
         if not xs:
             return np.empty(0)
         points, index = _id_table(xs + ys)

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .core import SpaceBackend, _check_flow_time, _paired
+from .core import SpaceBackend, _check_flow_time
 from .errors import DomainError, FlowDiverged, InvalidCurve
 
 __all__ = [
@@ -243,17 +243,6 @@ class EuclideanBackend(SpaceBackend):
 
     def distance(self, a, b) -> float:
         return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-
-    def distances(self, xs, ys) -> np.ndarray:
-        """``distance`` of each pair, in one array pass.  ``np.vecdot`` takes
-        the dot product of each row by numpy's ``dot`` loop, the one
-        ``np.linalg.norm`` takes for one vector, so each entry has the bytes
-        of ``distance``; a sum of squares would round apart."""
-        xs, ys = _paired(xs, ys)
-        if not xs:
-            return np.empty(0)
-        d = np.asarray(xs, dtype=float) - np.asarray(ys, dtype=float)
-        return np.sqrt(np.vecdot(d, d))
 
     def geodesic(self, a, b, theta: float):
         a = np.asarray(a, dtype=float)

@@ -246,12 +246,16 @@ def _uniform_times(n_time: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_time + 2)
 
 
-def _n_time(backend: SpaceBackend, opts: SolverOptions) -> int:
-    """The interior time nodes of ``opts``, else the backend's default: 31
-    for densities, 63 for the Euclidean backend (see ``SolverOptions``)."""
-    if opts.n_time is not None:
-        return opts.n_time
-    return 31 if isinstance(backend, Density1DBackend) else 63
+def _grid(backend: SpaceBackend, x, opts: SolverOptions) -> tuple:
+    """The interior time nodes and the quantile nodes m of a solve from
+    ``x`` with ``opts``: the ones ``opts`` sets, else the backend's default
+    grid (see ``SolverOptions``); m is None off the density backend."""
+    if not isinstance(backend, Density1DBackend):
+        return opts.n_time or 63, None
+    # m = 3n/2 quantile nodes would halve the error at 5n/4 again, but with
+    # 31 time nodes it makes a cold eps = 2 solve about 20% slower than m = n
+    # with 63 time nodes, where 5n/4 stays within about 10%
+    return opts.n_time or 31, opts.quantile_points or max(5 * x.n // 4, 3)
 
 
 # Armijo constant, backtracking factor and L-BFGS memory of _lbfgs_armijo;
@@ -890,13 +894,13 @@ class _DensityProblem(_Problem):
 # -- public entry points ------------------------------------------------------
 
 
-def _problem(backend: SpaceBackend, x, y, times, opts: SolverOptions) -> _Problem:
-    """The solver problem of ``backend`` between ``x`` and ``y``."""
+def _problem(backend: SpaceBackend, x, y, opts: SolverOptions, times=None) -> _Problem:
+    """The solver problem of ``backend`` between ``x`` and ``y`` on the grid
+    of ``opts`` (``_grid``), at ``times`` if given, else at uniform ones."""
+    n_time, m = _grid(backend, x, opts)
+    if times is None:
+        times = _uniform_times(n_time)
     if isinstance(backend, Density1DBackend):
-        # m = 3n/2 quantile nodes would halve the error at 5n/4 again, but
-        # with 31 time nodes it makes a cold eps = 2 solve about 20% slower
-        # than m = n with 63 time nodes, where 5n/4 stays within about 10%
-        m = opts.quantile_points or max(5 * x.n // 4, 3)
         return _DensityProblem(backend, x, y, times, m)
     if isinstance(backend, EuclideanBackend):
         return _EuclideanProblem(backend, x, y, times)
@@ -982,8 +986,7 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
     _check_endpoints(backend, x, y)
     if any(eps > 0 for eps in eps_list):
         _check_finite_entropy(backend, x, y)
-    n_time = _n_time(backend, opts)
-    prob = _problem(backend, x, y, _uniform_times(n_time), opts)
+    prob = _problem(backend, x, y, opts)
     z_geo = prob.geodesic_z()  # the deviations are measured from it
     z, precond, eps_model = None, None, None
     for eps in eps_list:
@@ -998,7 +1001,7 @@ def solves(backend: SpaceBackend, x, y, eps_list: Iterable[float],
                                         z_geo, 0, 0.0)
                 continue
         if z is None:
-            geo = geodesic_curve(backend, x, y, n_time + 1)
+            geo = geodesic_curve(backend, x, y, len(prob.times) - 1)
             z = prob.pack(build_regularized(backend, geo, eps).tilde)
         if precond is not None and not (
                 1.0 / _INHERIT_RATIO <= (eps_model / eps) ** 2 <= _INHERIT_RATIO):
@@ -1080,7 +1083,7 @@ def discrete_actions(backend: SpaceBackend, curves, eps_list,
                 and _same_point(curve.points[-1], y)):
             raise DomainError("the curves of one discrete_actions call must share their "
                               "time grid and end points")
-    prob = _problem(backend, x, y, times, opts)
+    prob = _problem(backend, x, y, opts, times)
     return [prob.value(prob.pack(curve), eps**2) for curve, eps in zip(curves, eps_list)]
 
 
@@ -1096,7 +1099,7 @@ def bridge_from_flow(backend: SpaceBackend, x, eps: float,
     if eps == 0:
         raise DomainError("bridge construction needs eps > 0")
     opts = opts or SolverOptions()
-    times = _uniform_times(_n_time(backend, opts))
+    times = _uniform_times(_grid(backend, x, opts)[0])
     pts = [x]
     for dt in np.diff(times):
         pts.append(backend.flow(pts[-1], float(eps * dt)))

@@ -8,8 +8,6 @@ from entrogeo import (
     GridDensity,
     QuadraticPotential,
 )
-from entrogeo import solver
-from entrogeo.solver import SolverOptions
 
 
 @pytest.fixture(scope="session")
@@ -48,11 +46,3 @@ def gaussian_on(grid, mean, sigma, boundary="no-flux"):
 def sweep_pair():
     """The shipped density endpoint preset: N(0,1) -> N(2,4)."""
     return gaussian_on(SWEEP, 0.0, 1.0), gaussian_on(SWEEP, 2.0, 2.0)
-
-
-def solver_problem(backend, x, y, opts=None):
-    """The problem a solve between ``x`` and ``y`` with ``opts`` builds: on
-    the grid ``opts`` sets, else on its backend's default grid."""
-    opts = opts or SolverOptions()
-    times = solver._uniform_times(solver._n_time(backend, opts))
-    return solver._problem(backend, x, y, times, opts)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from entrogeo import (
     Curve,
-    EuclideanBackend,
     GridDensity,
     QuadraticPotential,
     fisher_action,
@@ -186,21 +185,9 @@ class TestDistances:
         rng = np.random.default_rng(0)
         xs = [rng.normal(size=2) for _ in range(5)]
         ys = [rng.normal(size=2) for _ in range(5)]
-        d = SpaceBackend.distances(quad2d, xs, ys)
+        d = quad2d.distances(xs, ys)
         assert d.dtype == float
         assert d.tolist() == [quad2d.distance(x, y) for x, y in zip(xs, ys)]
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 4), st.integers(0, 12), st.data())
-    def test_euclidean_batch_has_the_bytes_of_distance(self, dim, rows, data):
-        # one array pass, each entry bit for bit the one-pair distance
-        size = 2 * rows * dim
-        coords = data.draw(st.lists(st.floats(-1e100, 1e100), min_size=size, max_size=size))
-        xs, ys = np.array(coords, dtype=float).reshape(2, rows, dim)
-        be = EuclideanBackend(QuadraticPotential(np.zeros(dim), 1.0))
-        got = be.distances(xs, ys)
-        want = np.array([be.distance(x, y) for x, y in zip(xs, ys)], dtype=float)
-        assert got.shape == (rows,) and got.tobytes() == want.tobytes()
 
     def test_empty_and_unequal_lengths(self, quad2d):
         assert quad2d.distances([], []).shape == (0,)

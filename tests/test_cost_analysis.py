@@ -19,11 +19,10 @@ from entrogeo.regularizer import build
 from entrogeo.solver import (
     SchrodingerResult,
     SolverOptions,
+    _problem,
     discrete_action,
     solves,
 )
-
-from conftest import solver_problem
 
 
 EPS_DYADIC = [0.2, 0.1, 0.05, 0.025]
@@ -111,7 +110,7 @@ class TestSweep:
         x = GridDensity.gaussian(0.0, 1.0, n, 22.0 / n, -10.0)
         y = GridDensity.gaussian(2.0, 2.0, n, 22.0 / n, -10.0)
         prof = sweep(boltzmann, x, y, [0.0, 0.025, 0.1, 0.2], SolverOptions(n_time=15))
-        m = solver_problem(boltzmann, x, y, prof.opts).m
+        m = _problem(boltzmann, x, y, prof.opts).m
         assert all(r.decision.shape == (15 * m,) for r in prof.rows)
         assert [r.model_builds for r in prof.rows] == [0, 1, 0, 1]
         assert [rec["model_builds"] for rec in prof.to_records()] == [0, 1, 0, 1]
@@ -270,7 +269,7 @@ class TestGammaDiagnostics:
             # the W2 of each row's quantiles from the geodesic's, before
             # either is binned onto the grid; the binned curves' W2 reads
             # 1.1-1.7% less on this pair
-            prob = solver_problem(backend, x, y, prof.opts)
+            prob = _problem(backend, x, y, prof.opts)
             z_geo = prob.geodesic_z()
             assert report.minimizer_deviation == tuple(
                 float(np.max(prob.row_distances(r.decision, z_geo))) for r in rows)
@@ -291,7 +290,7 @@ class TestGammaDiagnostics:
         (_, s0), (_, s1) = BENCH_PAIRS[seed]
         prof = sweep(boltzmann, x, y, BENCH_EPS)
         report = gamma_diagnostics(boltzmann, prof)
-        prob = solver_problem(boltzmann, x, y)
+        prob = _problem(boltzmann, x, y, SolverOptions())
         z_geo, t = prob.geodesic_z(), prob.times[1:-1]
         for row, dev in zip(reversed(prof.rows), report.minimizer_deviation, strict=True):
             C = 0.5 * (s0 * s0 + s1 * s1) - math.sqrt(s0 * s0 * s1 * s1 + row.eps**2)
@@ -484,7 +483,7 @@ class TestMollifiedSweep:
         prof = mollified_sweep(boltzmann, x, y, [0.0, 0.4], math.sqrt, opts)
         assert prof.opts is opts
         assert [r.eps for r in prof.rows] == [0.4]
-        assert prof.rows[0].decision.shape == (7 * solver_problem(boltzmann, x, y, opts).m,)
+        assert prof.rows[0].decision.shape == (7 * _problem(boltzmann, x, y, opts).m,)
 
 
 class TestEpsList:

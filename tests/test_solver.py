@@ -48,7 +48,7 @@ from entrogeo.solver import (
     solves,
 )
 
-from conftest import SWEEP, gaussian_on, solver_problem
+from conftest import SWEEP, gaussian_on
 
 
 def _bench_oracles():
@@ -181,7 +181,7 @@ class TestEuclideanSolve:
         n, dx, x0 = 64, 22.0 / 64, -10.0
         a = GridDensity.gaussian(0.0, 1.0, n, dx, x0)
         b = GridDensity.gaussian(2.0, 2.0, n, dx, x0)
-        prob = solver_problem(boltzmann, a, b, SolverOptions(n_time=15))
+        prob = solver_mod._problem(boltzmann, a, b, SolverOptions(n_time=15))
         _, w = _steps_and_weights(prob.times)
         for eps in (0.0, 0.2):
             res = solve(boltzmann, a, b, eps, SolverOptions(n_time=15))
@@ -195,25 +195,27 @@ class TestEuclideanSolve:
     @pytest.mark.parametrize("backend", ["boltzmann", "porous2", "quad2d"])
     def test_two_node_curve_has_an_empty_decision_vector(self, backend, request, sweep_pair):
         # a curve of its two end points alone is scored like any other: at
-        # eps = 0 its action is the closed-form geodesic cost, to the ulp by
-        # which the steps of the solved geodesic (32 for densities, 64 for
-        # the Euclidean backend) round apart from the one step; 2.2e-16
-        # relative for the density pair
+        # eps = 0 its action is the closed-form geodesic cost; the density
+        # pairs on m = n quantile nodes and 63 time nodes
         be = request.getfixturevalue(backend)
         x, y = sweep_pair if backend != "quad2d" else (np.zeros(2), np.ones(2))
         curve = Curve(np.array([0.0, 1.0]), [x, y])
-        assert discrete_action(be, curve, 0.0) == pytest.approx(
-            solve(be, x, y, 0.0).cost, rel=2.5e-16, abs=0.0)
+        opts = _M_IS_N_63 if backend != "quad2d" else None
+        assert discrete_action(be, curve, 0.0, opts) == solve(be, x, y, 0.0, opts).cost
         if backend == "quad2d":
-            # 2.1e-16 relative; at other end points the geodesic's steps
-            # round apart from the one step by about an ulp
+            # 2.1e-16 relative; at other end points the 64 steps of the
+            # solved geodesic round apart from the one step by about an ulp
             assert discrete_action(be, curve, 0.3) == pytest.approx(
                 schrodinger_action(be, curve, 0.3), rel=1e-15, abs=0.0)
             x, y = np.array([1.0, -0.5]), np.array([-0.3, 2.0])
             assert discrete_action(be, Curve(np.array([0.0, 1.0]), [x, y]), 0.0) == (
                 pytest.approx(solve(be, x, y, 0.0).cost, rel=2.5e-16, abs=0.0))
         else:
-            assert discrete_action(be, curve, 0.3) > discrete_action(be, curve, 0.0)
+            assert discrete_action(be, curve, 0.3, opts) > discrete_action(be, curve, 0.0, opts)
+            # on the default grid the 32 steps of the solved geodesic round
+            # apart from the one step by an ulp, 1.8e-16 relative
+            assert discrete_action(be, curve, 0.0) == pytest.approx(
+                solve(be, x, y, 0.0).cost, rel=2.5e-16, abs=0.0)
 
     def test_grid_consistency(self, quad1d):
         r1 = solve(quad1d, np.array([1.0]), np.array([2.0]), 0.2,
@@ -1105,7 +1107,7 @@ class TestInheritedModel:
         # that a model of the row's own eps, factored afresh at its
         # minimizer, also meets the rule -g.d <= grad_tol eps^2 |v|
         opts = SolverOptions(n_time=15)
-        prob = solver_problem(boltzmann, *pair, opts)
+        prob = solver_mod._problem(boltzmann, *pair, opts)
         for res in _chain(boltzmann, *pair, eps_list):
             sigma = res.eps**2
             v, g = prob.value_grad(res.decision, sigma)
@@ -1307,7 +1309,7 @@ class TestRenderedMinimizer:
         assert res.minimizer is curve and len(renders) == 1
         # what the solver rendered eagerly: the end points around the
         # densities of the quantile rows
-        prob = solver_problem(boltzmann, *pair, SolverOptions(n_time=15))
+        prob = solver_mod._problem(boltzmann, *pair, SolverOptions(n_time=15))
         inner = render(pair[0], res.decision.reshape(prob.n_interior, prob.m), prob.u)
         assert curve.times.tobytes() == prob.times.tobytes()
         assert curve.points[0] is pair[0] and curve.points[-1] is pair[1]
@@ -1329,7 +1331,7 @@ class TestRenderedMinimizer:
         # nan where nothing was solved
         for be, x, y in ((boltzmann, *pair), (quad2d, np.zeros(2), np.array([1.0, 1.0]))):
             zero, res = solves(be, x, y, [0.0, 0.2], SolverOptions(n_time=7))
-            prob = solver_mod._problem(be, x, y, _uniform_times(7), SolverOptions(n_time=7))
+            prob = solver_mod._problem(be, x, y, SolverOptions(n_time=7))
             assert zero.deviation == 0.0
             assert res.deviation == float(np.max(
                 prob.row_distances(res.decision, zero.decision))) > 0.0
@@ -1507,7 +1509,7 @@ class TestDiscreteActions:
         opts = SolverOptions(n_time=15)
         eps_list = [0.3, 0.1, 0.03, 0.0]
         curves = [reg.tilde for reg in builds(be, geodesic_curve(be, *pair, 16), eps_list)]
-        prob = solver_problem(be, *pair, opts)
+        prob = solver_mod._problem(be, *pair, opts)
         want = []
         for curve, eps in zip(curves, eps_list):
             kin, fis, _ = prob.action(prob.pack(curve), eps**2)
